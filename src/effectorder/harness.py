@@ -20,7 +20,6 @@ from .algebra import (
     Element,
     HermFactor,
     Ring,
-    SpinFactor,
     element_in_factor,
     jordan_product,
     quad_rep,
@@ -51,6 +50,7 @@ from .sampling import (
 )
 from .spectral import (
     apply_function,
+    block_eigenvalues,
     extreme_eigenvalues,
     invert_element,
     max_eigenvalue,
@@ -384,8 +384,8 @@ def run_order_iso_suite(
             p = sample_atom(factor, rng)
             lam = float(rng.uniform(0.01, 1.0))
             img = fiso.apply(lam * p)
-            eigs = np.sort(_single_factor_eigenvalues(img))[::-1]
-            checks["atom_rank_one"].record(max(0.0, float(eigs[1])) if len(eigs) > 1 else 0.0)
+            eigs = block_eigenvalues(img.algebra.factors[0], img.block(0))
+            checks["atom_rank_one"].record(max(0.0, float(eigs[-2])) if len(eigs) > 1 else 0.0)
 
         t, s = float(rng.uniform(-2.5, 0.9)), float(rng.uniform(-2.5, 0.9))
         x_eff = sample_element(source, rng, "effect")
@@ -440,20 +440,6 @@ def run_order_iso_suite(
         checks=tuple(checks.values()),
         elapsed_seconds=time.perf_counter() - t0,
     )
-
-
-def _single_factor_eigenvalues(x: Element) -> np.ndarray:
-    """All eigenvalues (with multiplicity) of a single-factor element."""
-    from . import quaternion as quat
-
-    factor = x.algebra.factors[0]
-    b = x.block(0)
-    if isinstance(factor, SpinFactor):
-        nv = float(np.linalg.norm(b[1:]))
-        return np.array([b[0] - nv, b[0] + nv])
-    if factor.ring is Ring.QUATERNION:
-        return np.linalg.eigvalsh(quat.to_complex(b))[::2]
-    return np.linalg.eigvalsh(b)
 
 
 def scalar_oracle_compare(

@@ -50,7 +50,6 @@ from .algebra import (
     unit,
 )
 from .spectral import (
-    SpectralDecomposition,
     apply_function,
     extreme_eigenvalues,
     invert_element,
@@ -94,21 +93,11 @@ def mobius_invert_param(t: float) -> float:
     return t / (t - 1.0)
 
 
-def _check_effect(dec: SpectralDecomposition, x: Element, what: str = "argument") -> None:
+def _check_effect(x: Element, lo: float, hi: float) -> None:
+    """Raise unless the spectrum [lo, hi] of x lies in [0, 1] up to tolerance."""
     tol = 1e-8 * (1.0 + sup_norm(x))
-    if dec.eigenvalues[0] < -tol or dec.eigenvalues[-1] > 1.0 + tol:
-        raise DomainError(
-            f"{what} is outside [0, e]: spectrum in "
-            f"[{dec.eigenvalues[0]}, {dec.eigenvalues[-1]}]"
-        )
-
-
-def _check_effect_cheap(x: Element, what: str = "argument") -> None:
-    """Domain check via extreme eigenvalues only (no projections)."""
-    tol = 1e-8 * (1.0 + sup_norm(x))
-    lo, hi = extreme_eigenvalues(x)
     if lo < -tol or hi > 1.0 + tol:
-        raise DomainError(f"{what} is outside [0, e]: spectrum in [{lo}, {hi}]")
+        raise DomainError(f"argument is outside [0, e]: spectrum in [{lo}, {hi}]")
 
 
 def mobius_apply(t: float, x: Element) -> Element:
@@ -116,7 +105,7 @@ def mobius_apply(t: float, x: Element) -> Element:
     computed through the functional calculus as s -> s / (t s + 1 - t)."""
     check_mobius_param(t)
     dec = spectral_decompose(x)
-    _check_effect(dec, x)
+    _check_effect(x, dec.eigenvalues[0], dec.eigenvalues[-1])
     return dec.apply(lambda s: mobius_scalar(t, s))
 
 
@@ -147,8 +136,7 @@ def cone_interval_map(x: Element, direction: str) -> Element:
     x -> x^(-1) - e one way, x -> (x + e)^(-1) back."""
     e = unit(x.algebra)
     if direction == "interval_to_cone":
-        dec = spectral_decompose(x)
-        _check_effect(dec, x)
+        _check_effect(x, *extreme_eigenvalues(x))
         return invert_element(x, "strict") - e
     if direction == "cone_to_interval":
         if min_eigenvalue(x) < -1e-8 * (1.0 + sup_norm(x)):
@@ -278,7 +266,7 @@ class FactorOrderIso:
 
     def apply(self, x: Element) -> Element:
         """Evaluate mobius_t(U_{(z^2+e)^(1/2)}(e - (e + U_{z^(-1)} J x)^(-1)))."""
-        _check_effect_cheap(x)
+        _check_effect(x, *extreme_eigenvalues(x))
         w = self.jordan.apply(x)
         w = quad_rep(self._z_inv, w)
         # e - (e + w)^(-1) = [v/(1+v)](w): one pass, spectrum of e+w >= 1
@@ -320,8 +308,7 @@ def interior_iso_apply(
     positive-cone map U_y J:   x -> (U_y J x^(-1) - y^2 + e)^(-1)."""
     if min_eigenvalue(y) <= 0.0:
         raise DomainError("y must be interior-positive")
-    dec = spectral_decompose(x)
-    _check_effect(dec, x)
+    _check_effect(x, *extreme_eigenvalues(x))
     w = invert_element(x, "strict")
     if jordan is not None:
         w = jordan.apply(w)
@@ -483,8 +470,7 @@ class CompositeOrderIso:
         dst = self.target if fwd else self.source
         if x.algebra != src:
             raise ShapeMismatchError("element does not live in the expected algebra")
-        dec = spectral_decompose(x)
-        _check_effect(dec, x)
+        _check_effect(x, *extreme_eigenvalues(x))
         out: list[np.ndarray | None] = [None] * len(dst.factors)
         for (i, j), f in zip(self.sigma, self.scalar_isos):
             a, b = (i, j) if fwd else (j, i)

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import (
     AlgebraDescriptor,
     DomainError,
@@ -112,12 +110,7 @@ def proj_meet(p: Element, q: Element) -> Element:
     _require_projection(p, "p")
     _require_projection(q, "q")
     dec = spectral_decompose(p + q, cluster_tol=1e-13)
-    blocks = [np.array(_zero_block(f)) for f in p.algebra.factors]
-    for lam, pr in zip(dec.eigenvalues, dec.projections):
-        if lam >= 2.0 - 1e-11:
-            for acc, pb in zip(blocks, pr.blocks):
-                acc += pb
-    return _element(p.algebra, blocks)
+    return dec.apply(lambda lam: 1.0 if lam >= 2.0 - 1e-11 else 0.0)
 
 
 def proj_join(p: Element, q: Element) -> Element:

@@ -67,12 +67,18 @@ def qeye(n: int) -> np.ndarray:
 
 
 def qmatmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Matrix product of an (n, m, 4) and an (m, k, 4) quaternion array."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    # (n, m, 1, 4) * (1, m, k, 4) -> (n, m, k, 4), contracted over axis 1
-    prod = qmul(A[:, :, None, :], B[None, :, :, :])
-    return prod.sum(axis=1)
+    """Matrix product of an (n, m, 4) and an (m, k, 4) quaternion array.
+
+    With entries z + w j, (Z1 + W1 j)(Z2 + W2 j) = (Z1 Z2 - W1 conj(W2))
+    + (Z1 W2 + W1 conj(Z2)) j, so four complex matrix products suffice.
+    """
+    # viewing the last axis as two complex numbers gives (z, w) per entry
+    a = np.ascontiguousarray(A, dtype=float).view(complex)
+    b = np.ascontiguousarray(B, dtype=float).view(complex)
+    z1, w1, z2, w2 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
+    return np.stack(
+        [z1 @ z2 - w1 @ w2.conj(), z1 @ w2 + w1 @ z2.conj()], axis=-1
+    ).view(float)
 
 
 def qadjoint(A: np.ndarray) -> np.ndarray:
@@ -83,9 +89,13 @@ def qadjoint(A: np.ndarray) -> np.ndarray:
 def to_complex(A: np.ndarray) -> np.ndarray:
     """Embed an (n, m, 4) quaternion array as a 2n x 2m complex matrix."""
     A = np.asarray(A, dtype=float)
+    n, m = A.shape[0], A.shape[1]
     Z = A[..., 0] + 1j * A[..., 1]
     W = A[..., 2] + 1j * A[..., 3]
-    return np.block([[Z, W], [-W.conj(), Z.conj()]])
+    out = np.empty((2 * n, 2 * m), dtype=complex)
+    out[:n, :m], out[:n, m:] = Z, W
+    out[n:, :m], out[n:, m:] = -W.conj(), Z.conj()
+    return out
 
 
 def from_complex(C: np.ndarray) -> np.ndarray:

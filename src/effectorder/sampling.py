@@ -65,13 +65,7 @@ def sample_element(alg: AlgebraDescriptor, rng: np.random.Generator, cls: str = 
     if cls == "projection":
         g = random_gaussian(alg, rng)
         dec = spectral_decompose(g)
-        keep = rng.integers(0, 2, size=len(dec.eigenvalues))
-        blocks = [np.array(_zero_block(f)) for f in alg.factors]
-        for flag, p in zip(keep, dec.projections):
-            if flag:
-                for acc, pb in zip(blocks, p.blocks):
-                    acc += pb
-        return _element(alg, blocks)
+        return dec.combine(rng.integers(0, 2, size=len(dec.eigenvalues)))
     if cls == "atom":
         i = int(rng.integers(0, len(alg.factors)))
         a = sample_atom(alg.factors[i], rng)

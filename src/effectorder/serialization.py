@@ -78,6 +78,25 @@ def _need(obj: dict, key: str, path: str) -> Any:
     return obj[key]
 
 
+def _number(cast: type, value: Any, path: str) -> Any:
+    """cast(value) for a numeric document field, as a SchemaError if it fails."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(BAD_SCHEMA, path, f"expected a number, got {value!r}") from exc
+
+
+def _field(cast: type, obj: Any, key: str, path: str) -> Any:
+    return _number(cast, _need(obj, key, path), f"{path}.{key}")
+
+
+def _list(obj: Any, key: str, path: str) -> list:
+    raw = _need(obj, key, path)
+    if not isinstance(raw, list):
+        raise SchemaError(BAD_SCHEMA, f"{path}.{key}", "expected a list")
+    return raw
+
+
 def _check_type_tag(obj: dict, expected: str, path: str) -> None:
     tag = obj.get("type") if isinstance(obj, dict) else None
     if tag is not None and tag != expected:
@@ -113,9 +132,9 @@ def algebra_from_obj(obj: Any, path: str = "algebra") -> AlgebraDescriptor:
                 ring = fo.get("ring", "R")
                 if ring not in _RINGS:
                     raise SchemaError(BAD_FACTOR, fp, f"unknown ring {ring!r}")
-                factors.append(HermFactor(int(_need(fo, "n", fp)), _RINGS[ring]))
+                factors.append(HermFactor(_field(int, fo, "n", fp), _RINGS[ring]))
             elif kind == "spin":
-                factors.append(SpinFactor(int(_need(fo, "d", fp))))
+                factors.append(SpinFactor(_field(int, fo, "d", fp)))
             else:
                 raise SchemaError(UNKNOWN_KIND, fp, f"unknown factor kind {kind!r}")
         except ValueError as exc:
@@ -150,16 +169,12 @@ def element_to_obj(x: Element) -> dict:
 
 
 def _scalar_from_obj(ring: Ring, v: Any, path: str):
-    try:
-        if ring is Ring.REAL:
-            return float(v)
-        if ring is Ring.COMPLEX:
-            re, im = v
-            return complex(float(re), float(im))
-        a, b, c, d = v
-        return np.array([float(a), float(b), float(c), float(d)])
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(BAD_SCHEMA, path, f"bad scalar for ring {ring.value}") from exc
+    if ring is Ring.REAL:
+        return _number(float, v, path)
+    if not isinstance(v, list) or len(v) != (2 if ring is Ring.COMPLEX else 4):
+        raise SchemaError(BAD_SCHEMA, path, f"bad scalar for ring {ring.value}")
+    parts = [_number(float, c, path) for c in v]
+    return complex(*parts) if ring is Ring.COMPLEX else np.array(parts)
 
 
 def _herm_block_from_obj(factor: HermFactor, rows: Any, path: str) -> np.ndarray:
@@ -196,7 +211,7 @@ def _spin_block_from_obj(factor: SpinFactor, obj: Any, path: str) -> np.ndarray:
     v = _need(obj, "v", path)
     if not isinstance(v, list) or len(v) != factor.d:
         raise SchemaError(SHAPE_MISMATCH, path, f"expected a vector of length {factor.d}")
-    b = np.concatenate(([float(alpha)], np.array([float(c) for c in v])))
+    b = np.array([_number(float, c, path) for c in (alpha, *v)])
     if not np.all(np.isfinite(b)):
         raise SchemaError(NON_FINITE, path, "non-finite entries")
     return b
@@ -306,7 +321,7 @@ def _pair_list(raw: Any, path: str) -> tuple[tuple[int, int], ...]:
     for k, pair in enumerate(raw):
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError(BAD_SCHEMA, f"{path}[{k}]", "expected [i, j]")
-        out.append((int(pair[0]), int(pair[1])))
+        out.append(tuple(_number(int, v, f"{path}[{k}]") for v in pair))
     return tuple(out)
 
 
@@ -317,14 +332,11 @@ def iso_from_obj(obj: Any, path: str = "iso") -> CompositeOrderIso:
     sigma = _pair_list(_need(obj, "sigma", path), f"{path}.sigma")
 
     scalars = []
-    raw_scalars = _need(obj, "scalar_isos", path)
-    if not isinstance(raw_scalars, list):
-        raise SchemaError(BAD_SCHEMA, f"{path}.scalar_isos", "expected a list")
-    for k, so in enumerate(raw_scalars):
+    for k, so in enumerate(_list(obj, "scalar_isos", path)):
         sp = f"{path}.scalar_isos[{k}]"
         kind = _need(so, "kind", sp)
         if kind == "phi":
-            t = float(_need(so, "t", sp))
+            t = _field(float, so, "t", sp)
             if not t < MOBIUS_PARAM_MAX:
                 raise SchemaError(PHI_PARAM_RANGE, sp, f"t = {t} must be < 1")
             scalars.append(PhiScalarIso(t))
@@ -339,17 +351,14 @@ def iso_from_obj(obj: Any, path: str = "iso") -> CompositeOrderIso:
 
     pairs = []
     isos = []
-    raw_engaged = _need(obj, "engaged", path)
-    if not isinstance(raw_engaged, list):
-        raise SchemaError(BAD_SCHEMA, f"{path}.engaged", "expected a list")
-    for k, eo in enumerate(raw_engaged):
+    for k, eo in enumerate(_list(obj, "engaged", path)):
         ep = f"{path}.engaged[{k}]"
         match = _pair_list([_need(eo, "match", ep)], ep)[0]
         i, j = match
         if not (0 <= j < len(target.factors)):
             raise SchemaError(NOT_BIJECTION, ep, f"target index {j} out of range")
         factor = target.factors[j]
-        t = float(_need(eo, "t", ep))
+        t = _field(float, eo, "t", ep)
         if not t < MOBIUS_PARAM_MAX:
             raise SchemaError(PHI_PARAM_RANGE, f"{ep}.t", f"t = {t} must be < 1")
         if isinstance(factor, SpinFactor):
@@ -406,28 +415,31 @@ def report_to_obj(reports: list[SuiteReport] | SuiteReport) -> dict:
 def report_from_obj(obj: Any, path: str = "report") -> list[SuiteReport]:
     _check_type_tag(obj, "report", path)
     out = []
-    for k, ro in enumerate(_need(obj, "suites", path)):
+    for k, ro in enumerate(_list(obj, "suites", path)):
         rp = f"{path}.suites[{k}]"
         checks = tuple(
             CheckResult(
                 name=str(_need(co, "name", rp)),
-                tol=float(_need(co, "tol", rp)),
-                passes=int(_need(co, "passes", rp)),
-                fails=int(_need(co, "fails", rp)),
-                worst=float(_need(co, "worst_residual", rp)),
+                tol=_field(float, co, "tol", rp),
+                passes=_field(int, co, "passes", rp),
+                fails=_field(int, co, "fails", rp),
+                worst=_field(float, co, "worst_residual", rp),
             )
-            for co in _need(ro, "checks", rp)
+            for co in _list(ro, "checks", rp)
         )
+        data = ro.get("data", {})
+        if not isinstance(data, dict):
+            raise SchemaError(BAD_SCHEMA, f"{rp}.data", "expected an object")
         out.append(
             SuiteReport(
                 suite=str(_need(ro, "suite", rp)),
                 descriptor=str(_need(ro, "descriptor", rp)),
-                seed=int(_need(ro, "seed", rp)),
-                trials=int(_need(ro, "trials", rp)),
-                tol=float(_need(ro, "tol", rp)),
+                seed=_field(int, ro, "seed", rp),
+                trials=_field(int, ro, "trials", rp),
+                tol=_field(float, ro, "tol", rp),
                 checks=checks,
-                elapsed_seconds=float(_need(ro, "elapsed_seconds", rp)),
-                data=dict(ro.get("data", {})),
+                elapsed_seconds=_field(float, ro, "elapsed_seconds", rp),
+                data=dict(data),
             )
         )
     return out

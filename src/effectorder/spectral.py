@@ -2,20 +2,24 @@
 
 Hermitian blocks over R and C go through ``numpy.linalg.eigh``;
 quaternionic blocks through the 2n x 2n complex embedding (eigenvalues
-come in pairs and the paired eigenprojections pull back to quaternionic
-projections); spin blocks have the closed form
+come in pairs and spectral projections pull back through
+``from_complex``); spin blocks have the closed form
 
     eigenvalues a +/- |v|   with idempotents (1, +/- v/|v|) / 2.
 
-Eigenvalues closer than ``cluster_tol`` are merged and their projections
-summed, which is what makes jump functions such as the range projection
-stable in floating point.
+A decomposition keeps, per block, the eigenbasis and the cluster index of
+every eigenpair.  Eigenvalues closer than ``cluster_tol`` share a cluster,
+which is what makes jump functions such as the range projection stable in
+floating point.  Elements Sum c_i p_i are rebuilt block by block from the
+bases by :meth:`SpectralDecomposition.combine`; the projections p_i
+themselves are only built when asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,7 +33,6 @@ from .algebra import (
     SingularElementError,
     SpinFactor,
     _element,
-    _zero_block,
     sup_norm,
 )
 
@@ -40,64 +43,90 @@ def default_cluster_tol(x: Element) -> float:
     return 1e-8 * (1.0 + sup_norm(x))
 
 
-def _block_eigenpairs(factor: Factor, b: np.ndarray) -> list[tuple[float, np.ndarray]]:
-    """Finest-grained (eigenvalue, projection-block) pairs for one block.
+def _block_eigh(factor: Factor, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of one block and the basis :meth:`combine` uses.
 
-    Quaternionic pairs are complex-rank-one pullbacks; only after summing
-    a degenerate pair do they form a quaternionic projection, which the
-    clustering step always does because embedded eigenvalues are doubled.
+    Hermitian blocks: eigenvector columns (of the complex embedding over
+    the quaternions, so every eigenvalue appears twice).  Spin blocks: one
+    idempotent per row.
     """
     if isinstance(factor, SpinFactor):
         alpha, v = float(b[0]), b[1:]
         nv = float(np.linalg.norm(v))
         if nv < np.finfo(float).tiny:
-            eblk = np.zeros(factor.d + 1)
-            eblk[0] = 1.0
-            return [(alpha, eblk)]
-        u = v / nv
-        lo = np.concatenate(([0.5], -0.5 * u))
-        hi = np.concatenate(([0.5], 0.5 * u))
-        return [(alpha - nv, lo), (alpha + nv, hi)]
+            return np.array([alpha]), np.eye(1, factor.d + 1)
+        u = (0.5 / nv) * v
+        return np.array([alpha - nv, alpha + nv]), np.array([[0.5, *-u], [0.5, *u]])
     if factor.ring is Ring.QUATERNION:
-        w, V = np.linalg.eigh(quat.to_complex(b))
-        return [
-            (float(w[i]), quat.from_complex(np.outer(V[:, i], V[:, i].conj())))
-            for i in range(len(w))
-        ]
+        return np.linalg.eigh(quat.to_complex(b))
     if factor.n == 1:
         # 1x1 fast path; the entry is real after hermitization
-        lam = float(b[0, 0].real)
-        return [(lam, np.ones((1, 1), dtype=b.dtype))]
-    w, V = np.linalg.eigh(b)
-    return [(float(w[i]), np.outer(V[:, i], V[:, i].conj())) for i in range(len(w))]
+        return np.array([b[0, 0].real]), np.ones((1, 1), dtype=b.dtype)
+    return np.linalg.eigh(b)
+
+
+def block_eigenvalues(factor: Factor, b: np.ndarray) -> np.ndarray:
+    """Eigenvalues of one block, ascending, with multiplicity (a
+    quaternionic eigenvalue counts once, not twice as in the embedding)."""
+    if isinstance(factor, SpinFactor):
+        nv = float(np.linalg.norm(b[1:]))
+        return np.array([b[0] - nv, b[0] + nv])
+    if factor.ring is Ring.QUATERNION:
+        return np.linalg.eigvalsh(quat.to_complex(b))[::2]
+    if factor.n == 1:
+        return np.array([b[0, 0].real])
+    return np.linalg.eigvalsh(b)
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Strictly increasing eigenvalues with orthogonal projections
-    summing to the unit; Sum lam_i p_i reconstructs the element."""
+    """Strictly increasing eigenvalues lam_i with orthogonal projections
+    p_i summing to the unit; Sum lam_i p_i reconstructs the element.
+
+    ``bases[k]`` is block k's eigenbasis (see :func:`_block_eigh`) and
+    ``clusters[k][j]`` the index i of the eigenvalue its j-th eigenpair
+    belongs to.
+    """
 
     algebra: AlgebraDescriptor
     eigenvalues: tuple[float, ...]
-    projections: tuple[Element, ...]
+    bases: tuple[np.ndarray, ...]
+    clusters: tuple[np.ndarray, ...]
     zero_tol: float
+
+    def combine(self, values: Sequence[float]) -> Element:
+        """Sum values[i] p_i, built block by block as (V * vals) V*."""
+        values = np.asarray(values, dtype=float)
+        blocks = []
+        for f, basis, idx in zip(self.algebra.factors, self.bases, self.clusters):
+            vals = values[idx]
+            if isinstance(f, SpinFactor):
+                blocks.append(vals @ basis)
+                continue
+            b = (basis * vals) @ basis.conj().T
+            blocks.append(quat.from_complex(b) if f.ring is Ring.QUATERNION else b)
+        return _element(self.algebra, blocks)
+
+    @cached_property
+    def projections(self) -> tuple[Element, ...]:
+        """The spectral projections p_i, built on first access."""
+        return tuple(self.combine(row) for row in np.eye(len(self.eigenvalues)))
 
     def apply(self, f: Callable[[float], float]) -> Element:
         """f(x) = Sum f(lam_i) p_i; raises if f is not finite on the spectrum."""
-        blocks = [np.array(_zero_block(fa)) for fa in self.algebra.factors]
-        for lam, p in zip(self.eigenvalues, self.projections):
+        vals = []
+        for lam in self.eigenvalues:
             try:
                 val = float(f(lam))
             except (ArithmeticError, ValueError) as exc:
                 raise DomainError(f"function undefined at eigenvalue {lam}: {exc}") from exc
             if not np.isfinite(val):
                 raise DomainError(f"function not finite at eigenvalue {lam}")
-            for acc, pb in zip(blocks, p.blocks):
-                acc += val * pb
-        return _element(self.algebra, blocks)
+            vals.append(val)
+        return self.combine(vals)
 
     def reconstruct(self) -> Element:
-        return self.apply(lambda t: t)
+        return self.combine(self.eigenvalues)
 
     def positive_min(self) -> float:
         """Least eigenvalue above the zero threshold; +inf if none."""
@@ -108,56 +137,42 @@ class SpectralDecomposition:
 def spectral_decompose(x: Element, cluster_tol: float | None = None) -> SpectralDecomposition:
     """Cluster the per-block eigenpairs into a global decomposition of x."""
     tol = default_cluster_tol(x) if cluster_tol is None else float(cluster_tol)
-    triples: list[tuple[float, int, np.ndarray]] = []
-    for i, (f, b) in enumerate(zip(x.algebra.factors, x.blocks)):
-        for lam, pb in _block_eigenpairs(f, b):
-            triples.append((lam, i, pb))
-    triples.sort(key=lambda t: t[0])
+    bases, clusters = [], []
+    pairs: list[tuple[float, int, int]] = []
+    for k, (f, b) in enumerate(zip(x.algebra.factors, x.blocks)):
+        w, basis = _block_eigh(f, b)
+        bases.append(basis)
+        clusters.append(np.empty(len(w), dtype=np.intp))
+        pairs.extend((lam, k, j) for j, lam in enumerate(w.tolist()))
+    pairs.sort()
 
+    # one pass over the sorted spectrum: a gap above tol starts a cluster,
+    # whose eigenvalue is the mean of its members
     eigenvalues: list[float] = []
-    projections: list[Element] = []
-    k = 0
-    while k < len(triples):
-        j = k + 1
-        while j < len(triples) and triples[j][0] - triples[j - 1][0] <= tol:
-            j += 1
-        members = triples[k:j]
-        rep = members[0][0] if len(members) == 1 else float(
-            sum(m[0] for m in members) / len(members)
-        )
-        blocks = [np.array(_zero_block(f)) for f in x.algebra.factors]
-        for _, idx, pb in members:
-            blocks[idx] = blocks[idx] + pb
-        eigenvalues.append(rep)
-        projections.append(_element(x.algebra, blocks))
-        k = j
-    return SpectralDecomposition(x.algebra, tuple(eigenvalues), tuple(projections), tol)
+    members: list[float] = []
+    for lam, k, j in pairs:
+        if members and lam - members[-1] > tol:
+            eigenvalues.append(sum(members) / len(members))
+            members = []
+        members.append(lam)
+        clusters[k][j] = len(eigenvalues)
+    eigenvalues.append(sum(members) / len(members))
+    return SpectralDecomposition(
+        x.algebra, tuple(eigenvalues), tuple(bases), tuple(clusters), tol
+    )
 
 
-def apply_function(
-    x: Element, f: Callable[[float], float], cluster_tol: float | None = None
-) -> Element:
+def apply_function(x: Element, f: Callable[[float], float]) -> Element:
     """Continuous/Borel functional calculus f(x) on the point spectrum."""
-    return spectral_decompose(x, cluster_tol).apply(f)
+    return spectral_decompose(x).apply(f)
 
 
 def extreme_eigenvalues(x: Element) -> tuple[float, float]:
     """(least, greatest) eigenvalue across all blocks in one pass."""
     lo, hi = np.inf, -np.inf
     for f, b in zip(x.algebra.factors, x.blocks):
-        if isinstance(f, SpinFactor):
-            nv = float(np.linalg.norm(b[1:]))
-            lo = min(lo, float(b[0]) - nv)
-            hi = max(hi, float(b[0]) + nv)
-        elif f.ring is Ring.QUATERNION:
-            w = np.linalg.eigvalsh(quat.to_complex(b))
-            lo, hi = min(lo, float(w[0])), max(hi, float(w[-1]))
-        elif f.n == 1:
-            v = float(b[0, 0].real)
-            lo, hi = min(lo, v), max(hi, v)
-        else:
-            w = np.linalg.eigvalsh(b)
-            lo, hi = min(lo, float(w[0])), max(hi, float(w[-1]))
+        w = block_eigenvalues(f, b)
+        lo, hi = min(lo, float(w[0])), max(hi, float(w[-1]))
     return lo, hi
 
 
@@ -170,22 +185,16 @@ def max_eigenvalue(x: Element) -> float:
     return extreme_eigenvalues(x)[1]
 
 
-def positive_min_eigenvalue(x: Element, cluster_tol: float | None = None) -> float:
-    return spectral_decompose(x, cluster_tol).positive_min()
+def positive_min_eigenvalue(x: Element) -> float:
+    return spectral_decompose(x).positive_min()
 
 
-def range_projection(x: Element, cluster_tol: float | None = None) -> Element:
+def range_projection(x: Element) -> Element:
     """Smallest projection p with U_p x = x, i.e. the indicator of
     (0, inf) applied to x.  Requires x in the cone (up to tolerance)."""
-    dec = spectral_decompose(x, cluster_tol)
-    if dec.eigenvalues and dec.eigenvalues[0] < -dec.zero_tol:
-        raise DomainError(f"not in the cone: min eigenvalue {dec.eigenvalues[0]}")
-    blocks = [np.array(_zero_block(f)) for f in x.algebra.factors]
-    for lam, p in zip(dec.eigenvalues, dec.projections):
-        if lam > dec.zero_tol:
-            for acc, pb in zip(blocks, p.blocks):
-                acc += pb
-    return _element(x.algebra, blocks)
+    dec = spectral_decompose(x)
+    _require_cone(dec)
+    return dec.apply(lambda t: 1.0 if t > dec.zero_tol else 0.0)
 
 
 def invert_element(x: Element, mode: str = "strict") -> Element:

@@ -128,6 +128,14 @@ class TestApplyInvert:
         assert "PHI_PARAM_RANGE" in capsys.readouterr().err
 
 
+    def test_malformed_number_reports_schema_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"type": "algebra", "factors": [{"kind": "herm", "n": None}]}))
+        code = main(["random", "--algebra", str(bad), "--out", str(tmp_path / "x.json")])
+        assert code == 1
+        assert "error[BAD_SCHEMA]" in capsys.readouterr().err
+
+
 class TestRecover:
     def test_single_factor_roundtrip(self, tmp_path, capsys):
         falg = algebra(HermFactor(2))

@@ -17,6 +17,7 @@ from effectorder import (
     unit,
 )
 from effectorder.serialization import (
+    BAD_SCHEMA,
     NON_HERMITIAN,
     NOT_BIJECTION,
     NOT_ISOMETRY,
@@ -97,6 +98,31 @@ class TestValidationErrors:
                 ],
             }
         )
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"type": "algebra", "factors": [{"kind": "herm", "n": None}]},
+            {"type": "algebra", "factors": [{"kind": "spin", "d": [3]}]},
+            {"sigma": [[None, 0]]},
+            {"sigma": [[0, 0]], "scalar_isos": [{"kind": "phi", "t": None}]},
+            {
+                "type": "element",
+                "algebra": {"factors": [{"kind": "spin", "d": 2}]},
+                "blocks": [{"alpha": None, "v": [0.0, 0.0]}],
+            },
+            {"type": "report", "suites": 5},
+        ],
+        ids=[
+            "herm_n_null", "spin_d_list", "sigma_null", "phi_t_null", "spin_alpha_null", "suites_int"
+        ],
+    )
+    def test_malformed_numeric_field(self, doc):
+        if "type" not in doc:
+            doc = {**json.loads(self.iso_doc()), **doc}
+        with pytest.raises(SchemaError) as err:
+            load_document(json.dumps(doc))
+        assert err.value.code == BAD_SCHEMA
 
     def test_phi_param_out_of_range(self):
         with pytest.raises(SchemaError) as err:

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from effectorder import (
+    AlgebraDescriptor,
     DomainError,
     HermFactor,
     Ring,
     SingularElementError,
     SpinFactor,
     apply_function,
+    element_from_blocks,
     element_in_factor,
     invert_element,
     jordan_product,
@@ -26,6 +28,8 @@ from effectorder import (
     sup_norm,
     unit,
 )
+from effectorder import quaternion as quat
+from effectorder.spectral import block_eigenvalues
 
 from conftest import FACTOR_KINDS, MIXED
 
@@ -77,6 +81,37 @@ class TestDecomposition:
                 assert sup_norm(jordan_product(p, p) - p) <= 1e-9
                 for q in dec.projections[i + 1 :]:
                     assert sup_norm(jordan_product(p, q)) <= 1e-9
+
+    def test_cluster_shared_across_blocks(self):
+        # herm(2,H) with spectrum {0.3, 0.7} beside a spin block whose
+        # eigenvalues sit 1e-12 below and above them
+        alg = AlgebraDescriptor((HermFactor(2, Ring.QUATERNION), SpinFactor(3)))
+        u = quat.qgram_schmidt(np.random.default_rng(5).standard_normal((2, 2, 4)))
+        d = np.zeros((2, 2, 4))
+        d[0, 0, 0], d[1, 1, 0] = 0.3, 0.7
+        hb = quat.qmatmul(quat.qmatmul(u, d), quat.qadjoint(u))
+        x = element_from_blocks(alg, [hb, np.array([0.5, 0.2 + 1e-12, 0.0, 0.0])])
+        dec = spectral_decompose(x)
+        k = len(dec.eigenvalues)
+        assert k == 2
+        np.testing.assert_allclose(dec.eigenvalues, [0.3, 0.7], atol=1e-11)
+        for idx in dec.clusters:
+            assert set(idx.tolist()) == {0, 1}
+
+        calls = []
+        dec.apply(lambda t: calls.append(t) or t)
+        assert len(calls) == k
+
+        # a jump between the two blocks' copies of 0.3 still sees one value
+        jump = dec.apply(lambda t: 1.0 if t > 0.3 - 0.5e-12 else 0.0)
+        np.testing.assert_allclose(
+            block_eigenvalues(alg.factors[0], jump.block(0)),
+            block_eigenvalues(alg.factors[1], jump.block(1)),
+            atol=1e-12,
+        )
+
+        for i in range(k):
+            assert sup_norm(dec.combine(np.eye(k)[i]) - dec.projections[i]) <= 1e-15
 
     def test_mixed_algebra_global_projections(self, rng):
         x = sample_element(MIXED, rng, "general")
