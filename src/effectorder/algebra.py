@@ -157,12 +157,42 @@ def _block_dtype_shape(factor: Factor) -> tuple[type, tuple[int, ...]]:
     return float, (factor.d + 1,)
 
 
+# Ring arrays are (n, m) float over R, (n, m) complex over C and (n, m, 4)
+# float over H.  Other modules handle them only through this module's
+# private block helpers, so no code outside it branches on that layout.
+
+def _mm(factor: HermFactor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product of two ring arrays."""
+    return quat.qmatmul(a, b) if factor.ring is Ring.QUATERNION else a @ b
+
+
+def _real_part(factor: HermFactor, b: np.ndarray) -> np.ndarray:
+    """Entrywise real part of a ring array, as a real array."""
+    return b[..., 0] if factor.ring is Ring.QUATERNION else b.real
+
+
+def _from_real(factor: HermFactor, m: np.ndarray) -> np.ndarray:
+    """A real array as a ring array of the same matrix shape."""
+    if factor.ring is Ring.QUATERNION:
+        out = np.zeros(m.shape + (4,))
+        out[..., 0] = m
+        return out
+    return np.array(m, dtype=complex if factor.ring is Ring.COMPLEX else float)
+
+
+def _embed(factor: HermFactor, b: np.ndarray) -> np.ndarray:
+    """The real or complex matrix eigensolvers run on (2n x 2n over H)."""
+    return quat.to_complex(b) if factor.ring is Ring.QUATERNION else b
+
+
+def _unembed(factor: HermFactor, c: np.ndarray) -> np.ndarray:
+    """Invert :func:`_embed`."""
+    return quat.from_complex(c) if factor.ring is Ring.QUATERNION else c
+
+
 def _identity_block(factor: Factor) -> np.ndarray:
     if isinstance(factor, HermFactor):
-        if factor.ring is Ring.QUATERNION:
-            return quat.qeye(factor.n)
-        dtype = complex if factor.ring is Ring.COMPLEX else float
-        return np.eye(factor.n, dtype=dtype)
+        return _from_real(factor, np.eye(factor.n))
     b = np.zeros(factor.d + 1)
     b[0] = 1.0
     return b
@@ -258,7 +288,7 @@ def element_from_blocks(alg: AlgebraDescriptor, blocks: Sequence[np.ndarray]) ->
             raise ShapeMismatchError(
                 f"block {i}: expected shape {shape}, got {arr.shape}"
             )
-        if not np.all(np.isfinite(arr.view(float) if dtype is complex else arr)):
+        if not np.all(np.isfinite(arr)):
             raise ValueError(f"block {i} has non-finite entries")
         cast.append(arr)
     return _element(alg, cast)
@@ -292,10 +322,8 @@ def canonical_trace(x: Element) -> float:
     for f, b in zip(x.algebra.factors, x.blocks):
         if isinstance(f, SpinFactor):
             total += 2.0 * float(b[0])
-        elif f.ring is Ring.QUATERNION:
-            total += float(np.trace(b[..., 0]))
         else:
-            total += float(np.trace(b).real)
+            total += float(np.trace(_real_part(f, b)))
     return total
 
 
@@ -306,9 +334,7 @@ def _block_jordan(factor: Factor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         alpha = a[0] * b[0] + a[1:] @ b[1:]
         v = a[0] * b[1:] + b[0] * a[1:]
         return np.concatenate(([alpha], v))
-    if factor.ring is Ring.QUATERNION:
-        return 0.5 * (quat.qmatmul(a, b) + quat.qmatmul(b, a))
-    return 0.5 * (a @ b + b @ a)
+    return 0.5 * (_mm(factor, a, b) + _mm(factor, b, a))
 
 
 def jordan_product(x: Element, y: Element) -> Element:
@@ -338,9 +364,7 @@ def _block_quad(factor: Factor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return 2.0 * _block_jordan(factor, a, ab) - _block_jordan(
             factor, _block_jordan(factor, a, a), b
         )
-    if factor.ring is Ring.QUATERNION:
-        return quat.qmatmul(quat.qmatmul(a, b), a)
-    return a @ b @ a
+    return _mm(factor, _mm(factor, a, b), a)
 
 
 def quad_rep(x: Element, y: Element) -> Element:

@@ -25,6 +25,7 @@ t * s = t + s - t s and inverse parameter t / (t - 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -40,7 +41,14 @@ from .algebra import (
     Ring,
     ShapeMismatchError,
     SpinFactor,
+    _adjoint_block,
+    _block_dtype_shape,
+    _block_sup,
     _element,
+    _from_real,
+    _identity_block,
+    _mm,
+    _real_part,
     element_in_factor,
     jordan_product,
     quad_rep,
@@ -72,8 +80,8 @@ MOBIUS_PARAM_MAX = 1.0 - 1e-12
 
 def check_mobius_param(t: float) -> float:
     t = float(t)
-    if not t < MOBIUS_PARAM_MAX:
-        raise DomainError(f"Mobius parameter must satisfy t < 1, got {t}")
+    if not (math.isfinite(t) and t < MOBIUS_PARAM_MAX):
+        raise DomainError(f"Mobius parameter must be finite with t < 1, got {t}")
     return t
 
 
@@ -168,30 +176,24 @@ class FactorJordanIso:
             O = np.array(self.rotation, dtype=float)
             if O.shape != (self.factor.d, self.factor.d):
                 raise ShapeMismatchError("rotation has the wrong shape")
-            if np.abs(O.T @ O - np.eye(self.factor.d)).max() > 1e-10:
+            # negated so that NaN entries fail the check
+            if not np.abs(O.T @ O - np.eye(self.factor.d)).max() <= 1e-10:
                 raise ValueError("rotation is not orthogonal")
             O.setflags(write=False)
             object.__setattr__(self, "rotation", O)
             return
         if self.u is None or self.rotation is not None:
             raise ValueError("Hermitian isomorphism needs an isometry u only")
-        n, ring = self.factor.n, self.factor.ring
-        if self.conjugate and ring is not Ring.COMPLEX:
+        f = self.factor
+        if self.conjugate and f.ring is not Ring.COMPLEX:
             raise ValueError("conjugation flag only applies to complex factors")
-        if ring is Ring.QUATERNION:
-            u = np.array(self.u, dtype=float)
-            if u.shape != (n, n, 4):
-                raise ShapeMismatchError("u has the wrong shape")
-            gram = quat.qmatmul(u, quat.qadjoint(u)) - quat.qeye(n)
-            if quat.qabs(gram).max() > 1e-10:
-                raise ValueError("u is not an isometry")
-        else:
-            dtype = complex if ring is Ring.COMPLEX else float
-            u = np.array(self.u, dtype=dtype)
-            if u.shape != (n, n):
-                raise ShapeMismatchError("u has the wrong shape")
-            if np.abs(u @ u.conj().T - np.eye(n)).max() > 1e-10:
-                raise ValueError("u is not an isometry")
+        dtype, shape = _block_dtype_shape(f)
+        u = np.array(self.u, dtype=dtype)
+        if u.shape != shape:
+            raise ShapeMismatchError("u has the wrong shape")
+        gram = _mm(f, u, _adjoint_block(f, u)) - _identity_block(f)
+        if not _block_sup(f, gram) <= 1e-10:  # negated, as above
+            raise ValueError("u is not an isometry")
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
 
@@ -202,25 +204,21 @@ class FactorJordanIso:
     def apply(self, x: Element) -> Element:
         if x.algebra != self.algebra:
             raise ShapeMismatchError("element does not live in this factor")
-        b = x.block(0)
-        if isinstance(self.factor, SpinFactor):
+        f, b = self.factor, x.block(0)
+        if isinstance(f, SpinFactor):
             out = np.concatenate(([b[0]], self.rotation @ b[1:]))
-        elif self.factor.ring is Ring.QUATERNION:
-            out = quat.qmatmul(quat.qmatmul(self.u, b), quat.qadjoint(self.u))
         else:
             arg = b.conj() if self.conjugate else b
-            out = self.u @ arg @ self.u.conj().T
+            out = _mm(f, _mm(f, self.u, arg), _adjoint_block(f, self.u))
         return _element(self.algebra, [out])
 
     def inverted(self) -> "FactorJordanIso":
         if isinstance(self.factor, SpinFactor):
             return FactorJordanIso(self.factor, rotation=self.rotation.T)
-        if self.factor.ring is Ring.QUATERNION:
-            return FactorJordanIso(self.factor, u=quat.qadjoint(self.u))
         if self.conjugate:
             # inverse of x -> u conj(x) u* is y -> u^T conj(y) conj(u)
             return FactorJordanIso(self.factor, u=self.u.T, conjugate=True)
-        return FactorJordanIso(self.factor, u=self.u.conj().T)
+        return FactorJordanIso(self.factor, u=_adjoint_block(self.factor, self.u))
 
     def inverse_apply(self, y: Element) -> Element:
         return self.inverted().apply(y)
@@ -229,10 +227,7 @@ class FactorJordanIso:
 def identity_jordan(factor: Factor) -> FactorJordanIso:
     if isinstance(factor, SpinFactor):
         return FactorJordanIso(factor, rotation=np.eye(factor.d))
-    if factor.ring is Ring.QUATERNION:
-        return FactorJordanIso(factor, u=quat.qeye(factor.n))
-    dtype = complex if factor.ring is Ring.COMPLEX else float
-    return FactorJordanIso(factor, u=np.eye(factor.n, dtype=dtype))
+    return FactorJordanIso(factor, u=_identity_block(factor))
 
 
 # --- the closed-form factor order isomorphism -------------------------------
@@ -383,6 +378,8 @@ class PwlScalarIso:
         ks = tuple((float(a), float(b)) for a, b in self.knots)
         if len(ks) < 2 or ks[0] != (0.0, 0.0) or ks[-1] != (1.0, 1.0):
             raise ValueError("knots must run from (0,0) to (1,1)")
+        if not np.all(np.isfinite(ks)):
+            raise ValueError("knots must be finite")
         xs = [k[0] for k in ks]
         ys = [k[1] for k in ks]
         if any(b <= a for a, b in zip(xs, xs[1:])) or any(
@@ -406,21 +403,6 @@ ScalarOrderIso = Union[PhiScalarIso, PwlScalarIso]
 
 
 # --- composite order isomorphisms of direct sums -----------------------------
-
-def _scalar_of_block(factor: HermFactor, b: np.ndarray) -> float:
-    if factor.ring is Ring.QUATERNION:
-        return float(b[0, 0, 0])
-    return float(b[0, 0].real)
-
-
-def _block_of_scalar(factor: HermFactor, v: float) -> np.ndarray:
-    if factor.ring is Ring.QUATERNION:
-        b = np.zeros((1, 1, 4))
-        b[0, 0, 0] = v
-        return b
-    dtype = complex if factor.ring is Ring.COMPLEX else float
-    return np.full((1, 1), v, dtype=dtype)
-
 
 @dataclass(frozen=True, eq=False)
 class CompositeOrderIso:
@@ -474,9 +456,9 @@ class CompositeOrderIso:
         out: list[np.ndarray | None] = [None] * len(dst.factors)
         for (i, j), f in zip(self.sigma, self.scalar_isos):
             a, b = (i, j) if fwd else (j, i)
-            s = float(np.clip(_scalar_of_block(src.factors[a], x.block(a)), 0.0, 1.0))
+            s = float(np.clip(_real_part(src.factors[a], x.block(a))[0, 0], 0.0, 1.0))
             v = f(s) if fwd else f.inverse(s)
-            out[b] = _block_of_scalar(dst.factors[b], v)
+            out[b] = _from_real(dst.factors[b], np.full((1, 1), v))
         for (i, j), iso in zip(self.engaged_pairs, self.engaged_isos):
             a, b = (i, j) if fwd else (j, i)
             xi = element_in_factor(src.factors[a], x.block(a))
@@ -515,31 +497,12 @@ def coordinate_squeeze_iso(n: int) -> tuple[CompositeOrderIso, Element]:
 # --- parameter recovery from a black-box map ---------------------------------
 
 def _unit_from_rank_one(factor: HermFactor, b: np.ndarray) -> np.ndarray:
-    """Column u with b = u u* from a rank-one projection block."""
-    if factor.ring is Ring.QUATERNION:
-        diag = np.array([b[k, k, 0] for k in range(factor.n)])
-    else:
-        diag = np.real(np.diag(b))
+    """n x 1 column u with b = u u* from a rank-one projection block."""
+    diag = np.diagonal(_real_part(factor, b))
     m = int(np.argmax(diag))
     if diag[m] <= 1e-8:
         raise RecoveryError("probe image is not a rank-one projection")
-    scale = 1.0 / np.sqrt(diag[m])
-    if factor.ring is Ring.QUATERNION:
-        return b[:, m, :] * scale
-    return b[:, m] * scale
-
-
-def _ring_inner(factor: HermFactor, u: np.ndarray, w: np.ndarray) -> np.ndarray | complex:
-    if factor.ring is Ring.QUATERNION:
-        return quat.qdot(u, w)
-    return np.vdot(u, w)
-
-
-def _right_scale(factor: HermFactor, w: np.ndarray, s):
-    """Right-multiply a column by a ring scalar."""
-    if factor.ring is Ring.QUATERNION:
-        return quat.qmul(w, np.broadcast_to(s, w.shape))
-    return w * s
+    return b[:, m : m + 1] * (1.0 / np.sqrt(diag[m]))
 
 
 def _extract_hermitian_jordan(
@@ -553,35 +516,26 @@ def _extract_hermitian_jordan(
         return Jm(element_in_factor(factor, block)).block(0)
 
     def basis_block(entries: dict[tuple[int, int], float]) -> np.ndarray:
-        if ring is Ring.QUATERNION:
-            b = np.zeros((n, n, 4))
-            for (r, c), v in entries.items():
-                b[r, c, 0] = v
-        else:
-            b = np.zeros((n, n), dtype=complex if ring is Ring.COMPLEX else float)
-            for (r, c), v in entries.items():
-                b[r, c] = v
-        return b
+        m = np.zeros((n, n))
+        for (r, c), v in entries.items():
+            m[r, c] = v
+        return _from_real(factor, m)
 
-    cols = [_unit_from_rank_one(factor, probe(basis_block({(0, 0): 1.0})))]
+    c0 = _unit_from_rank_one(factor, probe(basis_block({(0, 0): 1.0})))
+    cols = [c0]
     for j in range(1, n):
         half = basis_block({(0, 0): 0.5, (j, j): 0.5, (0, j): 0.5, (j, 0): 0.5})
         w = _unit_from_rank_one(factor, probe(half))
-        a = _ring_inner(factor, cols[0], w)
-        mag = quat.qabs(a) if ring is Ring.QUATERNION else abs(a)
-        if float(mag) < 0.1:
+        # w = (c0 + c_j) a for a ring scalar a = c0* w; a^(-1) = a* / |a|^2
+        a = _mm(factor, _adjoint_block(factor, c0), w)
+        mag = _block_sup(factor, a)
+        if mag < 0.1:
             raise RecoveryError("degenerate phase alignment probe")
-        a_inv = quat.qinv(a) if ring is Ring.QUATERNION else 1.0 / a
-        cols.append(_right_scale(factor, w, a_inv) - cols[0])
-    if ring is Ring.QUATERNION:
-        U = np.stack(cols, axis=1)
-        gram = quat.qmatmul(quat.qadjoint(U), U) - quat.qeye(n)
-        if quat.qabs(gram).max() > 1e-6:
-            raise RecoveryError("extracted columns are not orthonormal")
-    else:
-        U = np.column_stack(cols)
-        if np.abs(U.conj().T @ U - np.eye(n)).max() > 1e-6:
-            raise RecoveryError("extracted columns are not orthonormal")
+        cols.append(_mm(factor, w, _adjoint_block(factor, a)) / mag**2 - c0)
+    U = np.concatenate(cols, axis=1)
+    gram = _mm(factor, _adjoint_block(factor, U), U) - _identity_block(factor)
+    if _block_sup(factor, gram) > 1e-6:
+        raise RecoveryError("extracted columns are not orthonormal")
 
     if ring is Ring.REAL:
         return FactorJordanIso(factor, u=U)
@@ -603,8 +557,7 @@ def _extract_hermitian_jordan(
         b = np.zeros((n, n, 4))
         b[0, 1, axis] = 1.0
         b[1, 0, axis] = -1.0
-        m = quat.qmatmul(quat.qmatmul(quat.qadjoint(U), probe(b)), U)
-        return m[0, 1]
+        return _mm(factor, _mm(factor, _adjoint_block(factor, U), probe(b)), U)[0, 1]
 
     r_i, r_j = twisted(1), twisted(2)
     r_k = quat.qmul(r_i, r_j)

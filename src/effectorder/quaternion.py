@@ -47,25 +47,6 @@ def qabs(q: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.square(np.asarray(q, dtype=float)), axis=-1))
 
 
-def qinv(q: np.ndarray) -> np.ndarray:
-    """Inverse of a single quaternion scalar: conj(q) / |q|^2."""
-    n2 = float(np.sum(np.square(np.asarray(q, dtype=float))))
-    if n2 == 0.0:
-        raise ZeroDivisionError("inverse of zero quaternion")
-    return qconj(q) / n2
-
-
-def qscalar(a: float) -> np.ndarray:
-    return np.array([float(a), 0.0, 0.0, 0.0])
-
-
-def qeye(n: int) -> np.ndarray:
-    """Quaternionic n x n identity as an (n, n, 4) array."""
-    out = np.zeros((n, n, 4))
-    out[np.arange(n), np.arange(n), 0] = 1.0
-    return out
-
-
 def qmatmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Matrix product of an (n, m, 4) and an (m, k, 4) quaternion array.
 

@@ -30,12 +30,16 @@ import numpy as np
 
 from .algebra import (
     AlgebraDescriptor,
+    DomainError,
     Element,
     Factor,
     HermFactor,
     Ring,
     ShapeMismatchError,
     SpinFactor,
+    _adjoint_block,
+    _block_dtype_shape,
+    _block_sup,
     element_from_blocks,
     single_factor,
 )
@@ -44,9 +48,9 @@ from .isomorphisms import (
     CompositeOrderIso,
     FactorJordanIso,
     FactorOrderIso,
-    MOBIUS_PARAM_MAX,
     PhiScalarIso,
     PwlScalarIso,
+    check_mobius_param,
 )
 
 BAD_SCHEMA = "BAD_SCHEMA"
@@ -79,11 +83,17 @@ def _need(obj: dict, key: str, path: str) -> Any:
 
 
 def _number(cast: type, value: Any, path: str) -> Any:
-    """cast(value) for a numeric document field, as a SchemaError if it fails."""
+    """cast(value) for a numeric document field, which must be a JSON number
+    (not a bool or a string) and, for ``int`` fields, integral."""
+    # exact types: bool is a subclass of int
+    if type(value) is not float and type(value) is not int:
+        raise SchemaError(BAD_SCHEMA, path, f"expected a number, got {value!r}")
+    if cast is int and type(value) is float and not value.is_integer():
+        raise SchemaError(BAD_SCHEMA, path, f"expected an integer, got {value!r}")
     try:
         return cast(value)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(BAD_SCHEMA, path, f"expected a number, got {value!r}") from exc
+    except OverflowError as exc:
+        raise SchemaError(BAD_SCHEMA, path, f"number out of range: {value!r}") from exc
 
 
 def _field(cast: type, obj: Any, key: str, path: str) -> Any:
@@ -177,31 +187,27 @@ def _scalar_from_obj(ring: Ring, v: Any, path: str):
     return complex(*parts) if ring is Ring.COMPLEX else np.array(parts)
 
 
-def _herm_block_from_obj(factor: HermFactor, rows: Any, path: str) -> np.ndarray:
-    n, ring = factor.n, factor.ring
+def _ring_array_from_obj(factor: HermFactor, rows: Any, path: str) -> np.ndarray:
+    """An n x n array over the factor's ring from nested lists of scalars."""
+    n = factor.n
     if not isinstance(rows, list) or len(rows) != n or any(
         not isinstance(r, list) or len(r) != n for r in rows
     ):
         raise SchemaError(SHAPE_MISMATCH, path, f"expected an {n}x{n} array")
-    if ring is Ring.QUATERNION:
-        b = np.zeros((n, n, 4))
-    else:
-        b = np.zeros((n, n), dtype=complex if ring is Ring.COMPLEX else float)
+    dtype, shape = _block_dtype_shape(factor)
+    b = np.zeros(shape, dtype=dtype)
     for r in range(n):
         for c in range(n):
-            b[r, c] = _scalar_from_obj(ring, rows[r][c], f"{path}[{r}][{c}]")
-    flat = b.view(float) if ring is Ring.COMPLEX else b
-    if not np.all(np.isfinite(flat)):
-        raise SchemaError(NON_FINITE, path, "non-finite entries")
-    if ring is Ring.QUATERNION:
-        from . import quaternion as quat
+            b[r, c] = _scalar_from_obj(factor.ring, rows[r][c], f"{path}[{r}][{c}]")
+    return b
 
-        asym = float(quat.qabs(b - quat.qadjoint(b)).max())
-        scale = float(quat.qabs(b).max()) if b.size else 0.0
-    else:
-        asym = float(np.abs(b - b.conj().T).max())
-        scale = float(np.abs(b).max()) if b.size else 0.0
-    if asym > 1e-6 * (1.0 + scale):
+
+def _herm_block_from_obj(factor: HermFactor, rows: Any, path: str) -> np.ndarray:
+    b = _ring_array_from_obj(factor, rows, path)
+    if not np.all(np.isfinite(b)):
+        raise SchemaError(NON_FINITE, path, "non-finite entries")
+    asym = _block_sup(factor, b - _adjoint_block(factor, b))
+    if asym > 1e-6 * (1.0 + _block_sup(factor, b)):
         raise SchemaError(NON_HERMITIAN, path, f"asymmetry {asym:g} exceeds tolerance")
     return b
 
@@ -252,12 +258,12 @@ def element_from_obj(
 def _jordan_to_obj(j: FactorJordanIso) -> dict:
     if isinstance(j.factor, SpinFactor):
         return {"O": [[float(v) for v in row] for row in j.rotation]}
-    ring = j.factor.ring
-    u = [[_scalar_to_obj(ring, j.u[r, c]) for c in range(j.factor.n)] for r in range(j.factor.n)]
-    return {"u": u, "tau": "conj" if j.conjugate else "id"}
+    return {"u": _block_to_obj(j.factor, j.u), "tau": "conj" if j.conjugate else "id"}
 
 
 def _jordan_from_obj(factor: Factor, obj: Any, path: str) -> FactorJordanIso:
+    if not isinstance(obj, dict):
+        raise SchemaError(BAD_SCHEMA, path, "expected an object")
     try:
         if isinstance(factor, SpinFactor):
             O = np.array(_need(obj, "O", path), dtype=float)
@@ -265,19 +271,7 @@ def _jordan_from_obj(factor: Factor, obj: Any, path: str) -> FactorJordanIso:
         tau = obj.get("tau", "id")
         if tau not in ("id", "conj"):
             raise SchemaError(BAD_SCHEMA, f"{path}.tau", f"unknown tau {tau!r}")
-        rows = _need(obj, "u", path)
-        n, ring = factor.n, factor.ring
-        if ring is Ring.QUATERNION:
-            u = np.zeros((n, n, 4))
-        else:
-            u = np.zeros((n, n), dtype=complex if ring is Ring.COMPLEX else float)
-        if not isinstance(rows, list) or len(rows) != n:
-            raise SchemaError(SHAPE_MISMATCH, f"{path}.u", f"expected {n} rows")
-        for r in range(n):
-            if not isinstance(rows[r], list) or len(rows[r]) != n:
-                raise SchemaError(SHAPE_MISMATCH, f"{path}.u", f"expected {n} columns")
-            for c in range(n):
-                u[r, c] = _scalar_from_obj(ring, rows[r][c], f"{path}.u[{r}][{c}]")
+        u = _ring_array_from_obj(factor, _need(obj, "u", path), f"{path}.u")
         return FactorJordanIso(factor, u=u, conjugate=(tau == "conj"))
     except ShapeMismatchError as exc:
         raise SchemaError(SHAPE_MISMATCH, path, str(exc)) from exc
@@ -325,6 +319,13 @@ def _pair_list(raw: Any, path: str) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _mobius_param_from_obj(obj: Any, path: str) -> float:
+    try:
+        return check_mobius_param(_field(float, obj, "t", path))
+    except DomainError as exc:
+        raise SchemaError(PHI_PARAM_RANGE, f"{path}.t", str(exc)) from exc
+
+
 def iso_from_obj(obj: Any, path: str = "iso") -> CompositeOrderIso:
     _check_type_tag(obj, "iso", path)
     source = algebra_from_obj(_need(obj, "source", path), f"{path}.source")
@@ -336,10 +337,7 @@ def iso_from_obj(obj: Any, path: str = "iso") -> CompositeOrderIso:
         sp = f"{path}.scalar_isos[{k}]"
         kind = _need(so, "kind", sp)
         if kind == "phi":
-            t = _field(float, so, "t", sp)
-            if not t < MOBIUS_PARAM_MAX:
-                raise SchemaError(PHI_PARAM_RANGE, sp, f"t = {t} must be < 1")
-            scalars.append(PhiScalarIso(t))
+            scalars.append(PhiScalarIso(_mobius_param_from_obj(so, sp)))
         elif kind == "pwl":
             knots = _need(so, "knots", sp)
             try:
@@ -358,9 +356,7 @@ def iso_from_obj(obj: Any, path: str = "iso") -> CompositeOrderIso:
         if not (0 <= j < len(target.factors)):
             raise SchemaError(NOT_BIJECTION, ep, f"target index {j} out of range")
         factor = target.factors[j]
-        t = _field(float, eo, "t", ep)
-        if not t < MOBIUS_PARAM_MAX:
-            raise SchemaError(PHI_PARAM_RANGE, f"{ep}.t", f"t = {t} must be < 1")
+        t = _mobius_param_from_obj(eo, ep)
         if isinstance(factor, SpinFactor):
             zb = _spin_block_from_obj(factor, _need(eo, "z", ep), f"{ep}.z")
         else:

@@ -23,7 +23,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import quaternion as quat
 from .algebra import (
     AlgebraDescriptor,
     DomainError,
@@ -33,6 +32,8 @@ from .algebra import (
     SingularElementError,
     SpinFactor,
     _element,
+    _embed,
+    _unembed,
     sup_norm,
 )
 
@@ -57,12 +58,11 @@ def _block_eigh(factor: Factor, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return np.array([alpha]), np.eye(1, factor.d + 1)
         u = (0.5 / nv) * v
         return np.array([alpha - nv, alpha + nv]), np.array([[0.5, *-u], [0.5, *u]])
-    if factor.ring is Ring.QUATERNION:
-        return np.linalg.eigh(quat.to_complex(b))
-    if factor.n == 1:
+    c = _embed(factor, b)
+    if len(c) == 1:
         # 1x1 fast path; the entry is real after hermitization
-        return np.array([b[0, 0].real]), np.ones((1, 1), dtype=b.dtype)
-    return np.linalg.eigh(b)
+        return np.array([c[0, 0].real]), np.ones((1, 1), dtype=c.dtype)
+    return np.linalg.eigh(c)
 
 
 def block_eigenvalues(factor: Factor, b: np.ndarray) -> np.ndarray:
@@ -71,11 +71,11 @@ def block_eigenvalues(factor: Factor, b: np.ndarray) -> np.ndarray:
     if isinstance(factor, SpinFactor):
         nv = float(np.linalg.norm(b[1:]))
         return np.array([b[0] - nv, b[0] + nv])
-    if factor.ring is Ring.QUATERNION:
-        return np.linalg.eigvalsh(quat.to_complex(b))[::2]
-    if factor.n == 1:
-        return np.array([b[0, 0].real])
-    return np.linalg.eigvalsh(b)
+    c = _embed(factor, b)
+    if len(c) == 1:
+        return np.array([c[0, 0].real])
+    w = np.linalg.eigvalsh(c)
+    return w[::2] if factor.ring is Ring.QUATERNION else w
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +103,7 @@ class SpectralDecomposition:
             if isinstance(f, SpinFactor):
                 blocks.append(vals @ basis)
                 continue
-            b = (basis * vals) @ basis.conj().T
-            blocks.append(quat.from_complex(b) if f.ring is Ring.QUATERNION else b)
+            blocks.append(_unembed(f, (basis * vals) @ basis.conj().T))
         return _element(self.algebra, blocks)
 
     @cached_property

@@ -127,6 +127,17 @@ class TestApplyInvert:
         assert code == 1
         assert "PHI_PARAM_RANGE" in capsys.readouterr().err
 
+    def test_non_finite_phi_param_reports_code(self, paths, capsys):
+        tmp, _, iso_path, x_path = paths
+        bad = tmp / "bad.json"
+        doc = json.loads(iso_path.read_text())
+        doc["scalar_isos"][0] = {"kind": "phi", "t": float("-inf")}
+        bad.write_text(json.dumps(doc))
+        y_path = tmp / "y.json"
+        code = main(["apply", "--iso", str(bad), "--in", str(x_path), "--out", str(y_path)])
+        assert code == 1
+        assert "error[PHI_PARAM_RANGE]" in capsys.readouterr().err
+        assert not y_path.exists()
 
     def test_malformed_number_reports_schema_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -90,6 +90,8 @@ class TestMobiusFamily:
             mobius_apply(1.0, unit(MIXED))
         with pytest.raises(DomainError):
             mobius_compose(1.5, 0.0)
+        with pytest.raises(DomainError):
+            PhiScalarIso(-np.inf)
 
     def test_rejects_outside_effect_interval(self):
         with pytest.raises(DomainError):
@@ -391,6 +393,14 @@ class TestJordanIso:
     def test_rejects_non_isometry(self):
         with pytest.raises(ValueError):
             FactorJordanIso(HermFactor(2), u=np.array([[1.0, 1.0], [0.0, 1.0]]))
+        for factor, data in [
+            (HermFactor(2), {"u": np.full((2, 2), np.nan)}),
+            (HermFactor(2, Ring.COMPLEX), {"u": np.full((2, 2), complex(0.0, np.nan))}),
+            (HermFactor(2, Ring.QUATERNION), {"u": np.full((2, 2, 4), np.nan)}),
+            (SpinFactor(3), {"rotation": np.full((3, 3), np.nan)}),
+        ]:
+            with pytest.raises(ValueError):
+                FactorJordanIso(factor, **data)
 
 
 class TestCompositeOrderIso:

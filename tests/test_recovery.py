@@ -25,6 +25,7 @@ RECOVERY_KINDS = [
     HermFactor(4, Ring.REAL),
     HermFactor(3, Ring.COMPLEX),
     HermFactor(2, Ring.QUATERNION),
+    HermFactor(3, Ring.QUATERNION),
     SpinFactor(5),
 ]
 

@@ -17,6 +17,7 @@ from effectorder import (
     unit,
 )
 from effectorder.serialization import (
+    BAD_KNOTS,
     BAD_SCHEMA,
     NON_HERMITIAN,
     NOT_BIJECTION,
@@ -112,9 +113,16 @@ class TestValidationErrors:
                 "blocks": [{"alpha": None, "v": [0.0, 0.0]}],
             },
             {"type": "report", "suites": 5},
+            {"type": "algebra", "factors": [{"kind": "herm", "n": 2.9}]},
+            {"type": "algebra", "factors": [{"kind": "herm", "n": True}]},
+            {"type": "algebra", "factors": [{"kind": "herm", "n": "3"}]},
+            {"sigma": [[0.7, 0]]},
+            {"engaged": [{"match": [0, 0], "t": 0.5, "z": [[1.0, 0.0], [0.0, 1.0]], "J": []}]},
+            {"engaged": [{"match": [0, 0], "t": 0.5, "z": [[1.0, 0.0], [0.0, 1.0]], "J": 5}]},
         ],
         ids=[
-            "herm_n_null", "spin_d_list", "sigma_null", "phi_t_null", "spin_alpha_null", "suites_int"
+            "herm_n_null", "spin_d_list", "sigma_null", "phi_t_null", "spin_alpha_null", "suites_int",
+            "herm_n_fraction", "herm_n_bool", "herm_n_string", "sigma_fraction", "J_list", "J_int",
         ],
     )
     def test_malformed_numeric_field(self, doc):
@@ -124,10 +132,31 @@ class TestValidationErrors:
             load_document(json.dumps(doc))
         assert err.value.code == BAD_SCHEMA
 
+    def routed_iso_doc(self, scalar_iso):
+        """herm(1) + herm(2) onto itself, routing coordinate 0 through ``scalar_iso``."""
+        doc = json.loads(self.iso_doc())
+        doc["source"] = doc["target"] = {"factors": [{"kind": "herm", "n": 1}, {"kind": "herm", "n": 2}]}
+        doc["sigma"] = [[0, 0]]
+        doc["scalar_isos"] = [scalar_iso]
+        doc["engaged"][0]["match"] = [1, 1]
+        return json.dumps(doc)
+
     def test_phi_param_out_of_range(self):
+        docs = [
+            self.iso_doc(t=1.5),
+            self.iso_doc(t=float("-inf")),
+            self.routed_iso_doc({"kind": "phi", "t": float("-inf")}),
+        ]
+        for doc in docs:
+            with pytest.raises(SchemaError) as err:
+                load_document(doc)
+            assert err.value.code == PHI_PARAM_RANGE
+
+    def test_non_finite_knots(self):
+        knots = [[0.0, 0.0], [float("nan"), float("nan")], [1.0, 1.0]]
         with pytest.raises(SchemaError) as err:
-            load_document(self.iso_doc(t=1.5))
-        assert err.value.code == PHI_PARAM_RANGE
+            load_document(self.routed_iso_doc({"kind": "pwl", "knots": knots}))
+        assert err.value.code == BAD_KNOTS
 
     def test_shape_mismatch(self):
         with pytest.raises(SchemaError) as err:
@@ -140,9 +169,20 @@ class TestValidationErrors:
         assert err.value.code == NON_HERMITIAN
 
     def test_not_isometry(self):
-        with pytest.raises(SchemaError) as err:
-            load_document(self.iso_doc(u=[[1.0, 1.0], [0.0, 1.0]]))
-        assert err.value.code == NOT_ISOMETRY
+        nan = float("nan")
+        spin = json.loads(self.iso_doc())
+        spin["source"] = spin["target"] = {"factors": [{"kind": "spin", "d": 2}]}
+        spin["engaged"][0]["z"] = {"alpha": 1.0, "v": [0.0, 0.0]}
+        spin["engaged"][0]["J"] = {"O": [[nan, nan], [nan, nan]]}
+        docs = [
+            self.iso_doc(u=[[1.0, 1.0], [0.0, 1.0]]),
+            self.iso_doc(u=[[nan, nan], [nan, nan]]),
+            json.dumps(spin),
+        ]
+        for doc in docs:
+            with pytest.raises(SchemaError) as err:
+                load_document(doc)
+            assert err.value.code == NOT_ISOMETRY
 
     def test_bad_bijection(self):
         doc = json.loads(self.iso_doc())
