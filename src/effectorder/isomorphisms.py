@@ -6,9 +6,16 @@ every order isomorphism of [0, e] that preserves the invertible part is
     f(x) = mobius_t( U_{(z^2+e)^(1/2)} ( e - (e + U_{z^(-1)} J x)^(-1) ) )
 
 for a parameter t < 1, an interior-positive z, and a Jordan isomorphism
-J.  The map is evaluated exactly as composed steps; since x lies in
-[0, e], the spectrum of e + U_{z^(-1)} J x is >= 1 and the strict
-inverse always exists, so no limiting process is needed at the boundary.
+J.  On the invertible part it equals the interior form
+(U_y J x^(-1) + e - y^2)^(-1) with y^2 = (1 - t) z^2 (e + z^2)^(-1), that is
+
+    f = U_{y^(-1)} o R_d o J,    f^(-1) = J^(-1) o R_(-d) o U_y,
+
+with the linear-fractional map R_c(w) = (w^(-1) + c)^(-1) and d = y^(-2) - e.
+R_c is evaluated as (e + w c)^(-1) w, which needs no inverse of w.  For
+every effect w or F the solves are nonsingular, e + w d because d > -e and
+e - (U_y F) d because F <= e, so this one form holds, continuously, on all
+of [0, e] and no limit is needed at the boundary.
 
 For a direct sum, an order isomorphism routes the rank-one (disengaged)
 coordinates through a bijection with arbitrary scalar order isomorphisms
@@ -47,6 +54,7 @@ from .algebra import (
     _element,
     _from_real,
     _identity_block,
+    _linear_fractional,
     _mm,
     _real_part,
     element_in_factor,
@@ -104,7 +112,8 @@ def mobius_invert_param(t: float) -> float:
 def _check_effect(x: Element, lo: float, hi: float) -> None:
     """Raise unless the spectrum [lo, hi] of x lies in [0, 1] up to tolerance."""
     tol = 1e-8 * (1.0 + sup_norm(x))
-    if lo < -tol or hi > 1.0 + tol:
+    # negated so that NaN fails; an infinite entry makes tol infinite
+    if not (lo >= -tol and hi <= 1.0 + tol < math.inf):
         raise DomainError(f"argument is outside [0, e]: spectrum in [{lo}, {hi}]")
 
 
@@ -245,14 +254,15 @@ class FactorOrderIso:
         check_mobius_param(self.t)
         if self.z.algebra != self.jordan.algebra:
             raise ShapeMismatchError("z must live in the target factor")
-        if min_eigenvalue(self.z) <= 0.0:
+        if not min_eigenvalue(self.z) > 0.0:  # negated so that NaN fails
             raise DomainError("z must be interior-positive")
-        # quantities reused by every application
-        e = unit(self.algebra)
-        z2e = jordan_product(self.z, self.z) + e
-        object.__setattr__(self, "_z_inv", invert_element(self.z, "strict"))
-        object.__setattr__(self, "_stretch", apply_function(z2e, np.sqrt))
-        object.__setattr__(self, "_stretch_inv", apply_function(z2e, lambda v: v ** -0.5))
+        # y, y^(-1) and d = y^(-2) - e = (z^(-2) + t e) / (1 - t), the last
+        # written without the cancellation of y^(-2) - e
+        t, c = self.t, 1.0 - self.t
+        dec = spectral_decompose(self.z)
+        object.__setattr__(self, "_y", dec.apply(lambda s: s * math.sqrt(c / (1.0 + s * s))))
+        object.__setattr__(self, "_y_inv", dec.apply(lambda s: math.sqrt((1.0 + s * s) / c) / s))
+        object.__setattr__(self, "_d", dec.apply(lambda s: (s ** -2 + t) / c))
         object.__setattr__(self, "_jordan_inv", self.jordan.inverted())
 
     @property
@@ -260,26 +270,14 @@ class FactorOrderIso:
         return self.jordan.algebra
 
     def apply(self, x: Element) -> Element:
-        """Evaluate mobius_t(U_{(z^2+e)^(1/2)}(e - (e + U_{z^(-1)} J x)^(-1)))."""
+        """Evaluate the closed form as U_{y^(-1)} R_d J x (module docstring)."""
         _check_effect(x, *extreme_eigenvalues(x))
-        w = self.jordan.apply(x)
-        w = quad_rep(self._z_inv, w)
-        # e - (e + w)^(-1) = [v/(1+v)](w): one pass, spectrum of e+w >= 1
-        w = apply_function(w, lambda v: v / (1.0 + v))
-        w = quad_rep(self._stretch, w)
-        return mobius_apply(self.t, w)
+        return quad_rep(self._y_inv, _linear_fractional(self.jordan.apply(x), self._d))
 
     def inverse_apply(self, y: Element) -> Element:
-        """Stepwise inversion of :meth:`apply`."""
-        w = mobius_apply(mobius_invert_param(self.t), y)
-        w = quad_rep(self._stretch_inv, w)
-        dec = spectral_decompose(w)
-        if dec.eigenvalues[-1] >= 1.0 - 1e-12:
-            raise DomainError("argument is not in the image of the map")
-        # (e - w)^(-1) - e = [v/(1-v)](w)
-        w = dec.apply(lambda v: v / (1.0 - v))
-        w = quad_rep(self.z, w)
-        return self._jordan_inv.apply(w)
+        """J^(-1) R_(-d) U_y y: the kernel of :meth:`apply` run in reverse."""
+        _check_effect(y, *extreme_eigenvalues(y))
+        return self._jordan_inv.apply(_linear_fractional(quad_rep(self._y, y), -self._d))
 
 
 def compose_factor_isos(
@@ -300,7 +298,10 @@ def interior_iso_apply(
     y: Element, x: Element, jordan: FactorJordanIso | None = None
 ) -> Element:
     """The order isomorphism of the invertible part (0, e] induced by the
-    positive-cone map U_y J:   x -> (U_y J x^(-1) - y^2 + e)^(-1)."""
+    positive-cone map U_y J:   x -> (U_y J x^(-1) - y^2 + e)^(-1).
+
+    Evaluated literally, through x^(-1), so that it stays an independent
+    reference for the closed form of :class:`FactorOrderIso`."""
     if min_eigenvalue(y) <= 0.0:
         raise DomainError("y must be interior-positive")
     _check_effect(x, *extreme_eigenvalues(x))
@@ -319,24 +320,22 @@ def params_from_cone_map(
 
     For any lam above the spectrum of y^2 the triple
 
-        t = 1 - lam,   z = U_{y^(1/2)} (lam e - y^2)^(-1/2),   J
+        t = 1 - lam,   z = y (lam e - y^2)^(-1/2),   J
 
     induces the same map on (0, e]; the default is lam = 1 + max eig(y^2).
     """
     if y.algebra != jordan.algebra:
         raise ShapeMismatchError("y must live in the target factor")
-    if min_eigenvalue(y) <= 0.0:
+    lo, hi = extreme_eigenvalues(y)
+    if not lo > 0.0:  # negated so that NaN fails
         raise DomainError("y must be interior-positive")
-    y2 = jordan_product(y, y)
-    top = max_eigenvalue(y2)
+    top = hi * hi
     if lam is None:
         lam = 1.0 + top
     lam = float(lam)
     if lam <= top + 1e-12 * (1.0 + top):
         raise DomainError(f"lam = {lam} is not above the spectrum of y^2 (top {top})")
-    e = unit(y.algebra)
-    s = apply_function(lam * e - y2, lambda v: v ** -0.5)
-    z = quad_rep(sqrt_element(y), s)
+    z = apply_function(y, lambda s: s / math.sqrt(lam - s * s))
     return FactorOrderIso(1.0 - lam, z, jordan)
 
 
@@ -452,16 +451,18 @@ class CompositeOrderIso:
         dst = self.target if fwd else self.source
         if x.algebra != src:
             raise ShapeMismatchError("element does not live in the expected algebra")
-        _check_effect(x, *extreme_eigenvalues(x))
+        # each block is checked once: rank-one coordinates here, the rest by their factor map
         out: list[np.ndarray | None] = [None] * len(dst.factors)
         for (i, j), f in zip(self.sigma, self.scalar_isos):
             a, b = (i, j) if fwd else (j, i)
-            s = float(np.clip(_real_part(src.factors[a], x.block(a))[0, 0], 0.0, 1.0))
+            s = float(_real_part(src.factors[a], x.block(a))[0, 0])
+            _check_effect(Element(single_factor(src.factors[a]), (x.block(a),)), s, s)
+            s = min(max(s, 0.0), 1.0)
             v = f(s) if fwd else f.inverse(s)
             out[b] = _from_real(dst.factors[b], np.full((1, 1), v))
         for (i, j), iso in zip(self.engaged_pairs, self.engaged_isos):
             a, b = (i, j) if fwd else (j, i)
-            xi = element_in_factor(src.factors[a], x.block(a))
+            xi = Element(single_factor(src.factors[a]), (x.block(a),))
             yi = iso.apply(xi) if fwd else iso.inverse_apply(xi)
             out[b] = yi.block(0)
         return _element(dst, out)

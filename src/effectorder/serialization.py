@@ -24,6 +24,7 @@ raise :class:`SchemaError` with a machine-parsable code and a path.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -443,8 +444,30 @@ def report_from_obj(obj: Any, path: str = "report") -> list[SuiteReport]:
 
 # --- generic documents ---------------------------------------------------------
 
+def _non_finite_path(obj: Any, path: str) -> str | None:
+    """Path of the first non-finite number in a JSON object tree."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else path
+    if isinstance(obj, dict):
+        children = ((f"{path}.{k}", v) for k, v in obj.items())
+    elif isinstance(obj, list):
+        children = ((f"{path}[{k}]", v) for k, v in enumerate(obj))
+    else:
+        return None
+    for child_path, child in children:
+        found = _non_finite_path(child, child_path)
+        if found is not None:
+            return found
+    return None
+
+
 def dump_document(doc) -> str:
-    """Serialize a domain object to canonical JSON text."""
+    """Serialize a domain object to canonical JSON text.
+
+    ELEMENT and ISO documents with a non-finite entry raise
+    ``SchemaError(NON_FINITE)``, as their loader would; a REPORT may carry
+    non-finite residuals, so that a failing verification is still written.
+    """
     if isinstance(doc, AlgebraDescriptor):
         obj = algebra_to_obj(doc)
     elif isinstance(doc, Element):
@@ -457,7 +480,11 @@ def dump_document(doc) -> str:
         obj = doc
     else:
         raise TypeError(f"cannot serialize {type(doc).__name__}")
-    return json.dumps(obj, indent=1)
+    try:
+        return json.dumps(obj, indent=1, allow_nan=isinstance(doc, (SuiteReport, list, dict)))
+    except ValueError:
+        path = _non_finite_path(obj, obj["type"])
+        raise SchemaError(NON_FINITE, path, "non-finite entries") from None
 
 
 def load_document(text: str):

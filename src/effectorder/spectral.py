@@ -167,9 +167,13 @@ def apply_function(x: Element, f: Callable[[float], float]) -> Element:
 
 
 def extreme_eigenvalues(x: Element) -> tuple[float, float]:
-    """(least, greatest) eigenvalue across all blocks in one pass."""
+    """(least, greatest) eigenvalue across all blocks in one pass; both
+    NaN when some block has a non-finite entry."""
     lo, hi = np.inf, -np.inf
     for f, b in zip(x.algebra.factors, x.blocks):
+        # LAPACK raises on NaN entries and min/max would drop a NaN
+        if not np.isfinite(b).all():
+            return np.nan, np.nan
         w = block_eigenvalues(f, b)
         lo, hi = min(lo, float(w[0])), max(hi, float(w[-1]))
     return lo, hi

@@ -4,6 +4,7 @@ import pytest
 from effectorder import (
     CompositeOrderIso,
     DomainError,
+    Element,
     FactorJordanIso,
     FactorOrderIso,
     HermFactor,
@@ -38,6 +39,7 @@ from effectorder import (
     sample_element,
     sample_ordered_pair,
     single_factor,
+    spectral_decompose,
     sup_norm,
     transitivity_witness,
     unit,
@@ -555,3 +557,102 @@ class TestScalarIsos:
         f = PhiScalarIso(-1.0)
         assert f(0.5) == mobius_scalar(-1.0, 0.5)
         assert abs(f.inverse(f(0.37)) - 0.37) <= 1e-15
+
+
+ENVELOPE_FACTORS = [
+    HermFactor(4),
+    HermFactor(3, Ring.COMPLEX),
+    HermFactor(2, Ring.QUATERNION),
+    SpinFactor(4),
+]
+
+
+class TestConditioningEnvelope:
+    """Round trips far outside the sampler's z spectrum [0.3, 1.7], where
+    the map itself is still well conditioned."""
+
+    @pytest.mark.parametrize("t", [-1e6, -50.0, 0.0, 0.9])
+    @pytest.mark.parametrize("factor", ENVELOPE_FACTORS, ids=str)
+    def test_inverse_accepts_every_image(self, factor, t, rng):
+        alg = single_factor(factor)
+        for _ in range(3):
+            dec = spectral_decompose(sample_element(alg, rng, "general"))
+            z = dec.combine(10.0 ** rng.uniform(0.0, 4.0, len(dec.eigenvalues)))
+            iso = FactorOrderIso(t, z, random_jordan_iso(factor, rng))
+            for cls in ("effect", "projection", "invertible_effect"):
+                for _ in range(4):
+                    x = sample_element(alg, rng, cls)
+                    back = iso.inverse_apply(iso.apply(x))
+                    assert sup_norm(back - x) <= 1e-8
+
+
+def with_block(x, i, value):
+    """x with every entry of block i replaced by ``value``; built with the
+    unvalidated constructor, as overflow inside the library would."""
+    blocks = list(x.blocks)
+    blocks[i] = np.full_like(blocks[i], value)
+    return Element(x.algebra, tuple(blocks))
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("factor", FACTOR_KINDS, ids=str)
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_factor_iso_rejects(self, factor, value, rng):
+        iso = random_factor_iso(factor, rng)
+        x = with_block(unit(single_factor(factor)), 0, value)
+        with pytest.raises(DomainError):
+            iso.apply(x)
+        with pytest.raises(DomainError):
+            iso.inverse_apply(x)
+
+    def test_factor_iso_rejects_overflowed_quad_rep(self, rng):
+        f = HermFactor(2)
+        y = element_in_factor(f, np.diag([1e200, 1.0]))
+        iso = random_factor_iso(f, rng)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = quad_rep(y, y)
+        with pytest.raises(DomainError):
+            iso.apply(x)
+
+    @pytest.mark.parametrize("block", [0, 1, 2], ids=["disengaged", "herm", "spin"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_composite_iso_rejects_both_directions(self, block, value, rng):
+        iso = random_composite_iso(MIXED, MIXED, rng)
+        x = with_block(0.5 * unit(MIXED), block, value)
+        with pytest.raises(DomainError):
+            iso.apply(x)
+        with pytest.raises(DomainError):
+            iso.inverse_apply(x)
+
+    def test_nan_z_rejected(self):
+        f = SpinFactor(3)
+        z = with_block(unit(single_factor(f)), 0, np.nan)
+        with pytest.raises(DomainError):
+            FactorOrderIso(0.0, z, identity_jordan(f))
+
+
+class TestEigensolveBudget:
+    def test_composite_round_trip(self, rng, eigensolve_counter):
+        # three engaged Hermitian factors with n >= 2; lines and spin
+        # factors need no LAPACK eigensolve
+        alg = algebra(
+            HermFactor(1),
+            HermFactor(6),
+            HermFactor(3, Ring.COMPLEX),
+            HermFactor(2, Ring.QUATERNION),
+            SpinFactor(4),
+        )
+        iso = random_composite_iso(alg, alg, rng)
+        x = sample_element(alg, rng, "effect")
+        eigensolve_counter.clear()
+        back = iso.inverse_apply(iso.apply(x))
+        assert sup_norm(back - x) <= 1e-8
+        assert sum(eigensolve_counter.values()) <= 2 * 3
+
+    def test_factor_iso_construction(self, rng, eigensolve_counter):
+        factor = HermFactor(6)
+        z = sample_element(single_factor(factor), rng, "interior")
+        jord = random_jordan_iso(factor, rng)
+        eigensolve_counter.clear()
+        FactorOrderIso(-0.5, z, jord)
+        assert sum(eigensolve_counter.values()) <= 2

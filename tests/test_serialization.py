@@ -9,7 +9,9 @@ from effectorder import (
     SpinFactor,
     algebra,
     dump_document,
+    element_in_factor,
     load_document,
+    quad_rep,
     random_composite_iso,
     random_element,
     run_identity_suite,
@@ -19,6 +21,7 @@ from effectorder import (
 from effectorder.serialization import (
     BAD_KNOTS,
     BAD_SCHEMA,
+    NON_FINITE,
     NON_HERMITIAN,
     NOT_BIJECTION,
     NOT_ISOMETRY,
@@ -67,6 +70,14 @@ class TestRoundTrips:
         assert loaded[0].suite == report.suite
         assert loaded[0].worst_residual == report.worst_residual
         assert loaded[0].checks[0].name == report.checks[0].name
+
+    def test_report_keeps_non_finite_residual(self):
+        from effectorder.harness import CheckResult, SuiteReport
+
+        check = CheckResult("roundtrip", 1e-8, fails=1, worst=float("inf"))
+        report = SuiteReport("order_iso", "herm(2,R)", 0, 1, 1e-8, (check,), 0.0)
+        loaded = load_document(dump_document(report))
+        assert loaded[0].checks[0].worst == float("inf")
 
 
 class TestValidationErrors:
@@ -204,3 +215,13 @@ class TestValidationErrors:
         with pytest.raises(SchemaError) as err:
             load_document(self.element_doc([[[1.0, 0.9], [0.2, 1.0]]]))
         assert "blocks" in err.value.path
+
+    def test_non_finite_element_refused_at_dump(self):
+        # U_y y overflows to inf and, off the diagonal, to inf * 0 = NaN
+        y = element_in_factor(HermFactor(2), np.diag([1e200, 1.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = quad_rep(y, y)
+        with pytest.raises(SchemaError) as err:
+            dump_document(x)
+        assert err.value.code == NON_FINITE
+        assert err.value.path.startswith("element.blocks[0]")
