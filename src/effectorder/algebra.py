@@ -9,6 +9,15 @@ factors R + R^d with the product
 Elements are block vectors, one block per factor.  Everything here is
 immutable and every operation is a pure function, so values can be
 shared freely across threads.
+
+Blocks are validated once, where they enter from outside: the public
+constructors :func:`element_from_blocks` and :func:`element_in_factor`,
+and the document parser in ``serialization``.  Inside the library every
+element comes from the trusted :func:`_element`, which only freezes its
+arrays.  Sums and real multiples of Hermitian blocks stay exactly
+Hermitian, so only the producers whose floating-point arithmetic can break
+symmetry (non-commuting products, eigenbasis sums, solves, Jordan
+isomorphisms, raw samples) average their results with their adjoints.
 """
 
 from __future__ import annotations
@@ -212,9 +221,9 @@ def _adjoint_block(factor: Factor, b: np.ndarray) -> np.ndarray:
 
 
 def _hermitize(factor: Factor, b: np.ndarray) -> np.ndarray:
-    """Average a block with its adjoint; the identity for spin blocks."""
+    """Average a block with its adjoint; spin blocks are returned as they are."""
     if isinstance(factor, SpinFactor):
-        return np.array(b, dtype=float)
+        return b
     return 0.5 * (b + _adjoint_block(factor, b))
 
 
@@ -261,17 +270,21 @@ def _check_same_algebra(x: Element, y: Element) -> None:
 
 
 def _element(alg: AlgebraDescriptor, blocks: Iterable[np.ndarray]) -> Element:
-    """Trusted constructor: hermitizes each block and freezes the arrays."""
-    frozen = []
-    for f, b in zip(alg.factors, blocks):
-        nb = _hermitize(f, b)
-        nb.setflags(write=False)
-        frozen.append(nb)
-    return Element(alg, tuple(frozen))
+    """Trusted constructor: freezes the given arrays in place.
+
+    The caller guarantees that the blocks have the factors' shapes, are
+    Hermitian, and are owned by no one who writes to them: fresh results,
+    or blocks of other (frozen) elements.  Nothing is copied or checked.
+    """
+    blocks = tuple(blocks)
+    for b in blocks:
+        b.setflags(write=False)
+    return Element(alg, blocks)
 
 
 def element_from_blocks(alg: AlgebraDescriptor, blocks: Sequence[np.ndarray]) -> Element:
-    """Validating constructor: checks shapes and finiteness, symmetrizes.
+    """Validating constructor for blocks from outside the library: checks
+    shapes and finiteness, copies, and symmetrizes.
 
     Hermitian blocks are replaced by (b + b*) / 2 rather than rejected,
     so tiny serialization noise never invalidates an element.
@@ -290,7 +303,7 @@ def element_from_blocks(alg: AlgebraDescriptor, blocks: Sequence[np.ndarray]) ->
             )
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"block {i} has non-finite entries")
-        cast.append(arr)
+        cast.append(_hermitize(f, arr))
     return _element(alg, cast)
 
 
@@ -334,7 +347,8 @@ def _block_jordan(factor: Factor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         alpha = a[0] * b[0] + a[1:] @ b[1:]
         v = a[0] * b[1:] + b[0] * a[1:]
         return np.concatenate(([alpha], v))
-    return 0.5 * (_mm(factor, a, b) + _mm(factor, b, a))
+    # for Hermitian a, b the adjoint of ab is ba
+    return _hermitize(factor, _mm(factor, a, b))
 
 
 def jordan_product(x: Element, y: Element) -> Element:
@@ -364,7 +378,7 @@ def _block_quad(factor: Factor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return 2.0 * _block_jordan(factor, a, ab) - _block_jordan(
             factor, _block_jordan(factor, a, a), b
         )
-    return _mm(factor, _mm(factor, a, b), a)
+    return _hermitize(factor, _mm(factor, _mm(factor, a, b), a))
 
 
 def quad_rep(x: Element, y: Element) -> Element:
@@ -395,7 +409,8 @@ def _linear_fractional(w: Element, c: Element) -> Element:
             blocks.append(np.concatenate(([m[0, 0] + m[1, 1]], v)) / 2.0)
         else:
             m = _embed(f, a)
-            blocks.append(_unembed(f, np.linalg.solve(np.eye(len(m)) + m @ _embed(f, b), m)))
+            r = np.linalg.solve(np.eye(len(m)) + m @ _embed(f, b), m)
+            blocks.append(_hermitize(f, _unembed(f, r)))
     return _element(w.algebra, blocks)
 
 
@@ -415,4 +430,4 @@ def random_gaussian(alg: AlgebraDescriptor, rng: np.random.Generator) -> Element
             blocks.append(rng.standard_normal((f.n, f.n, 4)))
         else:
             blocks.append(rng.standard_normal((f.n, f.n)))
-    return _element(alg, blocks)
+    return _element(alg, [_hermitize(f, b) for f, b in zip(alg.factors, blocks)])

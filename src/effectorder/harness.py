@@ -10,6 +10,7 @@ identity, demonstrating that the suite can fail.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -62,19 +63,34 @@ from .spectral import (
 )
 
 
+def _worst(*residuals: float) -> float:
+    """The largest residual, NaN if any is NaN (``max`` may drop a NaN)."""
+    return float(np.max(residuals))
+
+
 @dataclass
 class CheckResult:
-    """Outcome of one named check: trial counts and the worst residual."""
+    """Outcome of one named check: trial counts, the worst residual, and
+    the index of the trial that gave it (None before the first record).
+
+    A suite records a check once in every trial or in none, so the number
+    of earlier records is the trial index."""
 
     name: str
     tol: float
     passes: int = 0
     fails: int = 0
     worst: float = 0.0
+    worst_trial: int | None = None
 
     def record(self, residual: float) -> None:
         residual = float(residual)
-        self.worst = max(self.worst, residual)
+        # NaN is worse than any number; ties keep the earlier trial
+        if self.worst_trial is None or residual > self.worst or (
+            math.isnan(residual) and not math.isnan(self.worst)
+        ):
+            self.worst = _worst(self.worst, residual)
+            self.worst_trial = self.passes + self.fails
         if residual <= self.tol:
             self.passes += 1
         else:
@@ -100,7 +116,7 @@ class SuiteReport:
 
     @property
     def worst_residual(self) -> float:
-        return max((c.worst for c in self.checks), default=0.0)
+        return _worst(0.0, *(c.worst for c in self.checks))
 
 
 def render_report(report: SuiteReport, include_elapsed: bool = True) -> str:
@@ -115,7 +131,8 @@ def render_report(report: SuiteReport, include_elapsed: bool = True) -> str:
     for c in report.checks:
         lines.append(
             f"  {c.name:<28} {c.passes:>5} pass {c.fails:>3} fail"
-            f"  worst={c.worst:.3e}  tol={c.tol:g}"
+            f"  worst={c.worst:.3e} trial={'-' if c.worst_trial is None else c.worst_trial}"
+            f"  tol={c.tol:g}"
         )
     for key, val in report.data.items():
         lines.append(f"  # {key}: {val}")
@@ -175,7 +192,7 @@ def run_identity_suite(
 
         uy_x = quad_rep(y, x_cone)
         checks["cone_preserved"].record(
-            max(0.0, -min_eigenvalue(uy_x)) / (1.0 + sup_norm(uy_x))
+            _worst(0.0, -min_eigenvalue(uy_x)) / (1.0 + sup_norm(uy_x))
         )
 
         yi = _clamp_away_from_zero(y)
@@ -273,16 +290,16 @@ def run_interval_suite(
         lam_plus = positive_min_eigenvalue(x)
         n_star = int(1.0 / lam_plus) + 2 if np.isfinite(lam_plus) else 1
         _, g_n, h_n = range_approximants(x, n_star)
-        checks["stabilize_exact"].record(max(sup_norm(g_n - rx), sup_norm(h_n - rx)))
+        checks["stabilize_exact"].record(_worst(sup_norm(g_n - rx), sup_norm(h_n - rx)))
 
         w = sample_element(alg, rng, "effect")
         prev = None
         worst_mono, worst_dist = 0.0, 0.0
         for n in range(1, 9):
             fn = apply_function(w, lambda v: max(v, 1.0 / n))
-            worst_dist = max(worst_dist, max(0.0, sup_norm(fn - w) - 1.0 / n))
+            worst_dist = _worst(worst_dist, sup_norm(fn - w) - 1.0 / n)
             if prev is not None:
-                worst_mono = max(worst_mono, max(0.0, -min_eigenvalue(prev - fn)))
+                worst_mono = _worst(worst_mono, -min_eigenvalue(prev - fn))
             prev = fn
         checks["approx_monotone"].record(worst_mono)
         checks["approx_distance"].record(worst_dist)
@@ -292,16 +309,17 @@ def run_interval_suite(
         q = proj_join(sample_element(alg, rng, "projection"), r)
         m = proj_meet(p, q)
         j = proj_join(p, q)
-        bound_res = max(
-            max(0.0, -min_eigenvalue(p - m)),
-            max(0.0, -min_eigenvalue(q - m)),
-            max(0.0, -min_eigenvalue(j - p)),
-            max(0.0, -min_eigenvalue(j - q)),
+        bound_res = _worst(
+            0.0,
+            -min_eigenvalue(p - m),
+            -min_eigenvalue(q - m),
+            -min_eigenvalue(j - p),
+            -min_eigenvalue(j - q),
             sup_norm(jordan_product(m, m) - m),
         )
         checks["lattice_bounds"].record(bound_res)
         low = quad_rep(r, sample_element(alg, rng, "effect"))
-        checks["lattice_lower_witness"].record(max(0.0, -min_eigenvalue(m - low)))
+        checks["lattice_lower_witness"].record(_worst(0.0, -min_eigenvalue(m - low)))
 
     return SuiteReport(
         suite="interval",
@@ -355,16 +373,16 @@ def run_order_iso_suite(
         x, y = sample_ordered_pair(source, rng)
         fx, fy = iso.apply(x), iso.apply(y)
         checks["order_forward"].record(
-            max(0.0, -min_eigenvalue(fy - fx)) / (1.0 + sup_norm(fy))
+            _worst(0.0, -min_eigenvalue(fy - fx)) / (1.0 + sup_norm(fy))
         )
         u, v = sample_ordered_pair(target, rng)
         gu, gv = iso.inverse_apply(u), iso.inverse_apply(v)
         checks["order_backward"].record(
-            max(0.0, -min_eigenvalue(gv - gu)) / (1.0 + sup_norm(gv))
+            _worst(0.0, -min_eigenvalue(gv - gu)) / (1.0 + sup_norm(gv))
         )
 
         checks["endpoints"].record(
-            max(sup_norm(iso.apply(zero(source))), sup_norm(iso.apply(e_m) - e_n))
+            _worst(sup_norm(iso.apply(zero(source))), sup_norm(iso.apply(e_m) - e_n))
         )
 
         w = sample_element(source, rng, "effect")
@@ -376,16 +394,19 @@ def run_order_iso_suite(
         g = sample_element(source, rng, "general")
         x_inv = apply_function(g, lambda v: min(max(v, 1e-3), 1.0))
         checks["invertible_floor"].record(
-            max(0.0, 1e-12 - min_eigenvalue(iso.apply(x_inv)))
+            _worst(0.0, 1e-12 - min_eigenvalue(iso.apply(x_inv)))
         )
 
+        rank_one = []
         for (i, _), fiso in zip(iso.engaged_pairs, iso.engaged_isos):
             factor = source.factors[i]
             p = sample_atom(factor, rng)
             lam = float(rng.uniform(0.01, 1.0))
             img = fiso.apply(lam * p)
             eigs = block_eigenvalues(img.algebra.factors[0], img.block(0))
-            checks["atom_rank_one"].record(max(0.0, float(eigs[-2])) if len(eigs) > 1 else 0.0)
+            rank_one.append(float(eigs[-2]) if len(eigs) > 1 else 0.0)
+        if rank_one:
+            checks["atom_rank_one"].record(_worst(0.0, *rank_one))
 
         t, s = float(rng.uniform(-2.5, 0.9)), float(rng.uniform(-2.5, 0.9))
         x_eff = sample_element(source, rng, "effect")
@@ -407,7 +428,7 @@ def run_order_iso_suite(
             worst = 0.0
             for lam in (lam0, lam0 + 1.0):
                 got = params_from_cone_map(yf, jord, lam).apply(xf)
-                worst = max(worst, _rel(got, ref))
+                worst = _worst(worst, _rel(got, ref))
             checks["lift_param_agree"].record(worst)
 
             # boundary values agree with the monotone limit from the
@@ -425,11 +446,11 @@ def run_order_iso_suite(
             prev = fx
             for n in (512, 64, 8):
                 fxn = fiso.apply(apply_function(xs, lambda v: max(v, 1.0 / n)))
-                mono = max(mono, -min_eigenvalue(fxn - prev))
+                mono = _worst(mono, -min_eigenvalue(fxn - prev))
                 gaps.append(sup_norm(fxn - fx))
                 prev = fxn
-            decay = max(0.0, gaps[0] - max(0.9 * gaps[-1], 1e-9))
-            checks["boundary_monotone_limit"].record(max(mono, decay))
+            decay = _worst(0.0, gaps[0] - _worst(0.9 * gaps[-1], 1e-9))
+            checks["boundary_monotone_limit"].record(_worst(mono, decay))
 
     return SuiteReport(
         suite="order_iso",
@@ -476,7 +497,7 @@ def scalar_oracle_compare(
     worst = 0.0
     for s in np.linspace(0.0, 1.0, grid_size):
         lib = iso.apply(element_in_factor(factor, np.array([[s]])))
-        worst = max(worst, abs(float(lib.block(0)[0, 0]) - oracle(float(s), z0)))
+        worst = _worst(worst, abs(float(lib.block(0)[0, 0]) - oracle(float(s), z0)))
     checks["scalar_grid"].record(worst)
 
     two = HermFactor(2, Ring.REAL)
@@ -487,9 +508,9 @@ def scalar_oracle_compare(
     for s1 in np.linspace(0.0, 1.0, 25):
         for s2 in np.linspace(0.0, 1.0, 25):
             lib = iso2.apply(element_in_factor(two, np.diag([s1, s2]))).block(0)
-            worst = max(worst, abs(lib[0, 0] - oracle(float(s1), z0)))
-            worst = max(worst, abs(lib[1, 1] - oracle(float(s2), z1)))
-            worst = max(worst, abs(lib[0, 1]))
+            worst = _worst(worst, abs(lib[0, 0] - oracle(float(s1), z0)))
+            worst = _worst(worst, abs(lib[1, 1] - oracle(float(s2), z1)))
+            worst = _worst(worst, abs(lib[0, 1]))
     checks["diagonal_reduction"].record(worst)
 
     return SuiteReport(
@@ -521,23 +542,23 @@ def counterexample_report(n: int) -> SuiteReport:
     }
     used, alt, alt_vals = [], [], []
     worst_exact, worst_used = 0.0, 0.0
-    min_ratio = np.inf
+    ratios = []
     for k in range(1, n + 1):
         target = 2.0 ** -k
-        worst_exact = max(worst_exact, abs(coords[k - 1] - target))
+        worst_exact = _worst(worst_exact, abs(coords[k - 1] - target))
         t_used = 2.0 - 2.0 ** k
         t_alt = 0.5 * (3.0 - 2.0 ** k)
         used.append(t_used)
         alt.append(t_alt)
         v_alt = mobius_scalar(t_alt, 0.5)
         alt_vals.append(v_alt)
-        worst_used = max(worst_used, abs(mobius_scalar(t_used, 0.5) - target))
+        worst_used = _worst(worst_used, abs(mobius_scalar(t_used, 0.5) - target))
         # the mis-derived parameter gives 2/(2^k+1); its relative gap from
         # 2^(-k) is (2^k-1)/(2^k+1), never below 1/3
-        min_ratio = min(min_ratio, abs(v_alt - target) / target)
+        ratios.append(abs(v_alt - target) / target)
     checks["coords_exact"].record(worst_exact)
     checks["param_used_matches"].record(worst_used)
-    checks["param_alternative_differs"].record(max(0.0, 0.3 - min_ratio))
+    checks["param_alternative_differs"].record(_worst(0.0, 0.3 - float(np.min(ratios))))
     return SuiteReport(
         suite="counterexample",
         descriptor=f"{n}-fold sum of lines",

@@ -53,11 +53,11 @@ from .algebra import (
     _block_sup,
     _element,
     _from_real,
+    _hermitize,
     _identity_block,
     _linear_fractional,
     _mm,
     _real_part,
-    element_in_factor,
     jordan_product,
     quad_rep,
     random_gaussian,
@@ -218,7 +218,7 @@ class FactorJordanIso:
             out = np.concatenate(([b[0]], self.rotation @ b[1:]))
         else:
             arg = b.conj() if self.conjugate else b
-            out = _mm(f, _mm(f, self.u, arg), _adjoint_block(f, self.u))
+            out = _hermitize(f, _mm(f, _mm(f, self.u, arg), _adjoint_block(f, self.u)))
         return _element(self.algebra, [out])
 
     def inverted(self) -> "FactorJordanIso":
@@ -514,7 +514,7 @@ def _extract_hermitian_jordan(
         return identity_jordan(factor)
 
     def probe(block: np.ndarray) -> np.ndarray:
-        return Jm(element_in_factor(factor, block)).block(0)
+        return Jm(_element(single_factor(factor), [block])).block(0)
 
     def basis_block(entries: dict[tuple[int, int], float]) -> np.ndarray:
         m = np.zeros((n, n))
@@ -578,7 +578,7 @@ def _extract_spin_jordan(
     for i in range(d):
         b = np.zeros(d + 1)
         b[1 + i] = 1.0
-        img = Jm(element_in_factor(factor, b)).block(0)
+        img = Jm(_element(single_factor(factor), [b])).block(0)
         if abs(img[0]) > tol * 10:
             raise RecoveryError("spin probe image has a scalar part")
         cols.append(img[1:])

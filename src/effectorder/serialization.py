@@ -41,7 +41,8 @@ from .algebra import (
     _adjoint_block,
     _block_dtype_shape,
     _block_sup,
-    element_from_blocks,
+    _element,
+    _hermitize,
     single_factor,
 )
 from .harness import CheckResult, SuiteReport
@@ -210,7 +211,7 @@ def _herm_block_from_obj(factor: HermFactor, rows: Any, path: str) -> np.ndarray
     asym = _block_sup(factor, b - _adjoint_block(factor, b))
     if asym > 1e-6 * (1.0 + _block_sup(factor, b)):
         raise SchemaError(NON_HERMITIAN, path, f"asymmetry {asym:g} exceeds tolerance")
-    return b
+    return _hermitize(factor, b)
 
 
 def _spin_block_from_obj(factor: SpinFactor, obj: Any, path: str) -> np.ndarray:
@@ -248,10 +249,7 @@ def element_from_obj(
     if alg is not None and doc_alg != alg:
         raise SchemaError(SHAPE_MISMATCH, f"{path}.algebra", "element algebra differs from expected")
     blocks = _blocks_from_obj(doc_alg, _need(obj, "blocks", path), f"{path}.blocks")
-    try:
-        return element_from_blocks(doc_alg, blocks)
-    except ShapeMismatchError as exc:
-        raise SchemaError(SHAPE_MISMATCH, f"{path}.blocks", str(exc)) from exc
+    return _element(doc_alg, blocks)
 
 
 # --- isomorphisms -------------------------------------------------------------
@@ -362,7 +360,7 @@ def iso_from_obj(obj: Any, path: str = "iso") -> CompositeOrderIso:
             zb = _spin_block_from_obj(factor, _need(eo, "z", ep), f"{ep}.z")
         else:
             zb = _herm_block_from_obj(factor, _need(eo, "z", ep), f"{ep}.z")
-        z = element_from_blocks(single_factor(factor), [zb])
+        z = _element(single_factor(factor), [zb])
         jord = _jordan_from_obj(factor, _need(eo, "J", ep), f"{ep}.J")
         try:
             isos.append(FactorOrderIso(t, z, jord))
@@ -400,6 +398,7 @@ def report_to_obj(reports: list[SuiteReport] | SuiteReport) -> dict:
                         "passes": c.passes,
                         "fails": c.fails,
                         "worst_residual": c.worst,
+                        "worst_trial": c.worst_trial,
                     }
                     for c in r.checks
                 ],
@@ -421,6 +420,9 @@ def report_from_obj(obj: Any, path: str = "report") -> list[SuiteReport]:
                 passes=_field(int, co, "passes", rp),
                 fails=_field(int, co, "fails", rp),
                 worst=_field(float, co, "worst_residual", rp),
+                # reports written before the field existed lack it
+                worst_trial=None if co.get("worst_trial") is None
+                else _field(int, co, "worst_trial", rp),
             )
             for co in _list(ro, "checks", rp)
         )

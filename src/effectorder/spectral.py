@@ -33,6 +33,7 @@ from .algebra import (
     SpinFactor,
     _element,
     _embed,
+    _hermitize,
     _unembed,
     sup_norm,
 )
@@ -103,7 +104,7 @@ class SpectralDecomposition:
             if isinstance(f, SpinFactor):
                 blocks.append(vals @ basis)
                 continue
-            blocks.append(_unembed(f, (basis * vals) @ basis.conj().T))
+            blocks.append(_hermitize(f, _unembed(f, (basis * vals) @ basis.conj().T)))
         return _element(self.algebra, blocks)
 
     @cached_property

@@ -2,19 +2,28 @@ import numpy as np
 import pytest
 
 from effectorder import (
+    SAMPLE_CLASSES,
     AlgebraDescriptor,
+    Element,
     HermFactor,
     Ring,
     ShapeMismatchError,
     SpinFactor,
     algebra,
+    apply_function,
     canonical_trace,
     classify,
+    dump_document,
     element_from_blocks,
     element_in_factor,
+    invert_element,
     jordan_product,
+    load_document,
     quad_rep,
+    random_composite_iso,
     random_element,
+    random_factor_iso,
+    random_jordan_iso,
     sample_element,
     single_factor,
     sup_norm,
@@ -22,6 +31,7 @@ from effectorder import (
     unit,
 )
 from effectorder import quaternion as quat
+from effectorder.algebra import _linear_fractional
 
 from conftest import FACTOR_KINDS, MIXED
 
@@ -196,6 +206,73 @@ class TestElementValidation:
         x = unit(MIXED)
         with pytest.raises(ValueError):
             x.block(0)[0, 0] = 5.0
+
+    def test_does_not_alias_caller_arrays(self):
+        b = np.array([1.0, 0.2, 0.3, 0.4])
+        x = element_from_blocks(single_factor(SpinFactor(3)), [b])
+        b[0] = 5.0
+        assert x.block(0)[0] == 1.0
+
+
+def _adjoint(factor, b):
+    if isinstance(factor, SpinFactor):
+        return b
+    if factor.ring is Ring.QUATERNION:
+        return quat.qadjoint(b)
+    return b.conj().T
+
+
+def assert_exactly_hermitian(x):
+    __tracebackhide__ = True
+    for f, b in zip(x.algebra.factors, x.blocks):
+        assert np.array_equal(b, _adjoint(f, b)), f
+
+
+class TestHermitianInvariant:
+    """Every block the library produces is exactly Hermitian: the
+    producers that can break symmetry restore it themselves."""
+
+    @pytest.mark.parametrize("factor", FACTOR_KINDS, ids=str)
+    def test_operations(self, factor, rng):
+        alg = single_factor(factor)
+        x, y, w = (sample_element(alg, rng, "general") for _ in range(3))
+        effect = sample_element(alg, rng, "effect")
+        iso = random_factor_iso(factor, rng)
+        outputs = [
+            jordan_product(x, y),
+            quad_rep(x, y),
+            triple_product(x, y, w),
+            apply_function(x, np.tanh),
+            invert_element(sample_element(alg, rng, "interior")),
+            random_jordan_iso(factor, rng).apply(x),
+            _linear_fractional(effect, sample_element(alg, rng, "cone")),
+            iso.apply(effect),
+            iso.inverse_apply(effect),
+        ]
+        for out in outputs:
+            assert_exactly_hermitian(out)
+
+    @pytest.mark.parametrize("factor", FACTOR_KINDS, ids=str)
+    def test_composite_both_directions(self, factor, rng):
+        alg = algebra(HermFactor(1), factor, factor)
+        iso = random_composite_iso(alg, alg, rng)
+        x = sample_element(alg, rng, "effect")
+        assert_exactly_hermitian(iso.apply(x))
+        assert_exactly_hermitian(iso.inverse_apply(x))
+
+    @pytest.mark.parametrize("factor", FACTOR_KINDS, ids=str)
+    def test_samples(self, factor, rng):
+        alg = algebra(factor, HermFactor(1))
+        for cls in SAMPLE_CLASSES:
+            assert_exactly_hermitian(sample_element(alg, rng, cls))
+
+    @pytest.mark.parametrize("factor", FACTOR_KINDS, ids=str)
+    def test_boundary_symmetrizes_small_asymmetry(self, factor, rng):
+        alg = single_factor(factor)
+        b = sample_element(alg, rng, "general").block(0)
+        noisy = b + 1e-9 * rng.standard_normal(b.shape)
+        assert_exactly_hermitian(element_from_blocks(alg, [noisy]))
+        assert_exactly_hermitian(load_document(dump_document(Element(alg, (noisy,)))))
 
 
 class TestQuaternionArithmetic:

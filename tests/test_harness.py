@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from effectorder import harness
 from effectorder import (
     FactorOrderIso,
     HermFactor,
@@ -15,6 +18,7 @@ from effectorder import (
     run_order_iso_suite,
     scalar_oracle_compare,
 )
+from effectorder.harness import CheckResult, SuiteReport
 
 SMALL = algebra(HermFactor(2))
 MIXED = algebra(HermFactor(1), HermFactor(2), SpinFactor(3))
@@ -100,6 +104,67 @@ class TestMutationsAreCaught:
     def test_oracle_mutation(self):
         report = scalar_oracle_compare(101, oracle_iso(), mutate=True)
         assert not report.passed
+
+
+class TestNonFiniteResiduals:
+    def test_nan_eigenvalue_fails_every_check_that_reads_it(self, monkeypatch):
+        monkeypatch.setattr(harness, "min_eigenvalue", lambda x: math.nan)
+        reads = [
+            (run_identity_suite(MIXED, seed=0, trials=2), ("cone_preserved",)),
+            (
+                run_interval_suite(MIXED, seed=0, trials=2),
+                ("approx_monotone", "lattice_bounds", "lattice_lower_witness"),
+            ),
+            (
+                run_order_iso_suite(MIXED, seed=0, trials=2),
+                ("order_forward", "order_backward", "invertible_floor", "boundary_monotone_limit"),
+            ),
+        ]
+        for report, names in reads:
+            by_name = {c.name: c for c in report.checks}
+            for name in names:
+                assert by_name[name].fails == 2, name
+                assert math.isnan(by_name[name].worst), name
+            assert not report.passed
+            assert math.isnan(report.worst_residual)
+
+    @pytest.mark.parametrize(
+        "residuals, trial", [((1e-3, math.nan), 1), ((math.nan, 1e-3), 0)], ids=["nan_last", "nan_first"]
+    )
+    def test_nan_is_the_worst_residual(self, residuals, trial):
+        check = CheckResult("roundtrip", 1e-8)
+        for r in residuals:
+            check.record(r)
+        assert check.fails == 2
+        assert math.isnan(check.worst) and check.worst_trial == trial
+        report = SuiteReport("order_iso", "herm(2,R)", 0, 2, 1e-8, (check,), 0.0)
+        assert math.isnan(report.worst_residual)
+        assert f"worst=nan trial={trial}" in render_report(report)
+
+
+class TestWorstTrial:
+    def test_records_the_first_worst_trial(self):
+        check = CheckResult("roundtrip", 1e-8)
+        assert "worst=0.000e+00 trial=-" in render_report(
+            SuiteReport("order_iso", "herm(2,R)", 0, 0, 1e-8, (check,), 0.0)
+        )
+        for r in (1e-9, 1e-3, 1e-5, 1e-3):
+            check.record(r)
+        assert (check.worst, check.worst_trial) == (1e-3, 1)
+        report = SuiteReport("order_iso", "herm(2,R)", 0, 4, 1e-8, (check,), 0.0)
+        assert "worst=1.000e-03 trial=1" in render_report(report)
+
+    def test_replaying_up_to_the_worst_trial_reproduces_it(self):
+        report = run_identity_suite(MIXED, seed=5, trials=6)
+        for check in report.checks:
+            replay = run_identity_suite(MIXED, seed=5, trials=check.worst_trial + 1)
+            again = next(c for c in replay.checks if c.name == check.name)
+            assert (again.worst, again.worst_trial) == (check.worst, check.worst_trial)
+
+    def test_atom_rank_one_is_recorded_once_per_trial(self):
+        report = run_order_iso_suite(MIXED, seed=0, trials=3)
+        by_name = {c.name: c for c in report.checks}
+        assert by_name["atom_rank_one"].passes + by_name["atom_rank_one"].fails == 3
 
 
 class TestCounterexampleReport:

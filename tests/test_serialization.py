@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -70,6 +71,14 @@ class TestRoundTrips:
         assert loaded[0].suite == report.suite
         assert loaded[0].worst_residual == report.worst_residual
         assert loaded[0].checks[0].name == report.checks[0].name
+        assert [c.worst_trial for c in loaded[0].checks] == [c.worst_trial for c in report.checks]
+
+    def test_report_without_worst_trial_loads(self):
+        obj = report_to_obj(run_identity_suite(algebra(HermFactor(2)), seed=0, trials=3))
+        for check in obj["suites"][0]["checks"]:
+            del check["worst_trial"]
+        loaded = load_document(json.dumps(obj))
+        assert all(c.worst_trial is None for c in loaded[0].checks)
 
     def test_report_keeps_non_finite_residual(self):
         from effectorder.harness import CheckResult, SuiteReport
@@ -215,6 +224,38 @@ class TestValidationErrors:
         with pytest.raises(SchemaError) as err:
             load_document(self.element_doc([[[1.0, 0.9], [0.2, 1.0]]]))
         assert "blocks" in err.value.path
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            (
+                {
+                    "type": "element",
+                    "algebra": {"factors": [{"kind": "herm", "n": 2, "ring": "C"}]},
+                    "blocks": [[[[1.0, 0.0], [0.0, math.nan]], [[0.0, 0.0], [1.0, 0.0]]]],
+                },
+                "element.blocks[0]",
+            ),
+            (
+                {
+                    "type": "element",
+                    "algebra": {"factors": [{"kind": "herm", "n": 1}, {"kind": "spin", "d": 2}]},
+                    "blocks": [[[0.5]], {"alpha": 1.0, "v": [math.inf, 0.0]}],
+                },
+                "element.blocks[1]",
+            ),
+            ({"engaged": [{"match": [0, 0], "t": 0.5, "z": [[math.nan, 0.0], [0.0, 1.0]],
+                           "J": {"u": [[1.0, 0.0], [0.0, 1.0]]}}]}, "iso.engaged[0].z"),
+        ],
+        ids=["herm_nan", "spin_inf", "iso_z_nan"],
+    )
+    def test_non_finite_block(self, doc, path):
+        if "type" not in doc:
+            doc = {**json.loads(self.iso_doc()), **doc}
+        with pytest.raises(SchemaError) as err:
+            load_document(json.dumps(doc))
+        assert err.value.code == NON_FINITE
+        assert err.value.path.startswith(path)
 
     def test_non_finite_element_refused_at_dump(self):
         # U_y y overflows to inf and, off the diagonal, to inf * 0 = NaN
