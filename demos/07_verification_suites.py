@@ -28,8 +28,6 @@ mutated = eo.run_identity_suite(alg, seed=42, trials=20, mutate=True)
 print("mutated identity suite passed?", mutated.passed, " (expected False)")
 
 # reports serialize alongside algebras, elements, and isomorphisms
-from effectorder.serialization import report_to_obj
-
-text = eo.dump_document(report_to_obj(eo.run_identity_suite(alg, seed=1, trials=10)))
+text = eo.dump_document(eo.run_identity_suite(alg, seed=1, trials=10))
 print("\nserialized report preview:")
 print("\n".join(text.splitlines()[:12]))

@@ -23,6 +23,7 @@ isomorphisms, raw samples) average their results with their adjoints.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
@@ -324,8 +325,10 @@ def element_in_factor(factor: Factor, block: np.ndarray) -> Element:
 def sup_norm(x: Element) -> float:
     """Largest entry magnitude across all blocks (a computable norm
     equivalent to the operator norm at these sizes; used to scale
-    tolerances)."""
-    return max(_block_sup(f, b) for f, b in zip(x.algebra.factors, x.blocks))
+    tolerances); NaN when some entry is NaN."""
+    sups = [_block_sup(f, b) for f, b in zip(x.algebra.factors, x.blocks)]
+    # max() drops a NaN that follows a number; the sum keeps it
+    return math.nan if math.isnan(sum(sups)) else max(sups)
 
 
 def canonical_trace(x: Element) -> float:

@@ -9,6 +9,7 @@ output is deterministic up to the elapsed-time fields.
 from __future__ import annotations
 
 import argparse
+import shlex
 import sys
 
 import numpy as np
@@ -22,7 +23,7 @@ from .harness import (
     run_order_iso_suite,
     scalar_oracle_compare,
 )
-from .isomorphisms import FactorOrderIso, RecoveryError, identity_jordan
+from .isomorphisms import CompositeOrderIso, FactorOrderIso, RecoveryError, identity_jordan
 from .sampling import SAMPLE_CLASSES, random_element
 from .serialization import (
     SchemaError,
@@ -30,8 +31,6 @@ from .serialization import (
     dump_document,
     element_from_obj,
     iso_from_obj,
-    iso_to_obj,
-    report_to_obj,
 )
 
 
@@ -63,22 +62,31 @@ def _load_typed(path: str, expected: str):
 def _cmd_verify(args: argparse.Namespace) -> int:
     alg = _load_typed(args.algebra, "algebra")
     target = _load_typed(args.target, "algebra") if args.target else alg
-    reports = [
-        run_identity_suite(alg, seed=args.seed, trials=args.trials, tol=args.tol),
-        run_interval_suite(alg, seed=args.seed, trials=max(args.trials // 2, 1), tol=args.tol),
-        run_order_iso_suite(
-            alg, target, seed=args.seed, trials=max(args.trials // 2, 1), tol=args.tol
-        ),
+    # the interval and order_iso suites run half the trials, so their
+    # trial k is replayed with --trials 2(k+1)
+    halved = max(args.trials // 2, 1)
+    seeded = [
+        (run_identity_suite(alg, seed=args.seed, trials=args.trials, tol=args.tol), 1),
+        (run_interval_suite(alg, seed=args.seed, trials=halved, tol=args.tol), 2),
+        (run_order_iso_suite(alg, target, seed=args.seed, trials=halved, tol=args.tol), 2),
     ]
     factor = HermFactor(1, Ring.REAL)
     oracle_iso = FactorOrderIso(
         0.5, element_in_factor(factor, np.array([[2.0]])), identity_jordan(factor)
     )
-    reports.append(scalar_oracle_compare(2001, oracle_iso))
+    reports = [r for r, _ in seeded] + [scalar_oracle_compare(2001, oracle_iso)]
     for r in reports:
         print(render_report(r))
+    for r, per_trial in seeded:
+        if not r.passed:
+            k = max(c.worst_trial for c in r.checks if c.fails)
+            replay = ["effectorder", "verify", "--algebra", args.algebra]
+            replay += ["--target", args.target] if args.target else []
+            replay += ["--seed", str(args.seed), "--trials", str(per_trial * (k + 1))]
+            replay += ["--tol", repr(args.tol)]
+            print(f"replay {r.suite}: {shlex.join(replay)}", file=sys.stderr)
     if args.out:
-        _write(args.out, dump_document(report_to_obj(reports)))
+        _write(args.out, dump_document(reports))
     return 0 if all(r.passed for r in reports) else 2
 
 
@@ -101,7 +109,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     from .isomorphisms import recover_factor_iso
 
     recovered = recover_factor_iso(iso.apply, iso.source, iso.target, seed=args.seed)
-    out_iso = type(iso)(
+    out_iso = CompositeOrderIso(
         source=iso.source,
         target=iso.target,
         sigma=(),
@@ -109,7 +117,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         engaged_pairs=((0, 0),),
         engaged_isos=(recovered,),
     )
-    _write(args.out, dump_document(iso_to_obj(out_iso)))
+    _write(args.out, dump_document(out_iso))
     print(f"recovered t={recovered.t:.12g}")
     return 0
 
@@ -125,7 +133,7 @@ def _cmd_demo_counterexample(args: argparse.Namespace) -> int:
     report = counterexample_report(args.n)
     print(render_report(report))
     if args.out:
-        _write(args.out, dump_document(report_to_obj(report)))
+        _write(args.out, dump_document(report))
     return 0 if report.passed else 2
 
 

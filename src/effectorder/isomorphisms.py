@@ -47,6 +47,7 @@ from .algebra import (
     HermFactor,
     Ring,
     ShapeMismatchError,
+    SingularElementError,
     SpinFactor,
     _adjoint_block,
     _block_dtype_shape,
@@ -69,7 +70,6 @@ from .spectral import (
     apply_function,
     extreme_eigenvalues,
     invert_element,
-    max_eigenvalue,
     min_eigenvalue,
     pseudo_inv_sqrt,
     range_projection,
@@ -153,7 +153,12 @@ def cone_interval_map(x: Element, direction: str) -> Element:
     x -> x^(-1) - e one way, x -> (x + e)^(-1) back."""
     e = unit(x.algebra)
     if direction == "interval_to_cone":
-        _check_effect(x, *extreme_eigenvalues(x))
+        lo, hi = extreme_eigenvalues(x)
+        _check_effect(x, lo, hi)
+        # the effect tolerance admits tiny negative eigenvalues, whose
+        # inverses would land far outside the cone
+        if not lo > 0.0:
+            raise DomainError(f"x is not invertible: least eigenvalue {lo}")
         return invert_element(x, "strict") - e
     if direction == "cone_to_interval":
         if min_eigenvalue(x) < -1e-8 * (1.0 + sup_norm(x)):
@@ -522,17 +527,11 @@ def _extract_hermitian_jordan(
             m[r, c] = v
         return _from_real(factor, m)
 
+    # J(E_00) = c_0 c_0*, and J(E_0j + E_j0) c_0 = c_j since c_0* c_0 = 1, c_j* c_0 = 0
     c0 = _unit_from_rank_one(factor, probe(basis_block({(0, 0): 1.0})))
-    cols = [c0]
-    for j in range(1, n):
-        half = basis_block({(0, 0): 0.5, (j, j): 0.5, (0, j): 0.5, (j, 0): 0.5})
-        w = _unit_from_rank_one(factor, probe(half))
-        # w = (c0 + c_j) a for a ring scalar a = c0* w; a^(-1) = a* / |a|^2
-        a = _mm(factor, _adjoint_block(factor, c0), w)
-        mag = _block_sup(factor, a)
-        if mag < 0.1:
-            raise RecoveryError("degenerate phase alignment probe")
-        cols.append(_mm(factor, w, _adjoint_block(factor, a)) / mag**2 - c0)
+    cols = [c0] + [
+        _mm(factor, probe(basis_block({(0, j): 1.0, (j, 0): 1.0})), c0) for j in range(1, n)
+    ]
     U = np.concatenate(cols, axis=1)
     gram = _mm(factor, _adjoint_block(factor, U), U) - _identity_block(factor)
     if _block_sup(factor, gram) > 1e-6:
@@ -553,21 +552,19 @@ def _extract_hermitian_jordan(
             return FactorJordanIso(factor, u=U, conjugate=True)
         raise RecoveryError("map is neither linear nor conjugate-linear")
 
-    # quaternions: undo the residual inner twist psi(x) = U* Jm(x) U
-    def twisted(axis: int) -> np.ndarray:
+    # quaternions: U* Jm(x) U = conj(w) x w entrywise for the unit w of c_0's
+    # phase; the twist unit p = conj(w) solves r_a p = p a, r_a = conj(w) a w
+    basis = np.eye(4)
+    rows = []
+    for axis in (1, 2):
         b = np.zeros((n, n, 4))
-        b[0, 1, axis] = 1.0
-        b[1, 0, axis] = -1.0
-        return _mm(factor, _mm(factor, _adjoint_block(factor, U), probe(b)), U)[0, 1]
-
-    r_i, r_j = twisted(1), twisted(2)
-    r_k = quat.qmul(r_i, r_j)
-    R = np.column_stack([r_i[1:], r_j[1:], r_k[1:]])
-    if np.abs(R.T @ R - np.eye(3)).max() > 1e-6:
+        b[0, 1, axis], b[1, 0, axis] = 1.0, -1.0
+        r_a = _mm(factor, _mm(factor, _adjoint_block(factor, U), probe(b)), U)[0, 1]
+        rows.append((quat.qmul(r_a, basis) - quat.qmul(basis, basis[axis])).T)
+    _, sing, vt = np.linalg.svd(np.concatenate(rows))
+    if sing[-1] > 1e-6:
         raise RecoveryError("inner twist is not a rotation")
-    delta = quat.quaternion_from_rotation(R)
-    u = quat.qmul(U, np.broadcast_to(delta, U.shape))
-    return FactorJordanIso(factor, u=u)
+    return FactorJordanIso(factor, u=quat.qmul(U, np.broadcast_to(vt[-1], U.shape)))
 
 
 def _extract_spin_jordan(
@@ -598,28 +595,39 @@ def recover_factor_iso(
     """Recover closed-form parameters (t, z, J) from black-box evaluations
     of an order isomorphism g of the invertible parts (0, e].
 
-    The induced cone map fhat(x) = g((x + e)^(-1))^(-1) - e must be
-    linear of the form U_y J; it is probed on shifted arguments, y is
-    read off as (fhat(e))^(1/2), and J = U_{y^(-1)} fhat is identified
-    factor-by-factor from its action on rank-one projections.  Raises
-    :class:`RecoveryError` when any linearity, orthonormality, or
-    agreement check fails.
+    Carried through the anti-isomorphism of :func:`cone_interval_map`, g
+    becomes the cone map fhat(x) = g((x + e)^(-1))^(-1) - e, which must be
+    the linear map U_y J.  The unit is probed once: fhat(e) = y^2 gives y
+    and y^(-1) from one decomposition, and every other probe goes through
+    L(x) = fhat(x + c e) - c fhat(e) with c >= 1 keeping x + c e in the
+    cone, so an affine offset in fhat fails the checks.  J = U_{y^(-1)} L
+    is read off a Hermitian factor's rank-one probes: E_00 gives a unit
+    column c_0, and column j is J(E_0j + E_j0) c_0.  Over C one more probe
+    tells linear from conjugate-linear; over H the twist unit p that the
+    phase of c_0 leaves is the null vector of the 8 x 4 system
+    r_a p - p a = 0 (a = i, j).  A spin factor's rotation is its image of
+    the basis vectors.  Raises :class:`RecoveryError` when a probe leaves
+    the invertible part or any linearity, orthonormality, or agreement
+    check fails.
     """
     if len(source.factors) != 1 or len(target.factors) != 1:
         raise DomainError("recovery operates on single factors")
     if source.factors[0] != target.factors[0]:
         raise DomainError("source and target factors must be of the same kind")
-    e_s, e_t = unit(source), unit(target)
+    e_s = unit(source)
 
     def fhat(x: Element) -> Element:
-        img = g(invert_element(x + e_s, "strict"))
-        if min_eigenvalue(img) <= 0.0:
-            raise RecoveryError("image of an invertible effect is not invertible")
-        return invert_element(img, "strict") - e_t
+        try:
+            img = g(cone_interval_map(x, "cone_to_interval"))
+            return cone_interval_map(img, "interval_to_cone")
+        except (DomainError, SingularElementError) as exc:
+            raise RecoveryError(f"probe left the invertible part: {exc}") from exc
+
+    f_e = fhat(e_s)
 
     def L(x: Element) -> Element:
         c = max(0.0, -min_eigenvalue(x)) + 1.0
-        return fhat(x + c * e_s) - fhat(c * e_s)
+        return fhat(x + c * e_s) - c * f_e
 
     rng = np.random.default_rng(seed)
     for _ in range(3):
@@ -632,11 +640,11 @@ def recover_factor_iso(
         if sup_norm(L(1.75 * a) - 1.75 * la) > check_tol * scale:
             raise RecoveryError("probed cone map is not homogeneous")
 
-    ye2 = L(e_s)
-    if min_eigenvalue(ye2) <= 0.0:
+    dec = spectral_decompose(f_e)
+    if not dec.eigenvalues[0] > 0.0:  # negated so that NaN fails
         raise RecoveryError("probed image of the unit is not interior")
-    y = sqrt_element(ye2)
-    y_inv = invert_element(y, "strict")
+    y = dec.apply(math.sqrt)
+    y_inv = dec.apply(lambda s: 1.0 / math.sqrt(s))
 
     def Jm(x: Element) -> Element:
         return quad_rep(y_inv, L(x))
@@ -653,4 +661,4 @@ def recover_factor_iso(
         if sup_norm(ja - jord.apply(a)) > check_tol * (1.0 + sup_norm(ja)):
             raise RecoveryError("recovered Jordan isomorphism disagrees with the probes")
 
-    return params_from_cone_map(y, jord, 1.0 + max_eigenvalue(ye2))
+    return params_from_cone_map(y, jord, 1.0 + dec.eigenvalues[-1])

@@ -110,27 +110,3 @@ def qgram_schmidt(A: np.ndarray) -> np.ndarray:
         out[:, j, :] = v / nv
     return out
 
-
-def quaternion_from_rotation(R: np.ndarray) -> np.ndarray:
-    """Unit quaternion q with q v conj(q) = R v on the imaginary part.
-
-    R must be (close to) a rotation matrix in SO(3); the result is
-    determined up to sign and either representative is returned.
-    """
-    R = np.asarray(R, dtype=float)
-    t = np.trace(R)
-    if t > 0:
-        s = 2.0 * np.sqrt(1.0 + t)
-        q = np.array(
-            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]
-        )
-    else:
-        i = int(np.argmax(np.diag(R)))
-        j, k = (i + 1) % 3, (i + 2) % 3
-        s = 2.0 * np.sqrt(max(1.0 + R[i, i] - R[j, j] - R[k, k], 0.0))
-        q = np.empty(4)
-        q[0] = (R[k, j] - R[j, k]) / s
-        q[1 + i] = 0.25 * s
-        q[1 + j] = (R[j, i] + R[i, j]) / s
-        q[1 + k] = (R[k, i] + R[i, k]) / s
-    return q / np.sqrt(np.sum(np.square(q)))

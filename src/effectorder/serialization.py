@@ -225,20 +225,19 @@ def _spin_block_from_obj(factor: SpinFactor, obj: Any, path: str) -> np.ndarray:
     return b
 
 
+def _block_from_obj(factor: Factor, obj: Any, path: str) -> np.ndarray:
+    if isinstance(factor, SpinFactor):
+        return _spin_block_from_obj(factor, obj, path)
+    return _herm_block_from_obj(factor, obj, path)
+
+
 def _blocks_from_obj(alg: AlgebraDescriptor, raw: Any, path: str) -> list[np.ndarray]:
     if not isinstance(raw, list) or len(raw) != len(alg.factors):
         raise SchemaError(
             SHAPE_MISMATCH, path, f"expected {len(alg.factors)} blocks, got "
             f"{len(raw) if isinstance(raw, list) else type(raw).__name__}"
         )
-    blocks = []
-    for i, (f, bo) in enumerate(zip(alg.factors, raw)):
-        bp = f"{path}[{i}]"
-        if isinstance(f, SpinFactor):
-            blocks.append(_spin_block_from_obj(f, bo, bp))
-        else:
-            blocks.append(_herm_block_from_obj(f, bo, bp))
-    return blocks
+    return [_block_from_obj(f, b, f"{path}[{i}]") for i, (f, b) in enumerate(zip(alg.factors, raw))]
 
 
 def element_from_obj(
@@ -356,10 +355,7 @@ def iso_from_obj(obj: Any, path: str = "iso") -> CompositeOrderIso:
             raise SchemaError(NOT_BIJECTION, ep, f"target index {j} out of range")
         factor = target.factors[j]
         t = _mobius_param_from_obj(eo, ep)
-        if isinstance(factor, SpinFactor):
-            zb = _spin_block_from_obj(factor, _need(eo, "z", ep), f"{ep}.z")
-        else:
-            zb = _herm_block_from_obj(factor, _need(eo, "z", ep), f"{ep}.z")
+        zb = _block_from_obj(factor, _need(eo, "z", ep), f"{ep}.z")
         z = _element(single_factor(factor), [zb])
         jord = _jordan_from_obj(factor, _need(eo, "J", ep), f"{ep}.J")
         try:

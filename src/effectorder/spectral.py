@@ -17,6 +17,7 @@ themselves are only built when asked for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -39,10 +40,6 @@ from .algebra import (
 )
 
 Factor = HermFactor | SpinFactor
-
-
-def default_cluster_tol(x: Element) -> float:
-    return 1e-8 * (1.0 + sup_norm(x))
 
 
 def _block_eigh(factor: Factor, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,8 +132,13 @@ class SpectralDecomposition:
 
 
 def spectral_decompose(x: Element, cluster_tol: float | None = None) -> SpectralDecomposition:
-    """Cluster the per-block eigenpairs into a global decomposition of x."""
-    tol = default_cluster_tol(x) if cluster_tol is None else float(cluster_tol)
+    """Cluster the per-block eigenpairs into a global decomposition of x;
+    the default ``cluster_tol`` is 1e-8 (1 + |x|).  Raises DomainError on a
+    non-finite entry, where LAPACK's answers are arbitrary."""
+    scale = sup_norm(x)
+    if not math.isfinite(scale):
+        raise DomainError(f"element has a non-finite entry (sup norm {scale})")
+    tol = 1e-8 * (1.0 + scale) if cluster_tol is None else float(cluster_tol)
     bases, clusters = [], []
     pairs: list[tuple[float, int, int]] = []
     for k, (f, b) in enumerate(zip(x.algebra.factors, x.blocks)):

@@ -300,11 +300,3 @@ class TestQuaternionArithmetic:
     def test_embedding_roundtrip(self, rng):
         A = rng.standard_normal((2, 2, 4))
         np.testing.assert_allclose(quat.from_complex(quat.to_complex(A)), A, atol=1e-14)
-
-    def test_rotation_quaternion_recovery(self, rng):
-        q = rng.standard_normal(4)
-        q /= np.linalg.norm(q)
-        basis = np.eye(4)[1:]
-        R = np.column_stack([quat.qmul(quat.qmul(q, v), quat.qconj(q))[1:] for v in basis])
-        got = quat.quaternion_from_rotation(R)
-        assert min(np.linalg.norm(got - q), np.linalg.norm(got + q)) <= 1e-10

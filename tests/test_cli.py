@@ -1,4 +1,5 @@
 import json
+import shlex
 
 import numpy as np
 import pytest
@@ -38,8 +39,9 @@ class TestVerify:
              "--tol", "1e-8", "--out", str(out)]
         )
         assert code == 0
-        text = capsys.readouterr().out
-        assert "suite identity" in text and "PASS" in text
+        captured = capsys.readouterr()
+        assert "suite identity" in captured.out and "PASS" in captured.out
+        assert "replay" not in captured.err
         doc = json.loads(out.read_text())
         assert doc["type"] == "report"
         assert all(s["passed"] for s in doc["suites"])
@@ -51,6 +53,33 @@ class TestVerify:
              "--tol", "1e-30"]
         )
         assert code == 2
+
+    def test_replay_hints_reproduce_the_worst_trials(self, paths, capsys):
+        tmp, alg_path, _, _ = paths
+        out = tmp / "report.json"
+        argv = ["verify", "--algebra", str(alg_path), "--seed", "4", "--trials", "10",
+                "--tol", "1e-30", "--out", str(out)]
+        assert main(argv) == 2
+        hints = [line for line in capsys.readouterr().err.splitlines() if line.startswith("replay ")]
+        suites = {s["suite"]: s for s in json.loads(out.read_text())["suites"]}
+        assert sorted(h.split(":")[0] for h in hints) == [
+            "replay identity", "replay interval", "replay order_iso"
+        ]
+        for hint in hints:
+            name, command = hint[len("replay "):].split(": ", 1)
+            replay_argv = shlex.split(command)
+            assert replay_argv[:2] == ["effectorder", "verify"]
+            again = tmp / f"{name}.json"
+            assert main(replay_argv[1:] + ["--out", str(again)]) == 2
+            capsys.readouterr()
+            replayed = next(s for s in json.loads(again.read_text())["suites"] if s["suite"] == name)
+            # the hint covers the worst trial of every failing check; a passing
+            # check may peak later, in a trial the replay need not reach
+            got = {c["name"]: (c["worst_residual"], c["worst_trial"]) for c in replayed["checks"]}
+            failing = [c for c in suites[name]["checks"] if c["fails"]]
+            assert failing
+            for c in failing:
+                assert got[c["name"]] == (c["worst_residual"], c["worst_trial"])
 
     def test_routed_target_algebra(self, paths, tmp_path):
         _, alg_path, _, _ = paths

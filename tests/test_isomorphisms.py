@@ -165,6 +165,10 @@ class TestConeIntervalMap:
         with pytest.raises((DomainError, SingularElementError)):
             cone_interval_map(herm(np.diag([1.0, 0.0])), "interval_to_cone")
 
+    def test_rejects_negative_eigenvalue_within_effect_tolerance(self):
+        with pytest.raises(DomainError):
+            cone_interval_map(herm(np.diag([-1e-9, 0.5])), "interval_to_cone")
+
 
 def scalar_closed_form(t, z, s):
     """Scalar oracle for the closed-form factor map with J = id."""

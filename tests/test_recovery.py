@@ -100,9 +100,66 @@ class TestRecoverFactorIso:
         with pytest.raises(RecoveryError):
             recover_factor_iso(crush, alg, alg)
 
+    def test_rejects_affine_cone_map(self):
+        # 2x leaves [0, e], but not on the probes, which lie in [0, e/2];
+        # there its cone map x/2 - e/2 is affine, not linear
+        alg = single_factor(HermFactor(2))
+        with pytest.raises(RecoveryError):
+            recover_factor_iso(lambda x: 2.0 * x, alg, alg)
+
+    def test_rejects_nearly_singular_images(self):
+        alg = single_factor(HermFactor(2))
+        floor = lambda x: apply_function(x, lambda v: max(v - 0.5, 1e-12))  # noqa: E731
+        with pytest.raises(RecoveryError):
+            recover_factor_iso(floor, alg, alg)
+
     def test_rejects_multi_factor_algebra(self):
         from effectorder import algebra
 
         alg = algebra(HermFactor(2), HermFactor(2))
         with pytest.raises(Exception):
             recover_factor_iso(lambda x: x, alg, alg)
+
+
+def expected_probes(factor):
+    """The unit once, 12 probes in the three additivity/homogeneity rounds,
+    3 in the agreement check, and one per column (over C one more for the
+    conjugation, over H two more for the twist) or spin basis vector."""
+    if isinstance(factor, SpinFactor):
+        return 16 + factor.d
+    return 16 + factor.n + {Ring.REAL: 0, Ring.COMPLEX: 1, Ring.QUATERNION: 2}[factor.ring]
+
+
+# LAPACK eigensolves per recovery of a random_factor_iso's apply
+EIGENSOLVES = {
+    "herm(2,R)": 112,
+    "herm(4,R)": 124,
+    "herm(3,C)": 124,
+    "herm(2,H)": 124,
+    "herm(3,H)": 130,
+}
+
+
+class TestProbingBudget:
+    @pytest.mark.parametrize("factor", RECOVERY_KINDS, ids=str)
+    def test_probes_per_recovery(self, factor, rng):
+        alg = single_factor(factor)
+        iso = random_factor_iso(factor, rng)
+        probes = []
+
+        def g(x):
+            probes.append(x)
+            return iso.apply(x)
+
+        recover_factor_iso(g, alg, alg)
+        assert len(probes) == expected_probes(factor)
+
+    @pytest.mark.parametrize(
+        "factor", [f for f in RECOVERY_KINDS if isinstance(f, HermFactor)], ids=str
+    )
+    def test_eigensolves_per_recovery(self, factor, rng, eigensolve_counter):
+        alg = single_factor(factor)
+        iso = random_factor_iso(factor, rng)
+        eigensolve_counter.clear()
+        recover_factor_iso(iso.apply, alg, alg)
+        assert sum(eigensolve_counter.values()) == EIGENSOLVES[str(factor)]

@@ -4,6 +4,7 @@ import pytest
 from effectorder import (
     AlgebraDescriptor,
     DomainError,
+    Element,
     HermFactor,
     Ring,
     SingularElementError,
@@ -295,3 +296,40 @@ class TestPseudoInverseRealizesBackwardMap:
             assert leq(0.0 * x, y) and leq(y, x)
             assert sup_norm(quad_rep(sqrt_element(x), back) - y) <= 1e-8 * (1 + sup_norm(y))
             assert sup_norm(back - w) <= 1e-8 * (1 + sup_norm(w))
+
+
+SPECTRAL_CALLS = {
+    "sqrt_element": sqrt_element,
+    "pseudo_inv_sqrt": pseudo_inv_sqrt,
+    "range_projection": range_projection,
+    "invert_element": invert_element,
+    "apply_function": lambda x: apply_function(x, lambda v: v),
+}
+
+
+def half_unit_with(alg, k, value):
+    """e/2 with the first real entry of block k (a spin block's scalar part)
+    replaced by ``value``."""
+    blocks = [np.array(b) for b in (0.5 * unit(alg)).blocks]
+    blocks[k][(0,) * blocks[k].ndim] = value
+    return Element(alg, tuple(blocks))
+
+
+class TestNonFiniteElements:
+    """LAPACK's eigenpairs of a non-finite matrix are arbitrary, so every
+    decomposition refuses it instead of computing on them."""
+
+    @pytest.mark.parametrize("name", SPECTRAL_CALLS)
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("factor", FACTOR_KINDS, ids=str)
+    def test_raises_domain_error(self, factor, value, name):
+        x = half_unit_with(single_factor(factor), 0, value)
+        with pytest.raises(DomainError):
+            SPECTRAL_CALLS[name](x)
+
+    @pytest.mark.parametrize("name", SPECTRAL_CALLS)
+    def test_nan_after_a_finite_block(self, name):
+        x = half_unit_with(MIXED, len(MIXED.factors) - 1, np.nan)
+        assert np.isnan(sup_norm(x))
+        with pytest.raises(DomainError):
+            SPECTRAL_CALLS[name](x)
