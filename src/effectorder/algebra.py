@@ -417,6 +417,21 @@ def _linear_fractional(w: Element, c: Element) -> Element:
     return _element(w.algebra, blocks)
 
 
+def _invert(x: Element) -> Element:
+    """x^(-1) by one LU solve per matrix block and (a, -v) / (a^2 - |v|^2)
+    per spin block; the caller has checked that x is invertible."""
+    blocks = []
+    for f, b in zip(x.algebra.factors, x.blocks):
+        if isinstance(f, SpinFactor):
+            # a^2 - |v|^2 as the product of the two eigenvalues a -/+ |v|
+            nv = math.hypot(*b[1:].tolist())
+            blocks.append(np.concatenate(([b[0]], -b[1:])) / ((b[0] - nv) * (b[0] + nv)))
+        else:
+            m = _embed(f, b)
+            blocks.append(_hermitize(f, _unembed(f, np.linalg.solve(m, np.eye(len(m))))))
+    return _element(x.algebra, blocks)
+
+
 # --- raw Gaussian sampling (classes needing spectra live in sampling.py) ---
 
 def random_gaussian(alg: AlgebraDescriptor, rng: np.random.Generator) -> Element:

@@ -56,6 +56,7 @@ from .algebra import (
     _from_real,
     _hermitize,
     _identity_block,
+    _invert,
     _linear_fractional,
     _mm,
     _real_part,
@@ -74,6 +75,7 @@ from .spectral import (
     pseudo_inv_sqrt,
     range_projection,
     spectral_decompose,
+    spectrum_within,
     sqrt_element,
 )
 from .order import leq
@@ -109,21 +111,24 @@ def mobius_invert_param(t: float) -> float:
     return t / (t - 1.0)
 
 
-def _check_effect(x: Element, lo: float, hi: float) -> None:
-    """Raise unless the spectrum [lo, hi] of x lies in [0, 1] up to tolerance."""
+def _outside_effect(lo: float, hi: float) -> DomainError:
+    return DomainError(f"argument is outside [0, e]: spectrum in [{lo}, {hi}]")
+
+
+def _check_effect(x: Element) -> None:
+    """Raise unless the spectrum of x lies in (-tol, 1 + tol), tol =
+    1e-8 (1 + |x|); eigenvalues are computed only for the message."""
     tol = 1e-8 * (1.0 + sup_norm(x))
-    # negated so that NaN fails; an infinite entry makes tol infinite
-    if not (lo >= -tol and hi <= 1.0 + tol < math.inf):
-        raise DomainError(f"argument is outside [0, e]: spectrum in [{lo}, {hi}]")
+    if not spectrum_within(x, -tol, 1.0 + tol):
+        raise _outside_effect(*extreme_eigenvalues(x))
 
 
 def mobius_apply(t: float, x: Element) -> Element:
     """The effect-algebra automorphism x -> x o (t x + (1 - t) e)^(-1),
     computed through the functional calculus as s -> s / (t s + 1 - t)."""
     check_mobius_param(t)
-    dec = spectral_decompose(x)
-    _check_effect(x, dec.eigenvalues[0], dec.eigenvalues[-1])
-    return dec.apply(lambda s: mobius_scalar(t, s))
+    _check_effect(x)
+    return spectral_decompose(x).apply(lambda s: mobius_scalar(t, s))
 
 
 # --- interval stretching and the cone <-> interval anti-isomorphism --------
@@ -150,20 +155,39 @@ def interval_top_map(x: Element, y: Element, direction: str = "forward") -> Elem
 
 def cone_interval_map(x: Element, direction: str) -> Element:
     """Order anti-isomorphism between (0, e] and the cone:
-    x -> x^(-1) - e one way, x -> (x + e)^(-1) back."""
+    x -> x^(-1) - e one way, x -> (x + e)^(-1) back.
+
+    Each direction is one Cholesky factorization per matrix block
+    (:func:`spectrum_within`) and one LU solve per block.  Eigenvalues are
+    computed only to tell the errors apart: DomainError outside (0, e] or
+    the cone, SingularElementError where the inverse would take an
+    eigenvalue within 1e-10 (1 + |.|) of zero, the test of
+    :func:`invert_element`.
+    """
     e = unit(x.algebra)
     if direction == "interval_to_cone":
-        lo, hi = extreme_eigenvalues(x)
-        _check_effect(x, lo, hi)
-        # the effect tolerance admits tiny negative eigenvalues, whose
-        # inverses would land far outside the cone
-        if not lo > 0.0:
-            raise DomainError(f"x is not invertible: least eigenvalue {lo}")
-        return invert_element(x, "strict") - e
+        scale = sup_norm(x)
+        stol = 1e-10 * (1.0 + scale)
+        if not spectrum_within(x, stol, 1.0 + 1e-8 * (1.0 + scale)):
+            _check_effect(x)
+            # the effect tolerance admits tiny negative eigenvalues, whose
+            # inverses would land far outside the cone
+            lo = min_eigenvalue(x)
+            if not lo > 0.0:
+                raise DomainError(f"x is not invertible: least eigenvalue {lo}")
+            raise SingularElementError(f"eigenvalue {lo} within {stol} of zero")
+        return _invert(x) - e
     if direction == "cone_to_interval":
-        if min_eigenvalue(x) < -1e-8 * (1.0 + sup_norm(x)):
-            raise DomainError("x is not in the cone")
-        return invert_element(x + e, "strict")
+        tol = 1e-8 * (1.0 + sup_norm(x))
+        w = x + e
+        stol = 1e-10 * (1.0 + sup_norm(w))
+        # x > -tol keeps x + e above stol unless |x| is near 1e8
+        if not spectrum_within(x, max(-tol, stol - 1.0)):
+            lo = min_eigenvalue(x)
+            if not lo > -tol:
+                raise DomainError(f"x is not in the cone: least eigenvalue {lo}")
+            raise SingularElementError(f"x + e has eigenvalue {lo + 1.0}, not above {stol}")
+        return _invert(w)
     raise ValueError(f"unknown direction: {direction!r}")
 
 
@@ -259,12 +283,12 @@ class FactorOrderIso:
         check_mobius_param(self.t)
         if self.z.algebra != self.jordan.algebra:
             raise ShapeMismatchError("z must live in the target factor")
-        if not min_eigenvalue(self.z) > 0.0:  # negated so that NaN fails
+        dec = spectral_decompose(self.z)
+        if not dec.eigenvalues[0] > 0.0:
             raise DomainError("z must be interior-positive")
         # y, y^(-1) and d = y^(-2) - e = (z^(-2) + t e) / (1 - t), the last
         # written without the cancellation of y^(-2) - e
         t, c = self.t, 1.0 - self.t
-        dec = spectral_decompose(self.z)
         object.__setattr__(self, "_y", dec.apply(lambda s: s * math.sqrt(c / (1.0 + s * s))))
         object.__setattr__(self, "_y_inv", dec.apply(lambda s: math.sqrt((1.0 + s * s) / c) / s))
         object.__setattr__(self, "_d", dec.apply(lambda s: (s ** -2 + t) / c))
@@ -276,12 +300,12 @@ class FactorOrderIso:
 
     def apply(self, x: Element) -> Element:
         """Evaluate the closed form as U_{y^(-1)} R_d J x (module docstring)."""
-        _check_effect(x, *extreme_eigenvalues(x))
+        _check_effect(x)
         return quad_rep(self._y_inv, _linear_fractional(self.jordan.apply(x), self._d))
 
     def inverse_apply(self, y: Element) -> Element:
         """J^(-1) R_(-d) U_y y: the kernel of :meth:`apply` run in reverse."""
-        _check_effect(y, *extreme_eigenvalues(y))
+        _check_effect(y)
         return self._jordan_inv.apply(_linear_fractional(quad_rep(self._y, y), -self._d))
 
 
@@ -307,9 +331,9 @@ def interior_iso_apply(
 
     Evaluated literally, through x^(-1), so that it stays an independent
     reference for the closed form of :class:`FactorOrderIso`."""
-    if min_eigenvalue(y) <= 0.0:
+    if not spectrum_within(y, 0.0):
         raise DomainError("y must be interior-positive")
-    _check_effect(x, *extreme_eigenvalues(x))
+    _check_effect(x)
     w = invert_element(x, "strict")
     if jordan is not None:
         w = jordan.apply(w)
@@ -331,8 +355,9 @@ def params_from_cone_map(
     """
     if y.algebra != jordan.algebra:
         raise ShapeMismatchError("y must live in the target factor")
-    lo, hi = extreme_eigenvalues(y)
-    if not lo > 0.0:  # negated so that NaN fails
+    dec = spectral_decompose(y)
+    lo, hi = dec.eigenvalues[0], dec.eigenvalues[-1]
+    if not lo > 0.0:
         raise DomainError("y must be interior-positive")
     top = hi * hi
     if lam is None:
@@ -340,7 +365,7 @@ def params_from_cone_map(
     lam = float(lam)
     if lam <= top + 1e-12 * (1.0 + top):
         raise DomainError(f"lam = {lam} is not above the spectrum of y^2 (top {top})")
-    z = apply_function(y, lambda s: s / math.sqrt(lam - s * s))
+    z = dec.apply(lambda s: s / math.sqrt(lam - s * s))
     return FactorOrderIso(1.0 - lam, z, jordan)
 
 
@@ -348,8 +373,7 @@ def transitivity_witness(w: Element) -> Element:
     """The y with (U_y x^(-1) - y^2 + e)^(-1) sending e/2 to w, namely
     y = (w^(-1) - e)^(1/2); demands 0 < w < e strictly."""
     tol = 1e-9 * (1.0 + sup_norm(w))
-    e = unit(w.algebra)
-    if min_eigenvalue(w) <= tol or min_eigenvalue(e - w) <= tol:
+    if not spectrum_within(w, tol, 1.0 - tol):
         raise DomainError("w must be strictly between 0 and e")
     return apply_function(w, lambda s: np.sqrt(1.0 / s - 1.0))
 
@@ -461,7 +485,9 @@ class CompositeOrderIso:
         for (i, j), f in zip(self.sigma, self.scalar_isos):
             a, b = (i, j) if fwd else (j, i)
             s = float(_real_part(src.factors[a], x.block(a))[0, 0])
-            _check_effect(Element(single_factor(src.factors[a]), (x.block(a),)), s, s)
+            tol = 1e-8 * (1.0 + abs(s))
+            if not -tol < s < 1.0 + tol:
+                raise _outside_effect(s, s)
             s = min(max(s, 0.0), 1.0)
             v = f(s) if fwd else f.inverse(s)
             out[b] = _from_real(dst.factors[b], np.full((1, 1), v))

@@ -1,10 +1,14 @@
 """Cone and effect-algebra order predicates, projections, and the centre.
 
-The partial order is x <= y iff y - x has non-negative spectrum.  Inside
-the effect algebra [0, e] arbitrary sets of projections have suprema and
-infima; the meet of two projections is recovered spectrally from p + q
-(its eigenvalue-2 eigenspace is fixed by both), and the join by De
-Morgan duality through the order anti-isomorphism x -> e - x.
+The partial order is x <= y iff y - x has non-negative spectrum.  The
+predicates decide it up to a tolerance by the Cholesky factorizations of
+:func:`spectrum_within`, so their boundary is open: an eigenvalue exactly
+at -tol (or 1 + tol) counts as outside.
+
+Inside the effect algebra [0, e] arbitrary sets of projections have
+suprema and infima; the meet of two projections is recovered spectrally
+from p + q (its eigenvalue-2 eigenspace is fixed by both), and the join by
+De Morgan duality through the order anti-isomorphism x -> e - x.
 
 The centre of a block direct sum is spanned by the factor identities, so
 central projections and the induced splittings are index-set operations.
@@ -28,11 +32,10 @@ from .algebra import (
     unit,
 )
 from .spectral import (
-    min_eigenvalue,
-    max_eigenvalue,
     positive_min_eigenvalue,
     range_projection,
     spectral_decompose,
+    spectrum_within,
 )
 
 
@@ -41,24 +44,26 @@ def default_leq_tol(x: Element, y: Element) -> float:
 
 
 def leq(x: Element, y: Element, tol: float | None = None) -> bool:
-    """x <= y in the cone order, up to a scale-invariant tolerance."""
+    """x <= y in the cone order, up to a scale-invariant tolerance: the
+    spectrum of y - x lies in the open interval (-tol, inf)."""
     _check_same_algebra(x, y)
     if tol is None:
         tol = default_leq_tol(x, y)
-    return min_eigenvalue(y - x) >= -tol
+    return spectrum_within(y - x, -tol)
 
 
 def in_cone(x: Element, tol: float | None = None) -> bool:
+    """The spectrum of x lies in (-tol, inf)."""
     if tol is None:
         tol = 1e-9 * (1.0 + sup_norm(x))
-    return min_eigenvalue(x) >= -tol
+    return spectrum_within(x, -tol)
 
 
 def in_effect_interval(x: Element, tol: float | None = None) -> bool:
-    """Membership in [0, e]."""
+    """Membership in [0, e]: the spectrum lies in (-tol, 1 + tol)."""
     if tol is None:
         tol = 1e-9 * (1.0 + sup_norm(x))
-    return min_eigenvalue(x) >= -tol and max_eigenvalue(x) <= 1.0 + tol
+    return spectrum_within(x, -tol, 1.0 + tol)
 
 
 @dataclass(frozen=True)

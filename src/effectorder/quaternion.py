@@ -43,8 +43,9 @@ def qconj(q: np.ndarray) -> np.ndarray:
 
 
 def qabs(q: np.ndarray) -> np.ndarray:
-    """Entrywise quaternion magnitude sqrt(a^2 + b^2 + c^2 + d^2)."""
-    return np.sqrt(np.sum(np.square(np.asarray(q, dtype=float)), axis=-1))
+    """Entrywise quaternion magnitude sqrt(a^2 + b^2 + c^2 + d^2), by
+    hypot so that no square overflows."""
+    return np.hypot.reduce(np.asarray(q, dtype=float), axis=-1)
 
 
 def qmatmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -463,8 +463,9 @@ def dump_document(doc) -> str:
     """Serialize a domain object to canonical JSON text.
 
     ELEMENT and ISO documents with a non-finite entry raise
-    ``SchemaError(NON_FINITE)``, as their loader would; a REPORT may carry
-    non-finite residuals, so that a failing verification is still written.
+    ``SchemaError(NON_FINITE)``, as their loader would, also when given as
+    plain dicts; a REPORT may carry non-finite residuals, so that a failing
+    verification is still written.
     """
     if isinstance(doc, AlgebraDescriptor):
         obj = algebra_to_obj(doc)
@@ -479,7 +480,7 @@ def dump_document(doc) -> str:
     else:
         raise TypeError(f"cannot serialize {type(doc).__name__}")
     try:
-        return json.dumps(obj, indent=1, allow_nan=isinstance(doc, (SuiteReport, list, dict)))
+        return json.dumps(obj, indent=1, allow_nan=obj.get("type") == "report")
     except ValueError:
         path = _non_finite_path(obj, obj["type"])
         raise SchemaError(NON_FINITE, path, "non-finite entries") from None

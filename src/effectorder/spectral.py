@@ -13,6 +13,13 @@ which is what makes jump functions such as the range projection stable in
 floating point.  Elements Sum c_i p_i are rebuilt block by block from the
 bases by :meth:`SpectralDecomposition.combine`; the projections p_i
 themselves are only built when asked for.
+
+Yes/no spectral questions are factorizations, not eigensolves:
+:func:`spectrum_within` decides whether a spectrum lies in an open
+interval by one Cholesky factorization per matrix block.  Strict inverses
+are solves: one LU solve per matrix block (``algebra._invert``).
+Eigenvalues are computed where a value is needed, such as the singularity
+test of :func:`invert_element` or the text of an error.
 """
 
 from __future__ import annotations
@@ -32,9 +39,12 @@ from .algebra import (
     Ring,
     SingularElementError,
     SpinFactor,
+    _block_sup,
     _element,
     _embed,
     _hermitize,
+    _invert,
+    _real_part,
     _unembed,
     sup_norm,
 )
@@ -182,6 +192,52 @@ def extreme_eigenvalues(x: Element) -> tuple[float, float]:
     return lo, hi
 
 
+def spectrum_within(x: Element, lo: float, hi: float = math.inf) -> bool:
+    """Does every eigenvalue of x lie in the open interval (lo, hi)?
+
+    No eigensolve: (s - lo)(hi - s) > 0 exactly on (lo, hi), so a matrix
+    block passes iff (x - lo e)(hi e - x) is positive definite, which one
+    Cholesky factorization decides (of x - lo e alone when hi is
+    infinite).  Spin and 1 x 1 blocks use their closed-form eigenvalues.
+    An entry of modulus at least max(|lo|, |hi|) bounds the operator norm,
+    so it fails the block at once; that keeps the product from overflowing
+    for |lo|, |hi| up to about 1e150.  False when x has a non-finite entry
+    or the interval is empty.
+    """
+    if not lo < hi:
+        return False
+    if lo == -math.inf:
+        if hi == math.inf:
+            return math.isfinite(sup_norm(x))
+        x, lo, hi = -x, -hi, math.inf
+    bound = max(abs(lo), abs(hi))
+    for f, b in zip(x.algebra.factors, x.blocks):
+        if isinstance(f, SpinFactor):
+            # eigenvalues a -/+ r; written so that no sum overflows, and NaN fails
+            a, r = float(b[0]), math.hypot(*b[1:].tolist())
+            if not (r < a - lo and r < hi - a):
+                return False
+            continue
+        if not _block_sup(f, b) < bound:
+            return False
+        if f.n == 1:
+            if not lo < float(_real_part(f, b)[0, 0]) < hi:
+                return False
+            continue
+        m = _embed(f, b)
+        eye = np.eye(len(m))
+        p = m - lo * eye
+        if hi < math.inf:
+            # the factors commute; cholesky reads one triangle, so the
+            # rounding asymmetry of the product does not matter
+            p = p @ ((hi - lo) * eye - p)
+        try:
+            np.linalg.cholesky(p)
+        except np.linalg.LinAlgError:
+            return False
+    return True
+
+
 def min_eigenvalue(x: Element) -> float:
     """Least eigenvalue across all blocks (no clustering; cheap path)."""
     return extreme_eigenvalues(x)[0]
@@ -204,21 +260,27 @@ def range_projection(x: Element) -> Element:
 
 
 def invert_element(x: Element, mode: str = "strict") -> Element:
-    """Spectral inverse.
+    """Inverse of x.
 
-    ``strict``  : 1/x; raises SingularElementError when some eigenvalue
-                  has magnitude <= 1e-10 * (1 + |x|).
-    ``pseudo``  : inverts eigenvalues above the cluster threshold and
-                  keeps the rest at zero.
+    ``strict``  : 1/x by one LU solve per block; raises
+                  SingularElementError when some eigenvalue has magnitude
+                  <= 1e-10 * (1 + |x|).
+    ``pseudo``  : spectral; inverts eigenvalues above the cluster
+                  threshold and keeps the rest at zero.
     """
-    dec = spectral_decompose(x)
     if mode == "strict":
-        tol = 1e-10 * (1.0 + sup_norm(x))
-        bad = [lam for lam in dec.eigenvalues if abs(lam) <= tol]
-        if bad:
-            raise SingularElementError(f"eigenvalue {bad[0]} within {tol} of zero")
-        return dec.apply(lambda t: 1.0 / t)
+        scale = sup_norm(x)
+        if not math.isfinite(scale):
+            raise DomainError(f"element has a non-finite entry (sup norm {scale})")
+        tol = 1e-10 * (1.0 + scale)
+        for f, b in zip(x.algebra.factors, x.blocks):
+            w = block_eigenvalues(f, b)
+            bad = w[np.abs(w) <= tol]
+            if bad.size:
+                raise SingularElementError(f"eigenvalue {bad[0]} within {tol} of zero")
+        return _invert(x)
     if mode == "pseudo":
+        dec = spectral_decompose(x)
         return dec.apply(lambda t: 1.0 / t if abs(t) > dec.zero_tol else 0.0)
     raise ValueError(f"unknown inversion mode: {mode!r}")
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -25,22 +27,25 @@ def assert_close(a, b, tol=1e-10):
     assert np.max(np.abs(np.asarray(a) - np.asarray(b))) <= tol
 
 
+class LinalgCounts(Counter):
+    @property
+    def eigensolves(self) -> int:
+        return self["eigh"] + self["eigvalsh"]
+
+
 @pytest.fixture
 def eigensolve_counter(monkeypatch):
-    """Counts of the LAPACK eigensolves made through ``numpy.linalg.eigh``
-    and ``eigvalsh`` as ``effectorder.spectral`` calls them; ``clear()`` it
-    after any set-up that should not count."""
-    from collections import Counter
+    """Counts of the LAPACK calls made through ``numpy.linalg``: the
+    eigensolves ``eigh`` and ``eigvalsh`` (their sum is ``.eigensolves``),
+    ``cholesky`` and ``solve``; ``clear()`` it after any set-up that should
+    not count."""
+    counts = LinalgCounts()
+    for name in ("eigh", "eigvalsh", "cholesky", "solve"):
+        routine = getattr(np.linalg, name)
 
-    from effectorder import spectral
-
-    counts = Counter()
-    for name in ("eigh", "eigvalsh"):
-        solver = getattr(spectral.np.linalg, name)
-
-        def counted(*args, _solver=solver, _name=name, **kwargs):
+        def counted(*args, _routine=routine, _name=name, **kwargs):
             counts[_name] += 1
-            return _solver(*args, **kwargs)
+            return _routine(*args, **kwargs)
 
-        monkeypatch.setattr(spectral.np.linalg, name, counted)
+        monkeypatch.setattr(np.linalg, name, counted)
     return counts

@@ -5,6 +5,7 @@ from effectorder import (
     CompositeOrderIso,
     DomainError,
     Element,
+    SingularElementError,
     FactorJordanIso,
     FactorOrderIso,
     HermFactor,
@@ -168,6 +169,31 @@ class TestConeIntervalMap:
     def test_rejects_negative_eigenvalue_within_effect_tolerance(self):
         with pytest.raises(DomainError):
             cone_interval_map(herm(np.diag([-1e-9, 0.5])), "interval_to_cone")
+
+    @pytest.mark.parametrize(
+        "diag, direction, error",
+        [
+            ([1.0, 0.0], "interval_to_cone", DomainError),
+            ([-1e-9, 0.5], "interval_to_cone", DomainError),
+            ([1.5, 0.5], "interval_to_cone", DomainError),
+            ([np.nan, 0.5], "interval_to_cone", DomainError),
+            ([1e-12, 0.5], "interval_to_cone", SingularElementError),
+            ([-1.0, 2.0], "cone_to_interval", DomainError),
+            ([np.inf, 0.5], "cone_to_interval", DomainError),
+            # within the cone tolerance 1e-8 (1 + 1e9), but x + e is singular
+            ([-1.0, 1e9], "cone_to_interval", SingularElementError),
+        ],
+    )
+    def test_error_kinds(self, diag, direction, error):
+        x = Element(H2, (np.diag(diag),))  # unvalidated, so NaN and inf get through
+        with pytest.raises(error) as err:
+            cone_interval_map(x, direction)
+        assert type(err.value) is error
+
+    def test_accepts_both_tolerance_edges(self):
+        assert sup_norm(cone_interval_map(herm(np.diag([-1e-12, 1.0])), "cone_to_interval")) <= 1.0 + 1e-12
+        x = herm(np.diag([3e-10, 1.0 + 5e-9]))
+        assert sup_norm(cone_interval_map(x, "interval_to_cone")) >= 3e9
 
 
 def scalar_closed_form(t, z, s):
@@ -651,7 +677,21 @@ class TestEigensolveBudget:
         eigensolve_counter.clear()
         back = iso.inverse_apply(iso.apply(x))
         assert sup_norm(back - x) <= 1e-8
-        assert sum(eigensolve_counter.values()) <= 2 * 3
+        # membership of each engaged Hermitian block is one Cholesky per direction
+        assert eigensolve_counter.eigensolves == 0
+        assert eigensolve_counter["cholesky"] == 2 * 3
+
+    @pytest.mark.parametrize("factor", FACTOR_KINDS, ids=str)
+    def test_factor_round_trip(self, factor, rng, eigensolve_counter):
+        iso = random_factor_iso(factor, rng)
+        x = sample_element(iso.algebra, rng, "effect")
+        # spin and 1 x 1 blocks are checked in closed form
+        matrix_block = isinstance(factor, HermFactor) and factor.n > 1
+        for run in (iso.apply, iso.inverse_apply):
+            eigensolve_counter.clear()
+            x = run(x)
+            assert eigensolve_counter.eigensolves == 0
+            assert eigensolve_counter["cholesky"] == int(matrix_block)
 
     def test_factor_iso_construction(self, rng, eigensolve_counter):
         factor = HermFactor(6)
@@ -659,4 +699,4 @@ class TestEigensolveBudget:
         jord = random_jordan_iso(factor, rng)
         eigensolve_counter.clear()
         FactorOrderIso(-0.5, z, jord)
-        assert sum(eigensolve_counter.values()) <= 2
+        assert eigensolve_counter.eigensolves == 1

@@ -29,6 +29,8 @@ from effectorder.serialization import (
     PHI_PARAM_RANGE,
     SHAPE_MISMATCH,
     SchemaError,
+    element_to_obj,
+    iso_to_obj,
     report_from_obj,
     report_to_obj,
 )
@@ -266,3 +268,16 @@ class TestValidationErrors:
             dump_document(x)
         assert err.value.code == NON_FINITE
         assert err.value.path.startswith("element.blocks[0]")
+
+    def test_non_finite_dict_refused_at_dump(self, rng):
+        # a document handed over as a plain dict gets the same refusal
+        x = math.nan * unit(algebra(HermFactor(1)))
+        with pytest.raises(SchemaError) as err:
+            dump_document(element_to_obj(x))
+        assert (err.value.code, err.value.path) == (NON_FINITE, "element.blocks[0][0][0]")
+        iso = random_composite_iso(MIXED, MIXED, rng)
+        obj = iso_to_obj(iso)
+        obj["engaged"][0]["t"] = math.inf
+        with pytest.raises(SchemaError) as err:
+            dump_document(obj)
+        assert err.value.path == "iso.engaged[0].t"

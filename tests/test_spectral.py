@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,8 @@ from effectorder import (
     apply_function,
     element_from_blocks,
     element_in_factor,
+    in_cone,
+    in_effect_interval,
     invert_element,
     jordan_product,
     leq,
@@ -30,7 +35,7 @@ from effectorder import (
     unit,
 )
 from effectorder import quaternion as quat
-from effectorder.spectral import block_eigenvalues
+from effectorder.spectral import block_eigenvalues, spectrum_within
 
 from conftest import FACTOR_KINDS, MIXED
 
@@ -333,3 +338,85 @@ class TestNonFiniteElements:
         assert np.isnan(sup_norm(x))
         with pytest.raises(DomainError):
             SPECTRAL_CALLS[name](x)
+
+
+def eigenvalues_within(x, lo, hi):
+    """The predicate spectrum_within decides, computed from the eigenvalues."""
+    return all(
+        lo < v < hi for f, b in zip(x.algebra.factors, x.blocks) for v in block_eigenvalues(f, b)
+    )
+
+
+def diagonal_projection(factor):
+    """A projection with eigenvalues exactly 0 and 1 (the unit on a line)."""
+    if isinstance(factor, SpinFactor):
+        return element_in_factor(factor, np.r_[0.5, 0.5, np.zeros(factor.d - 1)])
+    d = np.diag([1.0] + [0.0] * (factor.n - 1))
+    if factor.ring is Ring.QUATERNION:
+        d = np.stack([d] + [np.zeros_like(d)] * 3, axis=-1)
+    return element_in_factor(factor, d)
+
+
+class TestSpectrumWithin:
+    TOL = 1e-8
+
+    @pytest.mark.parametrize("hi", [1.0 + TOL, math.inf], ids=["effect", "cone"])
+    @pytest.mark.parametrize("factor", FACTOR_KINDS, ids=str)
+    def test_agrees_with_eigenvalues_near_the_ends(self, factor, hi, rng):
+        lo = -self.TOL
+        dec = spectral_decompose(sample_element(single_factor(factor), rng, "general"))
+        k = len(dec.eigenvalues)
+        ends = [(lo, 0)] + ([(hi, k - 1)] if hi < math.inf else [])
+        for end, slot in ends:
+            for off in (-2.0, -0.5, 0.5, 2.0):
+                vals = [0.5] * k
+                vals[slot] = end + off * self.TOL
+                x = dec.combine(vals)
+                expect = lo < vals[slot] < hi
+                assert eigenvalues_within(x, lo, hi) == expect
+                assert spectrum_within(x, lo, hi) == expect
+
+    @pytest.mark.parametrize("factor", FACTOR_KINDS, ids=str)
+    def test_projections_with_exact_eigenvalues(self, factor):
+        # the interval is open: an eigenvalue exactly at an end is outside
+        alg = single_factor(factor)
+        p, tol = diagonal_projection(factor), self.TOL
+        bounds = [(0.0, 1.0), (-tol, 1.0 + tol), (0.0, 1.0 + tol), (-tol, 1.0), (0.0, math.inf), (-tol, math.inf)]
+        for x in (p, unit(alg), 0.0 * unit(alg)):
+            for lo, hi in bounds:
+                assert spectrum_within(x, lo, hi) == eigenvalues_within(x, lo, hi)
+        assert spectrum_within(p, -tol, 1.0 + tol)
+        assert not spectrum_within(p, 0.0, 1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("factor", FACTOR_KINDS + [MIXED], ids=str)
+    def test_non_finite_is_outside(self, factor, value):
+        alg = factor if isinstance(factor, AlgebraDescriptor) else single_factor(factor)
+        x = half_unit_with(alg, len(alg.factors) - 1, value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lo, hi in [(-self.TOL, 1.0 + self.TOL), (0.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf)]:
+                assert not spectrum_within(x, lo, hi)
+
+    def test_empty_or_nan_interval(self):
+        e = unit(MIXED)
+        assert not spectrum_within(e, 1.0, 1.0)
+        assert not spectrum_within(e, math.nan, 2.0)
+        assert not spectrum_within(e, 0.0, math.nan)
+        assert spectrum_within(e, -math.inf, math.inf)
+        assert spectrum_within(e, -math.inf, 1.5) and not spectrum_within(e, -math.inf, 1.0)
+
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e250, 1e308])
+    @pytest.mark.parametrize("factor", FACTOR_KINDS, ids=str)
+    def test_huge_entries(self, factor, scale, rng):
+        dec = spectral_decompose(sample_element(single_factor(factor), rng, "general"))
+        k = len(dec.eigenvalues)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for low in (0.25, -0.5):
+                x = scale * dec.combine(np.linspace(low, 1.5, k) if k > 1 else [low])
+                cone_tol = 1e-9 * (1.0 + sup_norm(x))
+                assert spectrum_within(x, -cone_tol) == (low > 0) == in_cone(x)
+                effect_tol = 1e-8 * (1.0 + sup_norm(x))
+                assert not spectrum_within(x, -effect_tol, 1.0 + effect_tol)
+                assert not in_effect_interval(x)
