@@ -394,29 +394,6 @@ def quad_rep(x: Element, y: Element) -> Element:
     )
 
 
-def _linear_fractional(w: Element, c: Element) -> Element:
-    """(w^(-1) + c)^(-1), blockwise as (e + w c)^(-1) w: that form needs no
-    inverse of w, so it is continuous on the closed cone wherever e + w c
-    is invertible."""
-    blocks = []
-    for f, a, b in zip(w.algebra.factors, w.blocks, c.blocks):
-        if isinstance(f, SpinFactor):
-            # a, b lie in the span of e and the orthonormal columns of q, a copy
-            # of spin(2) = herm(2,R) via (s, q p) -> [[s + p0, p1], [p1, s - p0]];
-            # the closed form (a + N(a) b*) / (1 + 2 a.b + N(a) N(b)) would
-            # build its small denominator N(e + U_{a^(1/2)} b) from O(1) terms
-            q, r = np.linalg.qr(np.column_stack((a[1:], b[1:])))
-            a2, b2 = ([[s + p[0], p[1]], [p[1], s - p[0]]] for s, p in zip((a[0], b[0]), r.T))
-            m = np.linalg.solve(np.eye(2) + np.dot(a2, b2), a2)
-            v = q @ (m[0, 0] - m[1, 1], m[0, 1] + m[1, 0])
-            blocks.append(np.concatenate(([m[0, 0] + m[1, 1]], v)) / 2.0)
-        else:
-            m = _embed(f, a)
-            r = np.linalg.solve(np.eye(len(m)) + m @ _embed(f, b), m)
-            blocks.append(_hermitize(f, _unembed(f, r)))
-    return _element(w.algebra, blocks)
-
-
 def _invert(x: Element) -> Element:
     """x^(-1) by one LU solve per matrix block and (a, -v) / (a^2 - |v|^2)
     per spin block; the caller has checked that x is invertible."""

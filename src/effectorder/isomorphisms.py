@@ -8,14 +8,22 @@ every order isomorphism of [0, e] that preserves the invertible part is
 for a parameter t < 1, an interior-positive z, and a Jordan isomorphism
 J.  On the invertible part it equals the interior form
 (U_y J x^(-1) + e - y^2)^(-1) with y^2 = (1 - t) z^2 (e + z^2)^(-1), that is
+f(x) = y^(-1) (e + w d)^(-1) w y^(-1) with w = J x and d = y^(-2) - e.
 
-    f = U_{y^(-1)} o R_d o J,    f^(-1) = J^(-1) o R_(-d) o U_y,
+Everything but x is fixed by the map, so it is folded into one pencil.
+Write w = u x~ u* with x~ = x, or conj(x) when J is conjugate-linear.
+Since u is unitary and d y = y d,
 
-with the linear-fractional map R_c(w) = (w^(-1) + c)^(-1) and d = y^(-2) - e.
-R_c is evaluated as (e + w c)^(-1) w, which needs no inverse of w.  For
-every effect w or F the solves are nonsingular, e + w d because d > -e and
-e - (U_y F) d because F <= e, so this one form holds, continuously, on all
-of [0, e] and no limit is needed at the boundary.
+    u* (e + w d) y = A + x~ B,    (A, B, C) = u* (y, y d, y^(-1)),
+
+so  f(x) = (A + x~ B)^(-1) x~ C  and  f^(-1)(F) = (C* - F B*)^(-1) F A*,
+conjugated at the end when J is. Each direction is two products and one
+solve, and needs no inverse of x or F.  For every effect the solves are
+nonsingular, e + w d because d > -e and e - (U_y F) d because F <= e, so
+this one form holds, continuously, on all of [0, e] and no limit is needed
+at the boundary.  A spin factor applies its rotation first (forward) or
+last (backward) and runs the same pencil, with u = e, on a copy of
+herm(2,R).
 
 For a direct sum, an order isomorphism routes the rank-one (disengaged)
 coordinates through a bijection with arbitrary scalar order isomorphisms
@@ -53,13 +61,14 @@ from .algebra import (
     _block_dtype_shape,
     _block_sup,
     _element,
+    _embed,
     _from_real,
     _hermitize,
     _identity_block,
     _invert,
-    _linear_fractional,
     _mm,
     _real_part,
+    _unembed,
     jordan_product,
     quad_rep,
     random_gaussian,
@@ -69,6 +78,7 @@ from .algebra import (
 )
 from .spectral import (
     apply_function,
+    eigenvalue_floor,
     extreme_eigenvalues,
     invert_element,
     min_eigenvalue,
@@ -273,7 +283,14 @@ def identity_jordan(factor: Factor) -> FactorJordanIso:
 @dataclass(frozen=True, eq=False)
 class FactorOrderIso:
     """Parameters (t < 1, interior z, Jordan isomorphism J) of the
-    closed-form order isomorphism of a factor's effect algebra."""
+    closed-form order isomorphism of a factor's effect algebra.
+
+    Construction folds y, d and J into the pencil (A, B, C) = u* (y, y d,
+    y^(-1)) of the module docstring: u* (e + w d) y = A + x~ B for w = J x =
+    u x~ u*, so f(x) = (A + x~ B)^(-1) x~ C and f^(-1)(F) = (C* - F B*)^(-1)
+    F A*.  Over H the pencil is kept in the complex embedding; a spin factor
+    keeps it as coefficients on e and on the unit vector part of z.
+    """
 
     t: float
     z: Element
@@ -286,27 +303,68 @@ class FactorOrderIso:
         dec = spectral_decompose(self.z)
         if not dec.eigenvalues[0] > 0.0:
             raise DomainError("z must be interior-positive")
-        # y, y^(-1) and d = y^(-2) - e = (z^(-2) + t e) / (1 - t), the last
-        # written without the cancellation of y^(-2) - e
-        t, c = self.t, 1.0 - self.t
-        object.__setattr__(self, "_y", dec.apply(lambda s: s * math.sqrt(c / (1.0 + s * s))))
-        object.__setattr__(self, "_y_inv", dec.apply(lambda s: math.sqrt((1.0 + s * s) / c) / s))
-        object.__setattr__(self, "_d", dec.apply(lambda s: (s ** -2 + t) / c))
-        object.__setattr__(self, "_jordan_inv", self.jordan.inverted())
+        # A and C from y and y^(-1) on the spectrum of z; then B = C - A,
+        # since y^(-1) - y d = y (y^2 d = e - y^2).  That keeps C* - F B*
+        # equal to A* at F = e, where for small z it cancels two large terms
+        c = 1.0 - self.t
+        s = np.array(dec.eigenvalues)[dec.clusters[0]]
+        vals = (s * np.sqrt(c / (1.0 + s * s)), np.sqrt((1.0 + s * s) / c) / s)
+        f, basis = self.jordan.factor, dec.bases[0]
+        if isinstance(f, SpinFactor):
+            # coefficients on e and zhat of g_0 p_- + g_1 p_+, p_-/+ = (e -/+ zhat) / 2;
+            # a multiple of e has one idempotent and zhat = 0
+            object.__setattr__(self, "_zhat", 2.0 * basis[-1, 1:])
+            A, C = (np.array([g[-1] + g[0], g[-1] - g[0]]) / 2.0 for g in vals)
+        else:
+            # u* V g(s) V* for the eigenbasis V of z
+            w = _embed(f, self.jordan.u).conj().T @ basis
+            A, C = ((w * g) @ basis.conj().T for g in vals)
+        B = C - A
+        object.__setattr__(self, "_forward", (A, B, C))
+        object.__setattr__(self, "_backward", (C.conj().T, -B.conj().T, A.conj().T))
 
     @property
     def algebra(self) -> AlgebraDescriptor:
         return self.jordan.algebra
 
     def apply(self, x: Element) -> Element:
-        """Evaluate the closed form as U_{y^(-1)} R_d J x (module docstring)."""
-        _check_effect(x)
-        return quad_rep(self._y_inv, _linear_fractional(self.jordan.apply(x), self._d))
+        """f(x) = (A + x~ B)^(-1) x~ C (module docstring)."""
+        return self._run(x, True)
 
     def inverse_apply(self, y: Element) -> Element:
-        """J^(-1) R_(-d) U_y y: the kernel of :meth:`apply` run in reverse."""
-        _check_effect(y)
-        return self._jordan_inv.apply(_linear_fractional(quad_rep(self._y, y), -self._d))
+        """f^(-1)(F) = (C* - F B*)^(-1) F A*: the pencil of :meth:`apply`
+        with its three matrices adjointed and reversed, B negated."""
+        return self._run(y, False)
+
+    def _run(self, x: Element, forward: bool) -> Element:
+        if x.algebra != self.algebra:
+            raise ShapeMismatchError("element does not live in this factor")
+        _check_effect(x)
+        f, b, jord = self.jordan.factor, x.block(0), self.jordan
+        pencil = self._forward if forward else self._backward
+        if isinstance(f, SpinFactor):
+            v = jord.rotation @ b[1:] if forward else b[1:]
+            # e, zhat and v span a copy of spin(2) = herm(2,R) through
+            # (s, q p) -> [[s + p0, p1], [p1, s - p0]]; zhat -> (r00, 0)
+            q, r = np.linalg.qr(np.column_stack((self._zhat, v)))
+            m = np.array([[b[0] + r[0, 1], r[1, 1]], [r[1, 1], b[0] - r[0, 1]]])
+            sigma = [[1.0, 1.0], [r[0, 0], -r[0, 0]]]
+            out = _pencil_solve(m, *(np.diag(p @ sigma) for p in pencil))
+            v = q @ (out[0, 0] - out[1, 1], out[0, 1] + out[1, 0])
+            v = v if forward else jord.rotation.T @ v
+            return _element(self.algebra, [np.concatenate(([out[0, 0] + out[1, 1]], v)) / 2.0])
+        m = _embed(f, b)
+        if jord.conjugate and forward:
+            m = m.conj()
+        out = _pencil_solve(m, *pencil)
+        if jord.conjugate and not forward:
+            out = out.conj()
+        return _element(self.algebra, [_hermitize(f, _unembed(f, out))])
+
+
+def _pencil_solve(m: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(a + m b)^(-1) m c: two products and one LU solve."""
+    return np.linalg.solve(a + m @ b, m @ c)
 
 
 def compose_factor_isos(
@@ -590,7 +648,12 @@ def _extract_hermitian_jordan(
     _, sing, vt = np.linalg.svd(np.concatenate(rows))
     if sing[-1] > 1e-6:
         raise RecoveryError("inner twist is not a rotation")
-    return FactorJordanIso(factor, u=quat.qmul(U, np.broadcast_to(vt[-1], U.shape)))
+    u = quat.qmul(U, np.broadcast_to(vt[-1], U.shape))
+    # the null vector's sign is arbitrary; in normal form the real component
+    # of u with the largest modulus (the first in C order) is positive
+    if u.flat[np.argmax(np.abs(u))] < 0.0:
+        u = -u
+    return FactorJordanIso(factor, u=u)
 
 
 def _extract_spin_jordan(
@@ -626,15 +689,17 @@ def recover_factor_iso(
     the linear map U_y J.  The unit is probed once: fhat(e) = y^2 gives y
     and y^(-1) from one decomposition, and every other probe goes through
     L(x) = fhat(x + c e) - c fhat(e) with c >= 1 keeping x + c e in the
-    cone, so an affine offset in fhat fails the checks.  J = U_{y^(-1)} L
-    is read off a Hermitian factor's rank-one probes: E_00 gives a unit
-    column c_0, and column j is J(E_0j + E_j0) c_0.  Over C one more probe
-    tells linear from conjugate-linear; over H the twist unit p that the
-    phase of c_0 leaves is the null vector of the 8 x 4 system
-    r_a p - p a = 0 (a = i, j).  A spin factor's rotation is its image of
-    the basis vectors.  Raises :class:`RecoveryError` when a probe leaves
-    the invertible part or any linearity, orthonormality, or agreement
-    check fails.
+    cone, so an affine offset in fhat fails the checks; c is taken from
+    the entry bound :func:`eigenvalue_floor`, not from an eigensolve.
+    J = U_{y^(-1)} L is read off a Hermitian factor's rank-one probes: E_00
+    gives a unit column c_0, and column j is J(E_0j + E_j0) c_0.  Over C one
+    more probe tells linear from conjugate-linear; over H the twist unit p
+    that the phase of c_0 leaves is the null vector of the 8 x 4 system
+    r_a p - p a = 0 (a = i, j), with its sign fixed so that the real
+    component of u with the largest modulus is positive.  A spin factor's
+    rotation is its image of the basis vectors.  Raises
+    :class:`RecoveryError` when a probe leaves the invertible part or any
+    linearity, orthonormality, or agreement check fails.
     """
     if len(source.factors) != 1 or len(target.factors) != 1:
         raise DomainError("recovery operates on single factors")
@@ -652,7 +717,7 @@ def recover_factor_iso(
     f_e = fhat(e_s)
 
     def L(x: Element) -> Element:
-        c = max(0.0, -min_eigenvalue(x)) + 1.0
+        c = max(0.0, -eigenvalue_floor(x)) + 1.0
         return fhat(x + c * e_s) - c * f_e
 
     rng = np.random.default_rng(seed)

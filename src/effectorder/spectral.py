@@ -238,6 +238,23 @@ def spectrum_within(x: Element, lo: float, hi: float = math.inf) -> bool:
     return True
 
 
+def eigenvalue_floor(x: Element) -> float:
+    """A lower bound on the least eigenvalue from the entries alone, with no
+    eigensolve: the left end of the Gershgorin discs of each matrix block
+    (of its complex embedding over H), a - |v| on spin blocks.  NaN when
+    some entry is NaN."""
+    floors = []
+    for f, b in zip(x.algebra.factors, x.blocks):
+        if isinstance(f, SpinFactor):
+            floors.append(float(b[0]) - math.hypot(*b[1:].tolist()))
+            continue
+        m = _embed(f, b)
+        diag = m.diagonal().real
+        radius = np.abs(m).sum(axis=1) - np.abs(diag)
+        floors.append(float((diag - radius).min()))
+    return float(np.min(floors))
+
+
 def min_eigenvalue(x: Element) -> float:
     """Least eigenvalue across all blocks (no clustering; cheap path)."""
     return extreme_eigenvalues(x)[0]

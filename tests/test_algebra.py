@@ -31,7 +31,6 @@ from effectorder import (
     unit,
 )
 from effectorder import quaternion as quat
-from effectorder.algebra import _linear_fractional
 
 from conftest import FACTOR_KINDS, MIXED
 
@@ -245,7 +244,6 @@ class TestHermitianInvariant:
             apply_function(x, np.tanh),
             invert_element(sample_element(alg, rng, "interior")),
             random_jordan_iso(factor, rng).apply(x),
-            _linear_fractional(effect, sample_element(alg, rng, "cone")),
             iso.apply(effect),
             iso.inverse_apply(effect),
         ]

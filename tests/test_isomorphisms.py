@@ -601,19 +601,65 @@ class TestConditioningEnvelope:
     """Round trips far outside the sampler's z spectrum [0.3, 1.7], where
     the map itself is still well conditioned."""
 
-    @pytest.mark.parametrize("t", [-1e6, -50.0, 0.0, 0.9])
-    @pytest.mark.parametrize("factor", ENVELOPE_FACTORS, ids=str)
-    def test_inverse_accepts_every_image(self, factor, t, rng):
+    @staticmethod
+    def check_round_trips(factor, t, exponents, rng):
         alg = single_factor(factor)
         for _ in range(3):
             dec = spectral_decompose(sample_element(alg, rng, "general"))
-            z = dec.combine(10.0 ** rng.uniform(0.0, 4.0, len(dec.eigenvalues)))
+            z = dec.combine(10.0 ** rng.uniform(*exponents, len(dec.eigenvalues)))
             iso = FactorOrderIso(t, z, random_jordan_iso(factor, rng))
             for cls in ("effect", "projection", "invertible_effect"):
                 for _ in range(4):
                     x = sample_element(alg, rng, cls)
                     back = iso.inverse_apply(iso.apply(x))
                     assert sup_norm(back - x) <= 1e-8
+
+    @pytest.mark.parametrize("t", [-1e6, -50.0, 0.0, 0.9])
+    @pytest.mark.parametrize("factor", ENVELOPE_FACTORS, ids=str)
+    def test_inverse_accepts_every_image(self, factor, t, rng):
+        self.check_round_trips(factor, t, (0.0, 4.0), rng)
+
+    # t = 0.9 with z below e is still open (ROADMAP item 5)
+    @pytest.mark.parametrize("t", [-1e6, -50.0, 0.0])
+    @pytest.mark.parametrize("factor", ENVELOPE_FACTORS, ids=str)
+    def test_small_z_spectra(self, factor, t, rng):
+        self.check_round_trips(factor, t, (-4.0, 0.0), rng)
+
+
+class TestPencil:
+    """The pencil that FactorOrderIso precomputes against the literal
+    interior form (U_y J x^(-1) + e - y^2)^(-1) of interior_iso_apply."""
+
+    @staticmethod
+    def check_against_interior_form(iso, rng):
+        alg = iso.algebra
+        c = 1.0 - iso.t
+        y = apply_function(iso.z, lambda s: s * np.sqrt(c / (1.0 + s * s)))
+        for _ in range(5):
+            x = sample_element(alg, rng, "invertible_effect")
+            ref = interior_iso_apply(y, x, iso.jordan)
+            assert sup_norm(iso.apply(x) - ref) <= 1e-10
+            assert sup_norm(iso.inverse_apply(ref) - x) <= 1e-10
+
+    @pytest.mark.parametrize("factor", FACTOR_KINDS, ids=str)
+    def test_agrees_with_interior_form(self, factor, rng):
+        for _ in range(5):
+            self.check_against_interior_form(random_factor_iso(factor, rng), rng)
+
+    @pytest.mark.parametrize("factor", FACTOR_KINDS, ids=str)
+    def test_z_a_multiple_of_the_unit(self, factor, rng):
+        # one spectral idempotent: a spin factor's pencil has no vector part
+        z = 0.7 * unit(single_factor(factor))
+        iso = FactorOrderIso(-0.4, z, random_jordan_iso(factor, rng))
+        self.check_against_interior_form(iso, rng)
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_complex_conjugate_flags(self, conjugate, rng):
+        f = HermFactor(3, Ring.COMPLEX)
+        for _ in range(5):
+            iso = random_factor_iso(f, rng)
+            jord = FactorJordanIso(f, u=iso.jordan.u, conjugate=conjugate)
+            self.check_against_interior_form(FactorOrderIso(iso.t, iso.z, jord), rng)
 
 
 def with_block(x, i, value):
@@ -692,6 +738,8 @@ class TestEigensolveBudget:
             x = run(x)
             assert eigensolve_counter.eigensolves == 0
             assert eigensolve_counter["cholesky"] == int(matrix_block)
+            # the precomputed pencil: one solve per block per direction
+            assert eigensolve_counter["solve"] == 1
 
     def test_factor_iso_construction(self, rng, eigensolve_counter):
         factor = HermFactor(6)

@@ -35,7 +35,7 @@ from effectorder import (
     unit,
 )
 from effectorder import quaternion as quat
-from effectorder.spectral import block_eigenvalues, spectrum_within
+from effectorder.spectral import block_eigenvalues, eigenvalue_floor, spectrum_within
 
 from conftest import FACTOR_KINDS, MIXED
 
@@ -233,6 +233,21 @@ class TestEigenvalueQueries:
 
     def test_unit(self):
         assert min_eigenvalue(unit(MIXED)) == 1.0
+
+    @pytest.mark.parametrize("factor", FACTOR_KINDS, ids=str)
+    def test_floor_bounds_the_least_eigenvalue(self, factor, rng):
+        alg = single_factor(factor)
+        for _ in range(20):
+            x = sample_element(alg, rng, "general")
+            floor = eigenvalue_floor(x)
+            assert floor <= min_eigenvalue(x) + 1e-12 * (1.0 + sup_norm(x))
+            if isinstance(factor, SpinFactor) or factor.n == 1:
+                assert abs(floor - min_eigenvalue(x)) <= 1e-12 * (1.0 + sup_norm(x))
+
+    def test_floor_of_a_diagonal_block_and_nan(self):
+        assert eigenvalue_floor(herm(np.diag([2.0, -0.5, 3.0]))) == -0.5
+        x = Element(MIXED, tuple(np.full_like(b, np.nan) for b in unit(MIXED).blocks))
+        assert math.isnan(eigenvalue_floor(x))
 
 
 def scalar_truncated_family(t, n):
