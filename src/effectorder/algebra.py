@@ -240,6 +240,9 @@ class Element:
 
     algebra: AlgebraDescriptor
     blocks: tuple[np.ndarray, ...]
+    # not a field: ``spectral.spectral_decompose`` stores the element's
+    # default-tolerance decomposition here, on elements with read-only blocks
+    _decomposition = None
 
     def block(self, i: int) -> np.ndarray:
         return self.blocks[i]

@@ -77,6 +77,7 @@ from .algebra import (
     unit,
 )
 from .spectral import (
+    _matrix_within,
     apply_function,
     eigenvalue_floor,
     extreme_eigenvalues,
@@ -150,10 +151,9 @@ def interval_top_map(x: Element, y: Element, direction: str = "forward") -> Elem
     ``backward`` : y in [0, x]     ->  U_s y with s the pseudo inverse
                    square root of x (exact inverse in finite dimension).
     """
-    rx = range_projection(x)
     zero_x = 0.0 * x
     if direction == "forward":
-        if not (leq(zero_x, y) and leq(y, rx)):
+        if not (leq(zero_x, y) and leq(y, range_projection(x))):
             raise DomainError("y is not in [0, r(x)]")
         return quad_rep(sqrt_element(x), y)
     if direction == "backward":
@@ -339,10 +339,10 @@ class FactorOrderIso:
     def _run(self, x: Element, forward: bool) -> Element:
         if x.algebra != self.algebra:
             raise ShapeMismatchError("element does not live in this factor")
-        _check_effect(x)
         f, b, jord = self.jordan.factor, x.block(0), self.jordan
         pencil = self._forward if forward else self._backward
         if isinstance(f, SpinFactor):
+            _check_effect(x)
             v = jord.rotation @ b[1:] if forward else b[1:]
             # e, zhat and v span a copy of spin(2) = herm(2,R) through
             # (s, q p) -> [[s + p0, p1], [p1, s - p0]]; zhat -> (r00, 0)
@@ -353,7 +353,11 @@ class FactorOrderIso:
             v = q @ (out[0, 0] - out[1, 1], out[0, 1] + out[1, 0])
             v = v if forward else jord.rotation.T @ v
             return _element(self.algebra, [np.concatenate(([out[0, 0] + out[1, 1]], v)) / 2.0])
-        m = _embed(f, b)
+        # _check_effect on the one block, whose sup and embedding serve the pencil too
+        sup = _block_sup(f, b)
+        tol = 1e-8 * (1.0 + sup)
+        if not (sup < 1.0 + tol and _matrix_within(f, m := _embed(f, b), -tol, 1.0 + tol)):
+            raise _outside_effect(*extreme_eigenvalues(x))
         if jord.conjugate and forward:
             m = m.conj()
         out = _pencil_solve(m, *pencil)

@@ -14,6 +14,14 @@ floating point.  Elements Sum c_i p_i are rebuilt block by block from the
 bases by :meth:`SpectralDecomposition.combine`; the projections p_i
 themselves are only built when asked for.
 
+An element is decomposed at most once at the default cluster tolerance:
+:func:`spectral_decompose` stores the result in the element's private
+``_decomposition`` attribute, which lives as long as the element, so all
+the functional calculus on one element shares one eigensolve per block.
+It stores only on elements whose blocks are all read-only, as every
+element the library builds is; an explicit ``cluster_tol`` bypasses the
+store, and the stored decomposition's arrays are read-only as well.
+
 Yes/no spectral questions are factorizations, not eigensolves:
 :func:`spectrum_within` decides whether a spectrum lies in an open
 interval by one Cholesky factorization per matrix block.  Strict inverses
@@ -44,7 +52,6 @@ from .algebra import (
     _embed,
     _hermitize,
     _invert,
-    _real_part,
     _unembed,
     sup_norm,
 )
@@ -144,15 +151,41 @@ class SpectralDecomposition:
 def spectral_decompose(x: Element, cluster_tol: float | None = None) -> SpectralDecomposition:
     """Cluster the per-block eigenpairs into a global decomposition of x;
     the default ``cluster_tol`` is 1e-8 (1 + |x|).  Raises DomainError on a
-    non-finite entry, where LAPACK's answers are arbitrary."""
+    non-finite entry, where LAPACK's answers are arbitrary.
+
+    With the default ``cluster_tol`` the result is stored on x, for x's
+    lifetime, and returned by every later default call; being
+    deterministic, it is what a fresh call would return.  It is stored only
+    when every block of x is read-only, so an element whose arrays can
+    still be written is decomposed afresh each time.  An explicit
+    ``cluster_tol`` neither reads nor writes the stored decomposition.
+    """
+    if cluster_tol is not None:
+        return _decompose(x, float(cluster_tol))
+    dec = _stored_decomposition(x)
+    if dec is None:
+        dec = _decompose(x, None)
+        if not any(b.flags.writeable for b in x.blocks):
+            object.__setattr__(x, "_decomposition", dec)
+    return dec
+
+
+def _stored_decomposition(x: Element) -> SpectralDecomposition | None:
+    """The default-tolerance decomposition stored on x, if any."""
+    return x._decomposition
+
+
+def _decompose(x: Element, cluster_tol: float | None) -> SpectralDecomposition:
     scale = sup_norm(x)
     if not math.isfinite(scale):
         raise DomainError(f"element has a non-finite entry (sup norm {scale})")
-    tol = 1e-8 * (1.0 + scale) if cluster_tol is None else float(cluster_tol)
+    tol = 1e-8 * (1.0 + scale) if cluster_tol is None else cluster_tol
     bases, clusters = [], []
     pairs: list[tuple[float, int, int]] = []
     for k, (f, b) in enumerate(zip(x.algebra.factors, x.blocks)):
         w, basis = _block_eigh(f, b)
+        # shared by every caller of a stored decomposition
+        basis.setflags(write=False)
         bases.append(basis)
         clusters.append(np.empty(len(w), dtype=np.intp))
         pairs.extend((lam, k, j) for j, lam in enumerate(w.tolist()))
@@ -169,6 +202,8 @@ def spectral_decompose(x: Element, cluster_tol: float | None = None) -> Spectral
         members.append(lam)
         clusters[k][j] = len(eigenvalues)
     eigenvalues.append(sum(members) / len(members))
+    for idx in clusters:
+        idx.setflags(write=False)
     return SpectralDecomposition(
         x.algebra, tuple(eigenvalues), tuple(bases), tuple(clusters), tol
     )
@@ -210,7 +245,6 @@ def spectrum_within(x: Element, lo: float, hi: float = math.inf) -> bool:
         if hi == math.inf:
             return math.isfinite(sup_norm(x))
         x, lo, hi = -x, -hi, math.inf
-    bound = max(abs(lo), abs(hi))
     for f, b in zip(x.algebra.factors, x.blocks):
         if isinstance(f, SpinFactor):
             # eigenvalues a -/+ r; written so that no sum overflows, and NaN fails
@@ -218,23 +252,29 @@ def spectrum_within(x: Element, lo: float, hi: float = math.inf) -> bool:
             if not (r < a - lo and r < hi - a):
                 return False
             continue
-        if not _block_sup(f, b) < bound:
+        if not (
+            _block_sup(f, b) < max(abs(lo), abs(hi)) and _matrix_within(f, _embed(f, b), lo, hi)
+        ):
             return False
-        if f.n == 1:
-            if not lo < float(_real_part(f, b)[0, 0]) < hi:
-                return False
-            continue
-        m = _embed(f, b)
-        eye = np.eye(len(m))
-        p = m - lo * eye
-        if hi < math.inf:
-            # the factors commute; cholesky reads one triangle, so the
-            # rounding asymmetry of the product does not matter
-            p = p @ ((hi - lo) * eye - p)
-        try:
-            np.linalg.cholesky(p)
-        except np.linalg.LinAlgError:
-            return False
+    return True
+
+
+def _matrix_within(f: HermFactor, m: np.ndarray, lo: float, hi: float) -> bool:
+    """:func:`spectrum_within` on one matrix block, given as its embedding
+    m, for a finite lo < hi; the caller has checked that every entry has
+    modulus below max(|lo|, |hi|) (so m is finite)."""
+    if f.n == 1:
+        return lo < float(m[0, 0].real) < hi
+    eye = np.eye(len(m))
+    p = m - lo * eye
+    if hi < math.inf:
+        # the factors commute; cholesky reads one triangle, so the
+        # rounding asymmetry of the product does not matter
+        p = p @ ((hi - lo) * eye - p)
+    try:
+        np.linalg.cholesky(p)
+    except np.linalg.LinAlgError:
+        return False
     return True
 
 

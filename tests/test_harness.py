@@ -3,6 +3,7 @@ import math
 import pytest
 
 from effectorder import harness
+from effectorder import spectral
 from effectorder import (
     FactorOrderIso,
     HermFactor,
@@ -22,6 +23,16 @@ from effectorder.harness import CheckResult, SuiteReport
 
 SMALL = algebra(HermFactor(2))
 MIXED = algebra(HermFactor(1), HermFactor(2), SpinFactor(3))
+# the algebra of the benchmark's map_small_mixed and verify_suites workloads
+SMALL_MIXED = algebra(
+    HermFactor(1),
+    HermFactor(1),
+    HermFactor(1),
+    HermFactor(4),
+    HermFactor(3, Ring.COMPLEX),
+    HermFactor(2, Ring.QUATERNION),
+    SpinFactor(6),
+)
 
 
 def oracle_iso(t=0.5, z=2.0):
@@ -39,6 +50,25 @@ class TestDeterminism:
         a = run_order_iso_suite(MIXED, seed=3, trials=6)
         b = run_order_iso_suite(MIXED, seed=3, trials=6)
         assert render_report(a, include_elapsed=False) == render_report(b, include_elapsed=False)
+
+    def test_reports_identical_without_stored_decompositions(self, monkeypatch, eigensolve_counter):
+        def reports():
+            return [
+                render_report(suite(SMALL_MIXED, seed=seed, trials=trials), include_elapsed=False)
+                for seed in range(3)
+                for suite, trials in (
+                    (run_identity_suite, 3),
+                    (run_interval_suite, 2),
+                    (run_order_iso_suite, 2),
+                )
+            ]
+
+        stored = reports()
+        solves = eigensolve_counter.eigensolves
+        eigensolve_counter.clear()
+        monkeypatch.setattr(spectral, "_stored_decomposition", lambda x: None)
+        assert reports() == stored
+        assert eigensolve_counter.eigensolves > solves
 
     def test_different_seeds_differ(self):
         a = run_identity_suite(MIXED, seed=1, trials=10)

@@ -47,6 +47,9 @@ from effectorder import (
     zero,
 )
 
+from effectorder import isomorphisms
+from effectorder import quaternion as quat
+
 from conftest import FACTOR_KINDS, MIXED
 
 H1 = single_factor(HermFactor(1))
@@ -134,6 +137,23 @@ class TestIntervalTopMap:
         x = herm(np.diag([4.0, 0.0]))
         with pytest.raises(DomainError):
             interval_top_map(x, herm(np.diag([0.0, 1.0])), "forward")
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_rejects_non_cone_x(self, direction):
+        x = herm(np.diag([1.0, -0.5]))
+        with pytest.raises(DomainError):
+            interval_top_map(x, zero(H2), direction)
+
+    def test_backward_builds_no_range_projection(self, monkeypatch):
+        x = herm(np.diag([4.0, 0.0]))
+        y = herm(np.diag([1.0, 0.0]))
+
+        def unused(x):
+            raise AssertionError("range_projection called")
+
+        monkeypatch.setattr(isomorphisms, "range_projection", unused)
+        out = interval_top_map(x, y, "backward")
+        np.testing.assert_allclose(out.block(0), np.diag([0.25, 0.0]), atol=1e-12)
 
 
 class TestConeIntervalMap:
@@ -740,6 +760,17 @@ class TestEigensolveBudget:
             assert eigensolve_counter["cholesky"] == int(matrix_block)
             # the precomputed pencil: one solve per block per direction
             assert eigensolve_counter["solve"] == 1
+
+    def test_quaternion_round_trip_embeds_once_per_direction(self, rng, monkeypatch):
+        # one embedding per direction serves the effect check and the pencil
+        iso = random_factor_iso(HermFactor(2, Ring.QUATERNION), rng)
+        x = sample_element(iso.algebra, rng, "effect")
+        calls = []
+        to_complex = quat.to_complex
+        monkeypatch.setattr(quat, "to_complex", lambda a: calls.append(a) or to_complex(a))
+        back = iso.inverse_apply(iso.apply(x))
+        assert sup_norm(back - x) <= 1e-8
+        assert len(calls) == 2
 
     def test_factor_iso_construction(self, rng, eigensolve_counter):
         factor = HermFactor(6)

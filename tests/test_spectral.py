@@ -13,6 +13,7 @@ from effectorder import (
     SingularElementError,
     SpinFactor,
     apply_function,
+    dump_document,
     element_from_blocks,
     element_in_factor,
     in_cone,
@@ -20,11 +21,13 @@ from effectorder import (
     invert_element,
     jordan_product,
     leq,
+    load_document,
     max_eigenvalue,
     min_eigenvalue,
     positive_min_eigenvalue,
     pseudo_inv_sqrt,
     quad_rep,
+    random_composite_iso,
     range_approximants,
     range_projection,
     sample_element,
@@ -33,6 +36,7 @@ from effectorder import (
     sqrt_element,
     sup_norm,
     unit,
+    zero,
 )
 from effectorder import quaternion as quat
 from effectorder.spectral import block_eigenvalues, eigenvalue_floor, spectrum_within
@@ -435,3 +439,75 @@ class TestSpectrumWithin:
                 effect_tol = 1e-8 * (1.0 + sup_norm(x))
                 assert not spectrum_within(x, -effect_tol, 1.0 + effect_tol)
                 assert not in_effect_interval(x)
+
+
+# three matrix blocks with n >= 2, each one eigh; the line and the spin
+# block are decomposed in closed form
+STORE_ALG = AlgebraDescriptor(
+    (
+        HermFactor(1),
+        HermFactor(3),
+        HermFactor(2, Ring.COMPLEX),
+        HermFactor(2, Ring.QUATERNION),
+        SpinFactor(3),
+    )
+)
+STORE_EIGHS = 3
+
+
+LIBRARY_BUILDERS = {
+    "element_from_blocks": lambda rng: element_from_blocks(
+        MIXED, [np.array([[0.5]]), 0.3 * np.eye(2), np.array([1.0, 0.2, 0.0, 0.1])]
+    ),
+    "unit": lambda rng: unit(MIXED),
+    "zero": lambda rng: zero(MIXED),
+    "load_document": lambda rng: load_document(
+        dump_document(sample_element(MIXED, rng, "effect"))
+    ),
+    "CompositeOrderIso.apply": lambda rng: random_composite_iso(MIXED, MIXED, rng).apply(
+        sample_element(MIXED, rng, "effect")
+    ),
+}
+
+
+class TestStoredDecomposition:
+    """spectral_decompose stores its default-tolerance result on the element."""
+
+    def test_helpers_share_one_eigensolve_per_block(self, rng, eigensolve_counter):
+        x = sample_element(STORE_ALG, rng, "effect")
+        eigensolve_counter.clear()
+        range_projection(x)
+        sqrt_element(x)
+        pseudo_inv_sqrt(x)
+        apply_function(x, lambda t: t * t)
+        range_approximants(x, 3)
+        positive_min_eigenvalue(x)
+        assert eigensolve_counter["eigh"] == STORE_EIGHS
+        assert eigensolve_counter.eigensolves == STORE_EIGHS
+
+    def test_explicit_cluster_tol_neither_reads_nor_writes(self, rng, eigensolve_counter):
+        x = sample_element(STORE_ALG, rng, "effect")
+        eigensolve_counter.clear()
+        fine = spectral_decompose(x, cluster_tol=1e-13)
+        assert fine.zero_tol == 1e-13
+        dec = spectral_decompose(x)
+        assert dec is not fine and dec.zero_tol == 1e-8 * (1.0 + sup_norm(x))
+        assert spectral_decompose(x, cluster_tol=1e-13) is not dec
+        assert spectral_decompose(x) is dec
+        assert eigensolve_counter["eigh"] == 3 * STORE_EIGHS
+
+    def test_writable_element_is_decomposed_afresh(self):
+        b = np.diag([1.0, 2.0, 3.0])
+        x = Element(single_factor(HermFactor(3)), (b,))
+        assert spectral_decompose(x).eigenvalues == pytest.approx((1.0, 2.0, 3.0))
+        b[0, 0] = 5.0
+        assert spectral_decompose(x).eigenvalues == pytest.approx((2.0, 3.0, 5.0))
+
+    @pytest.mark.parametrize("build", LIBRARY_BUILDERS.values(), ids=LIBRARY_BUILDERS)
+    def test_library_elements_are_read_only_and_stored(self, build, rng):
+        x = build(rng)
+        assert not any(b.flags.writeable for b in x.blocks)
+        dec = spectral_decompose(x)
+        assert spectral_decompose(x) is dec
+        # callers share the stored decomposition, so its arrays are frozen too
+        assert not any(a.flags.writeable for a in dec.bases + dec.clusters)
