@@ -10,9 +10,13 @@ Elements are block vectors, one block per factor.  Everything here is
 immutable and every operation is a pure function, so values can be
 shared freely across threads.
 
-Blocks are validated once, where they enter from outside: the public
-constructors :func:`element_from_blocks` and :func:`element_in_factor`,
-and the document parser in ``serialization``.  Inside the library every
+Blocks from outside the library (:func:`element_from_blocks`,
+:func:`element_in_factor`, the parser in ``serialization``) pass one
+validator, :func:`_checked_block`: cast to the factor's dtype and shape,
+finite, asymmetry |b - b*| <= 1e-6 (1 + |b|) in the largest entry modulus,
+then replaced by (b + b*) / 2; its cast also serves ``FactorJordanIso``.
+Documents store a ring matrix as its :func:`_real_view`, floats of shape
+(n, n), (n, n, 2) or (n, n, 4) over R, C or H.  Inside the library every
 element comes from the trusted :func:`_element`, which only freezes its
 arrays.  Sums and real multiples of Hermitian blocks stay exactly
 Hermitian, so only the producers whose floating-point arithmetic can break
@@ -51,6 +55,14 @@ class DomainError(ValueError):
 
 class SingularElementError(ValueError):
     """Strict inversion was requested for an element with ~zero spectrum."""
+
+
+class NonFiniteBlockError(ValueError):
+    """A block from outside the library has a NaN or infinite entry."""
+
+
+class NonHermitianBlockError(ValueError):
+    """A matrix block from outside the library is far from Hermitian."""
 
 
 @dataclass(frozen=True)
@@ -190,6 +202,22 @@ def _from_real(factor: HermFactor, m: np.ndarray) -> np.ndarray:
     return np.array(m, dtype=complex if factor.ring is Ring.COMPLEX else float)
 
 
+def _real_view(factor: HermFactor, b: np.ndarray) -> np.ndarray:
+    """A ring array as floats: itself over R and H, (..., 2) over C."""
+    return np.stack((b.real, b.imag), axis=-1) if factor.ring is Ring.COMPLEX else b
+
+
+def _real_view_shape(factor: HermFactor) -> tuple[int, ...]:
+    """(n, n), (n, n, 2) or (n, n, 4): the shape of a block's real view."""
+    dtype, shape = _block_dtype_shape(factor)
+    return shape + (2,) if dtype is complex else shape
+
+
+def _from_real_view(factor: HermFactor, v: np.ndarray) -> np.ndarray:
+    """Invert :func:`_real_view` bit for bit."""
+    return np.ascontiguousarray(v).view(complex)[..., 0] if factor.ring is Ring.COMPLEX else v
+
+
 def _embed(factor: HermFactor, b: np.ndarray) -> np.ndarray:
     """The real or complex matrix eigensolvers run on (2n x 2n over H)."""
     return quat.to_complex(b) if factor.ring is Ring.QUATERNION else b
@@ -213,9 +241,7 @@ def _zero_block(factor: Factor) -> np.ndarray:
     return np.zeros(shape, dtype=dtype)
 
 
-def _adjoint_block(factor: Factor, b: np.ndarray) -> np.ndarray:
-    if isinstance(factor, SpinFactor):
-        return b
+def _adjoint_block(factor: HermFactor, b: np.ndarray) -> np.ndarray:
     if factor.ring is Ring.QUATERNION:
         return quat.qadjoint(b)
     return b.conj().T
@@ -286,29 +312,36 @@ def _element(alg: AlgebraDescriptor, blocks: Iterable[np.ndarray]) -> Element:
     return Element(alg, blocks)
 
 
-def element_from_blocks(alg: AlgebraDescriptor, blocks: Sequence[np.ndarray]) -> Element:
-    """Validating constructor for blocks from outside the library: checks
-    shapes and finiteness, copies, and symmetrizes.
+def _cast_array(value, dtype: type, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A fresh array of ``dtype`` from ``value``, which must have ``shape``."""
+    arr = np.array(value, dtype=dtype)
+    if arr.shape != shape:
+        raise ShapeMismatchError(f"{what}: expected shape {shape}, got {arr.shape}")
+    return arr
 
-    Hermitian blocks are replaced by (b + b*) / 2 rather than rejected,
-    so tiny serialization noise never invalidates an element.
-    """
+
+def _checked_block(factor: Factor, value, what: str) -> np.ndarray:
+    """The validator of blocks from outside the library (module docstring)."""
+    b = _cast_array(value, *_block_dtype_shape(factor), what)
+    if not np.all(np.isfinite(b)):
+        raise NonFiniteBlockError(f"{what} has non-finite entries")
+    if isinstance(factor, SpinFactor):
+        return b
+    asym = _block_sup(factor, b - _adjoint_block(factor, b))
+    if asym > 1e-6 * (1.0 + _block_sup(factor, b)):
+        raise NonHermitianBlockError(f"{what}: asymmetry {asym:g} exceeds tolerance")
+    return _hermitize(factor, b)
+
+
+def element_from_blocks(alg: AlgebraDescriptor, blocks: Sequence[np.ndarray]) -> Element:
+    """Validating constructor for blocks from outside the library: copies
+    them and checks shapes and finiteness.  A matrix block b with asymmetry
+    |b - b*| above 1e-6 (1 + |b|) raises NonHermitianBlockError; below it,
+    b is replaced by (b + b*) / 2, so serialization noise is harmless."""
     if len(blocks) != len(alg.factors):
-        raise ShapeMismatchError(
-            f"expected {len(alg.factors)} blocks, got {len(blocks)}"
-        )
-    cast = []
-    for i, (f, b) in enumerate(zip(alg.factors, blocks)):
-        dtype, shape = _block_dtype_shape(f)
-        arr = np.array(b, dtype=dtype)
-        if arr.shape != shape:
-            raise ShapeMismatchError(
-                f"block {i}: expected shape {shape}, got {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"block {i} has non-finite entries")
-        cast.append(_hermitize(f, arr))
-    return _element(alg, cast)
+        raise ShapeMismatchError(f"expected {len(alg.factors)} blocks, got {len(blocks)}")
+    pairs = enumerate(zip(alg.factors, blocks))
+    return _element(alg, [_checked_block(f, b, f"block {i}") for i, (f, b) in pairs])
 
 
 def unit(alg: AlgebraDescriptor) -> Element:

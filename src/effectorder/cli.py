@@ -93,7 +93,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_apply(args: argparse.Namespace, backward: bool) -> int:
     iso = _load_typed(args.iso, "iso")
     x = _load_typed(args.in_path, "element")
-    y = iso.apply(x, "backward" if backward else "forward")
+    y = iso.inverse_apply(x) if backward else iso.apply(x)
     _write(args.out, dump_document(y))
     return 0
 

@@ -60,6 +60,7 @@ from .algebra import (
     _adjoint_block,
     _block_dtype_shape,
     _block_sup,
+    _cast_array,
     _element,
     _embed,
     _from_real,
@@ -97,6 +98,7 @@ class RecoveryError(RuntimeError):
 
 
 MOBIUS_PARAM_MAX = 1.0 - 1e-12
+RECOVERY_TOL = 1e-6  # recovery's residual checks, relative to the images' scale
 
 
 def check_mobius_param(t: float) -> float:
@@ -221,9 +223,7 @@ class FactorJordanIso:
         if isinstance(self.factor, SpinFactor):
             if self.rotation is None or self.u is not None:
                 raise ValueError("spin isomorphism needs a rotation matrix only")
-            O = np.array(self.rotation, dtype=float)
-            if O.shape != (self.factor.d, self.factor.d):
-                raise ShapeMismatchError("rotation has the wrong shape")
+            O = _cast_array(self.rotation, float, (self.factor.d, self.factor.d), "rotation")
             # negated so that NaN entries fail the check
             if not np.abs(O.T @ O - np.eye(self.factor.d)).max() <= 1e-10:
                 raise ValueError("rotation is not orthogonal")
@@ -235,10 +235,7 @@ class FactorJordanIso:
         f = self.factor
         if self.conjugate and f.ring is not Ring.COMPLEX:
             raise ValueError("conjugation flag only applies to complex factors")
-        dtype, shape = _block_dtype_shape(f)
-        u = np.array(self.u, dtype=dtype)
-        if u.shape != shape:
-            raise ShapeMismatchError("u has the wrong shape")
+        u = _cast_array(self.u, *_block_dtype_shape(f), "u")
         gram = _mm(f, u, _adjoint_block(f, u)) - _identity_block(f)
         if not _block_sup(f, gram) <= 1e-10:  # negated, as above
             raise ValueError("u is not an isometry")
@@ -534,34 +531,34 @@ class CompositeOrderIso:
             if iso.algebra != single_factor(self.target.factors[j]):
                 raise ValueError(f"factor isomorphism {i} -> {j} lives in the wrong factor")
 
-    def apply(self, x: Element, direction: str = "forward") -> Element:
-        if direction not in ("forward", "backward"):
-            raise ValueError(f"unknown direction: {direction!r}")
-        fwd = direction == "forward"
-        src = self.source if fwd else self.target
-        dst = self.target if fwd else self.source
+    def apply(self, x: Element) -> Element:
+        return self._run(x, True)
+
+    def inverse_apply(self, y: Element) -> Element:
+        return self._run(y, False)
+
+    def _run(self, x: Element, forward: bool) -> Element:
+        src = self.source if forward else self.target
+        dst = self.target if forward else self.source
         if x.algebra != src:
             raise ShapeMismatchError("element does not live in the expected algebra")
         # each block is checked once: rank-one coordinates here, the rest by their factor map
         out: list[np.ndarray | None] = [None] * len(dst.factors)
         for (i, j), f in zip(self.sigma, self.scalar_isos):
-            a, b = (i, j) if fwd else (j, i)
+            a, b = (i, j) if forward else (j, i)
             s = float(_real_part(src.factors[a], x.block(a))[0, 0])
             tol = 1e-8 * (1.0 + abs(s))
             if not -tol < s < 1.0 + tol:
                 raise _outside_effect(s, s)
             s = min(max(s, 0.0), 1.0)
-            v = f(s) if fwd else f.inverse(s)
+            v = f(s) if forward else f.inverse(s)
             out[b] = _from_real(dst.factors[b], np.full((1, 1), v))
         for (i, j), iso in zip(self.engaged_pairs, self.engaged_isos):
-            a, b = (i, j) if fwd else (j, i)
+            a, b = (i, j) if forward else (j, i)
             xi = Element(single_factor(src.factors[a]), (x.block(a),))
-            yi = iso.apply(xi) if fwd else iso.inverse_apply(xi)
+            yi = iso.apply(xi) if forward else iso.inverse_apply(xi)
             out[b] = yi.block(0)
         return _element(dst, out)
-
-    def inverse_apply(self, y: Element) -> Element:
-        return self.apply(y, "backward")
 
 
 def coordinate_squeeze_iso(n: int) -> tuple[CompositeOrderIso, Element]:
@@ -600,7 +597,7 @@ def _unit_from_rank_one(factor: HermFactor, b: np.ndarray) -> np.ndarray:
 
 
 def _extract_hermitian_jordan(
-    Jm: Callable[[Element], Element], factor: HermFactor, tol: float
+    Jm: Callable[[Element], Element], factor: HermFactor
 ) -> FactorJordanIso:
     n, ring = factor.n, factor.ring
     if n == 1:
@@ -634,9 +631,9 @@ def _extract_hermitian_jordan(
         img = probe(probe_im)
         lin = U @ probe_im @ U.conj().T
         conj = U @ probe_im.conj() @ U.conj().T
-        if np.abs(img - lin).max() <= tol * n:
+        if np.abs(img - lin).max() <= RECOVERY_TOL * n:
             return FactorJordanIso(factor, u=U)
-        if np.abs(img - conj).max() <= tol * n:
+        if np.abs(img - conj).max() <= RECOVERY_TOL * n:
             return FactorJordanIso(factor, u=U, conjugate=True)
         raise RecoveryError("map is neither linear nor conjugate-linear")
 
@@ -660,16 +657,14 @@ def _extract_hermitian_jordan(
     return FactorJordanIso(factor, u=u)
 
 
-def _extract_spin_jordan(
-    Jm: Callable[[Element], Element], factor: SpinFactor, tol: float
-) -> FactorJordanIso:
+def _extract_spin_jordan(Jm: Callable[[Element], Element], factor: SpinFactor) -> FactorJordanIso:
     d = factor.d
     cols = []
     for i in range(d):
         b = np.zeros(d + 1)
         b[1 + i] = 1.0
         img = Jm(_element(single_factor(factor), [b])).block(0)
-        if abs(img[0]) > tol * 10:
+        if abs(img[0]) > RECOVERY_TOL * 10:
             raise RecoveryError("spin probe image has a scalar part")
         cols.append(img[1:])
     O = np.column_stack(cols)
@@ -683,7 +678,6 @@ def recover_factor_iso(
     source: AlgebraDescriptor,
     target: AlgebraDescriptor,
     seed: int = 0,
-    check_tol: float = 1e-6,
 ) -> FactorOrderIso:
     """Recover closed-form parameters (t, z, J) from black-box evaluations
     of an order isomorphism g of the invertible parts (0, e].
@@ -703,7 +697,7 @@ def recover_factor_iso(
     component of u with the largest modulus is positive.  A spin factor's
     rotation is its image of the basis vectors.  Raises
     :class:`RecoveryError` when a probe leaves the invertible part or any
-    linearity, orthonormality, or agreement check fails.
+    linearity, orthonormality, or agreement check fails (to RECOVERY_TOL).
     """
     if len(source.factors) != 1 or len(target.factors) != 1:
         raise DomainError("recovery operates on single factors")
@@ -730,9 +724,9 @@ def recover_factor_iso(
         b = random_gaussian(source, rng)
         la, lb = L(a), L(b)
         scale = 1.0 + sup_norm(la) + sup_norm(lb)
-        if sup_norm(L(a + b) - (la + lb)) > check_tol * scale:
+        if sup_norm(L(a + b) - (la + lb)) > RECOVERY_TOL * scale:
             raise RecoveryError("probed cone map is not additive")
-        if sup_norm(L(1.75 * a) - 1.75 * la) > check_tol * scale:
+        if sup_norm(L(1.75 * a) - 1.75 * la) > RECOVERY_TOL * scale:
             raise RecoveryError("probed cone map is not homogeneous")
 
     dec = spectral_decompose(f_e)
@@ -746,14 +740,14 @@ def recover_factor_iso(
 
     factor = source.factors[0]
     if isinstance(factor, SpinFactor):
-        jord = _extract_spin_jordan(Jm, factor, check_tol)
+        jord = _extract_spin_jordan(Jm, factor)
     else:
-        jord = _extract_hermitian_jordan(Jm, factor, check_tol)
+        jord = _extract_hermitian_jordan(Jm, factor)
 
     for _ in range(3):
         a = random_gaussian(source, rng)
         ja = Jm(a)
-        if sup_norm(ja - jord.apply(a)) > check_tol * (1.0 + sup_norm(ja)):
+        if sup_norm(ja - jord.apply(a)) > RECOVERY_TOL * (1.0 + sup_norm(ja)):
             raise RecoveryError("recovered Jordan isomorphism disagrees with the probes")
 
     return params_from_cone_map(y, jord, 1.0 + dec.eigenvalues[-1])

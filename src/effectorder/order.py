@@ -39,30 +39,26 @@ from .spectral import (
 )
 
 
-def default_leq_tol(x: Element, y: Element) -> float:
-    return 1e-9 * (1.0 + sup_norm(x) + sup_norm(y))
+# relative to 1 + |operands| in the order predicates; absolute in the flags
+ORDER_TOL = 1e-9
+FLAG_TOL = 1e-8
 
 
-def leq(x: Element, y: Element, tol: float | None = None) -> bool:
-    """x <= y in the cone order, up to a scale-invariant tolerance: the
-    spectrum of y - x lies in the open interval (-tol, inf)."""
+def leq(x: Element, y: Element) -> bool:
+    """x <= y in the cone order: the spectrum of y - x lies in the open
+    interval (-ORDER_TOL (1 + |x| + |y|), inf)."""
     _check_same_algebra(x, y)
-    if tol is None:
-        tol = default_leq_tol(x, y)
-    return spectrum_within(y - x, -tol)
+    return spectrum_within(y - x, -ORDER_TOL * (1.0 + sup_norm(x) + sup_norm(y)))
 
 
-def in_cone(x: Element, tol: float | None = None) -> bool:
-    """The spectrum of x lies in (-tol, inf)."""
-    if tol is None:
-        tol = 1e-9 * (1.0 + sup_norm(x))
-    return spectrum_within(x, -tol)
+def in_cone(x: Element) -> bool:
+    """The spectrum of x lies in (-ORDER_TOL (1 + |x|), inf)."""
+    return spectrum_within(x, -ORDER_TOL * (1.0 + sup_norm(x)))
 
 
-def in_effect_interval(x: Element, tol: float | None = None) -> bool:
-    """Membership in [0, e]: the spectrum lies in (-tol, 1 + tol)."""
-    if tol is None:
-        tol = 1e-9 * (1.0 + sup_norm(x))
+def in_effect_interval(x: Element) -> bool:
+    """Membership in [0, e]: the spectrum lies in (-tol, 1 + tol), tol = ORDER_TOL (1 + |x|)."""
+    tol = ORDER_TOL * (1.0 + sup_norm(x))
     return spectrum_within(x, -tol, 1.0 + tol)
 
 
@@ -76,9 +72,10 @@ class OrderClass:
     is_atom: bool
 
 
-def classify(x: Element, tol: float = 1e-8) -> OrderClass:
-    """Order-region flags for x; projections are detected spectrally and
-    atoms are the projections of rank one (trace one)."""
+def classify(x: Element) -> OrderClass:
+    """Order-region flags for x, each eigenvalue tested to FLAG_TOL; projections
+    are detected spectrally and atoms are the projections of rank one (trace one)."""
+    tol = FLAG_TOL
     dec = spectral_decompose(x)
     lo = dec.eigenvalues[0] if dec.eigenvalues else 0.0
     hi = dec.eigenvalues[-1] if dec.eigenvalues else 0.0
@@ -124,9 +121,7 @@ def proj_join(p: Element, q: Element) -> Element:
     return e - proj_meet(e - p, e - q)
 
 
-def dominates_atom(
-    x: Element, p: Element, tol: float | None = None
-) -> tuple[bool, float | None]:
+def dominates_atom(x: Element, p: Element) -> tuple[bool, float | None]:
     """Does x dominate the atom p, i.e. does some lam > 0 give lam p <= x?
 
     Equivalent (in finite dimension) to p <= r(x); the reported witness
@@ -137,7 +132,7 @@ def dominates_atom(
         raise DomainError("x must lie in the cone")
     if not classify(p).is_atom:
         raise DomainError("p is not an atom")
-    ok = leq(p, range_projection(x), tol)
+    ok = leq(p, range_projection(x))
     return (True, positive_min_eigenvalue(x)) if ok else (False, None)
 
 
@@ -154,14 +149,14 @@ def central_structure(alg: AlgebraDescriptor) -> tuple[list[Element], tuple[int,
     return gens, alg.disengaged_indices
 
 
-def central_mask(z: Element, tol: float = 1e-8) -> tuple[bool, ...]:
+def central_mask(z: Element) -> tuple[bool, ...]:
     """Per-factor 0/1 pattern of a central projection; raises if some
-    block is neither ~0 nor ~identity."""
+    block is neither 0 nor the identity to FLAG_TOL in every entry."""
     mask = []
     for f, b in zip(z.algebra.factors, z.blocks):
-        if _block_sup(f, b) <= tol:
+        if _block_sup(f, b) <= FLAG_TOL:
             mask.append(False)
-        elif _block_sup(f, b - _identity_block(f)) <= tol:
+        elif _block_sup(f, b - _identity_block(f)) <= FLAG_TOL:
             mask.append(True)
         else:
             raise DomainError("not a central projection (block is neither 0 nor identity)")

@@ -6,9 +6,9 @@ composite-isomorphism data one to one:
     ALGEBRA  {"type":"algebra","factors":[{"kind":"herm","n":3,"ring":"C"},
                                           {"kind":"spin","d":4}]}
     ELEMENT  {"type":"element","algebra":ALGEBRA,"blocks":[...]}
-             Hermitian blocks are nested arrays with scalars written as
-             plain reals, [re,im] over C, [a,b,c,d] over H; spin blocks
-             are {"alpha":r,"v":[...]}.
+             Hermitian blocks are their real views (``algebra._real_view``)
+             as nested arrays: scalars are plain reals, [re,im] over C,
+             [a,b,c,d] over H; spin blocks are {"alpha":r,"v":[...]}.
     ISO      {"type":"iso","source":ALGEBRA,"target":ALGEBRA,
               "sigma":[[i,j],...],
               "scalar_isos":[{"kind":"phi","t":t}|{"kind":"pwl","knots":[[x,y],...]}],
@@ -18,7 +18,10 @@ composite-isomorphism data one to one:
 
 Floats are emitted with ``repr`` (shortest round-trip), so parse o
 serialize is the identity on serialized documents.  Validation failures
-raise :class:`SchemaError` with a machine-parsable code and a path.
+raise :class:`SchemaError` with a machine-parsable code and a path.  A
+block is read as one ``np.array`` of its type-checked nested lists and
+goes through the validator that also serves the Python constructors,
+``algebra._checked_block``.
 """
 
 from __future__ import annotations
@@ -35,14 +38,16 @@ from .algebra import (
     Element,
     Factor,
     HermFactor,
+    NonFiniteBlockError,
+    NonHermitianBlockError,
     Ring,
     ShapeMismatchError,
     SpinFactor,
-    _adjoint_block,
-    _block_dtype_shape,
-    _block_sup,
+    _checked_block,
     _element,
-    _hermitize,
+    _from_real_view,
+    _real_view,
+    _real_view_shape,
     single_factor,
 )
 from .harness import CheckResult, SuiteReport
@@ -158,18 +163,11 @@ def algebra_from_obj(obj: Any, path: str = "algebra") -> AlgebraDescriptor:
 
 # --- elements ----------------------------------------------------------------
 
-def _scalar_to_obj(ring: Ring, v) -> Any:
-    if ring is Ring.REAL:
-        return float(v)
-    if ring is Ring.COMPLEX:
-        return [float(v.real), float(v.imag)]
-    return [float(c) for c in v]
-
-
 def _block_to_obj(factor: Factor, b: np.ndarray) -> Any:
     if isinstance(factor, SpinFactor):
-        return {"alpha": float(b[0]), "v": [float(c) for c in b[1:]]}
-    return [[_scalar_to_obj(factor.ring, b[r, c]) for c in range(factor.n)] for r in range(factor.n)]
+        alpha, *v = b.tolist()
+        return {"alpha": alpha, "v": v}
+    return _real_view(factor, b).tolist()
 
 
 def element_to_obj(x: Element) -> dict:
@@ -180,82 +178,59 @@ def element_to_obj(x: Element) -> dict:
     }
 
 
-def _scalar_from_obj(ring: Ring, v: Any, path: str):
-    if ring is Ring.REAL:
-        return _number(float, v, path)
-    if not isinstance(v, list) or len(v) != (2 if ring is Ring.COMPLEX else 4):
-        raise SchemaError(BAD_SCHEMA, path, f"bad scalar for ring {ring.value}")
-    parts = [_number(float, c, path) for c in v]
-    return complex(*parts) if ring is Ring.COMPLEX else np.array(parts)
-
-
 def _ring_array_from_obj(factor: HermFactor, rows: Any, path: str) -> np.ndarray:
-    """An n x n array over the factor's ring from nested lists of scalars."""
+    """A ring array from its real view's nested lists: one ``np.array``."""
     n = factor.n
     if not isinstance(rows, list) or len(rows) != n or any(
         not isinstance(r, list) or len(r) != n for r in rows
     ):
         raise SchemaError(SHAPE_MISMATCH, path, f"expected an {n}x{n} array")
-    dtype, shape = _block_dtype_shape(factor)
-    b = np.zeros(shape, dtype=dtype)
-    for r in range(n):
-        for c in range(n):
-            b[r, c] = _scalar_from_obj(factor.ring, rows[r][c], f"{path}[{r}][{c}]")
-    return b
-
-
-def _herm_block_from_obj(factor: HermFactor, rows: Any, path: str) -> np.ndarray:
-    b = _ring_array_from_obj(factor, rows, path)
-    if not np.all(np.isfinite(b)):
-        raise SchemaError(NON_FINITE, path, "non-finite entries")
-    asym = _block_sup(factor, b - _adjoint_block(factor, b))
-    if asym > 1e-6 * (1.0 + _block_sup(factor, b)):
-        raise SchemaError(NON_HERMITIAN, path, f"asymmetry {asym:g} exceeds tolerance")
-    return _hermitize(factor, b)
-
-
-def _spin_block_from_obj(factor: SpinFactor, obj: Any, path: str) -> np.ndarray:
-    alpha = _need(obj, "alpha", path)
-    v = _need(obj, "v", path)
-    if not isinstance(v, list) or len(v) != factor.d:
-        raise SchemaError(SHAPE_MISMATCH, path, f"expected a vector of length {factor.d}")
-    b = np.array([_number(float, c, path) for c in (alpha, *v)])
-    if not np.all(np.isfinite(b)):
-        raise SchemaError(NON_FINITE, path, "non-finite entries")
-    return b
+    tail = _real_view_shape(factor)[2:]  # reals per scalar: (), (2,) or (4,)
+    for r, row in enumerate(rows):
+        for c, s in enumerate(row):
+            if tail and not (isinstance(s, list) and len(s) == tail[0]):
+                msg = f"bad scalar for ring {factor.ring.value}"
+                raise SchemaError(BAD_SCHEMA, f"{path}[{r}][{c}]", msg)
+            for v in s if tail else (s,):
+                if type(v) is not float:  # the common case; _number tests the rest
+                    _number(float, v, f"{path}[{r}][{c}]")
+    return _from_real_view(factor, np.array(rows, dtype=float))
 
 
 def _block_from_obj(factor: Factor, obj: Any, path: str) -> np.ndarray:
     if isinstance(factor, SpinFactor):
-        return _spin_block_from_obj(factor, obj, path)
-    return _herm_block_from_obj(factor, obj, path)
+        alpha, v = _need(obj, "alpha", path), _need(obj, "v", path)
+        if not isinstance(v, list) or len(v) != factor.d:
+            raise SchemaError(SHAPE_MISMATCH, path, f"expected a vector of length {factor.d}")
+        value = [_number(float, c, path) for c in (alpha, *v)]
+    else:
+        value = _ring_array_from_obj(factor, obj, path)
+    try:
+        return _checked_block(factor, value, "block")
+    except NonFiniteBlockError as exc:
+        raise SchemaError(NON_FINITE, path, str(exc)) from exc
+    except NonHermitianBlockError as exc:
+        raise SchemaError(NON_HERMITIAN, path, str(exc)) from exc
 
 
-def _blocks_from_obj(alg: AlgebraDescriptor, raw: Any, path: str) -> list[np.ndarray]:
+def element_from_obj(obj: Any, path: str = "element") -> Element:
+    _check_type_tag(obj, "element", path)
+    alg = algebra_from_obj(_need(obj, "algebra", path), f"{path}.algebra")
+    raw, bp = _need(obj, "blocks", path), f"{path}.blocks"
     if not isinstance(raw, list) or len(raw) != len(alg.factors):
         raise SchemaError(
-            SHAPE_MISMATCH, path, f"expected {len(alg.factors)} blocks, got "
+            SHAPE_MISMATCH, bp, f"expected {len(alg.factors)} blocks, got "
             f"{len(raw) if isinstance(raw, list) else type(raw).__name__}"
         )
-    return [_block_from_obj(f, b, f"{path}[{i}]") for i, (f, b) in enumerate(zip(alg.factors, raw))]
-
-
-def element_from_obj(
-    obj: Any, alg: AlgebraDescriptor | None = None, path: str = "element"
-) -> Element:
-    _check_type_tag(obj, "element", path)
-    doc_alg = algebra_from_obj(_need(obj, "algebra", path), f"{path}.algebra")
-    if alg is not None and doc_alg != alg:
-        raise SchemaError(SHAPE_MISMATCH, f"{path}.algebra", "element algebra differs from expected")
-    blocks = _blocks_from_obj(doc_alg, _need(obj, "blocks", path), f"{path}.blocks")
-    return _element(doc_alg, blocks)
+    pairs = enumerate(zip(alg.factors, raw))
+    return _element(alg, [_block_from_obj(f, b, f"{bp}[{i}]") for i, (f, b) in pairs])
 
 
 # --- isomorphisms -------------------------------------------------------------
 
 def _jordan_to_obj(j: FactorJordanIso) -> dict:
     if isinstance(j.factor, SpinFactor):
-        return {"O": [[float(v) for v in row] for row in j.rotation]}
+        return {"O": j.rotation.tolist()}
     return {"u": _block_to_obj(j.factor, j.u), "tau": "conj" if j.conjugate else "id"}
 
 

@@ -6,6 +6,7 @@ from effectorder import (
     AlgebraDescriptor,
     Element,
     HermFactor,
+    NonHermitianBlockError,
     Ring,
     ShapeMismatchError,
     SpinFactor,
@@ -31,6 +32,7 @@ from effectorder import (
     unit,
 )
 from effectorder import quaternion as quat
+from effectorder.serialization import NON_HERMITIAN, SchemaError
 
 from conftest import FACTOR_KINDS, MIXED
 
@@ -196,6 +198,20 @@ class TestElementValidation:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             element_from_blocks(single_factor(HermFactor(2)), [np.array([[np.inf, 0], [0, 1]])])
+
+    @pytest.mark.parametrize("ring", list(Ring), ids=lambda r: r.value)
+    def test_rejects_gross_asymmetry_like_the_loader(self, ring):
+        """Asymmetry 0.9 is rejected; 1e-9 noise is still symmetrized."""
+        alg = single_factor(HermFactor(2, ring))
+        base = sample_element(alg, np.random.default_rng(0), "general").block(0)
+        bump = np.zeros(base.shape)
+        bump[(0, 1) + (0,) * (base.ndim - 2)] = 1.0
+        with pytest.raises(NonHermitianBlockError):
+            element_from_blocks(alg, [base + 0.9 * bump])
+        with pytest.raises(SchemaError) as err:
+            load_document(dump_document(Element(alg, (base + 0.9 * bump,))))
+        assert err.value.code == NON_HERMITIAN
+        assert_exactly_hermitian(element_from_blocks(alg, [base + 1e-9 * bump]))
 
     def test_rejects_wrong_block_count(self):
         with pytest.raises(ShapeMismatchError):

@@ -20,14 +20,17 @@ from effectorder import (
     unit,
 )
 from effectorder.serialization import (
+    BAD_FACTOR,
     BAD_KNOTS,
     BAD_SCHEMA,
     NON_FINITE,
     NON_HERMITIAN,
     NOT_BIJECTION,
+    NOT_INTERIOR,
     NOT_ISOMETRY,
     PHI_PARAM_RANGE,
     SHAPE_MISMATCH,
+    UNKNOWN_KIND,
     SchemaError,
     element_to_obj,
     iso_to_obj,
@@ -89,6 +92,93 @@ class TestRoundTrips:
         report = SuiteReport("order_iso", "herm(2,R)", 0, 1, 1e-8, (check,), 0.0)
         loaded = load_document(dump_document(report))
         assert loaded[0].checks[0].worst == float("inf")
+
+
+GOLDEN_ELEMENT = {
+    "type": "element",
+    "algebra": {
+        "type": "algebra",
+        "factors": [
+            {"kind": "herm", "n": 1, "ring": "R"},
+            {"kind": "herm", "n": 2, "ring": "R"},
+            {"kind": "herm", "n": 2, "ring": "C"},
+            {"kind": "herm", "n": 2, "ring": "H"},
+            {"kind": "spin", "d": 2},
+        ],
+    },
+    "blocks": [
+        [[-0.25]],
+        [[0.5, 1e-300], [1e-300, -0.25]],
+        [[[0.1, 0.0], [0.5, -0.25]], [[0.5, 0.25], [-0.25, 0.0]]],
+        [[[1.0, 0.0, 0.0, 0.0], [0.1, 0.5, -0.25, 1e-300]],
+         [[0.1, -0.5, 0.25, -1e-300], [0.5, 0.0, 0.0, 0.0]]],
+        {"alpha": 0.5, "v": [-0.25, 1e-300]},
+    ],
+}
+
+GOLDEN_ISO = {
+    "type": "iso",
+    "source": {"type": "algebra", "factors": [{"kind": "herm", "n": 1, "ring": "R"},
+                                              {"kind": "herm", "n": 2, "ring": "C"},
+                                              {"kind": "spin", "d": 2}]},
+    "target": {"type": "algebra", "factors": [{"kind": "herm", "n": 1, "ring": "R"},
+                                              {"kind": "herm", "n": 2, "ring": "C"},
+                                              {"kind": "spin", "d": 2}]},
+    "sigma": [[0, 0]],
+    "scalar_isos": [{"kind": "phi", "t": -0.25}],
+    "engaged": [
+        {
+            "match": [1, 1],
+            "t": 0.5,
+            "z": [[[1.0, 0.0], [0.1, -0.25]], [[0.1, 0.25], [0.5, 0.0]]],
+            "J": {"u": [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]], "tau": "conj"},
+        },
+        {
+            "match": [2, 2],
+            "t": -0.25,
+            "z": {"alpha": 1.0, "v": [0.5, -0.25]},
+            "J": {"O": [[0.0, -1.0], [1.0, 0.0]]},
+        },
+    ],
+}
+
+
+class TestGoldenText:
+    """The text format against hand-written documents, not against the
+    library's own output: a change to the format fails here."""
+
+    def test_element(self):
+        text = json.dumps(GOLDEN_ELEMENT, indent=1)
+        x = load_document(text)
+        assert dump_document(x) == text
+        expected = [
+            np.array([[-0.25]]),
+            np.array([[0.5, 1e-300], [1e-300, -0.25]]),
+            np.array([[0.1, 0.5 - 0.25j], [0.5 + 0.25j, -0.25]]),
+            np.array([[[1.0, 0.0, 0.0, 0.0], [0.1, 0.5, -0.25, 1e-300]],
+                      [[0.1, -0.5, 0.25, -1e-300], [0.5, 0.0, 0.0, 0.0]]]),
+            np.array([0.5, -0.25, 1e-300]),
+        ]
+        for got, want in zip(x.blocks, expected, strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_iso(self):
+        text = json.dumps(GOLDEN_ISO, indent=1)
+        iso = load_document(text)
+        assert dump_document(iso) == text
+        herm, spin = iso.engaged_isos
+        assert herm.jordan.conjugate
+        u = np.array([[1j, 0.0], [0.0, -1.0]])
+        z = np.array([[1.0, 0.1 - 0.25j], [0.1 + 0.25j, 0.5]])
+        assert herm.jordan.u.dtype == u.dtype and np.array_equal(herm.jordan.u, u)
+        assert herm.z.block(0).dtype == z.dtype and np.array_equal(herm.z.block(0), z)
+        assert np.array_equal(spin.jordan.rotation, [[0.0, -1.0], [1.0, 0.0]])
+        assert np.array_equal(spin.z.block(0), [1.0, 0.5, -0.25])
+        assert iso.scalar_isos[0].t == -0.25
+
+
+def one_block_element(factor, block):
+    return {"type": "element", "algebra": {"factors": [factor]}, "blocks": [block]}
 
 
 class TestValidationErrors:
@@ -258,6 +348,54 @@ class TestValidationErrors:
             load_document(json.dumps(doc))
         assert err.value.code == NON_FINITE
         assert err.value.path.startswith(path)
+
+    @pytest.mark.parametrize(
+        "doc, code, path",
+        [
+            ({"type": "algebra", "factors": [{"kind": "herm", "n": 2, "ring": "Q"}]},
+             BAD_FACTOR, "algebra.factors[0]"),
+            ({"type": "algebra", "factors": [{"kind": "torus", "n": 2}]},
+             UNKNOWN_KIND, "algebra.factors[0]"),
+            (one_block_element({"kind": "herm", "n": 1, "ring": "C"}, [[[1, 0, 0]]]),
+             BAD_SCHEMA, "element.blocks[0][0][0]"),
+            (one_block_element({"kind": "herm", "n": 1, "ring": "H"}, [[[1, 0]]]),
+             BAD_SCHEMA, "element.blocks[0][0][0]"),
+            (one_block_element({"kind": "herm", "n": 1, "ring": "C"}, [[[True, 0.0]]]),
+             BAD_SCHEMA, "element.blocks[0][0][0]"),
+            ({"engaged": [{"match": [0, 0], "t": 10**400, "z": [[1.0, 0.0], [0.0, 1.0]],
+                           "J": {"u": [[1.0, 0.0], [0.0, 1.0]]}}]},
+             BAD_SCHEMA, "iso.engaged[0].t"),
+            (one_block_element({"kind": "spin", "d": 2}, {"alpha": 1.0, "v": [0.0]}),
+             SHAPE_MISMATCH, "element.blocks[0]"),
+            ({"type": "element",
+              "algebra": {"factors": [{"kind": "herm", "n": 1}, {"kind": "herm", "n": 1}]},
+              "blocks": [[[0.5]]]},
+             SHAPE_MISMATCH, "element.blocks"),
+            ({"sigma": [[0, 0]], "scalar_isos": [{"kind": "cubic"}]},
+             UNKNOWN_KIND, "iso.scalar_isos[0]"),
+            ({"engaged": [{"match": [0, 5], "t": 0.5, "z": [[1.0, 0.0], [0.0, 1.0]],
+                           "J": {"u": [[1.0, 0.0], [0.0, 1.0]]}}]},
+             NOT_BIJECTION, "iso.engaged[0]"),
+            ({"engaged": [{"match": [0, 0], "t": 0.5, "z": [[1.0, 0.0], [0.0, -1.0]],
+                           "J": {"u": [[1.0, 0.0], [0.0, 1.0]]}}]},
+             NOT_INTERIOR, "iso.engaged[0].z"),
+            ({"engaged": [{"match": [0, 0], "t": 0.5, "z": [[1.0, 0.0], [0.0, 1.0]],
+                           "J": {"u": [[1.0, 0.0], [0.0]]}}]},
+             SHAPE_MISMATCH, "iso.engaged[0].J.u"),
+        ],
+        ids=[
+            "unknown_ring", "unknown_factor_kind", "C_scalar_too_long", "H_scalar_too_short",
+            "C_scalar_bool", "t_overflow", "spin_v_short", "missing_block",
+            "unknown_scalar_iso_kind", "match_out_of_range", "z_not_interior", "ragged_u",
+        ],
+    )
+    def test_error_code_and_path(self, doc, code, path):
+        """The loader's error contract, one raise site per case."""
+        if "type" not in doc:
+            doc = {**json.loads(self.iso_doc()), **doc}
+        with pytest.raises(SchemaError) as err:
+            load_document(json.dumps(doc))
+        assert (err.value.code, err.value.path) == (code, path)
 
     def test_non_finite_element_refused_at_dump(self):
         # U_y y overflows to inf and, off the diagonal, to inf * 0 = NaN
