@@ -6,6 +6,13 @@ is a pure function of (seed, algebra, trials): rendering one twice gives
 byte-identical text (elapsed time excluded).  Every suite also has a
 self-test mode (``mutate=True``) that injects one defect into a checked
 identity, demonstrating that the suite can fail.
+
+The three seeded suites (identity, interval, order_iso) are each one
+trial function run by one engine, ``_run_trials``, which owns the
+generator, the timer and the report.  A trial returns one residual per
+check name, so a check is recorded at most once per trial, and a check's
+``worst_trial`` is the index that replays it: rerunning the suite with
+``trials = worst_trial + 1`` reproduces the residual.
 """
 
 from __future__ import annotations
@@ -73,8 +80,9 @@ class CheckResult:
     """Outcome of one named check: trial counts, the worst residual, and
     the index of the trial that gave it (None before the first record).
 
-    A suite records a check once in every trial or in none, so the number
-    of earlier records is the trial index."""
+    The suite engine records a check at most once per trial, and a suite
+    omits a check only from every trial (the check does not apply to its
+    algebra), so the number of earlier records is the trial index."""
 
     name: str
     tol: float
@@ -156,6 +164,32 @@ def _normalized_general(alg: AlgebraDescriptor, rng: np.random.Generator) -> Ele
     return (1.5 / m) * g
 
 
+def _run_trials(suite, descriptor, seed, trials, tol, checks, trial) -> SuiteReport:
+    """The loop every seeded suite runs on: one generator seeded with
+    ``seed``, the checks in report order (a ``(name, tol)`` pair gives a
+    check its own tolerance), and ``trials`` calls of ``trial(rng)``, each
+    returning ``{check name: residual}``, so that a check is recorded at
+    most once per trial."""
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(seed)
+    results = {}
+    for check in checks:
+        name, check_tol = (check, tol) if isinstance(check, str) else check
+        results[name] = CheckResult(name, check_tol)
+    for _ in range(trials):
+        for name, residual in trial(rng).items():
+            results[name].record(residual)
+    return SuiteReport(
+        suite=suite,
+        descriptor=descriptor,
+        seed=seed,
+        trials=trials,
+        tol=tol,
+        checks=tuple(results.values()),
+        elapsed_seconds=time.perf_counter() - t0,
+    )
+
+
 def run_identity_suite(
     alg: AlgebraDescriptor,
     seed: int = 0,
@@ -169,49 +203,34 @@ def run_identity_suite(
     ``mutate=True`` flips a sign in the fundamental identity
     U_{U_y x} = U_y U_x U_y to demonstrate the suite can fail.
     """
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    checks = {
-        name: CheckResult(name, tol)
-        for name in (
-            "cone_preserved",
-            "inverse_of_map",
-            "inverse_of_image",
-            "fundamental_identity",
-            "square_of_unit_image",
-            "calc_compose",
-            "calc_push_through",
-            "triple_vs_matrix",
-        )
-    }
     e = unit(alg)
-    for _ in range(trials):
+
+    def trial(rng: np.random.Generator) -> dict[str, float]:
+        res = {}
         y = _normalized_general(alg, rng)
         x_cone = sample_element(alg, rng, "cone")
         w = _normalized_general(alg, rng)
 
         uy_x = quad_rep(y, x_cone)
-        checks["cone_preserved"].record(
-            _worst(0.0, -min_eigenvalue(uy_x)) / (1.0 + sup_norm(uy_x))
-        )
+        res["cone_preserved"] = _worst(0.0, -min_eigenvalue(uy_x)) / (1.0 + sup_norm(uy_x))
 
         yi = _clamp_away_from_zero(y)
         yi_inv = invert_element(yi, "strict")
-        checks["inverse_of_map"].record(_rel(quad_rep(yi_inv, quad_rep(yi, w)), w))
+        res["inverse_of_map"] = _rel(quad_rep(yi_inv, quad_rep(yi, w)), w)
 
         xi = _clamp_away_from_zero(_normalized_general(alg, rng))
         lhs = invert_element(quad_rep(yi, xi), "strict")
         rhs = quad_rep(yi_inv, invert_element(xi, "strict"))
-        checks["inverse_of_image"].record(_rel(lhs, rhs))
+        res["inverse_of_image"] = _rel(lhs, rhs)
 
         x = _normalized_general(alg, rng)
         lhs = quad_rep(quad_rep(y, x), w)
         rhs = quad_rep(y, quad_rep(x, quad_rep(y, w)))
         if mutate:
             rhs = -1.0 * rhs
-        checks["fundamental_identity"].record(_rel(lhs, rhs))
+        res["fundamental_identity"] = _rel(lhs, rhs)
 
-        checks["square_of_unit_image"].record(_rel(quad_rep(y, e), jordan_product(y, y)))
+        res["square_of_unit_image"] = _rel(quad_rep(y, e), jordan_product(y, y))
 
         cf = rng.uniform(-1.0, 1.0, size=5)
         cg = rng.uniform(-1.0, 1.0, size=5)
@@ -221,22 +240,25 @@ def run_identity_suite(
         gy = apply_function(y, g)
         lhs = quad_rep(fy, quad_rep(gy, w))
         rhs = quad_rep(apply_function(y, lambda v: f(v) * g(v)), w)
-        checks["calc_compose"].record(_rel(lhs, rhs))
+        res["calc_compose"] = _rel(lhs, rhs)
         lhs = quad_rep(fy, gy)
         rhs = apply_function(y, lambda v: f(v) ** 2 * g(v))
-        checks["calc_push_through"].record(_rel(lhs, rhs))
+        res["calc_push_through"] = _rel(lhs, rhs)
 
-        checks["triple_vs_matrix"].record(_rel(triple_product(y, w, y), quad_rep(y, w)))
+        res["triple_vs_matrix"] = _rel(triple_product(y, w, y), quad_rep(y, w))
+        return res
 
-    return SuiteReport(
-        suite="identity",
-        descriptor=str(alg),
-        seed=seed,
-        trials=trials,
-        tol=tol,
-        checks=tuple(checks.values()),
-        elapsed_seconds=time.perf_counter() - t0,
+    checks = (
+        "cone_preserved",
+        "inverse_of_map",
+        "inverse_of_image",
+        "fundamental_identity",
+        "square_of_unit_image",
+        "calc_compose",
+        "calc_push_through",
+        "triple_vs_matrix",
     )
+    return _run_trials("identity", str(alg), seed, trials, tol, checks, trial)
 
 
 def run_interval_suite(
@@ -252,22 +274,10 @@ def run_interval_suite(
 
     ``mutate=True`` perturbs the backward stretch to break round trips.
     """
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    checks = {
-        name: CheckResult(name, tol)
-        for name in (
-            "stretch_roundtrip_fb",
-            "stretch_roundtrip_bf",
-            "approx_monotone",
-            "approx_distance",
-            "lattice_bounds",
-            "lattice_lower_witness",
-        )
-    }
-    checks["stabilize_exact"] = CheckResult("stabilize_exact", 1e-12)
     e = unit(alg)
-    for _ in range(trials):
+
+    def trial(rng: np.random.Generator) -> dict[str, float]:
+        res = {}
         c = sample_element(alg, rng, "cone")
         eigs = spectral_decompose(c).eigenvalues
         cut = eigs[len(eigs) // 2]
@@ -280,17 +290,17 @@ def run_interval_suite(
         back = interval_top_map(x, fwd, "backward")
         if mutate:
             back = back + 1e-3 * e
-        checks["stretch_roundtrip_fb"].record(_rel(back, y))
+        res["stretch_roundtrip_fb"] = _rel(back, y)
 
         y2 = interval_top_map(x, quad_rep(rx, sample_element(alg, rng, "effect")), "forward")
-        checks["stretch_roundtrip_bf"].record(
-            _rel(interval_top_map(x, interval_top_map(x, y2, "backward"), "forward"), y2)
+        res["stretch_roundtrip_bf"] = _rel(
+            interval_top_map(x, interval_top_map(x, y2, "backward"), "forward"), y2
         )
 
         lam_plus = positive_min_eigenvalue(x)
         n_star = int(1.0 / lam_plus) + 2 if np.isfinite(lam_plus) else 1
         _, g_n, h_n = range_approximants(x, n_star)
-        checks["stabilize_exact"].record(_worst(sup_norm(g_n - rx), sup_norm(h_n - rx)))
+        res["stabilize_exact"] = _worst(sup_norm(g_n - rx), sup_norm(h_n - rx))
 
         w = sample_element(alg, rng, "effect")
         prev = None
@@ -301,15 +311,15 @@ def run_interval_suite(
             if prev is not None:
                 worst_mono = _worst(worst_mono, -min_eigenvalue(prev - fn))
             prev = fn
-        checks["approx_monotone"].record(worst_mono)
-        checks["approx_distance"].record(worst_dist)
+        res["approx_monotone"] = worst_mono
+        res["approx_distance"] = worst_dist
 
         r = sample_element(alg, rng, "projection")
         p = proj_join(sample_element(alg, rng, "projection"), r)
         q = proj_join(sample_element(alg, rng, "projection"), r)
         m = proj_meet(p, q)
         j = proj_join(p, q)
-        bound_res = _worst(
+        res["lattice_bounds"] = _worst(
             0.0,
             -min_eigenvalue(p - m),
             -min_eigenvalue(q - m),
@@ -317,19 +327,20 @@ def run_interval_suite(
             -min_eigenvalue(j - q),
             sup_norm(jordan_product(m, m) - m),
         )
-        checks["lattice_bounds"].record(bound_res)
         low = quad_rep(r, sample_element(alg, rng, "effect"))
-        checks["lattice_lower_witness"].record(_worst(0.0, -min_eigenvalue(m - low)))
+        res["lattice_lower_witness"] = _worst(0.0, -min_eigenvalue(m - low))
+        return res
 
-    return SuiteReport(
-        suite="interval",
-        descriptor=str(alg),
-        seed=seed,
-        trials=trials,
-        tol=tol,
-        checks=tuple(checks.values()),
-        elapsed_seconds=time.perf_counter() - t0,
+    checks = (
+        "stretch_roundtrip_fb",
+        "stretch_roundtrip_bf",
+        "approx_monotone",
+        "approx_distance",
+        "lattice_bounds",
+        "lattice_lower_witness",
+        ("stabilize_exact", 1e-12),
     )
+    return _run_trials("interval", str(alg), seed, trials, tol, checks, trial)
 
 
 def run_order_iso_suite(
@@ -348,54 +359,34 @@ def run_order_iso_suite(
 
     ``mutate=True`` perturbs the inverse map to break round trips.
     """
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
     if target is None:
         target = source
-    checks = {
-        name: CheckResult(name, tol)
-        for name in (
-            "order_forward",
-            "order_backward",
-            "roundtrip",
-            "atom_rank_one",
-            "lift_param_agree",
-            "boundary_monotone_limit",
-        )
-    }
-    checks["endpoints"] = CheckResult("endpoints", 1e-12)
-    checks["invertible_floor"] = CheckResult("invertible_floor", 0.0)
-    checks["mobius_group_law"] = CheckResult("mobius_group_law", 1e-9)
     e_m, e_n = unit(source), unit(target)
-    for _ in range(trials):
+
+    def trial(rng: np.random.Generator) -> dict[str, float]:
+        res = {}
         iso = random_composite_iso(source, target, rng)
 
         x, y = sample_ordered_pair(source, rng)
         fx, fy = iso.apply(x), iso.apply(y)
-        checks["order_forward"].record(
-            _worst(0.0, -min_eigenvalue(fy - fx)) / (1.0 + sup_norm(fy))
-        )
+        res["order_forward"] = _worst(0.0, -min_eigenvalue(fy - fx)) / (1.0 + sup_norm(fy))
         u, v = sample_ordered_pair(target, rng)
         gu, gv = iso.inverse_apply(u), iso.inverse_apply(v)
-        checks["order_backward"].record(
-            _worst(0.0, -min_eigenvalue(gv - gu)) / (1.0 + sup_norm(gv))
-        )
+        res["order_backward"] = _worst(0.0, -min_eigenvalue(gv - gu)) / (1.0 + sup_norm(gv))
 
-        checks["endpoints"].record(
-            _worst(sup_norm(iso.apply(zero(source))), sup_norm(iso.apply(e_m) - e_n))
+        res["endpoints"] = _worst(
+            sup_norm(iso.apply(zero(source))), sup_norm(iso.apply(e_m) - e_n)
         )
 
         w = sample_element(source, rng, "effect")
         back = iso.inverse_apply(iso.apply(w))
         if mutate:
             back = back + 1e-3 * e_m
-        checks["roundtrip"].record(_rel(back, w))
+        res["roundtrip"] = _rel(back, w)
 
         g = sample_element(source, rng, "general")
         x_inv = apply_function(g, lambda v: min(max(v, 1e-3), 1.0))
-        checks["invertible_floor"].record(
-            _worst(0.0, 1e-12 - min_eigenvalue(iso.apply(x_inv)))
-        )
+        res["invertible_floor"] = _worst(0.0, 1e-12 - min_eigenvalue(iso.apply(x_inv)))
 
         rank_one = []
         for (i, _), fiso in zip(iso.engaged_pairs, iso.engaged_isos):
@@ -406,13 +397,13 @@ def run_order_iso_suite(
             eigs = block_eigenvalues(img.algebra.factors[0], img.block(0))
             rank_one.append(float(eigs[-2]) if len(eigs) > 1 else 0.0)
         if rank_one:
-            checks["atom_rank_one"].record(_worst(0.0, *rank_one))
+            res["atom_rank_one"] = _worst(0.0, *rank_one)
 
         t, s = float(rng.uniform(-2.5, 0.9)), float(rng.uniform(-2.5, 0.9))
         x_eff = sample_element(source, rng, "effect")
         lhs = mobius_apply(t, mobius_apply(s, x_eff))
         rhs = mobius_apply(mobius_compose(t, s), x_eff)
-        checks["mobius_group_law"].record(sup_norm(lhs - rhs))
+        res["mobius_group_law"] = sup_norm(lhs - rhs)
 
         if target.engaged_indices:
             j = target.engaged_indices[0]
@@ -429,7 +420,7 @@ def run_order_iso_suite(
             for lam in (lam0, lam0 + 1.0):
                 got = params_from_cone_map(yf, jord, lam).apply(xf)
                 worst = _worst(worst, _rel(got, ref))
-            checks["lift_param_agree"].record(worst)
+            res["lift_param_agree"] = worst
 
             # boundary values agree with the monotone limit from the
             # invertible part: f(max(x, 1/n)) is a decreasing sequence
@@ -450,17 +441,21 @@ def run_order_iso_suite(
                 gaps.append(sup_norm(fxn - fx))
                 prev = fxn
             decay = _worst(0.0, gaps[0] - _worst(0.9 * gaps[-1], 1e-9))
-            checks["boundary_monotone_limit"].record(_worst(mono, decay))
+            res["boundary_monotone_limit"] = _worst(mono, decay)
+        return res
 
-    return SuiteReport(
-        suite="order_iso",
-        descriptor=f"{source} -> {target}",
-        seed=seed,
-        trials=trials,
-        tol=tol,
-        checks=tuple(checks.values()),
-        elapsed_seconds=time.perf_counter() - t0,
+    checks = (
+        "order_forward",
+        "order_backward",
+        "roundtrip",
+        "atom_rank_one",
+        "lift_param_agree",
+        "boundary_monotone_limit",
+        ("endpoints", 1e-12),
+        ("invertible_floor", 0.0),
+        ("mobius_group_law", 1e-9),
     )
+    return _run_trials("order_iso", f"{source} -> {target}", seed, trials, tol, checks, trial)
 
 
 def scalar_oracle_compare(

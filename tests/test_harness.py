@@ -35,6 +35,41 @@ SMALL_MIXED = algebra(
 )
 
 
+# each seeded suite's checks, in report order, with their tolerances at tol=1e-8
+SUITE_CHECKS = {
+    run_identity_suite: [
+        ("cone_preserved", 1e-8),
+        ("inverse_of_map", 1e-8),
+        ("inverse_of_image", 1e-8),
+        ("fundamental_identity", 1e-8),
+        ("square_of_unit_image", 1e-8),
+        ("calc_compose", 1e-8),
+        ("calc_push_through", 1e-8),
+        ("triple_vs_matrix", 1e-8),
+    ],
+    run_interval_suite: [
+        ("stretch_roundtrip_fb", 1e-8),
+        ("stretch_roundtrip_bf", 1e-8),
+        ("approx_monotone", 1e-8),
+        ("approx_distance", 1e-8),
+        ("lattice_bounds", 1e-8),
+        ("lattice_lower_witness", 1e-8),
+        ("stabilize_exact", 1e-12),
+    ],
+    run_order_iso_suite: [
+        ("order_forward", 1e-8),
+        ("order_backward", 1e-8),
+        ("roundtrip", 1e-8),
+        ("atom_rank_one", 1e-8),
+        ("lift_param_agree", 1e-8),
+        ("boundary_monotone_limit", 1e-8),
+        ("endpoints", 1e-12),
+        ("invertible_floor", 0.0),
+        ("mobius_group_law", 1e-9),
+    ],
+}
+
+
 def oracle_iso(t=0.5, z=2.0):
     f = HermFactor(1)
     return FactorOrderIso(t, element_in_factor(f, [[z]]), identity_jordan(f))
@@ -184,10 +219,11 @@ class TestWorstTrial:
         report = SuiteReport("order_iso", "herm(2,R)", 0, 4, 1e-8, (check,), 0.0)
         assert "worst=1.000e-03 trial=1" in render_report(report)
 
-    def test_replaying_up_to_the_worst_trial_reproduces_it(self):
-        report = run_identity_suite(MIXED, seed=5, trials=6)
+    @pytest.mark.parametrize("suite", list(SUITE_CHECKS), ids=lambda s: s.__name__)
+    def test_replaying_up_to_the_worst_trial_reproduces_it(self, suite):
+        report = suite(MIXED, seed=5, trials=6)
         for check in report.checks:
-            replay = run_identity_suite(MIXED, seed=5, trials=check.worst_trial + 1)
+            replay = suite(MIXED, seed=5, trials=check.worst_trial + 1)
             again = next(c for c in replay.checks if c.name == check.name)
             assert (again.worst, again.worst_trial) == (check.worst, check.worst_trial)
 
@@ -195,6 +231,16 @@ class TestWorstTrial:
         report = run_order_iso_suite(MIXED, seed=0, trials=3)
         by_name = {c.name: c for c in report.checks}
         assert by_name["atom_rank_one"].passes + by_name["atom_rank_one"].fails == 3
+
+
+class TestCheckNames:
+    @pytest.mark.parametrize("suite", list(SUITE_CHECKS), ids=lambda s: s.__name__)
+    @pytest.mark.parametrize("trials", [0, 2])
+    def test_names_order_and_tolerances(self, suite, trials):
+        report = suite(MIXED, seed=0, trials=trials, tol=1e-8)
+        assert [(c.name, c.tol) for c in report.checks] == SUITE_CHECKS[suite]
+        assert all(c.passes + c.fails == trials for c in report.checks)
+        assert (report.trials, report.tol) == (trials, 1e-8)
 
 
 class TestCounterexampleReport:
