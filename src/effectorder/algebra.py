@@ -260,6 +260,12 @@ def _block_sup(factor: Factor, b: np.ndarray) -> float:
     return float(np.abs(b).max())
 
 
+def _spin_radius(b: np.ndarray) -> float:
+    """|v| of a spin block (a, v), by hypot so that no square overflows; the
+    block's eigenvalues are a -/+ |v|."""
+    return math.hypot(*b[1:].tolist())
+
+
 @dataclass(frozen=True, eq=False)
 class Element:
     """A block vector with one Hermitian (or spin) block per factor."""
@@ -437,7 +443,7 @@ def _invert(x: Element) -> Element:
     for f, b in zip(x.algebra.factors, x.blocks):
         if isinstance(f, SpinFactor):
             # a^2 - |v|^2 as the product of the two eigenvalues a -/+ |v|
-            nv = math.hypot(*b[1:].tolist())
+            nv = _spin_radius(b)
             blocks.append(np.concatenate(([b[0]], -b[1:])) / ((b[0] - nv) * (b[0] + nv)))
         else:
             m = _embed(f, b)

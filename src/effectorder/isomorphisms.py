@@ -224,8 +224,11 @@ class FactorJordanIso:
             if self.rotation is None or self.u is not None:
                 raise ValueError("spin isomorphism needs a rotation matrix only")
             O = _cast_array(self.rotation, float, (self.factor.d, self.factor.d), "rotation")
-            # negated so that NaN entries fail the check
-            if not np.abs(O.T @ O - np.eye(self.factor.d)).max() <= 1e-10:
+            # negated so that NaN entries fail the check; entries so large
+            # that the Gram matrix overflows fail it as inf or NaN
+            with np.errstate(over="ignore", invalid="ignore"):
+                gram = O.T @ O - np.eye(self.factor.d)
+            if not np.abs(gram).max() <= 1e-10:
                 raise ValueError("rotation is not orthogonal")
             O.setflags(write=False)
             object.__setattr__(self, "rotation", O)
@@ -236,7 +239,8 @@ class FactorJordanIso:
         if self.conjugate and f.ring is not Ring.COMPLEX:
             raise ValueError("conjugation flag only applies to complex factors")
         u = _cast_array(self.u, *_block_dtype_shape(f), "u")
-        gram = _mm(f, u, _adjoint_block(f, u)) - _identity_block(f)
+        with np.errstate(over="ignore", invalid="ignore"):  # as above
+            gram = _mm(f, u, _adjoint_block(f, u)) - _identity_block(f)
         if not _block_sup(f, gram) <= 1e-10:  # negated, as above
             raise ValueError("u is not an isometry")
         u.setflags(write=False)
@@ -305,7 +309,9 @@ class FactorOrderIso:
         # equal to A* at F = e, where for small z it cancels two large terms
         c = 1.0 - self.t
         s = np.array(dec.eigenvalues)[dec.clusters[0]]
-        vals = (s * np.sqrt(c / (1.0 + s * s)), np.sqrt((1.0 + s * s) / c) / s)
+        # y = sqrt(c) s / sqrt(1 + s^2) and its reciprocal, with no s^2 to overflow
+        y = np.sqrt(c) * (s / np.hypot(1.0, s))
+        vals = (y, 1.0 / y)
         f, basis = self.jordan.factor, dec.bases[0]
         if isinstance(f, SpinFactor):
             # coefficients on e and zhat of g_0 p_- + g_1 p_+, p_-/+ = (e -/+ zhat) / 2;

@@ -52,6 +52,7 @@ from .algebra import (
     _embed,
     _hermitize,
     _invert,
+    _spin_radius,
     _unembed,
     sup_norm,
 )
@@ -68,7 +69,7 @@ def _block_eigh(factor: Factor, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if isinstance(factor, SpinFactor):
         alpha, v = float(b[0]), b[1:]
-        nv = float(np.linalg.norm(v))
+        nv = _spin_radius(b)
         if nv < np.finfo(float).tiny:
             return np.array([alpha]), np.eye(1, factor.d + 1)
         u = (0.5 / nv) * v
@@ -84,7 +85,7 @@ def block_eigenvalues(factor: Factor, b: np.ndarray) -> np.ndarray:
     """Eigenvalues of one block, ascending, with multiplicity (a
     quaternionic eigenvalue counts once, not twice as in the embedding)."""
     if isinstance(factor, SpinFactor):
-        nv = float(np.linalg.norm(b[1:]))
+        nv = _spin_radius(b)
         return np.array([b[0] - nv, b[0] + nv])
     c = _embed(factor, b)
     if len(c) == 1:
@@ -248,7 +249,7 @@ def spectrum_within(x: Element, lo: float, hi: float = math.inf) -> bool:
     for f, b in zip(x.algebra.factors, x.blocks):
         if isinstance(f, SpinFactor):
             # eigenvalues a -/+ r; written so that no sum overflows, and NaN fails
-            a, r = float(b[0]), math.hypot(*b[1:].tolist())
+            a, r = float(b[0]), _spin_radius(b)
             if not (r < a - lo and r < hi - a):
                 return False
             continue
@@ -286,7 +287,7 @@ def eigenvalue_floor(x: Element) -> float:
     floors = []
     for f, b in zip(x.algebra.factors, x.blocks):
         if isinstance(f, SpinFactor):
-            floors.append(float(b[0]) - math.hypot(*b[1:].tolist()))
+            floors.append(float(b[0]) - _spin_radius(b))
             continue
         m = _embed(f, b)
         diag = m.diagonal().real

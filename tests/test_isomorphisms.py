@@ -1,3 +1,6 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,7 @@ from effectorder import (
     interval_top_map,
     jordan_product,
     leq,
+    load_document,
     max_eigenvalue,
     min_eigenvalue,
     mobius_apply,
@@ -50,7 +54,7 @@ from effectorder import (
 from effectorder import isomorphisms
 from effectorder import quaternion as quat
 
-from conftest import FACTOR_KINDS, MIXED
+from conftest import FACTOR_KINDS, MIXED, assert_close
 
 H1 = single_factor(HermFactor(1))
 H2 = single_factor(HermFactor(2))
@@ -638,6 +642,25 @@ class TestConditioningEnvelope:
     @pytest.mark.parametrize("factor", ENVELOPE_FACTORS, ids=str)
     def test_inverse_accepts_every_image(self, factor, t, rng):
         self.check_round_trips(factor, t, (0.0, 4.0), rng)
+
+    def test_huge_z_eigenvalue(self):
+        # z = diag(1e300, 1): 1 + s^2 overflows, so y = sqrt(1 - t) s / hypot(1, s)
+        doc = {
+            "type": "iso",
+            "source": {"factors": [{"kind": "herm", "n": 2}]},
+            "target": {"factors": [{"kind": "herm", "n": 2}]},
+            "sigma": [],
+            "scalar_isos": [],
+            "engaged": [{"match": [0, 0], "t": 0.5, "z": [[1e300, 0.0], [0.0, 1.0]],
+                         "J": {"u": [[1.0, 0.0], [0.0, 1.0]], "tau": "id"}}],
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            iso = load_document(json.dumps(doc))
+            half = 0.5 * unit(H2)
+            image = iso.apply(half)
+            assert_close(image.block(0), np.diag([2.0 / 3.0, 4.0 / 5.0]), tol=1e-15)
+            assert sup_norm(iso.inverse_apply(image) - half) <= 1e-15
 
     # t = 0.9 with z below e is still open (ROADMAP item 5)
     @pytest.mark.parametrize("t", [-1e6, -50.0, 0.0])

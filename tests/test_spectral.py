@@ -67,6 +67,16 @@ class TestDecomposition:
         np.testing.assert_allclose(dec.projections[0].block(0), [0.5, -0.5, 0.0])
         np.testing.assert_allclose(dec.projections[1].block(0), [0.5, 0.5, 0.0])
 
+    def test_spin_closed_form_at_a_huge_radius(self):
+        # |v| = 1e200 squares past the float range; every spin site takes it by hypot
+        x = spin(0.0, [1e200, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert block_eigenvalues(SpinFactor(2), x.block(0)).tolist() == [-1e200, 1e200]
+            assert spectral_decompose(x).eigenvalues == (-1e200, 1e200)
+            assert eigenvalue_floor(x) == -1e200
+            assert spectrum_within(x, -2e200, 2e200) and not spectrum_within(x, -1e200, 2e200)
+
     def test_scalar_multiple_of_unit(self):
         x = 3.0 * unit(MIXED)
         dec = spectral_decompose(x)
