@@ -21,7 +21,10 @@ serialize is the identity on serialized documents.  Validation failures
 raise :class:`SchemaError` with a machine-parsable code and a path.  A
 block is read as one ``np.array`` of its type-checked nested lists and
 goes through the validator that also serves the Python constructors,
-``algebra._checked_block``.
+``algebra._checked_block``.  Every number goes through the same typed
+readers: a spin rotation ``O`` is read like a real ``u`` (a d x d array
+of JSON numbers), and each pwl knot coordinate must be a JSON number
+(else ``BAD_KNOTS``).
 """
 
 from __future__ import annotations
@@ -147,7 +150,7 @@ def algebra_from_obj(obj: Any, path: str = "algebra") -> AlgebraDescriptor:
         try:
             if kind == "herm":
                 ring = fo.get("ring", "R")
-                if ring not in _RINGS:
+                if type(ring) is not str or ring not in _RINGS:
                     raise SchemaError(BAD_FACTOR, fp, f"unknown ring {ring!r}")
                 factors.append(HermFactor(_field(int, fo, "n", fp), _RINGS[ring]))
             elif kind == "spin":
@@ -239,7 +242,8 @@ def _jordan_from_obj(factor: Factor, obj: Any, path: str) -> FactorJordanIso:
         raise SchemaError(BAD_SCHEMA, path, "expected an object")
     try:
         if isinstance(factor, SpinFactor):
-            O = np.array(_need(obj, "O", path), dtype=float)
+            # a rotation is read like the u of a real d x d factor
+            O = _ring_array_from_obj(HermFactor(factor.d), _need(obj, "O", path), f"{path}.O")
             return FactorJordanIso(factor, rotation=O)
         tau = obj.get("tau", "id")
         if tau not in ("id", "conj"):
@@ -314,7 +318,8 @@ def iso_from_obj(obj: Any, path: str = "iso") -> CompositeOrderIso:
         elif kind == "pwl":
             knots = _need(so, "knots", sp)
             try:
-                scalars.append(PwlScalarIso(tuple((float(a), float(b)) for a, b in knots)))
+                knots = tuple((_number(float, a, sp), _number(float, b, sp)) for a, b in knots)
+                scalars.append(PwlScalarIso(knots))
             except (TypeError, ValueError) as exc:
                 raise SchemaError(BAD_KNOTS, sp, str(exc)) from exc
         else:
@@ -439,8 +444,9 @@ def dump_document(doc) -> str:
 
     ELEMENT and ISO documents with a non-finite entry raise
     ``SchemaError(NON_FINITE)``, as their loader would, also when given as
-    plain dicts; a REPORT may carry non-finite residuals, so that a failing
-    verification is still written.
+    plain dicts (the path of a dict with no ``type`` starts at ``$``); a
+    REPORT may carry non-finite residuals, so that a failing verification
+    is still written.
     """
     if isinstance(doc, AlgebraDescriptor):
         obj = algebra_to_obj(doc)
@@ -457,7 +463,7 @@ def dump_document(doc) -> str:
     try:
         return json.dumps(obj, indent=1, allow_nan=obj.get("type") == "report")
     except ValueError:
-        path = _non_finite_path(obj, obj["type"])
+        path = _non_finite_path(obj, obj.get("type", "$"))
         raise SchemaError(NON_FINITE, path, "non-finite entries") from None
 
 

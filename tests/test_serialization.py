@@ -1,5 +1,8 @@
+import copy
 import json
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +182,22 @@ class TestGoldenText:
 
 def one_block_element(factor, block):
     return {"type": "element", "algebra": {"factors": [factor]}, "blocks": [block]}
+
+
+def spin_iso(O):
+    """Overrides of the herm(2) iso document that make it a spin(2) iso with rotation O."""
+    spin = {"factors": [{"kind": "spin", "d": 2}]}
+    engaged = {"match": [0, 0], "t": 0.5, "z": {"alpha": 1.0, "v": [0.0, 0.0]}, "J": {"O": O}}
+    return {"source": spin, "target": spin, "engaged": [engaged]}
+
+
+def routed_pwl_iso(knots):
+    """Overrides of the herm(2) iso document that route a herm(1) coordinate through a pwl map."""
+    alg = {"factors": [{"kind": "herm", "n": 1}, {"kind": "herm", "n": 2}]}
+    engaged = {"match": [1, 1], "t": 0.5, "z": [[1.0, 0.0], [0.0, 1.0]],
+               "J": {"u": [[1.0, 0.0], [0.0, 1.0]]}}
+    return {"source": alg, "target": alg, "sigma": [[0, 0]],
+            "scalar_isos": [{"kind": "pwl", "knots": knots}], "engaged": [engaged]}
 
 
 class TestValidationErrors:
@@ -382,11 +401,29 @@ class TestValidationErrors:
             ({"engaged": [{"match": [0, 0], "t": 0.5, "z": [[1.0, 0.0], [0.0, 1.0]],
                            "J": {"u": [[1.0, 0.0], [0.0]]}}]},
              SHAPE_MISMATCH, "iso.engaged[0].J.u"),
+            ({"type": "algebra", "factors": [{"kind": "herm", "n": 2, "ring": ["R"]}]},
+             BAD_FACTOR, "algebra.factors[0]"),
+            ({"type": "algebra", "factors": [{"kind": "herm", "n": 2, "ring": {"R": 1}}]},
+             BAD_FACTOR, "algebra.factors[0]"),
+            (routed_pwl_iso([[0.0, 0.0], [10**400, 0.5], [1.0, 1.0]]),
+             BAD_KNOTS, "iso.scalar_isos[0]"),
+            (routed_pwl_iso([[0.0, 0.0], ["0.3", 0.5], [1.0, 1.0]]),
+             BAD_KNOTS, "iso.scalar_isos[0]"),
+            (routed_pwl_iso([[0.0, 0.0], [0.3, 0.5], [True, 1.0]]),
+             BAD_KNOTS, "iso.scalar_isos[0]"),
+            (spin_iso([[1.0, {}], [0.0, 1.0]]), BAD_SCHEMA, "iso.engaged[0].J.O[0][1]"),
+            (spin_iso([[1.0, 0.0], [0.0, 10**400]]), BAD_SCHEMA, "iso.engaged[0].J.O[1][1]"),
+            (spin_iso([[1.0, 0.0], ["0", 1.0]]), BAD_SCHEMA, "iso.engaged[0].J.O[1][0]"),
+            (spin_iso([[1.0, 0.0], [0.0]]), SHAPE_MISMATCH, "iso.engaged[0].J.O"),
+            (spin_iso([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+             SHAPE_MISMATCH, "iso.engaged[0].J.O"),
         ],
         ids=[
             "unknown_ring", "unknown_factor_kind", "C_scalar_too_long", "H_scalar_too_short",
             "C_scalar_bool", "t_overflow", "spin_v_short", "missing_block",
             "unknown_scalar_iso_kind", "match_out_of_range", "z_not_interior", "ragged_u",
+            "ring_list", "ring_object", "knot_overflow", "knot_string", "knot_bool",
+            "O_object_entry", "O_overflow", "O_string", "ragged_O", "O_wrong_size",
         ],
     )
     def test_error_code_and_path(self, doc, code, path):
@@ -419,3 +456,90 @@ class TestValidationErrors:
         with pytest.raises(SchemaError) as err:
             dump_document(obj)
         assert err.value.path == "iso.engaged[0].t"
+        # a dict with no "type" is rooted at "$"
+        with pytest.raises(SchemaError) as err:
+            dump_document({"x": [math.nan]})
+        assert (err.value.code, err.value.path) == (NON_FINITE, "$.x[0]")
+
+
+FUZZ_ALGEBRA = algebra(
+    HermFactor(1), HermFactor(1), HermFactor(2, Ring.COMPLEX), SpinFactor(2), HermFactor(2, Ring.QUATERNION)
+)
+SWAPS = [None, True, "0.5", 0, 1.5, [], {}, [1.0], {"a": 1}]
+
+
+def _nodes(obj, parent=None, key=None):
+    """(parent, key, value) for every node below the root of a JSON tree."""
+    children = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for k, v in children:
+        yield obj, k, v
+        yield from _nodes(v, obj, k)
+
+
+def _scaled(v, sign):
+    """Every number in v times sign * 1e300 (exactly, for an int)."""
+    if type(v) is float:
+        return v * sign * 1e300
+    if type(v) is int:
+        return v * sign * 10**300
+    if isinstance(v, list):
+        return [_scaled(c, sign) for c in v]
+    if isinstance(v, dict):
+        return {k: _scaled(c, sign) for k, c in v.items()}
+    return v
+
+
+def _mutate(doc, rnd):
+    """One random edit at a random node: a type swap, a deleted key or entry,
+    an extra level of nesting, scaling by 1e300, or a huge integer."""
+    nodes = list(_nodes(doc))
+    if not nodes:
+        return
+    parent, key, value = rnd.choice(nodes)
+    op = rnd.randrange(5)
+    if op == 0:
+        parent[key] = rnd.choice(SWAPS)
+    elif op == 1:
+        del parent[key]
+    elif op == 2:
+        parent[key] = [value] if rnd.random() < 0.5 else {"v": value}
+    elif op == 3:
+        parent[key] = _scaled(value, rnd.choice([1, -1]))
+    else:
+        parent[key] = rnd.choice([10**400, -(10**400), 10**20])
+
+
+class TestFuzz:
+    def base_documents(self):
+        rng = np.random.default_rng(0)
+        docs = [
+            json.loads(dump_document(FUZZ_ALGEBRA)),
+            json.loads(dump_document(random_element(FUZZ_ALGEBRA, 0, "general"))),
+        ]
+        for _ in range(3):
+            docs.append(json.loads(dump_document(random_composite_iso(FUZZ_ALGEBRA, FUZZ_ALGEBRA, rng))))
+        return docs
+
+    def test_mutated_documents_raise_a_coded_error_or_round_trip(self):
+        """Seeded mutations of valid documents: each one raises a SchemaError
+        with a code and a path, or loads and round-trips through dump_document.
+        No other exception and no RuntimeWarning escapes the loader."""
+        rnd = random.Random(20261018)
+        base = self.base_documents()
+        refused = 0
+        for k in range(1000):
+            doc = copy.deepcopy(base[k % len(base)])
+            for _ in range(rnd.randint(1, 3)):
+                _mutate(doc, rnd)
+            text = json.dumps(doc)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    loaded = load_document(text)
+                except SchemaError as err:
+                    assert err.code and err.path, text
+                    refused += 1
+                    continue
+                out = dump_document(loaded)
+                assert dump_document(load_document(out)) == out, text
+        assert 0 < refused < 1000
