@@ -261,8 +261,7 @@ def _block_sup(factor: Factor, b: np.ndarray) -> float:
 
 
 def _spin_radius(b: np.ndarray) -> float:
-    """|v| of a spin block (a, v), by hypot so that no square overflows; the
-    block's eigenvalues are a -/+ |v|."""
+    """|v| of the spin block (a, v) by hypot, so that no square overflows."""
     return math.hypot(*b[1:].tolist())
 
 

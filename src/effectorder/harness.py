@@ -7,12 +7,10 @@ byte-identical text (elapsed time excluded).  Every suite also has a
 self-test mode (``mutate=True``) that injects one defect into a checked
 identity, demonstrating that the suite can fail.
 
-The three seeded suites (identity, interval, order_iso) are each one
-trial function run by one engine, ``_run_trials``, which owns the
-generator, the timer and the report.  A trial returns one residual per
-check name, so a check is recorded at most once per trial, and a check's
-``worst_trial`` is the index that replays it: rerunning the suite with
-``trials = worst_trial + 1`` reproduces the residual.
+The seeded suites are trial functions run by one engine, ``_run_trials``,
+which owns the generator, the timer and the report.  A trial returns one
+residual per check name, so a check's ``worst_trial`` is a trial index:
+rerunning with ``trials = worst_trial + 1`` reproduces its residual.
 """
 
 from __future__ import annotations
@@ -80,9 +78,8 @@ class CheckResult:
     """Outcome of one named check: trial counts, the worst residual, and
     the index of the trial that gave it (None before the first record).
 
-    The suite engine records a check at most once per trial, and a suite
-    omits a check only from every trial (the check does not apply to its
-    algebra), so the number of earlier records is the trial index."""
+    A suite records a check at most once per trial, and in every trial or
+    in none, so the number of earlier records is the trial index."""
 
     name: str
     tol: float
@@ -179,15 +176,8 @@ def _run_trials(suite, descriptor, seed, trials, tol, checks, trial) -> SuiteRep
     for _ in range(trials):
         for name, residual in trial(rng).items():
             results[name].record(residual)
-    return SuiteReport(
-        suite=suite,
-        descriptor=descriptor,
-        seed=seed,
-        trials=trials,
-        tol=tol,
-        checks=tuple(results.values()),
-        elapsed_seconds=time.perf_counter() - t0,
-    )
+    elapsed = time.perf_counter() - t0
+    return SuiteReport(suite, descriptor, seed, trials, tol, tuple(results.values()), elapsed)
 
 
 def run_identity_suite(

@@ -224,10 +224,9 @@ class FactorJordanIso:
             if self.rotation is None or self.u is not None:
                 raise ValueError("spin isomorphism needs a rotation matrix only")
             O = _cast_array(self.rotation, float, (self.factor.d, self.factor.d), "rotation")
-            # negated so that NaN entries fail the check; entries so large
-            # that the Gram matrix overflows fail it as inf or NaN
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the check
                 gram = O.T @ O - np.eye(self.factor.d)
+            # negated so that NaN entries fail the check
             if not np.abs(gram).max() <= 1e-10:
                 raise ValueError("rotation is not orthogonal")
             O.setflags(write=False)
@@ -309,8 +308,7 @@ class FactorOrderIso:
         # equal to A* at F = e, where for small z it cancels two large terms
         c = 1.0 - self.t
         s = np.array(dec.eigenvalues)[dec.clusters[0]]
-        # y = sqrt(c) s / sqrt(1 + s^2) and its reciprocal, with no s^2 to overflow
-        y = np.sqrt(c) * (s / np.hypot(1.0, s))
+        y = np.sqrt(c) * (s / np.hypot(1.0, s))  # sqrt(c / (1 + s^2)) s, with no s^2
         vals = (y, 1.0 / y)
         f, basis = self.jordan.factor, dec.bases[0]
         if isinstance(f, SpinFactor):

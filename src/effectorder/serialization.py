@@ -21,10 +21,8 @@ serialize is the identity on serialized documents.  Validation failures
 raise :class:`SchemaError` with a machine-parsable code and a path.  A
 block is read as one ``np.array`` of its type-checked nested lists and
 goes through the validator that also serves the Python constructors,
-``algebra._checked_block``.  Every number goes through the same typed
-readers: a spin rotation ``O`` is read like a real ``u`` (a d x d array
-of JSON numbers), and each pwl knot coordinate must be a JSON number
-(else ``BAD_KNOTS``).
+``algebra._checked_block``.  Every number goes through a typed reader: a
+spin rotation ``O`` is read like a real ``u``, a pwl knot by ``_number``.
 """
 
 from __future__ import annotations
@@ -242,7 +240,6 @@ def _jordan_from_obj(factor: Factor, obj: Any, path: str) -> FactorJordanIso:
         raise SchemaError(BAD_SCHEMA, path, "expected an object")
     try:
         if isinstance(factor, SpinFactor):
-            # a rotation is read like the u of a real d x d factor
             O = _ring_array_from_obj(HermFactor(factor.d), _need(obj, "O", path), f"{path}.O")
             return FactorJordanIso(factor, rotation=O)
         tau = obj.get("tau", "id")
