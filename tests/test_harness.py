@@ -70,6 +70,10 @@ SUITE_CHECKS = {
 }
 
 
+def suite_id(suite):
+    return suite.__name__.removeprefix("run_").removesuffix("_suite")
+
+
 def oracle_iso(t=0.5, z=2.0):
     f = HermFactor(1)
     return FactorOrderIso(t, element_in_factor(f, [[z]]), identity_jordan(f))
@@ -219,7 +223,7 @@ class TestWorstTrial:
         report = SuiteReport("order_iso", "herm(2,R)", 0, 4, 1e-8, (check,), 0.0)
         assert "worst=1.000e-03 trial=1" in render_report(report)
 
-    @pytest.mark.parametrize("suite", list(SUITE_CHECKS), ids=lambda s: s.__name__)
+    @pytest.mark.parametrize("suite", list(SUITE_CHECKS), ids=suite_id)
     def test_replaying_up_to_the_worst_trial_reproduces_it(self, suite):
         report = suite(MIXED, seed=5, trials=6)
         for check in report.checks:
@@ -234,7 +238,7 @@ class TestWorstTrial:
 
 
 class TestCheckNames:
-    @pytest.mark.parametrize("suite", list(SUITE_CHECKS), ids=lambda s: s.__name__)
+    @pytest.mark.parametrize("suite", list(SUITE_CHECKS), ids=suite_id)
     @pytest.mark.parametrize("trials", [0, 2])
     def test_names_order_and_tolerances(self, suite, trials):
         report = suite(MIXED, seed=0, trials=trials, tol=1e-8)

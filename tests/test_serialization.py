@@ -191,13 +191,14 @@ def spin_iso(O):
     return {"source": spin, "target": spin, "engaged": [engaged]}
 
 
-def routed_pwl_iso(knots):
-    """Overrides of the herm(2) iso document that route a herm(1) coordinate through a pwl map."""
+def routed_iso(scalar_iso):
+    """Overrides of the herm(2) iso document that make it herm(1) + herm(2)
+    onto itself, routing coordinate 0 through ``scalar_iso``."""
     alg = {"factors": [{"kind": "herm", "n": 1}, {"kind": "herm", "n": 2}]}
     engaged = {"match": [1, 1], "t": 0.5, "z": [[1.0, 0.0], [0.0, 1.0]],
-               "J": {"u": [[1.0, 0.0], [0.0, 1.0]]}}
+               "J": {"u": [[1.0, 0.0], [0.0, 1.0]], "tau": "id"}}
     return {"source": alg, "target": alg, "sigma": [[0, 0]],
-            "scalar_isos": [{"kind": "pwl", "knots": knots}], "engaged": [engaged]}
+            "scalar_isos": [scalar_iso], "engaged": [engaged]}
 
 
 class TestValidationErrors:
@@ -264,13 +265,7 @@ class TestValidationErrors:
         assert err.value.code == BAD_SCHEMA
 
     def routed_iso_doc(self, scalar_iso):
-        """herm(1) + herm(2) onto itself, routing coordinate 0 through ``scalar_iso``."""
-        doc = json.loads(self.iso_doc())
-        doc["source"] = doc["target"] = {"factors": [{"kind": "herm", "n": 1}, {"kind": "herm", "n": 2}]}
-        doc["sigma"] = [[0, 0]]
-        doc["scalar_isos"] = [scalar_iso]
-        doc["engaged"][0]["match"] = [1, 1]
-        return json.dumps(doc)
+        return json.dumps({**json.loads(self.iso_doc()), **routed_iso(scalar_iso)})
 
     def test_phi_param_out_of_range(self):
         docs = [
@@ -405,11 +400,11 @@ class TestValidationErrors:
              BAD_FACTOR, "algebra.factors[0]"),
             ({"type": "algebra", "factors": [{"kind": "herm", "n": 2, "ring": {"R": 1}}]},
              BAD_FACTOR, "algebra.factors[0]"),
-            (routed_pwl_iso([[0.0, 0.0], [10**400, 0.5], [1.0, 1.0]]),
+            (routed_iso({"kind": "pwl", "knots": [[0.0, 0.0], [10**400, 0.5], [1.0, 1.0]]}),
              BAD_KNOTS, "iso.scalar_isos[0]"),
-            (routed_pwl_iso([[0.0, 0.0], ["0.3", 0.5], [1.0, 1.0]]),
+            (routed_iso({"kind": "pwl", "knots": [[0.0, 0.0], ["0.3", 0.5], [1.0, 1.0]]}),
              BAD_KNOTS, "iso.scalar_isos[0]"),
-            (routed_pwl_iso([[0.0, 0.0], [0.3, 0.5], [True, 1.0]]),
+            (routed_iso({"kind": "pwl", "knots": [[0.0, 0.0], [0.3, 0.5], [True, 1.0]]}),
              BAD_KNOTS, "iso.scalar_isos[0]"),
             (spin_iso([[1.0, {}], [0.0, 1.0]]), BAD_SCHEMA, "iso.engaged[0].J.O[0][1]"),
             (spin_iso([[1.0, 0.0], [0.0, 10**400]]), BAD_SCHEMA, "iso.engaged[0].J.O[1][1]"),
