@@ -9,6 +9,7 @@ output is deterministic up to the elapsed-time fields.
 from __future__ import annotations
 
 import argparse
+import json
 import shlex
 import sys
 
@@ -23,7 +24,9 @@ from .harness import (
     run_order_iso_suite,
     scalar_oracle_compare,
 )
-from .isomorphisms import CompositeOrderIso, FactorOrderIso, RecoveryError, identity_jordan
+from .isomorphisms import (
+    CompositeOrderIso, FactorOrderIso, RecoveryError, identity_jordan, recover_factor_iso
+)
 from .sampling import SAMPLE_CLASSES, random_element
 from .serialization import (
     SchemaError,
@@ -47,8 +50,6 @@ def _write(path: str, text: str) -> None:
 def _load_typed(path: str, expected: str):
     """Parse a document of a known type; the ``type`` tag is optional in
     typed contexts but must match when present."""
-    import json
-
     try:
         obj = json.loads(_read(path))
     except json.JSONDecodeError as exc:
@@ -90,10 +91,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 2
 
 
-def _cmd_apply(args: argparse.Namespace, backward: bool) -> int:
+def _cmd_apply(args: argparse.Namespace) -> int:
     iso = _load_typed(args.iso, "iso")
     x = _load_typed(args.in_path, "element")
-    y = iso.inverse_apply(x) if backward else iso.apply(x)
+    y = iso.inverse_apply(x) if args.backward else iso.apply(x)
     _write(args.out, dump_document(y))
     return 0
 
@@ -106,8 +107,6 @@ def _cmd_recover(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    from .isomorphisms import recover_factor_iso
-
     recovered = recover_factor_iso(iso.apply, iso.source, iso.target, seed=args.seed)
     out_iso = CompositeOrderIso(
         source=iso.source,
@@ -145,6 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the verification suites on an algebra")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--algebra", required=True)
     p.add_argument("--target", default=None, help="target algebra for the order-iso suite")
     p.add_argument("--seed", type=int, default=0)
@@ -152,28 +152,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", default=None, help="write a machine-readable report")
 
-    p = sub.add_parser("apply", help="apply a serialized order isomorphism")
-    p.add_argument("--iso", required=True)
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("invert", help="apply the inverse of a serialized isomorphism")
-    p.add_argument("--iso", required=True)
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--out", required=True)
+    for name, backward, help_ in (
+        ("apply", False, "apply a serialized order isomorphism"),
+        ("invert", True, "apply the inverse of a serialized isomorphism"),
+    ):
+        p = sub.add_parser(name, help=help_)
+        p.set_defaults(run=_cmd_apply, backward=backward)
+        p.add_argument("--iso", required=True)
+        p.add_argument("--in", dest="in_path", required=True)
+        p.add_argument("--out", required=True)
 
     p = sub.add_parser("recover", help="recover closed-form parameters by probing")
+    p.set_defaults(run=_cmd_recover)
     p.add_argument("--iso", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("random", help="draw a seeded random element")
+    p.set_defaults(run=_cmd_random)
     p.add_argument("--algebra", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--class", dest="cls", default="general", choices=SAMPLE_CLASSES)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("demo-counterexample", help="coordinate squeeze map on a sum of lines")
+    p.set_defaults(run=_cmd_demo_counterexample)
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--out", default=None)
     return parser
@@ -186,19 +189,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "apply":
-            return _cmd_apply(args, backward=False)
-        if args.command == "invert":
-            return _cmd_apply(args, backward=True)
-        if args.command == "recover":
-            return _cmd_recover(args)
-        if args.command == "random":
-            return _cmd_random(args)
-        if args.command == "demo-counterexample":
-            return _cmd_demo_counterexample(args)
-        raise AssertionError("unreachable")
+        return args.run(args)
     except SchemaError as exc:
         print(f"error[{exc.code}] {exc.path}: {exc.message}", file=sys.stderr)
         return 1

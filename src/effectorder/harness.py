@@ -161,23 +161,32 @@ def _normalized_general(alg: AlgebraDescriptor, rng: np.random.Generator) -> Ele
     return (1.5 / m) * g
 
 
-def _run_trials(suite, descriptor, seed, trials, tol, checks, trial) -> SuiteReport:
-    """The loop every seeded suite runs on: one generator seeded with
-    ``seed``, the checks in report order (a ``(name, tol)`` pair gives a
-    check its own tolerance), and ``trials`` calls of ``trial(rng)``, each
-    returning ``{check name: residual}``, so that a check is recorded at
-    most once per trial."""
+def _report(suite, descriptor, seed, trials, tol, checks, records, data=None) -> SuiteReport:
+    """The one builder of reports: the checks in report order (a ``(name,
+    tol)`` pair gives a check its own tolerance), recorded from
+    ``records``, an iterable of ``{check name: residual}`` drawn inside
+    the timer, so that a check is recorded at most once per record.
+    ``data`` may be filled while the records are drawn."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
     results = {}
     for check in checks:
         name, check_tol = (check, tol) if isinstance(check, str) else check
         results[name] = CheckResult(name, check_tol)
-    for _ in range(trials):
-        for name, residual in trial(rng).items():
+    for record in records:
+        for name, residual in record.items():
             results[name].record(residual)
     elapsed = time.perf_counter() - t0
-    return SuiteReport(suite, descriptor, seed, trials, tol, tuple(results.values()), elapsed)
+    return SuiteReport(
+        suite, descriptor, seed, trials, tol, tuple(results.values()), elapsed, data or {}
+    )
+
+
+def _run_trials(suite, descriptor, seed, trials, tol, checks, trial) -> SuiteReport:
+    """The loop every seeded suite runs on: one generator seeded with
+    ``seed`` and ``trials`` calls of ``trial(rng)``, each one record."""
+    rng = np.random.default_rng(seed)
+    records = (trial(rng) for _ in range(trials))
+    return _report(suite, descriptor, seed, trials, tol, checks, records)
 
 
 def run_identity_suite(
@@ -461,7 +470,6 @@ def scalar_oracle_compare(
     a second check reduces a diagonal 2x2 problem coordinatewise.
     ``mutate=True`` shifts the oracle's Mobius parameter.
     """
-    t0 = time.perf_counter()
     factor = iso.algebra.factors[0]
     if not (isinstance(factor, HermFactor) and factor.n == 1 and factor.ring is Ring.REAL):
         raise ValueError("oracle comparison expects parameters over herm(1,R)")
@@ -475,38 +483,28 @@ def scalar_oracle_compare(
         w = (zz * zz + 1.0) * w
         return w / (t * w + (1.0 - t))
 
-    checks = {
-        "scalar_grid": CheckResult("scalar_grid", tol),
-        "diagonal_reduction": CheckResult("diagonal_reduction", tol),
-    }
-    worst = 0.0
-    for s in np.linspace(0.0, 1.0, grid_size):
-        lib = iso.apply(element_in_factor(factor, np.array([[s]])))
-        worst = _worst(worst, abs(float(lib.block(0)[0, 0]) - oracle(float(s), z0)))
-    checks["scalar_grid"].record(worst)
+    def records():
+        grid = 0.0
+        for s in np.linspace(0.0, 1.0, grid_size):
+            lib = iso.apply(element_in_factor(factor, np.array([[s]])))
+            grid = _worst(grid, abs(float(lib.block(0)[0, 0]) - oracle(float(s), z0)))
 
-    two = HermFactor(2, Ring.REAL)
-    z1 = z0 + 0.5
-    z_diag = element_in_factor(two, np.diag([z0, z1]))
-    iso2 = FactorOrderIso(iso.t, z_diag, identity_jordan(two))
-    worst = 0.0
-    for s1 in np.linspace(0.0, 1.0, 25):
-        for s2 in np.linspace(0.0, 1.0, 25):
-            lib = iso2.apply(element_in_factor(two, np.diag([s1, s2]))).block(0)
-            worst = _worst(worst, abs(lib[0, 0] - oracle(float(s1), z0)))
-            worst = _worst(worst, abs(lib[1, 1] - oracle(float(s2), z1)))
-            worst = _worst(worst, abs(lib[0, 1]))
-    checks["diagonal_reduction"].record(worst)
+        two = HermFactor(2, Ring.REAL)
+        z1 = z0 + 0.5
+        z_diag = element_in_factor(two, np.diag([z0, z1]))
+        iso2 = FactorOrderIso(iso.t, z_diag, identity_jordan(two))
+        worst = 0.0
+        for s1 in np.linspace(0.0, 1.0, 25):
+            for s2 in np.linspace(0.0, 1.0, 25):
+                lib = iso2.apply(element_in_factor(two, np.diag([s1, s2]))).block(0)
+                worst = _worst(worst, abs(lib[0, 0] - oracle(float(s1), z0)))
+                worst = _worst(worst, abs(lib[1, 1] - oracle(float(s2), z1)))
+                worst = _worst(worst, abs(lib[0, 1]))
+        yield {"scalar_grid": grid, "diagonal_reduction": worst}
 
-    return SuiteReport(
-        suite="scalar_oracle",
-        descriptor=f"t={iso.t:g} z={z0:g}",
-        seed=0,
-        trials=grid_size,
-        tol=tol,
-        checks=tuple(checks.values()),
-        elapsed_seconds=time.perf_counter() - t0,
-    )
+    checks = ("scalar_grid", "diagonal_reduction")
+    # one record; ``trials`` labels the grid size
+    return _report("scalar_oracle", f"t={iso.t:g} z={z0:g}", 0, grid_size, tol, checks, records())
 
 
 def counterexample_report(n: int) -> SuiteReport:
@@ -517,47 +515,35 @@ def counterexample_report(n: int) -> SuiteReport:
     scalar oracle (only t_k = 2 - 2^k reproduces 2^(-k); the nearby
     mis-derivation t_k = (3 - 2^k)/2 gives 2/(2^k + 1) instead).
     """
-    t0 = time.perf_counter()
-    iso, image = coordinate_squeeze_iso(n)
-    coords = [float(image.block(k)[0, 0]) for k in range(n)]
-    checks = {
-        "coords_exact": CheckResult("coords_exact", 1e-15),
-        "param_used_matches": CheckResult("param_used_matches", 1e-15),
-        "param_alternative_differs": CheckResult("param_alternative_differs", 0.0),
-    }
-    used, alt, alt_vals = [], [], []
-    worst_exact, worst_used = 0.0, 0.0
-    ratios = []
-    for k in range(1, n + 1):
-        target = 2.0 ** -k
-        worst_exact = _worst(worst_exact, abs(coords[k - 1] - target))
-        t_used = 2.0 - 2.0 ** k
-        t_alt = 0.5 * (3.0 - 2.0 ** k)
-        used.append(t_used)
-        alt.append(t_alt)
-        v_alt = mobius_scalar(t_alt, 0.5)
-        alt_vals.append(v_alt)
-        worst_used = _worst(worst_used, abs(mobius_scalar(t_used, 0.5) - target))
+    data = {}
+
+    def records():
+        ks = range(1, n + 1)
+        _, image = coordinate_squeeze_iso(n)
+        coords = [float(image.block(k)[0, 0]) for k in range(n)]
+        targets = [2.0 ** -k for k in ks]
+        used = [2.0 - 2.0 ** k for k in ks]
+        alt = [0.5 * (3.0 - 2.0 ** k) for k in ks]
+        alt_vals = [mobius_scalar(t, 0.5) for t in alt]
+        data.update(
+            coordinates=coords,
+            min_coordinate=min(coords),
+            note="no uniform spectral floor: min coordinate is 2^-n",
+            mobius_params_used=used,
+            mobius_params_alternative=alt,
+            alternative_images_of_half=alt_vals,
+        )
         # the mis-derived parameter gives 2/(2^k+1); its relative gap from
         # 2^(-k) is (2^k-1)/(2^k+1), never below 1/3
-        ratios.append(abs(v_alt - target) / target)
-    checks["coords_exact"].record(worst_exact)
-    checks["param_used_matches"].record(worst_used)
-    checks["param_alternative_differs"].record(_worst(0.0, 0.3 - float(np.min(ratios))))
-    return SuiteReport(
-        suite="counterexample",
-        descriptor=f"{n}-fold sum of lines",
-        seed=0,
-        trials=n,
-        tol=1e-15,
-        checks=tuple(checks.values()),
-        elapsed_seconds=time.perf_counter() - t0,
-        data={
-            "coordinates": coords,
-            "min_coordinate": min(coords),
-            "note": "no uniform spectral floor: min coordinate is 2^-n",
-            "mobius_params_used": used,
-            "mobius_params_alternative": alt,
-            "alternative_images_of_half": alt_vals,
-        },
-    )
+        gap = min(abs(v - x) / x for v, x in zip(alt_vals, targets))
+        yield {
+            "coords_exact": _worst(0.0, *(abs(c - x) for c, x in zip(coords, targets))),
+            "param_used_matches": _worst(
+                0.0, *(abs(mobius_scalar(t, 0.5) - x) for t, x in zip(used, targets))
+            ),
+            "param_alternative_differs": _worst(0.0, 0.3 - gap),
+        }
+
+    checks = ("coords_exact", "param_used_matches", ("param_alternative_differs", 0.0))
+    # one record; ``trials`` labels n
+    return _report("counterexample", f"{n}-fold sum of lines", 0, n, 1e-15, checks, records(), data)

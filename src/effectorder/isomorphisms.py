@@ -90,7 +90,7 @@ from .spectral import (
     spectrum_within,
     sqrt_element,
 )
-from .order import leq
+from .order import in_cone, leq
 
 
 class RecoveryError(RuntimeError):
@@ -153,13 +153,12 @@ def interval_top_map(x: Element, y: Element, direction: str = "forward") -> Elem
     ``backward`` : y in [0, x]     ->  U_s y with s the pseudo inverse
                    square root of x (exact inverse in finite dimension).
     """
-    zero_x = 0.0 * x
     if direction == "forward":
-        if not (leq(zero_x, y) and leq(y, range_projection(x))):
+        if not (in_cone(y) and leq(y, range_projection(x))):
             raise DomainError("y is not in [0, r(x)]")
         return quad_rep(sqrt_element(x), y)
     if direction == "backward":
-        if not (leq(zero_x, y) and leq(y, x)):
+        if not (in_cone(y) and leq(y, x)):
             raise DomainError("y is not in [0, x]")
         return quad_rep(pseudo_inv_sqrt(x), y)
     raise ValueError(f"unknown direction: {direction!r}")
@@ -456,7 +455,7 @@ class PhiScalarIso:
         return mobius_scalar(self.t, s)
 
     def inverse(self, s: float) -> float:
-        return mobius_scalar(self.t / (self.t - 1.0), s)
+        return mobius_scalar(mobius_invert_param(self.t), s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -469,24 +468,21 @@ class PwlScalarIso:
         ks = tuple((float(a), float(b)) for a, b in self.knots)
         if len(ks) < 2 or ks[0] != (0.0, 0.0) or ks[-1] != (1.0, 1.0):
             raise ValueError("knots must run from (0,0) to (1,1)")
-        if not np.all(np.isfinite(ks)):
+        cols = np.array(ks).T.copy()  # (xs, ys), split once for both directions
+        if not np.all(np.isfinite(cols)):
             raise ValueError("knots must be finite")
-        xs = [k[0] for k in ks]
-        ys = [k[1] for k in ks]
-        if any(b <= a for a, b in zip(xs, xs[1:])) or any(
-            b <= a for a, b in zip(ys, ys[1:])
-        ):
+        if np.any(np.diff(cols) <= 0.0):
             raise ValueError("knots must be strictly increasing in both coordinates")
+        cols.setflags(write=False)
         object.__setattr__(self, "knots", ks)
+        object.__setattr__(self, "_cols", cols)
 
     def __call__(self, s: float) -> float:
-        xs = np.array([k[0] for k in self.knots])
-        ys = np.array([k[1] for k in self.knots])
+        xs, ys = self._cols
         return float(np.interp(s, xs, ys))
 
     def inverse(self, s: float) -> float:
-        xs = np.array([k[0] for k in self.knots])
-        ys = np.array([k[1] for k in self.knots])
+        xs, ys = self._cols
         return float(np.interp(s, ys, xs))
 
 
@@ -517,17 +513,15 @@ class CompositeOrderIso:
             raise ValueError("one scalar isomorphism per disengaged coordinate")
         if len(self.engaged_pairs) != len(self.engaged_isos):
             raise ValueError("one factor isomorphism per engaged pair")
-        src_d = sorted(i for i, _ in self.sigma)
-        dst_d = sorted(j for _, j in self.sigma)
-        if src_d != sorted(self.source.disengaged_indices) or dst_d != sorted(
-            set(j for _, j in self.sigma)
-        ) or dst_d != sorted(self.target.disengaged_indices):
+
+        # each sorted side must equal a strictly increasing index tuple, so no index repeats
+        def sides(pairs) -> tuple[tuple[int, ...], tuple[int, ...]]:
+            return tuple(sorted(i for i, _ in pairs)), tuple(sorted(j for _, j in pairs))
+
+        src, dst = self.source, self.target
+        if sides(self.sigma) != (src.disengaged_indices, dst.disengaged_indices):
             raise ValueError("sigma is not a bijection of the disengaged indices")
-        src_e = sorted(i for i, _ in self.engaged_pairs)
-        dst_e = sorted(j for _, j in self.engaged_pairs)
-        if src_e != sorted(self.source.engaged_indices) or dst_e != sorted(
-            set(j for _, j in self.engaged_pairs)
-        ) or dst_e != sorted(self.target.engaged_indices):
+        if sides(self.engaged_pairs) != (src.engaged_indices, dst.engaged_indices):
             raise ValueError("engaged matching is not a bijection of the engaged indices")
         for (i, j), iso in zip(self.engaged_pairs, self.engaged_isos):
             if self.source.factors[i] != self.target.factors[j]:
@@ -600,12 +594,11 @@ def _unit_from_rank_one(factor: HermFactor, b: np.ndarray) -> np.ndarray:
     return b[:, m : m + 1] * (1.0 / np.sqrt(diag[m]))
 
 
-def _extract_hermitian_jordan(
-    Jm: Callable[[Element], Element], factor: HermFactor
-) -> FactorJordanIso:
+def _extract_hermitian_jordan(Jm: Callable[[Element], Element], factor: HermFactor) -> dict:
+    """The FactorJordanIso arguments read off J's probes."""
     n, ring = factor.n, factor.ring
     if n == 1:
-        return identity_jordan(factor)
+        return {"u": _identity_block(factor)}
 
     def probe(block: np.ndarray) -> np.ndarray:
         return Jm(_element(single_factor(factor), [block])).block(0)
@@ -622,12 +615,9 @@ def _extract_hermitian_jordan(
         _mm(factor, probe(basis_block({(0, j): 1.0, (j, 0): 1.0})), c0) for j in range(1, n)
     ]
     U = np.concatenate(cols, axis=1)
-    gram = _mm(factor, _adjoint_block(factor, U), U) - _identity_block(factor)
-    if _block_sup(factor, gram) > 1e-6:
-        raise RecoveryError("extracted columns are not orthonormal")
 
     if ring is Ring.REAL:
-        return FactorJordanIso(factor, u=U)
+        return {"u": U}
 
     if ring is Ring.COMPLEX:
         probe_im = np.zeros((n, n), dtype=complex)
@@ -636,9 +626,9 @@ def _extract_hermitian_jordan(
         lin = U @ probe_im @ U.conj().T
         conj = U @ probe_im.conj() @ U.conj().T
         if np.abs(img - lin).max() <= RECOVERY_TOL * n:
-            return FactorJordanIso(factor, u=U)
+            return {"u": U}
         if np.abs(img - conj).max() <= RECOVERY_TOL * n:
-            return FactorJordanIso(factor, u=U, conjugate=True)
+            return {"u": U, "conjugate": True}
         raise RecoveryError("map is neither linear nor conjugate-linear")
 
     # quaternions: U* Jm(x) U = conj(w) x w entrywise for the unit w of c_0's
@@ -658,10 +648,10 @@ def _extract_hermitian_jordan(
     # of u with the largest modulus (the first in C order) is positive
     if u.flat[np.argmax(np.abs(u))] < 0.0:
         u = -u
-    return FactorJordanIso(factor, u=u)
+    return {"u": u}
 
 
-def _extract_spin_jordan(Jm: Callable[[Element], Element], factor: SpinFactor) -> FactorJordanIso:
+def _extract_spin_jordan(Jm: Callable[[Element], Element], factor: SpinFactor) -> dict:
     d = factor.d
     cols = []
     for i in range(d):
@@ -671,10 +661,7 @@ def _extract_spin_jordan(Jm: Callable[[Element], Element], factor: SpinFactor) -
         if abs(img[0]) > RECOVERY_TOL * 10:
             raise RecoveryError("spin probe image has a scalar part")
         cols.append(img[1:])
-    O = np.column_stack(cols)
-    if np.abs(O.T @ O - np.eye(d)).max() > 1e-6:
-        raise RecoveryError("extracted spin action is not orthogonal")
-    return FactorJordanIso(factor, rotation=O)
+    return {"rotation": np.column_stack(cols)}
 
 
 def recover_factor_iso(
@@ -700,8 +687,10 @@ def recover_factor_iso(
     r_a p - p a = 0 (a = i, j), with its sign fixed so that the real
     component of u with the largest modulus is positive.  A spin factor's
     rotation is its image of the basis vectors.  Raises
-    :class:`RecoveryError` when a probe leaves the invertible part or any
-    linearity, orthonormality, or agreement check fails (to RECOVERY_TOL).
+    :class:`RecoveryError` when a probe leaves the invertible part, when a
+    linearity or agreement check fails (to RECOVERY_TOL), or when J is not
+    an isometry: that is checked once, by :class:`FactorJordanIso` (to
+    1e-10), whose ValueError is raised as a RecoveryError.
     """
     if len(source.factors) != 1 or len(target.factors) != 1:
         raise DomainError("recovery operates on single factors")
@@ -743,10 +732,12 @@ def recover_factor_iso(
         return quad_rep(y_inv, L(x))
 
     factor = source.factors[0]
-    if isinstance(factor, SpinFactor):
-        jord = _extract_spin_jordan(Jm, factor)
-    else:
-        jord = _extract_hermitian_jordan(Jm, factor)
+    extract = _extract_spin_jordan if isinstance(factor, SpinFactor) else _extract_hermitian_jordan
+    parts = extract(Jm, factor)
+    try:  # FactorJordanIso's isometry check is recovery's only one
+        jord = FactorJordanIso(factor, **parts)
+    except ValueError as exc:
+        raise RecoveryError(f"recovered Jordan isomorphism: {exc}") from exc
 
     for _ in range(3):
         a = random_gaussian(source, rng)

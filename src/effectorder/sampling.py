@@ -33,7 +33,7 @@ from .isomorphisms import (
     PwlScalarIso,
     ScalarOrderIso,
 )
-from .spectral import apply_function, spectral_decompose
+from .spectral import apply_function, max_eigenvalue, spectral_decompose
 
 SAMPLE_CLASSES = (
     "general",
@@ -162,8 +162,6 @@ def sample_ordered_pair(
     c1 = sample_element(alg, rng, "cone")
     c2 = sample_element(alg, rng, "cone")
     top = c1 + c2
-    from .spectral import max_eigenvalue
-
     m = max(max_eigenvalue(top), 1e-9)
     s = float(rng.uniform(0.1, 1.0)) / m
     return s * c1, s * top

@@ -11,6 +11,7 @@ from effectorder import (
     SpinFactor,
     algebra,
     counterexample_report,
+    dump_document,
     element_in_factor,
     identity_jordan,
     render_report,
@@ -285,3 +286,199 @@ class TestRendering:
         assert with_elapsed != without and without in with_elapsed.replace(
             with_elapsed.splitlines()[0], without.splitlines()[0]
         )
+
+
+# the rendered text and the JSON document (its elapsed_seconds line dropped)
+# of the reports built from one record, as pinned literal text
+GOLDEN_ORACLE = (
+    """\
+suite scalar_oracle  [t=0.5 z=2]  seed=0 trials=101 tol=1e-12  PASS  worst=1.270e-15
+  scalar_grid                      1 pass   0 fail  worst=1.270e-15 trial=0  tol=1e-12
+  diagonal_reduction               1 pass   0 fail  worst=9.992e-16 trial=0  tol=1e-12""",
+    """\
+{
+ "type": "report",
+ "suites": [
+  {
+   "suite": "scalar_oracle",
+   "descriptor": "t=0.5 z=2",
+   "seed": 0,
+   "trials": 101,
+   "tol": 1e-12,
+   "passed": true,
+   "worst_residual": 1.2698175844150228e-15,
+   "checks": [
+    {
+     "name": "scalar_grid",
+     "tol": 1e-12,
+     "passes": 1,
+     "fails": 0,
+     "worst_residual": 1.2698175844150228e-15,
+     "worst_trial": 0
+    },
+    {
+     "name": "diagonal_reduction",
+     "tol": 1e-12,
+     "passes": 1,
+     "fails": 0,
+     "worst_residual": 9.992007221626409e-16,
+     "worst_trial": 0
+    }
+   ],
+   "data": {}
+  }
+ ]
+}""",
+)
+
+
+GOLDEN_ORACLE_MUTATED = (
+    """\
+suite scalar_oracle  [t=0.5 z=2]  seed=0 trials=101 tol=1e-12  FAIL  worst=5.004e-04
+  scalar_grid                      0 pass   1 fail  worst=5.004e-04 trial=0  tol=1e-12
+  diagonal_reduction               0 pass   1 fail  worst=5.004e-04 trial=0  tol=1e-12""",
+    """\
+{
+ "type": "report",
+ "suites": [
+  {
+   "suite": "scalar_oracle",
+   "descriptor": "t=0.5 z=2",
+   "seed": 0,
+   "trials": 101,
+   "tol": 1e-12,
+   "passed": false,
+   "worst_residual": 0.0005004405772875975,
+   "checks": [
+    {
+     "name": "scalar_grid",
+     "tol": 1e-12,
+     "passes": 0,
+     "fails": 1,
+     "worst_residual": 0.0005004405772875975,
+     "worst_trial": 0
+    },
+    {
+     "name": "diagonal_reduction",
+     "tol": 1e-12,
+     "passes": 0,
+     "fails": 1,
+     "worst_residual": 0.0005003881161612656,
+     "worst_trial": 0
+    }
+   ],
+   "data": {}
+  }
+ ]
+}""",
+)
+
+
+GOLDEN_COUNTEREXAMPLE_5 = (
+    """\
+suite counterexample  [5-fold sum of lines]  seed=0 trials=5 tol=1e-15  PASS  worst=0.000e+00
+  coords_exact                     1 pass   0 fail  worst=0.000e+00 trial=0  tol=1e-15
+  param_used_matches               1 pass   0 fail  worst=0.000e+00 trial=0  tol=1e-15
+  param_alternative_differs        1 pass   0 fail  worst=0.000e+00 trial=0  tol=0
+  # coordinates: [0.5, 0.25, 0.125, 0.0625, 0.03125]
+  # min_coordinate: 0.03125
+  # note: no uniform spectral floor: min coordinate is 2^-n
+  # mobius_params_used: [0.0, -2.0, -6.0, -14.0, -30.0]
+  # mobius_params_alternative: [0.5, -0.5, -2.5, -6.5, -14.5]
+  # alternative_images_of_half: [0.6666666666666666, 0.4, 0.2222222222222222, 0.11764705882352941, 0.06060606060606061]""",
+    """\
+{
+ "type": "report",
+ "suites": [
+  {
+   "suite": "counterexample",
+   "descriptor": "5-fold sum of lines",
+   "seed": 0,
+   "trials": 5,
+   "tol": 1e-15,
+   "passed": true,
+   "worst_residual": 0.0,
+   "checks": [
+    {
+     "name": "coords_exact",
+     "tol": 1e-15,
+     "passes": 1,
+     "fails": 0,
+     "worst_residual": 0.0,
+     "worst_trial": 0
+    },
+    {
+     "name": "param_used_matches",
+     "tol": 1e-15,
+     "passes": 1,
+     "fails": 0,
+     "worst_residual": 0.0,
+     "worst_trial": 0
+    },
+    {
+     "name": "param_alternative_differs",
+     "tol": 0.0,
+     "passes": 1,
+     "fails": 0,
+     "worst_residual": 0.0,
+     "worst_trial": 0
+    }
+   ],
+   "data": {
+    "coordinates": [
+     0.5,
+     0.25,
+     0.125,
+     0.0625,
+     0.03125
+    ],
+    "min_coordinate": 0.03125,
+    "note": "no uniform spectral floor: min coordinate is 2^-n",
+    "mobius_params_used": [
+     0.0,
+     -2.0,
+     -6.0,
+     -14.0,
+     -30.0
+    ],
+    "mobius_params_alternative": [
+     0.5,
+     -0.5,
+     -2.5,
+     -6.5,
+     -14.5
+    ],
+    "alternative_images_of_half": [
+     0.6666666666666666,
+     0.4,
+     0.2222222222222222,
+     0.11764705882352941,
+     0.06060606060606061
+    ]
+   }
+  }
+ ]
+}""",
+)
+
+
+def dump_without_elapsed(report):
+    return "\n".join(
+        line for line in dump_document(report).splitlines() if '"elapsed_seconds"' not in line
+    )
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize(
+        "build, golden",
+        [
+            (lambda: scalar_oracle_compare(101, oracle_iso()), GOLDEN_ORACLE),
+            (lambda: scalar_oracle_compare(101, oracle_iso(), mutate=True), GOLDEN_ORACLE_MUTATED),
+            (lambda: counterexample_report(5), GOLDEN_COUNTEREXAMPLE_5),
+        ],
+        ids=["oracle", "oracle_mutated", "counterexample_5"],
+    )
+    def test_render_and_dump(self, build, golden):
+        report = build()
+        assert render_report(report, include_elapsed=False) == golden[0]
+        assert dump_without_elapsed(report) == golden[1]

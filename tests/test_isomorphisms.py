@@ -508,6 +508,43 @@ class TestCompositeOrderIso:
         with pytest.raises(ValueError):
             CompositeOrderIso(src, src, ((0, 1),), (pwl,), ((1, 1),), (engaged,))
 
+    @pytest.mark.parametrize(
+        "field, pairs",
+        [
+            ("sigma", ((0, 0), (0, 1))),
+            ("sigma", ((0, 1), (1, 1))),
+            ("sigma", ((0, 0),)),
+            ("sigma", ((0, 0), (1, 2))),
+            ("engaged_pairs", ((2, 2), (2, 3))),
+            ("engaged_pairs", ((2, 3), (3, 3))),
+            ("engaged_pairs", ((2, 2),)),
+            ("engaged_pairs", ((2, 2), (3, 0))),
+        ],
+        ids=[
+            f"{field}-{case}"
+            for field in ("sigma", "engaged_pairs")
+            for case in ("duplicate_source", "duplicate_target", "missing", "foreign")
+        ],
+    )
+    def test_routing_must_be_a_bijection(self, field, pairs):
+        alg = algebra(HermFactor(1), HermFactor(1), HermFactor(2), HermFactor(2))
+        engaged = FactorOrderIso(0.0, unit(H2), identity_jordan(HermFactor(2)))
+        routing = {"sigma": ((0, 1), (1, 0)), "engaged_pairs": ((2, 3), (3, 2))}
+
+        def build():
+            sigma, matching = routing["sigma"], routing["engaged_pairs"]
+            scalars = (PhiScalarIso(0.0),) * len(sigma)
+            return CompositeOrderIso(alg, alg, sigma, scalars, matching, (engaged,) * len(matching))
+
+        build()
+        routing[field] = pairs
+        message = {
+            "sigma": "sigma is not a bijection of the disengaged indices",
+            "engaged_pairs": "engaged matching is not a bijection of the engaged indices",
+        }[field]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
     def test_rejects_wrong_algebra(self, rng):
         iso = self.build_example()
         with pytest.raises(Exception):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from effectorder import (
+    DomainError,
     FactorJordanIso,
     FactorOrderIso,
     HermFactor,
@@ -131,8 +132,24 @@ class TestRecoverFactorIso:
         from effectorder import algebra
 
         alg = algebra(HermFactor(2), HermFactor(2))
-        with pytest.raises(Exception):
+        with pytest.raises(DomainError, match="single factors"):
             recover_factor_iso(lambda x: x, alg, alg)
+
+    @pytest.mark.parametrize("eps", [1e-10, 1e-9, 1e-8])
+    @pytest.mark.parametrize(
+        "factor",
+        [HermFactor(3), HermFactor(3, Ring.COMPLEX), HermFactor(2, Ring.QUATERNION), SpinFactor(4)],
+        ids=str,
+    )
+    def test_noisy_probes_raise_recovery_error(self, factor, eps):
+        # probe noise well below RECOVERY_TOL leaves the extracted J further
+        # than 1e-10 from an isometry; that one check fails as a RecoveryError
+        alg = single_factor(factor)
+        rng = np.random.default_rng(7)
+        iso = random_factor_iso(factor, rng)
+        noisy = lambda x: iso.apply(x) + eps * sample_element(alg, rng, "general")  # noqa: E731
+        with pytest.raises(RecoveryError):
+            recover_factor_iso(noisy, alg, alg)
 
 
 def expected_probes(factor):
