@@ -318,8 +318,14 @@ def _element(alg: AlgebraDescriptor, blocks: Iterable[np.ndarray]) -> Element:
 
 
 def _cast_array(value, dtype: type, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """A fresh array of ``dtype`` from ``value``, which must have ``shape``."""
-    arr = np.array(value, dtype=dtype)
+    """A fresh array of ``dtype`` from ``value``, which must have ``shape``;
+    a complex ``value`` for a float ``dtype`` must have no imaginary part."""
+    arr = np.asarray(value)
+    if dtype is float and np.iscomplexobj(arr):
+        if np.any(arr.imag):
+            raise ShapeMismatchError(f"{what}: a real ring has no imaginary part")
+        arr = arr.real
+    arr = np.array(arr, dtype=dtype)
     if arr.shape != shape:
         raise ShapeMismatchError(f"{what}: expected shape {shape}, got {arr.shape}")
     return arr

@@ -21,8 +21,8 @@ conjugated at the end when J is. Each direction is two products and one
 solve, and needs no inverse of x or F.  For every effect the solves are
 nonsingular, e + w d because d > -e and e - (U_y F) d because F <= e, so
 this one form holds, continuously, on all of [0, e] and no limit is needed
-at the boundary.  A spin factor applies its rotation first (forward) or
-last (backward) and runs the same pencil, with u = e, on a copy of
+at the boundary.  A spin factor applies its orthogonal u first (forward)
+or u^T last (backward) and runs the same pencil, with u = e, on a copy of
 herm(2,R).
 
 For a direct sum, an order isomorphism routes the rank-one (disengaged)
@@ -204,42 +204,35 @@ def cone_interval_map(x: Element, direction: str) -> Element:
 
 # --- Jordan isomorphisms of single factors ----------------------------------
 
+def _isometry_factor(factor: Factor) -> HermFactor:
+    """The factor whose ring arrays hold a Jordan isomorphism's isometry u:
+    herm(d,R) for spin(d), the factor itself otherwise."""
+    return HermFactor(factor.d) if isinstance(factor, SpinFactor) else factor
+
+
 @dataclass(frozen=True, eq=False)
 class FactorJordanIso:
-    """Jordan isomorphism of one type I factor.
+    """Jordan isomorphism of one type I factor, given by an isometry u.
 
     Hermitian factors: x -> u tau(x) u* for an isometry u over the ring,
     with tau either the identity or (complex factors only) entrywise
-    conjugation.  Spin factors: (a, v) -> (a, O v) for orthogonal O.
+    conjugation.  Spin(d) factors: (a, v) -> (a, u v) for a real
+    orthogonal d x d matrix u, a ring array of herm(d,R).
     """
 
     factor: Factor
-    u: np.ndarray | None = None
+    u: np.ndarray
     conjugate: bool = False
-    rotation: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.factor, SpinFactor):
-            if self.rotation is None or self.u is not None:
-                raise ValueError("spin isomorphism needs a rotation matrix only")
-            O = _cast_array(self.rotation, float, (self.factor.d, self.factor.d), "rotation")
-            with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the check
-                gram = O.T @ O - np.eye(self.factor.d)
-            # negated so that NaN entries fail the check
-            if not np.abs(gram).max() <= 1e-10:
-                raise ValueError("rotation is not orthogonal")
-            O.setflags(write=False)
-            object.__setattr__(self, "rotation", O)
-            return
-        if self.u is None or self.rotation is not None:
-            raise ValueError("Hermitian isomorphism needs an isometry u only")
-        f = self.factor
+        f = _isometry_factor(self.factor)
         if self.conjugate and f.ring is not Ring.COMPLEX:
             raise ValueError("conjugation flag only applies to complex factors")
         u = _cast_array(self.u, *_block_dtype_shape(f), "u")
-        with np.errstate(over="ignore", invalid="ignore"):  # as above
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the check
             gram = _mm(f, u, _adjoint_block(f, u)) - _identity_block(f)
-        if not _block_sup(f, gram) <= 1e-10:  # negated, as above
+        # negated so that NaN entries fail the check
+        if not _block_sup(f, gram) <= 1e-10:
             raise ValueError("u is not an isometry")
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
@@ -253,28 +246,23 @@ class FactorJordanIso:
             raise ShapeMismatchError("element does not live in this factor")
         f, b = self.factor, x.block(0)
         if isinstance(f, SpinFactor):
-            out = np.concatenate(([b[0]], self.rotation @ b[1:]))
+            out = np.concatenate(([b[0]], self.u @ b[1:]))
         else:
             arg = b.conj() if self.conjugate else b
             out = _hermitize(f, _mm(f, _mm(f, self.u, arg), _adjoint_block(f, self.u)))
         return _element(self.algebra, [out])
 
     def inverted(self) -> "FactorJordanIso":
-        if isinstance(self.factor, SpinFactor):
-            return FactorJordanIso(self.factor, rotation=self.rotation.T)
-        if self.conjugate:
-            # inverse of x -> u conj(x) u* is y -> u^T conj(y) conj(u)
-            return FactorJordanIso(self.factor, u=self.u.T, conjugate=True)
-        return FactorJordanIso(self.factor, u=_adjoint_block(self.factor, self.u))
+        # the inverse of x -> u conj(x) u* is y -> u^T conj(y) conj(u)
+        u = self.u.T if self.conjugate else _adjoint_block(_isometry_factor(self.factor), self.u)
+        return FactorJordanIso(self.factor, u, self.conjugate)
 
     def inverse_apply(self, y: Element) -> Element:
         return self.inverted().apply(y)
 
 
 def identity_jordan(factor: Factor) -> FactorJordanIso:
-    if isinstance(factor, SpinFactor):
-        return FactorJordanIso(factor, rotation=np.eye(factor.d))
-    return FactorJordanIso(factor, u=_identity_block(factor))
+    return FactorJordanIso(factor, _identity_block(_isometry_factor(factor)))
 
 
 # --- the closed-form factor order isomorphism -------------------------------
@@ -343,7 +331,7 @@ class FactorOrderIso:
         pencil = self._forward if forward else self._backward
         if isinstance(f, SpinFactor):
             _check_effect(x)
-            v = jord.rotation @ b[1:] if forward else b[1:]
+            v = jord.u @ b[1:] if forward else b[1:]
             # e, zhat and v span a copy of spin(2) = herm(2,R) through
             # (s, q p) -> [[s + p0, p1], [p1, s - p0]]; zhat -> (r00, 0)
             q, r = np.linalg.qr(np.column_stack((self._zhat, v)))
@@ -351,7 +339,7 @@ class FactorOrderIso:
             sigma = [[1.0, 1.0], [r[0, 0], -r[0, 0]]]
             out = _pencil_solve(m, *(np.diag(p @ sigma) for p in pencil))
             v = q @ (out[0, 0] - out[1, 1], out[0, 1] + out[1, 0])
-            v = v if forward else jord.rotation.T @ v
+            v = v if forward else jord.u.T @ v
             return _element(self.algebra, [np.concatenate(([out[0, 0] + out[1, 1]], v)) / 2.0])
         # _check_effect on the one block, whose sup and embedding serve the pencil too
         sup = _block_sup(f, b)
@@ -661,7 +649,7 @@ def _extract_spin_jordan(Jm: Callable[[Element], Element], factor: SpinFactor) -
         if abs(img[0]) > RECOVERY_TOL * 10:
             raise RecoveryError("spin probe image has a scalar part")
         cols.append(img[1:])
-    return {"rotation": np.column_stack(cols)}
+    return {"u": np.column_stack(cols)}
 
 
 def recover_factor_iso(
@@ -686,11 +674,12 @@ def recover_factor_iso(
     that the phase of c_0 leaves is the null vector of the 8 x 4 system
     r_a p - p a = 0 (a = i, j), with its sign fixed so that the real
     component of u with the largest modulus is positive.  A spin factor's
-    rotation is its image of the basis vectors.  Raises
+    u is its image of the basis vectors.  For every kind the u so read is
+    replaced by its polar factor, the nearest isometry, so that probe noise
+    within RECOVERY_TOL is left to the agreement check.  Raises
     :class:`RecoveryError` when a probe leaves the invertible part, when a
-    linearity or agreement check fails (to RECOVERY_TOL), or when J is not
-    an isometry: that is checked once, by :class:`FactorJordanIso` (to
-    1e-10), whose ValueError is raised as a RecoveryError.
+    linearity or agreement check fails (to RECOVERY_TOL), or when
+    :class:`FactorJordanIso` refuses the projected u.
     """
     if len(source.factors) != 1 or len(target.factors) != 1:
         raise DomainError("recovery operates on single factors")
@@ -734,8 +723,10 @@ def recover_factor_iso(
     factor = source.factors[0]
     extract = _extract_spin_jordan if isinstance(factor, SpinFactor) else _extract_hermitian_jordan
     parts = extract(Jm, factor)
-    try:  # FactorJordanIso's isometry check is recovery's only one
-        jord = FactorJordanIso(factor, **parts)
+    f = _isometry_factor(factor)
+    try:  # a failed SVD (LinAlgError) is a ValueError too
+        w, _, vh = np.linalg.svd(_embed(f, parts.pop("u")))
+        jord = FactorJordanIso(factor, _unembed(f, w @ vh), **parts)
     except ValueError as exc:
         raise RecoveryError(f"recovered Jordan isomorphism: {exc}") from exc
 

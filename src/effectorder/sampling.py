@@ -16,7 +16,6 @@ from .algebra import (
     Element,
     Factor,
     Ring,
-    SpinFactor,
     _element,
     _zero_block,
     canonical_trace,
@@ -32,6 +31,7 @@ from .isomorphisms import (
     PhiScalarIso,
     PwlScalarIso,
     ScalarOrderIso,
+    _isometry_factor,
 )
 from .spectral import apply_function, max_eigenvalue, spectral_decompose
 
@@ -93,17 +93,15 @@ def random_element(alg: AlgebraDescriptor, seed: int, cls: str = "general") -> E
 
 
 def random_jordan_iso(factor: Factor, rng: np.random.Generator) -> FactorJordanIso:
-    if isinstance(factor, SpinFactor):
-        q, _ = np.linalg.qr(rng.standard_normal((factor.d, factor.d)))
-        return FactorJordanIso(factor, rotation=q)
-    n = factor.n
-    if factor.ring is Ring.QUATERNION:
-        return FactorJordanIso(factor, u=quat.qgram_schmidt(rng.standard_normal((n, n, 4))))
-    if factor.ring is Ring.COMPLEX:
+    f = _isometry_factor(factor)  # spin(d) draws its u like herm(d,R)
+    n = f.n
+    if f.ring is Ring.QUATERNION:
+        return FactorJordanIso(factor, quat.qgram_schmidt(rng.standard_normal((n, n, 4))))
+    if f.ring is Ring.COMPLEX:
         q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        return FactorJordanIso(factor, u=q, conjugate=bool(rng.integers(0, 2)))
+        return FactorJordanIso(factor, q, bool(rng.integers(0, 2)))
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return FactorJordanIso(factor, u=q)
+    return FactorJordanIso(factor, q)
 
 
 def random_factor_iso(factor: Factor, rng: np.random.Generator) -> FactorOrderIso:

@@ -22,7 +22,7 @@ raise :class:`SchemaError` with a machine-parsable code and a path.  A
 block is read as one ``np.array`` of its type-checked nested lists and
 goes through the validator that also serves the Python constructors,
 ``algebra._checked_block``.  Every number goes through a typed reader: a
-spin rotation ``O`` is read like a real ``u``, a pwl knot by ``_number``.
+spin ``O`` is read into ``u`` like a real ``u``, a pwl knot by ``_number``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .algebra import (
     NonFiniteBlockError,
     NonHermitianBlockError,
     Ring,
-    ShapeMismatchError,
     SpinFactor,
     _checked_block,
     _element,
@@ -58,6 +57,7 @@ from .isomorphisms import (
     FactorOrderIso,
     PhiScalarIso,
     PwlScalarIso,
+    _isometry_factor,
     check_mobius_param,
 )
 
@@ -231,27 +231,21 @@ def element_from_obj(obj: Any, path: str = "element") -> Element:
 
 def _jordan_to_obj(j: FactorJordanIso) -> dict:
     if isinstance(j.factor, SpinFactor):
-        return {"O": j.rotation.tolist()}
+        return {"O": j.u.tolist()}
     return {"u": _block_to_obj(j.factor, j.u), "tau": "conj" if j.conjugate else "id"}
 
 
 def _jordan_from_obj(factor: Factor, obj: Any, path: str) -> FactorJordanIso:
     if not isinstance(obj, dict):
         raise SchemaError(BAD_SCHEMA, path, "expected an object")
+    tau = obj.get("tau", "id")
+    if tau not in ("id", "conj"):
+        raise SchemaError(BAD_SCHEMA, f"{path}.tau", f"unknown tau {tau!r}")
+    key = "O" if isinstance(factor, SpinFactor) else "u"
+    u = _ring_array_from_obj(_isometry_factor(factor), _need(obj, key, path), f"{path}.{key}")
     try:
-        if isinstance(factor, SpinFactor):
-            O = _ring_array_from_obj(HermFactor(factor.d), _need(obj, "O", path), f"{path}.O")
-            return FactorJordanIso(factor, rotation=O)
-        tau = obj.get("tau", "id")
-        if tau not in ("id", "conj"):
-            raise SchemaError(BAD_SCHEMA, f"{path}.tau", f"unknown tau {tau!r}")
-        u = _ring_array_from_obj(factor, _need(obj, "u", path), f"{path}.u")
-        return FactorJordanIso(factor, u=u, conjugate=(tau == "conj"))
-    except ShapeMismatchError as exc:
-        raise SchemaError(SHAPE_MISMATCH, path, str(exc)) from exc
+        return FactorJordanIso(factor, u, tau == "conj")
     except ValueError as exc:
-        if isinstance(exc, SchemaError):
-            raise
         raise SchemaError(NOT_ISOMETRY, path, str(exc)) from exc
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,25 @@ class TestElementValidation:
         x = unit(MIXED)
         with pytest.raises(ValueError):
             x.block(0)[0, 0] = 5.0
+
+    @pytest.mark.parametrize(
+        "factor, block",
+        [
+            (HermFactor(2), np.array([[1.0, 1j], [-1j, 1.0]])),
+            (HermFactor(2, Ring.QUATERNION), np.eye(2)[:, :, None] * [1.0, 0.0, 0.0, 1j]),
+            (SpinFactor(3), np.array([1.0, 0.2j, 0.0, 0.0])),
+        ],
+        ids=["herm(2,R)", "herm(2,H)", "spin(3)"],
+    )
+    def test_real_ring_refuses_imaginary_part(self, factor, block):
+        alg = single_factor(factor)
+        with pytest.raises(ShapeMismatchError, match="imaginary"):
+            element_from_blocks(alg, [block])
+        # an all-real complex array is read as its real part, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = element_from_blocks(alg, [block.real.astype(complex)])
+        assert x.block(0).dtype == float and np.array_equal(x.block(0), block.real)
 
     def test_does_not_alias_caller_arrays(self):
         b = np.array([1.0, 0.2, 0.3, 0.4])

@@ -9,6 +9,7 @@ from effectorder import (
     DomainError,
     Element,
     SingularElementError,
+    ShapeMismatchError,
     FactorJordanIso,
     FactorOrderIso,
     HermFactor,
@@ -423,7 +424,7 @@ class TestJordanIso:
     def test_spin_reflection_preserves_product(self, rng):
         f = SpinFactor(3)
         alg = single_factor(f)
-        J = FactorJordanIso(f, rotation=-np.eye(3))
+        J = FactorJordanIso(f, u=-np.eye(3))
         x = sample_element(alg, rng, "general")
         y = sample_element(alg, rng, "general")
         out = J.apply(x)
@@ -453,10 +454,23 @@ class TestJordanIso:
             (HermFactor(2), {"u": np.full((2, 2), np.nan)}),
             (HermFactor(2, Ring.COMPLEX), {"u": np.full((2, 2), complex(0.0, np.nan))}),
             (HermFactor(2, Ring.QUATERNION), {"u": np.full((2, 2, 4), np.nan)}),
-            (SpinFactor(3), {"rotation": np.full((3, 3), np.nan)}),
+            (SpinFactor(3), {"u": np.full((3, 3), np.nan)}),
+            (SpinFactor(3), {"u": 2.0 * np.eye(3)}),
         ]:
             with pytest.raises(ValueError):
                 FactorJordanIso(factor, **data)
+
+    def test_spin_refuses_conjugate(self):
+        # spin's u is a real orthogonal matrix, and conjugation is for C only
+        with pytest.raises(ValueError, match="conjugation"):
+            FactorJordanIso(SpinFactor(3), np.eye(3), conjugate=True)
+
+    @pytest.mark.parametrize("factor", [HermFactor(2), SpinFactor(2)], ids=str)
+    def test_real_ring_u_refuses_imaginary_part(self, factor):
+        with pytest.raises(ShapeMismatchError, match="imaginary"):
+            FactorJordanIso(factor, np.array([[0.0, 1j], [1j, 0.0]]))
+        J = FactorJordanIso(factor, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+        assert J.u.dtype == float
 
 
 class TestCompositeOrderIso:

@@ -10,7 +10,9 @@ from effectorder import (
     Ring,
     SpinFactor,
     apply_function,
+    canonical_trace,
     compose_factor_isos,
+    cone_interval_map,
     interior_iso_apply,
     mobius_apply,
     random_factor_iso,
@@ -20,6 +22,7 @@ from effectorder import (
     sup_norm,
     unit,
 )
+from effectorder.isomorphisms import RECOVERY_TOL
 
 RECOVERY_KINDS = [
     HermFactor(2, Ring.REAL),
@@ -28,6 +31,10 @@ RECOVERY_KINDS = [
     HermFactor(2, Ring.QUATERNION),
     HermFactor(3, Ring.QUATERNION),
     SpinFactor(5),
+]
+
+NOISY_KINDS = [
+    HermFactor(3), HermFactor(3, Ring.COMPLEX), HermFactor(2, Ring.QUATERNION), SpinFactor(4)
 ]
 
 
@@ -136,20 +143,43 @@ class TestRecoverFactorIso:
             recover_factor_iso(lambda x: x, alg, alg)
 
     @pytest.mark.parametrize("eps", [1e-10, 1e-9, 1e-8])
-    @pytest.mark.parametrize(
-        "factor",
-        [HermFactor(3), HermFactor(3, Ring.COMPLEX), HermFactor(2, Ring.QUATERNION), SpinFactor(4)],
-        ids=str,
-    )
-    def test_noisy_probes_raise_recovery_error(self, factor, eps):
-        # probe noise well below RECOVERY_TOL leaves the extracted J further
-        # than 1e-10 from an isometry; that one check fails as a RecoveryError
+    @pytest.mark.parametrize("factor", NOISY_KINDS, ids=str)
+    def test_noisy_probes_are_recovered(self, factor, eps):
+        # probe noise well below RECOVERY_TOL leaves the extracted u further
+        # than 1e-10 from an isometry; its polar factor is one, and the
+        # recovered map agrees with the source on held-out effects
         alg = single_factor(factor)
         rng = np.random.default_rng(7)
         iso = random_factor_iso(factor, rng)
         noisy = lambda x: iso.apply(x) + eps * sample_element(alg, rng, "general")  # noqa: E731
+        rec = recover_factor_iso(noisy, alg, alg)
+        assert reproduction_error(rec.apply, iso.apply, alg, rng) <= RECOVERY_TOL
+
+    @pytest.mark.parametrize("factor", NOISY_KINDS, ids=str)
+    def test_noise_at_recovery_tol_raises(self, factor):
+        alg = single_factor(factor)
+        rng = np.random.default_rng(7)
+        iso = random_factor_iso(factor, rng)
+        noisy = lambda x: iso.apply(x) + 1e-6 * sample_element(alg, rng, "general")  # noqa: E731
         with pytest.raises(RecoveryError):
             recover_factor_iso(noisy, alg, alg)
+
+    @pytest.mark.parametrize("factor", NOISY_KINDS, ids=str)
+    def test_rejects_linear_non_jordan_map(self, factor):
+        # the cone map x/2 + tr(x) e/(2n) is positive, unital and linear, but
+        # no U_y J: the nearest isometry to its columns disagrees with it
+        alg = single_factor(factor)
+        e = unit(alg)
+
+        def fhat(x):
+            return 0.5 * x + (canonical_trace(x) / (2.0 * alg.rank)) * e
+
+        def g(x):
+            y = fhat(cone_interval_map(x, "interval_to_cone"))
+            return cone_interval_map(y, "cone_to_interval")
+
+        with pytest.raises(RecoveryError):
+            recover_factor_iso(g, alg, alg)
 
 
 def expected_probes(factor):

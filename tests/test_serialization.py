@@ -175,7 +175,7 @@ class TestGoldenText:
         z = np.array([[1.0, 0.1 - 0.25j], [0.1 + 0.25j, 0.5]])
         assert herm.jordan.u.dtype == u.dtype and np.array_equal(herm.jordan.u, u)
         assert herm.z.block(0).dtype == z.dtype and np.array_equal(herm.z.block(0), z)
-        assert np.array_equal(spin.jordan.rotation, [[0.0, -1.0], [1.0, 0.0]])
+        assert np.array_equal(spin.jordan.u, [[0.0, -1.0], [1.0, 0.0]])
         assert np.array_equal(spin.z.block(0), [1.0, 0.5, -0.25])
         assert iso.scalar_isos[0].t == -0.25
 
@@ -189,6 +189,13 @@ def spin_iso(O):
     spin = {"factors": [{"kind": "spin", "d": 2}]}
     engaged = {"match": [0, 0], "t": 0.5, "z": {"alpha": 1.0, "v": [0.0, 0.0]}, "J": {"O": O}}
     return {"source": spin, "target": spin, "engaged": [engaged]}
+
+
+def spin_tau_iso(tau):
+    """:func:`spin_iso` with O = I and a ``tau``, which spin shares with the other kinds."""
+    doc = spin_iso([[1.0, 0.0], [0.0, 1.0]])
+    doc["engaged"][0]["J"]["tau"] = tau
+    return doc
 
 
 def routed_iso(scalar_iso):
@@ -412,6 +419,8 @@ class TestValidationErrors:
             (spin_iso([[1.0, 0.0], [0.0]]), SHAPE_MISMATCH, "iso.engaged[0].J.O"),
             (spin_iso([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
              SHAPE_MISMATCH, "iso.engaged[0].J.O"),
+            (spin_tau_iso("conj"), NOT_ISOMETRY, "iso.engaged[0].J"),
+            (spin_tau_iso("star"), BAD_SCHEMA, "iso.engaged[0].J.tau"),
         ],
         ids=[
             "unknown_ring", "unknown_factor_kind", "C_scalar_too_long", "H_scalar_too_short",
@@ -419,6 +428,7 @@ class TestValidationErrors:
             "unknown_scalar_iso_kind", "match_out_of_range", "z_not_interior", "ragged_u",
             "ring_list", "ring_object", "knot_overflow", "knot_string", "knot_bool",
             "O_object_entry", "O_overflow", "O_string", "ragged_O", "O_wrong_size",
+            "spin_tau_conj", "spin_tau_unknown",
         ],
     )
     def test_error_code_and_path(self, doc, code, path):
