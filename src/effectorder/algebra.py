@@ -318,14 +318,17 @@ def _element(alg: AlgebraDescriptor, blocks: Iterable[np.ndarray]) -> Element:
 
 
 def _cast_array(value, dtype: type, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """A fresh array of ``dtype`` from ``value``, which must have ``shape``;
-    a complex ``value`` for a float ``dtype`` must have no imaginary part."""
-    arr = np.asarray(value)
-    if dtype is float and np.iscomplexobj(arr):
-        if np.any(arr.imag):
-            raise ShapeMismatchError(f"{what}: a real ring has no imaginary part")
-        arr = arr.real
-    arr = np.array(arr, dtype=dtype)
+    """A fresh ``dtype`` array of ``shape`` from ``value``; a value that does not
+    convert, or a non-zero imaginary part for a float ``dtype``, is a ShapeMismatchError."""
+    try:  # numpy's errors for entries it cannot convert (strings, objects, huge ints)
+        arr = np.asarray(value)
+        if dtype is float and np.iscomplexobj(arr):
+            if np.any(arr.imag):
+                raise ValueError("a real ring has no imaginary part")
+            arr = arr.real
+        arr = np.array(arr, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ShapeMismatchError(f"{what}: {exc}") from exc
     if arr.shape != shape:
         raise ShapeMismatchError(f"{what}: expected shape {shape}, got {arr.shape}")
     return arr

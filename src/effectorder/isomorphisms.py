@@ -21,9 +21,9 @@ conjugated at the end when J is. Each direction is two products and one
 solve, and needs no inverse of x or F.  For every effect the solves are
 nonsingular, e + w d because d > -e and e - (U_y F) d because F <= e, so
 this one form holds, continuously, on all of [0, e] and no limit is needed
-at the boundary.  A spin factor applies its orthogonal u first (forward)
-or u^T last (backward) and runs the same pencil, with u = e, on a copy of
-herm(2,R).
+at the boundary.  On a spin factor, e, the unit vector part zhat of z and
+J x span a copy of herm(2,R) in which z is diagonal; u applies first
+(forward) or u^T last (backward), and the same pencil runs with u = e.
 
 For a direct sum, an order isomorphism routes the rank-one (disengaged)
 coordinates through a bijection with arbitrary scalar order isomorphisms
@@ -275,8 +275,8 @@ class FactorOrderIso:
     Construction folds y, d and J into the pencil (A, B, C) = u* (y, y d,
     y^(-1)) of the module docstring: u* (e + w d) y = A + x~ B for w = J x =
     u x~ u*, so f(x) = (A + x~ B)^(-1) x~ C and f^(-1)(F) = (C* - F B*)^(-1)
-    F A*.  Over H the pencil is kept in the complex embedding; a spin factor
-    keeps it as coefficients on e and on the unit vector part of z.
+    F A*.  Over H the pencil is kept in the complex embedding, on a spin
+    factor in the herm(2,R) copy where zhat = diag(-1, 1) (and u = e there).
     """
 
     t: float
@@ -299,10 +299,9 @@ class FactorOrderIso:
         vals = (y, 1.0 / y)
         f, basis = self.jordan.factor, dec.bases[0]
         if isinstance(f, SpinFactor):
-            # coefficients on e and zhat of g_0 p_- + g_1 p_+, p_-/+ = (e -/+ zhat) / 2;
-            # a multiple of e has one idempotent and zhat = 0
+            # g(z) = diag(g_0, g_1) in _run's copy; a multiple of e has one idempotent
             object.__setattr__(self, "_zhat", 2.0 * basis[-1, 1:])
-            A, C = (np.array([g[-1] + g[0], g[-1] - g[0]]) / 2.0 for g in vals)
+            A, C = (np.diag(g[[0, -1]]) for g in vals)
         else:
             # u* V g(s) V* for the eigenbasis V of z
             w = _embed(f, self.jordan.u).conj().T @ basis
@@ -328,35 +327,32 @@ class FactorOrderIso:
         if x.algebra != self.algebra:
             raise ShapeMismatchError("element does not live in this factor")
         f, b, jord = self.jordan.factor, x.block(0), self.jordan
-        pencil = self._forward if forward else self._backward
+        A, B, C = self._forward if forward else self._backward
         if isinstance(f, SpinFactor):
             _check_effect(x)
             v = jord.u @ b[1:] if forward else b[1:]
-            # e, zhat and v span a copy of spin(2) = herm(2,R) through
-            # (s, q p) -> [[s + p0, p1], [p1, s - p0]]; zhat -> (r00, 0)
-            q, r = np.linalg.qr(np.column_stack((self._zhat, v)))
-            m = np.array([[b[0] + r[0, 1], r[1, 1]], [r[1, 1], b[0] - r[0, 1]]])
-            sigma = [[1.0, 1.0], [r[0, 0], -r[0, 0]]]
-            out = _pencil_solve(m, *(np.diag(p @ sigma) for p in pencil))
-            v = q @ (out[0, 0] - out[1, 1], out[0, 1] + out[1, 0])
+            # the copy of herm(2,R): (s, p0 zhat + w) -> [[s - p0, p1], [p1, s + p0]]
+            # for w orthogonal to zhat, p1 = |w|; p1 = 0 only when w = 0
+            p0 = self._zhat @ v
+            w = v - p0 * self._zhat
+            p1 = math.hypot(*w.tolist())
+            m = np.array([[b[0] - p0, p1], [p1, b[0] + p0]])
+        else:
+            # _check_effect on the one block, whose sup and embedding serve the pencil too
+            sup = _block_sup(f, b)
+            tol = 1e-8 * (1.0 + sup)
+            if not (sup < 1.0 + tol and _matrix_within(f, m := _embed(f, b), -tol, 1.0 + tol)):
+                raise _outside_effect(*extreme_eigenvalues(x))
+            if jord.conjugate and forward:
+                m = m.conj()
+        out = np.linalg.solve(A + m @ B, m @ C)
+        if isinstance(f, SpinFactor):
+            v = (out[1, 1] - out[0, 0]) * self._zhat + (out[0, 1] + out[1, 0]) / (p1 or 1.0) * w
             v = v if forward else jord.u.T @ v
             return _element(self.algebra, [np.concatenate(([out[0, 0] + out[1, 1]], v)) / 2.0])
-        # _check_effect on the one block, whose sup and embedding serve the pencil too
-        sup = _block_sup(f, b)
-        tol = 1e-8 * (1.0 + sup)
-        if not (sup < 1.0 + tol and _matrix_within(f, m := _embed(f, b), -tol, 1.0 + tol)):
-            raise _outside_effect(*extreme_eigenvalues(x))
-        if jord.conjugate and forward:
-            m = m.conj()
-        out = _pencil_solve(m, *pencil)
         if jord.conjugate and not forward:
             out = out.conj()
         return _element(self.algebra, [_hermitize(f, _unembed(f, out))])
-
-
-def _pencil_solve(m: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """(a + m b)^(-1) m c: two products and one LU solve."""
-    return np.linalg.solve(a + m @ b, m @ c)
 
 
 def compose_factor_isos(
@@ -640,11 +636,8 @@ def _extract_hermitian_jordan(Jm: Callable[[Element], Element], factor: HermFact
 
 
 def _extract_spin_jordan(Jm: Callable[[Element], Element], factor: SpinFactor) -> dict:
-    d = factor.d
     cols = []
-    for i in range(d):
-        b = np.zeros(d + 1)
-        b[1 + i] = 1.0
+    for b in np.eye(factor.d + 1)[1:]:  # the basis vectors (0, e_i)
         img = Jm(_element(single_factor(factor), [b])).block(0)
         if abs(img[0]) > RECOVERY_TOL * 10:
             raise RecoveryError("spin probe image has a scalar part")

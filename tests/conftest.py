@@ -37,10 +37,10 @@ class LinalgCounts(Counter):
 def eigensolve_counter(monkeypatch):
     """Counts of the LAPACK calls made through ``numpy.linalg``: the
     eigensolves ``eigh`` and ``eigvalsh`` (their sum is ``.eigensolves``),
-    ``cholesky`` and ``solve``; ``clear()`` it after any set-up that should
-    not count."""
+    ``cholesky``, ``solve`` and ``qr``; ``clear()`` it after any set-up that
+    should not count."""
     counts = LinalgCounts()
-    for name in ("eigh", "eigvalsh", "cholesky", "solve"):
+    for name in ("eigh", "eigvalsh", "cholesky", "solve", "qr"):
         routine = getattr(np.linalg, name)
 
         def counted(*args, _routine=routine, _name=name, **kwargs):

@@ -243,6 +243,25 @@ class TestElementValidation:
             x = element_from_blocks(alg, [block.real.astype(complex)])
         assert x.block(0).dtype == float and np.array_equal(x.block(0), block.real)
 
+    @pytest.mark.parametrize(
+        "factor, block",
+        [
+            (HermFactor(2), np.array([[1, 1j], [-1j, 1]], dtype=object)),
+            (HermFactor(2), [[1, "a"], [0, 1]]),
+            (HermFactor(2, Ring.COMPLEX), [[1, "a"], [0, 1]]),
+            (HermFactor(2, Ring.QUATERNION), np.full((2, 2, 4), "a")),
+            (SpinFactor(3), [1.0, "a", 0.0, 0.0]),
+            (HermFactor(2), [[1.0, 0.0], [0.0]]),
+            (HermFactor(1), [[10**400]]),
+        ],
+        ids=["object_complex", "string", "string_complex_ring", "string_quaternion",
+             "string_spin", "ragged", "huge_int"],
+    )
+    def test_unconvertible_entries_are_shape_mismatches(self, factor, block):
+        # numpy's own TypeError, ValueError or OverflowError, coded and prefixed
+        with pytest.raises(ShapeMismatchError, match="^block 0: "):
+            element_from_blocks(single_factor(factor), [block])
+
     def test_does_not_alias_caller_arrays(self):
         b = np.array([1.0, 0.2, 0.3, 0.4])
         x = element_from_blocks(single_factor(SpinFactor(3)), [b])

@@ -472,6 +472,13 @@ class TestJordanIso:
         J = FactorJordanIso(factor, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
         assert J.u.dtype == float
 
+    @pytest.mark.parametrize(
+        "factor", [HermFactor(2), HermFactor(2, Ring.COMPLEX), SpinFactor(2)], ids=str
+    )
+    def test_unconvertible_u_is_shape_mismatch(self, factor):
+        with pytest.raises(ShapeMismatchError, match="^u: "):
+            FactorJordanIso(factor, [[0.0, "a"], [1.0, 0.0]])
+
 
 class TestCompositeOrderIso:
     def build_example(self):
@@ -756,6 +763,48 @@ class TestPencil:
             self.check_against_interior_form(FactorOrderIso(iso.t, iso.z, jord), rng)
 
 
+class TestSpinFrame:
+    """A spin map runs its pencil on the copy of herm(2,R) spanned by e, the
+    unit vector part zhat of z and the rest w of J v; its degenerate frames:
+    v = 0, J v parallel to zhat (w = 0) and zhat = 0 (z a multiple of e)."""
+
+    @staticmethod
+    def frame(d, rng):
+        """A unit vector n and a unit vector m orthogonal to it."""
+        n, m = rng.standard_normal((2, d))
+        n /= np.linalg.norm(n)
+        m -= (m @ n) * n
+        return n, m / np.linalg.norm(m)
+
+    @pytest.mark.parametrize("z_part", [0.4, 0.0], ids=["z_generic", "z_multiple_of_e"])
+    @pytest.mark.parametrize("d", [2, 6])
+    def test_degenerate_frames_agree_with_interior_form(self, d, z_part, rng):
+        factor = SpinFactor(d)
+        n, m = self.frame(d, rng)
+        z = element_in_factor(factor, np.concatenate(([1.0], z_part * n)))
+        for t in (-3.0, 0.3):
+            y = apply_function(z, lambda s: s * np.sqrt((1.0 - t) / (1.0 + s * s)))
+            for jord in (identity_jordan(factor), random_jordan_iso(factor, rng)):
+                iso = FactorOrderIso(t, z, jord)
+                for jv in (np.zeros(d), 0.3 * n, -0.3 * n, 0.3 * m, 0.2 * n + 0.2 * m):
+                    x = element_in_factor(factor, np.concatenate(([0.5], jord.u.T @ jv)))
+                    ref = interior_iso_apply(y, x, jord)
+                    assert sup_norm(iso.apply(x) - ref) <= 1e-10
+                    assert sup_norm(iso.inverse_apply(ref) - x) <= 1e-10
+
+    @pytest.mark.parametrize("d", [2, 6])
+    def test_projection_on_zhat_round_trips(self, d, rng):
+        # J x = (1, +-zhat) / 2 is a projection, diagonal in the copy
+        factor = SpinFactor(d)
+        n, _ = self.frame(d, rng)
+        z = element_in_factor(factor, np.concatenate(([1.0], 0.4 * n)))
+        for jord in (identity_jordan(factor), random_jordan_iso(factor, rng)):
+            iso = FactorOrderIso(0.3, z, jord)
+            for sign in (1.0, -1.0):
+                p = element_in_factor(factor, np.concatenate(([0.5], 0.5 * sign * jord.u.T @ n)))
+                assert sup_norm(iso.inverse_apply(iso.apply(p)) - p) <= 1e-10
+
+
 def with_block(x, i, value):
     """x with every entry of block i replaced by ``value``; built with the
     unvalidated constructor, as overflow inside the library would."""
@@ -820,6 +869,7 @@ class TestEigensolveBudget:
         # membership of each engaged Hermitian block is one Cholesky per direction
         assert eigensolve_counter.eigensolves == 0
         assert eigensolve_counter["cholesky"] == 2 * 3
+        assert eigensolve_counter["qr"] == 0
 
     @pytest.mark.parametrize("factor", FACTOR_KINDS, ids=str)
     def test_factor_round_trip(self, factor, rng, eigensolve_counter):
@@ -832,8 +882,10 @@ class TestEigensolveBudget:
             x = run(x)
             assert eigensolve_counter.eigensolves == 0
             assert eigensolve_counter["cholesky"] == int(matrix_block)
-            # the precomputed pencil: one solve per block per direction
+            # the precomputed pencil: one solve per block per direction, and
+            # a spin factor's herm(2,R) frame takes no QR
             assert eigensolve_counter["solve"] == 1
+            assert eigensolve_counter["qr"] == 0
 
     def test_quaternion_round_trip_embeds_once_per_direction(self, rng, monkeypatch):
         # one embedding per direction serves the effect check and the pencil
