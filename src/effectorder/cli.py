@@ -9,7 +9,6 @@ output is deterministic up to the elapsed-time fields.
 from __future__ import annotations
 
 import argparse
-import json
 import shlex
 import sys
 
@@ -28,18 +27,7 @@ from .isomorphisms import (
     CompositeOrderIso, FactorOrderIso, RecoveryError, identity_jordan, recover_factor_iso
 )
 from .sampling import SAMPLE_CLASSES, random_element
-from .serialization import (
-    SchemaError,
-    algebra_from_obj,
-    dump_document,
-    element_from_obj,
-    iso_from_obj,
-)
-
-
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+from .serialization import _TYPES, SchemaError, _parse, dump_document
 
 
 def _write(path: str, text: str) -> None:
@@ -50,14 +38,10 @@ def _write(path: str, text: str) -> None:
 def _load_typed(path: str, expected: str):
     """Parse a document of a known type; the ``type`` tag is optional in
     typed contexts but must match when present."""
-    try:
-        obj = json.loads(_read(path))
-    except json.JSONDecodeError as exc:
-        raise SchemaError("BAD_SCHEMA", "$", f"invalid JSON in {path}: {exc}") from exc
-    parser = {"algebra": algebra_from_obj, "element": element_from_obj, "iso": iso_from_obj}[
-        expected
-    ]
-    return parser(obj)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    _, _, read = _TYPES[expected]
+    return read(_parse(text, f" in {path}"))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -196,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, RecoveryError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error[IO]: {exc}", file=sys.stderr)
         return 1
 

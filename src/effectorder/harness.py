@@ -519,10 +519,10 @@ def counterexample_report(n: int) -> SuiteReport:
 
     def records():
         ks = range(1, n + 1)
-        _, image = coordinate_squeeze_iso(n)
+        iso, image = coordinate_squeeze_iso(n)
         coords = [float(image.block(k)[0, 0]) for k in range(n)]
         targets = [2.0 ** -k for k in ks]
-        used = [2.0 - 2.0 ** k for k in ks]
+        used = [f.t for f in iso.scalar_isos]
         alt = [0.5 * (3.0 - 2.0 ** k) for k in ks]
         alt_vals = [mobius_scalar(t, 0.5) for t in alt]
         data.update(

@@ -345,7 +345,11 @@ class FactorOrderIso:
                 raise _outside_effect(*extreme_eigenvalues(x))
             if jord.conjugate and forward:
                 m = m.conj()
-        out = np.linalg.solve(A + m @ B, m @ C)
+        try:
+            out = np.linalg.solve(A + m @ B, m @ C)
+        except np.linalg.LinAlgError as exc:
+            # an eigenvalue of z near 0 rounds an image onto the boundary, where it is singular
+            raise DomainError("singular pencil: z has an eigenvalue too close to 0") from exc
         if isinstance(f, SpinFactor):
             v = (out[1, 1] - out[0, 0]) * self._zhat + (out[0, 1] + out[1, 0]) / (p1 or 1.0) * w
             v = v if forward else jord.u.T @ v
@@ -552,8 +556,8 @@ def coordinate_squeeze_iso(n: int) -> tuple[CompositeOrderIso, Element]:
     2^(-n), so no spectral floor survives as n grows even though every
     finite stage stays inside (0, e].
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n <= 1023:  # t_n needs 2^n as a finite float
+        raise ValueError("n must be in [1, 1023]")
     alg = AlgebraDescriptor(tuple(HermFactor(1, Ring.REAL) for _ in range(n)))
     iso = CompositeOrderIso(
         source=alg,

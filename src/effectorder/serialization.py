@@ -23,12 +23,14 @@ block is read as one ``np.array`` of its type-checked nested lists and
 goes through the validator that also serves the Python constructors,
 ``algebra._checked_block``.  Every number goes through a typed reader: a
 spin ``O`` is read into ``u`` like a real ``u``, a pwl knot by ``_number``.
+One parser, ``_parse``, and one type table, ``_TYPES``, serve the CLI too.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -343,72 +345,70 @@ def iso_from_obj(obj: Any, path: str = "iso") -> CompositeOrderIso:
 
 # --- reports ------------------------------------------------------------------
 
+def _text(obj: Any, key: str, path: str) -> str:
+    return str(_need(obj, key, path))
+
+
+def _count(obj: Any, key: str, path: str) -> int:
+    n = _field(int, obj, key, path)
+    if n < 0:
+        raise SchemaError(BAD_SCHEMA, f"{path}.{key}", f"expected a count, got {n}")
+    return n
+
+
+def _data(obj: Any, key: str, path: str) -> dict:
+    data = obj.get(key, {})
+    if not isinstance(data, dict):
+        raise SchemaError(BAD_SCHEMA, f"{path}.{key}", "expected an object")
+    return dict(data)
+
+
+def _records(cls: type, keys: tuple, obj: Any, key: str, path: str) -> tuple:
+    """The list at ``obj[key]``, each entry read through the key table ``keys``."""
+    return tuple(
+        cls(**{attr: read(o, k, f"{path}.{key}[{i}]") for k, attr, read in keys if read})
+        for i, o in enumerate(_list(obj, key, path))
+    )
+
+
+# Each report key in document order: (key, attribute, reader); a derived key
+# has none.  Readers take (object, key, its path); the first needs an object.
+_CHECK_KEYS = (
+    ("name", "name", _text),
+    ("tol", "tol", partial(_field, float)),
+    ("passes", "passes", _count),
+    ("fails", "fails", _count),
+    ("worst_residual", "worst", partial(_field, float)),
+    # reports written before the field existed lack it
+    ("worst_trial", "worst_trial", lambda o, k, p: None if o.get(k) is None else _count(o, k, p)),
+)
+_SUITE_KEYS = (
+    ("suite", "suite", _text),
+    ("descriptor", "descriptor", _text),
+    ("seed", "seed", partial(_field, int)),
+    ("trials", "trials", _count),
+    ("tol", "tol", partial(_field, float)),
+    ("passed", "passed", None),
+    ("worst_residual", "worst_residual", None),
+    ("elapsed_seconds", "elapsed_seconds", partial(_field, float)),
+    ("checks", "checks", partial(_records, CheckResult, _CHECK_KEYS)),
+    ("data", "data", _data),
+)
+
+
 def report_to_obj(reports: list[SuiteReport] | SuiteReport) -> dict:
     if isinstance(reports, SuiteReport):
         reports = [reports]
     suites = []
     for r in reports:
-        suites.append(
-            {
-                "suite": r.suite,
-                "descriptor": r.descriptor,
-                "seed": r.seed,
-                "trials": r.trials,
-                "tol": r.tol,
-                "passed": r.passed,
-                "worst_residual": r.worst_residual,
-                "elapsed_seconds": r.elapsed_seconds,
-                "checks": [
-                    {
-                        "name": c.name,
-                        "tol": c.tol,
-                        "passes": c.passes,
-                        "fails": c.fails,
-                        "worst_residual": c.worst,
-                        "worst_trial": c.worst_trial,
-                    }
-                    for c in r.checks
-                ],
-                "data": r.data,
-            }
-        )
+        suites.append({key: getattr(r, attr) for key, attr, _ in _SUITE_KEYS})
+        suites[-1]["checks"] = [{k: getattr(c, a) for k, a, _ in _CHECK_KEYS} for c in r.checks]
     return {"type": "report", "suites": suites}
 
 
 def report_from_obj(obj: Any, path: str = "report") -> list[SuiteReport]:
     _check_type_tag(obj, "report", path)
-    out = []
-    for k, ro in enumerate(_list(obj, "suites", path)):
-        rp = f"{path}.suites[{k}]"
-        checks = tuple(
-            CheckResult(
-                name=str(_need(co, "name", rp)),
-                tol=_field(float, co, "tol", rp),
-                passes=_field(int, co, "passes", rp),
-                fails=_field(int, co, "fails", rp),
-                worst=_field(float, co, "worst_residual", rp),
-                # reports written before the field existed lack it
-                worst_trial=None if co.get("worst_trial") is None
-                else _field(int, co, "worst_trial", rp),
-            )
-            for co in _list(ro, "checks", rp)
-        )
-        data = ro.get("data", {})
-        if not isinstance(data, dict):
-            raise SchemaError(BAD_SCHEMA, f"{rp}.data", "expected an object")
-        out.append(
-            SuiteReport(
-                suite=str(_need(ro, "suite", rp)),
-                descriptor=str(_need(ro, "descriptor", rp)),
-                seed=_field(int, ro, "seed", rp),
-                trials=_field(int, ro, "trials", rp),
-                tol=_field(float, ro, "tol", rp),
-                checks=checks,
-                elapsed_seconds=_field(float, ro, "elapsed_seconds", rp),
-                data=dict(data),
-            )
-        )
-    return out
+    return list(_records(SuiteReport, _SUITE_KEYS, obj, "suites", path))
 
 
 # --- generic documents ---------------------------------------------------------
@@ -430,6 +430,23 @@ def _non_finite_path(obj: Any, path: str) -> str | None:
     return None
 
 
+# tag -> (class, writer, reader) of each document type
+_TYPES = {
+    "algebra": (AlgebraDescriptor, algebra_to_obj, algebra_from_obj),
+    "element": (Element, element_to_obj, element_from_obj),
+    "iso": (CompositeOrderIso, iso_to_obj, iso_from_obj),
+    "report": ((SuiteReport, list), report_to_obj, report_from_obj),
+}
+
+
+def _parse(text: str, where: str = "") -> Any:
+    """Invalid or too deeply nested JSON is BAD_SCHEMA at ``$``; ``where`` names its source."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise SchemaError(BAD_SCHEMA, "$", f"invalid JSON{where}: {exc}") from exc
+
+
 def dump_document(doc) -> str:
     """Serialize a domain object to canonical JSON text.
 
@@ -439,18 +456,10 @@ def dump_document(doc) -> str:
     REPORT may carry non-finite residuals, so that a failing verification
     is still written.
     """
-    if isinstance(doc, AlgebraDescriptor):
-        obj = algebra_to_obj(doc)
-    elif isinstance(doc, Element):
-        obj = element_to_obj(doc)
-    elif isinstance(doc, CompositeOrderIso):
-        obj = iso_to_obj(doc)
-    elif isinstance(doc, (SuiteReport, list)):
-        obj = report_to_obj(doc)
-    elif isinstance(doc, dict):
-        obj = doc
-    else:
+    writers = [write for cls, write, _ in _TYPES.values() if isinstance(doc, cls)]
+    if not writers and not isinstance(doc, dict):
         raise TypeError(f"cannot serialize {type(doc).__name__}")
+    obj = writers[0](doc) if writers else doc
     try:
         return json.dumps(obj, indent=1, allow_nan=obj.get("type") == "report")
     except ValueError:
@@ -460,19 +469,11 @@ def dump_document(doc) -> str:
 
 def load_document(text: str):
     """Parse a JSON document, dispatching on its ``type`` tag."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(BAD_SCHEMA, "$", f"invalid JSON: {exc}") from exc
+    obj = _parse(text)
     if not isinstance(obj, dict):
         raise SchemaError(BAD_SCHEMA, "$", "top-level document must be an object")
     tag = obj.get("type")
-    if tag == "algebra":
-        return algebra_from_obj(obj)
-    if tag == "element":
-        return element_from_obj(obj)
-    if tag == "iso":
-        return iso_from_obj(obj)
-    if tag == "report":
-        return report_from_obj(obj)
-    raise SchemaError(BAD_SCHEMA, "$.type", f"unknown document type {tag!r}")
+    if type(tag) is not str or tag not in _TYPES:
+        raise SchemaError(BAD_SCHEMA, "$.type", f"unknown document type {tag!r}")
+    _, _, read = _TYPES[tag]
+    return read(obj)

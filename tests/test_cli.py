@@ -221,6 +221,30 @@ class TestDemoCounterexample:
         assert "counterexample" in capsys.readouterr().out
 
 
+class TestInputErrors:
+    def test_deep_nesting_is_bad_schema(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000)
+        assert main(["random", "--algebra", str(deep), "--out", str(tmp_path / "x.json")]) == 1
+        assert "error[BAD_SCHEMA] $: invalid JSON in" in capsys.readouterr().err
+
+    def test_directory_as_input_is_io_error(self, tmp_path, capsys):
+        code = main(["random", "--algebra", str(tmp_path), "--out", str(tmp_path / "x.json")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error[IO]: ")
+
+    def test_directory_as_output_is_io_error(self, paths, capsys):
+        tmp, alg_path, _, _ = paths
+        assert main(["random", "--algebra", str(alg_path), "--out", str(tmp)]) == 1
+        assert capsys.readouterr().err.startswith("error[IO]: ")
+
+    def test_counterexample_level_limit(self, capsys):
+        assert main(["demo-counterexample", "--n", "1023"]) == 0
+        assert "PASS  worst=0.000e+00" in capsys.readouterr().out
+        assert main(["demo-counterexample", "--n", "1024"]) == 1
+        assert "error[ValueError]: n must be in [1, 1023]" in capsys.readouterr().err
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert main(["conjure"]) == 1

@@ -10,6 +10,7 @@ from effectorder import (
     Ring,
     SpinFactor,
     algebra,
+    coordinate_squeeze_iso,
     counterexample_report,
     dump_document,
     element_in_factor,
@@ -259,6 +260,8 @@ class TestCounterexampleReport:
     def test_documents_both_parameterizations(self):
         report = counterexample_report(5)
         assert report.data["mobius_params_used"] == [2.0 - 2.0 ** k for k in range(1, 6)]
+        iso, _ = coordinate_squeeze_iso(5)
+        assert report.data["mobius_params_used"] == [f.t for f in iso.scalar_isos]
         assert report.data["mobius_params_alternative"] == [
             0.5 * (3.0 - 2.0 ** k) for k in range(1, 6)
         ]

@@ -593,6 +593,15 @@ class TestCoordinateSqueeze:
         _, image = coordinate_squeeze_iso(12)
         assert min_eigenvalue(image) == 2.0 ** -12 > 0.0
 
+    def test_largest_level_is_exact_and_the_next_is_refused(self):
+        # t_n = 2 - 2^n: 2^1024 is not a finite float
+        iso, image = coordinate_squeeze_iso(1023)
+        assert iso.scalar_isos[-1].t == 2.0 - 2.0 ** 1023
+        assert float(image.block(1022)[0, 0]) == 2.0 ** -1023
+        for n in (0, 1024):
+            with pytest.raises(ValueError, match=r"\[1, 1023\]"):
+                coordinate_squeeze_iso(n)
+
 
 class TestOperatorFormIdentities:
     """Cross-checks against alternative operator-level routes: resolvent
@@ -719,6 +728,18 @@ class TestConditioningEnvelope:
             image = iso.apply(half)
             assert_close(image.block(0), np.diag([2.0 / 3.0, 4.0 / 5.0]), tol=1e-15)
             assert sup_norm(iso.inverse_apply(image) - half) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "factor, z",
+        [(HermFactor(2), np.diag([1e-9, 1.0])), (SpinFactor(3), np.array([1.0, 1.0 - 1e-9, 0.0, 0.0]))],
+        ids=["herm(2,R)", "spin(3)"],
+    )
+    def test_singular_pencil_is_a_domain_error(self, factor, z):
+        # the image of e/2 rounds onto the boundary, where C* - F B* is singular
+        iso = FactorOrderIso(0.5, element_in_factor(factor, z), identity_jordan(factor))
+        image = iso.apply(0.5 * unit(iso.algebra))
+        with pytest.raises(DomainError, match="singular pencil"):
+            iso.inverse_apply(image)
 
     # t = 0.9 with z below e is still open (ROADMAP item 5)
     @pytest.mark.parametrize("t", [-1e6, -50.0, 0.0])

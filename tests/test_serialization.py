@@ -439,6 +439,46 @@ class TestValidationErrors:
             load_document(json.dumps(doc))
         assert (err.value.code, err.value.path) == (code, path)
 
+    @pytest.mark.parametrize("text", ["[" * 100000, '{"a": ' * 100000], ids=["list", "object"])
+    def test_deep_nesting_is_bad_schema(self, text):
+        with pytest.raises(SchemaError) as err:
+            load_document(text)
+        assert (err.value.code, err.value.path) == (BAD_SCHEMA, "$")
+
+    @pytest.mark.parametrize("tag", [5, None, [], {}, ["report"]], ids=repr)
+    def test_non_string_type_tag(self, tag):
+        with pytest.raises(SchemaError) as err:
+            load_document(json.dumps({"type": tag, "factors": [{"kind": "herm", "n": 2}]}))
+        assert (err.value.code, err.value.path) == (BAD_SCHEMA, "$.type")
+
+    def report_obj(self):
+        return report_to_obj(run_identity_suite(algebra(HermFactor(1)), seed=0, trials=2))
+
+    def test_check_field_path_names_the_check(self):
+        obj = self.report_obj()
+        obj["suites"][0]["checks"][1]["tol"] = "1e-8"
+        with pytest.raises(SchemaError) as err:
+            report_from_obj(obj)
+        assert (err.value.code, err.value.path) == (BAD_SCHEMA, "report.suites[0].checks[1].tol")
+
+    @pytest.mark.parametrize(
+        "key, path",
+        [
+            ("trials", "report.suites[0].trials"),
+            ("passes", "report.suites[0].checks[1].passes"),
+            ("fails", "report.suites[0].checks[1].fails"),
+            ("worst_trial", "report.suites[0].checks[1].worst_trial"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [-1, -3])
+    def test_negative_counts_refused(self, key, path, value):
+        obj = self.report_obj()
+        suite = obj["suites"][0]
+        (suite if key == "trials" else suite["checks"][1])[key] = value
+        with pytest.raises(SchemaError) as err:
+            load_document(json.dumps(obj))
+        assert (err.value.code, err.value.path) == (BAD_SCHEMA, path)
+
     def test_non_finite_element_refused_at_dump(self):
         # U_y y overflows to inf and, off the diagonal, to inf * 0 = NaN
         y = element_in_factor(HermFactor(2), np.diag([1e200, 1.0]))
