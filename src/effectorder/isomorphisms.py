@@ -79,9 +79,9 @@ from .algebra import (
 )
 from .spectral import (
     _matrix_within,
+    _singular_tol,
     apply_function,
     eigenvalue_floor,
-    extreme_eigenvalues,
     invert_element,
     min_eigenvalue,
     pseudo_inv_sqrt,
@@ -90,7 +90,7 @@ from .spectral import (
     spectrum_within,
     sqrt_element,
 )
-from .order import in_cone, leq
+from .order import _check_effect, _order_tol, in_cone, leq
 
 
 class RecoveryError(RuntimeError):
@@ -122,18 +122,6 @@ def mobius_compose(t: float, s: float) -> float:
 def mobius_invert_param(t: float) -> float:
     check_mobius_param(t)
     return t / (t - 1.0)
-
-
-def _outside_effect(lo: float, hi: float) -> DomainError:
-    return DomainError(f"argument is outside [0, e]: spectrum in [{lo}, {hi}]")
-
-
-def _check_effect(x: Element) -> None:
-    """Raise unless the spectrum of x lies in (-tol, 1 + tol), tol =
-    1e-8 (1 + |x|); eigenvalues are computed only for the message."""
-    tol = 1e-8 * (1.0 + sup_norm(x))
-    if not spectrum_within(x, -tol, 1.0 + tol):
-        raise _outside_effect(*extreme_eigenvalues(x))
 
 
 def mobius_apply(t: float, x: Element) -> Element:
@@ -171,15 +159,15 @@ def cone_interval_map(x: Element, direction: str) -> Element:
     Each direction is one Cholesky factorization per matrix block
     (:func:`spectrum_within`) and one LU solve per block.  Eigenvalues are
     computed only to tell the errors apart: DomainError outside (0, e] or
-    the cone, SingularElementError where the inverse would take an
-    eigenvalue within 1e-10 (1 + |.|) of zero, the test of
-    :func:`invert_element`.
+    the cone, to ``order._order_tol``, and SingularElementError where the
+    inverse would take an eigenvalue within ``spectral._singular_tol`` of
+    zero, the test of :func:`invert_element`.
     """
     e = unit(x.algebra)
     if direction == "interval_to_cone":
         scale = sup_norm(x)
-        stol = 1e-10 * (1.0 + scale)
-        if not spectrum_within(x, stol, 1.0 + 1e-8 * (1.0 + scale)):
+        stol = _singular_tol(scale)
+        if not spectrum_within(x, stol, 1.0 + _order_tol(scale)):
             _check_effect(x)
             # the effect tolerance admits tiny negative eigenvalues, whose
             # inverses would land far outside the cone
@@ -189,9 +177,9 @@ def cone_interval_map(x: Element, direction: str) -> Element:
             raise SingularElementError(f"eigenvalue {lo} within {stol} of zero")
         return _invert(x) - e
     if direction == "cone_to_interval":
-        tol = 1e-8 * (1.0 + sup_norm(x))
+        tol = _order_tol(sup_norm(x))
         w = x + e
-        stol = 1e-10 * (1.0 + sup_norm(w))
+        stol = _singular_tol(sup_norm(w))
         # x > -tol keeps x + e above stol unless |x| is near 1e8
         if not spectrum_within(x, max(-tol, stol - 1.0)):
             lo = min_eigenvalue(x)
@@ -338,11 +326,11 @@ class FactorOrderIso:
             p1 = math.hypot(*w.tolist())
             m = np.array([[b[0] - p0, p1], [p1, b[0] + p0]])
         else:
-            # _check_effect on the one block, whose sup and embedding serve the pencil too
+            # in_effect_interval(x), fused: the block's sup and embedding serve the pencil too
             sup = _block_sup(f, b)
-            tol = 1e-8 * (1.0 + sup)
-            if not (sup < 1.0 + tol and _matrix_within(f, m := _embed(f, b), -tol, 1.0 + tol)):
-                raise _outside_effect(*extreme_eigenvalues(x))
+            tol = _order_tol(sup)
+            inside = sup < 1.0 + tol and _matrix_within(f, m := _embed(f, b), -tol, 1.0 + tol)
+            _check_effect(x, inside)
             if jord.conjugate and forward:
                 m = m.conj()
         try:
@@ -420,8 +408,8 @@ def params_from_cone_map(
 
 
 def transitivity_witness(w: Element) -> Element:
-    """The y with (U_y x^(-1) - y^2 + e)^(-1) sending e/2 to w, namely
-    y = (w^(-1) - e)^(1/2); demands 0 < w < e strictly."""
+    """The y = (w^(-1) - e)^(1/2) whose (U_y x^(-1) - y^2 + e)^(-1) sends e/2 to w; demands
+    0 < w < e with a margin, not the order tolerance, that keeps y finite and interior."""
     tol = 1e-9 * (1.0 + sup_norm(w))
     if not spectrum_within(w, tol, 1.0 - tol):
         raise DomainError("w must be strictly between 0 and e")
@@ -533,9 +521,8 @@ class CompositeOrderIso:
         for (i, j), f in zip(self.sigma, self.scalar_isos):
             a, b = (i, j) if forward else (j, i)
             s = float(_real_part(src.factors[a], x.block(a))[0, 0])
-            tol = 1e-8 * (1.0 + abs(s))
-            if not -tol < s < 1.0 + tol:
-                raise _outside_effect(s, s)
+            tol = _order_tol(abs(s))
+            _check_effect(x, -tol < s < 1.0 + tol)  # in_effect_interval of the 1 x 1 block
             s = min(max(s, 0.0), 1.0)
             v = f(s) if forward else f.inverse(s)
             out[b] = _from_real(dst.factors[b], np.full((1, 1), v))

@@ -1,9 +1,9 @@
 """Cone and effect-algebra order predicates, projections, and the centre.
 
-The partial order is x <= y iff y - x has non-negative spectrum.  The
-predicates decide it up to a tolerance by the Cholesky factorizations of
-:func:`spectrum_within`, so their boundary is open: an eigenvalue exactly
-at -tol (or 1 + tol) counts as outside.
+The partial order is x <= y iff y - x has non-negative spectrum.  Every
+cone and [0, e] membership test in the library uses one tolerance,
+``_order_tol``, decided by the Cholesky factorizations of :func:`spectrum_within`,
+so the boundary is open: an eigenvalue at -tol (or 1 + tol) is outside.
 
 Inside the effect algebra [0, e] arbitrary sets of projections have
 suprema and infima; the meet of two projections is recovered spectrally
@@ -32,6 +32,7 @@ from .algebra import (
     unit,
 )
 from .spectral import (
+    extreme_eigenvalues,
     positive_min_eigenvalue,
     range_projection,
     spectral_decompose,
@@ -39,27 +40,40 @@ from .spectral import (
 )
 
 
-# relative to 1 + |operands| in the order predicates; absolute in the flags
-ORDER_TOL = 1e-9
+ORDER_TOL = 1e-8
+# absolute: the projection, interior and centre flags compare with the fixed points 0 and 1
 FLAG_TOL = 1e-8
+
+
+def _order_tol(scale: float) -> float:
+    """The tolerance of every cone and [0, e] membership test, for operands of sup norm scale."""
+    return ORDER_TOL * (1.0 + scale)
 
 
 def leq(x: Element, y: Element) -> bool:
     """x <= y in the cone order: the spectrum of y - x lies in the open
-    interval (-ORDER_TOL (1 + |x| + |y|), inf)."""
+    interval (-_order_tol(|x| + |y|), inf)."""
     _check_same_algebra(x, y)
-    return spectrum_within(y - x, -ORDER_TOL * (1.0 + sup_norm(x) + sup_norm(y)))
+    return spectrum_within(y - x, -_order_tol(sup_norm(x) + sup_norm(y)))
 
 
 def in_cone(x: Element) -> bool:
-    """The spectrum of x lies in (-ORDER_TOL (1 + |x|), inf)."""
-    return spectrum_within(x, -ORDER_TOL * (1.0 + sup_norm(x)))
+    """The spectrum of x lies in (-tol, inf), tol = _order_tol(|x|)."""
+    return spectrum_within(x, -_order_tol(sup_norm(x)))
 
 
 def in_effect_interval(x: Element) -> bool:
-    """Membership in [0, e]: the spectrum lies in (-tol, 1 + tol), tol = ORDER_TOL (1 + |x|)."""
-    tol = ORDER_TOL * (1.0 + sup_norm(x))
+    """Membership in [0, e], the check of every order isomorphism of one
+    factor: the spectrum lies in (-tol, 1 + tol), tol = _order_tol(|x|)."""
+    tol = _order_tol(sup_norm(x))
     return spectrum_within(x, -tol, 1.0 + tol)
+
+
+def _check_effect(x: Element, inside: bool | None = None) -> None:
+    """Raise DomainError unless in_effect_interval(x), or ``inside``, the caller's fused test."""
+    if not (in_effect_interval(x) if inside is None else inside):
+        lo, hi = extreme_eigenvalues(x)
+        raise DomainError(f"argument is outside [0, e]: spectrum in [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -73,16 +87,16 @@ class OrderClass:
 
 
 def classify(x: Element) -> OrderClass:
-    """Order-region flags for x, each eigenvalue tested to FLAG_TOL; projections
-    are detected spectrally and atoms are the projections of rank one (trace one)."""
-    tol = FLAG_TOL
+    """Order-region flags from the eigenvalues (cluster means) of x: cone and effect
+    open at _order_tol(|x|), as :func:`in_cone` and :func:`in_effect_interval`;
+    interior and projection to FLAG_TOL; atoms are projections of trace one."""
     dec = spectral_decompose(x)
-    lo = dec.eigenvalues[0] if dec.eigenvalues else 0.0
-    hi = dec.eigenvalues[-1] if dec.eigenvalues else 0.0
-    cone = lo >= -tol
-    interior = lo > tol
-    effect = cone and hi <= 1.0 + tol
-    proj = all(abs(lam) <= tol or abs(lam - 1.0) <= tol for lam in dec.eigenvalues)
+    lo, hi = dec.eigenvalues[0], dec.eigenvalues[-1]
+    tol = _order_tol(sup_norm(x))
+    cone = lo > -tol
+    interior = lo > FLAG_TOL
+    effect = cone and hi < 1.0 + tol
+    proj = all(abs(lam) <= FLAG_TOL or abs(lam - 1.0) <= FLAG_TOL for lam in dec.eigenvalues)
     atom = proj and abs(canonical_trace(x) - 1.0) <= 1e-6
     return OrderClass(
         in_cone=cone,
@@ -197,11 +211,5 @@ def has_totally_ordered_interval(x: Element) -> bool:
     if not in_cone(x):
         raise DomainError("x must lie in the cone")
     dec = spectral_decompose(x)
-    pos = [
-        (lam, p) for lam, p in zip(dec.eigenvalues, dec.projections) if lam > dec.zero_tol
-    ]
-    if not pos:
-        return True
-    if len(pos) > 1:
-        return False
-    return abs(canonical_trace(pos[0][1]) - 1.0) <= 1e-6
+    pos = [p for lam, p in zip(dec.eigenvalues, dec.projections) if lam > dec.zero_tol]
+    return not pos or (len(pos) == 1 and abs(canonical_trace(pos[0]) - 1.0) <= 1e-6)

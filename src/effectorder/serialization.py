@@ -439,12 +439,15 @@ _TYPES = {
 }
 
 
-def _parse(text: str, where: str = "") -> Any:
-    """Invalid or too deeply nested JSON is BAD_SCHEMA at ``$``; ``where`` names its source."""
+def _parse(text: str, where: str = "") -> dict:
+    """The top-level object; bad or too deep JSON, or a non-object, is BAD_SCHEMA at ``$``."""
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(BAD_SCHEMA, "$", f"invalid JSON{where}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise SchemaError(BAD_SCHEMA, "$", "top-level document must be an object")
+    return obj
 
 
 def dump_document(doc) -> str:
@@ -470,8 +473,6 @@ def dump_document(doc) -> str:
 def load_document(text: str):
     """Parse a JSON document, dispatching on its ``type`` tag."""
     obj = _parse(text)
-    if not isinstance(obj, dict):
-        raise SchemaError(BAD_SCHEMA, "$", "top-level document must be an object")
     tag = obj.get("type")
     if type(tag) is not str or tag not in _TYPES:
         raise SchemaError(BAD_SCHEMA, "$.type", f"unknown document type {tag!r}")

@@ -317,12 +317,16 @@ def range_projection(x: Element) -> Element:
     return dec.apply(lambda t: 1.0 if t > dec.zero_tol else 0.0)
 
 
+def _singular_tol(scale: float) -> float:
+    return 1e-10 * (1.0 + scale)
+
+
 def invert_element(x: Element, mode: str = "strict") -> Element:
     """Inverse of x.
 
     ``strict``  : 1/x by one LU solve per block; raises
                   SingularElementError when some eigenvalue has magnitude
-                  <= 1e-10 * (1 + |x|).
+                  <= _singular_tol(|x|) = 1e-10 (1 + |x|).
     ``pseudo``  : spectral; inverts eigenvalues above the cluster
                   threshold and keeps the rest at zero.
     """
@@ -330,7 +334,7 @@ def invert_element(x: Element, mode: str = "strict") -> Element:
         scale = sup_norm(x)
         if not math.isfinite(scale):
             raise DomainError(f"element has a non-finite entry (sup norm {scale})")
-        tol = 1e-10 * (1.0 + scale)
+        tol = _singular_tol(scale)
         for f, b in zip(x.algebra.factors, x.blocks):
             w = block_eigenvalues(f, b)
             bad = w[np.abs(w) <= tol]

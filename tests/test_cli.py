@@ -6,6 +6,7 @@ import pytest
 
 from effectorder import (
     HermFactor,
+    SchemaError,
     SpinFactor,
     algebra,
     dump_document,
@@ -227,6 +228,16 @@ class TestInputErrors:
         deep.write_text("[" * 100000)
         assert main(["random", "--algebra", str(deep), "--out", str(tmp_path / "x.json")]) == 1
         assert "error[BAD_SCHEMA] $: invalid JSON in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[]", '"x"'], ids=["list", "string"])
+    def test_non_object_top_level_reads_as_in_the_loader(self, tmp_path, capsys, text):
+        doc = tmp_path / "doc.json"
+        doc.write_text(text)
+        assert main(["random", "--algebra", str(doc), "--out", str(tmp_path / "x.json")]) == 1
+        message = "top-level document must be an object"
+        assert capsys.readouterr().err == f"error[BAD_SCHEMA] $: {message}\n"
+        with pytest.raises(SchemaError, match=message):
+            load_document(text)
 
     def test_directory_as_input_is_io_error(self, tmp_path, capsys):
         code = main(["random", "--algebra", str(tmp_path), "--out", str(tmp_path / "x.json")])

@@ -10,19 +10,27 @@ from effectorder import (
     dominates_atom,
     element_in_factor,
     has_totally_ordered_interval,
+    in_cone,
+    in_effect_interval,
     jordan_product,
     leq,
+    mobius_apply,
     proj_join,
     proj_meet,
     quad_rep,
+    random_composite_iso,
+    random_factor_iso,
     sample_element,
     single_factor,
+    spectral_decompose,
     split_by_central,
     sup_norm,
     unit,
     unsplit_by_central,
     zero,
 )
+
+from effectorder.order import ORDER_TOL
 
 from conftest import FACTOR_KINDS, MIXED
 
@@ -76,6 +84,50 @@ class TestClassify:
                 assert not c.in_interior or c.in_cone
                 assert not c.in_invertible_effect or (c.in_effect and c.in_interior)
                 assert not c.is_atom or c.is_projection
+
+
+def accepts(map_, x) -> bool:
+    try:
+        map_(x)
+    except DomainError:
+        return False
+    return True
+
+
+class TestOneEffectRule:
+    """Every test of membership of [0, e] gives one answer: the predicate,
+    classify, and the maps that check their argument.  The end eigenvalue
+    sits tol/2 and 2 tol inside and outside 0 and 1, tol = ORDER_TOL (1 + |x|),
+    and 0.9 tol outside, past an absolute ORDER_TOL wherever |x| > 1/9."""
+
+    @pytest.mark.parametrize("end", [0.0, 1.0])
+    @pytest.mark.parametrize("factor", FACTOR_KINDS, ids=str)
+    def test_every_check_agrees(self, factor, end, rng):
+        alg = single_factor(factor)
+        dec = spectral_decompose(sample_element(alg, rng, "general"))
+        slot = 0 if end == 0.0 else len(dec.eigenvalues) - 1
+        outward = -1.0 if end == 0.0 else 1.0
+        iso = random_factor_iso(factor, rng)
+        # on herm(1,.) the composite routes a rank-one coordinate through a scalar map
+        composite = random_composite_iso(alg, alg, rng)
+        maps = [
+            iso.apply, iso.inverse_apply, composite.apply, composite.inverse_apply,
+            lambda x: mobius_apply(0.5, x),
+        ]
+
+        def with_end_eigenvalue(offset):
+            vals = [0.5] * len(dec.eigenvalues)
+            vals[slot] = end + outward * offset
+            return dec.combine(vals)
+
+        for steps in (-2.0, -0.5, 0.5, 0.9, 2.0):
+            # tol depends on |x|: a first draft gives |x| to well within 1e-8
+            x = with_end_eigenvalue(steps * ORDER_TOL * 2.0)
+            x = with_end_eigenvalue(steps * ORDER_TOL * (1.0 + sup_norm(x)))
+            answers = [in_effect_interval(x), classify(x).in_effect]
+            answers += [accepts(m, x) for m in maps]
+            assert answers == [steps < 2.0] * len(answers), steps
+            assert in_cone(x) or not in_effect_interval(x)
 
 
 class TestProjectionLattice:

@@ -109,8 +109,9 @@ class TestRecoverFactorIso:
         rec = recover_factor_iso(fwd, alg, alg)
         assert reproduction_error(rec.apply, fwd, alg, rng) <= 1e-7
 
-    def test_rejects_nonlinear_map(self):
-        alg = single_factor(HermFactor(2))
+    @pytest.mark.parametrize("factor", RECOVERY_KINDS, ids=str)
+    def test_rejects_nonlinear_map(self, factor):
+        alg = single_factor(factor)
         squeeze = lambda x: mobius_apply(-1.0, apply_function(x, lambda v: v * v))  # noqa: E731
         with pytest.raises(RecoveryError):
             recover_factor_iso(squeeze, alg, alg)
