@@ -36,7 +36,9 @@ x = eo.sample_element(alg, rng, "invertible_effect")
 print("canonical form of a composition, residual:",
       eo.sup_norm(canonical.apply(x) - fwd(x)))
 
-# a map that is NOT of the closed form is rejected by the built-in checks
+# a map that is NOT of the closed form is rejected: here its cone map fails
+# the probe that tells linear from conjugate-linear J; a map that passes the
+# probes is refused when the recovered map disagrees with it at held-out points
 try:
     eo.recover_factor_iso(
         lambda v: eo.apply_function(v, lambda s: s * s), alg, alg

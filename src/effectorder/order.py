@@ -87,14 +87,14 @@ class OrderClass:
 
 
 def classify(x: Element) -> OrderClass:
-    """Order-region flags from the eigenvalues (cluster means) of x: cone and effect
-    open at _order_tol(|x|), as :func:`in_cone` and :func:`in_effect_interval`;
-    interior and projection to FLAG_TOL; atoms are projections of trace one."""
+    """Order-region flags of x: cone and effect open at _order_tol(|x|) on the extreme eigenvalues,
+    as :func:`in_cone` and :func:`in_effect_interval`; interior and projection on the cluster
+    means, to FLAG_TOL; atoms are projections of trace one."""
     dec = spectral_decompose(x)
-    lo, hi = dec.eigenvalues[0], dec.eigenvalues[-1]
+    lo, hi = dec._extremes
     tol = _order_tol(sup_norm(x))
     cone = lo > -tol
-    interior = lo > FLAG_TOL
+    interior = dec.eigenvalues[0] > FLAG_TOL
     effect = cone and hi < 1.0 + tol
     proj = all(abs(lam) <= FLAG_TOL or abs(lam - 1.0) <= FLAG_TOL for lam in dec.eigenvalues)
     atom = proj and abs(canonical_trace(x) - 1.0) <= 1e-6

@@ -101,7 +101,8 @@ class SpectralDecomposition:
 
     ``bases[k]`` is block k's eigenbasis (see :func:`_block_eigh`) and
     ``clusters[k][j]`` the index i of the eigenvalue its j-th eigenpair
-    belongs to.
+    belongs to.  ``_extremes`` is the (least, greatest) eigenvalue before
+    clustering, which cone and [0, e] membership read.
     """
 
     algebra: AlgebraDescriptor
@@ -109,6 +110,7 @@ class SpectralDecomposition:
     bases: tuple[np.ndarray, ...]
     clusters: tuple[np.ndarray, ...]
     zero_tol: float
+    _extremes: tuple[float, float]
 
     def combine(self, values: Sequence[float]) -> Element:
         """Sum values[i] p_i, built block by block as (V * vals) V*."""
@@ -206,7 +208,8 @@ def _decompose(x: Element, cluster_tol: float | None) -> SpectralDecomposition:
     for idx in clusters:
         idx.setflags(write=False)
     return SpectralDecomposition(
-        x.algebra, tuple(eigenvalues), tuple(bases), tuple(clusters), tol
+        x.algebra, tuple(eigenvalues), tuple(bases), tuple(clusters), tol,
+        (pairs[0][0], pairs[-1][0]),
     )
 
 
@@ -348,8 +351,9 @@ def invert_element(x: Element, mode: str = "strict") -> Element:
 
 
 def _require_cone(dec: SpectralDecomposition) -> None:
-    if dec.eigenvalues and dec.eigenvalues[0] < -dec.zero_tol:
-        raise DomainError(f"not in the cone: min eigenvalue {dec.eigenvalues[0]}")
+    """order.in_cone's open bound (a default zero_tol is order._order_tol(|x|))."""
+    if not dec._extremes[0] > -dec.zero_tol:
+        raise DomainError(f"not in the cone: min eigenvalue {dec._extremes[0]}")
 
 
 def sqrt_element(x: Element) -> Element:

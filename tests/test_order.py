@@ -8,6 +8,7 @@ from effectorder import (
     central_structure,
     classify,
     dominates_atom,
+    element_from_blocks,
     element_in_factor,
     has_totally_ordered_interval,
     in_cone,
@@ -17,13 +18,17 @@ from effectorder import (
     mobius_apply,
     proj_join,
     proj_meet,
+    pseudo_inv_sqrt,
     quad_rep,
     random_composite_iso,
     random_factor_iso,
+    range_approximants,
+    range_projection,
     sample_element,
     single_factor,
     spectral_decompose,
     split_by_central,
+    sqrt_element,
     sup_norm,
     unit,
     unsplit_by_central,
@@ -128,6 +133,37 @@ class TestOneEffectRule:
             answers += [accepts(m, x) for m in maps]
             assert answers == [steps < 2.0] * len(answers), steps
             assert in_cone(x) or not in_effect_interval(x)
+
+    @pytest.mark.parametrize("k", [0, 1, 2], ids=["line", "herm", "spin"])
+    def test_direct_sum_blocks_share_its_tolerance(self, k, rng):
+        # the other blocks are units, so tol = 2 ORDER_TOL; block k has sup
+        # about 0.05, and its least eigenvalue lies outside its own tolerance
+        composite = random_composite_iso(MIXED, MIXED, rng)
+        for offset, inside in ((1.5 * ORDER_TOL, True), (2.5 * ORDER_TOL, False)):
+            blocks = list(unit(MIXED).blocks)
+            blocks[k] = [
+                np.array([[-offset]]),
+                np.diag([-offset, 0.05]),
+                np.array([0.05, 0.05 + offset, 0.0, 0.0]),
+            ][k]
+            x = element_from_blocks(MIXED, blocks)
+            answers = [in_effect_interval(x), classify(x).in_effect]
+            answers += [accepts(m, x) for m in (composite.apply, composite.inverse_apply)]
+            assert answers == [inside] * 4, offset
+
+    def test_extreme_eigenvalue_decides_a_straddling_cluster(self):
+        # each pair lies within the cluster tolerance, with its mean inside
+        # the bound and its extreme eigenvalue outside
+        below = herm(np.diag([-2e-8, -0.8e-8, 0.5]))
+        assert [in_cone(below), classify(below).in_cone, classify(below).in_effect] == [False] * 3
+        for require_cone in (
+            sqrt_element, pseudo_inv_sqrt, range_projection, lambda x: range_approximants(x, 2)
+        ):
+            with pytest.raises(DomainError, match="not in the cone"):
+                require_cone(below)
+        above = herm(np.diag([0.5, 1.0 + 1.2e-8, 1.0 + 2.5e-8]))
+        assert in_cone(above) and classify(above).in_cone
+        assert [in_effect_interval(above), classify(above).in_effect] == [False] * 2
 
 
 class TestProjectionLattice:

@@ -123,10 +123,11 @@ class TestRecoverFactorIso:
         with pytest.raises(RecoveryError):
             recover_factor_iso(crush, alg, alg)
 
-    def test_rejects_affine_cone_map(self):
+    @pytest.mark.parametrize("factor", RECOVERY_KINDS, ids=str)
+    def test_rejects_affine_cone_map(self, factor):
         # 2x leaves [0, e], but not on the probes, which lie in [0, e/2];
         # there its cone map x/2 - e/2 is affine, not linear
-        alg = single_factor(HermFactor(2))
+        alg = single_factor(factor)
         with pytest.raises(RecoveryError):
             recover_factor_iso(lambda x: 2.0 * x, alg, alg)
 
@@ -182,14 +183,29 @@ class TestRecoverFactorIso:
         with pytest.raises(RecoveryError):
             recover_factor_iso(g, alg, alg)
 
+    @pytest.mark.parametrize("factor", RECOVERY_KINDS, ids=str)
+    def test_agreement_check_rejects_a_map_switched_after_extraction(self, factor, rng):
+        # the unit and extraction probes see one order isomorphism and the 3
+        # agreement probes another: only the agreement check can refuse it
+        alg = single_factor(factor)
+        first, second = random_factor_iso(factor, rng), random_factor_iso(factor, rng)
+        probes = []
+
+        def g(x):
+            probes.append(x)
+            return (first if len(probes) <= expected_probes(factor) - 3 else second).apply(x)
+
+        with pytest.raises(RecoveryError, match="disagrees with the probes"):
+            recover_factor_iso(g, alg, alg)
+
 
 def expected_probes(factor):
-    """The unit once, 12 probes in the three additivity/homogeneity rounds,
-    3 in the agreement check, and one per column (over C one more for the
-    conjugation, over H two more for the twist) or spin basis vector."""
+    """The unit once, one per column (over C one more for the conjugation,
+    over H two more for the twist) or spin basis vector, and 3 in the
+    agreement check, the only check of the black box."""
     if isinstance(factor, SpinFactor):
-        return 16 + factor.d
-    return 16 + factor.n + {Ring.REAL: 0, Ring.COMPLEX: 1, Ring.QUATERNION: 2}[factor.ring]
+        return 4 + factor.d
+    return 4 + factor.n + {Ring.REAL: 0, Ring.COMPLEX: 1, Ring.QUATERNION: 2}[factor.ring]
 
 
 # LAPACK eigensolves per recovery of a random_factor_iso's apply, on every
