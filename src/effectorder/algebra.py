@@ -182,6 +182,8 @@ def _block_dtype_shape(factor: Factor) -> tuple[type, tuple[int, ...]]:
 # Ring arrays are (n, m) float over R, (n, m) complex over C and (n, m, 4)
 # float over H.  Other modules handle them only through this module's
 # private block helpers, so no code outside it branches on that layout.
+# The matrix helpers also take a (k, ...) stack of ring arrays and act on
+# each; spin helpers take one block.
 
 def _mm(factor: HermFactor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product of two ring arrays."""
@@ -244,7 +246,7 @@ def _zero_block(factor: Factor) -> np.ndarray:
 def _adjoint_block(factor: HermFactor, b: np.ndarray) -> np.ndarray:
     if factor.ring is Ring.QUATERNION:
         return quat.qadjoint(b)
-    return b.conj().T
+    return b.conj().swapaxes(-2, -1)
 
 
 def _hermitize(factor: Factor, b: np.ndarray) -> np.ndarray:
@@ -444,19 +446,24 @@ def quad_rep(x: Element, y: Element) -> Element:
     )
 
 
+def _invert_block(factor: Factor, b: np.ndarray) -> np.ndarray:
+    """b^(-1) by one LU solve for a matrix block or a stack of them, and by
+    (a, -v) / (a^2 - |v|^2) for a spin block; the caller has checked that
+    every block is invertible."""
+    if isinstance(factor, SpinFactor):
+        # a^2 - |v|^2 as the product of the two eigenvalues a -/+ |v|
+        nv = _spin_radius(b)
+        return np.concatenate(([b[0]], -b[1:])) / ((b[0] - nv) * (b[0] + nv))
+    m = _embed(factor, b)
+    eye = np.eye(m.shape[-1])
+    # a stack gets a stacked identity: numpy < 2 reads an (M, M) one as M vectors
+    out = np.linalg.solve(m, eye if m.ndim == 2 else eye[None])
+    return _hermitize(factor, _unembed(factor, out))
+
+
 def _invert(x: Element) -> Element:
-    """x^(-1) by one LU solve per matrix block and (a, -v) / (a^2 - |v|^2)
-    per spin block; the caller has checked that x is invertible."""
-    blocks = []
-    for f, b in zip(x.algebra.factors, x.blocks):
-        if isinstance(f, SpinFactor):
-            # a^2 - |v|^2 as the product of the two eigenvalues a -/+ |v|
-            nv = _spin_radius(b)
-            blocks.append(np.concatenate(([b[0]], -b[1:])) / ((b[0] - nv) * (b[0] + nv)))
-        else:
-            m = _embed(f, b)
-            blocks.append(_hermitize(f, _unembed(f, np.linalg.solve(m, np.eye(len(m))))))
-    return _element(x.algebra, blocks)
+    """x^(-1) by :func:`_invert_block`; the caller has checked that x is invertible."""
+    return _element(x.algebra, [_invert_block(f, b) for f, b in zip(x.algebra.factors, x.blocks)])
 
 
 # --- raw Gaussian sampling (classes needing spectra live in sampling.py) ---

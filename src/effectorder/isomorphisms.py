@@ -59,14 +59,17 @@ from .algebra import (
     SpinFactor,
     _adjoint_block,
     _block_dtype_shape,
+    _block_quad,
     _block_sup,
     _cast_array,
+    _check_same_algebra,
     _element,
     _embed,
     _from_real,
     _hermitize,
     _identity_block,
     _invert,
+    _invert_block,
     _mm,
     _real_part,
     _unembed,
@@ -78,10 +81,10 @@ from .algebra import (
     unit,
 )
 from .spectral import (
+    _block_floor,
     _matrix_within,
     _singular_tol,
     apply_function,
-    eigenvalue_floor,
     invert_element,
     min_eigenvalue,
     pseudo_inv_sqrt,
@@ -205,7 +208,8 @@ class FactorJordanIso:
     Hermitian factors: x -> u tau(x) u* for an isometry u over the ring,
     with tau either the identity or (complex factors only) entrywise
     conjugation.  Spin(d) factors: (a, v) -> (a, u v) for a real
-    orthogonal d x d matrix u, a ring array of herm(d,R).
+    orthogonal d x d matrix u, a ring array of herm(d,R).  ``algebra``, the
+    one-factor algebra, is stored at construction.
     """
 
     factor: Factor
@@ -224,10 +228,7 @@ class FactorJordanIso:
             raise ValueError("u is not an isometry")
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
-
-    @property
-    def algebra(self) -> AlgebraDescriptor:
-        return single_factor(self.factor)
+        object.__setattr__(self, "algebra", single_factor(self.factor))
 
     def apply(self, x: Element) -> Element:
         if x.algebra != self.algebra:
@@ -315,9 +316,9 @@ class FactorOrderIso:
         self, x: Element, forward: bool, sup: float | None = None, scale: float = 0.0
     ) -> Element:
         # sup: x's sup norm, if known; scale: the sup of a direct sum that x is a block of
-        if x.algebra != self.algebra:
-            raise ShapeMismatchError("element does not live in this factor")
         f, b, jord = self.jordan.factor, x.block(0), self.jordan
+        if x.algebra != jord.algebra:
+            raise ShapeMismatchError("element does not live in this factor")
         A, B, C = self._forward if forward else self._backward
         sup = _block_sup(f, b) if sup is None else sup
         tol = _order_tol(max(sup, scale))
@@ -344,10 +345,10 @@ class FactorOrderIso:
         if isinstance(f, SpinFactor):
             v = (out[1, 1] - out[0, 0]) * self._zhat + (out[0, 1] + out[1, 0]) / (p1 or 1.0) * w
             v = v if forward else jord.u.T @ v
-            return _element(self.algebra, [np.concatenate(([out[0, 0] + out[1, 1]], v)) / 2.0])
+            return _element(jord.algebra, [np.concatenate(([out[0, 0] + out[1, 1]], v)) / 2.0])
         if jord.conjugate and not forward:
             out = out.conj()
-        return _element(self.algebra, [_hermitize(f, _unembed(f, out))])
+        return _element(jord.algebra, [_hermitize(f, _unembed(f, out))])
 
 
 def compose_factor_isos(
@@ -505,7 +506,7 @@ class CompositeOrderIso:
         for (i, j), iso in zip(self.engaged_pairs, self.engaged_isos):
             if self.source.factors[i] != self.target.factors[j]:
                 raise ValueError(f"matched factors {i} -> {j} differ in kind")
-            if iso.algebra != single_factor(self.target.factors[j]):
+            if iso.jordan.algebra.factors != (self.target.factors[j],):
                 raise ValueError(f"factor isomorphism {i} -> {j} lives in the wrong factor")
 
     def apply(self, x: Element) -> Element:
@@ -573,35 +574,41 @@ def _unit_from_rank_one(factor: HermFactor, b: np.ndarray) -> np.ndarray:
     return b[:, m : m + 1] * (1.0 / np.sqrt(diag[m]))
 
 
-def _extract_hermitian_jordan(Jm: Callable[[Element], Element], factor: HermFactor) -> dict:
-    """The FactorJordanIso arguments read off J's probes."""
+def _probe_plan(factor: Factor) -> np.ndarray:
+    """The extractors' basis blocks as one stack, in probing order: E_00 and
+    E_0j + E_j0 on herm(n,.) for n > 1, then i (E_01 - E_10) over C, or it
+    and j (E_01 - E_10) over H; the basis vectors (0, e_i) on spin(d)."""
+    if isinstance(factor, SpinFactor):
+        return np.eye(factor.d + 1)[1:]
+    n, ring = factor.n, factor.ring
+    real = np.zeros((n if n > 1 else 0, n, n))
+    for j in range(len(real)):
+        real[j, 0, j] = real[j, j, 0] = 1.0
+    blocks = _from_real(factor, real)
+    if n == 1 or ring is Ring.REAL:
+        return blocks
+    im = np.array([1j]) if ring is Ring.COMPLEX else np.eye(4)[1:3]  # units i, or i and j
+    twists = np.zeros((len(im),) + blocks.shape[1:], dtype=blocks.dtype)
+    twists[:, 0, 1], twists[:, 1, 0] = im, -im
+    return np.concatenate((blocks, twists))
+
+
+def _extract_hermitian_jordan(factor: HermFactor, basis: np.ndarray, imgs: np.ndarray) -> dict:
+    """The FactorJordanIso arguments read off imgs, J's images of the basis
+    blocks of :func:`_probe_plan`."""
     n, ring = factor.n, factor.ring
     if n == 1:
         return {"u": _identity_block(factor)}
 
-    def probe(block: np.ndarray) -> np.ndarray:
-        return Jm(_element(single_factor(factor), [block])).block(0)
-
-    def basis_block(entries: dict[tuple[int, int], float]) -> np.ndarray:
-        m = np.zeros((n, n))
-        for (r, c), v in entries.items():
-            m[r, c] = v
-        return _from_real(factor, m)
-
     # J(E_00) = c_0 c_0*, and J(E_0j + E_j0) c_0 = c_j since c_0* c_0 = 1, c_j* c_0 = 0
-    c0 = _unit_from_rank_one(factor, probe(basis_block({(0, 0): 1.0})))
-    cols = [c0] + [
-        _mm(factor, probe(basis_block({(0, j): 1.0, (j, 0): 1.0})), c0) for j in range(1, n)
-    ]
-    U = np.concatenate(cols, axis=1)
+    c0 = _unit_from_rank_one(factor, imgs[0])
+    U = np.concatenate([c0] + [_mm(factor, img, c0) for img in imgs[1:n]], axis=1)
 
     if ring is Ring.REAL:
         return {"u": U}
 
     if ring is Ring.COMPLEX:
-        probe_im = np.zeros((n, n), dtype=complex)
-        probe_im[0, 1], probe_im[1, 0] = 1j, -1j
-        img = probe(probe_im)
+        probe_im, img = basis[n], imgs[n]
         lin = U @ probe_im @ U.conj().T
         conj = U @ probe_im.conj() @ U.conj().T
         if np.abs(img - lin).max() <= RECOVERY_TOL * n:
@@ -612,13 +619,11 @@ def _extract_hermitian_jordan(Jm: Callable[[Element], Element], factor: HermFact
 
     # quaternions: U* Jm(x) U = conj(w) x w entrywise for the unit w of c_0's
     # phase; the twist unit p = conj(w) solves r_a p = p a, r_a = conj(w) a w
-    basis = np.eye(4)
+    qbasis = np.eye(4)
     rows = []
-    for axis in (1, 2):
-        b = np.zeros((n, n, 4))
-        b[0, 1, axis], b[1, 0, axis] = 1.0, -1.0
-        r_a = _mm(factor, _mm(factor, _adjoint_block(factor, U), probe(b)), U)[0, 1]
-        rows.append((quat.qmul(r_a, basis) - quat.qmul(basis, basis[axis])).T)
+    for axis, img in zip((1, 2), imgs[n:]):
+        r_a = _mm(factor, _mm(factor, _adjoint_block(factor, U), img), U)[0, 1]
+        rows.append((quat.qmul(r_a, qbasis) - quat.qmul(qbasis, qbasis[axis])).T)
     _, sing, vt = np.linalg.svd(np.concatenate(rows))
     if sing[-1] > 1e-6:
         raise RecoveryError("inner twist is not a rotation")
@@ -630,14 +635,26 @@ def _extract_hermitian_jordan(Jm: Callable[[Element], Element], factor: HermFact
     return {"u": u}
 
 
-def _extract_spin_jordan(Jm: Callable[[Element], Element], factor: SpinFactor) -> dict:
-    cols = []
-    for b in np.eye(factor.d + 1)[1:]:  # the basis vectors (0, e_i)
-        img = Jm(_element(single_factor(factor), [b])).block(0)
-        if abs(img[0]) > RECOVERY_TOL * 10:
-            raise RecoveryError("spin probe image has a scalar part")
-        cols.append(img[1:])
-    return {"u": np.column_stack(cols)}
+def _extract_spin_jordan(factor: SpinFactor, basis: np.ndarray, imgs: np.ndarray) -> dict:
+    """u's columns are the images of the basis vectors (0, e_i)."""
+    if np.abs(imgs[:, 0]).max() > RECOVERY_TOL * 10:
+        raise RecoveryError("spin probe image has a scalar part")
+    return {"u": imgs[:, 1:].T}
+
+
+def _over_stack(factor: Factor, kernel, stack: np.ndarray) -> np.ndarray:
+    """kernel(factor, .) on a (k, ...) stack of blocks: matrix kernels take
+    the stack at once, spin closed forms run block by block."""
+    if isinstance(factor, SpinFactor):
+        return np.stack([kernel(factor, b) for b in stack])
+    return kernel(factor, stack)
+
+
+def _probe(name: str, fn: Callable[..., Element], *args) -> Element:
+    try:
+        return fn(*args)
+    except (DomainError, SingularElementError) as exc:
+        raise RecoveryError(f"{name} left the invertible part: {exc}") from exc
 
 
 def recover_factor_iso(
@@ -651,11 +668,17 @@ def recover_factor_iso(
 
     Carried through the anti-isomorphism of :func:`cone_interval_map`, g
     becomes the cone map fhat(x) = g((x + e)^(-1))^(-1) - e, which must be
-    the linear map U_y J.  The unit is probed once: fhat(e) = y^2 gives y
-    and y^(-1) from one decomposition, and every other probe goes through
-    L(x) = fhat(x + c e) - c fhat(e) with c >= 1 keeping x + c e in the
-    cone, so an affine offset in fhat fails the agreement check; c is taken
-    from the entry bound :func:`eigenvalue_floor`, not from an eigensolve.
+    the linear map U_y J.  The probe plan is fixed before the first probe:
+    the unit, the extractors' basis blocks (:func:`_probe_plan`) and 3
+    Gaussian agreement points drawn from seed.  fhat(e) = y^2 gives y and
+    y^(-1) from one decomposition; every other point x goes through
+    L(x) = fhat(x + c e) - c fhat(e), so that an affine offset in fhat fails
+    the agreement check, with c = 1 + max(0, -Gershgorin floor of x): then
+    x + c e >= e, so its input (x + c e + e)^(-1) lies in (0, e/2] and needs
+    no membership test.  g is called once per probe, in plan order; each
+    step around it runs once on the stack of all probes (spin factors loop):
+    an LU solve for the inputs, then for the images cone_interval_map's
+    Cholesky test at each image's own scale, an LU solve and U_{y^(-1)}.
     J = U_{y^(-1)} L is read off a Hermitian factor's rank-one probes: E_00
     gives a unit column c_0, and column j is J(E_0j + E_j0) c_0.  Over C one
     more probe tells linear from conjugate-linear; over H the twist unit p
@@ -666,41 +689,52 @@ def recover_factor_iso(
     replaced by its polar factor, the nearest isometry, so that probe noise
     within RECOVERY_TOL is left to the agreement check, the one check of g:
     every order isomorphism has this form, so J = U_{y^(-1)} L must agree
-    with the recovered J at 3 points drawn from seed.  Raises RecoveryError
-    when a probe leaves the invertible part, when that check fails (to
-    RECOVERY_TOL), or when :class:`FactorJordanIso` refuses the projected u.
+    with the recovered J at the 3 agreement points.  Raises RecoveryError
+    when an image leaves the invertible part (naming the first such probe:
+    the unit probe, extraction probe j or agreement probe j, from 1), when
+    that check fails (to RECOVERY_TOL), or when :class:`FactorJordanIso`
+    refuses the projected u.
     """
     if len(source.factors) != 1 or len(target.factors) != 1:
         raise DomainError("recovery operates on single factors")
     if source.factors[0] != target.factors[0]:
         raise DomainError("source and target factors must be of the same kind")
-    e_s = unit(source)
+    factor, e_s = source.factors[0], unit(source)
+    e, basis, rng = e_s.block(0), _probe_plan(factor), np.random.default_rng(seed)
+    agree = [random_gaussian(source, rng) for _ in range(3)]
+    names = ["unit probe"] + [f"extraction probe {j + 1}" for j in range(len(basis))]
+    names += [f"agreement probe {j + 1}" for j in range(len(agree))]
 
-    def fhat(x: Element) -> Element:
-        try:
-            img = g(cone_interval_map(x, "cone_to_interval"))
-            return cone_interval_map(img, "interval_to_cone")
-        except (DomainError, SingularElementError) as exc:
-            raise RecoveryError(f"probe left the invertible part: {exc}") from exc
+    # the unit probe is x = e with c = 0
+    xs = np.concatenate(([e], basis, [a.block(0) for a in agree]))
+    floors = _over_stack(factor, _block_floor, xs[1:])
+    cs = np.concatenate(([0.0], np.maximum(0.0, -floors) + 1.0)).reshape((-1,) + (1,) * e.ndim)
+    inputs = _over_stack(factor, _invert_block, xs + cs * e + e)
+    imgs = [_probe(name, g, _element(source, [b])) for name, b in zip(names, inputs)]
+    for img in imgs:
+        _check_same_algebra(img, e_s)
 
-    f_e = fhat(e_s)
-
-    def L(x: Element) -> Element:
-        c = max(0.0, -eigenvalue_floor(x)) + 1.0
-        return fhat(x + c * e_s) - c * f_e
-
-    dec = spectral_decompose(f_e)
+    # fhat = cone_interval_map of every image, within (stol, 1 + tol) at its own scale: one test
+    # and one solve for matrix blocks; image by image on spin factors, or to name a failing image
+    Fs = np.stack([img.block(0) for img in imgs])
+    scales = np.array([sup_norm(img) for img in imgs])[:, None, None]
+    lo, hi = _singular_tol(scales), 1.0 + _order_tol(scales)
+    matrix = isinstance(factor, HermFactor) and np.all(scales < hi)  # an entry >= hi fails
+    if matrix and _matrix_within(factor, _embed(factor, Fs), lo, hi):
+        fhat = _invert_block(factor, Fs) - e
+    else:
+        outs = [_probe(n, cone_interval_map, F, "interval_to_cone") for n, F in zip(names, imgs)]
+        fhat = np.stack([out.block(0) for out in outs])
+    dec = spectral_decompose(_element(source, [fhat[0]]))
     if not dec.eigenvalues[0] > 0.0:  # negated so that NaN fails
         raise RecoveryError("probed image of the unit is not interior")
     y = dec.apply(math.sqrt)
-    y_inv = dec.apply(lambda s: 1.0 / math.sqrt(s))
+    y_inv = dec.apply(lambda s: 1.0 / math.sqrt(s)).block(0)
+    Ls = fhat[1:] - cs[1:] * fhat[0]
+    Js = _over_stack(factor, lambda f, b: _block_quad(f, y_inv, b), Ls)
 
-    def Jm(x: Element) -> Element:
-        return quad_rep(y_inv, L(x))
-
-    factor = source.factors[0]
     extract = _extract_spin_jordan if isinstance(factor, SpinFactor) else _extract_hermitian_jordan
-    parts = extract(Jm, factor)
+    parts = extract(factor, basis, Js[: len(basis)])
     f = _isometry_factor(factor)
     try:  # a failed SVD (LinAlgError) is a ValueError too
         w, _, vh = np.linalg.svd(_embed(f, parts.pop("u")))
@@ -708,11 +742,9 @@ def recover_factor_iso(
     except ValueError as exc:
         raise RecoveryError(f"recovered Jordan isomorphism: {exc}") from exc
 
-    rng = np.random.default_rng(seed)
-    for _ in range(3):
-        a = random_gaussian(source, rng)
-        ja = Jm(a)
-        if sup_norm(ja - jord.apply(a)) > RECOVERY_TOL * (1.0 + sup_norm(ja)):
+    for a, ja in zip(agree, Js[len(basis) :]):
+        err = _block_sup(factor, ja - jord.apply(a).block(0))
+        if err > RECOVERY_TOL * (1.0 + _block_sup(factor, ja)):
             raise RecoveryError("recovered Jordan isomorphism disagrees with the probes")
 
     return params_from_cone_map(y, jord, 1.0 + dec.eigenvalues[-1])

@@ -49,7 +49,7 @@ def qabs(q: np.ndarray) -> np.ndarray:
 
 
 def qmatmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Matrix product of an (n, m, 4) and an (m, k, 4) quaternion array.
+    """Matrix product of (..., n, m, 4) and (..., m, k, 4) quaternion arrays.
 
     With entries z + w j, (Z1 + W1 j)(Z2 + W2 j) = (Z1 Z2 - W1 conj(W2))
     + (Z1 W2 + W1 conj(Z2)) j, so four complex matrix products suffice.
@@ -64,29 +64,29 @@ def qmatmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def qadjoint(A: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of an (n, m, 4) quaternion array."""
-    return qconj(np.swapaxes(np.asarray(A, dtype=float), 0, 1))
+    """Conjugate transpose of an (..., n, m, 4) quaternion array."""
+    return qconj(np.asarray(A, dtype=float).swapaxes(-3, -2))
 
 
 def to_complex(A: np.ndarray) -> np.ndarray:
-    """Embed an (n, m, 4) quaternion array as a 2n x 2m complex matrix."""
+    """Embed an (..., n, m, 4) quaternion array as (..., 2n, 2m) complex matrices."""
     A = np.asarray(A, dtype=float)
-    n, m = A.shape[0], A.shape[1]
+    n, m = A.shape[-3], A.shape[-2]
     Z = A[..., 0] + 1j * A[..., 1]
     W = A[..., 2] + 1j * A[..., 3]
-    out = np.empty((2 * n, 2 * m), dtype=complex)
-    out[:n, :m], out[:n, m:] = Z, W
-    out[n:, :m], out[n:, m:] = -W.conj(), Z.conj()
+    out = np.empty(A.shape[:-3] + (2 * n, 2 * m), dtype=complex)
+    out[..., :n, :m], out[..., :n, m:] = Z, W
+    out[..., n:, :m], out[..., n:, m:] = -W.conj(), Z.conj()
     return out
 
 
 def from_complex(C: np.ndarray) -> np.ndarray:
     """Invert :func:`to_complex`, averaging the two redundant copies."""
     C = np.asarray(C, dtype=complex)
-    n = C.shape[0] // 2
-    m = C.shape[1] // 2
-    Z = 0.5 * (C[:n, :m] + C[n:, m:].conj())
-    W = 0.5 * (C[:n, m:] - C[n:, :m].conj())
+    n = C.shape[-2] // 2
+    m = C.shape[-1] // 2
+    Z = 0.5 * (C[..., :n, :m] + C[..., n:, m:].conj())
+    W = 0.5 * (C[..., :n, m:] - C[..., n:, :m].conj())
     return np.stack([Z.real, Z.imag, W.real, W.imag], axis=-1)
 
 

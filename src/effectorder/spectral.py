@@ -263,15 +263,16 @@ def spectrum_within(x: Element, lo: float, hi: float = math.inf) -> bool:
     return True
 
 
-def _matrix_within(f: HermFactor, m: np.ndarray, lo: float, hi: float) -> bool:
+def _matrix_within(f: HermFactor, m: np.ndarray, lo, hi) -> bool:
     """:func:`spectrum_within` on one matrix block, given as its embedding
     m, for a finite lo < hi; the caller has checked that every entry has
-    modulus below max(|lo|, |hi|) (so m is finite)."""
-    if f.n == 1:
+    modulus below max(|lo|, |hi|) (so m is finite).  A (k, M, M) stack m,
+    with finite (k, 1, 1) bounds, passes when every block does."""
+    if f.n == 1 and m.ndim == 2:
         return lo < float(m[0, 0].real) < hi
-    eye = np.eye(len(m))
+    eye = np.eye(m.shape[-1])
     p = m - lo * eye
-    if hi < math.inf:
+    if isinstance(hi, np.ndarray) or hi < math.inf:
         # the factors commute; cholesky reads one triangle, so the
         # rounding asymmetry of the product does not matter
         p = p @ ((hi - lo) * eye - p)
@@ -287,16 +288,16 @@ def eigenvalue_floor(x: Element) -> float:
     eigensolve: the left end of the Gershgorin discs of each matrix block
     (of its complex embedding over H), a - |v| on spin blocks.  NaN when
     some entry is NaN."""
-    floors = []
-    for f, b in zip(x.algebra.factors, x.blocks):
-        if isinstance(f, SpinFactor):
-            floors.append(float(b[0]) - _spin_radius(b))
-            continue
-        m = _embed(f, b)
-        diag = m.diagonal().real
-        radius = np.abs(m).sum(axis=1) - np.abs(diag)
-        floors.append(float((diag - radius).min()))
-    return float(np.min(floors))
+    return float(np.min([_block_floor(f, b) for f, b in zip(x.algebra.factors, x.blocks)]))
+
+
+def _block_floor(f: Factor, b: np.ndarray):
+    """:func:`eigenvalue_floor` of one block, or of each in a matrix stack."""
+    if isinstance(f, SpinFactor):
+        return float(b[0]) - _spin_radius(b)
+    m = _embed(f, b)
+    diag = m.diagonal(0, -2, -1).real
+    return (diag - (np.abs(m).sum(axis=-1) - np.abs(diag))).min(axis=-1)
 
 
 def min_eigenvalue(x: Element) -> float:

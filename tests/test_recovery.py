@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from effectorder import (
     unit,
 )
 from effectorder.isomorphisms import RECOVERY_TOL
+from effectorder.spectral import extreme_eigenvalues
 
 RECOVERY_KINDS = [
     HermFactor(2, Ring.REAL),
@@ -32,6 +35,9 @@ RECOVERY_KINDS = [
     HermFactor(3, Ring.QUATERNION),
     SpinFactor(5),
 ]
+
+# herm(1,.) has no extraction probes: the plan's edge case
+BUDGET_KINDS = RECOVERY_KINDS + [HermFactor(1, Ring.REAL), HermFactor(1, Ring.COMPLEX)]
 
 NOISY_KINDS = [
     HermFactor(3), HermFactor(3, Ring.COMPLEX), HermFactor(2, Ring.QUATERNION), SpinFactor(4)
@@ -198,13 +204,32 @@ class TestRecoverFactorIso:
         with pytest.raises(RecoveryError, match="disagrees with the probes"):
             recover_factor_iso(g, alg, alg)
 
+    @pytest.mark.parametrize("factor", [HermFactor(3, Ring.COMPLEX), SpinFactor(4)], ids=str)
+    def test_names_the_probe_whose_image_left_the_interval(self, factor, rng):
+        # every image is tested after the last probe; the error names the first bad one
+        alg = single_factor(factor)
+        iso = random_factor_iso(factor, rng)
+        probes = []
+
+        def g(x):
+            probes.append(x)
+            return 2.0 * unit(alg) if len(probes) == expected_probes(factor) - 1 else iso.apply(x)
+
+        with pytest.raises(
+            RecoveryError, match=r"^agreement probe 2 left the invertible part: .*outside \[0, e\]"
+        ):
+            recover_factor_iso(g, alg, alg)
+        assert len(probes) == expected_probes(factor)
+
 
 def expected_probes(factor):
     """The unit once, one per column (over C one more for the conjugation,
-    over H two more for the twist) or spin basis vector, and 3 in the
-    agreement check, the only check of the black box."""
+    over H two more for the twist; none on herm(1,.)) or spin basis vector,
+    and 3 in the agreement check, the only check of the black box."""
     if isinstance(factor, SpinFactor):
         return 4 + factor.d
+    if factor.n == 1:
+        return 4
     return 4 + factor.n + {Ring.REAL: 0, Ring.COMPLEX: 1, Ring.QUATERNION: 2}[factor.ring]
 
 
@@ -216,7 +241,7 @@ EIGENSOLVES = 3
 
 
 class TestProbingBudget:
-    @pytest.mark.parametrize("factor", RECOVERY_KINDS, ids=str)
+    @pytest.mark.parametrize("factor", BUDGET_KINDS, ids=str)
     def test_probes_per_recovery(self, factor, rng):
         alg = single_factor(factor)
         iso = random_factor_iso(factor, rng)
@@ -228,6 +253,46 @@ class TestProbingBudget:
 
         recover_factor_iso(g, alg, alg)
         assert len(probes) == expected_probes(factor)
+
+    @pytest.mark.parametrize("factor", BUDGET_KINDS, ids=str)
+    def test_every_probe_lies_in_half_the_interval(self, factor, rng):
+        # why the probe inputs need no membership test: each is (x + c e + e)^(-1)
+        # with x + c e >= e, so it lies in (0, e/2]; the Gaussian agreement points too
+        alg = single_factor(factor)
+        iso = random_factor_iso(factor, rng)
+        probes = []
+
+        def g(x):
+            probes.append(x)
+            return iso.apply(x)
+
+        for seed in range(3):
+            recover_factor_iso(g, alg, alg, seed=seed)
+        assert len(probes) == 3 * expected_probes(factor)
+        for x in probes:
+            lo, hi = extreme_eigenvalues(x)
+            assert lo > 0.0 and hi <= 0.5 + 1e-12
+
+    @pytest.mark.parametrize("factor", BUDGET_KINDS, ids=str)
+    def test_lapack_calls_outside_the_black_box(self, factor, rng, eigensolve_counter):
+        # recovery's own part of all probes is stacked: one LU solve for the inputs,
+        # one Cholesky test and one LU solve for the images, whatever n is; spin
+        # factors run their closed forms
+        alg = single_factor(factor)
+        iso = random_factor_iso(factor, rng)
+        inside = Counter()
+
+        def g(x):
+            before = Counter(eigensolve_counter)
+            y = iso.apply(x)
+            inside.update(Counter(eigensolve_counter) - before)
+            return y
+
+        eigensolve_counter.clear()
+        recover_factor_iso(g, alg, alg)
+        outside = Counter(eigensolve_counter) - inside
+        matrix = isinstance(factor, HermFactor)
+        assert outside["solve"] <= 2 * matrix and outside["cholesky"] <= matrix
 
     @pytest.mark.parametrize(
         "factor", [f for f in RECOVERY_KINDS if isinstance(f, HermFactor)], ids=str

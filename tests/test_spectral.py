@@ -39,7 +39,22 @@ from effectorder import (
     zero,
 )
 from effectorder import quaternion as quat
-from effectorder.spectral import block_eigenvalues, eigenvalue_floor, spectrum_within
+from effectorder.algebra import (
+    _adjoint_block,
+    _block_quad,
+    _embed,
+    _hermitize,
+    _invert_block,
+    _unembed,
+)
+from effectorder.spectral import (
+    _block_floor,
+    _matrix_within,
+    block_eigenvalues,
+    eigenvalue_floor,
+    extreme_eigenvalues,
+    spectrum_within,
+)
 
 from conftest import FACTOR_KINDS, MIXED
 
@@ -449,6 +464,39 @@ class TestSpectrumWithin:
                 effect_tol = 1e-8 * (1.0 + sup_norm(x))
                 assert not spectrum_within(x, -effect_tol, 1.0 + effect_tol)
                 assert not in_effect_interval(x)
+
+
+class TestStackedKernels:
+    # recovery runs the matrix kernels once on a (k, ...) stack of blocks:
+    # each block of the result is the kernel's result on that block, bit for bit
+    MATRIX_KINDS = [f for f in FACTOR_KINDS if isinstance(f, HermFactor)]
+
+    @pytest.mark.parametrize("factor", MATRIX_KINDS, ids=str)
+    def test_stack_agrees_with_each_block(self, factor, rng):
+        alg = single_factor(factor)
+        xs = [sample_element(alg, rng, "invertible_effect").block(0) for _ in range(3)]
+        kernels = [
+            _invert_block, _hermitize, _adjoint_block, _embed, _block_floor,
+            lambda f, b: _unembed(f, _embed(f, b)),
+            lambda f, b: _block_quad(f, xs[0], b),
+        ]
+        for kernel in kernels:
+            for x, got in zip(xs, kernel(factor, np.stack(xs))):
+                assert np.array_equal(got, kernel(factor, x))
+
+    @pytest.mark.parametrize("factor", MATRIX_KINDS, ids=str)
+    def test_one_factorization_decides_every_block(self, factor, rng):
+        xs = [sample_element(single_factor(factor), rng, "invertible_effect") for _ in range(3)]
+        m = _embed(factor, np.stack([x.block(0) for x in xs]))
+        ends = np.array([extreme_eigenvalues(x) for x in xs])
+        lo, hi = ends[:, :1, None] - 1e-6, ends[:, 1:, None] + 1e-6
+        assert _matrix_within(factor, m, lo, hi)
+        for k in range(len(xs)):
+            tight_lo, tight_hi = lo.copy(), hi.copy()
+            tight_lo[k] += 2e-6
+            tight_hi[k] -= 2e-6
+            assert not _matrix_within(factor, m, tight_lo, hi)
+            assert not _matrix_within(factor, m, lo, tight_hi)
 
 
 # three matrix blocks with n >= 2, each one eigh; the line and the spin
