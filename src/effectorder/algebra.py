@@ -10,18 +10,24 @@ Elements are block vectors, one block per factor.  Everything here is
 immutable and every operation is a pure function, so values can be
 shared freely across threads.
 
+A matrix block over H is stored as its 2n x 2n complex embedding, so
+that every kernel runs on it as on herm(2n,C); the public format is the
+(n, n, 4) ring array, which ``Element.block(i)`` returns (see the comment
+above :func:`_stored_block`).
+
 Blocks from outside the library (:func:`element_from_blocks`,
 :func:`element_in_factor`, the parser in ``serialization``) pass one
 validator, :func:`_checked_block`: cast to the factor's dtype and shape,
 finite, asymmetry |b - b*| <= 1e-6 (1 + |b|) in the largest entry modulus,
-then replaced by (b + b*) / 2; its cast also serves ``FactorJordanIso``.
-Documents store a ring matrix as its :func:`_real_view`, floats of shape
-(n, n), (n, n, 2) or (n, n, 4) over R, C or H.  Inside the library every
-element comes from the trusted :func:`_element`, which only freezes its
-arrays.  Sums and real multiples of Hermitian blocks stay exactly
-Hermitian, so only the producers whose floating-point arithmetic can break
-symmetry (non-commuting products, eigenbasis sums, solves, Jordan
-isomorphisms, raw samples) average their results with their adjoints.
+then stored and replaced by (b + b*) / 2; its cast also serves
+``FactorJordanIso``.  Documents store a ring array as its
+:func:`_real_view`, floats of shape (n, n), (n, n, 2) or (n, n, 4) over R,
+C or H.  Inside the library every element comes from the trusted
+:func:`_element`, which only freezes its arrays.  Sums and real multiples
+of Hermitian blocks stay exactly Hermitian (and over H exactly of the
+embedding's form), so only the producers whose floating-point arithmetic
+can break symmetry (non-commuting products, eigenbasis sums, solves,
+Jordan isomorphisms, raw samples) restore it with :func:`_hermitize`.
 """
 
 from __future__ import annotations
@@ -169,6 +175,7 @@ def single_factor(factor: Factor) -> AlgebraDescriptor:
 # --- blocks ---------------------------------------------------------------
 
 def _block_dtype_shape(factor: Factor) -> tuple[type, tuple[int, ...]]:
+    """dtype and shape of a block in the public format (the ring array)."""
     if isinstance(factor, HermFactor):
         n = factor.n
         if factor.ring is Ring.COMPLEX:
@@ -179,33 +186,50 @@ def _block_dtype_shape(factor: Factor) -> tuple[type, tuple[int, ...]]:
     return float, (factor.d + 1,)
 
 
-# Ring arrays are (n, m) float over R, (n, m) complex over C and (n, m, 4)
-# float over H.  Other modules handle them only through this module's
-# private block helpers, so no code outside it branches on that layout.
-# The matrix helpers also take a (k, ...) stack of ring arrays and act on
-# each; spin helpers take one block.
+# Ring arrays, the public format of a matrix block, are (n, m) float over R,
+# (n, m) complex over C and (n, m, 4) float over H.  Inside the library a
+# block over H is stored as its 2n x 2m complex embedding (``quaternion``
+# module), so every kernel runs on a real or complex matrix, over H exactly
+# as over C; element_from_blocks, Element(alg, blocks), the documents and
+# FactorJordanIso(u=...) convert once with _stored_block, and Element.blocks,
+# Element.block(i) and FactorJordanIso.u convert back with _ring_array.
+# Matrix helpers also take a (k, ...) stack of blocks and act on each; spin
+# helpers take one block.
 
-def _mm(factor: HermFactor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two ring arrays."""
-    return quat.qmatmul(a, b) if factor.ring is Ring.QUATERNION else a @ b
+def _stored_block(factor: Factor, a) -> np.ndarray:
+    """A block in the public format as the library stores it; not copied over R and C."""
+    if isinstance(factor, HermFactor) and factor.ring is Ring.QUATERNION:
+        return quat.to_complex(a)
+    return a
+
+
+def _ring_array(factor: Factor, b: np.ndarray) -> np.ndarray:
+    """Invert :func:`_stored_block`; over H a fresh array, read from the top rows."""
+    if isinstance(factor, HermFactor) and factor.ring is Ring.QUATERNION:
+        return quat.from_complex(b)
+    return b
 
 
 def _real_part(factor: HermFactor, b: np.ndarray) -> np.ndarray:
-    """Entrywise real part of a ring array, as a real array."""
-    return b[..., 0] if factor.ring is Ring.QUATERNION else b.real
+    """Entrywise real part of a stored matrix's ring array, as a real array."""
+    # over H the ring array's real part is that of the embedding's top-left block
+    return b[..., : factor.n, : factor.n].real
 
 
 def _from_real(factor: HermFactor, m: np.ndarray) -> np.ndarray:
-    """A real array as a ring array of the same matrix shape."""
+    """A real (..., n, n) array as the stored matrix of the same ring array."""
     if factor.ring is Ring.QUATERNION:
-        out = np.zeros(m.shape + (4,))
-        out[..., 0] = m
+        n = factor.n
+        out = np.zeros(m.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+        out[..., :n, :n] = out[..., n:, n:] = m
         return out
     return np.array(m, dtype=complex if factor.ring is Ring.COMPLEX else float)
 
 
 def _real_view(factor: HermFactor, b: np.ndarray) -> np.ndarray:
-    """A ring array as floats: itself over R and H, (..., 2) over C."""
+    """A stored matrix as the floats of its ring array: (n, n) over R, (n, n, 2)
+    over C and (n, n, 4) over H."""
+    b = _ring_array(factor, b)
     return np.stack((b.real, b.imag), axis=-1) if factor.ring is Ring.COMPLEX else b
 
 
@@ -216,18 +240,8 @@ def _real_view_shape(factor: HermFactor) -> tuple[int, ...]:
 
 
 def _from_real_view(factor: HermFactor, v: np.ndarray) -> np.ndarray:
-    """Invert :func:`_real_view` bit for bit."""
+    """The ring array whose :func:`_real_view` is v, bit for bit."""
     return np.ascontiguousarray(v).view(complex)[..., 0] if factor.ring is Ring.COMPLEX else v
-
-
-def _embed(factor: HermFactor, b: np.ndarray) -> np.ndarray:
-    """The real or complex matrix eigensolvers run on (2n x 2n over H)."""
-    return quat.to_complex(b) if factor.ring is Ring.QUATERNION else b
-
-
-def _unembed(factor: HermFactor, c: np.ndarray) -> np.ndarray:
-    """Invert :func:`_embed`."""
-    return quat.from_complex(c) if factor.ring is Ring.QUATERNION else c
 
 
 def _identity_block(factor: Factor) -> np.ndarray:
@@ -239,26 +253,50 @@ def _identity_block(factor: Factor) -> np.ndarray:
 
 
 def _zero_block(factor: Factor) -> np.ndarray:
-    dtype, shape = _block_dtype_shape(factor)
-    return np.zeros(shape, dtype=dtype)
+    if isinstance(factor, HermFactor):
+        return _from_real(factor, np.zeros((factor.n, factor.n)))
+    return np.zeros(factor.d + 1)
 
 
-def _adjoint_block(factor: HermFactor, b: np.ndarray) -> np.ndarray:
-    if factor.ring is Ring.QUATERNION:
-        return quat.qadjoint(b)
+def _adjoint(b: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a stored matrix, or of each in a stack."""
     return b.conj().swapaxes(-2, -1)
 
 
+@lru_cache(maxsize=None)
+def _quaternion_swap(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, signs) with sigma(m) = signs * conj(m[..., rows, cols]), where
+    sigma(m) = J conj(m) J^T for J = [[0, I], [-I, 0]] of size 2n: the 2n x 2n
+    complex matrices of the form [[Z, W], [-conj W, conj Z]] are those with
+    sigma(m) = m.  rows and cols swap the halves; signs is -1 where one index
+    is in each half."""
+    half = np.r_[np.arange(n, 2 * n), np.arange(n)]
+    s = np.r_[np.ones(n), -np.ones(n)]
+    return half[:, None], half[None, :], np.outer(s, s)
+
+
 def _hermitize(factor: Factor, b: np.ndarray) -> np.ndarray:
-    """Average a block with its adjoint; spin blocks are returned as they are."""
+    """Average a matrix block with its adjoint; spin blocks are returned as they are.
+
+    Over H the average h = (b + b*) / 2 is averaged with sigma(h) as well
+    (:func:`_quaternion_swap`), which keeps it exactly Hermitian and makes it
+    exactly of the form [[Z, W], [-conj W, conj Z]].
+    """
     if isinstance(factor, SpinFactor):
         return b
-    return 0.5 * (b + _adjoint_block(factor, b))
+    h = 0.5 * (b + _adjoint(b))
+    if factor.ring is not Ring.QUATERNION:
+        return h
+    rows, cols, signs = _quaternion_swap(factor.n)
+    return 0.5 * (h + signs * h[..., rows, cols].conj())
 
 
 def _block_sup(factor: Factor, b: np.ndarray) -> float:
+    """The largest entry modulus of a block's ring array: over H that of a
+    quaternion z + w j, read from the embedding's top rows as hypot(|z|, |w|)."""
     if isinstance(factor, HermFactor) and factor.ring is Ring.QUATERNION:
-        return float(quat.qabs(b).max())
+        a = np.abs(b[..., : factor.n, :])
+        return float(np.hypot(a[..., : factor.n], a[..., factor.n :]).max())
     return float(np.abs(b).max())
 
 
@@ -267,32 +305,59 @@ def _spin_radius(b: np.ndarray) -> float:
     return math.hypot(*b[1:].tolist())
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Element:
-    """A block vector with one Hermitian (or spin) block per factor."""
+    """A block vector with one Hermitian (or spin) block per factor.
+
+    ``Element(alg, blocks)`` takes ring arrays, converts the quaternion ones
+    to their embedding and stores the rest as given, with no copy or check
+    (:func:`element_from_blocks` validates).  ``blocks`` and ``block(i)`` give
+    the ring arrays back: the stored arrays over R, C and spin, and over H a
+    read-only (n, n, 4) array built on first read and kept.  Library code
+    reads the stored blocks, ``_blocks``.
+    """
 
     algebra: AlgebraDescriptor
-    blocks: tuple[np.ndarray, ...]
-    # not a field: ``spectral.spectral_decompose`` stores the element's
-    # default-tolerance decomposition here, on elements with read-only blocks
+    _blocks: tuple[np.ndarray, ...]
+    # not fields: ``spectral.spectral_decompose`` stores the element's
+    # default-tolerance decomposition here, on elements with read-only blocks;
+    # ``blocks`` stores the ring arrays
     _decomposition = None
+    _view = None
+
+    def __init__(self, algebra: AlgebraDescriptor, blocks, *, _stored: bool = False):
+        if not _stored:
+            blocks = [_stored_block(f, b) for f, b in zip(algebra.factors, blocks)]
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "_blocks", tuple(blocks))
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        view = self._view
+        if view is None:
+            view = tuple(_ring_array(f, b) for f, b in zip(self.algebra.factors, self._blocks))
+            for a, b in zip(view, self._blocks):
+                if a is not b:
+                    a.setflags(write=False)
+            object.__setattr__(self, "_view", view)
+        return view
 
     def block(self, i: int) -> np.ndarray:
         return self.blocks[i]
 
     def __add__(self, other: "Element") -> "Element":
         _check_same_algebra(self, other)
-        return _element(self.algebra, [a + b for a, b in zip(self.blocks, other.blocks)])
+        return _element(self.algebra, [a + b for a, b in zip(self._blocks, other._blocks)])
 
     def __sub__(self, other: "Element") -> "Element":
         _check_same_algebra(self, other)
-        return _element(self.algebra, [a - b for a, b in zip(self.blocks, other.blocks)])
+        return _element(self.algebra, [a - b for a, b in zip(self._blocks, other._blocks)])
 
     def __neg__(self) -> "Element":
-        return _element(self.algebra, [-b for b in self.blocks])
+        return _element(self.algebra, [-b for b in self._blocks])
 
     def __rmul__(self, c: float) -> "Element":
-        return _element(self.algebra, [float(c) * b for b in self.blocks])
+        return _element(self.algebra, [float(c) * b for b in self._blocks])
 
     def __mul__(self, c: float) -> "Element":
         return self.__rmul__(c)
@@ -307,16 +372,17 @@ def _check_same_algebra(x: Element, y: Element) -> None:
 
 
 def _element(alg: AlgebraDescriptor, blocks: Iterable[np.ndarray]) -> Element:
-    """Trusted constructor: freezes the given arrays in place.
+    """Trusted constructor: freezes the given stored blocks in place.
 
-    The caller guarantees that the blocks have the factors' shapes, are
-    Hermitian, and are owned by no one who writes to them: fresh results,
-    or blocks of other (frozen) elements.  Nothing is copied or checked.
+    The caller guarantees that the blocks have the factors' stored shapes,
+    are Hermitian (over H also of the embedding's form), and are owned by no
+    one who writes to them: fresh results, or blocks of other (frozen)
+    elements.  Nothing is copied or checked.
     """
     blocks = tuple(blocks)
     for b in blocks:
         b.setflags(write=False)
-    return Element(alg, blocks)
+    return Element(alg, blocks, _stored=True)
 
 
 def _cast_array(value, dtype: type, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -343,7 +409,8 @@ def _checked_block(factor: Factor, value, what: str) -> np.ndarray:
         raise NonFiniteBlockError(f"{what} has non-finite entries")
     if isinstance(factor, SpinFactor):
         return b
-    asym = _block_sup(factor, b - _adjoint_block(factor, b))
+    b = _stored_block(factor, b)
+    asym = _block_sup(factor, b - _adjoint(b))
     if asym > 1e-6 * (1.0 + _block_sup(factor, b)):
         raise NonHermitianBlockError(f"{what}: asymmetry {asym:g} exceeds tolerance")
     return _hermitize(factor, b)
@@ -378,7 +445,7 @@ def sup_norm(x: Element) -> float:
     """Largest entry magnitude across all blocks (a computable norm
     equivalent to the operator norm at these sizes; used to scale
     tolerances); NaN when some entry is NaN."""
-    sups = [_block_sup(f, b) for f, b in zip(x.algebra.factors, x.blocks)]
+    sups = [_block_sup(f, b) for f, b in zip(x.algebra.factors, x._blocks)]
     # max() drops a NaN that follows a number; the sum keeps it
     return math.nan if math.isnan(sum(sups)) else max(sups)
 
@@ -387,7 +454,7 @@ def canonical_trace(x: Element) -> float:
     """Sum of the normalized traces: matrix trace per Hermitian block,
     2 * alpha per spin block.  Projections have trace equal to rank."""
     total = 0.0
-    for f, b in zip(x.algebra.factors, x.blocks):
+    for f, b in zip(x.algebra.factors, x._blocks):
         if isinstance(f, SpinFactor):
             total += 2.0 * float(b[0])
         else:
@@ -403,7 +470,7 @@ def _block_jordan(factor: Factor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         v = a[0] * b[1:] + b[0] * a[1:]
         return np.concatenate(([alpha], v))
     # for Hermitian a, b the adjoint of ab is ba
-    return _hermitize(factor, _mm(factor, a, b))
+    return _hermitize(factor, a @ b)
 
 
 def jordan_product(x: Element, y: Element) -> Element:
@@ -411,7 +478,7 @@ def jordan_product(x: Element, y: Element) -> Element:
     _check_same_algebra(x, y)
     return _element(
         x.algebra,
-        [_block_jordan(f, a, b) for f, a, b in zip(x.algebra.factors, x.blocks, y.blocks)],
+        [_block_jordan(f, a, b) for f, a, b in zip(x.algebra.factors, x._blocks, y._blocks)],
     )
 
 
@@ -428,12 +495,13 @@ def triple_product(x: Element, y: Element, z: Element) -> Element:
 
 def _block_quad(factor: Factor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if isinstance(factor, SpinFactor):
-        # U_a b = 2 a o (a o b) - a^2 o b
-        ab = _block_jordan(factor, a, b)
-        return 2.0 * _block_jordan(factor, a, ab) - _block_jordan(
-            factor, _block_jordan(factor, a, a), b
-        )
-    return _hermitize(factor, _mm(factor, _mm(factor, a, b), a))
+        # U_a b = 2 a o (a o b) - a^2 o b, expanded for a = (alpha, v), b = (beta, w)
+        alpha, v, beta, w = a[0], a[1:], b[0], b[1:]
+        aa, vv, vw = alpha * alpha, v @ v, v @ w
+        return np.concatenate((
+            [(aa + vv) * beta + 2.0 * alpha * vw], (aa - vv) * w + 2.0 * (alpha * beta + vw) * v
+        ))
+    return _hermitize(factor, a @ b @ a)
 
 
 def quad_rep(x: Element, y: Element) -> Element:
@@ -442,7 +510,7 @@ def quad_rep(x: Element, y: Element) -> Element:
     _check_same_algebra(x, y)
     return _element(
         x.algebra,
-        [_block_quad(f, a, b) for f, a, b in zip(x.algebra.factors, x.blocks, y.blocks)],
+        [_block_quad(f, a, b) for f, a, b in zip(x.algebra.factors, x._blocks, y._blocks)],
     )
 
 
@@ -454,16 +522,14 @@ def _invert_block(factor: Factor, b: np.ndarray) -> np.ndarray:
         # a^2 - |v|^2 as the product of the two eigenvalues a -/+ |v|
         nv = _spin_radius(b)
         return np.concatenate(([b[0]], -b[1:])) / ((b[0] - nv) * (b[0] + nv))
-    m = _embed(factor, b)
-    eye = np.eye(m.shape[-1])
+    eye = np.eye(b.shape[-1])
     # a stack gets a stacked identity: numpy < 2 reads an (M, M) one as M vectors
-    out = np.linalg.solve(m, eye if m.ndim == 2 else eye[None])
-    return _hermitize(factor, _unembed(factor, out))
+    return _hermitize(factor, np.linalg.solve(b, eye if b.ndim == 2 else eye[None]))
 
 
 def _invert(x: Element) -> Element:
     """x^(-1) by :func:`_invert_block`; the caller has checked that x is invertible."""
-    return _element(x.algebra, [_invert_block(f, b) for f, b in zip(x.algebra.factors, x.blocks)])
+    return _element(x.algebra, [_invert_block(f, b) for f, b in zip(x.algebra.factors, x._blocks)])
 
 
 # --- raw Gaussian sampling (classes needing spectra live in sampling.py) ---
@@ -479,7 +545,7 @@ def random_gaussian(alg: AlgebraDescriptor, rng: np.random.Generator) -> Element
             a = rng.standard_normal((f.n, f.n)) + 1j * rng.standard_normal((f.n, f.n))
             blocks.append(a)
         elif f.ring is Ring.QUATERNION:
-            blocks.append(rng.standard_normal((f.n, f.n, 4)))
+            blocks.append(_stored_block(f, rng.standard_normal((f.n, f.n, 4))))
         else:
             blocks.append(rng.standard_normal((f.n, f.n)))
     return _element(alg, [_hermitize(f, b) for f, b in zip(alg.factors, blocks)])

@@ -57,22 +57,21 @@ from .algebra import (
     ShapeMismatchError,
     SingularElementError,
     SpinFactor,
-    _adjoint_block,
+    _adjoint,
     _block_dtype_shape,
     _block_quad,
     _block_sup,
     _cast_array,
     _check_same_algebra,
     _element,
-    _embed,
     _from_real,
     _hermitize,
     _identity_block,
     _invert,
     _invert_block,
-    _mm,
     _real_part,
-    _unembed,
+    _ring_array,
+    _stored_block,
     jordan_product,
     quad_rep,
     random_gaussian,
@@ -209,7 +208,8 @@ class FactorJordanIso:
     with tau either the identity or (complex factors only) entrywise
     conjugation.  Spin(d) factors: (a, v) -> (a, u v) for a real
     orthogonal d x d matrix u, a ring array of herm(d,R).  ``algebra``, the
-    one-factor algebra, is stored at construction.
+    one-factor algebra, and ``_u``, u as the library stores a block (the
+    complex embedding over H), are kept at construction.
     """
 
     factor: Factor
@@ -221,29 +221,32 @@ class FactorJordanIso:
         if self.conjugate and f.ring is not Ring.COMPLEX:
             raise ValueError("conjugation flag only applies to complex factors")
         u = _cast_array(self.u, *_block_dtype_shape(f), "u")
+        m = _stored_block(f, u)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the check
-            gram = _mm(f, u, _adjoint_block(f, u)) - _identity_block(f)
+            gram = m @ _adjoint(m) - _identity_block(f)
         # negated so that NaN entries fail the check
         if not _block_sup(f, gram) <= 1e-10:
             raise ValueError("u is not an isometry")
         u.setflags(write=False)
+        m.setflags(write=False)
         object.__setattr__(self, "u", u)
+        object.__setattr__(self, "_u", m)
         object.__setattr__(self, "algebra", single_factor(self.factor))
 
     def apply(self, x: Element) -> Element:
         if x.algebra != self.algebra:
             raise ShapeMismatchError("element does not live in this factor")
-        f, b = self.factor, x.block(0)
+        f, b, u = self.factor, x._blocks[0], self._u
         if isinstance(f, SpinFactor):
-            out = np.concatenate(([b[0]], self.u @ b[1:]))
+            out = np.concatenate(([b[0]], u @ b[1:]))
         else:
-            arg = b.conj() if self.conjugate else b
-            out = _hermitize(f, _mm(f, _mm(f, self.u, arg), _adjoint_block(f, self.u)))
+            out = _hermitize(f, u @ (b.conj() if self.conjugate else b) @ _adjoint(u))
         return _element(self.algebra, [out])
 
     def inverted(self) -> "FactorJordanIso":
         # the inverse of x -> u conj(x) u* is y -> u^T conj(y) conj(u)
-        u = self.u.T if self.conjugate else _adjoint_block(_isometry_factor(self.factor), self.u)
+        f = _isometry_factor(self.factor)
+        u = self.u.T if self.conjugate else _ring_array(f, _adjoint(self._u))
         return FactorJordanIso(self.factor, u, self.conjugate)
 
     def inverse_apply(self, y: Element) -> Element:
@@ -251,7 +254,8 @@ class FactorJordanIso:
 
 
 def identity_jordan(factor: Factor) -> FactorJordanIso:
-    return FactorJordanIso(factor, _identity_block(_isometry_factor(factor)))
+    f = _isometry_factor(factor)
+    return FactorJordanIso(factor, _ring_array(f, _identity_block(f)))
 
 
 # --- the closed-form factor order isomorphism -------------------------------
@@ -264,8 +268,9 @@ class FactorOrderIso:
     Construction folds y, d and J into the pencil (A, B, C) = u* (y, y d,
     y^(-1)) of the module docstring: u* (e + w d) y = A + x~ B for w = J x =
     u x~ u*, so f(x) = (A + x~ B)^(-1) x~ C and f^(-1)(F) = (C* - F B*)^(-1)
-    F A*.  Over H the pencil is kept in the complex embedding, on a spin
-    factor in the herm(2,R) copy where zhat = diag(-1, 1) (and u = e there).
+    F A*.  Over H the pencil is kept in the complex embedding, as every
+    block is, on a spin factor in the herm(2,R) copy where zhat = diag(-1, 1)
+    (and u = e there).
     """
 
     t: float
@@ -293,7 +298,7 @@ class FactorOrderIso:
             A, C = (np.diag(g[[0, -1]]) for g in vals)
         else:
             # u* V g(s) V* for the eigenbasis V of z
-            w = _embed(f, self.jordan.u).conj().T @ basis
+            w = _adjoint(self.jordan._u) @ basis
             A, C = ((w * g) @ basis.conj().T for g in vals)
         B = C - A
         object.__setattr__(self, "_forward", (A, B, C))
@@ -316,7 +321,7 @@ class FactorOrderIso:
         self, x: Element, forward: bool, sup: float | None = None, scale: float = 0.0
     ) -> Element:
         # sup: x's sup norm, if known; scale: the sup of a direct sum that x is a block of
-        f, b, jord = self.jordan.factor, x.block(0), self.jordan
+        f, b, jord = self.jordan.factor, x._blocks[0], self.jordan
         if x.algebra != jord.algebra:
             raise ShapeMismatchError("element does not live in this factor")
         A, B, C = self._forward if forward else self._backward
@@ -324,7 +329,7 @@ class FactorOrderIso:
         tol = _order_tol(max(sup, scale))
         if isinstance(f, SpinFactor):
             _check_effect(x, spectrum_within(x, -tol, 1.0 + tol))
-            v = jord.u @ b[1:] if forward else b[1:]
+            v = jord._u @ b[1:] if forward else b[1:]
             # the copy of herm(2,R): (s, p0 zhat + w) -> [[s - p0, p1], [p1, s + p0]]
             # for w orthogonal to zhat, p1 = |w|; p1 = 0 only when w = 0
             p0 = self._zhat @ v
@@ -332,11 +337,9 @@ class FactorOrderIso:
             p1 = math.hypot(*w.tolist())
             m = np.array([[b[0] - p0, p1], [p1, b[0] + p0]])
         else:
-            # in_effect_interval(x), fused: the block's sup and embedding serve the pencil too
-            inside = sup < 1.0 + tol and _matrix_within(f, m := _embed(f, b), -tol, 1.0 + tol)
-            _check_effect(x, inside)
-            if jord.conjugate and forward:
-                m = m.conj()
+            # in_effect_interval(x), fused: the block's sup serves the pencil too
+            _check_effect(x, sup < 1.0 + tol and _matrix_within(f, b, -tol, 1.0 + tol))
+            m = b.conj() if jord.conjugate and forward else b
         try:
             out = np.linalg.solve(A + m @ B, m @ C)
         except np.linalg.LinAlgError as exc:
@@ -344,11 +347,11 @@ class FactorOrderIso:
             raise DomainError("singular pencil: z has an eigenvalue too close to 0") from exc
         if isinstance(f, SpinFactor):
             v = (out[1, 1] - out[0, 0]) * self._zhat + (out[0, 1] + out[1, 0]) / (p1 or 1.0) * w
-            v = v if forward else jord.u.T @ v
+            v = v if forward else jord._u.T @ v
             return _element(jord.algebra, [np.concatenate(([out[0, 0] + out[1, 1]], v)) / 2.0])
         if jord.conjugate and not forward:
             out = out.conj()
-        return _element(jord.algebra, [_hermitize(f, _unembed(f, out))])
+        return _element(jord.algebra, [_hermitize(f, out)])
 
 
 def compose_factor_isos(
@@ -524,8 +527,8 @@ class CompositeOrderIso:
         # rank-one coordinates here, the rest by their factor map
         scalars = [(i, j) if forward else (j, i) for i, j in self.sigma]
         engaged = [(i, j) if forward else (j, i) for i, j in self.engaged_pairs]
-        coords = [float(_real_part(src.factors[a], x.block(a))[0, 0]) for a, _ in scalars]
-        sups = [_block_sup(src.factors[a], x.block(a)) for a, _ in engaged]
+        coords = [float(_real_part(src.factors[a], x._blocks[a])[0, 0]) for a, _ in scalars]
+        sups = [_block_sup(src.factors[a], x._blocks[a]) for a, _ in engaged]
         tol = _order_tol(scale := max([abs(s) for s in coords] + sups))
         _check_effect(x, scale < 1.0 + tol)  # no entry of an effect reaches 1 + tol
         out: list[np.ndarray | None] = [None] * len(dst.factors)
@@ -534,8 +537,8 @@ class CompositeOrderIso:
             s = min(max(s, 0.0), 1.0)
             out[b] = _from_real(dst.factors[b], np.full((1, 1), f(s) if forward else f.inverse(s)))
         for (a, b), iso, sup in zip(engaged, self.engaged_isos, sups):
-            xi = Element(single_factor(src.factors[a]), (x.block(a),))
-            out[b] = iso._run(xi, forward, sup, scale).block(0)
+            xi = Element(single_factor(src.factors[a]), (x._blocks[a],), _stored=True)
+            out[b] = iso._run(xi, forward, sup, scale)._blocks[0]
         return _element(dst, out)
 
 
@@ -566,12 +569,13 @@ def coordinate_squeeze_iso(n: int) -> tuple[CompositeOrderIso, Element]:
 # --- parameter recovery from a black-box map ---------------------------------
 
 def _unit_from_rank_one(factor: HermFactor, b: np.ndarray) -> np.ndarray:
-    """n x 1 column u with b = u u* from a rank-one projection block."""
+    """The n x 1 column u with b = u u* from a rank-one projection block, stored
+    as a block is: over H its 2n x 2 embedding, columns m and n + m of b's."""
     diag = np.diagonal(_real_part(factor, b))
     m = int(np.argmax(diag))
     if diag[m] <= 1e-8:
         raise RecoveryError("probe image is not a rank-one projection")
-    return b[:, m : m + 1] * (1.0 / np.sqrt(diag[m]))
+    return b[:, m :: factor.n] * (1.0 / np.sqrt(diag[m]))
 
 
 def _probe_plan(factor: Factor) -> np.ndarray:
@@ -588,9 +592,9 @@ def _probe_plan(factor: Factor) -> np.ndarray:
     if n == 1 or ring is Ring.REAL:
         return blocks
     im = np.array([1j]) if ring is Ring.COMPLEX else np.eye(4)[1:3]  # units i, or i and j
-    twists = np.zeros((len(im),) + blocks.shape[1:], dtype=blocks.dtype)
+    twists = np.zeros((len(im), n, n) + im.shape[1:], dtype=im.dtype)  # ring arrays
     twists[:, 0, 1], twists[:, 1, 0] = im, -im
-    return np.concatenate((blocks, twists))
+    return np.concatenate((blocks, _stored_block(factor, twists)))
 
 
 def _extract_hermitian_jordan(factor: HermFactor, basis: np.ndarray, imgs: np.ndarray) -> dict:
@@ -598,11 +602,13 @@ def _extract_hermitian_jordan(factor: HermFactor, basis: np.ndarray, imgs: np.nd
     blocks of :func:`_probe_plan`."""
     n, ring = factor.n, factor.ring
     if n == 1:
-        return {"u": _identity_block(factor)}
+        return {"u": _ring_array(factor, _identity_block(factor))}
 
-    # J(E_00) = c_0 c_0*, and J(E_0j + E_j0) c_0 = c_j since c_0* c_0 = 1, c_j* c_0 = 0
+    # J(E_00) = c_0 c_0*, and J(E_0j + E_j0) c_0 = c_j since c_0* c_0 = 1, c_j* c_0 = 0;
+    # over H, column h of c_j's 2n x 2 embedding is column j + h n of U's
     c0 = _unit_from_rank_one(factor, imgs[0])
-    U = np.concatenate([c0] + [_mm(factor, img, c0) for img in imgs[1:n]], axis=1)
+    cs = np.stack([c0] + [img @ c0 for img in imgs[1:n]])
+    U = cs.transpose(1, 2, 0).reshape(len(c0), -1)
 
     if ring is Ring.REAL:
         return {"u": U}
@@ -620,14 +626,12 @@ def _extract_hermitian_jordan(factor: HermFactor, basis: np.ndarray, imgs: np.nd
     # quaternions: U* Jm(x) U = conj(w) x w entrywise for the unit w of c_0's
     # phase; the twist unit p = conj(w) solves r_a p = p a, r_a = conj(w) a w
     qbasis = np.eye(4)
-    rows = []
-    for axis, img in zip((1, 2), imgs[n:]):
-        r_a = _mm(factor, _mm(factor, _adjoint_block(factor, U), img), U)[0, 1]
-        rows.append((quat.qmul(r_a, qbasis) - quat.qmul(qbasis, qbasis[axis])).T)
+    r = quat.from_complex(_adjoint(U) @ imgs[n:] @ U)[:, 0, 1]  # r_a for a = i, j
+    rows = [(quat.qmul(r_a, qbasis) - quat.qmul(qbasis, qbasis[a])).T for a, r_a in zip((1, 2), r)]
     _, sing, vt = np.linalg.svd(np.concatenate(rows))
     if sing[-1] > 1e-6:
         raise RecoveryError("inner twist is not a rotation")
-    u = quat.qmul(U, np.broadcast_to(vt[-1], U.shape))
+    u = quat.qmul(quat.from_complex(U), vt[-1])
     # the null vector's sign is arbitrary; in normal form the real component
     # of u with the largest modulus (the first in C order) is positive
     if u.flat[np.argmax(np.abs(u))] < 0.0:
@@ -670,8 +674,8 @@ def recover_factor_iso(
     becomes the cone map fhat(x) = g((x + e)^(-1))^(-1) - e, which must be
     the linear map U_y J.  The probe plan is fixed before the first probe:
     the unit, the extractors' basis blocks (:func:`_probe_plan`) and 3
-    Gaussian agreement points drawn from seed.  fhat(e) = y^2 gives y and
-    y^(-1) from one decomposition; every other point x goes through
+    Gaussian agreement points drawn from seed.  fhat(e) = y^2 gives y^(-1)
+    and, at the end, z from one decomposition; every other point x goes through
     L(x) = fhat(x + c e) - c fhat(e), so that an affine offset in fhat fails
     the agreement check, with c = 1 + max(0, -Gershgorin floor of x): then
     x + c e >= e, so its input (x + c e + e)^(-1) lies in (0, e/2] and needs
@@ -700,13 +704,13 @@ def recover_factor_iso(
     if source.factors[0] != target.factors[0]:
         raise DomainError("source and target factors must be of the same kind")
     factor, e_s = source.factors[0], unit(source)
-    e, basis, rng = e_s.block(0), _probe_plan(factor), np.random.default_rng(seed)
+    e, basis, rng = e_s._blocks[0], _probe_plan(factor), np.random.default_rng(seed)
     agree = [random_gaussian(source, rng) for _ in range(3)]
     names = ["unit probe"] + [f"extraction probe {j + 1}" for j in range(len(basis))]
     names += [f"agreement probe {j + 1}" for j in range(len(agree))]
 
     # the unit probe is x = e with c = 0
-    xs = np.concatenate(([e], basis, [a.block(0) for a in agree]))
+    xs = np.concatenate(([e], basis, [a._blocks[0] for a in agree]))
     floors = _over_stack(factor, _block_floor, xs[1:])
     cs = np.concatenate(([0.0], np.maximum(0.0, -floors) + 1.0)).reshape((-1,) + (1,) * e.ndim)
     inputs = _over_stack(factor, _invert_block, xs + cs * e + e)
@@ -716,20 +720,19 @@ def recover_factor_iso(
 
     # fhat = cone_interval_map of every image, within (stol, 1 + tol) at its own scale: one test
     # and one solve for matrix blocks; image by image on spin factors, or to name a failing image
-    Fs = np.stack([img.block(0) for img in imgs])
+    Fs = np.stack([img._blocks[0] for img in imgs])
     scales = np.array([sup_norm(img) for img in imgs])[:, None, None]
     lo, hi = _singular_tol(scales), 1.0 + _order_tol(scales)
     matrix = isinstance(factor, HermFactor) and np.all(scales < hi)  # an entry >= hi fails
-    if matrix and _matrix_within(factor, _embed(factor, Fs), lo, hi):
+    if matrix and _matrix_within(factor, Fs, lo, hi):
         fhat = _invert_block(factor, Fs) - e
     else:
         outs = [_probe(n, cone_interval_map, F, "interval_to_cone") for n, F in zip(names, imgs)]
-        fhat = np.stack([out.block(0) for out in outs])
+        fhat = np.stack([out._blocks[0] for out in outs])
     dec = spectral_decompose(_element(source, [fhat[0]]))
     if not dec.eigenvalues[0] > 0.0:  # negated so that NaN fails
         raise RecoveryError("probed image of the unit is not interior")
-    y = dec.apply(math.sqrt)
-    y_inv = dec.apply(lambda s: 1.0 / math.sqrt(s)).block(0)
+    y_inv = dec.apply(lambda s: 1.0 / math.sqrt(s))._blocks[0]
     Ls = fhat[1:] - cs[1:] * fhat[0]
     Js = _over_stack(factor, lambda f, b: _block_quad(f, y_inv, b), Ls)
 
@@ -737,14 +740,17 @@ def recover_factor_iso(
     parts = extract(factor, basis, Js[: len(basis)])
     f = _isometry_factor(factor)
     try:  # a failed SVD (LinAlgError) is a ValueError too
-        w, _, vh = np.linalg.svd(_embed(f, parts.pop("u")))
-        jord = FactorJordanIso(factor, _unembed(f, w @ vh), **parts)
+        w, _, vh = np.linalg.svd(_stored_block(f, parts.pop("u")))
+        jord = FactorJordanIso(factor, _ring_array(f, w @ vh), **parts)
     except ValueError as exc:
         raise RecoveryError(f"recovered Jordan isomorphism: {exc}") from exc
 
     for a, ja in zip(agree, Js[len(basis) :]):
-        err = _block_sup(factor, ja - jord.apply(a).block(0))
+        err = _block_sup(factor, ja - jord.apply(a)._blocks[0])
         if err > RECOVERY_TOL * (1.0 + _block_sup(factor, ja)):
             raise RecoveryError("recovered Jordan isomorphism disagrees with the probes")
 
-    return params_from_cone_map(y, jord, 1.0 + dec.eigenvalues[-1])
+    # params_from_cone_map(y, J, lam) on the spectrum s of y^2 = fhat(e), with no
+    # decomposition of y: z = y (lam e - y^2)^(-1/2) = (s / (lam - s))^(1/2)
+    lam = 1.0 + dec.eigenvalues[-1]
+    return FactorOrderIso(1.0 - lam, dec.apply(lambda s: math.sqrt(s / (lam - s))), jord)

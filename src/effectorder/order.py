@@ -167,7 +167,7 @@ def central_mask(z: Element) -> tuple[bool, ...]:
     """Per-factor 0/1 pattern of a central projection; raises if some
     block is neither 0 nor the identity to FLAG_TOL in every entry."""
     mask = []
-    for f, b in zip(z.algebra.factors, z.blocks):
+    for f, b in zip(z.algebra.factors, z._blocks):
         if _block_sup(f, b) <= FLAG_TOL:
             mask.append(False)
         elif _block_sup(f, b - _identity_block(f)) <= FLAG_TOL:
@@ -185,8 +185,8 @@ def split_by_central(x: Element, z: Element) -> tuple[Element | None, Element | 
     """
     _check_same_algebra(x, z)
     mask = central_mask(z)
-    ins = [b for m, b in zip(mask, x.blocks) if m]
-    outs = [b for m, b in zip(mask, x.blocks) if not m]
+    ins = [b for m, b in zip(mask, x._blocks) if m]
+    outs = [b for m, b in zip(mask, x._blocks) if not m]
     in_factors = tuple(f for m, f in zip(mask, x.algebra.factors) if m)
     out_factors = tuple(f for m, f in zip(mask, x.algebra.factors) if not m)
     inside = _element(AlgebraDescriptor(in_factors), ins) if in_factors else None
@@ -199,8 +199,8 @@ def unsplit_by_central(
 ) -> Element:
     """Inverse of :func:`split_by_central`; exact block reassembly."""
     mask = central_mask(z)
-    it_in = iter(inside.blocks if inside is not None else ())
-    it_out = iter(outside.blocks if outside is not None else ())
+    it_in = iter(inside._blocks if inside is not None else ())
+    it_out = iter(outside._blocks if outside is not None else ())
     blocks = [next(it_in) if m else next(it_out) for m in mask]
     return _element(alg, blocks)
 

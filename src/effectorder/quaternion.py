@@ -1,18 +1,21 @@
-"""Quaternion arrays and the complex embedding.
+"""Quaternion arrays and the complex embedding: conversion and test utilities.
 
 A quaternion a + bi + cj + dk is stored as a length-4 float vector
-(a, b, c, d); a matrix over the quaternions is an (n, m, 4) float array.
-Writing an entry as q = z + wj with z = a + bi and w = c + di, the
-standard complex embedding sends an (n, n, 4) Hermitian array to the
-2n x 2n complex Hermitian matrix
+(a, b, c, d); a matrix over the quaternions is an (n, m, 4) float array,
+the public format of a herm(n,H) block.  Writing an entry as q = z + wj
+with z = a + bi and w = c + di, the standard complex embedding sends an
+(n, n, 4) Hermitian array to the 2n x 2n complex Hermitian matrix
 
     [[ Z,        W       ],
      [-conj(W),  conj(Z) ]]
 
-which is what eigendecompositions run on.  Every eigenvalue of the
-embedded matrix appears with even multiplicity, and spectral projections
-commute with the quaternionic structure, so they pull back through
-``from_complex``.
+which is how the library stores a herm(n,H) block: products, inverses,
+eigendecompositions and solves all run on it directly.  Every eigenvalue
+of the embedded matrix appears with even multiplicity, and spectral
+projections commute with the quaternionic structure.  :func:`to_complex`
+and :func:`from_complex` convert at the library's public boundary; the
+quaternion arithmetic here serves the recovery of a Jordan isomorphism's
+twist, the sampling of quaternionic isometries and the tests.
 """
 
 from __future__ import annotations
@@ -72,21 +75,21 @@ def to_complex(A: np.ndarray) -> np.ndarray:
     """Embed an (..., n, m, 4) quaternion array as (..., 2n, 2m) complex matrices."""
     A = np.asarray(A, dtype=float)
     n, m = A.shape[-3], A.shape[-2]
-    Z = A[..., 0] + 1j * A[..., 1]
-    W = A[..., 2] + 1j * A[..., 3]
     out = np.empty(A.shape[:-3] + (2 * n, 2 * m), dtype=complex)
-    out[..., :n, :m], out[..., :n, m:] = Z, W
-    out[..., n:, :m], out[..., n:, m:] = -W.conj(), Z.conj()
+    # written through the (real, imaginary) float view: exact, also for inf and NaN
+    c = out.view(float).reshape(out.shape + (2,))
+    c[..., :n, :m, :], c[..., :n, m:, :] = A[..., :2], A[..., 2:]  # Z, W
+    c[..., n:, :m, 0], c[..., n:, :m, 1] = -A[..., 2], A[..., 3]  # -conj(W)
+    c[..., n:, m:, 0], c[..., n:, m:, 1] = A[..., 0], -A[..., 1]  # conj(Z)
     return out
 
 
 def from_complex(C: np.ndarray) -> np.ndarray:
-    """Invert :func:`to_complex`, averaging the two redundant copies."""
+    """Invert :func:`to_complex` bit for bit: Z and W are read from the top rows."""
     C = np.asarray(C, dtype=complex)
     n = C.shape[-2] // 2
     m = C.shape[-1] // 2
-    Z = 0.5 * (C[..., :n, :m] + C[..., n:, m:].conj())
-    W = 0.5 * (C[..., :n, m:] - C[..., n:, :m].conj())
+    Z, W = C[..., :n, :m], C[..., :n, m:]
     return np.stack([Z.real, Z.imag, W.real, W.imag], axis=-1)
 
 

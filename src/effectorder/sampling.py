@@ -70,7 +70,7 @@ def sample_element(alg: AlgebraDescriptor, rng: np.random.Generator, cls: str = 
         i = int(rng.integers(0, len(alg.factors)))
         a = sample_atom(alg.factors[i], rng)
         blocks = [
-            a.block(0) if j == i else _zero_block(f) for j, f in enumerate(alg.factors)
+            a._blocks[0] if j == i else _zero_block(f) for j, f in enumerate(alg.factors)
         ]
         return _element(alg, blocks)
     raise ValueError(f"unknown sample class: {cls!r}")

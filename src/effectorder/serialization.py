@@ -177,7 +177,7 @@ def element_to_obj(x: Element) -> dict:
     return {
         "type": "element",
         "algebra": algebra_to_obj(x.algebra),
-        "blocks": [_block_to_obj(f, b) for f, b in zip(x.algebra.factors, x.blocks)],
+        "blocks": [_block_to_obj(f, b) for f, b in zip(x.algebra.factors, x._blocks)],
     }
 
 
@@ -234,7 +234,7 @@ def element_from_obj(obj: Any, path: str = "element") -> Element:
 def _jordan_to_obj(j: FactorJordanIso) -> dict:
     if isinstance(j.factor, SpinFactor):
         return {"O": j.u.tolist()}
-    return {"u": _block_to_obj(j.factor, j.u), "tau": "conj" if j.conjugate else "id"}
+    return {"u": _block_to_obj(j.factor, j._u), "tau": "conj" if j.conjugate else "id"}
 
 
 def _jordan_from_obj(factor: Factor, obj: Any, path: str) -> FactorJordanIso:
@@ -264,7 +264,7 @@ def iso_to_obj(iso: CompositeOrderIso) -> dict:
             {
                 "match": [i, j],
                 "t": float(f.t),
-                "z": _block_to_obj(iso.target.factors[j], f.z.block(0)),
+                "z": _block_to_obj(iso.target.factors[j], f.z._blocks[0]),
                 "J": _jordan_to_obj(f.jordan),
             }
         )

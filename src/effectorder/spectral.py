@@ -1,9 +1,9 @@
 """Spectral decomposition and functional calculus, per factor type.
 
-Hermitian blocks over R and C go through ``numpy.linalg.eigh``;
-quaternionic blocks through the 2n x 2n complex embedding (eigenvalues
-come in pairs and spectral projections pull back through
-``from_complex``); spin blocks have the closed form
+Hermitian blocks go through ``numpy.linalg.eigh``, a quaternionic one on
+the 2n x 2n complex embedding it is stored as (eigenvalues come in pairs,
+and the spectral projections keep the embedding's form); spin blocks have
+the closed form
 
     eigenvalues a +/- |v|   with idempotents (1, +/- v/|v|) / 2.
 
@@ -49,11 +49,9 @@ from .algebra import (
     SpinFactor,
     _block_sup,
     _element,
-    _embed,
     _hermitize,
     _invert,
     _spin_radius,
-    _unembed,
     sup_norm,
 )
 
@@ -74,23 +72,22 @@ def _block_eigh(factor: Factor, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return np.array([alpha]), np.eye(1, factor.d + 1)
         u = (0.5 / nv) * v
         return np.array([alpha - nv, alpha + nv]), np.array([[0.5, *-u], [0.5, *u]])
-    c = _embed(factor, b)
-    if len(c) == 1:
+    if len(b) == 1:
         # 1x1 fast path; the entry is real after hermitization
-        return np.array([c[0, 0].real]), np.ones((1, 1), dtype=c.dtype)
-    return np.linalg.eigh(c)
+        return np.array([b[0, 0].real]), np.ones((1, 1), dtype=b.dtype)
+    return np.linalg.eigh(b)
 
 
 def block_eigenvalues(factor: Factor, b: np.ndarray) -> np.ndarray:
-    """Eigenvalues of one block, ascending, with multiplicity (a
-    quaternionic eigenvalue counts once, not twice as in the embedding)."""
+    """Eigenvalues of one stored block (``Element._blocks``), ascending, with
+    multiplicity (a quaternionic eigenvalue counts once, not twice as in the
+    embedding)."""
     if isinstance(factor, SpinFactor):
         nv = _spin_radius(b)
         return np.array([b[0] - nv, b[0] + nv])
-    c = _embed(factor, b)
-    if len(c) == 1:
-        return np.array([c[0, 0].real])
-    w = np.linalg.eigvalsh(c)
+    if len(b) == 1:
+        return np.array([b[0, 0].real])
+    w = np.linalg.eigvalsh(b)
     return w[::2] if factor.ring is Ring.QUATERNION else w
 
 
@@ -121,7 +118,7 @@ class SpectralDecomposition:
             if isinstance(f, SpinFactor):
                 blocks.append(vals @ basis)
                 continue
-            blocks.append(_hermitize(f, _unembed(f, (basis * vals) @ basis.conj().T)))
+            blocks.append(_hermitize(f, (basis * vals) @ basis.conj().T))
         return _element(self.algebra, blocks)
 
     @cached_property
@@ -168,7 +165,7 @@ def spectral_decompose(x: Element, cluster_tol: float | None = None) -> Spectral
     dec = _stored_decomposition(x)
     if dec is None:
         dec = _decompose(x, None)
-        if not any(b.flags.writeable for b in x.blocks):
+        if not any(b.flags.writeable for b in x._blocks):
             object.__setattr__(x, "_decomposition", dec)
     return dec
 
@@ -185,7 +182,7 @@ def _decompose(x: Element, cluster_tol: float | None) -> SpectralDecomposition:
     tol = 1e-8 * (1.0 + scale) if cluster_tol is None else cluster_tol
     bases, clusters = [], []
     pairs: list[tuple[float, int, int]] = []
-    for k, (f, b) in enumerate(zip(x.algebra.factors, x.blocks)):
+    for k, (f, b) in enumerate(zip(x.algebra.factors, x._blocks)):
         w, basis = _block_eigh(f, b)
         # shared by every caller of a stored decomposition
         basis.setflags(write=False)
@@ -222,7 +219,7 @@ def extreme_eigenvalues(x: Element) -> tuple[float, float]:
     """(least, greatest) eigenvalue across all blocks in one pass; both
     NaN when some block has a non-finite entry."""
     lo, hi = np.inf, -np.inf
-    for f, b in zip(x.algebra.factors, x.blocks):
+    for f, b in zip(x.algebra.factors, x._blocks):
         # LAPACK raises on NaN entries and min/max would drop a NaN
         if not np.isfinite(b).all():
             return np.nan, np.nan
@@ -249,7 +246,7 @@ def spectrum_within(x: Element, lo: float, hi: float = math.inf) -> bool:
         if hi == math.inf:
             return math.isfinite(sup_norm(x))
         x, lo, hi = -x, -hi, math.inf
-    for f, b in zip(x.algebra.factors, x.blocks):
+    for f, b in zip(x.algebra.factors, x._blocks):
         if isinstance(f, SpinFactor):
             # eigenvalues a -/+ r; written so that no sum overflows, and NaN fails
             a, r = float(b[0]), _spin_radius(b)
@@ -257,17 +254,18 @@ def spectrum_within(x: Element, lo: float, hi: float = math.inf) -> bool:
                 return False
             continue
         if not (
-            _block_sup(f, b) < max(abs(lo), abs(hi)) and _matrix_within(f, _embed(f, b), lo, hi)
+            _block_sup(f, b) < max(abs(lo), abs(hi)) and _matrix_within(f, b, lo, hi)
         ):
             return False
     return True
 
 
 def _matrix_within(f: HermFactor, m: np.ndarray, lo, hi) -> bool:
-    """:func:`spectrum_within` on one matrix block, given as its embedding
-    m, for a finite lo < hi; the caller has checked that every entry has
-    modulus below max(|lo|, |hi|) (so m is finite).  A (k, M, M) stack m,
-    with finite (k, 1, 1) bounds, passes when every block does."""
+    """:func:`spectrum_within` on one stored matrix block m (over H its
+    complex embedding), for a finite lo < hi; the caller has checked that
+    every entry has modulus below max(|lo|, |hi|) (so m is finite).  A
+    (k, M, M) stack m, with finite (k, 1, 1) bounds, passes when every block
+    does."""
     if f.n == 1 and m.ndim == 2:
         return lo < float(m[0, 0].real) < hi
     eye = np.eye(m.shape[-1])
@@ -288,16 +286,15 @@ def eigenvalue_floor(x: Element) -> float:
     eigensolve: the left end of the Gershgorin discs of each matrix block
     (of its complex embedding over H), a - |v| on spin blocks.  NaN when
     some entry is NaN."""
-    return float(np.min([_block_floor(f, b) for f, b in zip(x.algebra.factors, x.blocks)]))
+    return float(np.min([_block_floor(f, b) for f, b in zip(x.algebra.factors, x._blocks)]))
 
 
 def _block_floor(f: Factor, b: np.ndarray):
     """:func:`eigenvalue_floor` of one block, or of each in a matrix stack."""
     if isinstance(f, SpinFactor):
         return float(b[0]) - _spin_radius(b)
-    m = _embed(f, b)
-    diag = m.diagonal(0, -2, -1).real
-    return (diag - (np.abs(m).sum(axis=-1) - np.abs(diag))).min(axis=-1)
+    diag = b.diagonal(0, -2, -1).real
+    return (diag - (np.abs(b).sum(axis=-1) - np.abs(diag))).min(axis=-1)
 
 
 def min_eigenvalue(x: Element) -> float:
@@ -339,7 +336,7 @@ def invert_element(x: Element, mode: str = "strict") -> Element:
         if not math.isfinite(scale):
             raise DomainError(f"element has a non-finite entry (sup norm {scale})")
         tol = _singular_tol(scale)
-        for f, b in zip(x.algebra.factors, x.blocks):
+        for f, b in zip(x.algebra.factors, x._blocks):
             w = block_eigenvalues(f, b)
             bad = w[np.abs(w) <= tol]
             if bad.size:

@@ -27,6 +27,17 @@ def assert_close(a, b, tol=1e-10):
     assert np.max(np.abs(np.asarray(a) - np.asarray(b))) <= tol
 
 
+def assert_embedding_form(factor, m):
+    """A stored herm(n,H) block, or a stack of them, is exactly Hermitian and
+    exactly of the form [[Z, W], [-conj W, conj Z]]."""
+    __tracebackhide__ = True
+    n = factor.n
+    assert m.shape[-2:] == (2 * n, 2 * n) and m.dtype == complex
+    assert np.array_equal(m, m.conj().swapaxes(-2, -1))
+    assert np.array_equal(m[..., n:, n:], m[..., :n, :n].conj())
+    assert np.array_equal(m[..., n:, :n], -m[..., :n, n:].conj())
+
+
 class LinalgCounts(Counter):
     @property
     def eigensolves(self) -> int:

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -34,9 +35,10 @@ from effectorder import (
     unit,
 )
 from effectorder import quaternion as quat
+from effectorder.algebra import _block_jordan, _block_quad
 from effectorder.serialization import NON_HERMITIAN, SchemaError
 
-from conftest import FACTOR_KINDS, MIXED
+from conftest import FACTOR_KINDS, MIXED, assert_embedding_form
 
 
 def herm2(rows):
@@ -163,6 +165,27 @@ class TestQuadRep:
             y = sample_element(alg, rng, "general")
             lhs = quad_rep(x, y)
             assert sup_norm(lhs - triple_product(x, y, x)) <= 1e-10 * (1 + sup_norm(lhs))
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_spin_closed_form_agrees_with_jordan_products(self, d, rng):
+        # U_a b in closed form against 2 a o (a o b) - a^2 o b, also with entries near 1e3
+        f = SpinFactor(d)
+        for scale in (1.0, 1e3):
+            for _ in range(20):
+                a, b = (scale * rng.standard_normal(d + 1) for _ in range(2))
+                ref = 2.0 * _block_jordan(f, a, _block_jordan(f, a, b)) - _block_jordan(
+                    f, _block_jordan(f, a, a), b
+                )
+                size = np.abs(a).max() ** 2 * np.abs(b).max()
+                assert np.abs(_block_quad(f, a, b) - ref).max() <= 1e-13 * size
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_spin_closed_form_of_the_unit_is_the_square(self, d, rng):
+        alg = single_factor(SpinFactor(d))
+        for _ in range(10):
+            a = sample_element(alg, rng, "general")
+            square = jordan_product(a, a)
+            assert sup_norm(quad_rep(a, unit(alg)) - square) <= 1e-15 * (1.0 + sup_norm(square))
 
 
 class TestRandomElements:
@@ -354,3 +377,81 @@ class TestQuaternionArithmetic:
     def test_embedding_roundtrip(self, rng):
         A = rng.standard_normal((2, 2, 4))
         np.testing.assert_allclose(quat.from_complex(quat.to_complex(A)), A, atol=1e-14)
+
+
+QUATERNION_KINDS = [HermFactor(2, Ring.QUATERNION), HermFactor(3, Ring.QUATERNION)]
+
+
+class TestQuaternionStorage:
+    """A herm(n,H) block is stored as its complex embedding; the ring array
+    (n, n, 4) is only the public face."""
+
+    @pytest.mark.parametrize("factor", QUATERNION_KINDS, ids=str)
+    def test_kernels_keep_the_embedding_form(self, factor, rng):
+        alg = single_factor(factor)
+        x, y = (sample_element(alg, rng, "general") for _ in range(2))
+        effect = sample_element(alg, rng, "effect")
+        iso = random_factor_iso(factor, rng)
+        outputs = [
+            jordan_product(x, y),
+            quad_rep(x, y),
+            invert_element(sample_element(alg, rng, "interior")),  # the strict inverse
+            apply_function(x, np.tanh),  # combine
+            iso.apply(effect),
+            iso.inverse_apply(effect),
+            random_jordan_iso(factor, rng).apply(x),
+        ]
+        for out in outputs:
+            assert_embedding_form(factor, out._blocks[0])
+
+    @pytest.mark.parametrize("factor", QUATERNION_KINDS, ids=str)
+    def test_public_blocks_are_read_only_ring_arrays(self, factor, rng):
+        x = sample_element(algebra(HermFactor(2), factor), rng, "general")
+        assert x.blocks is x.blocks  # built on first read and kept
+        assert x.block(1) is x.blocks[1]
+        b = x.block(1)
+        assert b.shape == (factor.n, factor.n, 4) and b.dtype == float
+        assert not b.flags.writeable
+        with pytest.raises(ValueError):
+            b[0, 0, 0] = 1.0
+        assert np.array_equal(quat.to_complex(b), x._blocks[1])
+        # blocks over R are stored as they are, with no copy
+        assert x.block(0) is x._blocks[0]
+
+    @pytest.mark.parametrize("factor", QUATERNION_KINDS, ids=str)
+    def test_validator_hermitizes_bit_for_bit(self, factor, rng):
+        b = rng.standard_normal((factor.n, factor.n, 4))
+        b = b + quat.qadjoint(b) + 1e-9 * rng.standard_normal(b.shape)
+        x = element_from_blocks(single_factor(factor), [b])
+        assert np.array_equal(x.block(0), 0.5 * (b + quat.qadjoint(b)))
+        assert_embedding_form(factor, x._blocks[0])
+
+    def test_validator_keeps_entries_near_the_float_limit(self):
+        # over H the average overflows no sooner than (b + b*) / 2 does over R and C
+        b = np.zeros((2, 2, 4))
+        b[0, 0, 0], b[1, 1, 0] = 8e307, -8e307
+        b[0, 1], b[1, 0] = [1e307, 2e307, 3e307, 4e307], [1e307, -2e307, -3e307, -4e307]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = element_from_blocks(single_factor(HermFactor(2, Ring.QUATERNION)), [b])
+            assert np.array_equal(x.block(0), b) and sup_norm(x) == 8e307
+
+    @pytest.mark.parametrize("factor", QUATERNION_KINDS, ids=str)
+    def test_documents_round_trip_as_text(self, factor, rng):
+        alg = algebra(HermFactor(1), factor)
+        iso = random_composite_iso(alg, alg, rng)
+        x = sample_element(alg, rng, "effect")
+        for doc in (x, iso, iso.apply(x)):
+            text = dump_document(doc)
+            assert dump_document(load_document(text)) == text
+
+    @pytest.mark.parametrize("factor", QUATERNION_KINDS, ids=str)
+    def test_sup_norm_is_the_largest_quaternion_modulus(self, factor, rng):
+        alg = single_factor(factor)
+        for scale in (1.0, 1e200):
+            x = scale * sample_element(alg, rng, "general")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = sup_norm(x)
+            want = float(quat.qabs(x.block(0)).max())
+            assert math.isfinite(got) and got == pytest.approx(want, rel=1e-15)

@@ -234,10 +234,10 @@ def expected_probes(factor):
 
 
 # LAPACK eigensolves per recovery of a random_factor_iso's apply, on every
-# Hermitian kind: one decomposition of fhat(e), one of y and one of z; the
-# probes decide membership by Cholesky and invert by LU, and L picks its
-# shift c from an entry bound
-EIGENSOLVES = 3
+# Hermitian kind: one decomposition of fhat(e) = y^2, which gives y^(-1) and z,
+# and one of z at FactorOrderIso's construction; the probes decide membership
+# by Cholesky and invert by LU, and L picks its shift c from an entry bound
+EIGENSOLVES = 2
 
 
 class TestProbingBudget:
