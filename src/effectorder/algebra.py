@@ -216,11 +216,11 @@ def _real_part(factor: HermFactor, b: np.ndarray) -> np.ndarray:
     return b[..., : factor.n, : factor.n].real
 
 
-def _from_real(factor: HermFactor, m: np.ndarray) -> np.ndarray:
-    """A real (..., n, n) array as the stored matrix of the same ring array."""
+def _from_real(factor: HermFactor, m) -> np.ndarray:
+    """A real (..., n, n) array, or nested list, as the stored matrix of the same ring array."""
     if factor.ring is Ring.QUATERNION:
         n = factor.n
-        out = np.zeros(m.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+        out = np.zeros(np.shape(m)[:-2] + (2 * n, 2 * n), dtype=complex)
         out[..., :n, :n] = out[..., n:, n:] = m
         return out
     return np.array(m, dtype=complex if factor.ring is Ring.COMPLEX else float)

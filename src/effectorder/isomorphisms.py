@@ -24,6 +24,7 @@ this one form holds, continuously, on all of [0, e] and no limit is needed
 at the boundary.  On a spin factor, e, the unit vector part zhat of z and
 J x span a copy of herm(2,R) in which z is diagonal; u applies first
 (forward) or u^T last (backward), and the same pencil runs with u = e.
+There A, B and C are diagonal, and the 2x2 solve is done in floats.
 
 For a direct sum, an order isomorphism routes the rank-one (disengaged)
 coordinates through a bijection with arbitrary scalar order isomorphisms
@@ -41,6 +42,7 @@ t * s = t + s - t s and inverse parameter t / (t - 1).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -71,6 +73,7 @@ from .algebra import (
     _invert_block,
     _real_part,
     _ring_array,
+    _spin_radius,
     _stored_block,
     jordan_product,
     quad_rep,
@@ -270,7 +273,8 @@ class FactorOrderIso:
     u x~ u*, so f(x) = (A + x~ B)^(-1) x~ C and f^(-1)(F) = (C* - F B*)^(-1)
     F A*.  Over H the pencil is kept in the complex embedding, as every
     block is, on a spin factor in the herm(2,R) copy where zhat = diag(-1, 1)
-    (and u = e there).
+    (and u = e there), as the diagonals of A, B and C, whose 2x2 solve is
+    done in floats (:func:`_solve_diagonal_pencil`), with no LAPACK call.
     """
 
     t: float
@@ -293,9 +297,9 @@ class FactorOrderIso:
         vals = (y, 1.0 / y)
         f, basis = self.jordan.factor, dec.bases[0]
         if isinstance(f, SpinFactor):
-            # g(z) = diag(g_0, g_1) in _run's copy; a multiple of e has one idempotent
+            # g(z) = diag(g_0, g_1) in the kernel's copy, kept as (g_0, g_1); z = c e gives g_0 I
             object.__setattr__(self, "_zhat", 2.0 * basis[-1, 1:])
-            A, C = (np.diag(g[[0, -1]]) for g in vals)
+            A, C = (g[[0, -1]] for g in vals)
         else:
             # u* V g(s) V* for the eigenbasis V of z
             w = _adjoint(self.jordan._u) @ basis
@@ -310,48 +314,76 @@ class FactorOrderIso:
 
     def apply(self, x: Element) -> Element:
         """f(x) = (A + x~ B)^(-1) x~ C (module docstring)."""
-        return self._run(x, True)
+        return _element(self.algebra, [self._kernel(self._own_block(x), True)])
 
     def inverse_apply(self, y: Element) -> Element:
         """f^(-1)(F) = (C* - F B*)^(-1) F A*: the pencil of :meth:`apply`
         with its three matrices adjointed and reversed, B negated."""
-        return self._run(y, False)
+        return _element(self.algebra, [self._kernel(self._own_block(y), False)])
 
-    def _run(
-        self, x: Element, forward: bool, sup: float | None = None, scale: float = 0.0
-    ) -> Element:
-        # sup: x's sup norm, if known; scale: the sup of a direct sum that x is a block of
-        f, b, jord = self.jordan.factor, x._blocks[0], self.jordan
-        if x.algebra != jord.algebra:
+    def _own_block(self, x: Element) -> np.ndarray:
+        if x.algebra is not self.algebra and x.algebra != self.algebra:
             raise ShapeMismatchError("element does not live in this factor")
+        return x._blocks[0]
+
+    def _kernel(
+        self, b: np.ndarray, forward: bool, sup: float | None = None, scale: float = 0.0
+    ) -> np.ndarray:
+        """One direction on the stored block b: the stored output block.
+        sup: b's sup norm, if known; scale: the sup of a direct sum that b is a block of."""
+        f, jord = self.jordan.factor, self.jordan
         A, B, C = self._forward if forward else self._backward
         sup = _block_sup(f, b) if sup is None else sup
         tol = _order_tol(max(sup, scale))
+        if isinstance(f, SpinFactor):  # eigenvalues a -/+ |v|, as in spectrum_within; NaN fails
+            a, r = float(b[0]), _spin_radius(b)
+            inside = r < a + tol and r < 1.0 + tol - a
+        else:
+            # in_effect_interval, fused: the block's sup serves the pencil too
+            inside = sup < 1.0 + tol and _matrix_within(f, b, -tol, 1.0 + tol)
+        if not inside:
+            _check_effect(Element(self.algebra, (b,), _stored=True), False)
         if isinstance(f, SpinFactor):
-            _check_effect(x, spectrum_within(x, -tol, 1.0 + tol))
             v = jord._u @ b[1:] if forward else b[1:]
-            # the copy of herm(2,R): (s, p0 zhat + w) -> [[s - p0, p1], [p1, s + p0]]
+            # the copy of herm(2,R): (a, p0 zhat + w) -> [[a - p0, p1], [p1, a + p0]]
             # for w orthogonal to zhat, p1 = |w|; p1 = 0 only when w = 0
-            p0 = self._zhat @ v
+            p0 = float(self._zhat @ v)
             w = v - p0 * self._zhat
             p1 = math.hypot(*w.tolist())
-            m = np.array([[b[0] - p0, p1], [p1, b[0] + p0]])
-        else:
-            # in_effect_interval(x), fused: the block's sup serves the pencil too
-            _check_effect(x, sup < 1.0 + tol and _matrix_within(f, b, -tol, 1.0 + tol))
-            m = b.conj() if jord.conjugate and forward else b
+            x00, x01, x10, x11 = _solve_diagonal_pencil(a - p0, p1, a + p0, A, B, C)
+            v = (x11 - x00) * self._zhat + (x01 + x10) / (p1 or 1.0) * w
+            v = v if forward else jord._u.T @ v
+            return np.concatenate(([x00 + x11], v)) / 2.0
+        m = b.conj() if jord.conjugate and forward else b
         try:
             out = np.linalg.solve(A + m @ B, m @ C)
         except np.linalg.LinAlgError as exc:
-            # an eigenvalue of z near 0 rounds an image onto the boundary, where it is singular
-            raise DomainError("singular pencil: z has an eigenvalue too close to 0") from exc
-        if isinstance(f, SpinFactor):
-            v = (out[1, 1] - out[0, 0]) * self._zhat + (out[0, 1] + out[1, 0]) / (p1 or 1.0) * w
-            v = v if forward else jord._u.T @ v
-            return _element(jord.algebra, [np.concatenate(([out[0, 0] + out[1, 1]], v)) / 2.0])
+            raise DomainError(_SINGULAR_PENCIL) from exc
         if jord.conjugate and not forward:
             out = out.conj()
-        return _element(jord.algebra, [_hermitize(f, out)])
+        return _hermitize(f, out)
+
+
+# an eigenvalue of z near 0 rounds an image onto the boundary, where the pencil is singular
+_SINGULAR_PENCIL = "singular pencil: z has an eigenvalue too close to 0"
+
+
+def _solve_diagonal_pencil(m00: float, m01: float, m11: float, A, B, C) -> tuple:
+    """(A + m B)^(-1) m C as (x00, x01, x10, x11), for m = [[m00, m01], [m01, m11]]
+    and diagonal A, B, C given as their diagonals: an LU solve in floats with partial
+    pivoting (the larger pivot of the first column); an exact zero pivot is a singular
+    pencil."""
+    (a0, a1), (b0, b1), (c0, c1) = A.tolist(), B.tolist(), C.tolist()
+    top = (a0 + m00 * b0, m01 * b1, m00 * c0, m01 * c1)
+    low = (m01 * b0, a1 + m11 * b1, m01 * c0, m11 * c1)
+    (p, q, g0, g1), (r, s, h0, h1) = (low, top) if abs(low[0]) > abs(top[0]) else (top, low)
+    if p != 0.0:
+        ell = r / p
+        s -= ell * q
+    if p == 0.0 or s == 0.0:
+        raise DomainError(_SINGULAR_PENCIL)
+    x10, x11 = (h0 - ell * g0) / s, (h1 - ell * g1) / s
+    return (g0 - q * x10) / p, (g1 - q * x11) / p, x10, x11
 
 
 def compose_factor_isos(
@@ -451,22 +483,33 @@ class PwlScalarIso:
         ks = tuple((float(a), float(b)) for a, b in self.knots)
         if len(ks) < 2 or ks[0] != (0.0, 0.0) or ks[-1] != (1.0, 1.0):
             raise ValueError("knots must run from (0,0) to (1,1)")
-        cols = np.array(ks).T.copy()  # (xs, ys), split once for both directions
+        cols = np.array(ks).T
         if not np.all(np.isfinite(cols)):
             raise ValueError("knots must be finite")
         if np.any(np.diff(cols) <= 0.0):
             raise ValueError("knots must be strictly increasing in both coordinates")
-        cols.setflags(write=False)
         object.__setattr__(self, "knots", ks)
-        object.__setattr__(self, "_cols", cols)
+        object.__setattr__(self, "_cols", tuple(zip(*ks)))  # (xs, ys), for both directions
 
     def __call__(self, s: float) -> float:
         xs, ys = self._cols
-        return float(np.interp(s, xs, ys))
+        return _interp(s, xs, ys)
 
     def inverse(self, s: float) -> float:
         xs, ys = self._cols
-        return float(np.interp(s, ys, xs))
+        return _interp(s, ys, xs)
+
+
+def _interp(s: float, xs: tuple[float, ...], ys: tuple[float, ...]) -> float:
+    """np.interp(s, xs, ys) for one s, bit for bit, on strictly increasing
+    finite knots: found by bisection, and numpy's slope (s - x_j) + y_j inside."""
+    s = float(s)
+    if s != s:
+        return s
+    j = max(bisect_right(xs, s) - 1, 0)  # s below xs[0] = 0 takes ys[0], as xs[0] does
+    if j == len(xs) - 1 or s <= xs[j]:
+        return ys[j]
+    return (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (s - xs[j]) + ys[j]
 
 
 ScalarOrderIso = Union[PhiScalarIso, PwlScalarIso]
@@ -521,13 +564,14 @@ class CompositeOrderIso:
     def _run(self, x: Element, forward: bool) -> Element:
         src = self.source if forward else self.target
         dst = self.target if forward else self.source
-        if x.algebra != src:
+        if x.algebra is not src and x.algebra != src:
             raise ShapeMismatchError("element does not live in the expected algebra")
         # every block is decided at the tolerance of x's sup, the largest block sup:
-        # rank-one coordinates here, the rest by their factor map
+        # rank-one coordinates here, the rest by their factor map's kernel
         scalars = [(i, j) if forward else (j, i) for i, j in self.sigma]
         engaged = [(i, j) if forward else (j, i) for i, j in self.engaged_pairs]
-        coords = [float(_real_part(src.factors[a], x._blocks[a])[0, 0]) for a, _ in scalars]
+        # the real part of a herm(1,.) block is its top-left entry's, also over H
+        coords = [float(x._blocks[a][0, 0].real) for a, _ in scalars]
         sups = [_block_sup(src.factors[a], x._blocks[a]) for a, _ in engaged]
         tol = _order_tol(scale := max([abs(s) for s in coords] + sups))
         _check_effect(x, scale < 1.0 + tol)  # no entry of an effect reaches 1 + tol
@@ -535,10 +579,9 @@ class CompositeOrderIso:
         for (a, b), f, s in zip(scalars, self.scalar_isos, coords):
             _check_effect(x, -tol < s < 1.0 + tol)  # in_effect_interval of the 1 x 1 block
             s = min(max(s, 0.0), 1.0)
-            out[b] = _from_real(dst.factors[b], np.full((1, 1), f(s) if forward else f.inverse(s)))
+            out[b] = _from_real(dst.factors[b], [[f(s) if forward else f.inverse(s)]])
         for (a, b), iso, sup in zip(engaged, self.engaged_isos, sups):
-            xi = Element(single_factor(src.factors[a]), (x._blocks[a],), _stored=True)
-            out[b] = iso._run(xi, forward, sup, scale)._blocks[0]
+            out[b] = iso._kernel(x._blocks[a], forward, sup, scale)
         return _element(dst, out)
 
 

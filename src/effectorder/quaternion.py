@@ -25,17 +25,15 @@ import numpy as np
 
 def qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Hamilton product, broadcasting over leading axes of (..., 4) arrays."""
-    a1, b1, c1, d1 = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
-    a2, b2, c2, d2 = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
-    return np.stack(
-        [
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-        ],
-        axis=-1,
-    )
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    a1, b1, c1, d1 = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
+    a2, b2, c2, d2 = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    out = np.empty(np.broadcast_shapes(p.shape, q.shape))
+    out[..., 0] = a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2
+    out[..., 1] = a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2
+    out[..., 2] = a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2
+    out[..., 3] = a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2
+    return out
 
 
 def qconj(q: np.ndarray) -> np.ndarray:

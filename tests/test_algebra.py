@@ -374,6 +374,14 @@ class TestQuaternionArithmetic:
         rhs = quat.to_complex(A) @ quat.to_complex(B)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
+    def test_qmul_broadcasts_as_the_embedding_multiplies(self, rng):
+        p, q = rng.standard_normal((3, 1, 4)), rng.standard_normal((5, 4))
+        out = quat.qmul(p, q)
+        assert out.shape == (3, 5, 4)
+        as_matrix = lambda a: quat.to_complex(a[..., None, None, :])
+        ref = quat.from_complex(as_matrix(p) @ as_matrix(q))[..., 0, 0, :]
+        np.testing.assert_allclose(out, ref, atol=1e-14)
+
     def test_embedding_roundtrip(self, rng):
         A = rng.standard_normal((2, 2, 4))
         np.testing.assert_allclose(quat.from_complex(quat.to_complex(A)), A, atol=1e-14)

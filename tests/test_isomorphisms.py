@@ -58,6 +58,8 @@ from effectorder import quaternion as quat
 from conftest import FACTOR_KINDS, MIXED, assert_close
 
 H1 = single_factor(HermFactor(1))
+# herm(1,.) is a rank-one coordinate of a direct sum, never an engaged factor
+ENGAGED_KINDS = [f for f in FACTOR_KINDS if f.rank > 1]
 H2 = single_factor(HermFactor(2))
 
 
@@ -571,6 +573,39 @@ class TestCompositeOrderIso:
         with pytest.raises(Exception):
             iso.apply(unit(MIXED))
 
+    @pytest.mark.parametrize("factor", ENGAGED_KINDS, ids=str)
+    def test_engaged_blocks_are_the_factor_maps(self, factor, rng):
+        # the composite runs each engaged factor map on its stored block: the
+        # same bits as that map's own apply and inverse_apply, also when the
+        # matching swaps two factors of one kind
+        alg = algebra(HermFactor(1), factor, factor)
+        for _ in range(4):
+            iso = random_composite_iso(alg, alg, rng)
+            x = sample_element(alg, rng, "effect")
+            y = iso.apply(x)
+            back = iso.inverse_apply(y)
+            for (i, j), f in zip(iso.engaged_pairs, iso.engaged_isos):
+                image = f.apply(Element(f.algebra, (x.block(i),)))
+                np.testing.assert_array_equal(y._blocks[j], image._blocks[0])
+                pre = f.inverse_apply(Element(f.algebra, (y.block(j),)))
+                np.testing.assert_array_equal(back._blocks[i], pre._blocks[0])
+
+    @pytest.mark.parametrize("factor", ENGAGED_KINDS, ids=str)
+    def test_engaged_block_outside_is_refused_as_by_its_factor_map(self, factor, rng):
+        # a block with sup below 1 passes the composite's own bound, so its
+        # factor map refuses it, with the text of that map's own DomainError
+        alg = algebra(HermFactor(1), factor)
+        iso = random_composite_iso(alg, alg, rng)
+        f = iso.engaged_isos[0]
+        bad = -0.25 * sample_element(f.algebra, rng, "invertible_effect")
+        x = Element(alg, (np.array([[0.5]]), bad.block(0)))
+        for run, own in ((iso.apply, f.apply), (iso.inverse_apply, f.inverse_apply)):
+            with pytest.raises(DomainError, match="outside") as want:
+                own(bad)
+            with pytest.raises(DomainError) as got:
+                run(x)
+            assert str(got.value) == str(want.value)
+
 
 class TestCoordinateSqueeze:
     def test_level_one_is_identity(self):
@@ -667,6 +702,16 @@ class TestScalarIsos:
         assert f(0.25) == 0.125
         assert f.inverse(0.25) == 0.5
         assert abs(f.inverse(f(0.3)) - 0.3) <= 1e-15
+
+    def test_pwl_is_np_interp_bit_for_bit(self, rng):
+        f = PwlScalarIso(((0.0, 0.0), (0.2, 0.35), (0.5, 0.4), (0.9, 0.95), (1.0, 1.0)))
+        xs, ys = np.array(f.knots).T
+        outside = [-np.inf, -1.0, -1e-300, -0.0, 1.0 + 1e-16, 2.0, np.inf]
+        for s in outside + [*xs, *ys] + list(rng.uniform(0.0, 1.0, 200)):
+            for got, ref in ((f(s), np.interp(s, xs, ys)), (f.inverse(s), np.interp(s, ys, xs))):
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+        assert np.isnan(f(np.nan)) and np.isnan(f.inverse(np.nan))
 
     def test_pwl_validation(self):
         with pytest.raises(ValueError):
@@ -774,6 +819,26 @@ class TestPencil:
         z = 0.7 * unit(single_factor(factor))
         iso = FactorOrderIso(-0.4, z, random_jordan_iso(factor, rng))
         self.check_against_interior_form(iso, rng)
+
+    def test_spin_solve_pivots_like_lu(self, rng):
+        # the closed-form 2x2 solve against LAPACK's, on pencils whose first
+        # column needs a row swap and on ones that do not
+        solve = isomorphisms._solve_diagonal_pencil
+        for k in range(200):
+            m00, m01, m11 = rng.standard_normal(3)
+            A, B, C = rng.standard_normal((3, 2))
+            if k % 2:  # a tiny first pivot: the swap is what keeps the error small
+                A[0] = -m00 * B[0] * (1.0 + 1e-12)
+            m = np.array([[m00, m01], [m01, m11]])
+            ref = np.linalg.solve(np.diag(A) + m @ np.diag(B), m @ np.diag(C))
+            got = np.reshape(solve(m00, m01, m11, A, B, C), (2, 2))
+            assert np.abs(got - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+
+    def test_spin_solve_refuses_a_zero_pivot(self):
+        one, zero_ = np.ones(2), np.zeros(2)
+        for m, A in (((0.0, 0.0, 1.0), zero_), ((1.0, 1.0, 1.0), zero_)):  # zero column, rank one
+            with pytest.raises(DomainError, match="singular pencil"):
+                isomorphisms._solve_diagonal_pencil(*m, A, one, one)
 
     @pytest.mark.parametrize("conjugate", [False, True])
     def test_complex_conjugate_flags(self, conjugate, rng):
@@ -887,9 +952,11 @@ class TestEigensolveBudget:
         eigensolve_counter.clear()
         back = iso.inverse_apply(iso.apply(x))
         assert sup_norm(back - x) <= 1e-8
-        # membership of each engaged Hermitian block is one Cholesky per direction
+        # membership of each engaged Hermitian block is one Cholesky per direction,
+        # and its pencil one solve; the spin pencil is solved in closed form
         assert eigensolve_counter.eigensolves == 0
         assert eigensolve_counter["cholesky"] == 2 * 3
+        assert eigensolve_counter["solve"] == 2 * 3
         assert eigensolve_counter["qr"] == 0
 
     @pytest.mark.parametrize("factor", FACTOR_KINDS, ids=str)
@@ -903,9 +970,10 @@ class TestEigensolveBudget:
             x = run(x)
             assert eigensolve_counter.eigensolves == 0
             assert eigensolve_counter["cholesky"] == int(matrix_block)
-            # the precomputed pencil: one solve per block per direction, and
-            # a spin factor's herm(2,R) frame takes no QR
-            assert eigensolve_counter["solve"] == 1
+            # the precomputed pencil: one solve per matrix block per direction;
+            # a spin factor's 2x2 pencil is solved in closed form, and its
+            # herm(2,R) frame takes no QR
+            assert eigensolve_counter["solve"] == int(isinstance(factor, HermFactor))
             assert eigensolve_counter["qr"] == 0
 
     def test_quaternion_round_trip_converts_nothing(self, rng, monkeypatch):
