@@ -161,15 +161,22 @@ class AlgebraDescriptor:
         return " + ".join(str(f) for f in self.factors)
 
 
+@lru_cache(maxsize=1024)
+def _interned(factors: tuple[Factor, ...]) -> AlgebraDescriptor:
+    """The one descriptor of a factor tuple, shared by :func:`algebra`,
+    :func:`single_factor` and the document parser, so that the algebra of
+    an element and that of a map built from the same factors are one object."""
+    return AlgebraDescriptor(factors)
+
+
 def algebra(*factors: Factor) -> AlgebraDescriptor:
-    """Convenience constructor: ``algebra(HermFactor(2), SpinFactor(3))``."""
-    return AlgebraDescriptor(tuple(factors))
+    """Convenience constructor: ``algebra(HermFactor(2), SpinFactor(3))``; interned."""
+    return _interned(factors)
 
 
-@lru_cache(maxsize=None)
 def single_factor(factor: Factor) -> AlgebraDescriptor:
-    """The one-factor algebra containing ``factor``; cached."""
-    return AlgebraDescriptor((factor,))
+    """The one-factor algebra containing ``factor``; interned."""
+    return _interned((factor,))
 
 
 # --- blocks ---------------------------------------------------------------

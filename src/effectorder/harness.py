@@ -189,6 +189,14 @@ def _run_trials(suite, descriptor, seed, trials, tol, checks, trial) -> SuiteRep
     return _report(suite, descriptor, seed, trials, tol, checks, records)
 
 
+def _horner(cf: list[float], v: float) -> float:
+    """np.polyval(cf, v) on floats, bit for bit: Horner from 0.0, highest degree first."""
+    y = 0.0
+    for c in cf:
+        y = y * v + c
+    return y
+
+
 def run_identity_suite(
     alg: AlgebraDescriptor,
     seed: int = 0,
@@ -231,10 +239,10 @@ def run_identity_suite(
 
         res["square_of_unit_image"] = _rel(quad_rep(y, e), jordan_product(y, y))
 
-        cf = rng.uniform(-1.0, 1.0, size=5)
-        cg = rng.uniform(-1.0, 1.0, size=5)
-        f = lambda v: float(np.polyval(cf, v))  # noqa: E731
-        g = lambda v: float(np.polyval(cg, v))  # noqa: E731
+        cf = rng.uniform(-1.0, 1.0, size=5).tolist()
+        cg = rng.uniform(-1.0, 1.0, size=5).tolist()
+        f = lambda v: _horner(cf, v)  # noqa: E731
+        g = lambda v: _horner(cg, v)  # noqa: E731
         fy = apply_function(y, f)
         gy = apply_function(y, g)
         lhs = quad_rep(fy, quad_rep(gy, w))

@@ -31,6 +31,18 @@ coordinates through a bijection with arbitrary scalar order isomorphisms
 of [0, 1] and applies one closed-form factor map per engaged factor;
 ``CompositeOrderIso`` is that data.
 
+A matrix block's two halves, its effect test (one product and one Cholesky)
+and its pencil solve, read only the input, and numpy releases the GIL inside
+LAPACK and matmul.  A map with a matrix block of stored order at least 64
+(herm(n,H) counts 2n) runs the halves of all its matrix blocks at once: the
+largest pencil on the calling thread, the others on a module thread pool of
+one worker per CPU the process may run on, less one, made on first use (and
+again in a forked child).  The results are read in block order, so outputs
+and refusals are those of one sequential loop.  Spin blocks, rank-one
+coordinates and maps with no large block run inline, as everything does on
+one CPU.  Pin a multi-threaded BLAS to one thread (OPENBLAS_NUM_THREADS=1,
+say), or its threads and the pool's oversubscribe the CPUs.
+
 The one-parameter Mobius family
 
     mobius_t(x) = x o (t x + (1 - t) e)^(-1),       t < 1,
@@ -42,9 +54,11 @@ t * s = t + s - t s and inverse parameter t / (t - 1).
 from __future__ import annotations
 
 import math
+import os
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 import numpy as np
 
@@ -96,6 +110,9 @@ from .spectral import (
     sqrt_element,
 )
 from .order import _check_effect, _order_tol, in_cone, leq
+
+if TYPE_CHECKING:  # imported with the pool: concurrent.futures takes ~9 ms to import
+    from concurrent.futures import Future, ThreadPoolExecutor
 
 
 class RecoveryError(RuntimeError):
@@ -307,6 +324,7 @@ class FactorOrderIso:
         B = C - A
         object.__setattr__(self, "_forward", (A, B, C))
         object.__setattr__(self, "_backward", (C.conj().T, -B.conj().T, A.conj().T))
+        object.__setattr__(self, "_large", isinstance(f, HermFactor) and len(A) >= _POOL_MIN_ORDER)
 
     @property
     def algebra(self) -> AlgebraDescriptor:
@@ -314,36 +332,37 @@ class FactorOrderIso:
 
     def apply(self, x: Element) -> Element:
         """f(x) = (A + x~ B)^(-1) x~ C (module docstring)."""
-        return _element(self.algebra, [self._kernel(self._own_block(x), True)])
+        return self._run(x, True)
 
     def inverse_apply(self, y: Element) -> Element:
         """f^(-1)(F) = (C* - F B*)^(-1) F A*: the pencil of :meth:`apply`
         with its three matrices adjointed and reversed, B negated."""
-        return _element(self.algebra, [self._kernel(self._own_block(y), False)])
+        return self._run(y, False)
 
-    def _own_block(self, x: Element) -> np.ndarray:
+    def _run(self, x: Element, forward: bool) -> Element:
         if x.algebra is not self.algebra and x.algebra != self.algebra:
             raise ShapeMismatchError("element does not live in this factor")
-        return x._blocks[0]
+        b = x._blocks[0]
+        sup = _block_sup(self.jordan.factor, b)
+        tol = _order_tol(sup)
+        _check_effect(x, sup < 1.0 + tol)  # no entry of an effect reaches 1 + tol
+        return _element(self.algebra, _map_blocks([(self, b)], forward, tol, self._large))
 
-    def _kernel(
-        self, b: np.ndarray, forward: bool, sup: float | None = None, scale: float = 0.0
-    ) -> np.ndarray:
-        """One direction on the stored block b: the stored output block.
-        sup: b's sup norm, if known; scale: the sup of a direct sum that b is a block of."""
-        f, jord = self.jordan.factor, self.jordan
-        A, B, C = self._forward if forward else self._backward
-        sup = _block_sup(f, b) if sup is None else sup
-        tol = _order_tol(max(sup, scale))
+    def _inside(self, b: np.ndarray, tol: float) -> bool:
+        """The effect test of the stored block b at tol; the caller has checked
+        that every entry has modulus below 1 + tol."""
+        f = self.jordan.factor
         if isinstance(f, SpinFactor):  # eigenvalues a -/+ |v|, as in spectrum_within; NaN fails
             a, r = float(b[0]), _spin_radius(b)
-            inside = r < a + tol and r < 1.0 + tol - a
-        else:
-            # in_effect_interval, fused: the block's sup serves the pencil too
-            inside = sup < 1.0 + tol and _matrix_within(f, b, -tol, 1.0 + tol)
-        if not inside:
-            _check_effect(Element(self.algebra, (b,), _stored=True), False)
+            return r < a + tol and r < 1.0 + tol - a
+        return _matrix_within(f, b, -tol, 1.0 + tol)
+
+    def _pencil(self, b: np.ndarray, forward: bool) -> np.ndarray:
+        """One direction's pencil on the stored block b of an effect: the stored output block."""
+        f, jord = self.jordan.factor, self.jordan
+        A, B, C = self._forward if forward else self._backward
         if isinstance(f, SpinFactor):
+            a = float(b[0])
             v = jord._u @ b[1:] if forward else b[1:]
             # the copy of herm(2,R): (a, p0 zhat + w) -> [[a - p0, p1], [p1, a + p0]]
             # for w orthogonal to zhat, p1 = |w|; p1 = 0 only when w = 0
@@ -366,6 +385,86 @@ class FactorOrderIso:
 
 # an eigenvalue of z near 0 rounds an image onto the boundary, where the pencil is singular
 _SINGULAR_PENCIL = "singular pencil: z has an eigenvalue too close to 0"
+
+
+# A matrix block of at least this stored order (herm(n,H) stores 2n) is large, and a
+# map with a large block runs its matrix blocks' halves on the thread pool.  Set at the
+# crossover of one direction, inline against pooled: about 64 on herm(n,C), about 96
+# on herm(n,R); the table is in CHANGES.md, in the entry that overlaps the effect
+# test and the pencil solve.
+_POOL_MIN_ORDER = 64
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _thread_pool() -> ThreadPoolExecutor | None:
+    """The pool of the matrix blocks' halves, made on first use, with one worker per
+    CPU this process may run on but the calling thread's; None on one CPU."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+            if (cpus or 1) > 1:
+                from concurrent.futures import ThreadPoolExecutor
+
+                _pool = ThreadPoolExecutor(cpus - 1, thread_name_prefix="effectorder")
+        return _pool
+
+
+def _forget_pool() -> None:
+    """In a forked child, where the parent's workers do not run."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _map_blocks(maps: list, forward: bool, tol: float, pooled: bool) -> list[np.ndarray]:
+    """The stored output blocks of the (FactorOrderIso, stored block) pairs maps in
+    one direction, each block decided at tol, with every entry below 1 + tol.
+
+    Each block's effect test, then its pencil, block by block; the first failure
+    raises.  With ``pooled`` and a pool, the matrix blocks' halves start first,
+    the largest pencil here, the others on the pool, and the same walk reads their
+    results, running here any half the pool has not started: it raises what the
+    inline walk raises, and no task outlives it.  Pool tasks call no public
+    function: a refusal's message is built here."""
+    pool = _thread_pool() if pooled else None
+    done: dict[int, Future] = {}  # by half: 2k the test of block k, 2k + 1 its pencil
+    try:
+        if pool is not None:
+            from concurrent.futures import Future, wait
+
+            matrix = [k for k, (iso, _) in enumerate(maps) if isinstance(iso.jordan.factor, HermFactor)]
+            keep = max(matrix, key=lambda k: len(maps[k][1]))
+            for k in matrix:
+                iso, b = maps[k]
+                done[2 * k] = pool.submit(iso._inside, b, tol)
+                if k != keep:
+                    done[2 * k + 1] = pool.submit(iso._pencil, b, forward)
+            iso, b = maps[keep]
+            kept = done[2 * keep + 1] = Future()
+            try:
+                kept.set_result(iso._pencil(b, forward))
+            except Exception as exc:  # raised in the walk, in its turn
+                kept.set_exception(exc)
+        out = []
+        for k, (iso, b) in enumerate(maps):
+            # a half that the pool has not started is taken back and run here
+            test, pencil = done.get(2 * k), done.get(2 * k + 1)
+            if not (iso._inside(b, tol) if test is None or test.cancel() else test.result()):
+                _check_effect(Element(iso.algebra, (b,), _stored=True), False)
+            out.append(iso._pencil(b, forward) if pencil is None or pencil.cancel() else pencil.result())
+    except BaseException:
+        if done:  # so the pool is there, and wait imported
+            for fut in done.values():
+                fut.cancel()
+            wait(done.values())
+        raise
+    return out
 
 
 def _solve_diagonal_pencil(m00: float, m01: float, m11: float, A, B, C) -> tuple:
@@ -554,6 +653,7 @@ class CompositeOrderIso:
                 raise ValueError(f"matched factors {i} -> {j} differ in kind")
             if iso.jordan.algebra.factors != (self.target.factors[j],):
                 raise ValueError(f"factor isomorphism {i} -> {j} lives in the wrong factor")
+        object.__setattr__(self, "_pooled", any(iso._large for iso in self.engaged_isos))
 
     def apply(self, x: Element) -> Element:
         return self._run(x, True)
@@ -567,21 +667,23 @@ class CompositeOrderIso:
         if x.algebra is not src and x.algebra != src:
             raise ShapeMismatchError("element does not live in the expected algebra")
         # every block is decided at the tolerance of x's sup, the largest block sup:
-        # rank-one coordinates here, the rest by their factor map's kernel
+        # rank-one coordinates here, the rest by _map_blocks
         scalars = [(i, j) if forward else (j, i) for i, j in self.sigma]
         engaged = [(i, j) if forward else (j, i) for i, j in self.engaged_pairs]
         # the real part of a herm(1,.) block is its top-left entry's, also over H
         coords = [float(x._blocks[a][0, 0].real) for a, _ in scalars]
         sups = [_block_sup(src.factors[a], x._blocks[a]) for a, _ in engaged]
         tol = _order_tol(scale := max([abs(s) for s in coords] + sups))
-        _check_effect(x, scale < 1.0 + tol)  # no entry of an effect reaches 1 + tol
+        # no entry of an effect reaches 1 + tol: each sup is compared, as max skips a NaN
+        _check_effect(x, all(s < 1.0 + tol for s in sups))
         out: list[np.ndarray | None] = [None] * len(dst.factors)
         for (a, b), f, s in zip(scalars, self.scalar_isos, coords):
             _check_effect(x, -tol < s < 1.0 + tol)  # in_effect_interval of the 1 x 1 block
             s = min(max(s, 0.0), 1.0)
             out[b] = _from_real(dst.factors[b], [[f(s) if forward else f.inverse(s)]])
-        for (a, b), iso, sup in zip(engaged, self.engaged_isos, sups):
-            out[b] = iso._kernel(x._blocks[a], forward, sup, scale)
+        maps = [(iso, x._blocks[a]) for (a, _), iso in zip(engaged, self.engaged_isos)]
+        for (_, b), y in zip(engaged, _map_blocks(maps, forward, tol, self._pooled)):
+            out[b] = y
         return _element(dst, out)
 
 

@@ -1,4 +1,4 @@
-"""Quaternion arrays and the complex embedding: conversion and test utilities.
+"""Quaternion arrays and the complex embedding: conversion and arithmetic.
 
 A quaternion a + bi + cj + dk is stored as a length-4 float vector
 (a, b, c, d); a matrix over the quaternions is an (n, m, 4) float array,
@@ -15,7 +15,7 @@ of the embedded matrix appears with even multiplicity, and spectral
 projections commute with the quaternionic structure.  :func:`to_complex`
 and :func:`from_complex` convert at the library's public boundary; the
 quaternion arithmetic here serves the recovery of a Jordan isomorphism's
-twist, the sampling of quaternionic isometries and the tests.
+twist and the sampling of quaternionic isometries.
 """
 
 from __future__ import annotations
@@ -41,32 +41,6 @@ def qconj(q: np.ndarray) -> np.ndarray:
     out = np.array(q, dtype=float)
     out[..., 1:] = -out[..., 1:]
     return out
-
-
-def qabs(q: np.ndarray) -> np.ndarray:
-    """Entrywise quaternion magnitude sqrt(a^2 + b^2 + c^2 + d^2), by
-    hypot so that no square overflows."""
-    return np.hypot.reduce(np.asarray(q, dtype=float), axis=-1)
-
-
-def qmatmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Matrix product of (..., n, m, 4) and (..., m, k, 4) quaternion arrays.
-
-    With entries z + w j, (Z1 + W1 j)(Z2 + W2 j) = (Z1 Z2 - W1 conj(W2))
-    + (Z1 W2 + W1 conj(Z2)) j, so four complex matrix products suffice.
-    """
-    # viewing the last axis as two complex numbers gives (z, w) per entry
-    a = np.ascontiguousarray(A, dtype=float).view(complex)
-    b = np.ascontiguousarray(B, dtype=float).view(complex)
-    z1, w1, z2, w2 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
-    return np.stack(
-        [z1 @ z2 - w1 @ w2.conj(), z1 @ w2 + w1 @ z2.conj()], axis=-1
-    ).view(float)
-
-
-def qadjoint(A: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of an (..., n, m, 4) quaternion array."""
-    return qconj(np.asarray(A, dtype=float).swapaxes(-3, -2))
 
 
 def to_complex(A: np.ndarray) -> np.ndarray:

@@ -48,6 +48,7 @@ from .algebra import (
     _checked_block,
     _element,
     _from_real_view,
+    _interned,
     _real_view,
     _real_view_shape,
     single_factor,
@@ -161,7 +162,7 @@ def algebra_from_obj(obj: Any, path: str = "algebra") -> AlgebraDescriptor:
             if isinstance(exc, SchemaError):
                 raise
             raise SchemaError(BAD_FACTOR, fp, str(exc)) from exc
-    return AlgebraDescriptor(tuple(factors))
+    return _interned(tuple(factors))
 
 
 # --- elements ----------------------------------------------------------------

@@ -39,6 +39,7 @@ from effectorder.algebra import _block_jordan, _block_quad
 from effectorder.serialization import NON_HERMITIAN, SchemaError
 
 from conftest import FACTOR_KINDS, MIXED, assert_embedding_form
+import qhelpers as qh
 
 
 def herm2(rows):
@@ -296,7 +297,7 @@ def _adjoint(factor, b):
     if isinstance(factor, SpinFactor):
         return b
     if factor.ring is Ring.QUATERNION:
-        return quat.qadjoint(b)
+        return qh.qadjoint(b)
     return b.conj().T
 
 
@@ -365,12 +366,12 @@ class TestQuaternionArithmetic:
         q = rng.standard_normal(4)
         qc = quat.qconj(q)
         assert qc[0] == q[0] and np.all(qc[1:] == -q[1:])
-        np.testing.assert_allclose(quat.qmul(q, qc)[0], quat.qabs(q) ** 2)
+        np.testing.assert_allclose(quat.qmul(q, qc)[0], qh.qabs(q) ** 2)
 
     def test_embedding_is_multiplicative(self, rng):
         A = rng.standard_normal((3, 3, 4))
         B = rng.standard_normal((3, 3, 4))
-        lhs = quat.to_complex(quat.qmatmul(A, B))
+        lhs = quat.to_complex(qh.qmatmul(A, B))
         rhs = quat.to_complex(A) @ quat.to_complex(B)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
@@ -429,9 +430,9 @@ class TestQuaternionStorage:
     @pytest.mark.parametrize("factor", QUATERNION_KINDS, ids=str)
     def test_validator_hermitizes_bit_for_bit(self, factor, rng):
         b = rng.standard_normal((factor.n, factor.n, 4))
-        b = b + quat.qadjoint(b) + 1e-9 * rng.standard_normal(b.shape)
+        b = b + qh.qadjoint(b) + 1e-9 * rng.standard_normal(b.shape)
         x = element_from_blocks(single_factor(factor), [b])
-        assert np.array_equal(x.block(0), 0.5 * (b + quat.qadjoint(b)))
+        assert np.array_equal(x.block(0), 0.5 * (b + qh.qadjoint(b)))
         assert_embedding_form(factor, x._blocks[0])
 
     def test_validator_keeps_entries_near_the_float_limit(self):
@@ -461,5 +462,5 @@ class TestQuaternionStorage:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = sup_norm(x)
-            want = float(quat.qabs(x.block(0)).max())
+            want = float(qh.qabs(x.block(0)).max())
             assert math.isfinite(got) and got == pytest.approx(want, rel=1e-15)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from effectorder import harness
@@ -79,6 +80,17 @@ def suite_id(suite):
 def oracle_iso(t=0.5, z=2.0):
     f = HermFactor(1)
     return FactorOrderIso(t, element_in_factor(f, [[z]]), identity_jordan(f))
+
+
+def test_horner_is_polyval_bit_for_bit():
+    rng = np.random.default_rng(7)
+    points = [0.0, -0.0, 1.0, -1.0] + rng.uniform(-1.5, 1.5, size=200).tolist()
+    for _ in range(20):
+        cf = rng.uniform(-1.0, 1.0, size=5).tolist()
+        for v in points:
+            got, want = harness._horner(cf, v), float(np.polyval(cf, v))
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestDeterminism:

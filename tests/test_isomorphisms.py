@@ -1,4 +1,11 @@
+import concurrent.futures
+import inspect
 import json
+import os
+import signal
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -982,7 +989,7 @@ class TestEigensolveBudget:
         iso = random_factor_iso(HermFactor(2, Ring.QUATERNION), rng)
         x = sample_element(iso.algebra, rng, "effect")
         calls = []
-        for name in ("to_complex", "from_complex", "qmatmul", "qadjoint", "qabs", "qmul"):
+        for name in ("to_complex", "from_complex", "qmul"):
             fn = getattr(quat, name)
             monkeypatch.setattr(quat, name, lambda *a, _fn=fn: calls.append(a) or _fn(*a))
         back = iso.inverse_apply(iso.apply(x))
@@ -996,3 +1003,263 @@ class TestEigensolveBudget:
         eigensolve_counter.clear()
         FactorOrderIso(-0.5, z, jord)
         assert eigensolve_counter.eigensolves == 1
+
+
+# a composite with a large block (herm(96,R): stored order 96), and one with a
+# quaternion block at the threshold (herm(32,H): stored order 64) beside a small
+# matrix block, whose halves go to the pool too, and spin and rank-one factors,
+# which stay inline
+POOLED_ALGEBRAS = [
+    algebra(HermFactor(96), HermFactor(48, Ring.COMPLEX)),
+    algebra(HermFactor(32, Ring.QUATERNION), HermFactor(3, Ring.COMPLEX), SpinFactor(4), HermFactor(1)),
+]
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    """The module's pool; on one CPU, where it has none, a one-worker pool of the
+    test's own, so that the pooled path runs on any machine."""
+    real = isomorphisms._thread_pool()
+    if real is not None:
+        yield real
+        return
+    own = concurrent.futures.ThreadPoolExecutor(1)
+    monkeypatch.setattr(isomorphisms, "_thread_pool", lambda: own)
+    yield own
+    own.shutdown()
+
+
+def no_pool(monkeypatch):
+    """Run the maps inline, as on one CPU."""
+    monkeypatch.setattr(isomorphisms, "_thread_pool", lambda: None)
+
+
+def refusal(run, x) -> str:
+    with pytest.raises(DomainError) as info:
+        run(x)
+    return str(info.value)
+
+
+def element_of_block(x, i):
+    return element_in_factor(x.algebra.factors[i], x.blocks[i])
+
+
+def spy_public_functions(monkeypatch, record):
+    """Wrap every public function and public method of the effectorder modules,
+    also where another module imported it by name, so that each call records the
+    identity of the thread it runs on."""
+    modules = [m for name, m in sys.modules.items() if name.startswith("effectorder")]
+    wrapped = {}
+
+    def spy(fn):
+        def call(*args, **kwargs):
+            record.add(threading.get_ident())
+            return fn(*args, **kwargs)
+
+        return call
+
+    for module in modules:
+        for name, obj in list(vars(module).items()):
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                wrapped[id(obj)] = spy(obj)
+            elif inspect.isclass(obj) and not issubclass(obj, BaseException):
+                for attr, val in list(vars(obj).items()):
+                    if inspect.isfunction(val) and not attr.startswith("_"):
+                        monkeypatch.setattr(obj, attr, spy(val))
+    for module in modules:
+        for name, obj in list(vars(module).items()):
+            if id(obj) in wrapped:
+                monkeypatch.setattr(module, name, wrapped[id(obj)])
+
+
+def singular_outside(n):
+    """A map on herm(n,R) and an input outside [0, e] whose forward pencil is
+    exactly singular: with u = e and z = 0.8 e the pencil matrices are a, b and c
+    times e, and the input's first eigenvalue m solves a + m b = 0 in floats."""
+    f = HermFactor(n)
+    iso = FactorOrderIso(0.5, element_in_factor(f, 0.8 * np.eye(n)), identity_jordan(f))
+    a, b = iso._forward[0][0, 0], iso._forward[1][0, 0]
+    m = next(v for v in (-a / b, np.nextafter(-a / b, 0.0), np.nextafter(-a / b, -1.0)) if a + v * b == 0.0)
+    x = element_in_factor(f, np.diag([m] + [0.5] * (n - 1)))
+    A, B, C = iso._forward
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(A + x._blocks[0] @ B, x._blocks[0] @ C)
+    return iso, x
+
+
+class TestPooledBlocks:
+    """A map with a large matrix block runs its blocks' effect tests and pencil
+    solves on the module's thread pool; its outputs and refusals are those of the
+    inline loop."""
+
+    @pytest.mark.parametrize("alg", POOLED_ALGEBRAS, ids=str)
+    def test_composite_equals_inline_bit_for_bit(self, alg, rng, pool, monkeypatch):
+        iso = random_composite_iso(alg, alg, rng)
+        assert iso._pooled
+        x = sample_element(alg, rng, "effect")
+        y = iso.apply(x)
+        back = iso.inverse_apply(y)
+        no_pool(monkeypatch)
+        y_inline = iso.apply(x)
+        back_inline = iso.inverse_apply(y_inline)
+        for got, want in ((y, y_inline), (back, back_inline)):
+            assert all(np.array_equal(a, b) for a, b in zip(got._blocks, want._blocks))
+        assert sup_norm(back - x) <= 1e-8
+
+    @pytest.mark.parametrize("factor", [HermFactor(64, Ring.COMPLEX), HermFactor(32, Ring.QUATERNION)], ids=str)
+    def test_factor_map_equals_inline_bit_for_bit(self, factor, rng, pool, monkeypatch):
+        iso = random_factor_iso(factor, rng)
+        assert iso._large
+        x = sample_element(iso.algebra, rng, "effect")
+        pooled = [iso.apply(x)._blocks[0], iso.inverse_apply(x)._blocks[0]]
+        no_pool(monkeypatch)
+        assert np.array_equal(pooled[0], iso.apply(x)._blocks[0])
+        assert np.array_equal(pooled[1], iso.inverse_apply(x)._blocks[0])
+
+    def test_small_blocks_make_no_pool(self, rng, monkeypatch):
+        alg = algebra(HermFactor(63), HermFactor(31, Ring.QUATERNION), SpinFactor(100), HermFactor(1))
+        iso = random_composite_iso(alg, alg, rng)
+        assert not iso._pooled
+        monkeypatch.setattr(isomorphisms, "_thread_pool", lambda: pytest.fail("pool asked for"))
+        x = sample_element(alg, rng, "effect")
+        assert sup_norm(iso.inverse_apply(iso.apply(x)) - x) <= 1e-8
+
+    def test_first_refusal_in_pair_order(self, rng, pool, monkeypatch):
+        alg = POOLED_ALGEBRAS[0]
+        iso = random_composite_iso(alg, alg, rng)
+        # both blocks leave [0, e], each with its own spectrum
+        x = sample_element(alg, rng, "effect") - 0.6 * unit(alg)
+        first = element_of_block(x, 0)
+        pooled = [refusal(iso.apply, x), refusal(iso.inverse_apply, x)]
+        no_pool(monkeypatch)
+        assert pooled == [refusal(iso.apply, x), refusal(iso.inverse_apply, x)]
+        assert pooled[0] == refusal(iso.engaged_isos[0].apply, first)
+        assert pooled[0].startswith("argument is outside [0, e]")
+
+    def test_refusal_wins_over_a_singular_pencil(self, pool, monkeypatch):
+        iso, x = singular_outside(64)
+        assert iso._large
+        comp = CompositeOrderIso(iso.algebra, iso.algebra, (), (), ((0, 0),), (iso,))
+        pooled = [refusal(iso.apply, x), refusal(comp.apply, x)]
+        assert all(text.startswith("argument is outside [0, e]") for text in pooled)
+        no_pool(monkeypatch)
+        assert pooled == [refusal(iso.apply, x), refusal(comp.apply, x)]
+
+    def test_no_task_runs_after_the_call(self, rng, pool, monkeypatch):
+        alg = POOLED_ALGEBRAS[0]
+        iso = random_composite_iso(alg, alg, rng)
+        futures = []
+        submit = pool.submit
+        monkeypatch.setattr(pool, "submit", lambda *a: futures.append(submit(*a)) or futures[-1])
+        x = sample_element(alg, rng, "effect")
+        iso.inverse_apply(iso.apply(x))
+        assert len(futures) == 2 * 3 and all(f.done() for f in futures)
+        futures.clear()
+        refusal(iso.apply, x - 0.6 * unit(alg))
+        assert futures and all(f.done() for f in futures)
+
+    def test_pool_runs_no_public_function(self, rng, pool, monkeypatch):
+        alg = POOLED_ALGEBRAS[1]
+        iso = random_composite_iso(alg, alg, rng)
+        x = sample_element(alg, rng, "effect")
+        public, main, started = set(), threading.get_ident(), threading.Event()
+        within, hermitize = isomorphisms._matrix_within, isomorphisms._hermitize
+
+        def spied_within(*args):
+            if threading.get_ident() != main:
+                started.set()
+            return within(*args)
+
+        def held_hermitize(*args):
+            # this thread's pencil ends once the pool has started an effect test,
+            # so that the walk cannot take every half back
+            if threading.get_ident() == main:
+                started.wait(10.0)
+            return hermitize(*args)
+
+        monkeypatch.setattr(isomorphisms, "_matrix_within", spied_within)
+        monkeypatch.setattr(isomorphisms, "_hermitize", held_hermitize)
+        spy_public_functions(monkeypatch, public)
+        iso.inverse_apply(iso.apply(x))
+        assert started.is_set()
+        assert public == {main}
+
+    def test_pool_size(self, monkeypatch):
+        monkeypatch.setattr(isomorphisms, "_pool", None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert isomorphisms._thread_pool()._max_workers == 2
+        isomorphisms._pool.shutdown()
+        monkeypatch.setattr(isomorphisms, "_pool", None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert isomorphisms._thread_pool() is None
+
+    def test_concurrent_callers_share_one_pool(self, rng, monkeypatch):
+        alg = POOLED_ALGEBRAS[1]
+        iso = random_composite_iso(alg, alg, rng)
+        xs = [sample_element(alg, rng, "effect") for _ in range(4)]
+        with monkeypatch.context() as m:
+            no_pool(m)
+            want = [iso.inverse_apply(iso.apply(x)) for x in xs]
+        made = []
+
+        class Counted(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+        monkeypatch.setattr(isomorphisms, "_pool", None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        got, barrier = {}, threading.Barrier(len(xs), timeout=60.0)
+
+        def caller(i):
+            barrier.wait()  # all callers ask for the pool at once
+            for _ in range(5):
+                got[i] = iso.inverse_apply(iso.apply(xs[i]))
+
+        # more callers than cores, switching threads as often as the interpreter can
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(xs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+            for pool in made:
+                pool.shutdown()
+        assert not any(t.is_alive() for t in threads)
+        assert len(made) == 1 and made[0]._max_workers == 1
+        for i, x in enumerate(want):
+            assert all(np.array_equal(a, b) for a, b in zip(got[i]._blocks, x._blocks))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_runs_a_pooled_round_trip(self, rng):
+        if isomorphisms._thread_pool() is None:
+            pytest.skip("one CPU: there is no pool to fork")
+        alg = POOLED_ALGEBRAS[0]
+        iso = random_composite_iso(alg, alg, rng)
+        x = sample_element(alg, rng, "effect")
+        want = iso.inverse_apply(iso.apply(x))  # the pool has run before the fork
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                back = iso.inverse_apply(iso.apply(x))
+                code = 0 if all(np.array_equal(a, b) for a, b in zip(back._blocks, want._blocks)) else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30.0
+        while not (waited := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child hung on a pooled round trip")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(waited[1]) == 0

@@ -19,6 +19,7 @@ from effectorder import (
     random_composite_iso,
     random_element,
     run_identity_suite,
+    single_factor,
     sup_norm,
     unit,
 )
@@ -49,6 +50,15 @@ class TestRoundTrips:
         text = dump_document(MIXED)
         again = dump_document(load_document(text))
         assert text == again
+
+    def test_loaded_algebra_is_the_interned_descriptor(self):
+        assert load_document(dump_document(MIXED)) is MIXED
+        assert algebra(HermFactor(2)) is single_factor(HermFactor(2, Ring.REAL))
+        # so a loaded map's algebra is the caller's own, and its apply compares by identity
+        iso = load_document(dump_document(random_composite_iso(MIXED, MIXED, np.random.default_rng(0))))
+        assert iso.source is MIXED and iso.target is MIXED
+        x = load_document(dump_document(unit(MIXED)))
+        assert x.algebra is MIXED
 
     def test_unit_element_byte_stable(self):
         text = dump_document(unit(algebra(HermFactor(2))))

@@ -57,6 +57,7 @@ from effectorder.spectral import (
 )
 
 from conftest import FACTOR_KINDS, MIXED, assert_embedding_form
+import qhelpers as qh
 
 
 def herm(rows, ring=Ring.REAL):
@@ -124,7 +125,7 @@ class TestDecomposition:
         u = quat.qgram_schmidt(np.random.default_rng(5).standard_normal((2, 2, 4)))
         d = np.zeros((2, 2, 4))
         d[0, 0, 0], d[1, 1, 0] = 0.3, 0.7
-        hb = quat.qmatmul(quat.qmatmul(u, d), quat.qadjoint(u))
+        hb = qh.qmatmul(qh.qmatmul(u, d), qh.qadjoint(u))
         x = element_from_blocks(alg, [hb, np.array([0.5, 0.2 + 1e-12, 0.0, 0.0])])
         dec = spectral_decompose(x)
         k = len(dec.eigenvalues)
