@@ -6,14 +6,17 @@ factors R + R^d with the product
 
     (a, v) o (b, w) = (ab + <v, w>, aw + bv).
 
-Elements are block vectors, one block per factor.  Everything here is
-immutable and every operation is a pure function, so values can be
-shared freely across threads.
+Elements are block vectors, one block per factor, stored by factor group:
+equal factors, wherever they sit, form one group (``AlgebraDescriptor.groups``),
+kept as one (k, ...) stack of its k members' blocks, or as the block itself
+when k = 1, and every kernel runs once per group (spin closed forms member by
+member).  Everything here is immutable and every operation is a pure
+function, so values can be shared freely across threads.
 
 A matrix block over H is stored as its 2n x 2n complex embedding, so
 that every kernel runs on it as on herm(2n,C); the public format is the
-(n, n, 4) ring array, which ``Element.block(i)`` returns (see the comment
-above :func:`_stored_block`).
+(n, n, 4) ring array (see the comment above :func:`_stored_block`), which
+``Element.blocks`` and ``block(i)`` give per factor, read-only.
 
 Blocks from outside the library (:func:`element_from_blocks`,
 :func:`element_in_factor`, the parser in ``serialization``) pass one
@@ -35,7 +38,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -157,6 +160,19 @@ class AlgebraDescriptor:
     def engaged_indices(self) -> tuple[int, ...]:
         return tuple(i for i, f in enumerate(self.factors) if f.rank > 1)
 
+    @cached_property
+    def groups(self) -> tuple[tuple[Factor, tuple[int, ...]], ...]:
+        """(factor, indices) of each group of equal factors, by first appearance."""
+        first = dict.fromkeys(self.factors)
+        return tuple((f, tuple(i for i, g in enumerate(self.factors) if g == f)) for f in first)
+
+    @cached_property
+    def _where(self) -> tuple[tuple[int, object], ...]:
+        """(g, m) of each factor: its block is ``x._groups[g][m]``, m = ... in a group of one."""
+        groups = enumerate(self.groups)
+        where = {i: (g, m if len(c) > 1 else ...) for g, (_, c) in groups for m, i in enumerate(c)}
+        return tuple(where[i] for i in range(len(self.factors)))
+
     def __str__(self) -> str:
         return " + ".join(str(f) for f in self.factors)
 
@@ -194,14 +210,12 @@ def _block_dtype_shape(factor: Factor) -> tuple[type, tuple[int, ...]]:
 
 
 # Ring arrays, the public format of a matrix block, are (n, m) float over R,
-# (n, m) complex over C and (n, m, 4) float over H.  Inside the library a
-# block over H is stored as its 2n x 2m complex embedding (``quaternion``
-# module), so every kernel runs on a real or complex matrix, over H exactly
-# as over C; element_from_blocks, Element(alg, blocks), the documents and
-# FactorJordanIso(u=...) convert once with _stored_block, and Element.blocks,
-# Element.block(i) and FactorJordanIso.u convert back with _ring_array.
-# Matrix helpers also take a (k, ...) stack of blocks and act on each; spin
-# helpers take one block.
+# (n, m) complex over C and (n, m, 4) float over H.  Inside the library a block
+# over H is stored as its 2n x 2m complex embedding (``quaternion`` module), so
+# every kernel runs on a real or complex matrix, over H as over C; _stored_block
+# converts once (element_from_blocks, Element(alg, blocks), the documents,
+# FactorJordanIso(u=...)), _ring_array back (Element.blocks, Element.block(i),
+# FactorJordanIso.u).  Helpers also take a group's (k, ...) stack of blocks.
 
 def _stored_block(factor: Factor, a) -> np.ndarray:
     """A block in the public format as the library stores it; not copied over R and C."""
@@ -304,7 +318,7 @@ def _block_sup(factor: Factor, b: np.ndarray) -> float:
     if isinstance(factor, HermFactor) and factor.ring is Ring.QUATERNION:
         a = np.abs(b[..., : factor.n, :])
         return float(np.hypot(a[..., : factor.n], a[..., factor.n :]).max())
-    return float(np.abs(b).max())
+    return float(np.maximum.reduce(np.abs(b), axis=None))
 
 
 def _spin_radius(b: np.ndarray) -> float:
@@ -314,57 +328,58 @@ def _spin_radius(b: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False, init=False)
 class Element:
-    """A block vector with one Hermitian (or spin) block per factor.
+    """A block vector, one Hermitian (or spin) block per factor, stored by group.
 
-    ``Element(alg, blocks)`` takes ring arrays, converts the quaternion ones
-    to their embedding and stores the rest as given, with no copy or check
+    ``Element(alg, blocks)`` takes ring arrays, converts the quaternion ones and
+    stacks each group of several; a group of one is stored as given, unchecked
     (:func:`element_from_blocks` validates).  ``blocks`` and ``block(i)`` give
-    the ring arrays back: the stored arrays over R, C and spin, and over H a
-    read-only (n, n, 4) array built on first read and kept.  Library code
-    reads the stored blocks, ``_blocks``.
+    read-only ring arrays back, built on first read and kept: views of the group
+    arrays (over H fresh arrays).  Library code reads the group arrays,
+    ``_groups``, and a factor's stored block, ``_block(i)``.
     """
 
     algebra: AlgebraDescriptor
-    _blocks: tuple[np.ndarray, ...]
-    # not fields: ``spectral.spectral_decompose`` stores the element's
-    # default-tolerance decomposition here, on elements with read-only blocks;
-    # ``blocks`` stores the ring arrays
+    _groups: tuple[np.ndarray, ...]
+    # not fields: ``spectral.spectral_decompose`` stores the default-tolerance
+    # decomposition here, on elements with read-only arrays; ``blocks``, the ring arrays
     _decomposition = None
     _view = None
 
     def __init__(self, algebra: AlgebraDescriptor, blocks, *, _stored: bool = False):
         if not _stored:
-            blocks = [_stored_block(f, b) for f, b in zip(algebra.factors, blocks)]
+            blocks = _grouped(algebra, list(map(_stored_block, algebra.factors, blocks)))
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "_blocks", tuple(blocks))
+        object.__setattr__(self, "_groups", tuple(blocks))
+
+    def _block(self, i: int) -> np.ndarray:
+        g, m = self.algebra._where[i]
+        return self._groups[g][m]
 
     @property
     def blocks(self) -> tuple[np.ndarray, ...]:
-        view = self._view
-        if view is None:
-            view = tuple(_ring_array(f, b) for f, b in zip(self.algebra.factors, self._blocks))
-            for a, b in zip(view, self._blocks):
-                if a is not b:
-                    a.setflags(write=False)
+        if self._view is None:
+            view = tuple(_ring_array(f, self._block(i)) for i, f in enumerate(self.algebra.factors))
+            for a in view:
+                a.setflags(write=False)
             object.__setattr__(self, "_view", view)
-        return view
+        return self._view
 
     def block(self, i: int) -> np.ndarray:
         return self.blocks[i]
 
     def __add__(self, other: "Element") -> "Element":
         _check_same_algebra(self, other)
-        return _element(self.algebra, [a + b for a, b in zip(self._blocks, other._blocks)])
+        return _element(self.algebra, [a + b for a, b in zip(self._groups, other._groups)])
 
     def __sub__(self, other: "Element") -> "Element":
         _check_same_algebra(self, other)
-        return _element(self.algebra, [a - b for a, b in zip(self._blocks, other._blocks)])
+        return _element(self.algebra, [a - b for a, b in zip(self._groups, other._groups)])
 
     def __neg__(self) -> "Element":
-        return _element(self.algebra, [-b for b in self._blocks])
+        return _element(self.algebra, [-b for b in self._groups])
 
     def __rmul__(self, c: float) -> "Element":
-        return _element(self.algebra, [float(c) * b for b in self._blocks])
+        return _element(self.algebra, [float(c) * b for b in self._groups])
 
     def __mul__(self, c: float) -> "Element":
         return self.__rmul__(c)
@@ -378,18 +393,19 @@ def _check_same_algebra(x: Element, y: Element) -> None:
         raise ShapeMismatchError(f"algebras differ: {x.algebra} vs {y.algebra}")
 
 
-def _element(alg: AlgebraDescriptor, blocks: Iterable[np.ndarray]) -> Element:
-    """Trusted constructor: freezes the given stored blocks in place.
+def _element(alg: AlgebraDescriptor, groups: Iterable[np.ndarray]) -> Element:
+    """Trusted constructor: freezes the given group arrays in place, unchecked; they
+    have the stored shapes, are Hermitian (over H of the embedding's form), and no
+    one writes to them: fresh results, or arrays of other (frozen) elements."""
+    groups = tuple(groups)
+    for g in groups:
+        g.setflags(write=False)
+    return Element(alg, groups, _stored=True)
 
-    The caller guarantees that the blocks have the factors' stored shapes,
-    are Hermitian (over H also of the embedding's form), and are owned by no
-    one who writes to them: fresh results, or blocks of other (frozen)
-    elements.  Nothing is copied or checked.
-    """
-    blocks = tuple(blocks)
-    for b in blocks:
-        b.setflags(write=False)
-    return Element(alg, blocks, _stored=True)
+
+def _grouped(alg: AlgebraDescriptor, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The group arrays of one stored block per factor; a group of one keeps its block."""
+    return [np.array([blocks[i] for i in c]) if len(c) > 1 else blocks[c[0]] for _, c in alg.groups]
 
 
 def _cast_array(value, dtype: type, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -431,16 +447,16 @@ def element_from_blocks(alg: AlgebraDescriptor, blocks: Sequence[np.ndarray]) ->
     if len(blocks) != len(alg.factors):
         raise ShapeMismatchError(f"expected {len(alg.factors)} blocks, got {len(blocks)}")
     pairs = enumerate(zip(alg.factors, blocks))
-    return _element(alg, [_checked_block(f, b, f"block {i}") for i, (f, b) in pairs])
+    return _element(alg, _grouped(alg, [_checked_block(f, b, f"block {i}") for i, (f, b) in pairs]))
 
 
 def unit(alg: AlgebraDescriptor) -> Element:
     """The order unit e: identity matrix blocks, (1, 0) spin blocks."""
-    return _element(alg, [_identity_block(f) for f in alg.factors])
+    return _element(alg, _grouped(alg, [_identity_block(f) for f in alg.factors]))
 
 
 def zero(alg: AlgebraDescriptor) -> Element:
-    return _element(alg, [_zero_block(f) for f in alg.factors])
+    return _element(alg, _grouped(alg, [_zero_block(f) for f in alg.factors]))
 
 
 def element_in_factor(factor: Factor, block: np.ndarray) -> Element:
@@ -452,7 +468,7 @@ def sup_norm(x: Element) -> float:
     """Largest entry magnitude across all blocks (a computable norm
     equivalent to the operator norm at these sizes; used to scale
     tolerances); NaN when some entry is NaN."""
-    sups = [_block_sup(f, b) for f, b in zip(x.algebra.factors, x._blocks)]
+    sups = [_block_sup(f, g) for (f, _), g in zip(x.algebra.groups, x._groups)]
     # max() drops a NaN that follows a number; the sum keeps it
     return math.nan if math.isnan(sum(sups)) else max(sups)
 
@@ -460,12 +476,13 @@ def sup_norm(x: Element) -> float:
 def canonical_trace(x: Element) -> float:
     """Sum of the normalized traces: matrix trace per Hermitian block,
     2 * alpha per spin block.  Projections have trace equal to rank."""
+    traces = [
+        (2.0 * g[..., 0] if isinstance(f, SpinFactor) else _real_part(f, g).trace(0, -2, -1))
+        for (f, _), g in zip(x.algebra.groups, x._groups)
+    ]
     total = 0.0
-    for f, b in zip(x.algebra.factors, x._blocks):
-        if isinstance(f, SpinFactor):
-            total += 2.0 * float(b[0])
-        else:
-            total += float(np.trace(_real_part(f, b)))
+    for g, m in x.algebra._where:  # summed in factor order
+        total += traces[g][m].tolist()
     return total
 
 
@@ -473,6 +490,8 @@ def canonical_trace(x: Element) -> float:
 
 def _block_jordan(factor: Factor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if isinstance(factor, SpinFactor):
+        if b.ndim > 1:  # a group's stacks, member by member
+            return np.array([_block_jordan(factor, p, q) for p, q in zip(a, b)])
         alpha = a[0] * b[0] + a[1:] @ b[1:]
         v = a[0] * b[1:] + b[0] * a[1:]
         return np.concatenate(([alpha], v))
@@ -483,10 +502,8 @@ def _block_jordan(factor: Factor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def jordan_product(x: Element, y: Element) -> Element:
     """x o y = (xy + yx) / 2 on matrix blocks, the spin rule on spin blocks."""
     _check_same_algebra(x, y)
-    return _element(
-        x.algebra,
-        [_block_jordan(f, a, b) for f, a, b in zip(x.algebra.factors, x._blocks, y._blocks)],
-    )
+    pairs = zip(x.algebra.groups, x._groups, y._groups)
+    return _element(x.algebra, [_block_jordan(f, a, b) for (f, _), a, b in pairs])
 
 
 def triple_product(x: Element, y: Element, z: Element) -> Element:
@@ -502,6 +519,8 @@ def triple_product(x: Element, y: Element, z: Element) -> Element:
 
 def _block_quad(factor: Factor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if isinstance(factor, SpinFactor):
+        if b.ndim > 1:  # a group's stacks, member by member
+            return np.array([_block_quad(factor, p, q) for p, q in zip(a, b)])
         # U_a b = 2 a o (a o b) - a^2 o b, expanded for a = (alpha, v), b = (beta, w)
         alpha, v, beta, w = a[0], a[1:], b[0], b[1:]
         aa, vv, vw = alpha * alpha, v @ v, v @ w
@@ -515,17 +534,16 @@ def quad_rep(x: Element, y: Element) -> Element:
     """Quadratic representation U_x y = {x,y,x}; equals x y x blockwise
     on matrix factors."""
     _check_same_algebra(x, y)
-    return _element(
-        x.algebra,
-        [_block_quad(f, a, b) for f, a, b in zip(x.algebra.factors, x._blocks, y._blocks)],
-    )
+    pairs = zip(x.algebra.groups, x._groups, y._groups)
+    return _element(x.algebra, [_block_quad(f, a, b) for (f, _), a, b in pairs])
 
 
 def _invert_block(factor: Factor, b: np.ndarray) -> np.ndarray:
-    """b^(-1) by one LU solve for a matrix block or a stack of them, and by
-    (a, -v) / (a^2 - |v|^2) for a spin block; the caller has checked that
-    every block is invertible."""
+    """b^(-1) by one LU solve for a matrix block or a stack, by (a, -v) / (a^2 - |v|^2)
+    for a spin block or each in a stack; the caller has checked that b is invertible."""
     if isinstance(factor, SpinFactor):
+        if b.ndim > 1:
+            return np.array([_invert_block(factor, m) for m in b])
         # a^2 - |v|^2 as the product of the two eigenvalues a -/+ |v|
         nv = _spin_radius(b)
         return np.concatenate(([b[0]], -b[1:])) / ((b[0] - nv) * (b[0] + nv))
@@ -536,23 +554,23 @@ def _invert_block(factor: Factor, b: np.ndarray) -> np.ndarray:
 
 def _invert(x: Element) -> Element:
     """x^(-1) by :func:`_invert_block`; the caller has checked that x is invertible."""
-    return _element(x.algebra, [_invert_block(f, b) for f, b in zip(x.algebra.factors, x._blocks)])
+    pairs = zip(x.algebra.groups, x._groups)
+    return _element(x.algebra, [_invert_block(f, g) for (f, _), g in pairs])
 
 
 # --- raw Gaussian sampling (classes needing spectra live in sampling.py) ---
 
 def random_gaussian(alg: AlgebraDescriptor, rng: np.random.Generator) -> Element:
     """Standard Gaussian Hermitian element; the raw material for the
-    seeded sample classes."""
+    seeded sample classes.  Drawn factor by factor, in factor order."""
     blocks = []
     for f in alg.factors:
         if isinstance(f, SpinFactor):
             blocks.append(rng.standard_normal(f.d + 1))
         elif f.ring is Ring.COMPLEX:
-            a = rng.standard_normal((f.n, f.n)) + 1j * rng.standard_normal((f.n, f.n))
-            blocks.append(a)
+            blocks.append(rng.standard_normal((f.n, f.n)) + 1j * rng.standard_normal((f.n, f.n)))
         elif f.ring is Ring.QUATERNION:
             blocks.append(_stored_block(f, rng.standard_normal((f.n, f.n, 4))))
         else:
             blocks.append(rng.standard_normal((f.n, f.n)))
-    return _element(alg, [_hermitize(f, b) for f, b in zip(alg.factors, blocks)])
+    return _element(alg, [_hermitize(f, g) for (f, _), g in zip(alg.groups, _grouped(alg, blocks))])

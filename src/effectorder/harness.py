@@ -401,7 +401,7 @@ def run_order_iso_suite(
             p = sample_atom(factor, rng)
             lam = float(rng.uniform(0.01, 1.0))
             img = fiso.apply(lam * p)
-            eigs = block_eigenvalues(img.algebra.factors[0], img._blocks[0])
+            eigs = block_eigenvalues(img.algebra.factors[0], img._groups[0])
             rank_one.append(float(eigs[-2]) if len(eigs) > 1 else 0.0)
         if rank_one:
             res["atom_rank_one"] = _worst(0.0, *rank_one)
@@ -484,7 +484,7 @@ def scalar_oracle_compare(
     if grid_size < 2:
         raise ValueError("grid must have at least 2 points")
     t = iso.t + (1e-3 if mutate else 0.0)
-    z0 = float(iso.z._blocks[0][0, 0])
+    z0 = float(iso.z._groups[0][0, 0])
 
     def oracle(s: float, zz: float) -> float:
         w = 1.0 - 1.0 / (1.0 + s / (zz * zz))
@@ -495,7 +495,7 @@ def scalar_oracle_compare(
         grid = 0.0
         for s in np.linspace(0.0, 1.0, grid_size):
             lib = iso.apply(element_in_factor(factor, np.array([[s]])))
-            grid = _worst(grid, abs(float(lib._blocks[0][0, 0]) - oracle(float(s), z0)))
+            grid = _worst(grid, abs(float(lib._groups[0][0, 0]) - oracle(float(s), z0)))
 
         two = HermFactor(2, Ring.REAL)
         z1 = z0 + 0.5
@@ -504,7 +504,7 @@ def scalar_oracle_compare(
         worst = 0.0
         for s1 in np.linspace(0.0, 1.0, 25):
             for s2 in np.linspace(0.0, 1.0, 25):
-                lib = iso2.apply(element_in_factor(two, np.diag([s1, s2])))._blocks[0]
+                lib = iso2.apply(element_in_factor(two, np.diag([s1, s2])))._groups[0]
                 worst = _worst(worst, abs(lib[0, 0] - oracle(float(s1), z0)))
                 worst = _worst(worst, abs(lib[1, 1] - oracle(float(s2), z1)))
                 worst = _worst(worst, abs(lib[0, 1]))
@@ -528,7 +528,7 @@ def counterexample_report(n: int) -> SuiteReport:
     def records():
         ks = range(1, n + 1)
         iso, image = coordinate_squeeze_iso(n)
-        coords = [float(image._blocks[k][0, 0]) for k in range(n)]
+        coords = image._groups[0].ravel().tolist()  # the lines' one group
         targets = [2.0 ** -k for k in ks]
         used = [f.t for f in iso.scalar_isos]
         alt = [0.5 * (3.0 - 2.0 ** k) for k in ks]

@@ -33,15 +33,16 @@ of [0, 1] and applies one closed-form factor map per engaged factor;
 
 A matrix block's two halves, its effect test (one product and one Cholesky)
 and its pencil solve, read only the input, and numpy releases the GIL inside
-LAPACK and matmul.  A map with a matrix block of stored order at least 64
-(herm(n,H) counts 2n) runs the halves of all its matrix blocks at once: the
-largest pencil on the calling thread, the others on a module thread pool of
-one worker per CPU the process may run on, less one, made on first use (and
-again in a forked child).  The results are read in block order, so outputs
-and refusals are those of one sequential loop.  Spin blocks, rank-one
-coordinates and maps with no large block run inline, as everything does on
-one CPU.  Pin a multi-threaded BLAS to one thread (OPENBLAS_NUM_THREADS=1,
-say), or its threads and the pool's oversubscribe the CPUs.
+LAPACK and matmul.  A map with a large matrix block, one whose pencil costs
+at least ``_POOL_MIN_COST`` (stored order cubed, 4x over C and H), runs the
+halves of all its matrix blocks at once: the costliest pencil on the calling
+thread, the others on a module thread pool of one worker per CPU the process
+may run on, less one, made on first use (and again in a forked child).  The
+results are read in block order, so outputs and refusals are those of one
+sequential loop.  Spin blocks, rank-one coordinates and maps with no large
+block run inline, as everything does on one CPU.  Pin a multi-threaded BLAS
+to one thread (OPENBLAS_NUM_THREADS=1, say), or its threads and the pool's
+oversubscribe the CPUs.
 
 The one-parameter Mobius family
 
@@ -58,6 +59,7 @@ import os
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Union
 
 import numpy as np
@@ -84,10 +86,10 @@ from .algebra import (
     _hermitize,
     _identity_block,
     _invert,
+    _interned,
     _invert_block,
     _real_part,
     _ring_array,
-    _spin_radius,
     _stored_block,
     jordan_product,
     quad_rep,
@@ -100,6 +102,7 @@ from .spectral import (
     _block_floor,
     _matrix_within,
     _singular_tol,
+    _spin_within,
     apply_function,
     invert_element,
     min_eigenvalue,
@@ -256,7 +259,7 @@ class FactorJordanIso:
     def apply(self, x: Element) -> Element:
         if x.algebra != self.algebra:
             raise ShapeMismatchError("element does not live in this factor")
-        f, b, u = self.factor, x._blocks[0], self._u
+        f, b, u = self.factor, x._groups[0], self._u
         if isinstance(f, SpinFactor):
             out = np.concatenate(([b[0]], u @ b[1:]))
         else:
@@ -324,7 +327,10 @@ class FactorOrderIso:
         B = C - A
         object.__setattr__(self, "_forward", (A, B, C))
         object.__setattr__(self, "_backward", (C.conj().T, -B.conj().T, A.conj().T))
-        object.__setattr__(self, "_large", isinstance(f, HermFactor) and len(A) >= _POOL_MIN_ORDER)
+        # the pencil's cost, 0 on spin, which always runs inline
+        cost = len(A) ** 3 * (4 if A.dtype.kind == "c" else 1) if isinstance(f, HermFactor) else 0
+        object.__setattr__(self, "_cost", cost)
+        object.__setattr__(self, "_large", cost >= _POOL_MIN_COST)
 
     @property
     def algebra(self) -> AlgebraDescriptor:
@@ -342,7 +348,7 @@ class FactorOrderIso:
     def _run(self, x: Element, forward: bool) -> Element:
         if x.algebra is not self.algebra and x.algebra != self.algebra:
             raise ShapeMismatchError("element does not live in this factor")
-        b = x._blocks[0]
+        b = x._groups[0]
         sup = _block_sup(self.jordan.factor, b)
         tol = _order_tol(sup)
         _check_effect(x, sup < 1.0 + tol)  # no entry of an effect reaches 1 + tol
@@ -352,9 +358,8 @@ class FactorOrderIso:
         """The effect test of the stored block b at tol; the caller has checked
         that every entry has modulus below 1 + tol."""
         f = self.jordan.factor
-        if isinstance(f, SpinFactor):  # eigenvalues a -/+ |v|, as in spectrum_within; NaN fails
-            a, r = float(b[0]), _spin_radius(b)
-            return r < a + tol and r < 1.0 + tol - a
+        if isinstance(f, SpinFactor):
+            return _spin_within(b, -tol, 1.0 + tol)
         return _matrix_within(f, b, -tol, 1.0 + tol)
 
     def _pencil(self, b: np.ndarray, forward: bool) -> np.ndarray:
@@ -387,12 +392,14 @@ class FactorOrderIso:
 _SINGULAR_PENCIL = "singular pencil: z has an eigenvalue too close to 0"
 
 
-# A matrix block of at least this stored order (herm(n,H) stores 2n) is large, and a
-# map with a large block runs its matrix blocks' halves on the thread pool.  Set at the
-# crossover of one direction, inline against pooled: about 64 on herm(n,C), about 96
-# on herm(n,R); the table is in CHANGES.md, in the entry that overlaps the effect
-# test and the pencil solve.
-_POOL_MIN_ORDER = 64
+# A matrix block whose pencil costs at least this is large, and a map with a large block
+# runs its matrix blocks' halves on the thread pool.  The cost is the cube of the stored
+# order (herm(n,H) stores 2n), 4x for complex storage, as a complex flop is about four
+# real ones.  Set at the crossover of one direction, inline against pooled, on herm(n,C),
+# n about 56; so herm(n,R) blocks are large from n = 89, between the measured inline win
+# at 80 and the break-even at 96.  The table is in CHANGES.md, in the entry that overlaps
+# the effect test and the pencil solve.
+_POOL_MIN_COST = 4 * 56**3
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
@@ -428,7 +435,7 @@ def _map_blocks(maps: list, forward: bool, tol: float, pooled: bool) -> list[np.
 
     Each block's effect test, then its pencil, block by block; the first failure
     raises.  With ``pooled`` and a pool, the matrix blocks' halves start first,
-    the largest pencil here, the others on the pool, and the same walk reads their
+    the costliest pencil here, the others on the pool, and the same walk reads their
     results, running here any half the pool has not started: it raises what the
     inline walk raises, and no task outlives it.  Pool tasks call no public
     function: a refusal's message is built here."""
@@ -439,7 +446,7 @@ def _map_blocks(maps: list, forward: bool, tol: float, pooled: bool) -> list[np.
             from concurrent.futures import Future, wait
 
             matrix = [k for k, (iso, _) in enumerate(maps) if isinstance(iso.jordan.factor, HermFactor)]
-            keep = max(matrix, key=lambda k: len(maps[k][1]))
+            keep = max(matrix, key=lambda k: maps[k][0]._cost)
             for k in matrix:
                 iso, b = maps[k]
                 done[2 * k] = pool.submit(iso._inside, b, tol)
@@ -655,6 +662,31 @@ class CompositeOrderIso:
                 raise ValueError(f"factor isomorphism {i} -> {j} lives in the wrong factor")
         object.__setattr__(self, "_pooled", any(iso._large for iso in self.engaged_isos))
 
+    @cached_property
+    def _plans(self) -> tuple:
+        """Both directions' :meth:`_plan`, (backward, forward), made on first use."""
+        slots = (_line_slots(self.source), _line_slots(self.target))
+        return self._plan(False, slots[::-1]), self._plan(True, slots)
+
+    def _plan(self, forward: bool, slots: tuple) -> tuple:
+        """One direction's routing by group: whether each source group is of rank
+        one, the slots in the source's and the target's vector of rank-one
+        coordinates (:func:`_line_slots`, given as slots) of each scalar map, the
+        source factor of each engaged map, as (group, member), and per target
+        group the engaged maps whose images it stacks, or None for rank one."""
+        src, dst = (self.source, self.target) if forward else (self.target, self.source)
+        scalars = [p if forward else p[::-1] for p in self.sigma]
+        engaged = [p if forward else p[::-1] for p in self.engaged_pairs]
+        a_slots, b_slots = slots
+        pos = {b: k for k, (_, b) in enumerate(engaged)}
+        return (
+            [f.rank == 1 for f, _ in src.groups],
+            [a_slots[a] for a, _ in scalars],
+            [b_slots[b] for _, b in scalars],
+            [src._where[a] for a, _ in engaged],
+            [None if f.rank == 1 else [pos[j] for j in ids] for f, ids in dst.groups],
+        )
+
     def apply(self, x: Element) -> Element:
         return self._run(x, True)
 
@@ -666,25 +698,43 @@ class CompositeOrderIso:
         dst = self.target if forward else self.source
         if x.algebra is not src and x.algebra != src:
             raise ShapeMismatchError("element does not live in the expected algebra")
-        # every block is decided at the tolerance of x's sup, the largest block sup:
-        # rank-one coordinates here, the rest by _map_blocks
-        scalars = [(i, j) if forward else (j, i) for i, j in self.sigma]
-        engaged = [(i, j) if forward else (j, i) for i, j in self.engaged_pairs]
-        # the real part of a herm(1,.) block is its top-left entry's, also over H
-        coords = [float(x._blocks[a][0, 0].real) for a, _ in scalars]
-        sups = [_block_sup(src.factors[a], x._blocks[a]) for a, _ in engaged]
-        tol = _order_tol(scale := max([abs(s) for s in coords] + sups))
-        # no entry of an effect reaches 1 + tol: each sup is compared, as max skips a NaN
-        _check_effect(x, all(s < 1.0 + tol for s in sups))
-        out: list[np.ndarray | None] = [None] * len(dst.factors)
-        for (a, b), f, s in zip(scalars, self.scalar_isos, coords):
-            _check_effect(x, -tol < s < 1.0 + tol)  # in_effect_interval of the 1 x 1 block
+        lines, take, put, reads, stacks = self._plans[forward]
+        # every block is decided at the tolerance of x's sup, the largest group sup:
+        # rank-one coordinates here, the rest by _map_blocks; the real part of a
+        # herm(1,.) block is its top-left entry's, also over H
+        coords, sups = [], []
+        for line, (f, _), g in zip(lines, src.groups, x._groups):
+            if line:
+                coords += g[..., 0, 0].real.ravel().tolist()
+            else:
+                sups.append(_block_sup(f, g))
+        coords = [coords[k] for k in take]
+        tol = _order_tol(max([abs(s) for s in coords] + sups))
+        # no entry of an effect reaches 1 + tol: each sup is compared, as max skips a NaN;
+        # each 1 x 1 block takes the in_effect_interval test
+        inside = all(s < 1.0 + tol for s in sups) and all(-tol < s < 1.0 + tol for s in coords)
+        _check_effect(x, inside)
+        images = [0.0] * len(coords)
+        for k, f, s in zip(put, self.scalar_isos, coords):
             s = min(max(s, 0.0), 1.0)
-            out[b] = _from_real(dst.factors[b], [[f(s) if forward else f.inverse(s)]])
-        maps = [(iso, x._blocks[a]) for (a, _), iso in zip(engaged, self.engaged_isos)]
-        for (_, b), y in zip(engaged, _map_blocks(maps, forward, tol, self._pooled)):
-            out[b] = y
+            images[k] = f(s) if forward else f.inverse(s)
+        maps = [(iso, x._groups[g][m]) for (g, m), iso in zip(reads, self.engaged_isos)]
+        outs = _map_blocks(maps, forward, tol, self._pooled)
+        out, start = [], 0
+        for (f, ids), stack in zip(dst.groups, stacks):
+            if stack is None:
+                k, start = len(ids), start + len(ids)
+                vals = images[start - k : start]
+                out.append(_from_real(f, np.array(vals).reshape(k, 1, 1) if k > 1 else [vals]))
+            else:
+                out.append(np.array([outs[k] for k in stack]) if len(stack) > 1 else outs[stack[0]])
         return _element(dst, out)
+
+
+def _line_slots(alg: AlgebraDescriptor) -> dict[int, int]:
+    """Each rank-one factor's index in the vector of rank-one coordinates, which
+    are read group by group, each group's in member order."""
+    return {i: k for k, i in enumerate(i for f, ids in alg.groups if f.rank == 1 for i in ids)}
 
 
 def coordinate_squeeze_iso(n: int) -> tuple[CompositeOrderIso, Element]:
@@ -698,7 +748,7 @@ def coordinate_squeeze_iso(n: int) -> tuple[CompositeOrderIso, Element]:
     """
     if not 1 <= n <= 1023:  # t_n needs 2^n as a finite float
         raise ValueError("n must be in [1, 1023]")
-    alg = AlgebraDescriptor(tuple(HermFactor(1, Ring.REAL) for _ in range(n)))
+    alg = _interned((HermFactor(1, Ring.REAL),) * n)
     iso = CompositeOrderIso(
         source=alg,
         target=alg,
@@ -791,14 +841,6 @@ def _extract_spin_jordan(factor: SpinFactor, basis: np.ndarray, imgs: np.ndarray
     return {"u": imgs[:, 1:].T}
 
 
-def _over_stack(factor: Factor, kernel, stack: np.ndarray) -> np.ndarray:
-    """kernel(factor, .) on a (k, ...) stack of blocks: matrix kernels take
-    the stack at once, spin closed forms run block by block."""
-    if isinstance(factor, SpinFactor):
-        return np.stack([kernel(factor, b) for b in stack])
-    return kernel(factor, stack)
-
-
 def _probe(name: str, fn: Callable[..., Element], *args) -> Element:
     try:
         return fn(*args)
@@ -849,23 +891,23 @@ def recover_factor_iso(
     if source.factors[0] != target.factors[0]:
         raise DomainError("source and target factors must be of the same kind")
     factor, e_s = source.factors[0], unit(source)
-    e, basis, rng = e_s._blocks[0], _probe_plan(factor), np.random.default_rng(seed)
+    e, basis, rng = e_s._groups[0], _probe_plan(factor), np.random.default_rng(seed)
     agree = [random_gaussian(source, rng) for _ in range(3)]
     names = ["unit probe"] + [f"extraction probe {j + 1}" for j in range(len(basis))]
     names += [f"agreement probe {j + 1}" for j in range(len(agree))]
 
     # the unit probe is x = e with c = 0
-    xs = np.concatenate(([e], basis, [a._blocks[0] for a in agree]))
-    floors = _over_stack(factor, _block_floor, xs[1:])
+    xs = np.concatenate(([e], basis, [a._groups[0] for a in agree]))
+    floors = _block_floor(factor, xs[1:])
     cs = np.concatenate(([0.0], np.maximum(0.0, -floors) + 1.0)).reshape((-1,) + (1,) * e.ndim)
-    inputs = _over_stack(factor, _invert_block, xs + cs * e + e)
+    inputs = _invert_block(factor, xs + cs * e + e)
     imgs = [_probe(name, g, _element(source, [b])) for name, b in zip(names, inputs)]
     for img in imgs:
         _check_same_algebra(img, e_s)
 
     # fhat = cone_interval_map of every image, within (stol, 1 + tol) at its own scale: one test
     # and one solve for matrix blocks; image by image on spin factors, or to name a failing image
-    Fs = np.stack([img._blocks[0] for img in imgs])
+    Fs = np.stack([img._groups[0] for img in imgs])
     scales = np.array([sup_norm(img) for img in imgs])[:, None, None]
     lo, hi = _singular_tol(scales), 1.0 + _order_tol(scales)
     matrix = isinstance(factor, HermFactor) and np.all(scales < hi)  # an entry >= hi fails
@@ -873,13 +915,13 @@ def recover_factor_iso(
         fhat = _invert_block(factor, Fs) - e
     else:
         outs = [_probe(n, cone_interval_map, F, "interval_to_cone") for n, F in zip(names, imgs)]
-        fhat = np.stack([out._blocks[0] for out in outs])
+        fhat = np.stack([out._groups[0] for out in outs])
     dec = spectral_decompose(_element(source, [fhat[0]]))
     if not dec.eigenvalues[0] > 0.0:  # negated so that NaN fails
         raise RecoveryError("probed image of the unit is not interior")
-    y_inv = dec.apply(lambda s: 1.0 / math.sqrt(s))._blocks[0]
+    y_inv = dec.apply(lambda s: 1.0 / math.sqrt(s))._groups[0]
     Ls = fhat[1:] - cs[1:] * fhat[0]
-    Js = _over_stack(factor, lambda f, b: _block_quad(f, y_inv, b), Ls)
+    Js = _block_quad(factor, np.broadcast_to(y_inv, Ls.shape), Ls)
 
     extract = _extract_spin_jordan if isinstance(factor, SpinFactor) else _extract_hermitian_jordan
     parts = extract(factor, basis, Js[: len(basis)])
@@ -891,7 +933,7 @@ def recover_factor_iso(
         raise RecoveryError(f"recovered Jordan isomorphism: {exc}") from exc
 
     for a, ja in zip(agree, Js[len(basis) :]):
-        err = _block_sup(factor, ja - jord.apply(a)._blocks[0])
+        err = _block_sup(factor, ja - jord.apply(a)._groups[0])
         if err > RECOVERY_TOL * (1.0 + _block_sup(factor, ja)):
             raise RecoveryError("recovered Jordan isomorphism disagrees with the probes")
 

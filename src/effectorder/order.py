@@ -24,7 +24,9 @@ from .algebra import (
     Element,
     _check_same_algebra,
     _element,
+    _grouped,
     _identity_block,
+    _interned,
     _zero_block,
     _block_sup,
     canonical_trace,
@@ -155,11 +157,9 @@ def central_structure(alg: AlgebraDescriptor) -> tuple[list[Element], tuple[int,
     and the disengaged index set (the rank-one factors)."""
     gens = []
     for i in range(len(alg.factors)):
-        blocks = [
-            _identity_block(f) if j == i else _zero_block(f)
-            for j, f in enumerate(alg.factors)
-        ]
-        gens.append(_element(alg, blocks))
+        blocks = [_zero_block(f) for f in alg.factors]
+        blocks[i] = _identity_block(alg.factors[i])
+        gens.append(_element(alg, _grouped(alg, blocks)))
     return gens, alg.disengaged_indices
 
 
@@ -167,7 +167,8 @@ def central_mask(z: Element) -> tuple[bool, ...]:
     """Per-factor 0/1 pattern of a central projection; raises if some
     block is neither 0 nor the identity to FLAG_TOL in every entry."""
     mask = []
-    for f, b in zip(z.algebra.factors, z._blocks):
+    for i, f in enumerate(z.algebra.factors):
+        b = z._block(i)
         if _block_sup(f, b) <= FLAG_TOL:
             mask.append(False)
         elif _block_sup(f, b - _identity_block(f)) <= FLAG_TOL:
@@ -185,13 +186,12 @@ def split_by_central(x: Element, z: Element) -> tuple[Element | None, Element | 
     """
     _check_same_algebra(x, z)
     mask = central_mask(z)
-    ins = [b for m, b in zip(mask, x._blocks) if m]
-    outs = [b for m, b in zip(mask, x._blocks) if not m]
-    in_factors = tuple(f for m, f in zip(mask, x.algebra.factors) if m)
-    out_factors = tuple(f for m, f in zip(mask, x.algebra.factors) if not m)
-    inside = _element(AlgebraDescriptor(in_factors), ins) if in_factors else None
-    outside = _element(AlgebraDescriptor(out_factors), outs) if out_factors else None
-    return inside, outside
+    parts = []
+    for side in (True, False):
+        ids = [i for i, m in enumerate(mask) if m is side]
+        sub = _interned(tuple(x.algebra.factors[i] for i in ids)) if ids else None
+        parts.append(_element(sub, _grouped(sub, [x._block(i) for i in ids])) if ids else None)
+    return parts[0], parts[1]
 
 
 def unsplit_by_central(
@@ -199,10 +199,11 @@ def unsplit_by_central(
 ) -> Element:
     """Inverse of :func:`split_by_central`; exact block reassembly."""
     mask = central_mask(z)
-    it_in = iter(inside._blocks if inside is not None else ())
-    it_out = iter(outside._blocks if outside is not None else ())
-    blocks = [next(it_in) if m else next(it_out) for m in mask]
-    return _element(alg, blocks)
+    it_in, it_out = (
+        iter([p._block(i) for i in range(len(p.algebra.factors))] if p is not None else [])
+        for p in (inside, outside)
+    )
+    return _element(alg, _grouped(alg, [next(it_in) if m else next(it_out) for m in mask]))
 
 
 def has_totally_ordered_interval(x: Element) -> bool:

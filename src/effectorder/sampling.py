@@ -17,6 +17,7 @@ from .algebra import (
     Factor,
     Ring,
     _element,
+    _grouped,
     _zero_block,
     canonical_trace,
     jordan_product,
@@ -69,10 +70,8 @@ def sample_element(alg: AlgebraDescriptor, rng: np.random.Generator, cls: str = 
     if cls == "atom":
         i = int(rng.integers(0, len(alg.factors)))
         a = sample_atom(alg.factors[i], rng)
-        blocks = [
-            a._blocks[0] if j == i else _zero_block(f) for j, f in enumerate(alg.factors)
-        ]
-        return _element(alg, blocks)
+        blocks = [a._groups[0] if j == i else _zero_block(f) for j, f in enumerate(alg.factors)]
+        return _element(alg, _grouped(alg, blocks))
     raise ValueError(f"unknown sample class: {cls!r}")
 
 

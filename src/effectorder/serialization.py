@@ -48,6 +48,7 @@ from .algebra import (
     _checked_block,
     _element,
     _from_real_view,
+    _grouped,
     _interned,
     _real_view,
     _real_view_shape,
@@ -178,7 +179,7 @@ def element_to_obj(x: Element) -> dict:
     return {
         "type": "element",
         "algebra": algebra_to_obj(x.algebra),
-        "blocks": [_block_to_obj(f, b) for f, b in zip(x.algebra.factors, x._blocks)],
+        "blocks": [_block_to_obj(f, x._block(i)) for i, f in enumerate(x.algebra.factors)],
     }
 
 
@@ -227,7 +228,8 @@ def element_from_obj(obj: Any, path: str = "element") -> Element:
             f"{len(raw) if isinstance(raw, list) else type(raw).__name__}"
         )
     pairs = enumerate(zip(alg.factors, raw))
-    return _element(alg, [_block_from_obj(f, b, f"{bp}[{i}]") for i, (f, b) in pairs])
+    blocks = [_block_from_obj(f, b, f"{bp}[{i}]") for i, (f, b) in pairs]
+    return _element(alg, _grouped(alg, blocks))
 
 
 # --- isomorphisms -------------------------------------------------------------
@@ -265,7 +267,7 @@ def iso_to_obj(iso: CompositeOrderIso) -> dict:
             {
                 "match": [i, j],
                 "t": float(f.t),
-                "z": _block_to_obj(iso.target.factors[j], f.z._blocks[0]),
+                "z": _block_to_obj(iso.target.factors[j], f.z._groups[0]),
                 "J": _jordan_to_obj(f.jordan),
             }
         )

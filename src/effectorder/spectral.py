@@ -7,18 +7,20 @@ the closed form
 
     eigenvalues a +/- |v|   with idempotents (1, +/- v/|v|) / 2.
 
-A decomposition keeps, per block, the eigenbasis and the cluster index of
-every eigenpair.  Eigenvalues closer than ``cluster_tol`` share a cluster,
-which is what makes jump functions such as the range projection stable in
-floating point.  Elements Sum c_i p_i are rebuilt block by block from the
-bases by :meth:`SpectralDecomposition.combine`; the projections p_i
-themselves are only built when asked for.
+A decomposition keeps, per factor group (``algebra`` module docstring),
+the eigenbases and the cluster index of every eigenpair, a matrix group's
+as one stack from one ``eigh`` of the group's stack.  Eigenvalues closer
+than ``cluster_tol`` share a cluster, which is what makes jump functions
+such as the range projection stable in floating point.  Elements Sum c_i p_i
+are rebuilt group by group from the bases by
+:meth:`SpectralDecomposition.combine`; the projections p_i themselves are
+only built when asked for.
 
 An element is decomposed at most once at the default cluster tolerance:
 :func:`spectral_decompose` stores the result in the element's private
 ``_decomposition`` attribute, which lives as long as the element, so all
 the functional calculus on one element shares one eigensolve per block.
-It stores only on elements whose blocks are all read-only, as every
+It stores only on elements whose arrays are all read-only, as every
 element the library builds is; an explicit ``cluster_tol`` bypasses the
 store, and the stored decomposition's arrays are read-only as well.
 
@@ -47,6 +49,7 @@ from .algebra import (
     Ring,
     SingularElementError,
     SpinFactor,
+    _adjoint,
     _block_sup,
     _element,
     _hermitize,
@@ -59,7 +62,8 @@ Factor = HermFactor | SpinFactor
 
 
 def _block_eigh(factor: Factor, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of one block and the basis :meth:`combine` uses.
+    """Ascending eigenvalues of one block, or of each in a matrix stack, and
+    the basis :meth:`combine` uses.
 
     Hermitian blocks: eigenvector columns (of the complex embedding over
     the quaternions, so every eigenvalue appears twice).  Spin blocks: one
@@ -72,23 +76,25 @@ def _block_eigh(factor: Factor, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return np.array([alpha]), np.eye(1, factor.d + 1)
         u = (0.5 / nv) * v
         return np.array([alpha - nv, alpha + nv]), np.array([[0.5, *-u], [0.5, *u]])
-    if len(b) == 1:
+    if b.shape[-1] == 1:
         # 1x1 fast path; the entry is real after hermitization
-        return np.array([b[0, 0].real]), np.ones((1, 1), dtype=b.dtype)
+        return b[..., 0].real, np.ones(b.shape, dtype=b.dtype)
     return np.linalg.eigh(b)
 
 
 def block_eigenvalues(factor: Factor, b: np.ndarray) -> np.ndarray:
-    """Eigenvalues of one stored block (``Element._blocks``), ascending, with
-    multiplicity (a quaternionic eigenvalue counts once, not twice as in the
-    embedding)."""
+    """Eigenvalues of one stored block (``Element._block(i)``), or of each in
+    a matrix stack, ascending, with multiplicity (a quaternionic eigenvalue
+    counts once, not twice as in the embedding)."""
     if isinstance(factor, SpinFactor):
+        if b.ndim > 1:  # a group's stack, member by member
+            return np.array([block_eigenvalues(factor, m) for m in b])
         nv = _spin_radius(b)
         return np.array([b[0] - nv, b[0] + nv])
-    if len(b) == 1:
-        return np.array([b[0, 0].real])
+    if b.shape[-1] == 1:
+        return b[..., 0].real.copy()
     w = np.linalg.eigvalsh(b)
-    return w[::2] if factor.ring is Ring.QUATERNION else w
+    return w[..., ::2] if factor.ring is Ring.QUATERNION else w
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,10 +102,13 @@ class SpectralDecomposition:
     """Strictly increasing eigenvalues lam_i with orthogonal projections
     p_i summing to the unit; Sum lam_i p_i reconstructs the element.
 
-    ``bases[k]`` is block k's eigenbasis (see :func:`_block_eigh`) and
-    ``clusters[k][j]`` the index i of the eigenvalue its j-th eigenpair
-    belongs to.  ``_extremes`` is the (least, greatest) eigenvalue before
-    clustering, which cone and [0, e] membership read.
+    ``bases[g]`` is group g's eigenbasis (see :func:`_block_eigh`), a stack
+    for a matrix group of several members, and ``clusters[g][..., j]`` the
+    index i of the eigenvalue each member's j-th eigenpair belongs to; a
+    spin group of several members keeps a tuple of both, one per member,
+    since a spin block with v = 0 has one eigenpair.  ``_extremes`` is the
+    (least, greatest) eigenvalue before clustering, which cone and [0, e]
+    membership read.
     """
 
     algebra: AlgebraDescriptor
@@ -110,16 +119,21 @@ class SpectralDecomposition:
     _extremes: tuple[float, float]
 
     def combine(self, values: Sequence[float]) -> Element:
-        """Sum values[i] p_i, built block by block as (V * vals) V*."""
+        """Sum values[i] p_i, built group by group as (V * vals) V*."""
         values = np.asarray(values, dtype=float)
-        blocks = []
-        for f, basis, idx in zip(self.algebra.factors, self.bases, self.clusters):
-            vals = values[idx]
-            if isinstance(f, SpinFactor):
-                blocks.append(vals @ basis)
-                continue
-            blocks.append(_hermitize(f, (basis * vals) @ basis.conj().T))
-        return _element(self.algebra, blocks)
+        groups = []
+        for (f, _), basis, idx in zip(self.algebra.groups, self.bases, self.clusters):
+            if not isinstance(f, SpinFactor):
+                vals = values[idx]
+                if vals.ndim == 1:
+                    groups.append(_hermitize(f, (basis * vals) @ basis.conj().T))
+                else:  # a stack
+                    groups.append(_hermitize(f, (basis * vals[:, None, :]) @ _adjoint(basis)))
+            elif isinstance(basis, tuple):
+                groups.append(np.array([values[i] @ b for b, i in zip(basis, idx)]))
+            else:
+                groups.append(values[idx] @ basis)
+        return _element(self.algebra, groups)
 
     @cached_property
     def projections(self) -> tuple[Element, ...]:
@@ -165,7 +179,7 @@ def spectral_decompose(x: Element, cluster_tol: float | None = None) -> Spectral
     dec = _stored_decomposition(x)
     if dec is None:
         dec = _decompose(x, None)
-        if not any(b.flags.writeable for b in x._blocks):
+        if not any(g.flags.writeable for g in x._groups):
             object.__setattr__(x, "_decomposition", dec)
     return dec
 
@@ -180,30 +194,39 @@ def _decompose(x: Element, cluster_tol: float | None) -> SpectralDecomposition:
     if not math.isfinite(scale):
         raise DomainError(f"element has a non-finite entry (sup norm {scale})")
     tol = 1e-8 * (1.0 + scale) if cluster_tol is None else cluster_tol
-    bases, clusters = [], []
-    pairs: list[tuple[float, int, int]] = []
-    for k, (f, b) in enumerate(zip(x.algebra.factors, x._blocks)):
-        w, basis = _block_eigh(f, b)
-        # shared by every caller of a stored decomposition
-        basis.setflags(write=False)
+    bases, clusters, owned = [], [], []
+    # (eigenvalue, factor, index, the member's cluster row), sorted by the
+    # first three, which are unique, so that rows are never compared
+    pairs: list[tuple] = []
+    for (f, ids), g in zip(x.algebra.groups, x._groups):
+        if isinstance(f, SpinFactor) and len(ids) > 1:
+            # one basis per member: a spin block with v = 0 has one eigenpair
+            ws, basis = zip(*[_block_eigh(f, b) for b in g])
+            idx = tuple(np.empty(len(w), dtype=np.intp) for w in ws)
+            owned += basis + idx
+        else:
+            ws, basis = _block_eigh(f, g)
+            idx = np.empty(ws.shape, dtype=np.intp)
+            owned += basis, idx
         bases.append(basis)
-        clusters.append(np.empty(len(w), dtype=np.intp))
-        pairs.extend((lam, k, j) for j, lam in enumerate(w.tolist()))
+        clusters.append(idx)
+        for i, w, row in zip(ids, ws, idx) if len(ids) > 1 else ((ids[0], ws, idx),):
+            pairs.extend((lam, i, j, row) for j, lam in enumerate(w.tolist()))
     pairs.sort()
 
     # one pass over the sorted spectrum: a gap above tol starts a cluster,
     # whose eigenvalue is the mean of its members
     eigenvalues: list[float] = []
     members: list[float] = []
-    for lam, k, j in pairs:
+    for lam, _, j, row in pairs:
         if members and lam - members[-1] > tol:
             eigenvalues.append(sum(members) / len(members))
             members = []
         members.append(lam)
-        clusters[k][j] = len(eigenvalues)
+        row[j] = len(eigenvalues)
     eigenvalues.append(sum(members) / len(members))
-    for idx in clusters:
-        idx.setflags(write=False)
+    for a in owned:  # shared by every caller of a stored decomposition
+        a.setflags(write=False)
     return SpectralDecomposition(
         x.algebra, tuple(eigenvalues), tuple(bases), tuple(clusters), tol,
         (pairs[0][0], pairs[-1][0]),
@@ -218,14 +241,19 @@ def apply_function(x: Element, f: Callable[[float], float]) -> Element:
 def extreme_eigenvalues(x: Element) -> tuple[float, float]:
     """(least, greatest) eigenvalue across all blocks in one pass; both
     NaN when some block has a non-finite entry."""
-    lo, hi = np.inf, -np.inf
-    for f, b in zip(x.algebra.factors, x._blocks):
+    lows, highs = [0.0] * len(x.algebra.factors), [0.0] * len(x.algebra.factors)
+    for (f, ids), g in zip(x.algebra.groups, x._groups):
         # LAPACK raises on NaN entries and min/max would drop a NaN
-        if not np.isfinite(b).all():
+        if not np.isfinite(g).all():
             return np.nan, np.nan
-        w = block_eigenvalues(f, b)
-        lo, hi = min(lo, float(w[0])), max(hi, float(w[-1]))
-    return lo, hi
+        w = block_eigenvalues(f, g)
+        if len(ids) == 1:
+            lows[ids[0]], highs[ids[0]] = float(w[0]), float(w[-1])
+        else:
+            for i, lo, hi in zip(ids, w[:, 0].tolist(), w[:, -1].tolist()):
+                lows[i], highs[i] = lo, hi
+    # in factor order: min and max keep the first of equal values, as of 0.0 and -0.0
+    return min(lows), max(highs)
 
 
 def spectrum_within(x: Element, lo: float, hi: float = math.inf) -> bool:
@@ -246,28 +274,32 @@ def spectrum_within(x: Element, lo: float, hi: float = math.inf) -> bool:
         if hi == math.inf:
             return math.isfinite(sup_norm(x))
         x, lo, hi = -x, -hi, math.inf
-    for f, b in zip(x.algebra.factors, x._blocks):
+    for (f, _), g in zip(x.algebra.groups, x._groups):
         if isinstance(f, SpinFactor):
-            # eigenvalues a -/+ r; written so that no sum overflows, and NaN fails
-            a, r = float(b[0]), _spin_radius(b)
-            if not (r < a - lo and r < hi - a):
+            if not all(_spin_within(b, lo, hi) for b in (g if g.ndim > 1 else (g,))):
                 return False
-            continue
-        if not (
-            _block_sup(f, b) < max(abs(lo), abs(hi)) and _matrix_within(f, b, lo, hi)
-        ):
+        elif not (_block_sup(f, g) < max(abs(lo), abs(hi)) and _matrix_within(f, g, lo, hi)):
             return False
     return True
 
 
+def _spin_within(b: np.ndarray, lo: float, hi: float) -> bool:
+    """Do the eigenvalues a -/+ r of the spin block b lie in (lo, hi)?  Written
+    so that no sum overflows, and NaN fails."""
+    a, r = float(b[0]), _spin_radius(b)
+    return r < a - lo and r < hi - a
+
+
 def _matrix_within(f: HermFactor, m: np.ndarray, lo, hi) -> bool:
     """:func:`spectrum_within` on one stored matrix block m (over H its
-    complex embedding), for a finite lo < hi; the caller has checked that
-    every entry has modulus below max(|lo|, |hi|) (so m is finite).  A
-    (k, M, M) stack m, with finite (k, 1, 1) bounds, passes when every block
-    does."""
-    if f.n == 1 and m.ndim == 2:
-        return lo < float(m[0, 0].real) < hi
+    complex embedding), or on a (k, M, M) stack, which passes when every
+    block does, for a finite lo < hi, or finite (k, 1, 1) bounds; the caller
+    has checked that every entry has modulus below max(|lo|, |hi|) (so m is
+    finite).  1 x 1 blocks compare their entry, unless the bounds are arrays."""
+    if f.n == 1 and not isinstance(hi, np.ndarray):
+        if m.ndim == 2:
+            return lo < float(m[0, 0].real) < hi
+        return all(lo < s < hi for s in m[:, 0, 0].real.tolist())
     eye = np.eye(m.shape[-1])
     p = m - lo * eye
     if isinstance(hi, np.ndarray) or hi < math.inf:
@@ -286,12 +318,15 @@ def eigenvalue_floor(x: Element) -> float:
     eigensolve: the left end of the Gershgorin discs of each matrix block
     (of its complex embedding over H), a - |v| on spin blocks.  NaN when
     some entry is NaN."""
-    return float(np.min([_block_floor(f, b) for f, b in zip(x.algebra.factors, x._blocks)]))
+    floors = [np.asarray(_block_floor(f, g)) for (f, _), g in zip(x.algebra.groups, x._groups)]
+    return float(np.min([floors[g][m] for g, m in x.algebra._where]))
 
 
 def _block_floor(f: Factor, b: np.ndarray):
-    """:func:`eigenvalue_floor` of one block, or of each in a matrix stack."""
+    """:func:`eigenvalue_floor` of one block, or of each in a stack."""
     if isinstance(f, SpinFactor):
+        if b.ndim > 1:
+            return np.array([_block_floor(f, m) for m in b])
         return float(b[0]) - _spin_radius(b)
     diag = b.diagonal(0, -2, -1).real
     return (diag - (np.abs(b).sum(axis=-1) - np.abs(diag))).min(axis=-1)
@@ -336,11 +371,12 @@ def invert_element(x: Element, mode: str = "strict") -> Element:
         if not math.isfinite(scale):
             raise DomainError(f"element has a non-finite entry (sup norm {scale})")
         tol = _singular_tol(scale)
-        for f, b in zip(x.algebra.factors, x._blocks):
-            w = block_eigenvalues(f, b)
-            bad = w[np.abs(w) <= tol]
-            if bad.size:
-                raise SingularElementError(f"eigenvalue {bad[0]} within {tol} of zero")
+        ws = [block_eigenvalues(f, g) for (f, _), g in zip(x.algebra.groups, x._groups)]
+        if any(w[np.abs(w) <= tol].size for w in ws):
+            # name the first such eigenvalue in factor order
+            bad = [w[np.abs(w) <= tol] for w in (ws[g][m] for g, m in x.algebra._where)]
+            first = next(b for b in bad if b.size)[0]
+            raise SingularElementError(f"eigenvalue {first} within {tol} of zero")
         return _invert(x)
     if mode == "pseudo":
         dec = spectral_decompose(x)

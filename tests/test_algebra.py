@@ -411,7 +411,7 @@ class TestQuaternionStorage:
             random_jordan_iso(factor, rng).apply(x),
         ]
         for out in outputs:
-            assert_embedding_form(factor, out._blocks[0])
+            assert_embedding_form(factor, out._groups[0])
 
     @pytest.mark.parametrize("factor", QUATERNION_KINDS, ids=str)
     def test_public_blocks_are_read_only_ring_arrays(self, factor, rng):
@@ -423,9 +423,9 @@ class TestQuaternionStorage:
         assert not b.flags.writeable
         with pytest.raises(ValueError):
             b[0, 0, 0] = 1.0
-        assert np.array_equal(quat.to_complex(b), x._blocks[1])
-        # blocks over R are stored as they are, with no copy
-        assert x.block(0) is x._blocks[0]
+        assert np.array_equal(quat.to_complex(b), x._block(1))
+        # blocks over R are views of the stored arrays, with no copy
+        assert x.block(0).base is x._groups[0]
 
     @pytest.mark.parametrize("factor", QUATERNION_KINDS, ids=str)
     def test_validator_hermitizes_bit_for_bit(self, factor, rng):
@@ -433,7 +433,7 @@ class TestQuaternionStorage:
         b = b + qh.qadjoint(b) + 1e-9 * rng.standard_normal(b.shape)
         x = element_from_blocks(single_factor(factor), [b])
         assert np.array_equal(x.block(0), 0.5 * (b + qh.qadjoint(b)))
-        assert_embedding_form(factor, x._blocks[0])
+        assert_embedding_form(factor, x._groups[0])
 
     def test_validator_keeps_entries_near_the_float_limit(self):
         # over H the average overflows no sooner than (b + b*) / 2 does over R and C

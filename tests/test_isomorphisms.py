@@ -593,9 +593,9 @@ class TestCompositeOrderIso:
             back = iso.inverse_apply(y)
             for (i, j), f in zip(iso.engaged_pairs, iso.engaged_isos):
                 image = f.apply(Element(f.algebra, (x.block(i),)))
-                np.testing.assert_array_equal(y._blocks[j], image._blocks[0])
+                np.testing.assert_array_equal(y._block(j), image._groups[0])
                 pre = f.inverse_apply(Element(f.algebra, (y.block(j),)))
-                np.testing.assert_array_equal(back._blocks[i], pre._blocks[0])
+                np.testing.assert_array_equal(back._block(i), pre._groups[0])
 
     @pytest.mark.parametrize("factor", ENGAGED_KINDS, ids=str)
     def test_engaged_block_outside_is_refused_as_by_its_factor_map(self, factor, rng):
@@ -1085,7 +1085,7 @@ def singular_outside(n):
     x = element_in_factor(f, np.diag([m] + [0.5] * (n - 1)))
     A, B, C = iso._forward
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(A + x._blocks[0] @ B, x._blocks[0] @ C)
+        np.linalg.solve(A + x._groups[0] @ B, x._groups[0] @ C)
     return iso, x
 
 
@@ -1105,7 +1105,7 @@ class TestPooledBlocks:
         y_inline = iso.apply(x)
         back_inline = iso.inverse_apply(y_inline)
         for got, want in ((y, y_inline), (back, back_inline)):
-            assert all(np.array_equal(a, b) for a, b in zip(got._blocks, want._blocks))
+            assert all(np.array_equal(a, b) for a, b in zip(got._groups, want._groups))
         assert sup_norm(back - x) <= 1e-8
 
     @pytest.mark.parametrize("factor", [HermFactor(64, Ring.COMPLEX), HermFactor(32, Ring.QUATERNION)], ids=str)
@@ -1113,13 +1113,58 @@ class TestPooledBlocks:
         iso = random_factor_iso(factor, rng)
         assert iso._large
         x = sample_element(iso.algebra, rng, "effect")
-        pooled = [iso.apply(x)._blocks[0], iso.inverse_apply(x)._blocks[0]]
+        pooled = [iso.apply(x)._groups[0], iso.inverse_apply(x)._groups[0]]
         no_pool(monkeypatch)
-        assert np.array_equal(pooled[0], iso.apply(x)._blocks[0])
-        assert np.array_equal(pooled[1], iso.inverse_apply(x)._blocks[0])
+        assert np.array_equal(pooled[0], iso.apply(x)._groups[0])
+        assert np.array_equal(pooled[1], iso.inverse_apply(x)._groups[0])
+
+    @pytest.mark.parametrize(
+        "factor, large",
+        [
+            (HermFactor(64), False),
+            (HermFactor(88), False),
+            (HermFactor(89), True),
+            (HermFactor(96), True),
+            (HermFactor(55, Ring.COMPLEX), False),
+            (HermFactor(56, Ring.COMPLEX), True),
+            (HermFactor(64, Ring.COMPLEX), True),
+            (HermFactor(27, Ring.QUATERNION), False),
+            (HermFactor(32, Ring.QUATERNION), True),
+        ],
+        ids=str,
+    )
+    def test_large_is_decided_by_the_pencil_cost(self, factor, large):
+        # the cost is the stored order cubed, 4x over C and H: herm(n,R) is large
+        # from n = 89, herm(n,C) from 56 and herm(n,H), stored as 2n, from 28
+        iso = FactorOrderIso(0.5, 0.8 * unit(single_factor(factor)), identity_jordan(factor))
+        assert iso._large is large
+
+    def test_a_real_block_of_order_64_runs_inline(self, rng, monkeypatch):
+        iso = random_factor_iso(HermFactor(64), rng)
+        monkeypatch.setattr(isomorphisms, "_thread_pool", lambda: pytest.fail("pool asked for"))
+        x = sample_element(iso.algebra, rng, "effect")
+        assert sup_norm(iso.inverse_apply(iso.apply(x)) - x) <= 1e-8
+
+    def test_the_large_factor_workload_stays_pooled(self, rng):
+        alg = algebra(HermFactor(96), HermFactor(48, Ring.COMPLEX))
+        assert random_composite_iso(alg, alg, rng)._pooled
+
+    def test_the_costliest_pencil_stays_on_the_calling_thread(self, rng, pool, monkeypatch):
+        # herm(64,R) has the larger stored order, herm(60,C) the costlier pencil
+        alg = algebra(HermFactor(64), HermFactor(60, Ring.COMPLEX))
+        iso = random_composite_iso(alg, alg, rng)
+        submitted = []
+        submit = pool.submit
+        monkeypatch.setattr(pool, "submit", lambda fn, *a: submitted.append(fn) or submit(fn, *a))
+        iso.apply(sample_element(alg, rng, "effect"))
+        pencils = [fn.__self__.jordan.factor for fn in submitted if fn.__name__ == "_pencil"]
+        assert pencils == [HermFactor(64)]
 
     def test_small_blocks_make_no_pool(self, rng, monkeypatch):
-        alg = algebra(HermFactor(63), HermFactor(31, Ring.QUATERNION), SpinFactor(100), HermFactor(1))
+        # each matrix block just below the pencil cost of a large block
+        alg = algebra(
+            HermFactor(88), HermFactor(55, Ring.COMPLEX), HermFactor(27, Ring.QUATERNION), SpinFactor(100), HermFactor(1)
+        )
         iso = random_composite_iso(alg, alg, rng)
         assert not iso._pooled
         monkeypatch.setattr(isomorphisms, "_thread_pool", lambda: pytest.fail("pool asked for"))
@@ -1139,7 +1184,7 @@ class TestPooledBlocks:
         assert pooled[0].startswith("argument is outside [0, e]")
 
     def test_refusal_wins_over_a_singular_pencil(self, pool, monkeypatch):
-        iso, x = singular_outside(64)
+        iso, x = singular_outside(96)
         assert iso._large
         comp = CompositeOrderIso(iso.algebra, iso.algebra, (), (), ((0, 0),), (iso,))
         pooled = [refusal(iso.apply, x), refusal(comp.apply, x)]
@@ -1235,7 +1280,7 @@ class TestPooledBlocks:
         assert not any(t.is_alive() for t in threads)
         assert len(made) == 1 and made[0]._max_workers == 1
         for i, x in enumerate(want):
-            assert all(np.array_equal(a, b) for a, b in zip(got[i]._blocks, x._blocks))
+            assert all(np.array_equal(a, b) for a, b in zip(got[i]._groups, x._groups))
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_runs_a_pooled_round_trip(self, rng):
@@ -1252,7 +1297,7 @@ class TestPooledBlocks:
             code = 1
             try:
                 back = iso.inverse_apply(iso.apply(x))
-                code = 0 if all(np.array_equal(a, b) for a, b in zip(back._blocks, want._blocks)) else 2
+                code = 0 if all(np.array_equal(a, b) for a, b in zip(back._groups, want._groups)) else 2
             finally:
                 os._exit(code)
         deadline = time.monotonic() + 30.0

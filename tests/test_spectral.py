@@ -141,8 +141,8 @@ class TestDecomposition:
         # a jump between the two blocks' copies of 0.3 still sees one value
         jump = dec.apply(lambda t: 1.0 if t > 0.3 - 0.5e-12 else 0.0)
         np.testing.assert_allclose(
-            block_eigenvalues(alg.factors[0], jump._blocks[0]),
-            block_eigenvalues(alg.factors[1], jump._blocks[1]),
+            block_eigenvalues(alg.factors[0], jump._block(0)),
+            block_eigenvalues(alg.factors[1], jump._block(1)),
             atol=1e-12,
         )
 
@@ -388,7 +388,7 @@ class TestNonFiniteElements:
 def eigenvalues_within(x, lo, hi):
     """The predicate spectrum_within decides, computed from the eigenvalues."""
     return all(
-        lo < v < hi for f, b in zip(x.algebra.factors, x._blocks) for v in block_eigenvalues(f, b)
+        lo < v < hi for i, f in enumerate(x.algebra.factors) for v in block_eigenvalues(f, x._block(i))
     )
 
 
@@ -475,7 +475,7 @@ class TestStackedKernels:
     @pytest.mark.parametrize("factor", MATRIX_KINDS, ids=str)
     def test_stack_agrees_with_each_block(self, factor, rng):
         alg = single_factor(factor)
-        xs = [sample_element(alg, rng, "invertible_effect")._blocks[0] for _ in range(3)]
+        xs = [sample_element(alg, rng, "invertible_effect")._groups[0] for _ in range(3)]
         kernels = [
             _invert_block, _hermitize, lambda f, b: _adjoint(b), _ring_array, _block_floor,
             lambda f, b: _stored_block(f, _ring_array(f, b)),
@@ -488,14 +488,14 @@ class TestStackedKernels:
     @pytest.mark.parametrize("factor", [f for f in MATRIX_KINDS if f.ring is Ring.QUATERNION], ids=str)
     def test_quaternion_stacks_keep_the_embedding_form(self, factor, rng):
         alg = single_factor(factor)
-        xs = np.stack([sample_element(alg, rng, "invertible_effect")._blocks[0] for _ in range(3)])
+        xs = np.stack([sample_element(alg, rng, "invertible_effect")._groups[0] for _ in range(3)])
         for out in (_invert_block(factor, xs), _hermitize(factor, xs @ xs), _block_quad(factor, xs[0], xs)):
             assert_embedding_form(factor, out)
 
     @pytest.mark.parametrize("factor", MATRIX_KINDS, ids=str)
     def test_one_factorization_decides_every_block(self, factor, rng):
         xs = [sample_element(single_factor(factor), rng, "invertible_effect") for _ in range(3)]
-        m = np.stack([x._blocks[0] for x in xs])
+        m = np.stack([x._groups[0] for x in xs])
         ends = np.array([extreme_eigenvalues(x) for x in xs])
         lo, hi = ends[:, :1, None] - 1e-6, ends[:, 1:, None] + 1e-6
         assert _matrix_within(factor, m, lo, hi)
