@@ -151,12 +151,12 @@ class AlgebraDescriptor:
     def dim(self) -> int:
         return sum(f.dim for f in self.factors)
 
-    @property
+    @cached_property
     def disengaged_indices(self) -> tuple[int, ...]:
         """Indices of the rank-one (associative) factors."""
         return tuple(i for i, f in enumerate(self.factors) if f.rank == 1)
 
-    @property
+    @cached_property
     def engaged_indices(self) -> tuple[int, ...]:
         return tuple(i for i, f in enumerate(self.factors) if f.rank > 1)
 
@@ -172,6 +172,14 @@ class AlgebraDescriptor:
         groups = enumerate(self.groups)
         where = {i: (g, m if len(c) > 1 else ...) for g, (_, c) in groups for m, i in enumerate(c)}
         return tuple(where[i] for i in range(len(self.factors)))
+
+    @cached_property
+    def _unit(self) -> "Element":
+        return _constant(self, _identity_block)
+
+    @cached_property
+    def _zero(self) -> "Element":
+        return _constant(self, _zero_block)
 
     def __str__(self) -> str:
         return " + ".join(str(f) for f in self.factors)
@@ -251,7 +259,9 @@ def _real_view(factor: HermFactor, b: np.ndarray) -> np.ndarray:
     """A stored matrix as the floats of its ring array: (n, n) over R, (n, n, 2)
     over C and (n, n, 4) over H."""
     b = _ring_array(factor, b)
-    return np.stack((b.real, b.imag), axis=-1) if factor.ring is Ring.COMPLEX else b
+    if factor.ring is Ring.COMPLEX:  # a complex number is stored as its (re, im) pair
+        return np.ascontiguousarray(b).view(float).reshape(b.shape + (2,))
+    return b
 
 
 def _real_view_shape(factor: HermFactor) -> tuple[int, ...]:
@@ -265,9 +275,17 @@ def _from_real_view(factor: HermFactor, v: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(v).view(complex)[..., 0] if factor.ring is Ring.COMPLEX else v
 
 
+@lru_cache(maxsize=64)
+def _identity(m: int) -> np.ndarray:
+    """The m x m real identity, read-only: one per order."""
+    eye = np.eye(m)
+    eye.setflags(write=False)
+    return eye
+
+
 def _identity_block(factor: Factor) -> np.ndarray:
     if isinstance(factor, HermFactor):
-        return _from_real(factor, np.eye(factor.n))
+        return _from_real(factor, _identity(factor.n))
     b = np.zeros(factor.d + 1)
     b[0] = 1.0
     return b
@@ -319,6 +337,15 @@ def _block_sup(factor: Factor, b: np.ndarray) -> float:
         a = np.abs(b[..., : factor.n, :])
         return float(np.hypot(a[..., : factor.n], a[..., factor.n :]).max())
     return float(np.maximum.reduce(np.abs(b), axis=None))
+
+
+def _block_sups(factor: Factor, s: np.ndarray) -> np.ndarray:
+    """:func:`_block_sup` of each block in the stack s, as an array."""
+    a = np.abs(s)
+    if isinstance(factor, HermFactor) and factor.ring is Ring.QUATERNION:
+        n = factor.n
+        a = np.hypot(a[:, :n, :n], a[:, :n, n:])
+    return a.reshape(len(s), -1).max(axis=1)
 
 
 def _spin_radius(b: np.ndarray) -> float:
@@ -450,13 +477,24 @@ def element_from_blocks(alg: AlgebraDescriptor, blocks: Sequence[np.ndarray]) ->
     return _element(alg, _grouped(alg, [_checked_block(f, b, f"block {i}") for i, (f, b) in pairs]))
 
 
+def _constant(alg: AlgebraDescriptor, block) -> Element:
+    """The element whose every block is ``block(factor)``: one block per group,
+    repeated down the stack of a group of several."""
+    groups = []
+    for f, c in alg.groups:
+        b = block(f)
+        groups.append(np.array(np.broadcast_to(b, (len(c),) + b.shape)) if len(c) > 1 else b)
+    return _element(alg, groups)
+
+
 def unit(alg: AlgebraDescriptor) -> Element:
-    """The order unit e: identity matrix blocks, (1, 0) spin blocks."""
-    return _element(alg, _grouped(alg, [_identity_block(f) for f in alg.factors]))
+    """The order unit e: identity matrix blocks, (1, 0) spin blocks; one per descriptor."""
+    return alg._unit
 
 
 def zero(alg: AlgebraDescriptor) -> Element:
-    return _element(alg, _grouped(alg, [_zero_block(f) for f in alg.factors]))
+    """The zero element; one per descriptor."""
+    return alg._zero
 
 
 def element_in_factor(factor: Factor, block: np.ndarray) -> Element:
@@ -547,7 +585,7 @@ def _invert_block(factor: Factor, b: np.ndarray) -> np.ndarray:
         # a^2 - |v|^2 as the product of the two eigenvalues a -/+ |v|
         nv = _spin_radius(b)
         return np.concatenate(([b[0]], -b[1:])) / ((b[0] - nv) * (b[0] + nv))
-    eye = np.eye(b.shape[-1])
+    eye = _identity(b.shape[-1])
     # a stack gets a stacked identity: numpy < 2 reads an (M, M) one as M vectors
     return _hermitize(factor, np.linalg.solve(b, eye if b.ndim == 2 else eye[None]))
 

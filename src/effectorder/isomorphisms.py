@@ -59,7 +59,7 @@ import os
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable, Union
 
 import numpy as np
@@ -79,6 +79,7 @@ from .algebra import (
     _block_dtype_shape,
     _block_quad,
     _block_sup,
+    _block_sups,
     _cast_array,
     _check_same_algebra,
     _element,
@@ -124,6 +125,7 @@ class RecoveryError(RuntimeError):
 
 MOBIUS_PARAM_MAX = 1.0 - 1e-12
 RECOVERY_TOL = 1e-6  # recovery's residual checks, relative to the images' scale
+_AGREEMENT_PROBES = 3  # Gaussian points of recovery's one check of the black box
 
 
 def check_mobius_param(t: float) -> float:
@@ -773,23 +775,29 @@ def _unit_from_rank_one(factor: HermFactor, b: np.ndarray) -> np.ndarray:
     return b[:, m :: factor.n] * (1.0 / np.sqrt(diag[m]))
 
 
-def _probe_plan(factor: Factor) -> np.ndarray:
-    """The extractors' basis blocks as one stack, in probing order: E_00 and
-    E_0j + E_j0 on herm(n,.) for n > 1, then i (E_01 - E_10) over C, or it
-    and j (E_01 - E_10) over H; the basis vectors (0, e_i) on spin(d)."""
+@lru_cache(maxsize=64)
+def _probe_plan(factor: Factor) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The extractors' basis blocks as one read-only stack, in probing order, and
+    the names of all probes: E_00 and E_0j + E_j0 on herm(n,.) for n > 1, then
+    i (E_01 - E_10) over C, or it and j (E_01 - E_10) over H; the basis vectors
+    (0, e_i) on spin(d).  One per factor."""
     if isinstance(factor, SpinFactor):
-        return np.eye(factor.d + 1)[1:]
-    n, ring = factor.n, factor.ring
-    real = np.zeros((n if n > 1 else 0, n, n))
-    for j in range(len(real)):
-        real[j, 0, j] = real[j, j, 0] = 1.0
-    blocks = _from_real(factor, real)
-    if n == 1 or ring is Ring.REAL:
-        return blocks
-    im = np.array([1j]) if ring is Ring.COMPLEX else np.eye(4)[1:3]  # units i, or i and j
-    twists = np.zeros((len(im), n, n) + im.shape[1:], dtype=im.dtype)  # ring arrays
-    twists[:, 0, 1], twists[:, 1, 0] = im, -im
-    return np.concatenate((blocks, _stored_block(factor, twists)))
+        plan = np.eye(factor.d + 1)[1:]
+    else:
+        n, ring = factor.n, factor.ring
+        real = np.zeros((n if n > 1 else 0, n, n))
+        for j in range(len(real)):
+            real[j, 0, j] = real[j, j, 0] = 1.0
+        plan = _from_real(factor, real)
+        if n > 1 and ring is not Ring.REAL:
+            im = np.array([1j]) if ring is Ring.COMPLEX else np.eye(4)[1:3]  # units i, or i and j
+            twists = np.zeros((len(im), n, n) + im.shape[1:], dtype=im.dtype)  # ring arrays
+            twists[:, 0, 1], twists[:, 1, 0] = im, -im
+            plan = np.concatenate((plan, _stored_block(factor, twists)))
+    plan.setflags(write=False)
+    names = ["unit probe"] + [f"extraction probe {j + 1}" for j in range(len(plan))]
+    names += [f"agreement probe {j + 1}" for j in range(_AGREEMENT_PROBES)]
+    return plan, tuple(names)
 
 
 def _extract_hermitian_jordan(factor: HermFactor, basis: np.ndarray, imgs: np.ndarray) -> dict:
@@ -891,10 +899,9 @@ def recover_factor_iso(
     if source.factors[0] != target.factors[0]:
         raise DomainError("source and target factors must be of the same kind")
     factor, e_s = source.factors[0], unit(source)
-    e, basis, rng = e_s._groups[0], _probe_plan(factor), np.random.default_rng(seed)
-    agree = [random_gaussian(source, rng) for _ in range(3)]
-    names = ["unit probe"] + [f"extraction probe {j + 1}" for j in range(len(basis))]
-    names += [f"agreement probe {j + 1}" for j in range(len(agree))]
+    (basis, names), rng = _probe_plan(factor), np.random.default_rng(seed)
+    e = e_s._groups[0]
+    agree = [random_gaussian(source, rng) for _ in range(_AGREEMENT_PROBES)]
 
     # the unit probe is x = e with c = 0
     xs = np.concatenate(([e], basis, [a._groups[0] for a in agree]))
@@ -908,7 +915,7 @@ def recover_factor_iso(
     # fhat = cone_interval_map of every image, within (stol, 1 + tol) at its own scale: one test
     # and one solve for matrix blocks; image by image on spin factors, or to name a failing image
     Fs = np.stack([img._groups[0] for img in imgs])
-    scales = np.array([sup_norm(img) for img in imgs])[:, None, None]
+    scales = _block_sups(factor, Fs)[:, None, None]
     lo, hi = _singular_tol(scales), 1.0 + _order_tol(scales)
     matrix = isinstance(factor, HermFactor) and np.all(scales < hi)  # an entry >= hi fails
     if matrix and _matrix_within(factor, Fs, lo, hi):

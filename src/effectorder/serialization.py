@@ -16,12 +16,21 @@ composite-isomorphism data one to one:
                           "J":{"u":...,"tau":"id"|"conj"}|{"O":[[...]]}}]}
     REPORT   {"type":"report","suites":[...]}
 
-Floats are emitted with ``repr`` (shortest round-trip), so parse o
-serialize is the identity on serialized documents.  Validation failures
-raise :class:`SchemaError` with a machine-parsable code and a path.  A
-block is read as one ``np.array`` of its type-checked nested lists and
-goes through the validator that also serves the Python constructors,
-``algebra._checked_block``.  Every number goes through a typed reader: a
+The text of a document is ``json.dumps(obj, indent=1)`` of its object
+tree, byte for byte, and json's text is the oracle of the tests; but
+json.dumps turns off its C encoder for an indent, so one private writer,
+``_write``, writes it: the dict and list skeleton with indentation strings
+kept per depth, and every nested list of floats of one shape (a row, a
+block) in one pass, its floats by ``float.__repr__`` (shortest round-trip,
+json's own float text) into a template kept per shape and depth.  A tree
+with anything else (a non-finite float, a key that is not a ``str``, a type
+that is not built in) goes to json.dumps, so its text and its errors are
+json's own.  Parse o serialize is the identity on serialized documents.
+
+Validation failures raise :class:`SchemaError` with a machine-parsable
+code and a path.  A block is read as one ``np.array`` of its type-checked
+nested lists and goes through the validator that also serves the Python
+constructors, ``algebra._checked_block``.  Every number goes through a typed reader: a
 spin ``O`` is read into ``u`` like a real ``u``, a pwl knot by ``_number``.
 One parser, ``_parse``, and one type table, ``_TYPES``, serve the CLI too.
 """
@@ -30,7 +39,9 @@ from __future__ import annotations
 
 import json
 import math
-from functools import partial
+from functools import lru_cache, partial
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Any
 
 import numpy as np
@@ -453,21 +464,127 @@ def _parse(text: str, where: str = "") -> dict:
     return obj
 
 
+class _ByDepth(dict):
+    """prefix, a newline and d spaces, by depth d, made on first use."""
+
+    def __init__(self, prefix: str):
+        super().__init__()
+        self.prefix = prefix
+
+    def __missing__(self, d: int) -> str:
+        self[d] = text = f"{self.prefix}\n{' ' * d}"
+        return text
+
+
+# json.dumps(indent=1) writes _NL[d] before the first item at depth d and before the
+# bracket that closes a container at depth d, and _SEP[d] between two items at depth d
+_NL, _SEP = _ByDepth(""), _ByDepth(",")
+
+
+class _Unwritten(Exception):
+    """A value outside the documents' vocabulary, which json.dumps writes."""
+
+
+@lru_cache(maxsize=64)
+def _template(shape: tuple[int, ...], d: int) -> str:
+    """The text of a nested list of floats of ``shape`` at depth d, with a ``%s``
+    for each float."""
+    if not shape:
+        return "%s"
+    item = _template(shape[1:], d + 1)
+    return f"[{_NL[d + 1]}{_SEP[d + 1].join([item] * shape[0])}{_NL[d]}]"
+
+
+_SEQUENCES = {list, tuple}
+
+
+def _array(o: list | tuple, d: int) -> str | None:
+    """The text of o, a list or tuple at depth d, when it is a nested list of floats
+    of one shape (a row, a block, a stack), written in one pass: the floats by
+    ``float.__repr__`` (json's float writer, which also takes float subclasses)
+    into the cached :func:`_template` of the shape; else None."""
+    shape, x = [], o
+    while type(x) in _SEQUENCES:
+        if not x:
+            return None
+        shape.append(len(x))
+        x = x[0]
+    if type(x) is not float:
+        return None
+    level = o
+    for n in shape[1:]:  # the items of level are the sequences of the next depth
+        if not set(map(type, level)) <= _SEQUENCES or set(map(len, level)) != {n}:
+            return None
+        level = list(chain.from_iterable(level))
+    try:
+        text = _template(tuple(shape), d) % tuple(map(float.__repr__, level))
+    except TypeError:  # a leaf that is not a float
+        return None
+    if "n" in text:  # nan, inf or -inf
+        raise _Unwritten
+    return text
+
+
+def _write(o: Any, d: int) -> str:
+    """json.dumps(o, indent=1) of o at depth d, byte for byte, for dicts with str
+    keys, lists, tuples, str, finite floats, ints, bools and None, of exactly these
+    types (:func:`_array` also takes float subclasses); anything else raises
+    _Unwritten."""
+    t = type(o)
+    if t is float:
+        text = float.__repr__(o)
+        if "n" in text:  # nan, inf or -inf
+            raise _Unwritten
+        return text
+    if t is dict:
+        if not o:
+            return "{}"
+        items = []
+        for k, v in o.items():
+            if type(k) is not str:
+                raise _Unwritten
+            items.append(f"{_escape(k)}: {_write(v, d + 1)}")
+        return f"{{{_NL[d + 1]}{_SEP[d + 1].join(items)}{_NL[d]}}}"
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        text = _array(o, d)
+        if text is None:
+            text = f"[{_NL[d + 1]}{_SEP[d + 1].join([_write(v, d + 1) for v in o])}{_NL[d]}]"
+        return text
+    if t is str:
+        return _escape(o)
+    if t is int:
+        return int.__repr__(o)
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if o is None:
+        return "null"
+    raise _Unwritten
+
+
 def dump_document(doc) -> str:
     """Serialize a domain object to canonical JSON text.
 
-    ELEMENT and ISO documents with a non-finite entry raise
-    ``SchemaError(NON_FINITE)``, as their loader would, also when given as
-    plain dicts (the path of a dict with no ``type`` starts at ``$``); a
-    REPORT may carry non-finite residuals, so that a failing verification
-    is still written.
+    The text is ``json.dumps(obj, indent=1)`` of the document's object tree,
+    byte for byte; :func:`_write` writes it, and json.dumps only a tree with
+    a value outside the vocabulary of :func:`_write`.  ELEMENT and ISO
+    documents with a non-finite entry raise ``SchemaError(NON_FINITE)``, as
+    their loader would, also when given as plain dicts (the path of a dict
+    with no ``type`` starts at ``$``); a REPORT may carry non-finite
+    residuals, so that a failing verification is still written.
     """
     writers = [write for cls, write, _ in _TYPES.values() if isinstance(doc, cls)]
     if not writers and not isinstance(doc, dict):
         raise TypeError(f"cannot serialize {type(doc).__name__}")
     obj = writers[0](doc) if writers else doc
     try:
-        return json.dumps(obj, indent=1, allow_nan=obj.get("type") == "report")
+        try:
+            return _write(obj, 0)
+        except _Unwritten:
+            return json.dumps(obj, indent=1, allow_nan=obj.get("type") == "report")
     except ValueError:
         path = _non_finite_path(obj, obj.get("type", "$"))
         raise SchemaError(NON_FINITE, path, "non-finite entries") from None

@@ -53,6 +53,7 @@ from .algebra import (
     _block_sup,
     _element,
     _hermitize,
+    _identity,
     _invert,
     _spin_radius,
     sup_norm,
@@ -300,7 +301,7 @@ def _matrix_within(f: HermFactor, m: np.ndarray, lo, hi) -> bool:
         if m.ndim == 2:
             return lo < float(m[0, 0].real) < hi
         return all(lo < s < hi for s in m[:, 0, 0].real.tolist())
-    eye = np.eye(m.shape[-1])
+    eye = _identity(m.shape[-1])
     p = m - lo * eye
     if isinstance(hi, np.ndarray) or hi < math.inf:
         # the factors commute; cholesky reads one triangle, so the

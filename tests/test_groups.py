@@ -34,9 +34,18 @@ from effectorder import (
     triple_product,
     unit,
     unsplit_by_central,
+    zero,
 )
 from effectorder import spectral
-from effectorder.algebra import _block_dtype_shape, _hermitize, _ring_array, random_gaussian
+from effectorder.algebra import (
+    _block_dtype_shape,
+    _grouped,
+    _hermitize,
+    _identity_block,
+    _ring_array,
+    _zero_block,
+    random_gaussian,
+)
 
 from conftest import assert_embedding_form
 
@@ -125,6 +134,43 @@ class TestLayout:
         for f, (g, m) in zip(alg.factors, alg._where):
             if isinstance(f, HermFactor) and f.ring is H:
                 assert_embedding_form(f, x._groups[g][m])
+
+
+LINES_1023 = algebra(*[HermFactor(1)] * 1023)
+# two herm(2,H) factors interleaved with lines
+H_TWICE = algebra(HermFactor(1), HermFactor(2, H), HermFactor(1), HermFactor(2, H), HermFactor(1))
+
+
+class TestConstants:
+    """unit and zero are built once per group, and kept once per descriptor."""
+
+    @pytest.mark.parametrize(
+        "alg",
+        [SMALL_MIXED, LINES_1023, H_TWICE, ENGAGED_TWICE],
+        ids=["small_mixed", "lines_1023", "h_twice", "engaged_twice"],
+    )
+    @pytest.mark.parametrize("make, block", [(unit, _identity_block), (zero, _zero_block)], ids=["unit", "zero"])
+    def test_one_read_only_element_per_descriptor(self, alg, make, block):
+        x = make(alg)
+        assert make(alg) is x and x.algebra is alg
+        # the per-factor build: one block per factor, stacked by group
+        want = _grouped(alg, [block(f) for f in alg.factors])
+        assert len(x._groups) == len(want)
+        for got, ref in zip(x._groups, want):
+            assert not got.flags.writeable
+            assert got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        assert all(not b.flags.writeable for b in x.blocks)
+
+    def test_a_hand_built_descriptor_keeps_its_own(self):
+        alg = AlgebraDescriptor(H_TWICE.factors)
+        assert unit(alg) is unit(alg) and unit(alg) is not unit(H_TWICE)
+        assert unit(alg).algebra is alg
+
+    def test_index_tuples_are_kept(self):
+        alg = AlgebraDescriptor(ENGAGED_TWICE.factors)
+        assert alg.engaged_indices == (0, 2, 4, 5, 6, 8) and alg.disengaged_indices == (1, 3, 7)
+        assert alg.engaged_indices is alg.engaged_indices
+        assert alg.disengaged_indices is alg.disengaged_indices
 
 
 class TestPublicViews:

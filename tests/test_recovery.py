@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -24,7 +25,8 @@ from effectorder import (
     sup_norm,
     unit,
 )
-from effectorder.isomorphisms import RECOVERY_TOL
+from effectorder.algebra import _block_sup, _block_sups, _identity
+from effectorder.isomorphisms import RECOVERY_TOL, _probe_plan
 from effectorder.spectral import extreme_eigenvalues
 
 RECOVERY_KINDS = [
@@ -303,3 +305,31 @@ class TestProbingBudget:
         eigensolve_counter.clear()
         recover_factor_iso(iso.apply, alg, alg)
         assert eigensolve_counter.eigensolves == EIGENSOLVES
+
+
+class TestConstants:
+    """What recovery reads of the factor alone is built once and read-only."""
+
+    @pytest.mark.parametrize("factor", BUDGET_KINDS, ids=str)
+    def test_probe_plan_is_kept_per_factor(self, factor):
+        plan, names = _probe_plan(factor)
+        again = _probe_plan(dataclasses.replace(factor))  # an equal factor
+        assert again[0] is plan and again[1] is names
+        assert not plan.flags.writeable
+        assert len(names) == expected_probes(factor) == 1 + len(plan) + 3
+        assert names[0] == "unit probe" and names[-1] == "agreement probe 3"
+
+    def test_identity_is_kept_per_order(self):
+        eye = _identity(3)
+        assert _identity(3) is eye and not eye.flags.writeable
+        assert eye.dtype == float and np.array_equal(eye, np.eye(3))
+
+    @pytest.mark.parametrize("factor", BUDGET_KINDS, ids=str)
+    def test_stacked_sups_equal_each_blocks_sup(self, factor, rng):
+        alg = single_factor(factor)
+        stack = np.stack([sample_element(alg, rng, "general")._groups[0] for _ in range(4)])
+        stack[2] = np.nan  # a NaN block's sup is NaN, as sup_norm's
+        sups = _block_sups(factor, stack)
+        assert sups.shape == (4,)
+        for s, b in zip(sups.tolist(), stack):
+            assert s == _block_sup(factor, b) or (np.isnan(s) and np.isnan(_block_sup(factor, b)))

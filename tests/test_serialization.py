@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from effectorder import (
+    CompositeOrderIso,
+    FactorJordanIso,
+    FactorOrderIso,
     HermFactor,
+    PhiScalarIso,
+    PwlScalarIso,
     Ring,
     SpinFactor,
     algebra,
@@ -19,6 +24,7 @@ from effectorder import (
     random_composite_iso,
     random_element,
     run_identity_suite,
+    sample_element,
     single_factor,
     sup_norm,
     unit,
@@ -36,6 +42,7 @@ from effectorder.serialization import (
     SHAPE_MISMATCH,
     UNKNOWN_KIND,
     SchemaError,
+    algebra_to_obj,
     element_to_obj,
     iso_to_obj,
     report_from_obj,
@@ -603,3 +610,185 @@ class TestFuzz:
                 out = dump_document(loaded)
                 assert dump_document(load_document(out)) == out, text
         assert 0 < refused < 1000
+
+
+def oracle(obj):
+    """json's own text of a document's object tree, as dump_document must write it."""
+    return json.dumps(obj, indent=1, allow_nan=obj.get("type") == "report")
+
+
+WRITER_ALGEBRAS = {
+    "mixed": MIXED,
+    "grouped": algebra(
+        HermFactor(2, Ring.QUATERNION), HermFactor(1), HermFactor(3, Ring.COMPLEX),
+        HermFactor(1), HermFactor(2, Ring.QUATERNION), SpinFactor(3), HermFactor(4), SpinFactor(3),
+    ),
+    "lines": algebra(*[HermFactor(1)] * 5),
+}
+
+
+def scalar_and_engaged_iso():
+    """A map with a phi and a pwl scalar, a conjugate-linear complex J and a spin O."""
+    c, s = HermFactor(2, Ring.COMPLEX), SpinFactor(3)
+    alg = algebra(HermFactor(1), c, HermFactor(1), s)
+    herm = FactorOrderIso(
+        0.3, element_in_factor(c, np.array([[1.2, 0.3j], [-0.3j, 0.8]])),
+        FactorJordanIso(c, np.array([[1, 1j], [1j, 1]]) / np.sqrt(2), conjugate=True),
+    )
+    O = np.array([[0.6, -0.8, 0.0], [0.8, 0.6, 0.0], [0.0, 0.0, -1.0]])
+    spin = FactorOrderIso(-2.5, element_in_factor(s, np.array([1.0, 0.2, -0.1, 0.3])), FactorJordanIso(s, O))
+    scalars = (PhiScalarIso(-0.75), PwlScalarIso(((0.0, 0.0), (0.25, 0.5), (1.0, 1.0))))
+    return CompositeOrderIso(alg, alg, ((0, 2), (2, 0)), scalars, ((1, 1), (3, 3)), (herm, spin))
+
+
+def report_with_non_finite_residuals():
+    from effectorder.harness import CheckResult, SuiteReport
+
+    checks = (
+        CheckResult("a", 1e-8, fails=1, worst=math.nan, worst_trial=0),
+        CheckResult("b", 1e-8, fails=1, worst=math.inf, worst_trial=1),
+        CheckResult("c", 1e-8, passes=2, worst=-math.inf),
+        CheckResult("d", 1e-8, passes=1, worst=5e-324, worst_trial=0),
+    )
+    data = {"grid": [0.0, 0.5, 1.0], "kind": "sum of lines", "n": 3, "nested": {"ok": True, "none": None}}
+    return SuiteReport("identity", "herm(2,R)", 7, 2, 1e-8, checks, 0.125, data)
+
+
+# floats whose repr json writes in each of its forms: signed zero, subnormal,
+# exponent at and beyond 1e16, and the repr's switch to exponent notation at 1e-4
+AWKWARD_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e22, -1e22, 1.7976931348623157e308, 1e-4, 1e-5, 0.1, 1.0]
+
+PLAIN = {
+    "empty": {"type": "x", "list": [], "dict": {}, "lists": [[], [[]], [{}]], "dicts": {"a": {}, "b": []}},
+    "strings": {
+        'quo"te\\back\nline\ttab\x00\x1f': ["é", "☃", "\U0001f600", " ", "/", ""],
+        "ключ": "値",
+    },
+    "scalars": {"ints": [0, -7, 2**63, -(10**30), 10**400], "bools": [True, False], "none": None,
+                "mixed": [1, 2.5, True, None, "s", [], {}], "t": False, "f": 3},
+    "floats": {"lone": AWKWARD_FLOATS[0], "row": AWKWARD_FLOATS, "each": [[v] for v in AWKWARD_FLOATS],
+               "block": [AWKWARD_FLOATS[:3], AWKWARD_FLOATS[3:6]], "stack": [[AWKWARD_FLOATS[:2]] * 2] * 2},
+    # a list that starts like a float array and is not one
+    "ragged": {"short": [[1.0, 2.0], [3.0]], "int_leaf": [[1.0, 2.0], [3, 4.0]], "bool_leaf": [0.5, True],
+               "str_leaf": [[0.5, "x"]], "dict_row": [[1.0], {"a": 1.0}], "deeper": [[1.0], [[2.0]]],
+               "tuple_row": [[1.0, 2.0], (3.0, 4.0)], "empty_row": [[1.0], []], "list_then_float": [[1.0], 2.0]},
+    # json writes a tuple as a list and an np.float64 as a float, wherever it sits
+    "numpy_and_tuples": {"t": (1.0, (2.0, 3.0), "a", (4, None)), "f": np.float64(0.1),
+                         "fs": [np.float64(0.2), 0.3], "tail": [0.3, np.float64(-0.0)],
+                         "arr": [(np.float64(1e22), 2.0)]},
+    # keys that are not strings: json converts them
+    "keys": {"x": {1: "a", 2.5: "b", True: "c", None: "d"}, "in_array": [[1.0], {1.5: 2.0}]},
+}
+
+
+class TestWriter:
+    """dump_document writes json.dumps(obj, indent=1) of each document's object
+    tree, byte for byte; json's text is the oracle."""
+
+    @pytest.mark.parametrize("name", list(WRITER_ALGEBRAS))
+    def test_algebra_and_element_documents(self, name, rng):
+        alg = WRITER_ALGEBRAS[name]
+        assert dump_document(alg) == oracle(algebra_to_obj(alg))
+        for cls in ("general", "effect", "projection"):
+            x = sample_element(alg, rng, cls)
+            assert dump_document(x) == oracle(element_to_obj(x))
+        assert dump_document(unit(alg)) == oracle(element_to_obj(unit(alg)))
+
+    def test_iso_documents(self, rng):
+        iso = scalar_and_engaged_iso()
+        obj = iso_to_obj(iso)
+        kinds = [s["kind"] for s in obj["scalar_isos"]]
+        assert kinds == ["phi", "pwl"] and obj["engaged"][0]["J"]["tau"] == "conj" and "O" in obj["engaged"][1]["J"]
+        assert dump_document(iso) == oracle(obj)
+        for alg in WRITER_ALGEBRAS.values():
+            iso = random_composite_iso(alg, alg, rng)
+            assert dump_document(iso) == oracle(iso_to_obj(iso))
+
+    def test_report_with_non_finite_residuals(self):
+        report = report_with_non_finite_residuals()
+        text = dump_document(report)
+        assert text == oracle(report_to_obj([report]))
+        assert "NaN" in text and "Infinity" in text and "-Infinity" in text
+        assert dump_document([report, report]) == oracle(report_to_obj([report, report]))
+        # a finite report goes through the writer alone
+        finite = run_identity_suite(algebra(HermFactor(2)), seed=0, trials=2)
+        assert dump_document(finite) == oracle(report_to_obj(finite))
+
+    @pytest.mark.parametrize("name", list(PLAIN))
+    def test_plain_dicts(self, name):
+        assert dump_document(PLAIN[name]) == json.dumps(PLAIN[name], indent=1, allow_nan=False)
+
+    @pytest.mark.parametrize("value", AWKWARD_FLOATS + [[1.0], [[1.0]], [[[1.0]]]])
+    def test_each_depth(self, value):
+        for depth in range(4):
+            obj = {"x": value}
+            for _ in range(depth):
+                obj = {"d": [obj]}
+            assert dump_document(obj) == json.dumps(obj, indent=1)
+
+    def test_seeded_trees(self):
+        """Random trees over the whole vocabulary, arrays of floats among them."""
+        rnd = random.Random(1)
+        leaves = [lambda: rnd.choice(AWKWARD_FLOATS), lambda: rnd.uniform(-1e3, 1e3), lambda: rnd.randint(-9, 9),
+                  lambda: rnd.choice([True, False, None]), lambda: rnd.choice(["", "a", "é\n", '"'])]
+
+        def tree(depth):
+            r = rnd.random()
+            if depth > 4 or r < 0.3:
+                return rnd.choice(leaves)()
+            if r < 0.5:  # an array of floats, sometimes ragged
+                shape = [rnd.randint(1, 3) for _ in range(rnd.randint(1, 3))]
+                arr = np.random.default_rng(rnd.randrange(2**32)).standard_normal(shape).tolist()
+                if rnd.random() < 0.2:
+                    arr.append(rnd.choice(leaves)())
+                return arr
+            if r < 0.75:
+                return [tree(depth + 1) for _ in range(rnd.randint(0, 3))]
+            return {rnd.choice(["k", "ключ", "a\tb"]) + str(i): tree(depth + 1) for i in range(rnd.randint(0, 3))}
+
+        for _ in range(300):
+            obj = {"root": tree(0)}
+            assert dump_document(obj) == json.dumps(obj, indent=1, allow_nan=False)
+
+    def test_documents_in_the_vocabulary_do_not_call_json(self, monkeypatch, rng):
+        docs = [MIXED, sample_element(MIXED, rng, "effect"), scalar_and_engaged_iso(),
+                run_identity_suite(algebra(HermFactor(2)), seed=0, trials=2), PLAIN["empty"]]
+        texts = [dump_document(d) for d in docs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.dumps called")
+
+        monkeypatch.setattr(json, "dumps", refuse)
+        assert [dump_document(d) for d in docs] == texts
+
+    def test_values_outside_json_are_json_errors(self):
+        for bad in (object(), np.int64(1), np.array([1.0]), {1.0, 2.0}, b"x"):
+            with pytest.raises(TypeError):
+                dump_document({"x": [0.5, {"y": bad}]})
+
+    @pytest.mark.parametrize("where", ["lone", "array", "row"])
+    def test_non_finite_keeps_its_code_and_path(self, where, rng):
+        """A non-finite number is refused with NON_FINITE at its path, in an ELEMENT
+        and an ISO dict, wherever the writer meets it."""
+        x = sample_element(MIXED, rng, "effect")
+        obj = element_to_obj(x)
+        iso_obj = iso_to_obj(scalar_and_engaged_iso())
+        if where == "lone":
+            obj["blocks"][2]["alpha"] = math.nan
+            path = "element.blocks[2].alpha"
+            iso_obj["scalar_isos"][1]["knots"][1][0] = -math.inf
+            iso_path = "iso.scalar_isos[1].knots[1][0]"
+        elif where == "array":
+            obj["blocks"][1][1][0][1] = math.inf
+            path = "element.blocks[1][1][0][1]"
+            iso_obj["engaged"][0]["z"][0][1][1] = math.nan
+            iso_path = "iso.engaged[0].z[0][1][1]"
+        else:
+            obj["blocks"][2]["v"][2] = -math.inf
+            path = "element.blocks[2].v[2]"
+            iso_obj["engaged"][1]["J"]["O"][2][0] = math.nan
+            iso_path = "iso.engaged[1].J.O[2][0]"
+        for doc, want in ((obj, path), (iso_obj, iso_path)):
+            with pytest.raises(SchemaError) as err:
+                dump_document(doc)
+            assert (err.value.code, err.value.path) == (NON_FINITE, want)
