@@ -9,37 +9,36 @@ factors R + R^d with the product
 Elements are block vectors, one block per factor, stored by factor group:
 equal factors, wherever they sit, form one group (``AlgebraDescriptor.groups``),
 kept as one (k, ...) stack of its k members' blocks, or as the block itself
-when k = 1, and every kernel runs once per group (spin closed forms member by
-member).  Everything here is immutable and every operation is a pure
-function, so values can be shared freely across threads.
+when k = 1, and every kernel runs once per group.  Everything here is
+immutable and every operation is a pure function, so values can be shared
+freely across threads.
 
-A matrix block over H is stored as its 2n x 2n complex embedding, so
-that every kernel runs on it as on herm(2n,C); the public format is the
-(n, n, 4) ring array (see the comment above :func:`_stored_block`), which
-``Element.blocks`` and ``block(i)`` give per factor, read-only.
+A factor's kind, ``f._kind``, given at construction and shared by equal
+factors, is one private class per stored kind (real matrix, complex matrix,
+the quaternion embedding, the spin vector) that owns every kernel reading
+such a block, so no other code asks which kind a factor is.  Over H a block
+is stored as its 2n x 2n complex embedding and runs as on herm(2n,C); the
+public format is the (n, n, 4) ring array, which ``Element.blocks`` and
+``block(i)`` give per factor, read-only.
 
-Blocks from outside the library (:func:`element_from_blocks`,
-:func:`element_in_factor`, the parser in ``serialization``) pass one
-validator, :func:`_checked_block`: cast to the factor's dtype and shape,
-finite, asymmetry |b - b*| <= 1e-6 (1 + |b|) in the largest entry modulus,
-then stored and replaced by (b + b*) / 2; its cast also serves
-``FactorJordanIso``.  Documents store a ring array as its
-:func:`_real_view`, floats of shape (n, n), (n, n, 2) or (n, n, 4) over R,
-C or H.  Inside the library every element comes from the trusted
-:func:`_element`, which only freezes its arrays.  Sums and real multiples
-of Hermitian blocks stay exactly Hermitian (and over H exactly of the
-embedding's form), so only the producers whose floating-point arithmetic
-can break symmetry (non-commuting products, eigenbasis sums, solves,
-Jordan isomorphisms, raw samples) restore it with :func:`_hermitize`.
+Blocks from outside the library, also those the kinds read from documents,
+pass one validator, :func:`_checked_block`; inside it every element comes
+from the trusted :func:`_element`, which only freezes its arrays.  Sums and
+real multiples of Hermitian blocks stay exactly Hermitian (and over H of the
+embedding's form), so only the producers whose arithmetic can break symmetry
+(non-commuting products, eigenbasis sums, solves, Jordan isomorphisms, raw
+samples) restore it with the kind's ``hermitize``.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Any, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -74,6 +73,51 @@ class NonHermitianBlockError(ValueError):
     """A matrix block from outside the library is far from Hermitian."""
 
 
+# the document codes that the kinds' block readers raise; ``serialization`` has the rest
+BAD_SCHEMA = "BAD_SCHEMA"
+SHAPE_MISMATCH = "SHAPE_MISMATCH"
+
+
+class SchemaError(ValueError):
+    """A document failed schema or invariant validation."""
+
+    def __init__(self, code: str, path: str, message: str):
+        super().__init__(f"{code} at {path}: {message}")
+        self.code = code
+        self.path = path
+        self.message = message
+
+
+def _need(obj: dict, key: str, path: str) -> Any:
+    if not isinstance(obj, dict) or key not in obj:
+        raise SchemaError(BAD_SCHEMA, path, f"missing field {key!r}")
+    return obj[key]
+
+
+def _number(cast: type, value: Any, path: str) -> Any:
+    """cast(value) for a numeric document field, which must be a JSON number
+    (not a bool or a string) and, for ``int`` fields, integral."""
+    # exact types: bool is a subclass of int
+    if type(value) is not float and type(value) is not int:
+        raise SchemaError(BAD_SCHEMA, path, f"expected a number, got {value!r}")
+    if cast is int and type(value) is float and not value.is_integer():
+        raise SchemaError(BAD_SCHEMA, path, f"expected an integer, got {value!r}")
+    try:
+        return cast(value)
+    except OverflowError as exc:
+        raise SchemaError(BAD_SCHEMA, path, f"number out of range: {value!r}") from exc
+
+
+def _size(value, what: str) -> int:
+    """A factor's size as a plain int; a bool or a non-integer is a ValueError."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class HermFactor:
     """Hermitian n x n matrices over ``ring``; rank n, atoms of rank one."""
@@ -82,10 +126,13 @@ class HermFactor:
     ring: Ring = Ring.REAL
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        n = _size(self.n, "n")
+        if n < 1:
             raise ValueError("Hermitian factor needs n >= 1")
         if not isinstance(self.ring, Ring):
             raise ValueError("ring must be a Ring")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_kind", _kind_of(_RING_KINDS[self.ring], n))
 
     @property
     def rank(self) -> int:
@@ -94,12 +141,7 @@ class HermFactor:
     @property
     def dim(self) -> int:
         """Real vector-space dimension of the factor."""
-        n = self.n
-        if self.ring is Ring.REAL:
-            return n * (n + 1) // 2
-        if self.ring is Ring.COMPLEX:
-            return n * n
-        return n * (2 * n - 1)
+        return self._kind.dim
 
     def __str__(self) -> str:
         return f"herm({self.n},{self.ring.value})"
@@ -112,8 +154,11 @@ class SpinFactor:
     d: int
 
     def __post_init__(self) -> None:
-        if self.d < 2:
+        d = _size(self.d, "d")
+        if d < 2:
             raise ValueError("spin factor needs d >= 2; use herm(1,R) for lines")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "_kind", _kind_of(_Spin, d))
 
     @property
     def rank(self) -> int:
@@ -175,11 +220,11 @@ class AlgebraDescriptor:
 
     @cached_property
     def _unit(self) -> "Element":
-        return _constant(self, _identity_block)
+        return _constant(self, lambda kind: kind.identity())
 
     @cached_property
     def _zero(self) -> "Element":
-        return _constant(self, _zero_block)
+        return _constant(self, lambda kind: kind.zero())
 
     def __str__(self) -> str:
         return " + ".join(str(f) for f in self.factors)
@@ -203,77 +248,7 @@ def single_factor(factor: Factor) -> AlgebraDescriptor:
     return _interned((factor,))
 
 
-# --- blocks ---------------------------------------------------------------
-
-def _block_dtype_shape(factor: Factor) -> tuple[type, tuple[int, ...]]:
-    """dtype and shape of a block in the public format (the ring array)."""
-    if isinstance(factor, HermFactor):
-        n = factor.n
-        if factor.ring is Ring.COMPLEX:
-            return complex, (n, n)
-        if factor.ring is Ring.QUATERNION:
-            return float, (n, n, 4)
-        return float, (n, n)
-    return float, (factor.d + 1,)
-
-
-# Ring arrays, the public format of a matrix block, are (n, m) float over R,
-# (n, m) complex over C and (n, m, 4) float over H.  Inside the library a block
-# over H is stored as its 2n x 2m complex embedding (``quaternion`` module), so
-# every kernel runs on a real or complex matrix, over H as over C; _stored_block
-# converts once (element_from_blocks, Element(alg, blocks), the documents,
-# FactorJordanIso(u=...)), _ring_array back (Element.blocks, Element.block(i),
-# FactorJordanIso.u).  Helpers also take a group's (k, ...) stack of blocks.
-
-def _stored_block(factor: Factor, a) -> np.ndarray:
-    """A block in the public format as the library stores it; not copied over R and C."""
-    if isinstance(factor, HermFactor) and factor.ring is Ring.QUATERNION:
-        return quat.to_complex(a)
-    return a
-
-
-def _ring_array(factor: Factor, b: np.ndarray) -> np.ndarray:
-    """Invert :func:`_stored_block`; over H a fresh array, read from the top rows."""
-    if isinstance(factor, HermFactor) and factor.ring is Ring.QUATERNION:
-        return quat.from_complex(b)
-    return b
-
-
-def _real_part(factor: HermFactor, b: np.ndarray) -> np.ndarray:
-    """Entrywise real part of a stored matrix's ring array, as a real array."""
-    # over H the ring array's real part is that of the embedding's top-left block
-    return b[..., : factor.n, : factor.n].real
-
-
-def _from_real(factor: HermFactor, m) -> np.ndarray:
-    """A real (..., n, n) array, or nested list, as the stored matrix of the same ring array."""
-    if factor.ring is Ring.QUATERNION:
-        n = factor.n
-        out = np.zeros(np.shape(m)[:-2] + (2 * n, 2 * n), dtype=complex)
-        out[..., :n, :n] = out[..., n:, n:] = m
-        return out
-    return np.array(m, dtype=complex if factor.ring is Ring.COMPLEX else float)
-
-
-def _real_view(factor: HermFactor, b: np.ndarray) -> np.ndarray:
-    """A stored matrix as the floats of its ring array: (n, n) over R, (n, n, 2)
-    over C and (n, n, 4) over H."""
-    b = _ring_array(factor, b)
-    if factor.ring is Ring.COMPLEX:  # a complex number is stored as its (re, im) pair
-        return np.ascontiguousarray(b).view(float).reshape(b.shape + (2,))
-    return b
-
-
-def _real_view_shape(factor: HermFactor) -> tuple[int, ...]:
-    """(n, n), (n, n, 2) or (n, n, 4): the shape of a block's real view."""
-    dtype, shape = _block_dtype_shape(factor)
-    return shape + (2,) if dtype is complex else shape
-
-
-def _from_real_view(factor: HermFactor, v: np.ndarray) -> np.ndarray:
-    """The ring array whose :func:`_real_view` is v, bit for bit."""
-    return np.ascontiguousarray(v).view(complex)[..., 0] if factor.ring is Ring.COMPLEX else v
-
+# --- factor kinds ------------------------------------------------------------
 
 @lru_cache(maxsize=64)
 def _identity(m: int) -> np.ndarray:
@@ -283,74 +258,530 @@ def _identity(m: int) -> np.ndarray:
     return eye
 
 
-def _identity_block(factor: Factor) -> np.ndarray:
-    if isinstance(factor, HermFactor):
-        return _from_real(factor, _identity(factor.n))
-    b = np.zeros(factor.d + 1)
-    b[0] = 1.0
-    return b
-
-
-def _zero_block(factor: Factor) -> np.ndarray:
-    if isinstance(factor, HermFactor):
-        return _from_real(factor, np.zeros((factor.n, factor.n)))
-    return np.zeros(factor.d + 1)
-
-
 def _adjoint(b: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a stored matrix, or of each in a stack."""
     return b.conj().swapaxes(-2, -1)
 
 
-@lru_cache(maxsize=None)
-def _quaternion_swap(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, signs) with sigma(m) = signs * conj(m[..., rows, cols]), where
-    sigma(m) = J conj(m) J^T for J = [[0, I], [-I, 0]] of size 2n: the 2n x 2n
-    complex matrices of the form [[Z, W], [-conj W, conj Z]] are those with
-    sigma(m) = m.  rows and cols swap the halves; signs is -1 where one index
-    is in each half."""
-    half = np.r_[np.arange(n, 2 * n), np.arange(n)]
-    s = np.r_[np.ones(n), -np.ones(n)]
-    return half[:, None], half[None, :], np.outer(s, s)
+_SINGULAR_PENCIL = "singular pencil: z has an eigenvalue too close to 0"  # it rounds onto the boundary
 
 
-def _hermitize(factor: Factor, b: np.ndarray) -> np.ndarray:
-    """Average a matrix block with its adjoint; spin blocks are returned as they are.
+@lru_cache(maxsize=1024)
+def _kind_of(cls: type, n: int):
+    """The one kind of class cls and order n, shared by equal factors."""
+    return cls(n)
 
-    Over H the average h = (b + b*) / 2 is averaged with sigma(h) as well
-    (:func:`_quaternion_swap`), which keeps it exactly Hermitian and makes it
-    exactly of the form [[Z, W], [-conj W, conj Z]].
-    """
-    if isinstance(factor, SpinFactor):
+
+# A kind is what every block of one factor is, and it owns every kernel that reads
+# such a block (README, "Factor kinds", lists them).  Its methods take a stored
+# block, or a group's (k, ...) stack of them where the caller runs a group.
+# herm(n,C) refines herm(n,R) and the quaternion embedding refines herm(n,C).
+
+
+class _Real:
+    """herm(n,R): a block is stored as its ring array, a real symmetric matrix."""
+
+    ring = Ring.REAL
+    dtype = float
+    scalar: tuple[int, ...] = ()  # the floats of one scalar in a document
+    tail: tuple[int, ...] = ()  # of the ring array's shape, after (n, n)
+    twists = None  # the imaginary units recovery probes, as ring scalars
+    conjugable = False  # can a Jordan isomorphism be conjugate-linear?
+    batched = True  # does one call decide a stack with per-block bounds?
+    copies, flops = 1, 1  # stored rows per ring row; real flops per stored multiply-add
+
+    def __init__(self, n: int):
+        self.n, self.shape, self.isometry = n, (n, n) + self.tail, self
+        self.cost = (self.copies * n) ** 3 * self.flops  # the pencil's: stored order cubed
+
+    @property
+    def dim(self) -> int:  # n real diagonal entries and n(n - 1)/2 ring scalars above them
+        return self.n + self.n * (self.n - 1) // 2 * math.prod(self.scalar)
+
+    # -- format --
+
+    def stored(self, a: np.ndarray) -> np.ndarray:
+        """A ring array as stored, not copied; ``ring_array`` inverts it (over H fresh)."""
+        return a
+
+    ring_array = stored
+
+    def from_real(self, m) -> np.ndarray:
+        """A real (..., n, n) array, or nested list, as the stored matrix of the same ring array."""
+        return np.array(m, dtype=self.dtype)
+
+    def identity(self) -> np.ndarray:
+        return self.from_real(_identity(self.n))
+
+    def zero(self) -> np.ndarray:
+        return self.from_real(np.zeros((self.n, self.n)))
+
+    adjoint = staticmethod(_adjoint)
+
+    def hermitize(self, b: np.ndarray) -> np.ndarray:
+        """Average a stored matrix, or each in a stack, with its adjoint."""
+        return 0.5 * (b + _adjoint(b))
+
+    def sup(self, b: np.ndarray, each: bool = False):
+        """The largest entry modulus of the ring array of b, also over a stack, as a float;
+        with ``each``, of each block of a stack, as an array.  NaN when an entry is NaN."""
+        m = np.maximum.reduce(np.abs(b), axis=(-2, -1) if each else None)
+        return m if each else float(m)
+
+    def trace(self, b: np.ndarray):
+        # over H the ring array's real part is that of the embedding's top-left block
+        return b[..., : self.n, : self.n].real.trace(0, -2, -1)
+
+    def gaussian(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.standard_normal(self.shape)
+
+    # -- Jordan operations; for Hermitian a, b the adjoint of ab is ba --
+
+    def jordan(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.hermitize(a @ b)
+
+    def quad(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.hermitize(a @ b @ a)
+
+    def inverse(self, b: np.ndarray) -> np.ndarray:
+        eye = _identity(b.shape[-1])  # by one LU solve, of an invertible b
+        # a stack gets a stacked identity: numpy < 2 reads an (M, M) one as M vectors
+        return self.hermitize(np.linalg.solve(b, eye if b.ndim == 2 else eye[None]))
+
+    # -- spectra --
+
+    def eigh(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and eigenvector columns (over H each eigenvalue twice)."""
+        if b.shape[-1] == 1:
+            # 1x1 fast path; the entry is real after hermitization
+            return b[..., 0].real, np.ones(b.shape, dtype=b.dtype)
+        return np.linalg.eigh(b)
+
+    def combine(self, basis: np.ndarray, idx, values: np.ndarray) -> np.ndarray:
+        """Sum values[i] p_i as (V * vals) V*, for clusters idx of the eigenpairs."""
+        vals = values[idx]
+        if vals.ndim == 1:
+            return self.hermitize((basis * vals) @ basis.conj().T)
+        return self.hermitize((basis * vals[:, None, :]) @ _adjoint(basis))
+
+    def eigenvalues(self, b: np.ndarray) -> np.ndarray:
+        if b.shape[-1] == 1:
+            return b[..., 0].real.copy()
+        return np.linalg.eigvalsh(b)
+
+    def within(self, m: np.ndarray, lo, hi) -> bool:
+        """Does the spectrum of m (each block of a stack) lie in (lo, hi), for finite
+        lo < hi or (k, 1, 1) bounds?  The caller has checked that no entry reaches
+        max(|lo|, |hi|).  One Cholesky factorization of (m - lo e)(hi e - m)."""
+        if self.n == 1 and not isinstance(hi, np.ndarray):  # compare the entries
+            return all(lo < s < hi for s in m[..., 0, 0].real.ravel().tolist())
+        eye = _identity(m.shape[-1])
+        p = m - lo * eye
+        if isinstance(hi, np.ndarray) or hi < math.inf:
+            # the factors commute; cholesky reads one triangle, so the
+            # rounding asymmetry of the product does not matter
+            p = p @ ((hi - lo) * eye - p)
+        try:
+            np.linalg.cholesky(p)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    def floor(self, b: np.ndarray):
+        """The left end of the Gershgorin discs (of the embedding over H)."""
+        diag = b.diagonal(0, -2, -1).real
+        return (diag - (np.abs(b).sum(axis=-1) - np.abs(diag))).min(axis=-1)
+
+    # -- isometries and the closed-form map --
+
+    def act(self, u: np.ndarray, b: np.ndarray, conjugate: bool) -> np.ndarray:
+        """x -> u x~ u* on a stored block, x~ = conj(x) when ``conjugate``."""
+        return self.hermitize(u @ (b.conj() if conjugate else b) @ _adjoint(u))
+
+    def random_isometry(self, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
+        """A seeded isometry's ring array and conjugate flag (over C drawn too)."""
+        return np.linalg.qr(self.gaussian(rng))[0], self.conjugable and bool(rng.integers(0, 2))
+
+    def polar(self, u: np.ndarray) -> np.ndarray:
+        """The polar factor of the ring array u, the nearest isometry, as a ring array."""
+        w, _, vh = np.linalg.svd(self.stored(u))
+        return self.ring_array(w @ vh)
+
+    def pencils(self, u: np.ndarray, conjugate: bool, basis: np.ndarray, vals) -> tuple:
+        """(forward, backward, frame) for :meth:`solve`: (A, B, C) = u* V (y, y d, y^(-1))
+        V* for the eigenbasis V of z, vals = (y, y^(-1)) on its eigenpairs and B = C - A,
+        (C*, -B*, A*), and whether J conjugates."""
+        w = _adjoint(u) @ basis
+        A, C = ((w * g) @ basis.conj().T for g in vals)
+        B = C - A
+        return (A, B, C), (C.conj().T, -B.conj().T, A.conj().T), conjugate
+
+    def solve(self, pencil: tuple, frame, b: np.ndarray, forward: bool) -> np.ndarray:
+        """(A + x~ B)^(-1) x~ C, or (C* - F B*)^(-1) F A* conjugated when J is."""
+        A, B, C = pencil
+        m = b.conj() if frame and forward else b
+        try:
+            out = np.linalg.solve(A + m @ B, m @ C)
+        except np.linalg.LinAlgError as exc:
+            raise DomainError(_SINGULAR_PENCIL) from exc
+        if frame and not forward:
+            out = out.conj()
+        return self.hermitize(out)
+
+    # -- recovery --
+
+    def probe_blocks(self) -> np.ndarray:
+        """The stored blocks whose images J is read from: E_00 and E_0j + E_j0 for
+        n > 1, then i (E_01 - E_10) over C, or it and j (E_01 - E_10) over H."""
+        n = self.n
+        real = np.zeros((n if n > 1 else 0, n, n))
+        for j in range(len(real)):
+            real[j, 0, j] = real[j, j, 0] = 1.0
+        plan = self.from_real(real)
+        if n > 1 and self.twists is not None:
+            im = self.twists
+            twists = np.zeros((len(im), n, n) + im.shape[1:], dtype=im.dtype)  # ring arrays
+            twists[:, 0, 1], twists[:, 1, 0] = im, -im
+            plan = np.concatenate((plan, self.stored(twists)))
+        return plan
+
+    def extract_jordan(self, basis: np.ndarray, imgs: np.ndarray, tol: float) -> tuple:
+        """(u, conjugate) of J read off imgs, J's images of ``basis``, or ValueError."""
+        n = self.n
+        if n == 1:
+            return self.ring_array(self.identity()), False
+        # J(E_00) = c_0 c_0*, and J(E_0j + E_j0) c_0 = c_j since c_0* c_0 = 1, c_j* c_0 = 0;
+        # over H, column h of c_j's 2n x 2 embedding is column j + h n of U's
+        c0 = self._unit_from_rank_one(imgs[0])
+        cs = np.stack([c0] + [img @ c0 for img in imgs[1:n]])
+        U = cs.transpose(1, 2, 0).reshape(len(c0), -1)
+        return self._twist(U, basis[n:], imgs[n:], tol)
+
+    def _unit_from_rank_one(self, b: np.ndarray) -> np.ndarray:
+        """The n x 1 column u with b = u u* from a rank-one projection block, stored
+        as a block is: over H its 2n x 2 embedding, columns m and n + m of b's."""
+        diag = b.diagonal().real[: self.n]
+        m = int(np.argmax(diag))
+        if diag[m] <= 1e-8:
+            raise ValueError("probe image is not a rank-one projection")
+        return b[:, m :: self.n] * (1.0 / np.sqrt(diag[m]))
+
+    def _twist(self, U: np.ndarray, probes: np.ndarray, imgs: np.ndarray, tol: float) -> tuple:
+        return U, False
+
+    # -- documents --
+
+    def factor_obj(self) -> dict:
+        return {"kind": "herm", "n": self.n, "ring": self.ring.value}
+
+    def block_to_obj(self, b: np.ndarray) -> list:
+        """The floats of the ring array as nested lists, a complex number as its (re, im) pair."""
+        a = np.ascontiguousarray(self.ring_array(b))
+        return a.view(float).reshape(self.shape[:2] + self.scalar).tolist()
+
+    def block_from_obj(self, rows: Any, path: str) -> np.ndarray:
+        """The ring array of :meth:`block_to_obj`'s nested lists: one ``np.array``."""
+        n = self.n
+        if not isinstance(rows, list) or len(rows) != n or any(
+            not isinstance(r, list) or len(r) != n for r in rows
+        ):
+            raise SchemaError(SHAPE_MISMATCH, path, f"expected an {n}x{n} array")
+        tail = self.scalar
+        for r, row in enumerate(rows):
+            for c, s in enumerate(row):
+                if tail and not (isinstance(s, list) and len(s) == tail[0]):
+                    msg = f"bad scalar for ring {self.ring.value}"
+                    raise SchemaError(BAD_SCHEMA, f"{path}[{r}][{c}]", msg)
+                for v in s if tail else (s,):
+                    if type(v) is not float:  # the common case; _number tests the rest
+                        _number(float, v, f"{path}[{r}][{c}]")
+        return np.array(rows, dtype=float).view(self.dtype).reshape(self.shape)
+
+    def jordan_to_obj(self, u: np.ndarray, conjugate: bool) -> dict:
+        return {"u": self.block_to_obj(u), "tau": "conj" if conjugate else "id"}
+
+    def jordan_u_from_obj(self, obj: dict, path: str) -> np.ndarray:
+        return self.block_from_obj(_need(obj, "u", path), f"{path}.u")
+
+
+class _Complex(_Real):
+    """herm(n,C): a block is stored as its ring array, a complex Hermitian matrix."""
+
+    ring = Ring.COMPLEX
+    dtype = complex
+    scalar = (2,)
+    twists = np.array([1j])
+    conjugable = True
+    flops = 4
+
+    def gaussian(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.standard_normal(self.shape) + 1j * rng.standard_normal(self.shape)
+
+    def _twist(self, U, probes, imgs, tol):
+        # one more probe tells linear from conjugate-linear
+        probe_im, img = probes[0], imgs[0]
+        lin = U @ probe_im @ U.conj().T
+        conj = U @ probe_im.conj() @ U.conj().T
+        if np.abs(img - lin).max() <= tol * self.n:
+            return U, False
+        if np.abs(img - conj).max() <= tol * self.n:
+            return U, True
+        raise ValueError("map is neither linear nor conjugate-linear")
+
+
+class _Quaternion(_Complex):
+    """herm(n,H): a block is stored as the 2n x 2n complex embedding
+    [[Z, W], [-conj W, conj Z]] of its (n, n, 4) ring array (``quaternion``)."""
+
+    ring = Ring.QUATERNION
+    dtype = float
+    scalar = tail = (4,)
+    twists = np.eye(4)[1:3]  # i and j
+    conjugable = False
+    copies = 2
+
+    def stored(self, a):
+        return quat.to_complex(a)
+
+    def ring_array(self, b):
+        return quat.from_complex(b)
+
+    def from_real(self, m):
+        n = self.n
+        out = np.zeros(np.shape(m)[:-2] + (2 * n, 2 * n), dtype=complex)
+        out[..., :n, :n] = out[..., n:, n:] = m
+        return out
+
+    @cached_property
+    def _swap(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, signs) with sigma(m) = signs * conj(m[..., rows, cols]), where
+        sigma(m) = J conj(m) J^T for J = [[0, I], [-I, 0]] of size 2n: the 2n x 2n
+        complex matrices of the form [[Z, W], [-conj W, conj Z]] are those with
+        sigma(m) = m.  rows and cols swap the halves; signs is -1 where one index
+        is in each half."""
+        n = self.n
+        half = np.r_[np.arange(n, 2 * n), np.arange(n)]
+        s = np.r_[np.ones(n), -np.ones(n)]
+        return half[:, None], half[None, :], np.outer(s, s)
+
+    def hermitize(self, b):
+        """The average h = (b + b*) / 2, averaged with sigma(h) as well (:attr:`_swap`),
+        which keeps it exactly Hermitian and exactly of the embedding's form."""
+        h = 0.5 * (b + _adjoint(b))
+        rows, cols, signs = self._swap
+        return 0.5 * (h + signs * h[..., rows, cols].conj())
+
+    def sup(self, b, each=False):
+        # that of a quaternion z + w j, read from the embedding's top rows as hypot(|z|, |w|)
+        n = self.n
+        a = np.abs(b[..., :n, :])
+        m = np.maximum.reduce(np.hypot(a[..., :n], a[..., n:]), axis=(-2, -1) if each else None)
+        return m if each else float(m)
+
+    def gaussian(self, rng):
+        return self.stored(rng.standard_normal(self.shape))
+
+    def eigenvalues(self, b):
+        # a quaternionic eigenvalue counts once, not twice as in the embedding
+        return super().eigenvalues(b)[..., ::2]
+
+    def random_isometry(self, rng):
+        return quat.qgram_schmidt(rng.standard_normal(self.shape)), False
+
+    def _twist(self, U, probes, imgs, tol):
+        # U* Jm(x) U = conj(w) x w entrywise for the unit w of c_0's phase; the twist
+        # unit p = conj(w) solves r_a p = p a, r_a = conj(w) a w, for a = i, j
+        qbasis = np.eye(4)
+        r = quat.from_complex(_adjoint(U) @ imgs @ U)[:, 0, 1]
+        rows = [(quat.qmul(r_a, qbasis) - quat.qmul(qbasis, qbasis[a])).T for a, r_a in zip((1, 2), r)]
+        _, sing, vt = np.linalg.svd(np.concatenate(rows))
+        if sing[-1] > 1e-6:
+            raise ValueError("inner twist is not a rotation")
+        u = quat.qmul(quat.from_complex(U), vt[-1])
+        # the null vector's sign is arbitrary; in normal form the real component
+        # of u with the largest modulus (the first in C order) is positive
+        if u.flat[np.argmax(np.abs(u))] < 0.0:
+            u = -u
+        return u, False
+
+
+_RING_KINDS = {kind.ring: kind for kind in (_Real, _Complex, _Quaternion)}
+
+
+def _each_member(collect, blocks: int = 1):
+    """A spin method of one block run member by member on a group's (k, d + 1) stacks, its
+    first ``blocks`` arguments, into ``collect``: the one place spin maps over a stack."""
+
+    def wrap(one):
+        @functools.wraps(one)
+        def method(self, *args):
+            if args[0].ndim == 1:
+                return one(self, *args)
+            rest = args[blocks:]
+            return collect([one(self, *member, *rest) for member in zip(*args[:blocks])])
+        return method
+    return wrap
+
+
+class _Spin:
+    """spin(d): a block (a, v) is stored as the vector of its d + 1 coordinates,
+    with eigenvalues a -/+ |v| and idempotents (1, -/+ v/|v|) / 2."""
+
+    dtype = float
+    batched = False
+    cost = 0  # the 2x2 pencil runs inline, in floats
+
+    def __init__(self, d: int):
+        self.d, self.shape = d, (d + 1,)
+        self.isometry = _kind_of(_Real, d)  # u is a real orthogonal d x d matrix
+
+    @staticmethod
+    def _radius(b: np.ndarray) -> float:
+        """|v| of the spin block (a, v) by hypot, so that no square overflows."""
+        return math.hypot(*b[1:].tolist())
+
+    def stored(self, b):
         return b
-    h = 0.5 * (b + _adjoint(b))
-    if factor.ring is not Ring.QUATERNION:
-        return h
-    rows, cols, signs = _quaternion_swap(factor.n)
-    return 0.5 * (h + signs * h[..., rows, cols].conj())
 
+    ring_array = adjoint = hermitize = stored
 
-def _block_sup(factor: Factor, b: np.ndarray) -> float:
-    """The largest entry modulus of a block's ring array: over H that of a
-    quaternion z + w j, read from the embedding's top rows as hypot(|z|, |w|)."""
-    if isinstance(factor, HermFactor) and factor.ring is Ring.QUATERNION:
-        a = np.abs(b[..., : factor.n, :])
-        return float(np.hypot(a[..., : factor.n], a[..., factor.n :]).max())
-    return float(np.maximum.reduce(np.abs(b), axis=None))
+    def identity(self):
+        return np.eye(1, self.d + 1)[0]
 
+    def zero(self):
+        return np.zeros(self.d + 1)
 
-def _block_sups(factor: Factor, s: np.ndarray) -> np.ndarray:
-    """:func:`_block_sup` of each block in the stack s, as an array."""
-    a = np.abs(s)
-    if isinstance(factor, HermFactor) and factor.ring is Ring.QUATERNION:
-        n = factor.n
-        a = np.hypot(a[:, :n, :n], a[:, :n, n:])
-    return a.reshape(len(s), -1).max(axis=1)
+    def sup(self, b, each=False):
+        m = np.maximum.reduce(np.abs(b), axis=-1 if each else None)
+        return m if each else float(m)
 
+    def trace(self, b):
+        return 2.0 * b[..., 0]
 
-def _spin_radius(b: np.ndarray) -> float:
-    """|v| of the spin block (a, v) by hypot, so that no square overflows."""
-    return math.hypot(*b[1:].tolist())
+    def gaussian(self, rng):
+        return rng.standard_normal(self.d + 1)
+
+    @_each_member(np.array, blocks=2)
+    def jordan(self, a, b):
+        alpha = a[0] * b[0] + a[1:] @ b[1:]
+        v = a[0] * b[1:] + b[0] * a[1:]
+        return np.concatenate(([alpha], v))
+
+    @_each_member(np.array, blocks=2)
+    def quad(self, a, b):
+        # U_a b = 2 a o (a o b) - a^2 o b, expanded for a = (alpha, v), b = (beta, w)
+        alpha, v, beta, w = a[0], a[1:], b[0], b[1:]
+        aa, vv, vw = alpha * alpha, v @ v, v @ w
+        return np.concatenate((
+            [(aa + vv) * beta + 2.0 * alpha * vw], (aa - vv) * w + 2.0 * (alpha * beta + vw) * v
+        ))
+
+    @_each_member(np.array)
+    def inverse(self, b):
+        nv = self._radius(b)  # a^2 - |v|^2 as the product of the two eigenvalues a -/+ |v|
+        return np.concatenate(([b[0]], -b[1:])) / ((b[0] - nv) * (b[0] + nv))
+
+    @_each_member(lambda members: tuple(zip(*members)))
+    def eigh(self, b):
+        """The eigenvalues and one idempotent per row; a block with v = 0 has one
+        eigenpair, so a group of several keeps a tuple of both, one per member."""
+        alpha, v = float(b[0]), b[1:]
+        nv = self._radius(b)
+        if nv < np.finfo(float).tiny:
+            return np.array([alpha]), np.eye(1, self.d + 1)
+        u = (0.5 / nv) * v
+        return np.array([alpha - nv, alpha + nv]), np.array([[0.5, *-u], [0.5, *u]])
+
+    def combine(self, basis, idx, values):
+        if isinstance(basis, tuple):  # a group of several members, one basis each
+            return np.array([values[i] @ b for b, i in zip(basis, idx)])
+        return values[idx] @ basis
+
+    @_each_member(np.array)
+    def eigenvalues(self, b):
+        nv = self._radius(b)
+        return np.array([b[0] - nv, b[0] + nv])
+
+    @_each_member(all)
+    def within(self, b, lo, hi):
+        """Do the eigenvalues a -/+ r lie in (lo, hi)?  Written so that no sum
+        overflows, and NaN fails."""
+        a, r = float(b[0]), self._radius(b)
+        return r < a - lo and r < hi - a
+
+    def floor(self, b):
+        return self.eigenvalues(b)[..., 0]
+
+    def act(self, u, b, conjugate):
+        return np.concatenate(([b[0]], u @ b[1:]))
+
+    def pencils(self, u, conjugate, basis, vals):
+        """The diagonal pencil on the copy of herm(2,R) spanned by e, zhat and J x, in
+        which z = diag(s_-, s_+), kept as diagonals; the frame is (zhat, u)."""
+        # a z that is a multiple of e has one idempotent and gives g_0 I
+        A, C = (g[[0, -1]] for g in vals)
+        B = C - A
+        return (A, B, C), (C, -B, A), (2.0 * basis[-1, 1:], u)
+
+    def solve(self, pencil, frame, b, forward):
+        """The pencil on the copy of x: u applies first (forward) or u^T last."""
+        zhat, u = frame
+        a = float(b[0])
+        v = u @ b[1:] if forward else b[1:]
+        # the copy of herm(2,R): (a, p0 zhat + w) -> [[a - p0, p1], [p1, a + p0]]
+        # for w orthogonal to zhat, p1 = |w|; p1 = 0 only when w = 0
+        p0 = float(zhat @ v)
+        w = v - p0 * zhat
+        p1 = math.hypot(*w.tolist())
+        x00, x01, x10, x11 = self._solve_diagonal_pencil(a - p0, p1, a + p0, *pencil)
+        v = (x11 - x00) * zhat + (x01 + x10) / (p1 or 1.0) * w
+        v = v if forward else u.T @ v
+        return np.concatenate(([x00 + x11], v)) / 2.0
+
+    @staticmethod
+    def _solve_diagonal_pencil(m00: float, m01: float, m11: float, A, B, C) -> tuple:
+        """(A + m B)^(-1) m C as (x00, x01, x10, x11), for m = [[m00, m01], [m01, m11]]
+        and diagonal A, B, C given as their diagonals: an LU solve in floats with partial
+        pivoting (the larger pivot of the first column); an exact zero pivot is a singular
+        pencil."""
+        (a0, a1), (b0, b1), (c0, c1) = A.tolist(), B.tolist(), C.tolist()
+        top = (a0 + m00 * b0, m01 * b1, m00 * c0, m01 * c1)
+        low = (m01 * b0, a1 + m11 * b1, m01 * c0, m11 * c1)
+        (p, q, g0, g1), (r, s, h0, h1) = (low, top) if abs(low[0]) > abs(top[0]) else (top, low)
+        if p != 0.0:
+            ell = r / p
+            s -= ell * q
+        if p == 0.0 or s == 0.0:
+            raise DomainError(_SINGULAR_PENCIL)
+        x10, x11 = (h0 - ell * g0) / s, (h1 - ell * g1) / s
+        return (g0 - q * x10) / p, (g1 - q * x11) / p, x10, x11
+
+    def probe_blocks(self):  # the basis vectors (0, e_i)
+        return np.eye(self.d + 1)[1:]
+
+    def extract_jordan(self, basis, imgs, tol):  # u's columns are their images
+        if np.abs(imgs[:, 0]).max() > tol * 10:
+            raise ValueError("spin probe image has a scalar part")
+        return imgs[:, 1:].T, False
+
+    def factor_obj(self):
+        return {"kind": "spin", "d": self.d}
+
+    def block_to_obj(self, b):
+        alpha, *v = b.tolist()
+        return {"alpha": alpha, "v": v}
+
+    def block_from_obj(self, obj, path):
+        alpha, v = _need(obj, "alpha", path), _need(obj, "v", path)
+        if not isinstance(v, list) or len(v) != self.d:
+            raise SchemaError(SHAPE_MISMATCH, path, f"expected a vector of length {self.d}")
+        return [_number(float, c, path) for c in (alpha, *v)]
+
+    def jordan_to_obj(self, u, conjugate):
+        return {"O": u.tolist()}
+
+    def jordan_u_from_obj(self, obj, path):
+        return self.isometry.block_from_obj(_need(obj, "O", path), f"{path}.O")
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -374,7 +805,7 @@ class Element:
 
     def __init__(self, algebra: AlgebraDescriptor, blocks, *, _stored: bool = False):
         if not _stored:
-            blocks = _grouped(algebra, list(map(_stored_block, algebra.factors, blocks)))
+            blocks = _grouped(algebra, [f._kind.stored(b) for f, b in zip(algebra.factors, blocks)])
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "_groups", tuple(blocks))
 
@@ -385,7 +816,8 @@ class Element:
     @property
     def blocks(self) -> tuple[np.ndarray, ...]:
         if self._view is None:
-            view = tuple(_ring_array(f, self._block(i)) for i, f in enumerate(self.algebra.factors))
+            factors = enumerate(self.algebra.factors)
+            view = tuple(f._kind.ring_array(self._block(i)) for i, f in factors)
             for a in view:
                 a.setflags(write=False)
             object.__setattr__(self, "_view", view)
@@ -454,16 +886,15 @@ def _cast_array(value, dtype: type, shape: tuple[int, ...], what: str) -> np.nda
 
 def _checked_block(factor: Factor, value, what: str) -> np.ndarray:
     """The validator of blocks from outside the library (module docstring)."""
-    b = _cast_array(value, *_block_dtype_shape(factor), what)
+    kind = factor._kind
+    b = _cast_array(value, kind.dtype, kind.shape, what)
     if not np.all(np.isfinite(b)):
         raise NonFiniteBlockError(f"{what} has non-finite entries")
-    if isinstance(factor, SpinFactor):
-        return b
-    b = _stored_block(factor, b)
-    asym = _block_sup(factor, b - _adjoint(b))
-    if asym > 1e-6 * (1.0 + _block_sup(factor, b)):
+    b = kind.stored(b)
+    asym = kind.sup(b - kind.adjoint(b))  # 0 on spin blocks
+    if asym > 1e-6 * (1.0 + kind.sup(b)):
         raise NonHermitianBlockError(f"{what}: asymmetry {asym:g} exceeds tolerance")
-    return _hermitize(factor, b)
+    return kind.hermitize(b)
 
 
 def element_from_blocks(alg: AlgebraDescriptor, blocks: Sequence[np.ndarray]) -> Element:
@@ -478,11 +909,11 @@ def element_from_blocks(alg: AlgebraDescriptor, blocks: Sequence[np.ndarray]) ->
 
 
 def _constant(alg: AlgebraDescriptor, block) -> Element:
-    """The element whose every block is ``block(factor)``: one block per group,
+    """The element whose every block is ``block(kind)``: one block per group,
     repeated down the stack of a group of several."""
     groups = []
     for f, c in alg.groups:
-        b = block(f)
+        b = block(f._kind)
         groups.append(np.array(np.broadcast_to(b, (len(c),) + b.shape)) if len(c) > 1 else b)
     return _element(alg, groups)
 
@@ -506,7 +937,7 @@ def sup_norm(x: Element) -> float:
     """Largest entry magnitude across all blocks (a computable norm
     equivalent to the operator norm at these sizes; used to scale
     tolerances); NaN when some entry is NaN."""
-    sups = [_block_sup(f, g) for (f, _), g in zip(x.algebra.groups, x._groups)]
+    sups = [f._kind.sup(g) for (f, _), g in zip(x.algebra.groups, x._groups)]
     # max() drops a NaN that follows a number; the sum keeps it
     return math.nan if math.isnan(sum(sups)) else max(sups)
 
@@ -514,10 +945,7 @@ def sup_norm(x: Element) -> float:
 def canonical_trace(x: Element) -> float:
     """Sum of the normalized traces: matrix trace per Hermitian block,
     2 * alpha per spin block.  Projections have trace equal to rank."""
-    traces = [
-        (2.0 * g[..., 0] if isinstance(f, SpinFactor) else _real_part(f, g).trace(0, -2, -1))
-        for (f, _), g in zip(x.algebra.groups, x._groups)
-    ]
+    traces = [f._kind.trace(g) for (f, _), g in zip(x.algebra.groups, x._groups)]
     total = 0.0
     for g, m in x.algebra._where:  # summed in factor order
         total += traces[g][m].tolist()
@@ -526,22 +954,11 @@ def canonical_trace(x: Element) -> float:
 
 # --- Jordan operations ----------------------------------------------------
 
-def _block_jordan(factor: Factor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if isinstance(factor, SpinFactor):
-        if b.ndim > 1:  # a group's stacks, member by member
-            return np.array([_block_jordan(factor, p, q) for p, q in zip(a, b)])
-        alpha = a[0] * b[0] + a[1:] @ b[1:]
-        v = a[0] * b[1:] + b[0] * a[1:]
-        return np.concatenate(([alpha], v))
-    # for Hermitian a, b the adjoint of ab is ba
-    return _hermitize(factor, a @ b)
-
-
 def jordan_product(x: Element, y: Element) -> Element:
     """x o y = (xy + yx) / 2 on matrix blocks, the spin rule on spin blocks."""
     _check_same_algebra(x, y)
     pairs = zip(x.algebra.groups, x._groups, y._groups)
-    return _element(x.algebra, [_block_jordan(f, a, b) for (f, _), a, b in pairs])
+    return _element(x.algebra, [f._kind.jordan(a, b) for (f, _), a, b in pairs])
 
 
 def triple_product(x: Element, y: Element, z: Element) -> Element:
@@ -555,45 +972,18 @@ def triple_product(x: Element, y: Element, z: Element) -> Element:
     )
 
 
-def _block_quad(factor: Factor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if isinstance(factor, SpinFactor):
-        if b.ndim > 1:  # a group's stacks, member by member
-            return np.array([_block_quad(factor, p, q) for p, q in zip(a, b)])
-        # U_a b = 2 a o (a o b) - a^2 o b, expanded for a = (alpha, v), b = (beta, w)
-        alpha, v, beta, w = a[0], a[1:], b[0], b[1:]
-        aa, vv, vw = alpha * alpha, v @ v, v @ w
-        return np.concatenate((
-            [(aa + vv) * beta + 2.0 * alpha * vw], (aa - vv) * w + 2.0 * (alpha * beta + vw) * v
-        ))
-    return _hermitize(factor, a @ b @ a)
-
-
 def quad_rep(x: Element, y: Element) -> Element:
     """Quadratic representation U_x y = {x,y,x}; equals x y x blockwise
     on matrix factors."""
     _check_same_algebra(x, y)
     pairs = zip(x.algebra.groups, x._groups, y._groups)
-    return _element(x.algebra, [_block_quad(f, a, b) for (f, _), a, b in pairs])
-
-
-def _invert_block(factor: Factor, b: np.ndarray) -> np.ndarray:
-    """b^(-1) by one LU solve for a matrix block or a stack, by (a, -v) / (a^2 - |v|^2)
-    for a spin block or each in a stack; the caller has checked that b is invertible."""
-    if isinstance(factor, SpinFactor):
-        if b.ndim > 1:
-            return np.array([_invert_block(factor, m) for m in b])
-        # a^2 - |v|^2 as the product of the two eigenvalues a -/+ |v|
-        nv = _spin_radius(b)
-        return np.concatenate(([b[0]], -b[1:])) / ((b[0] - nv) * (b[0] + nv))
-    eye = _identity(b.shape[-1])
-    # a stack gets a stacked identity: numpy < 2 reads an (M, M) one as M vectors
-    return _hermitize(factor, np.linalg.solve(b, eye if b.ndim == 2 else eye[None]))
+    return _element(x.algebra, [f._kind.quad(a, b) for (f, _), a, b in pairs])
 
 
 def _invert(x: Element) -> Element:
-    """x^(-1) by :func:`_invert_block`; the caller has checked that x is invertible."""
+    """x^(-1), group by group; the caller has checked that x is invertible."""
     pairs = zip(x.algebra.groups, x._groups)
-    return _element(x.algebra, [_invert_block(f, g) for (f, _), g in pairs])
+    return _element(x.algebra, [f._kind.inverse(g) for (f, _), g in pairs])
 
 
 # --- raw Gaussian sampling (classes needing spectra live in sampling.py) ---
@@ -601,14 +991,5 @@ def _invert(x: Element) -> Element:
 def random_gaussian(alg: AlgebraDescriptor, rng: np.random.Generator) -> Element:
     """Standard Gaussian Hermitian element; the raw material for the
     seeded sample classes.  Drawn factor by factor, in factor order."""
-    blocks = []
-    for f in alg.factors:
-        if isinstance(f, SpinFactor):
-            blocks.append(rng.standard_normal(f.d + 1))
-        elif f.ring is Ring.COMPLEX:
-            blocks.append(rng.standard_normal((f.n, f.n)) + 1j * rng.standard_normal((f.n, f.n)))
-        elif f.ring is Ring.QUATERNION:
-            blocks.append(_stored_block(f, rng.standard_normal((f.n, f.n, 4))))
-        else:
-            blocks.append(rng.standard_normal((f.n, f.n)))
-    return _element(alg, [_hermitize(f, g) for (f, _), g in zip(alg.groups, _grouped(alg, blocks))])
+    blocks = _grouped(alg, [f._kind.gaussian(rng) for f in alg.factors])
+    return _element(alg, [f._kind.hermitize(g) for (f, _), g in zip(alg.groups, blocks)])

@@ -479,7 +479,7 @@ def scalar_oracle_compare(
     ``mutate=True`` shifts the oracle's Mobius parameter.
     """
     factor = iso.algebra.factors[0]
-    if not (isinstance(factor, HermFactor) and factor.n == 1 and factor.ring is Ring.REAL):
+    if factor != HermFactor(1, Ring.REAL):
         raise ValueError("oracle comparison expects parameters over herm(1,R)")
     if grid_size < 2:
         raise ValueError("grid must have at least 2 points")

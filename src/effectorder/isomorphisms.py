@@ -31,18 +31,11 @@ coordinates through a bijection with arbitrary scalar order isomorphisms
 of [0, 1] and applies one closed-form factor map per engaged factor;
 ``CompositeOrderIso`` is that data.
 
-A matrix block's two halves, its effect test (one product and one Cholesky)
-and its pencil solve, read only the input, and numpy releases the GIL inside
-LAPACK and matmul.  A map with a large matrix block, one whose pencil costs
-at least ``_POOL_MIN_COST`` (stored order cubed, 4x over C and H), runs the
-halves of all its matrix blocks at once: the costliest pencil on the calling
-thread, the others on a module thread pool of one worker per CPU the process
-may run on, less one, made on first use (and again in a forked child).  The
-results are read in block order, so outputs and refusals are those of one
-sequential loop.  Spin blocks, rank-one coordinates and maps with no large
-block run inline, as everything does on one CPU.  Pin a multi-threaded BLAS
-to one thread (OPENBLAS_NUM_THREADS=1, say), or its threads and the pool's
-oversubscribe the CPUs.
+A matrix block's two halves, its effect test and its pencil solve, read only
+the input, and numpy releases the GIL inside LAPACK and matmul, so a map with
+a large matrix block runs them on a thread pool (:func:`_map_blocks`).  Pin a
+multi-threaded BLAS to one thread (OPENBLAS_NUM_THREADS=1, say), or its
+threads and the pool's oversubscribe the CPUs.
 
 The one-parameter Mobius family
 
@@ -64,7 +57,6 @@ from typing import TYPE_CHECKING, Callable, Union
 
 import numpy as np
 
-from . import quaternion as quat
 from .algebra import (
     AlgebraDescriptor,
     DomainError,
@@ -74,24 +66,12 @@ from .algebra import (
     Ring,
     ShapeMismatchError,
     SingularElementError,
-    SpinFactor,
     _adjoint,
-    _block_dtype_shape,
-    _block_quad,
-    _block_sup,
-    _block_sups,
     _cast_array,
     _check_same_algebra,
     _element,
-    _from_real,
-    _hermitize,
-    _identity_block,
     _invert,
     _interned,
-    _invert_block,
-    _real_part,
-    _ring_array,
-    _stored_block,
     jordan_product,
     quad_rep,
     random_gaussian,
@@ -100,10 +80,7 @@ from .algebra import (
     unit,
 )
 from .spectral import (
-    _block_floor,
-    _matrix_within,
     _singular_tol,
-    _spin_within,
     apply_function,
     invert_element,
     min_eigenvalue,
@@ -219,12 +196,6 @@ def cone_interval_map(x: Element, direction: str) -> Element:
 
 # --- Jordan isomorphisms of single factors ----------------------------------
 
-def _isometry_factor(factor: Factor) -> HermFactor:
-    """The factor whose ring arrays hold a Jordan isomorphism's isometry u:
-    herm(d,R) for spin(d), the factor itself otherwise."""
-    return HermFactor(factor.d) if isinstance(factor, SpinFactor) else factor
-
-
 @dataclass(frozen=True, eq=False)
 class FactorJordanIso:
     """Jordan isomorphism of one type I factor, given by an isometry u.
@@ -242,15 +213,15 @@ class FactorJordanIso:
     conjugate: bool = False
 
     def __post_init__(self) -> None:
-        f = _isometry_factor(self.factor)
-        if self.conjugate and f.ring is not Ring.COMPLEX:
+        k = self.factor._kind.isometry
+        if self.conjugate and not k.conjugable:
             raise ValueError("conjugation flag only applies to complex factors")
-        u = _cast_array(self.u, *_block_dtype_shape(f), "u")
-        m = _stored_block(f, u)
+        u = _cast_array(self.u, k.dtype, k.shape, "u")
+        m = k.stored(u)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the check
-            gram = m @ _adjoint(m) - _identity_block(f)
+            gram = m @ _adjoint(m) - k.identity()
         # negated so that NaN entries fail the check
-        if not _block_sup(f, gram) <= 1e-10:
+        if not k.sup(gram) <= 1e-10:
             raise ValueError("u is not an isometry")
         u.setflags(write=False)
         m.setflags(write=False)
@@ -261,17 +232,13 @@ class FactorJordanIso:
     def apply(self, x: Element) -> Element:
         if x.algebra != self.algebra:
             raise ShapeMismatchError("element does not live in this factor")
-        f, b, u = self.factor, x._groups[0], self._u
-        if isinstance(f, SpinFactor):
-            out = np.concatenate(([b[0]], u @ b[1:]))
-        else:
-            out = _hermitize(f, u @ (b.conj() if self.conjugate else b) @ _adjoint(u))
+        out = self.factor._kind.act(self._u, x._groups[0], self.conjugate)
         return _element(self.algebra, [out])
 
     def inverted(self) -> "FactorJordanIso":
         # the inverse of x -> u conj(x) u* is y -> u^T conj(y) conj(u)
-        f = _isometry_factor(self.factor)
-        u = self.u.T if self.conjugate else _ring_array(f, _adjoint(self._u))
+        k = self.factor._kind.isometry
+        u = self.u.T if self.conjugate else k.ring_array(_adjoint(self._u))
         return FactorJordanIso(self.factor, u, self.conjugate)
 
     def inverse_apply(self, y: Element) -> Element:
@@ -279,8 +246,8 @@ class FactorJordanIso:
 
 
 def identity_jordan(factor: Factor) -> FactorJordanIso:
-    f = _isometry_factor(factor)
-    return FactorJordanIso(factor, _ring_array(f, _identity_block(f)))
+    k = factor._kind.isometry
+    return FactorJordanIso(factor, k.ring_array(k.identity()))
 
 
 # --- the closed-form factor order isomorphism -------------------------------
@@ -291,12 +258,8 @@ class FactorOrderIso:
     closed-form order isomorphism of a factor's effect algebra.
 
     Construction folds y, d and J into the pencil (A, B, C) = u* (y, y d,
-    y^(-1)) of the module docstring: u* (e + w d) y = A + x~ B for w = J x =
-    u x~ u*, so f(x) = (A + x~ B)^(-1) x~ C and f^(-1)(F) = (C* - F B*)^(-1)
-    F A*.  Over H the pencil is kept in the complex embedding, as every
-    block is, on a spin factor in the herm(2,R) copy where zhat = diag(-1, 1)
-    (and u = e there), as the diagonals of A, B and C, whose 2x2 solve is
-    done in floats (:func:`_solve_diagonal_pencil`), with no LAPACK call.
+    y^(-1)) of the module docstring, which the factor's kind builds and
+    solves (``pencils``, ``solve``).
     """
 
     t: float
@@ -316,23 +279,11 @@ class FactorOrderIso:
         c = 1.0 - self.t
         s = np.array(dec.eigenvalues)[dec.clusters[0]]
         y = np.sqrt(c) * (s / np.hypot(1.0, s))  # sqrt(c / (1 + s^2)) s, with no s^2
-        vals = (y, 1.0 / y)
-        f, basis = self.jordan.factor, dec.bases[0]
-        if isinstance(f, SpinFactor):
-            # g(z) = diag(g_0, g_1) in the kernel's copy, kept as (g_0, g_1); z = c e gives g_0 I
-            object.__setattr__(self, "_zhat", 2.0 * basis[-1, 1:])
-            A, C = (g[[0, -1]] for g in vals)
-        else:
-            # u* V g(s) V* for the eigenbasis V of z
-            w = _adjoint(self.jordan._u) @ basis
-            A, C = ((w * g) @ basis.conj().T for g in vals)
-        B = C - A
-        object.__setattr__(self, "_forward", (A, B, C))
-        object.__setattr__(self, "_backward", (C.conj().T, -B.conj().T, A.conj().T))
-        # the pencil's cost, 0 on spin, which always runs inline
-        cost = len(A) ** 3 * (4 if A.dtype.kind == "c" else 1) if isinstance(f, HermFactor) else 0
-        object.__setattr__(self, "_cost", cost)
-        object.__setattr__(self, "_large", cost >= _POOL_MIN_COST)
+        kind, jord = self.jordan.factor._kind, self.jordan
+        pencils = kind.pencils(jord._u, jord.conjugate, dec.bases[0], (y, 1.0 / y))
+        names = ("_forward", "_backward", "_frame", "_kind", "_large")
+        for name, value in zip(names, (*pencils, kind, kind.cost >= _POOL_MIN_COST)):
+            object.__setattr__(self, name, value)
 
     @property
     def algebra(self) -> AlgebraDescriptor:
@@ -351,56 +302,24 @@ class FactorOrderIso:
         if x.algebra is not self.algebra and x.algebra != self.algebra:
             raise ShapeMismatchError("element does not live in this factor")
         b = x._groups[0]
-        sup = _block_sup(self.jordan.factor, b)
+        sup = self._kind.sup(b)
         tol = _order_tol(sup)
         _check_effect(x, sup < 1.0 + tol)  # no entry of an effect reaches 1 + tol
         return _element(self.algebra, _map_blocks([(self, b)], forward, tol, self._large))
 
     def _inside(self, b: np.ndarray, tol: float) -> bool:
-        """The effect test of the stored block b at tol; the caller has checked
-        that every entry has modulus below 1 + tol."""
-        f = self.jordan.factor
-        if isinstance(f, SpinFactor):
-            return _spin_within(b, -tol, 1.0 + tol)
-        return _matrix_within(f, b, -tol, 1.0 + tol)
+        """The effect test of the stored block b at tol, every entry below 1 + tol."""
+        return self._kind.within(b, -tol, 1.0 + tol)
 
     def _pencil(self, b: np.ndarray, forward: bool) -> np.ndarray:
         """One direction's pencil on the stored block b of an effect: the stored output block."""
-        f, jord = self.jordan.factor, self.jordan
-        A, B, C = self._forward if forward else self._backward
-        if isinstance(f, SpinFactor):
-            a = float(b[0])
-            v = jord._u @ b[1:] if forward else b[1:]
-            # the copy of herm(2,R): (a, p0 zhat + w) -> [[a - p0, p1], [p1, a + p0]]
-            # for w orthogonal to zhat, p1 = |w|; p1 = 0 only when w = 0
-            p0 = float(self._zhat @ v)
-            w = v - p0 * self._zhat
-            p1 = math.hypot(*w.tolist())
-            x00, x01, x10, x11 = _solve_diagonal_pencil(a - p0, p1, a + p0, A, B, C)
-            v = (x11 - x00) * self._zhat + (x01 + x10) / (p1 or 1.0) * w
-            v = v if forward else jord._u.T @ v
-            return np.concatenate(([x00 + x11], v)) / 2.0
-        m = b.conj() if jord.conjugate and forward else b
-        try:
-            out = np.linalg.solve(A + m @ B, m @ C)
-        except np.linalg.LinAlgError as exc:
-            raise DomainError(_SINGULAR_PENCIL) from exc
-        if jord.conjugate and not forward:
-            out = out.conj()
-        return _hermitize(f, out)
+        return self._kind.solve(self._forward if forward else self._backward, self._frame, b, forward)
 
 
-# an eigenvalue of z near 0 rounds an image onto the boundary, where the pencil is singular
-_SINGULAR_PENCIL = "singular pencil: z has an eigenvalue too close to 0"
-
-
-# A matrix block whose pencil costs at least this is large, and a map with a large block
-# runs its matrix blocks' halves on the thread pool.  The cost is the cube of the stored
-# order (herm(n,H) stores 2n), 4x for complex storage, as a complex flop is about four
-# real ones.  Set at the crossover of one direction, inline against pooled, on herm(n,C),
-# n about 56; so herm(n,R) blocks are large from n = 89, between the measured inline win
-# at 80 and the break-even at 96.  The table is in CHANGES.md, in the entry that overlaps
-# the effect test and the pencil solve.
+# A block whose pencil costs at least this (its kind's ``cost``) is large, and a map with
+# a large block runs its matrix blocks' halves on the thread pool.  Set at the crossover of
+# one direction, inline against pooled, on herm(n,C), n about 56; so herm(n,R) blocks are
+# large from n = 89 (the measured crossover table is in CHANGES.md).
 _POOL_MIN_COST = 4 * 56**3
 
 _pool: ThreadPoolExecutor | None = None
@@ -447,8 +366,9 @@ def _map_blocks(maps: list, forward: bool, tol: float, pooled: bool) -> list[np.
         if pool is not None:
             from concurrent.futures import Future, wait
 
-            matrix = [k for k, (iso, _) in enumerate(maps) if isinstance(iso.jordan.factor, HermFactor)]
-            keep = max(matrix, key=lambda k: maps[k][0]._cost)
+            # the matrix blocks: a spin pencil costs 0 and runs inline
+            matrix = [k for k, (iso, _) in enumerate(maps) if iso._kind.cost]
+            keep = max(matrix, key=lambda k: maps[k][0]._kind.cost)
             for k in matrix:
                 iso, b = maps[k]
                 done[2 * k] = pool.submit(iso._inside, b, tol)
@@ -474,24 +394,6 @@ def _map_blocks(maps: list, forward: bool, tol: float, pooled: bool) -> list[np.
             wait(done.values())
         raise
     return out
-
-
-def _solve_diagonal_pencil(m00: float, m01: float, m11: float, A, B, C) -> tuple:
-    """(A + m B)^(-1) m C as (x00, x01, x10, x11), for m = [[m00, m01], [m01, m11]]
-    and diagonal A, B, C given as their diagonals: an LU solve in floats with partial
-    pivoting (the larger pivot of the first column); an exact zero pivot is a singular
-    pencil."""
-    (a0, a1), (b0, b1), (c0, c1) = A.tolist(), B.tolist(), C.tolist()
-    top = (a0 + m00 * b0, m01 * b1, m00 * c0, m01 * c1)
-    low = (m01 * b0, a1 + m11 * b1, m01 * c0, m11 * c1)
-    (p, q, g0, g1), (r, s, h0, h1) = (low, top) if abs(low[0]) > abs(top[0]) else (top, low)
-    if p != 0.0:
-        ell = r / p
-        s -= ell * q
-    if p == 0.0 or s == 0.0:
-        raise DomainError(_SINGULAR_PENCIL)
-    x10, x11 = (h0 - ell * g0) / s, (h1 - ell * g1) / s
-    return (g0 - q * x10) / p, (g1 - q * x11) / p, x10, x11
 
 
 def compose_factor_isos(
@@ -709,7 +611,7 @@ class CompositeOrderIso:
             if line:
                 coords += g[..., 0, 0].real.ravel().tolist()
             else:
-                sups.append(_block_sup(f, g))
+                sups.append(f._kind.sup(g))
         coords = [coords[k] for k in take]
         tol = _order_tol(max([abs(s) for s in coords] + sups))
         # no entry of an effect reaches 1 + tol: each sup is compared, as max skips a NaN;
@@ -727,7 +629,7 @@ class CompositeOrderIso:
             if stack is None:
                 k, start = len(ids), start + len(ids)
                 vals = images[start - k : start]
-                out.append(_from_real(f, np.array(vals).reshape(k, 1, 1) if k > 1 else [vals]))
+                out.append(f._kind.from_real(np.array(vals).reshape(k, 1, 1) if k > 1 else [vals]))
             else:
                 out.append(np.array([outs[k] for k in stack]) if len(stack) > 1 else outs[stack[0]])
         return _element(dst, out)
@@ -765,88 +667,15 @@ def coordinate_squeeze_iso(n: int) -> tuple[CompositeOrderIso, Element]:
 
 # --- parameter recovery from a black-box map ---------------------------------
 
-def _unit_from_rank_one(factor: HermFactor, b: np.ndarray) -> np.ndarray:
-    """The n x 1 column u with b = u u* from a rank-one projection block, stored
-    as a block is: over H its 2n x 2 embedding, columns m and n + m of b's."""
-    diag = np.diagonal(_real_part(factor, b))
-    m = int(np.argmax(diag))
-    if diag[m] <= 1e-8:
-        raise RecoveryError("probe image is not a rank-one projection")
-    return b[:, m :: factor.n] * (1.0 / np.sqrt(diag[m]))
-
-
 @lru_cache(maxsize=64)
 def _probe_plan(factor: Factor) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The extractors' basis blocks as one read-only stack, in probing order, and
-    the names of all probes: E_00 and E_0j + E_j0 on herm(n,.) for n > 1, then
-    i (E_01 - E_10) over C, or it and j (E_01 - E_10) over H; the basis vectors
-    (0, e_i) on spin(d).  One per factor."""
-    if isinstance(factor, SpinFactor):
-        plan = np.eye(factor.d + 1)[1:]
-    else:
-        n, ring = factor.n, factor.ring
-        real = np.zeros((n if n > 1 else 0, n, n))
-        for j in range(len(real)):
-            real[j, 0, j] = real[j, j, 0] = 1.0
-        plan = _from_real(factor, real)
-        if n > 1 and ring is not Ring.REAL:
-            im = np.array([1j]) if ring is Ring.COMPLEX else np.eye(4)[1:3]  # units i, or i and j
-            twists = np.zeros((len(im), n, n) + im.shape[1:], dtype=im.dtype)  # ring arrays
-            twists[:, 0, 1], twists[:, 1, 0] = im, -im
-            plan = np.concatenate((plan, _stored_block(factor, twists)))
+    """The extractors' basis blocks (the kind's ``probe_blocks``) as one read-only
+    stack, in probing order, and the names of all probes.  One per factor."""
+    plan = factor._kind.probe_blocks()
     plan.setflags(write=False)
     names = ["unit probe"] + [f"extraction probe {j + 1}" for j in range(len(plan))]
     names += [f"agreement probe {j + 1}" for j in range(_AGREEMENT_PROBES)]
     return plan, tuple(names)
-
-
-def _extract_hermitian_jordan(factor: HermFactor, basis: np.ndarray, imgs: np.ndarray) -> dict:
-    """The FactorJordanIso arguments read off imgs, J's images of the basis
-    blocks of :func:`_probe_plan`."""
-    n, ring = factor.n, factor.ring
-    if n == 1:
-        return {"u": _ring_array(factor, _identity_block(factor))}
-
-    # J(E_00) = c_0 c_0*, and J(E_0j + E_j0) c_0 = c_j since c_0* c_0 = 1, c_j* c_0 = 0;
-    # over H, column h of c_j's 2n x 2 embedding is column j + h n of U's
-    c0 = _unit_from_rank_one(factor, imgs[0])
-    cs = np.stack([c0] + [img @ c0 for img in imgs[1:n]])
-    U = cs.transpose(1, 2, 0).reshape(len(c0), -1)
-
-    if ring is Ring.REAL:
-        return {"u": U}
-
-    if ring is Ring.COMPLEX:
-        probe_im, img = basis[n], imgs[n]
-        lin = U @ probe_im @ U.conj().T
-        conj = U @ probe_im.conj() @ U.conj().T
-        if np.abs(img - lin).max() <= RECOVERY_TOL * n:
-            return {"u": U}
-        if np.abs(img - conj).max() <= RECOVERY_TOL * n:
-            return {"u": U, "conjugate": True}
-        raise RecoveryError("map is neither linear nor conjugate-linear")
-
-    # quaternions: U* Jm(x) U = conj(w) x w entrywise for the unit w of c_0's
-    # phase; the twist unit p = conj(w) solves r_a p = p a, r_a = conj(w) a w
-    qbasis = np.eye(4)
-    r = quat.from_complex(_adjoint(U) @ imgs[n:] @ U)[:, 0, 1]  # r_a for a = i, j
-    rows = [(quat.qmul(r_a, qbasis) - quat.qmul(qbasis, qbasis[a])).T for a, r_a in zip((1, 2), r)]
-    _, sing, vt = np.linalg.svd(np.concatenate(rows))
-    if sing[-1] > 1e-6:
-        raise RecoveryError("inner twist is not a rotation")
-    u = quat.qmul(quat.from_complex(U), vt[-1])
-    # the null vector's sign is arbitrary; in normal form the real component
-    # of u with the largest modulus (the first in C order) is positive
-    if u.flat[np.argmax(np.abs(u))] < 0.0:
-        u = -u
-    return {"u": u}
-
-
-def _extract_spin_jordan(factor: SpinFactor, basis: np.ndarray, imgs: np.ndarray) -> dict:
-    """u's columns are the images of the basis vectors (0, e_i)."""
-    if np.abs(imgs[:, 0]).max() > RECOVERY_TOL * 10:
-        raise RecoveryError("spin probe image has a scalar part")
-    return {"u": imgs[:, 1:].T}
 
 
 def _probe(name: str, fn: Callable[..., Element], *args) -> Element:
@@ -874,18 +703,10 @@ def recover_factor_iso(
     L(x) = fhat(x + c e) - c fhat(e), so that an affine offset in fhat fails
     the agreement check, with c = 1 + max(0, -Gershgorin floor of x): then
     x + c e >= e, so its input (x + c e + e)^(-1) lies in (0, e/2] and needs
-    no membership test.  g is called once per probe, in plan order; each
-    step around it runs once on the stack of all probes (spin factors loop):
-    an LU solve for the inputs, then for the images cone_interval_map's
-    Cholesky test at each image's own scale, an LU solve and U_{y^(-1)}.
-    J = U_{y^(-1)} L is read off a Hermitian factor's rank-one probes: E_00
-    gives a unit column c_0, and column j is J(E_0j + E_j0) c_0.  Over C one
-    more probe tells linear from conjugate-linear; over H the twist unit p
-    that the phase of c_0 leaves is the null vector of the 8 x 4 system
-    r_a p - p a = 0 (a = i, j), with its sign fixed so that the real
-    component of u with the largest modulus is positive.  A spin factor's
-    u is its image of the basis vectors.  For every kind the u so read is
-    replaced by its polar factor, the nearest isometry, so that probe noise
+    no membership test.  g is called once per probe, in plan order, and each
+    step around it runs once on the stack of all probes.  The factor's kind
+    reads J = U_{y^(-1)} L off the probes (``extract_jordan``), and its u is
+    replaced by the polar factor, the nearest isometry, so that probe noise
     within RECOVERY_TOL is left to the agreement check, the one check of g:
     every order isomorphism has this form, so J = U_{y^(-1)} L must agree
     with the recovered J at the 3 agreement points.  Raises RecoveryError
@@ -899,27 +720,29 @@ def recover_factor_iso(
     if source.factors[0] != target.factors[0]:
         raise DomainError("source and target factors must be of the same kind")
     factor, e_s = source.factors[0], unit(source)
+    kind = factor._kind
     (basis, names), rng = _probe_plan(factor), np.random.default_rng(seed)
     e = e_s._groups[0]
     agree = [random_gaussian(source, rng) for _ in range(_AGREEMENT_PROBES)]
 
     # the unit probe is x = e with c = 0
     xs = np.concatenate(([e], basis, [a._groups[0] for a in agree]))
-    floors = _block_floor(factor, xs[1:])
+    floors = kind.floor(xs[1:])
     cs = np.concatenate(([0.0], np.maximum(0.0, -floors) + 1.0)).reshape((-1,) + (1,) * e.ndim)
-    inputs = _invert_block(factor, xs + cs * e + e)
+    inputs = kind.inverse(xs + cs * e + e)
     imgs = [_probe(name, g, _element(source, [b])) for name, b in zip(names, inputs)]
     for img in imgs:
         _check_same_algebra(img, e_s)
 
     # fhat = cone_interval_map of every image, within (stol, 1 + tol) at its own scale: one test
-    # and one solve for matrix blocks; image by image on spin factors, or to name a failing image
+    # and one solve for a batched kind (matrix blocks); image by image on spin factors, or to
+    # name a failing image
     Fs = np.stack([img._groups[0] for img in imgs])
-    scales = _block_sups(factor, Fs)[:, None, None]
+    scales = kind.sup(Fs, each=True)[:, None, None]
     lo, hi = _singular_tol(scales), 1.0 + _order_tol(scales)
-    matrix = isinstance(factor, HermFactor) and np.all(scales < hi)  # an entry >= hi fails
-    if matrix and _matrix_within(factor, Fs, lo, hi):
-        fhat = _invert_block(factor, Fs) - e
+    # an entry >= hi fails
+    if kind.batched and np.all(scales < hi) and kind.within(Fs, lo, hi):
+        fhat = kind.inverse(Fs) - e
     else:
         outs = [_probe(n, cone_interval_map, F, "interval_to_cone") for n, F in zip(names, imgs)]
         fhat = np.stack([out._groups[0] for out in outs])
@@ -928,20 +751,20 @@ def recover_factor_iso(
         raise RecoveryError("probed image of the unit is not interior")
     y_inv = dec.apply(lambda s: 1.0 / math.sqrt(s))._groups[0]
     Ls = fhat[1:] - cs[1:] * fhat[0]
-    Js = _block_quad(factor, np.broadcast_to(y_inv, Ls.shape), Ls)
+    Js = kind.quad(np.broadcast_to(y_inv, Ls.shape), Ls)
 
-    extract = _extract_spin_jordan if isinstance(factor, SpinFactor) else _extract_hermitian_jordan
-    parts = extract(factor, basis, Js[: len(basis)])
-    f = _isometry_factor(factor)
+    try:
+        u, conjugate = kind.extract_jordan(basis, Js[: len(basis)], RECOVERY_TOL)
+    except ValueError as exc:
+        raise RecoveryError(str(exc)) from exc
     try:  # a failed SVD (LinAlgError) is a ValueError too
-        w, _, vh = np.linalg.svd(_stored_block(f, parts.pop("u")))
-        jord = FactorJordanIso(factor, _ring_array(f, w @ vh), **parts)
+        jord = FactorJordanIso(factor, kind.isometry.polar(u), conjugate)
     except ValueError as exc:
         raise RecoveryError(f"recovered Jordan isomorphism: {exc}") from exc
 
     for a, ja in zip(agree, Js[len(basis) :]):
-        err = _block_sup(factor, ja - jord.apply(a)._groups[0])
-        if err > RECOVERY_TOL * (1.0 + _block_sup(factor, ja)):
+        err = kind.sup(ja - jord.apply(a)._groups[0])
+        if err > RECOVERY_TOL * (1.0 + kind.sup(ja)):
             raise RecoveryError("recovered Jordan isomorphism disagrees with the probes")
 
     # params_from_cone_map(y, J, lam) on the spectrum s of y^2 = fhat(e), with no

@@ -25,11 +25,7 @@ from .algebra import (
     _check_same_algebra,
     _element,
     _grouped,
-    _identity_block,
     _interned,
-    _zero_block,
-    _block_sup,
-    canonical_trace,
     sup_norm,
     unit,
 )
@@ -91,7 +87,7 @@ class OrderClass:
 def classify(x: Element) -> OrderClass:
     """Order-region flags of x: cone and effect open at _order_tol(|x|) on the extreme eigenvalues,
     as :func:`in_cone` and :func:`in_effect_interval`; interior and projection on the cluster
-    means, to FLAG_TOL; atoms are projections of trace one."""
+    means, to FLAG_TOL; atoms are projections of rank one."""
     dec = spectral_decompose(x)
     lo, hi = dec._extremes
     tol = _order_tol(sup_norm(x))
@@ -99,7 +95,7 @@ def classify(x: Element) -> OrderClass:
     interior = dec.eigenvalues[0] > FLAG_TOL
     effect = cone and hi < 1.0 + tol
     proj = all(abs(lam) <= FLAG_TOL or abs(lam - 1.0) <= FLAG_TOL for lam in dec.eigenvalues)
-    atom = proj and abs(canonical_trace(x) - 1.0) <= 1e-6
+    atom = proj and sum(r for lam, r in zip(dec.eigenvalues, dec._ranks) if lam > FLAG_TOL) == 1
     return OrderClass(
         in_cone=cone,
         in_interior=interior,
@@ -157,8 +153,8 @@ def central_structure(alg: AlgebraDescriptor) -> tuple[list[Element], tuple[int,
     and the disengaged index set (the rank-one factors)."""
     gens = []
     for i in range(len(alg.factors)):
-        blocks = [_zero_block(f) for f in alg.factors]
-        blocks[i] = _identity_block(alg.factors[i])
+        blocks = [f._kind.zero() for f in alg.factors]
+        blocks[i] = alg.factors[i]._kind.identity()
         gens.append(_element(alg, _grouped(alg, blocks)))
     return gens, alg.disengaged_indices
 
@@ -168,10 +164,10 @@ def central_mask(z: Element) -> tuple[bool, ...]:
     block is neither 0 nor the identity to FLAG_TOL in every entry."""
     mask = []
     for i, f in enumerate(z.algebra.factors):
-        b = z._block(i)
-        if _block_sup(f, b) <= FLAG_TOL:
+        b, kind = z._block(i), f._kind
+        if kind.sup(b) <= FLAG_TOL:
             mask.append(False)
-        elif _block_sup(f, b - _identity_block(f)) <= FLAG_TOL:
+        elif kind.sup(b - kind.identity()) <= FLAG_TOL:
             mask.append(True)
         else:
             raise DomainError("not a central projection (block is neither 0 nor identity)")
@@ -212,5 +208,4 @@ def has_totally_ordered_interval(x: Element) -> bool:
     if not in_cone(x):
         raise DomainError("x must lie in the cone")
     dec = spectral_decompose(x)
-    pos = [p for lam, p in zip(dec.eigenvalues, dec.projections) if lam > dec.zero_tol]
-    return not pos or (len(pos) == 1 and abs(canonical_trace(pos[0]) - 1.0) <= 1e-6)
+    return [r for lam, r in zip(dec.eigenvalues, dec._ranks) if lam > dec.zero_tol] in ([], [1])

@@ -10,16 +10,12 @@ from collections import defaultdict
 
 import numpy as np
 
-from . import quaternion as quat
 from .algebra import (
     AlgebraDescriptor,
     Element,
     Factor,
-    Ring,
     _element,
     _grouped,
-    _zero_block,
-    canonical_trace,
     jordan_product,
     random_gaussian,
     single_factor,
@@ -32,7 +28,6 @@ from .isomorphisms import (
     PhiScalarIso,
     PwlScalarIso,
     ScalarOrderIso,
-    _isometry_factor,
 )
 from .spectral import apply_function, max_eigenvalue, spectral_decompose
 
@@ -70,7 +65,7 @@ def sample_element(alg: AlgebraDescriptor, rng: np.random.Generator, cls: str = 
     if cls == "atom":
         i = int(rng.integers(0, len(alg.factors)))
         a = sample_atom(alg.factors[i], rng)
-        blocks = [a._groups[0] if j == i else _zero_block(f) for j, f in enumerate(alg.factors)]
+        blocks = [a._groups[0] if j == i else f._kind.zero() for j, f in enumerate(alg.factors)]
         return _element(alg, _grouped(alg, blocks))
     raise ValueError(f"unknown sample class: {cls!r}")
 
@@ -80,9 +75,9 @@ def sample_atom(factor: Factor, rng: np.random.Generator) -> Element:
     alg = single_factor(factor)
     for _ in range(8):
         dec = spectral_decompose(random_gaussian(alg, rng))
-        atoms = [p for p in dec.projections if abs(canonical_trace(p) - 1.0) <= 1e-6]
+        atoms = [i for i, r in enumerate(dec._ranks) if r == 1]
         if atoms:
-            return atoms[int(rng.integers(0, len(atoms)))]
+            return dec.combine(np.eye(len(dec.eigenvalues))[atoms[rng.integers(0, len(atoms))]])
     raise RuntimeError("could not sample an atom (degenerate spectra)")
 
 
@@ -92,15 +87,8 @@ def random_element(alg: AlgebraDescriptor, seed: int, cls: str = "general") -> E
 
 
 def random_jordan_iso(factor: Factor, rng: np.random.Generator) -> FactorJordanIso:
-    f = _isometry_factor(factor)  # spin(d) draws its u like herm(d,R)
-    n = f.n
-    if f.ring is Ring.QUATERNION:
-        return FactorJordanIso(factor, quat.qgram_schmidt(rng.standard_normal((n, n, 4))))
-    if f.ring is Ring.COMPLEX:
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        return FactorJordanIso(factor, q, bool(rng.integers(0, 2)))
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return FactorJordanIso(factor, q)
+    # spin(d) draws its u like herm(d,R); a complex J is conjugate-linear or not at random
+    return FactorJordanIso(factor, *factor._kind.isometry.random_isometry(rng))
 
 
 def random_factor_iso(factor: Factor, rng: np.random.Generator) -> FactorOrderIso:

@@ -6,7 +6,7 @@ composite-isomorphism data one to one:
     ALGEBRA  {"type":"algebra","factors":[{"kind":"herm","n":3,"ring":"C"},
                                           {"kind":"spin","d":4}]}
     ELEMENT  {"type":"element","algebra":ALGEBRA,"blocks":[...]}
-             Hermitian blocks are their real views (``algebra._real_view``)
+             Hermitian blocks are the floats of their ring arrays
              as nested arrays: scalars are plain reals, [re,im] over C,
              [a,b,c,d] over H; spin blocks are {"alpha":r,"v":[...]}.
     ISO      {"type":"iso","source":ALGEBRA,"target":ALGEBRA,
@@ -17,19 +17,14 @@ composite-isomorphism data one to one:
     REPORT   {"type":"report","suites":[...]}
 
 The text of a document is ``json.dumps(obj, indent=1)`` of its object
-tree, byte for byte, and json's text is the oracle of the tests; but
-json.dumps turns off its C encoder for an indent, so one private writer,
-``_write``, writes it: the dict and list skeleton with indentation strings
-kept per depth, and every nested list of floats of one shape (a row, a
-block) in one pass, its floats by ``float.__repr__`` (shortest round-trip,
-json's own float text) into a template kept per shape and depth.  A tree
-with anything else (a non-finite float, a key that is not a ``str``, a type
-that is not built in) goes to json.dumps, so its text and its errors are
-json's own.  Parse o serialize is the identity on serialized documents.
+tree, byte for byte, written by one private writer, ``_write``, since an
+indent turns json's C encoder off (:func:`dump_document`).  Parse o
+serialize is the identity on serialized documents.
 
 Validation failures raise :class:`SchemaError` with a machine-parsable
-code and a path.  A block is read as one ``np.array`` of its type-checked
-nested lists and goes through the validator that also serves the Python
+code and a path.  A block and a J are read and written by the factor's
+kind (``algebra``), a block as one ``np.array`` of its type-checked nested
+lists, and every block goes through the validator that also serves the Python
 constructors, ``algebra._checked_block``.  Every number goes through a typed reader: a
 spin ``O`` is read into ``u`` like a real ``u``, a pwl knot by ``_number``.
 One parser, ``_parse``, and one type table, ``_TYPES``, serve the CLI too.
@@ -58,13 +53,12 @@ from .algebra import (
     SpinFactor,
     _checked_block,
     _element,
-    _from_real_view,
     _grouped,
     _interned,
-    _real_view,
-    _real_view_shape,
     single_factor,
 )
+# the document error, and the codes and readers it shares with the kinds' block codecs
+from .algebra import BAD_SCHEMA, SHAPE_MISMATCH, SchemaError, _need, _number
 from .harness import CheckResult, SuiteReport
 from .isomorphisms import (
     CompositeOrderIso,
@@ -72,14 +66,11 @@ from .isomorphisms import (
     FactorOrderIso,
     PhiScalarIso,
     PwlScalarIso,
-    _isometry_factor,
     check_mobius_param,
 )
 
-BAD_SCHEMA = "BAD_SCHEMA"
 UNKNOWN_KIND = "UNKNOWN_KIND"
 BAD_FACTOR = "BAD_FACTOR"
-SHAPE_MISMATCH = "SHAPE_MISMATCH"
 NON_FINITE = "NON_FINITE"
 NON_HERMITIAN = "NON_HERMITIAN"
 PHI_PARAM_RANGE = "PHI_PARAM_RANGE"
@@ -87,36 +78,6 @@ BAD_KNOTS = "BAD_KNOTS"
 NOT_ISOMETRY = "NOT_ISOMETRY"
 NOT_INTERIOR = "NOT_INTERIOR"
 NOT_BIJECTION = "NOT_BIJECTION"
-
-
-class SchemaError(ValueError):
-    """A document failed schema or invariant validation."""
-
-    def __init__(self, code: str, path: str, message: str):
-        super().__init__(f"{code} at {path}: {message}")
-        self.code = code
-        self.path = path
-        self.message = message
-
-
-def _need(obj: dict, key: str, path: str) -> Any:
-    if not isinstance(obj, dict) or key not in obj:
-        raise SchemaError(BAD_SCHEMA, path, f"missing field {key!r}")
-    return obj[key]
-
-
-def _number(cast: type, value: Any, path: str) -> Any:
-    """cast(value) for a numeric document field, which must be a JSON number
-    (not a bool or a string) and, for ``int`` fields, integral."""
-    # exact types: bool is a subclass of int
-    if type(value) is not float and type(value) is not int:
-        raise SchemaError(BAD_SCHEMA, path, f"expected a number, got {value!r}")
-    if cast is int and type(value) is float and not value.is_integer():
-        raise SchemaError(BAD_SCHEMA, path, f"expected an integer, got {value!r}")
-    try:
-        return cast(value)
-    except OverflowError as exc:
-        raise SchemaError(BAD_SCHEMA, path, f"number out of range: {value!r}") from exc
 
 
 def _field(cast: type, obj: Any, key: str, path: str) -> Any:
@@ -142,13 +103,7 @@ _RINGS = {"R": Ring.REAL, "C": Ring.COMPLEX, "H": Ring.QUATERNION}
 
 
 def algebra_to_obj(alg: AlgebraDescriptor) -> dict:
-    factors = []
-    for f in alg.factors:
-        if isinstance(f, HermFactor):
-            factors.append({"kind": "herm", "n": f.n, "ring": f.ring.value})
-        else:
-            factors.append({"kind": "spin", "d": f.d})
-    return {"type": "algebra", "factors": factors}
+    return {"type": "algebra", "factors": [f._kind.factor_obj() for f in alg.factors]}
 
 
 def algebra_from_obj(obj: Any, path: str = "algebra") -> AlgebraDescriptor:
@@ -179,50 +134,17 @@ def algebra_from_obj(obj: Any, path: str = "algebra") -> AlgebraDescriptor:
 
 # --- elements ----------------------------------------------------------------
 
-def _block_to_obj(factor: Factor, b: np.ndarray) -> Any:
-    if isinstance(factor, SpinFactor):
-        alpha, *v = b.tolist()
-        return {"alpha": alpha, "v": v}
-    return _real_view(factor, b).tolist()
-
-
 def element_to_obj(x: Element) -> dict:
     return {
         "type": "element",
         "algebra": algebra_to_obj(x.algebra),
-        "blocks": [_block_to_obj(f, x._block(i)) for i, f in enumerate(x.algebra.factors)],
+        "blocks": [f._kind.block_to_obj(x._block(i)) for i, f in enumerate(x.algebra.factors)],
     }
 
 
-def _ring_array_from_obj(factor: HermFactor, rows: Any, path: str) -> np.ndarray:
-    """A ring array from its real view's nested lists: one ``np.array``."""
-    n = factor.n
-    if not isinstance(rows, list) or len(rows) != n or any(
-        not isinstance(r, list) or len(r) != n for r in rows
-    ):
-        raise SchemaError(SHAPE_MISMATCH, path, f"expected an {n}x{n} array")
-    tail = _real_view_shape(factor)[2:]  # reals per scalar: (), (2,) or (4,)
-    for r, row in enumerate(rows):
-        for c, s in enumerate(row):
-            if tail and not (isinstance(s, list) and len(s) == tail[0]):
-                msg = f"bad scalar for ring {factor.ring.value}"
-                raise SchemaError(BAD_SCHEMA, f"{path}[{r}][{c}]", msg)
-            for v in s if tail else (s,):
-                if type(v) is not float:  # the common case; _number tests the rest
-                    _number(float, v, f"{path}[{r}][{c}]")
-    return _from_real_view(factor, np.array(rows, dtype=float))
-
-
 def _block_from_obj(factor: Factor, obj: Any, path: str) -> np.ndarray:
-    if isinstance(factor, SpinFactor):
-        alpha, v = _need(obj, "alpha", path), _need(obj, "v", path)
-        if not isinstance(v, list) or len(v) != factor.d:
-            raise SchemaError(SHAPE_MISMATCH, path, f"expected a vector of length {factor.d}")
-        value = [_number(float, c, path) for c in (alpha, *v)]
-    else:
-        value = _ring_array_from_obj(factor, obj, path)
     try:
-        return _checked_block(factor, value, "block")
+        return _checked_block(factor, factor._kind.block_from_obj(obj, path), "block")
     except NonFiniteBlockError as exc:
         raise SchemaError(NON_FINITE, path, str(exc)) from exc
     except NonHermitianBlockError as exc:
@@ -245,20 +167,13 @@ def element_from_obj(obj: Any, path: str = "element") -> Element:
 
 # --- isomorphisms -------------------------------------------------------------
 
-def _jordan_to_obj(j: FactorJordanIso) -> dict:
-    if isinstance(j.factor, SpinFactor):
-        return {"O": j.u.tolist()}
-    return {"u": _block_to_obj(j.factor, j._u), "tau": "conj" if j.conjugate else "id"}
-
-
 def _jordan_from_obj(factor: Factor, obj: Any, path: str) -> FactorJordanIso:
     if not isinstance(obj, dict):
         raise SchemaError(BAD_SCHEMA, path, "expected an object")
     tau = obj.get("tau", "id")
     if tau not in ("id", "conj"):
         raise SchemaError(BAD_SCHEMA, f"{path}.tau", f"unknown tau {tau!r}")
-    key = "O" if isinstance(factor, SpinFactor) else "u"
-    u = _ring_array_from_obj(_isometry_factor(factor), _need(obj, key, path), f"{path}.{key}")
+    u = factor._kind.jordan_u_from_obj(obj, path)
     try:
         return FactorJordanIso(factor, u, tau == "conj")
     except ValueError as exc:
@@ -278,8 +193,8 @@ def iso_to_obj(iso: CompositeOrderIso) -> dict:
             {
                 "match": [i, j],
                 "t": float(f.t),
-                "z": _block_to_obj(iso.target.factors[j], f.z._groups[0]),
-                "J": _jordan_to_obj(f.jordan),
+                "z": f._kind.block_to_obj(f.z._groups[0]),
+                "J": f._kind.jordan_to_obj(f.jordan._u, f.jordan.conjugate),
             }
         )
     return {

@@ -1,35 +1,23 @@
-"""Spectral decomposition and functional calculus, per factor type.
+"""Spectral decomposition and functional calculus.
 
-Hermitian blocks go through ``numpy.linalg.eigh``, a quaternionic one on
-the 2n x 2n complex embedding it is stored as (eigenvalues come in pairs,
-and the spectral projections keep the embedding's form); spin blocks have
-the closed form
-
-    eigenvalues a +/- |v|   with idempotents (1, +/- v/|v|) / 2.
-
-A decomposition keeps, per factor group (``algebra`` module docstring),
-the eigenbases and the cluster index of every eigenpair, a matrix group's
-as one stack from one ``eigh`` of the group's stack.  Eigenvalues closer
+Each block's eigenpairs come from its factor's kind (``algebra``): one
+``eigh`` of a matrix group's stack, a closed form on spin blocks.  A
+decomposition keeps, per factor group, the eigenbases and the cluster
+index of every eigenpair.  Eigenvalues closer
 than ``cluster_tol`` share a cluster, which is what makes jump functions
 such as the range projection stable in floating point.  Elements Sum c_i p_i
 are rebuilt group by group from the bases by
 :meth:`SpectralDecomposition.combine`; the projections p_i themselves are
 only built when asked for.
 
-An element is decomposed at most once at the default cluster tolerance:
-:func:`spectral_decompose` stores the result in the element's private
-``_decomposition`` attribute, which lives as long as the element, so all
-the functional calculus on one element shares one eigensolve per block.
-It stores only on elements whose arrays are all read-only, as every
-element the library builds is; an explicit ``cluster_tol`` bypasses the
-store, and the stored decomposition's arrays are read-only as well.
+An element is decomposed at most once at the default cluster tolerance
+(:func:`spectral_decompose`), so all the functional calculus on one element
+shares one eigensolve per block.
 
-Yes/no spectral questions are factorizations, not eigensolves:
-:func:`spectrum_within` decides whether a spectrum lies in an open
-interval by one Cholesky factorization per matrix block.  Strict inverses
-are solves: one LU solve per matrix block (``algebra._invert``).
-Eigenvalues are computed where a value is needed, such as the singularity
-test of :func:`invert_element` or the text of an error.
+Yes/no spectral questions are factorizations, not eigensolves
+(:func:`spectrum_within`), and strict inverses are solves; eigenvalues are
+computed where a value is needed, such as the singularity test of
+:func:`invert_element` or the text of an error.
 """
 
 from __future__ import annotations
@@ -45,57 +33,18 @@ from .algebra import (
     AlgebraDescriptor,
     DomainError,
     Element,
-    HermFactor,
-    Ring,
+    Factor,
     SingularElementError,
-    SpinFactor,
-    _adjoint,
-    _block_sup,
     _element,
-    _hermitize,
-    _identity,
     _invert,
-    _spin_radius,
     sup_norm,
 )
 
-Factor = HermFactor | SpinFactor
-
-
-def _block_eigh(factor: Factor, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of one block, or of each in a matrix stack, and
-    the basis :meth:`combine` uses.
-
-    Hermitian blocks: eigenvector columns (of the complex embedding over
-    the quaternions, so every eigenvalue appears twice).  Spin blocks: one
-    idempotent per row.
-    """
-    if isinstance(factor, SpinFactor):
-        alpha, v = float(b[0]), b[1:]
-        nv = _spin_radius(b)
-        if nv < np.finfo(float).tiny:
-            return np.array([alpha]), np.eye(1, factor.d + 1)
-        u = (0.5 / nv) * v
-        return np.array([alpha - nv, alpha + nv]), np.array([[0.5, *-u], [0.5, *u]])
-    if b.shape[-1] == 1:
-        # 1x1 fast path; the entry is real after hermitization
-        return b[..., 0].real, np.ones(b.shape, dtype=b.dtype)
-    return np.linalg.eigh(b)
-
 
 def block_eigenvalues(factor: Factor, b: np.ndarray) -> np.ndarray:
-    """Eigenvalues of one stored block (``Element._block(i)``), or of each in
-    a matrix stack, ascending, with multiplicity (a quaternionic eigenvalue
-    counts once, not twice as in the embedding)."""
-    if isinstance(factor, SpinFactor):
-        if b.ndim > 1:  # a group's stack, member by member
-            return np.array([block_eigenvalues(factor, m) for m in b])
-        nv = _spin_radius(b)
-        return np.array([b[0] - nv, b[0] + nv])
-    if b.shape[-1] == 1:
-        return b[..., 0].real.copy()
-    w = np.linalg.eigvalsh(b)
-    return w[..., ::2] if factor.ring is Ring.QUATERNION else w
+    """Eigenvalues of one stored block (``Element._block(i)``), or of each in a
+    group's stack, ascending, with multiplicity (over H each counts once)."""
+    return factor._kind.eigenvalues(b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,13 +52,13 @@ class SpectralDecomposition:
     """Strictly increasing eigenvalues lam_i with orthogonal projections
     p_i summing to the unit; Sum lam_i p_i reconstructs the element.
 
-    ``bases[g]`` is group g's eigenbasis (see :func:`_block_eigh`), a stack
-    for a matrix group of several members, and ``clusters[g][..., j]`` the
-    index i of the eigenvalue each member's j-th eigenpair belongs to; a
+    ``bases[g]`` is group g's eigenbasis (its kind's ``eigh``), a stack for
+    a matrix group of several members, and ``clusters[g][..., j]``
+    the index i of the eigenvalue each member's j-th eigenpair belongs to; a
     spin group of several members keeps a tuple of both, one per member,
     since a spin block with v = 0 has one eigenpair.  ``_extremes`` is the
     (least, greatest) eigenvalue before clustering, which cone and [0, e]
-    membership read.
+    membership read, and ``_ranks[i]`` the rank of p_i.
     """
 
     algebra: AlgebraDescriptor
@@ -118,23 +67,13 @@ class SpectralDecomposition:
     clusters: tuple[np.ndarray, ...]
     zero_tol: float
     _extremes: tuple[float, float]
+    _ranks: tuple[int, ...]
 
     def combine(self, values: Sequence[float]) -> Element:
         """Sum values[i] p_i, built group by group as (V * vals) V*."""
         values = np.asarray(values, dtype=float)
-        groups = []
-        for (f, _), basis, idx in zip(self.algebra.groups, self.bases, self.clusters):
-            if not isinstance(f, SpinFactor):
-                vals = values[idx]
-                if vals.ndim == 1:
-                    groups.append(_hermitize(f, (basis * vals) @ basis.conj().T))
-                else:  # a stack
-                    groups.append(_hermitize(f, (basis * vals[:, None, :]) @ _adjoint(basis)))
-            elif isinstance(basis, tuple):
-                groups.append(np.array([values[i] @ b for b, i in zip(basis, idx)]))
-            else:
-                groups.append(values[idx] @ basis)
-        return _element(self.algebra, groups)
+        parts = zip(self.algebra.groups, self.bases, self.clusters)
+        return _element(self.algebra, [f._kind.combine(b, idx, values) for (f, _), b, idx in parts])
 
     @cached_property
     def projections(self) -> tuple[Element, ...]:
@@ -196,41 +135,45 @@ def _decompose(x: Element, cluster_tol: float | None) -> SpectralDecomposition:
         raise DomainError(f"element has a non-finite entry (sup norm {scale})")
     tol = 1e-8 * (1.0 + scale) if cluster_tol is None else cluster_tol
     bases, clusters, owned = [], [], []
-    # (eigenvalue, factor, index, the member's cluster row), sorted by the
-    # first three, which are unique, so that rows are never compared
+    # (eigenvalue, factor, index, the member's cluster row, the eigenpair's rank), sorted by
+    # the first three, which are unique; an eigenpair weighs its factor's rank over its block's
+    # eigenpairs: 1, but 1/2 over H (each eigenvalue twice) and 2 for a spin block with v = 0
     pairs: list[tuple] = []
     for (f, ids), g in zip(x.algebra.groups, x._groups):
-        if isinstance(f, SpinFactor) and len(ids) > 1:
-            # one basis per member: a spin block with v = 0 has one eigenpair
-            ws, basis = zip(*[_block_eigh(f, b) for b in g])
+        ws, basis = f._kind.eigh(g)
+        if isinstance(ws, tuple):  # a spin group of several members: one basis each
             idx = tuple(np.empty(len(w), dtype=np.intp) for w in ws)
             owned += basis + idx
         else:
-            ws, basis = _block_eigh(f, g)
             idx = np.empty(ws.shape, dtype=np.intp)
             owned += basis, idx
         bases.append(basis)
         clusters.append(idx)
         for i, w, row in zip(ids, ws, idx) if len(ids) > 1 else ((ids[0], ws, idx),):
-            pairs.extend((lam, i, j, row) for j, lam in enumerate(w.tolist()))
+            r = f.rank / len(w)
+            pairs.extend((lam, i, j, row, r) for j, lam in enumerate(w.tolist()))
     pairs.sort()
 
     # one pass over the sorted spectrum: a gap above tol starts a cluster,
-    # whose eigenvalue is the mean of its members
+    # whose eigenvalue is the mean of its members and whose rank their sum
     eigenvalues: list[float] = []
     members: list[float] = []
-    for lam, _, j, row in pairs:
+    ranks, rank = [], 0.0
+    for lam, _, j, row, r in pairs:
         if members and lam - members[-1] > tol:
             eigenvalues.append(sum(members) / len(members))
-            members = []
+            ranks.append(int(rank))
+            members, rank = [], 0.0
         members.append(lam)
+        rank += r
         row[j] = len(eigenvalues)
     eigenvalues.append(sum(members) / len(members))
+    ranks.append(int(rank))
     for a in owned:  # shared by every caller of a stored decomposition
         a.setflags(write=False)
     return SpectralDecomposition(
         x.algebra, tuple(eigenvalues), tuple(bases), tuple(clusters), tol,
-        (pairs[0][0], pairs[-1][0]),
+        (pairs[0][0], pairs[-1][0]), tuple(ranks),
     )
 
 
@@ -275,43 +218,8 @@ def spectrum_within(x: Element, lo: float, hi: float = math.inf) -> bool:
         if hi == math.inf:
             return math.isfinite(sup_norm(x))
         x, lo, hi = -x, -hi, math.inf
-    for (f, _), g in zip(x.algebra.groups, x._groups):
-        if isinstance(f, SpinFactor):
-            if not all(_spin_within(b, lo, hi) for b in (g if g.ndim > 1 else (g,))):
-                return False
-        elif not (_block_sup(f, g) < max(abs(lo), abs(hi)) and _matrix_within(f, g, lo, hi)):
-            return False
-    return True
-
-
-def _spin_within(b: np.ndarray, lo: float, hi: float) -> bool:
-    """Do the eigenvalues a -/+ r of the spin block b lie in (lo, hi)?  Written
-    so that no sum overflows, and NaN fails."""
-    a, r = float(b[0]), _spin_radius(b)
-    return r < a - lo and r < hi - a
-
-
-def _matrix_within(f: HermFactor, m: np.ndarray, lo, hi) -> bool:
-    """:func:`spectrum_within` on one stored matrix block m (over H its
-    complex embedding), or on a (k, M, M) stack, which passes when every
-    block does, for a finite lo < hi, or finite (k, 1, 1) bounds; the caller
-    has checked that every entry has modulus below max(|lo|, |hi|) (so m is
-    finite).  1 x 1 blocks compare their entry, unless the bounds are arrays."""
-    if f.n == 1 and not isinstance(hi, np.ndarray):
-        if m.ndim == 2:
-            return lo < float(m[0, 0].real) < hi
-        return all(lo < s < hi for s in m[:, 0, 0].real.tolist())
-    eye = _identity(m.shape[-1])
-    p = m - lo * eye
-    if isinstance(hi, np.ndarray) or hi < math.inf:
-        # the factors commute; cholesky reads one triangle, so the
-        # rounding asymmetry of the product does not matter
-        p = p @ ((hi - lo) * eye - p)
-    try:
-        np.linalg.cholesky(p)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    bound, groups = max(abs(lo), abs(hi)), zip(x.algebra.groups, x._groups)
+    return all(f._kind.sup(g) < bound and f._kind.within(g, lo, hi) for (f, _), g in groups)
 
 
 def eigenvalue_floor(x: Element) -> float:
@@ -319,18 +227,8 @@ def eigenvalue_floor(x: Element) -> float:
     eigensolve: the left end of the Gershgorin discs of each matrix block
     (of its complex embedding over H), a - |v| on spin blocks.  NaN when
     some entry is NaN."""
-    floors = [np.asarray(_block_floor(f, g)) for (f, _), g in zip(x.algebra.groups, x._groups)]
+    floors = [np.asarray(f._kind.floor(g)) for (f, _), g in zip(x.algebra.groups, x._groups)]
     return float(np.min([floors[g][m] for g, m in x.algebra._where]))
-
-
-def _block_floor(f: Factor, b: np.ndarray):
-    """:func:`eigenvalue_floor` of one block, or of each in a stack."""
-    if isinstance(f, SpinFactor):
-        if b.ndim > 1:
-            return np.array([_block_floor(f, m) for m in b])
-        return float(b[0]) - _spin_radius(b)
-    diag = b.diagonal(0, -2, -1).real
-    return (diag - (np.abs(b).sum(axis=-1) - np.abs(diag))).min(axis=-1)
 
 
 def min_eigenvalue(x: Element) -> float:

@@ -35,7 +35,6 @@ from effectorder import (
     unit,
 )
 from effectorder import quaternion as quat
-from effectorder.algebra import _block_jordan, _block_quad
 from effectorder.serialization import NON_HERMITIAN, SchemaError
 
 from conftest import FACTOR_KINDS, MIXED, assert_embedding_form
@@ -58,6 +57,25 @@ class TestDescriptors:
             SpinFactor(1)
         with pytest.raises(ValueError):
             AlgebraDescriptor(())
+
+    def test_integer_sizes_are_stored_as_plain_ints(self):
+        # numpy integers equal and hash like ints, so the interned descriptor built
+        # from them is the one a later algebra() of plain ints gets back
+        first = algebra(HermFactor(np.int64(11)), SpinFactor(np.int32(5)))
+        f, s = first.factors
+        assert type(f.n) is int and type(s.d) is int and f.n == 11 and s.d == 5
+        again = algebra(HermFactor(11), SpinFactor(5))
+        assert again is first
+        text = dump_document(again)
+        assert load_document(text) is again and '"n": 11' in text and '"d": 5' in text
+
+    @pytest.mark.parametrize("make", [HermFactor, SpinFactor], ids=["herm", "spin"])
+    @pytest.mark.parametrize("size", [True, np.bool_(True), 2.5, 3.0, np.float64(3.0), "3", None])
+    def test_sizes_that_are_not_integers_are_refused(self, make, size):
+        # a bool would be written as true, which the loader refuses; a float
+        # would fail later with an uncoded TypeError
+        with pytest.raises(ValueError, match="must be an integer"):
+            make(size)
 
     def test_rank_and_disengaged(self):
         alg = algebra(HermFactor(2), HermFactor(1), SpinFactor(5), HermFactor(1, Ring.COMPLEX))
@@ -174,11 +192,10 @@ class TestQuadRep:
         for scale in (1.0, 1e3):
             for _ in range(20):
                 a, b = (scale * rng.standard_normal(d + 1) for _ in range(2))
-                ref = 2.0 * _block_jordan(f, a, _block_jordan(f, a, b)) - _block_jordan(
-                    f, _block_jordan(f, a, a), b
-                )
+                jordan = f._kind.jordan
+                ref = 2.0 * jordan(a, jordan(a, b)) - jordan(jordan(a, a), b)
                 size = np.abs(a).max() ** 2 * np.abs(b).max()
-                assert np.abs(_block_quad(f, a, b) - ref).max() <= 1e-13 * size
+                assert np.abs(f._kind.quad(a, b) - ref).max() <= 1e-13 * size
 
     @pytest.mark.parametrize("d", [2, 3, 6])
     def test_spin_closed_form_of_the_unit_is_the_square(self, d, rng):

@@ -37,15 +37,7 @@ from effectorder import (
     zero,
 )
 from effectorder import spectral
-from effectorder.algebra import (
-    _block_dtype_shape,
-    _grouped,
-    _hermitize,
-    _identity_block,
-    _ring_array,
-    _zero_block,
-    random_gaussian,
-)
+from effectorder.algebra import _grouped, random_gaussian
 
 from conftest import assert_embedding_form
 
@@ -82,7 +74,7 @@ def reference_decomposition(x, tol):
     factors' own eigenpairs, clustered in (eigenvalue, factor, index) order."""
     pairs, bases = [], []
     for i, p in enumerate(parts(x)):
-        w, basis = spectral._block_eigh(p.algebra.factors[0], p._groups[0])
+        w, basis = p.algebra.factors[0]._kind.eigh(p._groups[0])
         bases.append(basis)
         pairs += [(lam, i, j) for j, lam in enumerate(w.tolist())]
     pairs.sort()
@@ -106,7 +98,7 @@ def reference_combine(alg, bases, clusters, values):
         if isinstance(f, SpinFactor):
             block = values[idx] @ basis
         else:
-            block = _hermitize(f, (basis * values[idx]) @ basis.conj().T)
+            block = f._kind.hermitize((basis * values[idx]) @ basis.conj().T)
         out.append(Element(single_factor(f), (block,), _stored=True))
     return out
 
@@ -149,7 +141,9 @@ class TestConstants:
         [SMALL_MIXED, LINES_1023, H_TWICE, ENGAGED_TWICE],
         ids=["small_mixed", "lines_1023", "h_twice", "engaged_twice"],
     )
-    @pytest.mark.parametrize("make, block", [(unit, _identity_block), (zero, _zero_block)], ids=["unit", "zero"])
+    @pytest.mark.parametrize(
+        "make, block", [(unit, lambda f: f._kind.identity()), (zero, lambda f: f._kind.zero())], ids=["unit", "zero"]
+    )
     def test_one_read_only_element_per_descriptor(self, alg, make, block):
         x = make(alg)
         assert make(alg) is x and x.algebra is alg
@@ -180,12 +174,12 @@ class TestPublicViews:
         assert x.blocks is x.blocks
         for i, f in enumerate(alg.factors):
             b = x.block(i)
-            dtype, shape = _block_dtype_shape(f)
+            dtype, shape = f._kind.dtype, f._kind.shape
             assert b.shape == shape and b.dtype == np.dtype(dtype)
             assert not b.flags.writeable
             with pytest.raises(ValueError):
                 b[(0,) * b.ndim] = 1.0
-            assert np.array_equal(b, _ring_array(f, x._block(i)))
+            assert np.array_equal(b, f._kind.ring_array(x._block(i)))
 
     @pytest.mark.parametrize("alg", GROUPED, ids=str)
     def test_hand_built_element_groups_its_blocks(self, alg, rng):

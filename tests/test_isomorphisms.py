@@ -60,6 +60,7 @@ from effectorder import (
 )
 
 from effectorder import isomorphisms
+from effectorder.algebra import _Quaternion, _Real, _Spin
 from effectorder import quaternion as quat
 
 from conftest import FACTOR_KINDS, MIXED, assert_close
@@ -830,7 +831,7 @@ class TestPencil:
     def test_spin_solve_pivots_like_lu(self, rng):
         # the closed-form 2x2 solve against LAPACK's, on pencils whose first
         # column needs a row swap and on ones that do not
-        solve = isomorphisms._solve_diagonal_pencil
+        solve = _Spin._solve_diagonal_pencil
         for k in range(200):
             m00, m01, m11 = rng.standard_normal(3)
             A, B, C = rng.standard_normal((3, 2))
@@ -845,7 +846,7 @@ class TestPencil:
         one, zero_ = np.ones(2), np.zeros(2)
         for m, A in (((0.0, 0.0, 1.0), zero_), ((1.0, 1.0, 1.0), zero_)):  # zero column, rank one
             with pytest.raises(DomainError, match="singular pencil"):
-                isomorphisms._solve_diagonal_pencil(*m, A, one, one)
+                _Spin._solve_diagonal_pencil(*m, A, one, one)
 
     @pytest.mark.parametrize("conjugate", [False, True])
     def test_complex_conjugate_flags(self, conjugate, rng):
@@ -1210,7 +1211,8 @@ class TestPooledBlocks:
         iso = random_composite_iso(alg, alg, rng)
         x = sample_element(alg, rng, "effect")
         public, main, started = set(), threading.get_ident(), threading.Event()
-        within, hermitize = isomorphisms._matrix_within, isomorphisms._hermitize
+        # the kept pencil is herm(32,H)'s, whose kind hermitizes its output
+        within, hermitize = _Real.within, _Quaternion.hermitize
 
         def spied_within(*args):
             if threading.get_ident() != main:
@@ -1224,8 +1226,8 @@ class TestPooledBlocks:
                 started.wait(10.0)
             return hermitize(*args)
 
-        monkeypatch.setattr(isomorphisms, "_matrix_within", spied_within)
-        monkeypatch.setattr(isomorphisms, "_hermitize", held_hermitize)
+        monkeypatch.setattr(_Real, "within", spied_within)
+        monkeypatch.setattr(_Quaternion, "hermitize", held_hermitize)
         spy_public_functions(monkeypatch, public)
         iso.inverse_apply(iso.apply(x))
         assert started.is_set()

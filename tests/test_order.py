@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from effectorder import (
+    SAMPLE_CLASSES,
     DomainError,
     HermFactor,
+    Ring,
     algebra,
+    canonical_trace,
     central_structure,
     classify,
     dominates_atom,
@@ -23,7 +26,9 @@ from effectorder import (
     random_composite_iso,
     random_factor_iso,
     range_approximants,
+    random_jordan_iso,
     range_projection,
+    sample_atom,
     sample_element,
     single_factor,
     spectral_decompose,
@@ -35,7 +40,7 @@ from effectorder import (
     zero,
 )
 
-from effectorder.order import ORDER_TOL
+from effectorder.order import FLAG_TOL, ORDER_TOL
 
 from conftest import FACTOR_KINDS, MIXED
 
@@ -321,3 +326,56 @@ class TestTotallyOrderedIntervalTop:
     def test_rank_two_cone_element(self, rng):
         x = sample_element(MIXED, rng, "interior")
         assert not has_totally_ordered_interval(x)
+
+
+class TestClusterRanks:
+    """Atoms are read off the decomposition's cluster ranks; on every factor kind the
+    ranks agree with the trace test they replace, |tr p - 1| <= 1e-6 for an atom p."""
+
+    KINDS = FACTOR_KINDS + [HermFactor(3, Ring.QUATERNION)]
+
+    @staticmethod
+    def elements(factor, rng):
+        alg = single_factor(factor)
+        xs = [sample_element(alg, rng, cls) for cls in SAMPLE_CLASSES for _ in range(3)]
+        # the unit and its multiples: on spin a block with v = 0, one eigenpair of rank 2
+        xs += [unit(alg), zero(alg), 0.3 * unit(alg)]
+        # a repeated eigenvalue, over H twice in the embedding as well
+        if isinstance(factor, HermFactor) and factor.n > 1:
+            n = factor.n
+            diag = np.diag([0.3] * (n - 1) + [0.8])
+            if factor.ring is Ring.QUATERNION:
+                diag = np.stack([diag] + [np.zeros((n, n))] * 3, axis=-1)
+            xs.append(random_jordan_iso(factor, rng).apply(element_in_factor(factor, diag)))
+        # near-projections: each eigenvalue within about FLAG_TOL of 0 or 1
+        for _ in range(6):
+            dec = spectral_decompose(sample_element(alg, rng, "general"))
+            k = len(dec.eigenvalues)
+            shift = FLAG_TOL * rng.choice([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5], size=k)
+            xs.append(dec.combine(rng.integers(0, 2, size=k) + shift))
+        return xs
+
+    @pytest.mark.parametrize("factor", KINDS, ids=str)
+    def test_ranks_agree_with_the_trace_test(self, factor, rng):
+        atoms = 0
+        for x in self.elements(factor, rng):
+            dec = spectral_decompose(x)
+            assert len(dec._ranks) == len(dec.eigenvalues) and sum(dec._ranks) == factor.rank
+            for r, p in zip(dec._ranks, dec.projections):
+                trace = canonical_trace(p)
+                assert type(r) is int and r == round(trace)
+                assert (r == 1) == (abs(trace - 1.0) <= 1e-6)
+            c = classify(x)
+            assert c.is_atom == (c.is_projection and abs(canonical_trace(x) - 1.0) <= 1e-6)
+            atoms += c.is_atom
+            if c.in_cone:
+                pos = [p for lam, p in zip(dec.eigenvalues, dec.projections) if lam > dec.zero_tol]
+                old = not pos or (len(pos) == 1 and abs(canonical_trace(pos[0]) - 1.0) <= 1e-6)
+                assert has_totally_ordered_interval(x) == old
+        assert atoms  # the table reaches the atoms
+
+    @pytest.mark.parametrize("factor", KINDS, ids=str)
+    def test_sampled_atoms_are_rank_one_projections(self, factor, rng):
+        for _ in range(5):
+            p = sample_atom(factor, rng)
+            assert classify(p).is_atom and abs(canonical_trace(p) - 1.0) <= 1e-12

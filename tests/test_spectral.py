@@ -39,17 +39,8 @@ from effectorder import (
     zero,
 )
 from effectorder import quaternion as quat
-from effectorder.algebra import (
-    _adjoint,
-    _block_quad,
-    _hermitize,
-    _invert_block,
-    _ring_array,
-    _stored_block,
-)
+from effectorder.algebra import _adjoint
 from effectorder.spectral import (
-    _block_floor,
-    _matrix_within,
     block_eigenvalues,
     eigenvalue_floor,
     extreme_eigenvalues,
@@ -477,9 +468,10 @@ class TestStackedKernels:
         alg = single_factor(factor)
         xs = [sample_element(alg, rng, "invertible_effect")._groups[0] for _ in range(3)]
         kernels = [
-            _invert_block, _hermitize, lambda f, b: _adjoint(b), _ring_array, _block_floor,
-            lambda f, b: _stored_block(f, _ring_array(f, b)),
-            lambda f, b: _block_quad(f, xs[0], b),
+            lambda f, b: f._kind.inverse(b), lambda f, b: f._kind.hermitize(b), lambda f, b: _adjoint(b),
+            lambda f, b: f._kind.ring_array(b), lambda f, b: f._kind.floor(b),
+            lambda f, b: f._kind.stored(f._kind.ring_array(b)),
+            lambda f, b: f._kind.quad(xs[0], b),
         ]
         for kernel in kernels:
             for x, got in zip(xs, kernel(factor, np.stack(xs))):
@@ -489,7 +481,8 @@ class TestStackedKernels:
     def test_quaternion_stacks_keep_the_embedding_form(self, factor, rng):
         alg = single_factor(factor)
         xs = np.stack([sample_element(alg, rng, "invertible_effect")._groups[0] for _ in range(3)])
-        for out in (_invert_block(factor, xs), _hermitize(factor, xs @ xs), _block_quad(factor, xs[0], xs)):
+        kind = factor._kind
+        for out in (kind.inverse(xs), kind.hermitize(xs @ xs), kind.quad(xs[0], xs)):
             assert_embedding_form(factor, out)
 
     @pytest.mark.parametrize("factor", MATRIX_KINDS, ids=str)
@@ -498,13 +491,14 @@ class TestStackedKernels:
         m = np.stack([x._groups[0] for x in xs])
         ends = np.array([extreme_eigenvalues(x) for x in xs])
         lo, hi = ends[:, :1, None] - 1e-6, ends[:, 1:, None] + 1e-6
-        assert _matrix_within(factor, m, lo, hi)
+        within = factor._kind.within
+        assert within(m, lo, hi)
         for k in range(len(xs)):
             tight_lo, tight_hi = lo.copy(), hi.copy()
             tight_lo[k] += 2e-6
             tight_hi[k] -= 2e-6
-            assert not _matrix_within(factor, m, tight_lo, hi)
-            assert not _matrix_within(factor, m, lo, tight_hi)
+            assert not within(m, tight_lo, hi)
+            assert not within(m, lo, tight_hi)
 
 
 # three matrix blocks with n >= 2, each one eigh; the line and the spin
