@@ -16,8 +16,9 @@ freely across threads.
 A factor's kind, ``f._kind``, given at construction and shared by equal
 factors, is one private class per stored kind (real matrix, complex matrix,
 the quaternion embedding, the spin vector) that owns every kernel reading
-such a block, so no other code asks which kind a factor is.  Over H a block
-is stored as its 2n x 2n complex embedding and runs as on herm(2n,C); the
+such a block, so no other code asks which kind a factor is.  The kinds make
+every LAPACK call through ``_lapack``, its one owner.  Over H a block is
+stored as its 2n x 2n complex embedding and runs as on herm(2n,C); the
 public format is the (n, n, 4) ring array, which ``Element.blocks`` and
 ``block(i)`` give per factor, read-only.
 
@@ -42,6 +43,7 @@ from typing import Any, Iterable, Sequence, Union
 
 import numpy as np
 
+from . import _lapack
 from . import quaternion as quat
 
 
@@ -265,6 +267,10 @@ def _adjoint(b: np.ndarray) -> np.ndarray:
 
 _SINGULAR_PENCIL = "singular pencil: z has an eigenvalue too close to 0"  # it rounds onto the boundary
 
+# the bound 2^_WIDE_EXP, above which a matrix effect test scales its block down
+_WIDE_EXP = 500
+_WIDE = math.ldexp(1.0, _WIDE_EXP)
+
 
 @lru_cache(maxsize=1024)
 def _kind_of(cls: type, n: int):
@@ -344,9 +350,8 @@ class _Real:
         return self.hermitize(a @ b @ a)
 
     def inverse(self, b: np.ndarray) -> np.ndarray:
-        eye = _identity(b.shape[-1])  # by one LU solve, of an invertible b
-        # a stack gets a stacked identity: numpy < 2 reads an (M, M) one as M vectors
-        return self.hermitize(np.linalg.solve(b, eye if b.ndim == 2 else eye[None]))
+        # by one LU solve, of an invertible b; the identity broadcasts over a stack
+        return self.hermitize(_lapack.solve(b, _identity(b.shape[-1])))
 
     # -- spectra --
 
@@ -355,7 +360,7 @@ class _Real:
         if b.shape[-1] == 1:
             # 1x1 fast path; the entry is real after hermitization
             return b[..., 0].real, np.ones(b.shape, dtype=b.dtype)
-        return np.linalg.eigh(b)
+        return _lapack.eigh(b)
 
     def combine(self, basis: np.ndarray, idx, values: np.ndarray) -> np.ndarray:
         """Sum values[i] p_i as (V * vals) V*, for clusters idx of the eigenpairs."""
@@ -367,25 +372,30 @@ class _Real:
     def eigenvalues(self, b: np.ndarray) -> np.ndarray:
         if b.shape[-1] == 1:
             return b[..., 0].real.copy()
-        return np.linalg.eigvalsh(b)
+        return _lapack.eigvalsh(b)
 
     def within(self, m: np.ndarray, lo, hi) -> bool:
         """Does the spectrum of m (each block of a stack) lie in (lo, hi), for finite
         lo < hi or (k, 1, 1) bounds?  The caller has checked that no entry reaches
-        max(|lo|, |hi|).  One Cholesky factorization of (m - lo e)(hi e - m)."""
-        if self.n == 1 and not isinstance(hi, np.ndarray):  # compare the entries
+        max(|lo|, |hi|).  One Cholesky factorization of (m - lo e)(hi e - m); when a
+        finite bound exceeds 2^500, of m, lo and hi scaled by one power of two first,
+        which keeps the product from overflowing and rounds only entries that underflow."""
+        scalar = not isinstance(hi, np.ndarray)
+        if scalar and self.n == 1:  # compare the entries
             return all(lo < s < hi for s in m[..., 0, 0].real.ravel().tolist())
+        if scalar and (lo < -_WIDE or hi > _WIDE) and hi < math.inf:
+            s = math.ldexp(1.0, _WIDE_EXP - math.frexp(max(-lo, hi))[1])
+            m, lo, hi = s * m, s * lo, s * hi
         eye = _identity(m.shape[-1])
         p = m - lo * eye
-        if isinstance(hi, np.ndarray) or hi < math.inf:
+        if not scalar or hi < math.inf:
             # the factors commute; cholesky reads one triangle, so the
             # rounding asymmetry of the product does not matter
             p = p @ ((hi - lo) * eye - p)
-        try:
-            np.linalg.cholesky(p)
-        except np.linalg.LinAlgError:
-            return False
-        return True
+        # a block that fails (or holds a NaN) has a NaN last diagonal entry; a sum keeps it
+        d = _lapack.cholesky(p)[..., -1, -1].tolist()
+        d = sum(d) if isinstance(d, list) else d
+        return d == d
 
     def floor(self, b: np.ndarray):
         """The left end of the Gershgorin discs (of the embedding over H)."""
@@ -400,11 +410,11 @@ class _Real:
 
     def random_isometry(self, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
         """A seeded isometry's ring array and conjugate flag (over C drawn too)."""
-        return np.linalg.qr(self.gaussian(rng))[0], self.conjugable and bool(rng.integers(0, 2))
+        return _lapack.qr(self.gaussian(rng))[0], self.conjugable and bool(rng.integers(0, 2))
 
     def polar(self, u: np.ndarray) -> np.ndarray:
         """The polar factor of the ring array u, the nearest isometry, as a ring array."""
-        w, _, vh = np.linalg.svd(self.stored(u))
+        w, _, vh = _lapack.svd(self.stored(u))
         return self.ring_array(w @ vh)
 
     def pencils(self, u: np.ndarray, conjugate: bool, basis: np.ndarray, vals) -> tuple:
@@ -421,8 +431,8 @@ class _Real:
         A, B, C = pencil
         m = b.conj() if frame and forward else b
         try:
-            out = np.linalg.solve(A + m @ B, m @ C)
-        except np.linalg.LinAlgError as exc:
+            out = _lapack.solve(A + m @ B, m @ C)
+        except _lapack.LinAlgError as exc:
             raise DomainError(_SINGULAR_PENCIL) from exc
         if frame and not forward:
             out = out.conj()
@@ -594,7 +604,7 @@ class _Quaternion(_Complex):
         qbasis = np.eye(4)
         r = quat.from_complex(_adjoint(U) @ imgs @ U)[:, 0, 1]
         rows = [(quat.qmul(r_a, qbasis) - quat.qmul(qbasis, qbasis[a])).T for a, r_a in zip((1, 2), r)]
-        _, sing, vt = np.linalg.svd(np.concatenate(rows))
+        _, sing, vt = _lapack.svd(np.concatenate(rows))
         if sing[-1] > 1e-6:
             raise ValueError("inner twist is not a rotation")
         u = quat.qmul(quat.from_complex(U), vt[-1])

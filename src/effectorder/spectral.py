@@ -208,9 +208,8 @@ def spectrum_within(x: Element, lo: float, hi: float = math.inf) -> bool:
     Cholesky factorization decides (of x - lo e alone when hi is
     infinite).  Spin and 1 x 1 blocks use their closed-form eigenvalues.
     An entry of modulus at least max(|lo|, |hi|) bounds the operator norm,
-    so it fails the block at once; that keeps the product from overflowing
-    for |lo|, |hi| up to about 1e150.  False when x has a non-finite entry
-    or the interval is empty.
+    so it fails the block at once.  False when x has a non-finite entry or
+    the interval is empty.
     """
     if not lo < hi:
         return False

@@ -1,9 +1,10 @@
+import concurrent.futures
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from effectorder import HermFactor, Ring, SpinFactor, algebra
+from effectorder import HermFactor, Ring, SpinFactor, _lapack, algebra, isomorphisms
 
 # one representative of every factor kind, at modest size
 FACTOR_KINDS = [
@@ -46,17 +47,31 @@ class LinalgCounts(Counter):
 
 @pytest.fixture
 def eigensolve_counter(monkeypatch):
-    """Counts of the LAPACK calls made through ``numpy.linalg``: the
-    eigensolves ``eigh`` and ``eigvalsh`` (their sum is ``.eigensolves``),
+    """Counts of the LAPACK calls the library makes, all through ``_lapack``:
+    the eigensolves ``eigh`` and ``eigvalsh`` (their sum is ``.eigensolves``),
     ``cholesky``, ``solve`` and ``qr``; ``clear()`` it after any set-up that
     should not count."""
     counts = LinalgCounts()
     for name in ("eigh", "eigvalsh", "cholesky", "solve", "qr"):
-        routine = getattr(np.linalg, name)
+        routine = getattr(_lapack, name)
 
         def counted(*args, _routine=routine, _name=name, **kwargs):
             counts[_name] += 1
             return _routine(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(_lapack, name, counted)
     return counts
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    """The module's pool; on one CPU, where it has none, a one-worker pool of the
+    test's own, so that the pooled path runs on any machine."""
+    real = isomorphisms._thread_pool()
+    if real is not None:
+        yield real
+        return
+    own = concurrent.futures.ThreadPoolExecutor(1)
+    monkeypatch.setattr(isomorphisms, "_thread_pool", lambda: own)
+    yield own
+    own.shutdown()

@@ -1016,20 +1016,6 @@ POOLED_ALGEBRAS = [
 ]
 
 
-@pytest.fixture
-def pool(monkeypatch):
-    """The module's pool; on one CPU, where it has none, a one-worker pool of the
-    test's own, so that the pooled path runs on any machine."""
-    real = isomorphisms._thread_pool()
-    if real is not None:
-        yield real
-        return
-    own = concurrent.futures.ThreadPoolExecutor(1)
-    monkeypatch.setattr(isomorphisms, "_thread_pool", lambda: own)
-    yield own
-    own.shutdown()
-
-
 def no_pool(monkeypatch):
     """Run the maps inline, as on one CPU."""
     monkeypatch.setattr(isomorphisms, "_thread_pool", lambda: None)
@@ -1048,8 +1034,12 @@ def element_of_block(x, i):
 def spy_public_functions(monkeypatch, record):
     """Wrap every public function and public method of the effectorder modules,
     also where another module imported it by name, so that each call records the
-    identity of the thread it runs on."""
-    modules = [m for name, m in sys.modules.items() if name.startswith("effectorder")]
+    identity of the thread it runs on.  A private module's functions, such as
+    ``_lapack``'s, which the pool's halves call, are not public."""
+    modules = [
+        m for name, m in sys.modules.items()
+        if name.startswith("effectorder") and not name.rpartition(".")[2].startswith("_")
+    ]
     wrapped = {}
 
     def spy(fn):

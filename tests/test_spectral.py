@@ -442,6 +442,20 @@ class TestSpectrumWithin:
         assert spectrum_within(e, -math.inf, math.inf)
         assert spectrum_within(e, -math.inf, 1.5) and not spectrum_within(e, -math.inf, 1.0)
 
+    @pytest.mark.parametrize(
+        "factor", [HermFactor(2), HermFactor(3, Ring.COMPLEX), HermFactor(2, Ring.QUATERNION)], ids=str
+    )
+    def test_huge_bounds_on_matrix_blocks(self, factor, rng):
+        # eigenvalues from 1e155 to 2e155, whose product (x - lo e)(hi e - x) is past
+        # the float range: the kind scales it by a power of two first
+        dec = spectral_decompose(sample_element(single_factor(factor), rng, "general"))
+        k = len(dec.eigenvalues)
+        x = dec.combine(np.linspace(1e155, 2e155, k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lo, hi in [(0.0, 4e155), (5e154, 3e155), (-1e300, 1e300), (0.0, 1.9e155), (1.5e155, 3e155)]:
+                assert spectrum_within(x, lo, hi) == eigenvalues_within(x, lo, hi) == (lo < 1e155 and 2e155 < hi)
+
     @pytest.mark.parametrize("scale", [1e155, 1e200, 1e250, 1e308])
     @pytest.mark.parametrize("factor", FACTOR_KINDS, ids=str)
     def test_huge_entries(self, factor, scale, rng):
