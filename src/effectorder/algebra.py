@@ -8,10 +8,9 @@ factors R + R^d with the product
 
 Elements are block vectors, one block per factor, stored by factor group:
 equal factors, wherever they sit, form one group (``AlgebraDescriptor.groups``),
-kept as one (k, ...) stack of its k members' blocks, or as the block itself
-when k = 1, and every kernel runs once per group.  Everything here is
-immutable and every operation is a pure function, so values can be shared
-freely across threads.
+kept as one (k, ...) stack of its k members' blocks, k = 1 included, and every
+kernel runs once per group.  Everything here is immutable and every operation
+is a pure function, so values can be shared freely across threads.
 
 A factor's kind, ``f._kind``, given at construction and shared by equal
 factors, is one private class per stored kind (real matrix, complex matrix,
@@ -35,6 +34,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -214,10 +214,9 @@ class AlgebraDescriptor:
         return tuple((f, tuple(i for i, g in enumerate(self.factors) if g == f)) for f in first)
 
     @cached_property
-    def _where(self) -> tuple[tuple[int, object], ...]:
-        """(g, m) of each factor: its block is ``x._groups[g][m]``, m = ... in a group of one."""
-        groups = enumerate(self.groups)
-        where = {i: (g, m if len(c) > 1 else ...) for g, (_, c) in groups for m, i in enumerate(c)}
+    def _where(self) -> tuple[tuple[int, int], ...]:
+        """(g, m) of each factor: its block is ``x._groups[g][m]``."""
+        where = {i: (g, m) for g, (_, c) in enumerate(self.groups) for m, i in enumerate(c)}
         return tuple(where[i] for i in range(len(self.factors)))
 
     @cached_property
@@ -293,7 +292,6 @@ class _Real:
     tail: tuple[int, ...] = ()  # of the ring array's shape, after (n, n)
     twists = None  # the imaginary units recovery probes, as ring scalars
     conjugable = False  # can a Jordan isomorphism be conjugate-linear?
-    batched = True  # does one call decide a stack with per-block bounds?
     copies, flops = 1, 1  # stored rows per ring row; real flops per stored multiply-add
 
     def __init__(self, n: int):
@@ -363,11 +361,9 @@ class _Real:
         return _lapack.eigh(b)
 
     def combine(self, basis: np.ndarray, idx, values: np.ndarray) -> np.ndarray:
-        """Sum values[i] p_i as (V * vals) V*, for clusters idx of the eigenpairs."""
-        vals = values[idx]
-        if vals.ndim == 1:
-            return self.hermitize((basis * vals) @ basis.conj().T)
-        return self.hermitize((basis * vals[:, None, :]) @ _adjoint(basis))
+        """Sum values[i] p_i as (V * vals) V* on each block of a group, for its (k, n, n)
+        eigenbases and the (k, n) clusters idx of their eigenpairs."""
+        return self.hermitize((basis * values[idx][:, None, :]) @ _adjoint(basis))
 
     def eigenvalues(self, b: np.ndarray) -> np.ndarray:
         if b.shape[-1] == 1:
@@ -638,7 +634,6 @@ class _Spin:
     with eigenvalues a -/+ |v| and idempotents (1, -/+ v/|v|) / 2."""
 
     dtype = float
-    batched = False
     cost = 0  # the 2x2 pencil runs inline, in floats
 
     def __init__(self, d: int):
@@ -691,33 +686,37 @@ class _Spin:
         nv = self._radius(b)  # a^2 - |v|^2 as the product of the two eigenvalues a -/+ |v|
         return np.concatenate(([b[0]], -b[1:])) / ((b[0] - nv) * (b[0] + nv))
 
-    @_each_member(lambda members: tuple(zip(*members)))
+    @_each_member(lambda members: tuple(map(np.array, zip(*members))))
     def eigh(self, b):
-        """The eigenvalues and one idempotent per row; a block with v = 0 has one
-        eigenpair, so a group of several keeps a tuple of both, one per member."""
-        alpha, v = float(b[0]), b[1:]
+        """The eigenvalues a -/+ |v| and one idempotent (1, -/+ v/|v|) / 2 per row; for
+        v = 0 the eigenvalue a twice, with the idempotents (1, -/+ w) / 2 of the unit w = e_1."""
+        alpha = float(b[0])
         nv = self._radius(b)
         if nv < np.finfo(float).tiny:
-            return np.array([alpha]), np.eye(1, self.d + 1)
-        u = (0.5 / nv) * v
+            nv, u = 0.0, 0.5 * np.eye(1, self.d)[0]
+        else:
+            u = (0.5 / nv) * b[1:]
         return np.array([alpha - nv, alpha + nv]), np.array([[0.5, *-u], [0.5, *u]])
 
     def combine(self, basis, idx, values):
-        if isinstance(basis, tuple):  # a group of several members, one basis each
-            return np.array([values[i] @ b for b, i in zip(basis, idx)])
-        return values[idx] @ basis
+        return np.array([values[i] @ b for b, i in zip(basis, idx)])
 
     @_each_member(np.array)
     def eigenvalues(self, b):
         nv = self._radius(b)
         return np.array([b[0] - nv, b[0] + nv])
 
-    @_each_member(all)
     def within(self, b, lo, hi):
-        """Do the eigenvalues a -/+ r lie in (lo, hi)?  Written so that no sum
-        overflows, and NaN fails."""
-        a, r = float(b[0]), self._radius(b)
-        return r < a - lo and r < hi - a
+        """Does the spectrum a -/+ r of b (each block of a stack) lie in (lo, hi), for finite
+        lo < hi or (k, 1) bounds?  In floats, so that no sum overflows; NaN fails."""
+        rows = b.reshape(-1, self.d + 1).tolist()
+        per_block = isinstance(hi, np.ndarray)
+        bounds = zip(lo.ravel().tolist(), hi.ravel().tolist()) if per_block else itertools.repeat((lo, hi))
+        for (a, *v), (low, high) in zip(rows, bounds):
+            r = math.hypot(*v)
+            if not (r < a - low and r < high - a):
+                return False
+        return True
 
     def floor(self, b):
         return self.eigenvalues(b)[..., 0]
@@ -728,8 +727,7 @@ class _Spin:
     def pencils(self, u, conjugate, basis, vals):
         """The diagonal pencil on the copy of herm(2,R) spanned by e, zhat and J x, in
         which z = diag(s_-, s_+), kept as diagonals; the frame is (zhat, u)."""
-        # a z that is a multiple of e has one idempotent and gives g_0 I
-        A, C = (g[[0, -1]] for g in vals)
+        A, C = vals
         B = C - A
         return (A, B, C), (C, -B, A), (2.0 * basis[-1, 1:], u)
 
@@ -799,11 +797,10 @@ class Element:
     """A block vector, one Hermitian (or spin) block per factor, stored by group.
 
     ``Element(alg, blocks)`` takes ring arrays, converts the quaternion ones and
-    stacks each group of several; a group of one is stored as given, unchecked
-    (:func:`element_from_blocks` validates).  ``blocks`` and ``block(i)`` give
-    read-only ring arrays back, built on first read and kept: views of the group
-    arrays (over H fresh arrays).  Library code reads the group arrays,
-    ``_groups``, and a factor's stored block, ``_block(i)``.
+    stacks each group, unchecked (:func:`element_from_blocks` validates).  ``blocks``
+    and ``block(i)`` give read-only ring arrays back, built on first read and kept:
+    views of the group arrays (over H fresh arrays).  Library code reads the group
+    arrays, ``_groups``, and a factor's stored block, ``_block(i)``.
     """
 
     algebra: AlgebraDescriptor
@@ -873,8 +870,11 @@ def _element(alg: AlgebraDescriptor, groups: Iterable[np.ndarray]) -> Element:
 
 
 def _grouped(alg: AlgebraDescriptor, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """The group arrays of one stored block per factor; a group of one keeps its block."""
-    return [np.array([blocks[i] for i in c]) if len(c) > 1 else blocks[c[0]] for _, c in alg.groups]
+    """The group arrays of one stored block per factor: fresh read-only (k, ...) stacks."""
+    groups = [np.array([blocks[i] for i in c]) for _, c in alg.groups]
+    for g in groups:
+        g.setflags(write=False)
+    return groups
 
 
 def _cast_array(value, dtype: type, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -920,11 +920,11 @@ def element_from_blocks(alg: AlgebraDescriptor, blocks: Sequence[np.ndarray]) ->
 
 def _constant(alg: AlgebraDescriptor, block) -> Element:
     """The element whose every block is ``block(kind)``: one block per group,
-    repeated down the stack of a group of several."""
+    repeated down its stack."""
     groups = []
     for f, c in alg.groups:
         b = block(f._kind)
-        groups.append(np.array(np.broadcast_to(b, (len(c),) + b.shape)) if len(c) > 1 else b)
+        groups.append(np.array(np.broadcast_to(b, (len(c),) + b.shape)))
     return _element(alg, groups)
 
 

@@ -183,7 +183,10 @@ def _report(suite, descriptor, seed, trials, tol, checks, records, data=None) ->
 
 def _run_trials(suite, descriptor, seed, trials, tol, checks, trial) -> SuiteReport:
     """The loop every seeded suite runs on: one generator seeded with
-    ``seed`` and ``trials`` calls of ``trial(rng)``, each one record."""
+    ``seed`` and ``trials`` calls of ``trial(rng)``, each one record.  A negative
+    ``trials`` is a ValueError, as a report's loader refuses it."""
+    if trials < 0:
+        raise ValueError(f"trials must be a count (>= 0), got {trials}")
     rng = np.random.default_rng(seed)
     records = (trial(rng) for _ in range(trials))
     return _report(suite, descriptor, seed, trials, tol, checks, records)
@@ -401,8 +404,8 @@ def run_order_iso_suite(
             p = sample_atom(factor, rng)
             lam = float(rng.uniform(0.01, 1.0))
             img = fiso.apply(lam * p)
-            eigs = block_eigenvalues(img.algebra.factors[0], img._groups[0])
-            rank_one.append(float(eigs[-2]) if len(eigs) > 1 else 0.0)
+            eigs = block_eigenvalues(img.algebra.factors[0], img._block(0))
+            rank_one.append(float(eigs[-2]))  # an engaged block has two eigenvalues or more
         if rank_one:
             res["atom_rank_one"] = _worst(0.0, *rank_one)
 
@@ -484,7 +487,7 @@ def scalar_oracle_compare(
     if grid_size < 2:
         raise ValueError("grid must have at least 2 points")
     t = iso.t + (1e-3 if mutate else 0.0)
-    z0 = float(iso.z._groups[0][0, 0])
+    z0 = float(iso.z._block(0)[0, 0])
 
     def oracle(s: float, zz: float) -> float:
         w = 1.0 - 1.0 / (1.0 + s / (zz * zz))
@@ -495,7 +498,7 @@ def scalar_oracle_compare(
         grid = 0.0
         for s in np.linspace(0.0, 1.0, grid_size):
             lib = iso.apply(element_in_factor(factor, np.array([[s]])))
-            grid = _worst(grid, abs(float(lib._groups[0][0, 0]) - oracle(float(s), z0)))
+            grid = _worst(grid, abs(float(lib._block(0)[0, 0]) - oracle(float(s), z0)))
 
         two = HermFactor(2, Ring.REAL)
         z1 = z0 + 0.5
@@ -504,7 +507,7 @@ def scalar_oracle_compare(
         worst = 0.0
         for s1 in np.linspace(0.0, 1.0, 25):
             for s2 in np.linspace(0.0, 1.0, 25):
-                lib = iso2.apply(element_in_factor(two, np.diag([s1, s2])))._groups[0]
+                lib = iso2.apply(element_in_factor(two, np.diag([s1, s2])))._block(0)
                 worst = _worst(worst, abs(lib[0, 0] - oracle(float(s1), z0)))
                 worst = _worst(worst, abs(lib[1, 1] - oracle(float(s2), z1)))
                 worst = _worst(worst, abs(lib[0, 1]))

@@ -70,6 +70,7 @@ from .algebra import (
     _cast_array,
     _check_same_algebra,
     _element,
+    _grouped,
     _invert,
     _interned,
     jordan_product,
@@ -232,8 +233,8 @@ class FactorJordanIso:
     def apply(self, x: Element) -> Element:
         if x.algebra != self.algebra:
             raise ShapeMismatchError("element does not live in this factor")
-        out = self.factor._kind.act(self._u, x._groups[0], self.conjugate)
-        return _element(self.algebra, [out])
+        out = self.factor._kind.act(self._u, x._block(0), self.conjugate)
+        return _element(self.algebra, _grouped(self.algebra, [out]))
 
     def inverted(self) -> "FactorJordanIso":
         # the inverse of x -> u conj(x) u* is y -> u^T conj(y) conj(u)
@@ -277,10 +278,10 @@ class FactorOrderIso:
         # since y^(-1) - y d = y (y^2 d = e - y^2).  That keeps C* - F B*
         # equal to A* at F = e, where for small z it cancels two large terms
         c = 1.0 - self.t
-        s = np.array(dec.eigenvalues)[dec.clusters[0]]
+        s = np.array(dec.eigenvalues)[dec.clusters[0][0]]
         y = np.sqrt(c) * (s / np.hypot(1.0, s))  # sqrt(c / (1 + s^2)) s, with no s^2
         kind, jord = self.jordan.factor._kind, self.jordan
-        pencils = kind.pencils(jord._u, jord.conjugate, dec.bases[0], (y, 1.0 / y))
+        pencils = kind.pencils(jord._u, jord.conjugate, dec.bases[0][0], (y, 1.0 / y))
         names = ("_forward", "_backward", "_frame", "_kind", "_large")
         for name, value in zip(names, (*pencils, kind, kind.cost >= _POOL_MIN_COST)):
             object.__setattr__(self, name, value)
@@ -301,11 +302,12 @@ class FactorOrderIso:
     def _run(self, x: Element, forward: bool) -> Element:
         if x.algebra is not self.algebra and x.algebra != self.algebra:
             raise ShapeMismatchError("element does not live in this factor")
-        b = x._groups[0]
+        b = x._block(0)
         sup = self._kind.sup(b)
         tol = _order_tol(sup)
         _check_effect(x, sup < 1.0 + tol)  # no entry of an effect reaches 1 + tol
-        return _element(self.algebra, _map_blocks([(self, b)], forward, tol, self._large))
+        out = _map_blocks([(self, b)], forward, tol, self._large)
+        return _element(self.algebra, _grouped(self.algebra, out))
 
     def _inside(self, b: np.ndarray, tol: float) -> bool:
         """The effect test of the stored block b at tol, every entry below 1 + tol."""
@@ -385,7 +387,7 @@ def _map_blocks(maps: list, forward: bool, tol: float, pooled: bool) -> list[np.
             # a half that the pool has not started is taken back and run here
             test, pencil = done.get(2 * k), done.get(2 * k + 1)
             if not (iso._inside(b, tol) if test is None or test.cancel() else test.result()):
-                _check_effect(Element(iso.algebra, (b,), _stored=True), False)
+                _check_effect(_element(iso.algebra, _grouped(iso.algebra, [b])), False)
             out.append(iso._pencil(b, forward) if pencil is None or pencil.cancel() else pencil.result())
     except BaseException:
         if done:  # so the pool is there, and wait imported
@@ -628,10 +630,9 @@ class CompositeOrderIso:
         for (f, ids), stack in zip(dst.groups, stacks):
             if stack is None:
                 k, start = len(ids), start + len(ids)
-                vals = images[start - k : start]
-                out.append(f._kind.from_real(np.array(vals).reshape(k, 1, 1) if k > 1 else [vals]))
+                out.append(f._kind.from_real(np.array(images[start - k : start]).reshape(k, 1, 1)))
             else:
-                out.append(np.array([outs[k] for k in stack]) if len(stack) > 1 else outs[stack[0]])
+                out.append(np.array([outs[k] for k in stack]))
         return _element(dst, out)
 
 
@@ -722,34 +723,34 @@ def recover_factor_iso(
     factor, e_s = source.factors[0], unit(source)
     kind = factor._kind
     (basis, names), rng = _probe_plan(factor), np.random.default_rng(seed)
-    e = e_s._groups[0]
+    e = e_s._block(0)
     agree = [random_gaussian(source, rng) for _ in range(_AGREEMENT_PROBES)]
 
-    # the unit probe is x = e with c = 0
-    xs = np.concatenate(([e], basis, [a._groups[0] for a in agree]))
+    # the unit probe is x = e with c = 0; cs and the bounds below hold one scalar per block
+    xs = np.concatenate(([e], basis, [a._block(0) for a in agree]))
     floors = kind.floor(xs[1:])
     cs = np.concatenate(([0.0], np.maximum(0.0, -floors) + 1.0)).reshape((-1,) + (1,) * e.ndim)
     inputs = kind.inverse(xs + cs * e + e)
-    imgs = [_probe(name, g, _element(source, [b])) for name, b in zip(names, inputs)]
+    # each input block as the (1, ...) group of its element
+    imgs = [_probe(name, g, _element(source, [b])) for name, b in zip(names, inputs[:, None])]
     for img in imgs:
         _check_same_algebra(img, e_s)
 
     # fhat = cone_interval_map of every image, within (stol, 1 + tol) at its own scale: one test
-    # and one solve for a batched kind (matrix blocks); image by image on spin factors, or to
-    # name a failing image
-    Fs = np.stack([img._groups[0] for img in imgs])
-    scales = kind.sup(Fs, each=True)[:, None, None]
+    # and one solve on the stack; image by image only to name a failing image
+    Fs = np.stack([img._block(0) for img in imgs])
+    scales = kind.sup(Fs, each=True).reshape(cs.shape)
     lo, hi = _singular_tol(scales), 1.0 + _order_tol(scales)
     # an entry >= hi fails
-    if kind.batched and np.all(scales < hi) and kind.within(Fs, lo, hi):
+    if np.all(scales < hi) and kind.within(Fs, lo, hi):
         fhat = kind.inverse(Fs) - e
     else:
         outs = [_probe(n, cone_interval_map, F, "interval_to_cone") for n, F in zip(names, imgs)]
-        fhat = np.stack([out._groups[0] for out in outs])
-    dec = spectral_decompose(_element(source, [fhat[0]]))
+        fhat = np.stack([out._block(0) for out in outs])
+    dec = spectral_decompose(_element(source, [fhat[:1]]))
     if not dec.eigenvalues[0] > 0.0:  # negated so that NaN fails
         raise RecoveryError("probed image of the unit is not interior")
-    y_inv = dec.apply(lambda s: 1.0 / math.sqrt(s))._groups[0]
+    y_inv = dec.apply(lambda s: 1.0 / math.sqrt(s))._block(0)
     Ls = fhat[1:] - cs[1:] * fhat[0]
     Js = kind.quad(np.broadcast_to(y_inv, Ls.shape), Ls)
 
@@ -763,7 +764,7 @@ def recover_factor_iso(
         raise RecoveryError(f"recovered Jordan isomorphism: {exc}") from exc
 
     for a, ja in zip(agree, Js[len(basis) :]):
-        err = kind.sup(ja - jord.apply(a)._groups[0])
+        err = kind.sup(ja - jord.apply(a)._block(0))
         if err > RECOVERY_TOL * (1.0 + kind.sup(ja)):
             raise RecoveryError("recovered Jordan isomorphism disagrees with the probes")
 

@@ -65,7 +65,7 @@ def sample_element(alg: AlgebraDescriptor, rng: np.random.Generator, cls: str = 
     if cls == "atom":
         i = int(rng.integers(0, len(alg.factors)))
         a = sample_atom(alg.factors[i], rng)
-        blocks = [a._groups[0] if j == i else f._kind.zero() for j, f in enumerate(alg.factors)]
+        blocks = [a._block(0) if j == i else f._kind.zero() for j, f in enumerate(alg.factors)]
         return _element(alg, _grouped(alg, blocks))
     raise ValueError(f"unknown sample class: {cls!r}")
 

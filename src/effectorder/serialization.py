@@ -193,7 +193,7 @@ def iso_to_obj(iso: CompositeOrderIso) -> dict:
             {
                 "match": [i, j],
                 "t": float(f.t),
-                "z": f._kind.block_to_obj(f.z._groups[0]),
+                "z": f._kind.block_to_obj(f.z._block(0)),
                 "J": f._kind.jordan_to_obj(f.jordan._u, f.jordan.conjugate),
             }
         )
@@ -258,7 +258,8 @@ def iso_from_obj(obj: Any, path: str = "iso") -> CompositeOrderIso:
         factor = target.factors[j]
         t = _mobius_param_from_obj(eo, ep)
         zb = _block_from_obj(factor, _need(eo, "z", ep), f"{ep}.z")
-        z = _element(single_factor(factor), [zb])
+        alg = single_factor(factor)
+        z = _element(alg, _grouped(alg, [zb]))
         jord = _jordan_from_obj(factor, _need(eo, "J", ep), f"{ep}.J")
         try:
             isos.append(FactorOrderIso(t, z, jord))

@@ -52,11 +52,9 @@ class SpectralDecomposition:
     """Strictly increasing eigenvalues lam_i with orthogonal projections
     p_i summing to the unit; Sum lam_i p_i reconstructs the element.
 
-    ``bases[g]`` is group g's eigenbasis (its kind's ``eigh``), a stack for
-    a matrix group of several members, and ``clusters[g][..., j]``
-    the index i of the eigenvalue each member's j-th eigenpair belongs to; a
-    spin group of several members keeps a tuple of both, one per member,
-    since a spin block with v = 0 has one eigenpair.  ``_extremes`` is the
+    ``bases[g]`` is group g's stack of eigenbases (its kind's ``eigh``), one
+    per member, and ``clusters[g][m, j]`` the index i of the eigenvalue that
+    member m's j-th eigenpair belongs to.  ``_extremes`` is the
     (least, greatest) eigenvalue before clustering, which cone and [0, e]
     membership read, and ``_ranks[i]`` the rank of p_i.
     """
@@ -134,24 +132,19 @@ def _decompose(x: Element, cluster_tol: float | None) -> SpectralDecomposition:
     if not math.isfinite(scale):
         raise DomainError(f"element has a non-finite entry (sup norm {scale})")
     tol = 1e-8 * (1.0 + scale) if cluster_tol is None else cluster_tol
-    bases, clusters, owned = [], [], []
+    bases, clusters = [], []
     # (eigenvalue, factor, index, the member's cluster row, the eigenpair's rank), sorted by
     # the first three, which are unique; an eigenpair weighs its factor's rank over its block's
-    # eigenpairs: 1, but 1/2 over H (each eigenvalue twice) and 2 for a spin block with v = 0
+    # eigenpairs: 1, but 1/2 over H (each eigenvalue twice)
     pairs: list[tuple] = []
     for (f, ids), g in zip(x.algebra.groups, x._groups):
         ws, basis = f._kind.eigh(g)
-        if isinstance(ws, tuple):  # a spin group of several members: one basis each
-            idx = tuple(np.empty(len(w), dtype=np.intp) for w in ws)
-            owned += basis + idx
-        else:
-            idx = np.empty(ws.shape, dtype=np.intp)
-            owned += basis, idx
+        idx = np.empty(ws.shape, dtype=np.intp)
         bases.append(basis)
         clusters.append(idx)
-        for i, w, row in zip(ids, ws, idx) if len(ids) > 1 else ((ids[0], ws, idx),):
-            r = f.rank / len(w)
-            pairs.extend((lam, i, j, row, r) for j, lam in enumerate(w.tolist()))
+        r = f.rank / ws.shape[-1]
+        for i, w, row in zip(ids, ws.tolist(), idx):
+            pairs.extend((lam, i, j, row, r) for j, lam in enumerate(w))
     pairs.sort()
 
     # one pass over the sorted spectrum: a gap above tol starts a cluster,
@@ -169,7 +162,7 @@ def _decompose(x: Element, cluster_tol: float | None) -> SpectralDecomposition:
         row[j] = len(eigenvalues)
     eigenvalues.append(sum(members) / len(members))
     ranks.append(int(rank))
-    for a in owned:  # shared by every caller of a stored decomposition
+    for a in bases + clusters:  # shared by every caller of a stored decomposition
         a.setflags(write=False)
     return SpectralDecomposition(
         x.algebra, tuple(eigenvalues), tuple(bases), tuple(clusters), tol,
@@ -191,11 +184,8 @@ def extreme_eigenvalues(x: Element) -> tuple[float, float]:
         if not np.isfinite(g).all():
             return np.nan, np.nan
         w = block_eigenvalues(f, g)
-        if len(ids) == 1:
-            lows[ids[0]], highs[ids[0]] = float(w[0]), float(w[-1])
-        else:
-            for i, lo, hi in zip(ids, w[:, 0].tolist(), w[:, -1].tolist()):
-                lows[i], highs[i] = lo, hi
+        for i, lo, hi in zip(ids, w[:, 0].tolist(), w[:, -1].tolist()):
+            lows[i], highs[i] = lo, hi
     # in factor order: min and max keep the first of equal values, as of 0.0 and -0.0
     return min(lows), max(highs)
 

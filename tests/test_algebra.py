@@ -428,7 +428,7 @@ class TestQuaternionStorage:
             random_jordan_iso(factor, rng).apply(x),
         ]
         for out in outputs:
-            assert_embedding_form(factor, out._groups[0])
+            assert_embedding_form(factor, out._block(0))
 
     @pytest.mark.parametrize("factor", QUATERNION_KINDS, ids=str)
     def test_public_blocks_are_read_only_ring_arrays(self, factor, rng):
@@ -450,7 +450,7 @@ class TestQuaternionStorage:
         b = b + qh.qadjoint(b) + 1e-9 * rng.standard_normal(b.shape)
         x = element_from_blocks(single_factor(factor), [b])
         assert np.array_equal(x.block(0), 0.5 * (b + qh.qadjoint(b)))
-        assert_embedding_form(factor, x._groups[0])
+        assert_embedding_form(factor, x._block(0))
 
     def test_validator_keeps_entries_near_the_float_limit(self):
         # over H the average overflows no sooner than (b + b*) / 2 does over R and C

@@ -104,6 +104,13 @@ class TestVerify:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_negative_trials_exit_one_and_write_nothing(self, paths, capsys):
+        tmp, alg_path, _, _ = paths
+        out = tmp / "bad.json"
+        code = main(["verify", "--algebra", str(alg_path), "--trials", "-1", "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert "error[ValueError]" in capsys.readouterr().err
+
     def test_deterministic_output_modulo_elapsed(self, paths, tmp_path):
         _, alg_path, _, _ = paths
         outputs = []

@@ -1,9 +1,9 @@
 """A direct sum is stored by factor group: equal factors, wherever they sit,
-share one (k, ...) array, and a group of one is stored as its block.
+share one (k, ...) array, and a group of one is the stack with k = 1.
 
 The reference for every operation is the same operation run factor by factor
-on one-factor elements of the stored blocks, whose one group is the block
-itself: grouped results must equal it bit for bit."""
+on one-factor elements of the stored blocks, whose one group is the (1, ...)
+stack of the block: grouped results must equal it bit for bit."""
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from effectorder import (
     central_structure,
     coordinate_squeeze_iso,
     dump_document,
+    element_from_blocks,
     in_cone,
     in_effect_interval,
     invert_element,
@@ -26,6 +27,8 @@ from effectorder import (
     load_document,
     quad_rep,
     random_composite_iso,
+    random_factor_iso,
+    random_jordan_iso,
     sample_element,
     single_factor,
     spectral_decompose,
@@ -39,7 +42,7 @@ from effectorder import (
 from effectorder import spectral
 from effectorder.algebra import _grouped, random_gaussian
 
-from conftest import assert_embedding_form
+from conftest import FACTOR_KINDS, assert_embedding_form
 
 C, H = Ring.COMPLEX, Ring.QUATERNION
 SMALL_MIXED = algebra(
@@ -58,7 +61,7 @@ GROUPED = [SMALL_MIXED, ENGAGED_TWICE, NON_ADJACENT]
 def parts(x):
     """x factor by factor, as one-factor elements of its stored blocks."""
     factors = enumerate(x.algebra.factors)
-    return [Element(single_factor(f), (x._block(i),), _stored=True) for i, f in factors]
+    return [Element(single_factor(f), (x._block(i)[None],), _stored=True) for i, f in factors]
 
 
 def assert_blockwise(out, expected):
@@ -66,7 +69,7 @@ def assert_blockwise(out, expected):
     __tracebackhide__ = True
     for i, want in enumerate(expected):
         got = out._block(i)
-        assert got.dtype == want._groups[0].dtype and np.array_equal(got, want._groups[0])
+        assert got.dtype == want._block(0).dtype and np.array_equal(got, want._block(0))
 
 
 def reference_decomposition(x, tol):
@@ -74,7 +77,7 @@ def reference_decomposition(x, tol):
     factors' own eigenpairs, clustered in (eigenvalue, factor, index) order."""
     pairs, bases = [], []
     for i, p in enumerate(parts(x)):
-        w, basis = p.algebra.factors[0]._kind.eigh(p._groups[0])
+        w, basis = p.algebra.factors[0]._kind.eigh(p._block(0))
         bases.append(basis)
         pairs += [(lam, i, j) for j, lam in enumerate(w.tolist())]
     pairs.sort()
@@ -99,7 +102,7 @@ def reference_combine(alg, bases, clusters, values):
             block = values[idx] @ basis
         else:
             block = f._kind.hermitize((basis * values[idx]) @ basis.conj().T)
-        out.append(Element(single_factor(f), (block,), _stored=True))
+        out.append(Element(single_factor(f), (block[None],), _stored=True))
     return out
 
 
@@ -107,7 +110,7 @@ class TestLayout:
     def test_equal_factors_share_a_group_wherever_they_sit(self):
         line, pair = HermFactor(1), HermFactor(2, C)
         assert NON_ADJACENT.groups == ((line, (0, 2)), (pair, (1,)))
-        assert NON_ADJACENT._where == ((0, 0), (1, ...), (0, 1))
+        assert NON_ADJACENT._where == ((0, 0), (1, 0), (0, 1))
         assert [ids for _, ids in SMALL_MIXED.groups] == [(0, 1, 2), (3,), (4,), (5,), (6,)]
 
     def test_a_hand_built_descriptor_computes_its_own_layout_once(self):
@@ -120,8 +123,7 @@ class TestLayout:
         x = sample_element(alg, rng, "general")
         assert len(x._groups) == len(alg.groups)
         for (f, ids), g in zip(alg.groups, x._groups):
-            stored = x._block(ids[0]).shape
-            assert g.shape == ((len(ids),) + stored if len(ids) > 1 else stored)
+            assert g.shape == (len(ids),) + f._kind.identity().shape  # stored: over H the embedding
             assert not g.flags.writeable
         for f, (g, m) in zip(alg.factors, alg._where):
             if isinstance(f, HermFactor) and f.ring is H:
@@ -165,6 +167,60 @@ class TestConstants:
         assert alg.engaged_indices == (0, 2, 4, 5, 6, 8) and alg.disengaged_indices == (1, 3, 7)
         assert alg.engaged_indices is alg.engaged_indices
         assert alg.disengaged_indices is alg.disengaged_indices
+
+
+# two spin(3) factors around a line, for a spin group of two members
+SPIN_TWICE = algebra(SpinFactor(3), HermFactor(1), SpinFactor(3))
+STACKED = [single_factor(f) for f in FACTOR_KINDS] + [H_TWICE, SPIN_TWICE]
+
+
+def assert_stacked(x):
+    """Every group array of x is a read-only (k, ...) stack of its members' stored
+    blocks, k = 1 included (over H a block is stored as its 2n x 2n embedding)."""
+    __tracebackhide__ = True
+    assert len(x._groups) == len(x.algebra.groups)
+    for (f, ids), g in zip(x.algebra.groups, x._groups):
+        assert g.shape == (len(ids),) + f._kind.identity().shape
+        assert not g.flags.writeable
+
+
+class TestStoredFormat:
+    """One stored format: every producer of elements returns (k, ...) stacks."""
+
+    @pytest.mark.parametrize("alg", STACKED, ids=str)
+    def test_every_producer_stores_one_stack_per_group(self, alg, rng):
+        x, y = sample_element(alg, rng, "general"), sample_element(alg, rng, "effect")
+        dec = spectral_decompose(x)
+        iso = random_composite_iso(alg, alg, rng)
+        gens, _ = central_structure(alg)
+        inside, outside = split_by_central(x, gens[0])
+        outs = [
+            unit(alg), zero(alg), random_gaussian(alg, rng),
+            element_from_blocks(alg, x.blocks), Element(alg, x.blocks),
+            jordan_product(x, y), quad_rep(x, y), invert_element(sample_element(alg, rng, "interior")),
+            dec.combine(np.linspace(-1.0, 1.0, len(dec.eigenvalues))), dec.apply(np.tanh),
+            iso.apply(y), iso.inverse_apply(y),
+            *gens, *[p for p in (inside, outside) if p is not None],
+            unsplit_by_central(alg, gens[0], inside, outside),
+            load_document(dump_document(x)),
+        ]
+        if len(alg.factors) == 1:
+            f = alg.factors[0]
+            fiso = random_factor_iso(f, rng)
+            outs += [random_jordan_iso(f, rng).apply(x), fiso.apply(y), fiso.inverse_apply(y)]
+        for out in outs:
+            assert_stacked(out)
+
+        # a spin group's bases, members with v = 0 included, are one (k, 2, d + 1) array
+        blocks = [np.array(b) for b in x.blocks]
+        for f, ids in alg.groups:
+            if isinstance(f, SpinFactor):
+                blocks[ids[0]][1:] = 0.0
+        dec = spectral_decompose(Element(alg, blocks))
+        for (f, ids), basis, idx in zip(alg.groups, dec.bases, dec.clusters):
+            if isinstance(f, SpinFactor):
+                assert basis.shape == (len(ids), 2, f.d + 1) and idx.shape == (len(ids), 2)
+                assert np.array_equal(basis[0, :, 1:], [[-0.5] + [0.0] * (f.d - 1), [0.5] + [0.0] * (f.d - 1)])
 
 
 class TestPublicViews:
@@ -269,11 +325,14 @@ class TestKernels:
             assert_blockwise(dec.combine(values), reference_combine(alg, bases, clusters, values))
 
     def test_spin_members_keep_their_own_eigenpairs(self):
-        # v = 0 gives one eigenpair, so a spin group keeps one basis per member
+        # v = 0 gives the eigenvalue a twice, with the idempotents (1, -/+ e_1) / 2,
+        # so a spin group's bases are one (k, 2, d + 1) array
         alg = algebra(SpinFactor(3), SpinFactor(3))
         x = Element(alg, [np.array([0.5, 0.0, 0.0, 0.0]), np.array([0.5, 0.1, 0.2, 0.0])])
         dec = spectral_decompose(x)
-        assert isinstance(dec.bases[0], tuple) and [len(b) for b in dec.bases[0]] == [1, 2]
+        assert dec.bases[0].shape == (2, 2, 4) and dec.clusters[0].shape == (2, 2)
+        assert np.array_equal(dec.bases[0][0], [[0.5, -0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0]])
+        assert dec.clusters[0][0, 0] == dec.clusters[0][0, 1]
         eigenvalues, _, bases, clusters = reference_decomposition(x, dec.zero_tol)
         assert dec.eigenvalues == eigenvalues
         values = np.array(eigenvalues)
@@ -293,9 +352,9 @@ class TestCompositeMaps:
                 assert float(y.block(b)[0, 0]) == (scalar(s) if forward else scalar.inverse(s))
             for (i, j), f in zip(iso.engaged_pairs, iso.engaged_isos):
                 a, b = (i, j) if forward else (j, i)
-                part = Element(f.algebra, (x._block(a),), _stored=True)
+                part = Element(f.algebra, (x._block(a)[None],), _stored=True)
                 want = f.apply(part) if forward else f.inverse_apply(part)
-                assert np.array_equal(y._block(b), want._groups[0])
+                assert np.array_equal(y._block(b), want._block(0))
 
     def test_central_splittings_reassemble_the_groups(self, rng):
         x = sample_element(ENGAGED_TWICE, rng, "general")

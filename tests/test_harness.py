@@ -164,6 +164,13 @@ class TestSuitesPass:
         assert report.passed
         assert report.worst_residual <= 1e-12
 
+    @pytest.mark.parametrize("suite", [run_identity_suite, run_interval_suite, run_order_iso_suite])
+    def test_negative_trial_counts_are_refused(self, suite):
+        # a report's loader refuses a negative count, so no suite writes one
+        with pytest.raises(ValueError, match="trials"):
+            suite(MIXED, seed=0, trials=-3)
+        assert suite(MIXED, seed=0, trials=0).passed
+
 
 class TestMutationsAreCaught:
     def test_identity_mutation(self):

@@ -594,9 +594,9 @@ class TestCompositeOrderIso:
             back = iso.inverse_apply(y)
             for (i, j), f in zip(iso.engaged_pairs, iso.engaged_isos):
                 image = f.apply(Element(f.algebra, (x.block(i),)))
-                np.testing.assert_array_equal(y._block(j), image._groups[0])
+                np.testing.assert_array_equal(y._block(j), image._block(0))
                 pre = f.inverse_apply(Element(f.algebra, (y.block(j),)))
-                np.testing.assert_array_equal(back._block(i), pre._groups[0])
+                np.testing.assert_array_equal(back._block(i), pre._block(0))
 
     @pytest.mark.parametrize("factor", ENGAGED_KINDS, ids=str)
     def test_engaged_block_outside_is_refused_as_by_its_factor_map(self, factor, rng):
@@ -1076,7 +1076,7 @@ def singular_outside(n):
     x = element_in_factor(f, np.diag([m] + [0.5] * (n - 1)))
     A, B, C = iso._forward
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(A + x._groups[0] @ B, x._groups[0] @ C)
+        np.linalg.solve(A + x._block(0) @ B, x._block(0) @ C)
     return iso, x
 
 
@@ -1104,10 +1104,10 @@ class TestPooledBlocks:
         iso = random_factor_iso(factor, rng)
         assert iso._large
         x = sample_element(iso.algebra, rng, "effect")
-        pooled = [iso.apply(x)._groups[0], iso.inverse_apply(x)._groups[0]]
+        pooled = [iso.apply(x)._block(0), iso.inverse_apply(x)._block(0)]
         no_pool(monkeypatch)
-        assert np.array_equal(pooled[0], iso.apply(x)._groups[0])
-        assert np.array_equal(pooled[1], iso.inverse_apply(x)._groups[0])
+        assert np.array_equal(pooled[0], iso.apply(x)._block(0))
+        assert np.array_equal(pooled[1], iso.inverse_apply(x)._block(0))
 
     @pytest.mark.parametrize(
         "factor, large",

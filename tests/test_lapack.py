@@ -180,7 +180,7 @@ class TestSingularPencil:
 
     def test_on_a_pool_worker(self, pool):
         iso, image = singular_map(96)
-        future = pool.submit(iso._pencil, image._groups[0], False)
+        future = pool.submit(iso._pencil, image._block(0), False)
         assert isinstance(future.exception(), DomainError)
         assert str(future.exception()) == _SINGULAR_PENCIL
 

@@ -327,7 +327,7 @@ class TestConstants:
     @pytest.mark.parametrize("factor", BUDGET_KINDS, ids=str)
     def test_stacked_sups_equal_each_blocks_sup(self, factor, rng):
         alg = single_factor(factor)
-        stack = np.stack([sample_element(alg, rng, "general")._groups[0] for _ in range(4)])
+        stack = np.stack([sample_element(alg, rng, "general")._block(0) for _ in range(4)])
         stack[2] = np.nan  # a NaN block's sup is NaN, as sup_norm's
         sups = factor._kind.sup(stack, each=True)
         assert sups.shape == (4,)
