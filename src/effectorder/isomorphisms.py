@@ -114,7 +114,9 @@ def check_mobius_param(t: float) -> float:
 
 
 def mobius_scalar(t: float, s: float) -> float:
-    return s / (t * s + (1.0 - t))
+    """s / (t s + 1 - t) as s / (1 - t (1 - s)), whose denominator is exactly 1 at s = 1:
+    0 and 1 stay fixed for every accepted t, also where 1 - t rounds to -t (t <= -1e16)."""
+    return s / (1.0 - t * (1.0 - s))
 
 
 def mobius_compose(t: float, s: float) -> float:
@@ -131,7 +133,7 @@ def mobius_invert_param(t: float) -> float:
 
 def mobius_apply(t: float, x: Element) -> Element:
     """The effect-algebra automorphism x -> x o (t x + (1 - t) e)^(-1),
-    computed through the functional calculus as s -> s / (t s + 1 - t)."""
+    computed through the functional calculus by :func:`mobius_scalar`."""
     check_mobius_param(t)
     _check_effect(x)
     return spectral_decompose(x).apply(lambda s: mobius_scalar(t, s))
@@ -482,7 +484,8 @@ class PhiScalarIso:
         return mobius_scalar(self.t, s)
 
     def inverse(self, s: float) -> float:
-        return mobius_scalar(mobius_invert_param(self.t), s)
+        # the map of parameter t / (t - 1), written in t since that rounds to 1 for t <= -1e16
+        return s * (1.0 - self.t) / (1.0 - self.t * s)
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,6 +29,7 @@ from effectorder import (
     compose_factor_isos,
     cone_interval_map,
     coordinate_squeeze_iso,
+    dump_document,
     element_in_factor,
     identity_jordan,
     interior_iso_apply,
@@ -728,9 +729,31 @@ class TestScalarIsos:
             PwlScalarIso(((0.1, 0.0), (1.0, 1.0)))
 
     def test_phi_scalar_matches_mobius(self):
-        f = PhiScalarIso(-1.0)
-        assert f(0.5) == mobius_scalar(-1.0, 0.5)
-        assert abs(f.inverse(f(0.37)) - 0.37) <= 1e-15
+        for t in (-2.5, -1.0, 0.0, 0.3, 0.9):
+            f = PhiScalarIso(t)
+            assert f(0.5) == mobius_scalar(t, 0.5)
+            for s in np.linspace(0.0, 1.0, 101).tolist():
+                assert abs(f.inverse(f(s)) - s) <= 1e-15 and abs(f(f.inverse(s)) - s) <= 1e-15
+
+    # every order isomorphism of [0, 1] fixes 0 and 1; for t <= -1e16, 1 - t rounds to -t
+    VERY_NEGATIVE_T = [-1e16, -1e17, -1e100, -1e300, -1.7e308]
+
+    @pytest.mark.parametrize("t", VERY_NEGATIVE_T)
+    def test_phi_fixes_both_ends_for_every_accepted_t(self, t):
+        f = PhiScalarIso(t)
+        assert (f(0.0), f(1.0), f.inverse(0.0), f.inverse(1.0)) == (0.0, 1.0, 0.0, 1.0)
+        e = unit(MIXED)
+        assert sup_norm(mobius_apply(t, e) - e) == 0.0
+        assert sup_norm(mobius_apply(t, zero(MIXED))) == 0.0
+
+    def test_iso_document_with_a_very_negative_phi_maps_e_to_e(self):
+        line = single_factor(HermFactor(1))
+        doc = {"type": "iso", "source": json.loads(dump_document(line)),
+               "target": json.loads(dump_document(line)), "sigma": [[0, 0]],
+               "scalar_isos": [{"kind": "phi", "t": -1e300}], "engaged": []}
+        iso = load_document(json.dumps(doc))
+        e = unit(line)
+        assert iso.apply(e).block(0)[0, 0] == 1.0 and iso.inverse_apply(e).block(0)[0, 0] == 1.0
 
 
 ENVELOPE_FACTORS = [
