@@ -797,10 +797,10 @@ class Element:
     """A block vector, one Hermitian (or spin) block per factor, stored by group.
 
     ``Element(alg, blocks)`` takes ring arrays, converts the quaternion ones and
-    stacks each group, unchecked (:func:`element_from_blocks` validates).  ``blocks``
-    and ``block(i)`` give read-only ring arrays back, built on first read and kept:
-    views of the group arrays (over H fresh arrays).  Library code reads the group
-    arrays, ``_groups``, and a factor's stored block, ``_block(i)``.
+    stacks each group read-only, unchecked (:func:`element_from_blocks` validates).
+    ``blocks`` and ``block(i)`` give read-only ring arrays back, built on first read
+    and kept: views of the group arrays (over H fresh arrays).  Library code reads
+    the group arrays, ``_groups``, and a factor's stored block, ``_block(i)``.
     """
 
     algebra: AlgebraDescriptor
