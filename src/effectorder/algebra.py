@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -326,11 +325,9 @@ class _Real:
         """Average a stored matrix, or each in a stack, with its adjoint."""
         return 0.5 * (b + _adjoint(b))
 
-    def sup(self, b: np.ndarray, each: bool = False):
-        """The largest entry modulus of the ring array of b, also over a stack, as a float;
-        with ``each``, of each block of a stack, as an array.  NaN when an entry is NaN."""
-        m = np.maximum.reduce(np.abs(b), axis=(-2, -1) if each else None)
-        return m if each else float(m)
+    def sup(self, b: np.ndarray) -> float:
+        """The largest entry modulus of the ring array of b, or over a stack; NaN when an entry is NaN."""
+        return float(np.maximum.reduce(np.abs(b), axis=None))
 
     def trace(self, b: np.ndarray):
         # over H the ring array's real part is that of the embedding's top-left block
@@ -370,21 +367,20 @@ class _Real:
             return b[..., 0].real.copy()
         return _lapack.eigvalsh(b)
 
-    def within(self, m: np.ndarray, lo, hi) -> bool:
+    def within(self, m: np.ndarray, lo: float, hi: float) -> bool:
         """Does the spectrum of m (each block of a stack) lie in (lo, hi), for finite
-        lo < hi or (k, 1, 1) bounds?  The caller has checked that no entry reaches
+        lo < hi or hi = inf?  The caller has checked that no entry reaches
         max(|lo|, |hi|).  One Cholesky factorization of (m - lo e)(hi e - m); when a
         finite bound exceeds 2^500, of m, lo and hi scaled by one power of two first,
         which keeps the product from overflowing and rounds only entries that underflow."""
-        scalar = not isinstance(hi, np.ndarray)
-        if scalar and self.n == 1:  # compare the entries
+        if self.n == 1:  # compare the entries
             return all(lo < s < hi for s in m[..., 0, 0].real.ravel().tolist())
-        if scalar and (lo < -_WIDE or hi > _WIDE) and hi < math.inf:
+        if (lo < -_WIDE or hi > _WIDE) and hi < math.inf:
             s = math.ldexp(1.0, _WIDE_EXP - math.frexp(max(-lo, hi))[1])
             m, lo, hi = s * m, s * lo, s * hi
         eye = _identity(m.shape[-1])
         p = m - lo * eye
-        if not scalar or hi < math.inf:
+        if hi < math.inf:
             # the factors commute; cholesky reads one triangle, so the
             # rounding asymmetry of the product does not matter
             p = p @ ((hi - lo) * eye - p)
@@ -577,12 +573,11 @@ class _Quaternion(_Complex):
         rows, cols, signs = self._swap
         return 0.5 * (h + signs * h[..., rows, cols].conj())
 
-    def sup(self, b, each=False):
+    def sup(self, b):
         # that of a quaternion z + w j, read from the embedding's top rows as hypot(|z|, |w|)
         n = self.n
         a = np.abs(b[..., :n, :])
-        m = np.maximum.reduce(np.hypot(a[..., :n], a[..., n:]), axis=(-2, -1) if each else None)
-        return m if each else float(m)
+        return float(np.maximum.reduce(np.hypot(a[..., :n], a[..., n:]), axis=None))
 
     def gaussian(self, rng):
         return self.stored(rng.standard_normal(self.shape))
@@ -656,9 +651,8 @@ class _Spin:
     def zero(self):
         return np.zeros(self.d + 1)
 
-    def sup(self, b, each=False):
-        m = np.maximum.reduce(np.abs(b), axis=-1 if each else None)
-        return m if each else float(m)
+    def sup(self, b):
+        return float(np.maximum.reduce(np.abs(b), axis=None))
 
     def trace(self, b):
         return 2.0 * b[..., 0]
@@ -707,14 +701,11 @@ class _Spin:
         return np.array([b[0] - nv, b[0] + nv])
 
     def within(self, b, lo, hi):
-        """Does the spectrum a -/+ r of b (each block of a stack) lie in (lo, hi), for finite
-        lo < hi or (k, 1) bounds?  In floats, so that no sum overflows; NaN fails."""
-        rows = b.reshape(-1, self.d + 1).tolist()
-        per_block = isinstance(hi, np.ndarray)
-        bounds = zip(lo.ravel().tolist(), hi.ravel().tolist()) if per_block else itertools.repeat((lo, hi))
-        for (a, *v), (low, high) in zip(rows, bounds):
+        """Does the spectrum a -/+ r of b (each block of a stack) lie in (lo, hi)?  In floats,
+        so that no sum overflows; NaN fails."""
+        for a, *v in b.reshape(-1, self.d + 1).tolist():
             r = math.hypot(*v)
-            if not (r < a - low and r < high - a):
+            if not (r < a - lo and r < hi - a):
                 return False
         return True
 

@@ -31,11 +31,12 @@ coordinates through a bijection with arbitrary scalar order isomorphisms
 of [0, 1] and applies one closed-form factor map per engaged factor;
 ``CompositeOrderIso`` is that data.
 
-A matrix block's two halves, its effect test and its pencil solve, read only
-the input, and numpy releases the GIL inside LAPACK and matmul, so a map with
-a large matrix block runs them on a thread pool (:func:`_map_blocks`).  Pin a
-multi-threaded BLAS to one thread (OPENBLAS_NUM_THREADS=1, say), or its
-threads and the pool's oversubscribe the CPUs.
+A direction's one effect test, of its whole argument, and the pencil solve
+of each matrix block read only the input, and numpy releases the GIL inside
+LAPACK and matmul, so a map with a large matrix block runs them on a thread
+pool (:func:`_map_blocks`).  Pin a multi-threaded BLAS to one thread
+(OPENBLAS_NUM_THREADS=1, say), or its threads and the pool's oversubscribe
+the CPUs.
 
 The one-parameter Mobius family
 
@@ -91,7 +92,7 @@ from .spectral import (
     spectrum_within,
     sqrt_element,
 )
-from .order import _check_effect, _order_tol, in_cone, leq
+from .order import ORDER_TOL, _check_effect, _in_effect, _order_tol, in_cone, leq
 
 if TYPE_CHECKING:  # imported with the pool: concurrent.futures takes ~9 ms to import
     from concurrent.futures import Future, ThreadPoolExecutor
@@ -304,16 +305,8 @@ class FactorOrderIso:
     def _run(self, x: Element, forward: bool) -> Element:
         if x.algebra is not self.algebra and x.algebra != self.algebra:
             raise ShapeMismatchError("element does not live in this factor")
-        b = x._block(0)
-        sup = self._kind.sup(b)
-        tol = _order_tol(sup)
-        _check_effect(x, sup < 1.0 + tol)  # no entry of an effect reaches 1 + tol
-        out = _map_blocks([(self, b)], forward, tol, self._large)
+        out = _map_blocks(x, [(self, x._block(0))], forward, self._large)
         return _element(self.algebra, _grouped(self.algebra, out))
-
-    def _inside(self, b: np.ndarray, tol: float) -> bool:
-        """The effect test of the stored block b at tol, every entry below 1 + tol."""
-        return self._kind.within(b, -tol, 1.0 + tol)
 
     def _pencil(self, b: np.ndarray, forward: bool) -> np.ndarray:
         """One direction's pencil on the stored block b of an effect: the stored output block."""
@@ -321,9 +314,9 @@ class FactorOrderIso:
 
 
 # A block whose pencil costs at least this (its kind's ``cost``) is large, and a map with
-# a large block runs its matrix blocks' halves on the thread pool.  Set at the crossover of
-# one direction, inline against pooled, on herm(n,C), n about 56; so herm(n,R) blocks are
-# large from n = 89 (the measured crossover table is in CHANGES.md).
+# a large block runs its effect test and matrix pencils on the thread pool.  Set at the
+# crossover of one direction, inline against pooled, on herm(n,C), n about 56; so
+# herm(n,R) blocks are large from n = 89 (the measured crossover table is in CHANGES.md).
 _POOL_MIN_COST = 4 * 56**3
 
 _pool: ThreadPoolExecutor | None = None
@@ -331,8 +324,8 @@ _pool_lock = threading.Lock()
 
 
 def _thread_pool() -> ThreadPoolExecutor | None:
-    """The pool of the matrix blocks' halves, made on first use, with one worker per
-    CPU this process may run on but the calling thread's; None on one CPU."""
+    """The pool of the effect tests and matrix pencils, made on first use, with one
+    worker per CPU this process may run on but the calling thread's; None on one CPU."""
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -354,48 +347,49 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _map_blocks(maps: list, forward: bool, tol: float, pooled: bool) -> list[np.ndarray]:
-    """The stored output blocks of the (FactorOrderIso, stored block) pairs maps in
-    one direction, each block decided at tol, with every entry below 1 + tol.
+def _map_blocks(x: Element, maps: list, forward: bool, pooled: bool) -> list[np.ndarray]:
+    """The stored output blocks of the (FactorOrderIso, stored block of x) pairs maps
+    in one direction, once x has passed the one effect test (order._check_effect).
 
-    Each block's effect test, then its pencil, block by block; the first failure
-    raises.  With ``pooled`` and a pool, the matrix blocks' halves start first,
-    the costliest pencil here, the others on the pool, and the same walk reads their
-    results, running here any half the pool has not started: it raises what the
-    inline walk raises, and no task outlives it.  Pool tasks call no public
-    function: a refusal's message is built here."""
+    The test of x, then each block's pencil in turn; the first failure raises, and a
+    refusal of x wins over any pencil's.  With ``pooled`` and a pool, the test and the
+    matrix pencils start first, the costliest pencil here, the rest on the pool, and the
+    same walk reads their results, running here any task the pool has not started: it
+    raises what the inline walk raises, and no task outlives it.  Pool tasks call no
+    public function: a refusal's message is built here."""
     pool = _thread_pool() if pooled else None
-    done: dict[int, Future] = {}  # by half: 2k the test of block k, 2k + 1 its pencil
+    test, done = None, {}  # done: the pencil of block k, by k
     try:
         if pool is not None:
             from concurrent.futures import Future, wait
 
+            test = pool.submit(_in_effect, x)
             # the matrix blocks: a spin pencil costs 0 and runs inline
             matrix = [k for k, (iso, _) in enumerate(maps) if iso._kind.cost]
             keep = max(matrix, key=lambda k: maps[k][0]._kind.cost)
             for k in matrix:
-                iso, b = maps[k]
-                done[2 * k] = pool.submit(iso._inside, b, tol)
                 if k != keep:
-                    done[2 * k + 1] = pool.submit(iso._pencil, b, forward)
+                    done[k] = pool.submit(maps[k][0]._pencil, maps[k][1], forward)
             iso, b = maps[keep]
-            kept = done[2 * keep + 1] = Future()
+            kept = done[keep] = Future()
             try:
                 kept.set_result(iso._pencil(b, forward))
-            except Exception as exc:  # raised in the walk, in its turn
+            except Exception as exc:  # raised in the walk, after the test
                 kept.set_exception(exc)
+        # a task that the pool has not started is taken back and run here; a failed
+        # test is run again here, so that the refusal names x's spectrum
+        if test is None or test.cancel() or not test.result():
+            _check_effect(x)
         out = []
         for k, (iso, b) in enumerate(maps):
-            # a half that the pool has not started is taken back and run here
-            test, pencil = done.get(2 * k), done.get(2 * k + 1)
-            if not (iso._inside(b, tol) if test is None or test.cancel() else test.result()):
-                _check_effect(_element(iso.algebra, _grouped(iso.algebra, [b])), False)
+            pencil = done.get(k)
             out.append(iso._pencil(b, forward) if pencil is None or pencil.cancel() else pencil.result())
     except BaseException:
-        if done:  # so the pool is there, and wait imported
-            for fut in done.values():
+        if test is not None:  # so the pool is there, and wait imported
+            futures = [test, *done.values()]
+            for fut in futures:
                 fut.cancel()
-            wait(done.values())
+            wait(futures)
         raise
     return out
 
@@ -608,27 +602,14 @@ class CompositeOrderIso:
         if x.algebra is not src and x.algebra != src:
             raise ShapeMismatchError("element does not live in the expected algebra")
         lines, take, put, reads, stacks = self._plans[forward]
-        # every block is decided at the tolerance of x's sup, the largest group sup:
-        # rank-one coordinates here, the rest by _map_blocks; the real part of a
-        # herm(1,.) block is its top-left entry's, also over H
-        coords, sups = [], []
-        for line, (f, _), g in zip(lines, src.groups, x._groups):
-            if line:
-                coords += g[..., 0, 0].real.ravel().tolist()
-            else:
-                sups.append(f._kind.sup(g))
-        coords = [coords[k] for k in take]
-        tol = _order_tol(max([abs(s) for s in coords] + sups))
-        # no entry of an effect reaches 1 + tol: each sup is compared, as max skips a NaN;
-        # each 1 x 1 block takes the in_effect_interval test
-        inside = all(s < 1.0 + tol for s in sups) and all(-tol < s < 1.0 + tol for s in coords)
-        _check_effect(x, inside)
-        images = [0.0] * len(coords)
-        for k, f, s in zip(put, self.scalar_isos, coords):
-            s = min(max(s, 0.0), 1.0)
-            images[k] = f(s) if forward else f.inverse(s)
         maps = [(iso, x._groups[g][m]) for (g, m), iso in zip(reads, self.engaged_isos)]
-        outs = _map_blocks(maps, forward, tol, self._pooled)
+        outs = _map_blocks(x, maps, forward, self._pooled)
+        # the real part of a herm(1,.) block is its top-left entry's, also over H
+        coords = [s for line, g in zip(lines, x._groups) if line for s in g[..., 0, 0].real.ravel().tolist()]
+        images = [0.0] * len(take)
+        for k, f, a in zip(put, self.scalar_isos, take):
+            s = min(max(coords[a], 0.0), 1.0)
+            images[k] = f(s) if forward else f.inverse(s)
         out, start = [], 0
         for (f, ids), stack in zip(dst.groups, stacks):
             if stack is None:
@@ -739,13 +720,12 @@ def recover_factor_iso(
     for img in imgs:
         _check_same_algebra(img, e_s)
 
-    # fhat = cone_interval_map of every image, within (stol, 1 + tol) at its own scale: one test
-    # and one solve on the stack; image by image only to name a failing image
+    # fhat = cone_interval_map of every image: one test and one solve on the stack, as an
+    # element of the m-fold sum, at bounds no looser than any image's own (stol, 1 + tol);
+    # image by image when that fails, which names a failing image or passes them all
     Fs = np.stack([img._block(0) for img in imgs])
-    scales = kind.sup(Fs, each=True).reshape(cs.shape)
-    lo, hi = _singular_tol(scales), 1.0 + _order_tol(scales)
-    # an entry >= hi fails
-    if np.all(scales < hi) and kind.within(Fs, lo, hi):
+    stack = _element(_interned((factor,) * len(Fs)), [Fs])
+    if spectrum_within(stack, _singular_tol(kind.sup(Fs)), 1.0 + ORDER_TOL):
         fhat = kind.inverse(Fs) - e
     else:
         outs = [_probe(n, cone_interval_map, F, "interval_to_cone") for n, F in zip(names, imgs)]

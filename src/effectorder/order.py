@@ -30,6 +30,7 @@ from .algebra import (
     unit,
 )
 from .spectral import (
+    _within,
     extreme_eigenvalues,
     positive_min_eigenvalue,
     range_projection,
@@ -61,15 +62,22 @@ def in_cone(x: Element) -> bool:
 
 
 def in_effect_interval(x: Element) -> bool:
-    """Membership in [0, e], the check of every order isomorphism of one
-    factor: the spectrum lies in (-tol, 1 + tol), tol = _order_tol(|x|)."""
-    tol = _order_tol(sup_norm(x))
-    return spectrum_within(x, -tol, 1.0 + tol)
+    """Membership in [0, e], the check of every order isomorphism: the
+    spectrum lies in (-tol, 1 + tol), tol = _order_tol(|x|)."""
+    return _in_effect(x)
 
 
-def _check_effect(x: Element, inside: bool | None = None) -> None:
-    """Raise DomainError unless in_effect_interval(x), or ``inside``, the caller's fused test."""
-    if not (in_effect_interval(x) if inside is None else inside):
+def _in_effect(x: Element) -> bool:
+    """:func:`in_effect_interval`, reading each group's sup once; it calls only the
+    kinds, so a pool thread may run it."""
+    sups = [f._kind.sup(g) for (f, _), g in zip(x.algebra.groups, x._groups)]
+    tol = _order_tol(max(sups))  # a NaN sup fails its own comparison in _within
+    return _within(x, sups, -tol, 1.0 + tol)
+
+
+def _check_effect(x: Element) -> None:
+    """Raise DomainError, naming x's spectrum, unless in_effect_interval(x)."""
+    if not _in_effect(x):
         lo, hi = extreme_eigenvalues(x)
         raise DomainError(f"argument is outside [0, e]: spectrum in [{lo}, {hi}]")
 

@@ -23,6 +23,7 @@ computed where a value is needed, such as the singularity test of
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -79,13 +80,17 @@ class SpectralDecomposition:
         return tuple(self.combine(row) for row in np.eye(len(self.eigenvalues)))
 
     def apply(self, f: Callable[[float], float]) -> Element:
-        """f(x) = Sum f(lam_i) p_i; raises if f is not finite on the spectrum."""
+        """f(x) = Sum f(lam_i) p_i; raises if f is not a finite real number on the spectrum."""
         vals = []
         for lam in self.eigenvalues:
             try:
-                val = float(f(lam))
+                val = f(lam)
             except (ArithmeticError, ValueError) as exc:
                 raise DomainError(f"function undefined at eigenvalue {lam}: {exc}") from exc
+            # checked, not caught: float() would drop an imaginary part, or raise TypeError
+            if not isinstance(val, numbers.Real):
+                raise DomainError(f"function undefined at eigenvalue {lam}: {val!r} is not a real number")
+            val = float(val)
             if not np.isfinite(val):
                 raise DomainError(f"function not finite at eigenvalue {lam}")
             vals.append(val)
@@ -207,8 +212,17 @@ def spectrum_within(x: Element, lo: float, hi: float = math.inf) -> bool:
         if hi == math.inf:
             return math.isfinite(sup_norm(x))
         x, lo, hi = -x, -hi, math.inf
-    bound, groups = max(abs(lo), abs(hi)), zip(x.algebra.groups, x._groups)
-    return all(f._kind.sup(g) < bound and f._kind.within(g, lo, hi) for (f, _), g in groups)
+    return _within(x, [f._kind.sup(g) for (f, _), g in zip(x.algebra.groups, x._groups)], lo, hi)
+
+
+def _within(x: Element, sups: Sequence[float], lo: float, hi: float) -> bool:
+    """The group loop of :func:`spectrum_within`, given the sup of each group of x: the
+    one caller of the kinds' ``within``, which calls nothing else, so a pool thread may
+    run it.  Every sup is compared before any ``within`` runs, so no kind sees an entry
+    that reaches max(|lo|, |hi|), nor the bounds of a tolerance read off an infinite sup."""
+    bound = max(abs(lo), abs(hi))
+    groups = zip(x.algebra.groups, x._groups)
+    return all(s < bound for s in sups) and all(f._kind.within(g, lo, hi) for (f, _), g in groups)
 
 
 def eigenvalue_floor(x: Element) -> float:

@@ -599,18 +599,22 @@ class TestCompositeOrderIso:
                 pre = f.inverse_apply(Element(f.algebra, (y.block(j),)))
                 np.testing.assert_array_equal(back._block(i), pre._block(0))
 
-    @pytest.mark.parametrize("factor", ENGAGED_KINDS, ids=str)
-    def test_engaged_block_outside_is_refused_as_by_its_factor_map(self, factor, rng):
-        # a block with sup below 1 passes the composite's own bound, so its
-        # factor map refuses it, with the text of that map's own DomainError
-        alg = algebra(HermFactor(1), factor)
-        iso = random_composite_iso(alg, alg, rng)
-        f = iso.engaged_isos[0]
-        bad = -0.25 * sample_element(f.algebra, rng, "invertible_effect")
-        x = Element(alg, (np.array([[0.5]]), bad.block(0)))
-        for run, own in ((iso.apply, f.apply), (iso.inverse_apply, f.inverse_apply)):
-            with pytest.raises(DomainError, match="outside") as want:
-                own(bad)
+    @pytest.mark.parametrize("k", [0, 1, 2], ids=["line", "herm", "spin"])
+    def test_engaged_block_outside_is_refused_as_by_its_factor_map(self, k, rng):
+        # one block of sup below 1 leaves [0, e]: the composite tests its whole
+        # argument once, so each direction refuses it with the text of every
+        # other map of [0, e], which names the argument's spectrum
+        iso = random_composite_iso(MIXED, MIXED, rng)
+        blocks = list((0.5 * unit(MIXED)).blocks)
+        blocks[k] = [
+            np.array([[-0.0125]]),
+            -0.25 * sample_element(single_factor(MIXED.factors[1]), rng, "invertible_effect").block(0),
+            np.array([0.05, 0.3, 0.0, 0.0]),
+        ][k]
+        x = Element(MIXED, blocks)
+        with pytest.raises(DomainError, match="^argument is outside") as want:
+            mobius_apply(0.5, x)
+        for run in (iso.apply, iso.inverse_apply):
             with pytest.raises(DomainError) as got:
                 run(x)
             assert str(got.value) == str(want.value)
@@ -1050,10 +1054,6 @@ def refusal(run, x) -> str:
     return str(info.value)
 
 
-def element_of_block(x, i):
-    return element_in_factor(x.algebra.factors[i], x.blocks[i])
-
-
 def spy_public_functions(monkeypatch, record):
     """Wrap every public function and public method of the effectorder modules,
     also where another module imported it by name, so that each call records the
@@ -1188,13 +1188,13 @@ class TestPooledBlocks:
     def test_first_refusal_in_pair_order(self, rng, pool, monkeypatch):
         alg = POOLED_ALGEBRAS[0]
         iso = random_composite_iso(alg, alg, rng)
-        # both blocks leave [0, e], each with its own spectrum
+        # both blocks leave [0, e], each with its own spectrum: the one test of
+        # the argument refuses it, before any pencil, naming its whole spectrum
         x = sample_element(alg, rng, "effect") - 0.6 * unit(alg)
-        first = element_of_block(x, 0)
         pooled = [refusal(iso.apply, x), refusal(iso.inverse_apply, x)]
         no_pool(monkeypatch)
         assert pooled == [refusal(iso.apply, x), refusal(iso.inverse_apply, x)]
-        assert pooled[0] == refusal(iso.engaged_isos[0].apply, first)
+        assert pooled[0] == refusal(lambda x: mobius_apply(0.5, x), x)
         assert pooled[0].startswith("argument is outside [0, e]")
 
     def test_refusal_wins_over_a_singular_pencil(self, pool, monkeypatch):
@@ -1214,7 +1214,8 @@ class TestPooledBlocks:
         monkeypatch.setattr(pool, "submit", lambda *a: futures.append(submit(*a)) or futures[-1])
         x = sample_element(alg, rng, "effect")
         iso.inverse_apply(iso.apply(x))
-        assert len(futures) == 2 * 3 and all(f.done() for f in futures)
+        # per direction the effect test and herm(48,C)'s pencil; herm(96,R)'s runs here
+        assert len(futures) == 2 * 2 and all(f.done() for f in futures)
         futures.clear()
         refusal(iso.apply, x - 0.6 * unit(alg))
         assert futures and all(f.done() for f in futures)

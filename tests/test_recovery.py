@@ -16,7 +16,11 @@ from effectorder import (
     canonical_trace,
     compose_factor_isos,
     cone_interval_map,
+    element_in_factor,
+    identity_jordan,
     interior_iso_apply,
+    invert_element,
+    max_eigenvalue,
     mobius_apply,
     random_factor_iso,
     recover_factor_iso,
@@ -25,9 +29,11 @@ from effectorder import (
     sup_norm,
     unit,
 )
+from effectorder import isomorphisms
 from effectorder.algebra import _identity
 from effectorder.isomorphisms import RECOVERY_TOL, _probe_plan
-from effectorder.spectral import extreme_eigenvalues
+from effectorder.order import ORDER_TOL, _order_tol
+from effectorder.spectral import _singular_tol, extreme_eigenvalues
 
 RECOVERY_KINDS = [
     HermFactor(2, Ring.REAL),
@@ -224,6 +230,56 @@ class TestRecoverFactorIso:
         assert len(probes) == expected_probes(factor)
 
 
+class TestStackedImageTest:
+    """Every probe image is tested in one call, on the stack as an element of the
+    m-fold sum, at bounds no looser than any image's own; the per-image pass of
+    cone_interval_map decides whatever that test refuses."""
+
+    @pytest.mark.parametrize("factor", BUDGET_KINDS, ids=str)
+    def test_never_looser_than_any_images_own_bounds(self, factor, rng, monkeypatch):
+        alg, calls = single_factor(factor), []
+        within = isomorphisms.spectrum_within
+        monkeypatch.setattr(
+            isomorphisms, "spectrum_within", lambda x, lo, hi: calls.append((x, lo, hi)) or within(x, lo, hi)
+        )
+        recover_factor_iso(random_factor_iso(factor, rng).apply, alg, alg)
+        [(stack, lo, hi)] = calls
+        assert stack.algebra.factors == (factor,) * expected_probes(factor)
+        for b in stack._groups[0]:
+            own = factor._kind.sup(b)
+            assert lo >= _singular_tol(own) and hi <= 1.0 + _order_tol(own)
+
+    def test_an_image_inside_its_own_bound_is_recovered_image_by_image(self, monkeypatch):
+        # spin(3), t = 0, z = 0.8 e and J = e, so y^2 = q e with q = 0.64 / 1.64.  Extraction
+        # probe 1, x = (0, e_1) with c = 2, is answered as if J scaled u's first column by
+        # 1 + d, which the polar factor undoes: fhat = q (2, (1 + d) e_1), whose least
+        # eigenvalue is -eps, so the image's greatest is 1 / (1 - eps), above 1 + ORDER_TOL
+        factor, (t, s, eps) = SpinFactor(3), (0.0, 0.8, 1.3e-8)
+        alg = single_factor(factor)
+        iso = FactorOrderIso(t, s * unit(alg), identity_jordan(factor))
+        q = (1.0 - t) * s * s / (1.0 + s * s)
+        d = 1.0 + eps / q
+        image = invert_element(element_in_factor(factor, np.array([1.0 + 2.0 * q, q * (1.0 + d), 0.0, 0.0])))
+        top, own = max_eigenvalue(image), _order_tol(sup_norm(image))
+        assert 1.0 + ORDER_TOL < top < 1.0 + own
+        clean, probes, passes = recover_factor_iso(iso.apply, alg, alg), [], []
+
+        def g(x):
+            probes.append(x)
+            return image if len(probes) == 2 else iso.apply(x)
+
+        per_image = isomorphisms.cone_interval_map
+        monkeypatch.setattr(
+            isomorphisms, "cone_interval_map", lambda *args: passes.append(args) or per_image(*args)
+        )
+        rec = recover_factor_iso(g, alg, alg)
+        assert len(passes) == len(probes) == expected_probes(factor)
+        # the canonical (t, z, J) of the clean probes
+        assert abs(rec.t - clean.t) <= 1e-8 and sup_norm(rec.z - clean.z) <= 1e-8
+        assert np.max(np.abs(rec.jordan.u - clean.jordan.u)) <= 1e-8
+        assert reproduction_error(rec.apply, iso.apply, alg, np.random.default_rng(3)) <= RECOVERY_TOL
+
+
 def expected_probes(factor):
     """The unit once, one per column (over C one more for the conjugation,
     over H two more for the twist; none on herm(1,.)) or spin basis vector,
@@ -328,9 +384,9 @@ class TestConstants:
     def test_stacked_sups_equal_each_blocks_sup(self, factor, rng):
         alg = single_factor(factor)
         stack = np.stack([sample_element(alg, rng, "general")._block(0) for _ in range(4)])
-        stack[2] = np.nan  # a NaN block's sup is NaN, as sup_norm's
-        sups = factor._kind.sup(stack, each=True)
-        assert sups.shape == (4,)
-        for s, b in zip(sups.tolist(), stack):
-            one = factor._kind.sup(b)
-            assert s == one or (np.isnan(s) and np.isnan(one))
+        # the stack's sup, of which recovery's stacked test takes its singular
+        # tolerance, is the largest block's; NaN when a block's is, as sup_norm's
+        sup = factor._kind.sup(stack)
+        assert sup == max(factor._kind.sup(b) for b in stack)
+        stack[2] = np.nan
+        assert np.isnan(factor._kind.sup(stack)) and np.isnan(factor._kind.sup(stack[2]))

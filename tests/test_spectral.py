@@ -175,6 +175,24 @@ class TestApplyFunction:
         with pytest.raises(DomainError):
             apply_function(x, lambda t: 1.0 / t)
 
+    @pytest.mark.parametrize(
+        "f", [np.emath.sqrt, lambda t: t ** 0.5, lambda t: None], ids=["emath_sqrt", "power", "none"]
+    )
+    def test_rejects_values_that_are_not_real_numbers(self, f):
+        # a complex value is not truncated to its real part, and no TypeError escapes
+        x = herm(np.diag([-1.0, 0.25]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^function undefined at eigenvalue -1\.0: .* is not a real number$"):
+                apply_function(x, f)
+
+    def test_type_error_inside_the_function_is_not_relabelled(self):
+        def f(t):
+            raise TypeError("inside f")
+
+        with pytest.raises(TypeError, match="^inside f$"):
+            apply_function(herm(np.diag([-1.0, 0.25])), f)
+
 
 class TestRangeProjection:
     def test_diagonal(self):
@@ -500,19 +518,23 @@ class TestStackedKernels:
             assert_embedding_form(factor, out)
 
     @pytest.mark.parametrize("factor", MATRIX_KINDS, ids=str)
-    def test_one_factorization_decides_every_block(self, factor, rng):
+    def test_one_factorization_decides_every_block(self, factor, rng, eigensolve_counter):
+        # a stack passes iff each of its blocks does, in one Cholesky call (none on lines)
         xs = [sample_element(single_factor(factor), rng, "invertible_effect") for _ in range(3)]
         m = np.stack([x._block(0) for x in xs])
         ends = np.array([extreme_eigenvalues(x) for x in xs])
-        lo, hi = ends[:, :1, None] - 1e-6, ends[:, 1:, None] + 1e-6
-        within = factor._kind.within
+        lo, hi = ends.min() - 1e-6, ends.max() + 1e-6
+        within, eye = factor._kind.within, factor._kind.identity()
+        eigensolve_counter.clear()
         assert within(m, lo, hi)
+        assert eigensolve_counter["cholesky"] == (factor.n > 1)
         for k in range(len(xs)):
-            tight_lo, tight_hi = lo.copy(), hi.copy()
-            tight_lo[k] += 2e-6
-            tight_hi[k] -= 2e-6
-            assert not within(m, tight_lo, hi)
-            assert not within(m, lo, tight_hi)
+            # block k alone pushed past either bound by 1e-6
+            for shift in (lo - 1e-6 - ends[k, 0], hi + 1e-6 - ends[k, 1]):
+                pushed = m.copy()
+                pushed[k] = m[k] + shift * eye
+                assert not within(pushed, lo, hi)
+                assert [within(b, lo, hi) for b in pushed] == [j != k for j in range(len(xs))]
 
 
 # three matrix blocks with n >= 2, each one eigh; the line and the spin
