@@ -95,7 +95,7 @@ from .spectral import (
 from .order import ORDER_TOL, _check_effect, _in_effect, _order_tol, in_cone, leq
 
 if TYPE_CHECKING:  # imported with the pool: concurrent.futures takes ~9 ms to import
-    from concurrent.futures import Future, ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
 
 class RecoveryError(RuntimeError):
