@@ -251,9 +251,9 @@ def single_factor(factor: Factor) -> AlgebraDescriptor:
 # --- factor kinds ------------------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _identity(m: int) -> np.ndarray:
-    """The m x m real identity, read-only: one per order."""
-    eye = np.eye(m)
+def _identity(m: int, stack: bool = False) -> np.ndarray:
+    """The m x m real identity, or the (1, m, m) stack of it, read-only: one per order and shape."""
+    eye = np.eye(m).reshape((1, m, m) if stack else (m, m))
     eye.setflags(write=False)
     return eye
 
@@ -378,7 +378,7 @@ class _Real:
         if (lo < -_WIDE or hi > _WIDE) and hi < math.inf:
             s = math.ldexp(1.0, _WIDE_EXP - math.frexp(max(-lo, hi))[1])
             m, lo, hi = s * m, s * lo, s * hi
-        eye = _identity(m.shape[-1])
+        eye = _identity(m.shape[-1], True)  # as a stack: broadcasting (n, n) over one costs more
         p = m - lo * eye
         if hi < math.inf:
             # the factors commute; cholesky reads one triangle, so the
@@ -410,23 +410,23 @@ class _Real:
         return self.ring_array(w @ vh)
 
     def pencils(self, u: np.ndarray, conjugate: bool, basis: np.ndarray, vals) -> tuple:
-        """(forward, backward, frame) for :meth:`solve`: (A, B, C) = u* V (y, y d, y^(-1))
-        V* for the eigenbasis V of z, vals = (y, y^(-1)) on its eigenpairs and B = C - A,
-        (C*, -B*, A*), and whether J conjugates."""
+        """The (backward, forward) directions for :meth:`solve`, each (pencil, conjugate the
+        input, conjugate the solve): (A, B, C) = u* V (y, y d, y^(-1)) V* for the eigenbasis
+        V of z, vals = (y, y^(-1)) on its eigenpairs and B = C - A, and (C*, -B*, A*)."""
         w = _adjoint(u) @ basis
         A, C = ((w * g) @ basis.conj().T for g in vals)
         B = C - A
-        return (A, B, C), (C.conj().T, -B.conj().T, A.conj().T), conjugate
+        return ((C.conj().T, -B.conj().T, A.conj().T), False, conjugate), ((A, B, C), conjugate, False)
 
-    def solve(self, pencil: tuple, frame, b: np.ndarray, forward: bool) -> np.ndarray:
-        """(A + x~ B)^(-1) x~ C, or (C* - F B*)^(-1) F A* conjugated when J is."""
-        A, B, C = pencil
-        m = b.conj() if frame and forward else b
+    def solve(self, direction: tuple, b: np.ndarray) -> np.ndarray:
+        """(A + m B)^(-1) m C for m = b, or conj(b) first; its conjugate when the direction says."""
+        (A, B, C), before, after = direction
+        m = b.conj() if before else b
         try:
             out = _lapack.solve(A + m @ B, m @ C)
         except _lapack.LinAlgError as exc:
             raise DomainError(_SINGULAR_PENCIL) from exc
-        if frame and not forward:
+        if after:
             out = out.conj()
         return self.hermitize(out)
 
@@ -716,17 +716,17 @@ class _Spin:
         return np.concatenate(([b[0]], u @ b[1:]))
 
     def pencils(self, u, conjugate, basis, vals):
-        """The diagonal pencil on the copy of herm(2,R) spanned by e, zhat and J x, in
-        which z = diag(s_-, s_+), kept as diagonals; the frame is (zhat, u)."""
-        A, C = vals
+        """The diagonal pencil on the copy of herm(2,R) spanned by e, zhat and J x, in which
+        z = diag(s_-, s_+), kept as diagonals; directions are (pencil, zhat, first, last)."""
+        (A, C), zhat = vals, 2.0 * basis[-1, 1:]
         B = C - A
-        return (A, B, C), (C, -B, A), (2.0 * basis[-1, 1:], u)
+        return ((C, -B, A), zhat, None, u.T), ((A, B, C), zhat, u, None)
 
-    def solve(self, pencil, frame, b, forward):
-        """The pencil on the copy of x: u applies first (forward) or u^T last."""
-        zhat, u = frame
+    def solve(self, direction, b):
+        """The pencil on the copy of x, with first applied before it and last after it, if not None."""
+        pencil, zhat, first, last = direction
         a = float(b[0])
-        v = u @ b[1:] if forward else b[1:]
+        v = b[1:] if first is None else first @ b[1:]
         # the copy of herm(2,R): (a, p0 zhat + w) -> [[a - p0, p1], [p1, a + p0]]
         # for w orthogonal to zhat, p1 = |w|; p1 = 0 only when w = 0
         p0 = float(zhat @ v)
@@ -734,7 +734,7 @@ class _Spin:
         p1 = math.hypot(*w.tolist())
         x00, x01, x10, x11 = self._solve_diagonal_pencil(a - p0, p1, a + p0, *pencil)
         v = (x11 - x00) * zhat + (x01 + x10) / (p1 or 1.0) * w
-        v = v if forward else u.T @ v
+        v = v if last is None else last @ v
         return np.concatenate(([x00 + x11], v)) / 2.0
 
     @staticmethod

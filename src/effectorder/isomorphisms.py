@@ -17,14 +17,16 @@ Since u is unitary and d y = y d,
     u* (e + w d) y = A + x~ B,    (A, B, C) = u* (y, y d, y^(-1)),
 
 so  f(x) = (A + x~ B)^(-1) x~ C  and  f^(-1)(F) = (C* - F B*)^(-1) F A*,
-conjugated at the end when J is. Each direction is two products and one
-solve, and needs no inverse of x or F.  For every effect the solves are
+conjugated at the end when J is: the inverse is the same form with a second
+pencil.  So a direction is one record, which the factor's kind builds and
+solves, (pencil, conjugate the input, conjugate the solve): two products
+and one solve, with no inverse of x or F.  For every effect the solves are
 nonsingular, e + w d because d > -e and e - (U_y F) d because F <= e, so
 this one form holds, continuously, on all of [0, e] and no limit is needed
 at the boundary.  On a spin factor, e, the unit vector part zhat of z and
-J x span a copy of herm(2,R) in which z is diagonal; u applies first
-(forward) or u^T last (backward), and the same pencil runs with u = e.
-There A, B and C are diagonal, and the 2x2 solve is done in floats.
+J x span a copy of herm(2,R) in which z, A, B and C are diagonal; there a
+direction is (pencil, zhat, u applied first, u^T applied last), its pencil
+that of u = e, and the 2x2 solve is done in floats.
 
 For a direct sum, an order isomorphism routes the rank-one (disengaged)
 coordinates through a bijection with arbitrary scalar order isomorphisms
@@ -53,7 +55,7 @@ import os
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Union
 
 import numpy as np
@@ -108,9 +110,14 @@ _AGREEMENT_PROBES = 3  # Gaussian points of recovery's one check of the black bo
 
 
 def check_mobius_param(t: float) -> float:
-    t = float(t)
+    """t as a Python float, once it is a finite real number below MOBIUS_PARAM_MAX."""
+    if type(t) is not float:
+        if isinstance(t, (str, bytes, complex, np.complexfloating)):
+            raise DomainError(f"Mobius parameter must be a real number, got {t!r}")
+        t = float(t)
     if not (math.isfinite(t) and t < MOBIUS_PARAM_MAX):
-        raise DomainError(f"Mobius parameter must be finite with t < 1, got {t}")
+        bound = f"t < MOBIUS_PARAM_MAX = {MOBIUS_PARAM_MAX}"
+        raise DomainError(f"Mobius parameter must be finite with {bound}, got {t}")
     return t
 
 
@@ -122,20 +129,19 @@ def mobius_scalar(t: float, s: float) -> float:
 
 def mobius_compose(t: float, s: float) -> float:
     """Parameter of the composition: mobius_t after mobius_s."""
-    check_mobius_param(t)
-    check_mobius_param(s)
+    t, s = check_mobius_param(t), check_mobius_param(s)
     return t + s - t * s
 
 
 def mobius_invert_param(t: float) -> float:
-    check_mobius_param(t)
+    t = check_mobius_param(t)
     return t / (t - 1.0)
 
 
 def mobius_apply(t: float, x: Element) -> Element:
     """The effect-algebra automorphism x -> x o (t x + (1 - t) e)^(-1),
     computed through the functional calculus by :func:`mobius_scalar`."""
-    check_mobius_param(t)
+    t = check_mobius_param(t)
     _check_effect(x)
     return spectral_decompose(x).apply(lambda s: mobius_scalar(t, s))
 
@@ -262,7 +268,8 @@ class FactorOrderIso:
     closed-form order isomorphism of a factor's effect algebra.
 
     Construction folds y, d and J into the pencil (A, B, C) = u* (y, y d,
-    y^(-1)) of the module docstring, which the factor's kind builds and
+    y^(-1)) of the module docstring and that of the inverse, which the
+    factor's kind builds as the two directions, (backward, forward), and
     solves (``pencils``, ``solve``).
     """
 
@@ -271,7 +278,7 @@ class FactorOrderIso:
     jordan: FactorJordanIso
 
     def __post_init__(self) -> None:
-        check_mobius_param(self.t)
+        object.__setattr__(self, "t", check_mobius_param(self.t))
         if self.z.algebra != self.jordan.algebra:
             raise ShapeMismatchError("z must live in the target factor")
         dec = spectral_decompose(self.z)
@@ -284,10 +291,10 @@ class FactorOrderIso:
         s = np.array(dec.eigenvalues)[dec.clusters[0][0]]
         y = np.sqrt(c) * (s / np.hypot(1.0, s))  # sqrt(c / (1 + s^2)) s, with no s^2
         kind, jord = self.jordan.factor._kind, self.jordan
-        pencils = kind.pencils(jord._u, jord.conjugate, dec.bases[0][0], (y, 1.0 / y))
-        names = ("_forward", "_backward", "_frame", "_kind", "_large")
-        for name, value in zip(names, (*pencils, kind, kind.cost >= _POOL_MIN_COST)):
-            object.__setattr__(self, name, value)
+        directions = kind.pencils(jord._u, jord.conjugate, dec.bases[0][0], (y, 1.0 / y))
+        object.__setattr__(self, "_directions", directions)
+        object.__setattr__(self, "_kind", kind)
+        object.__setattr__(self, "_large", kind.cost >= _POOL_MIN_COST)
 
     @property
     def algebra(self) -> AlgebraDescriptor:
@@ -305,12 +312,8 @@ class FactorOrderIso:
     def _run(self, x: Element, forward: bool) -> Element:
         if x.algebra is not self.algebra and x.algebra != self.algebra:
             raise ShapeMismatchError("element does not live in this factor")
-        out = _map_blocks(x, [(self, x._block(0))], forward, self._large)
+        out = _map_blocks(x, [(self._kind, self._directions[forward], x._block(0))], self._large)
         return _element(self.algebra, _grouped(self.algebra, out))
-
-    def _pencil(self, b: np.ndarray, forward: bool) -> np.ndarray:
-        """One direction's pencil on the stored block b of an effect: the stored output block."""
-        return self._kind.solve(self._forward if forward else self._backward, self._frame, b, forward)
 
 
 # A block whose pencil costs at least this (its kind's ``cost``) is large, and a map with
@@ -347,9 +350,9 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _map_blocks(x: Element, maps: list, forward: bool, pooled: bool) -> list[np.ndarray]:
-    """The stored output blocks of the (FactorOrderIso, stored block of x) pairs maps
-    in one direction, once x has passed the one effect test (order._check_effect).
+def _map_blocks(x: Element, maps: list, pooled: bool) -> list[np.ndarray]:
+    """The stored output blocks of the (kind, direction, stored block of x) triples maps,
+    each the kind's ``solve``, once x has passed the one effect test (order._check_effect).
 
     The test of x, then each block's pencil in turn; the first failure raises, and a
     refusal of x wins over any pencil's.  With ``pooled`` and a pool, the test and the
@@ -365,15 +368,15 @@ def _map_blocks(x: Element, maps: list, forward: bool, pooled: bool) -> list[np.
 
             test = pool.submit(_in_effect, x)
             # the matrix blocks: a spin pencil costs 0 and runs inline
-            matrix = [k for k, (iso, _) in enumerate(maps) if iso._kind.cost]
-            keep = max(matrix, key=lambda k: maps[k][0]._kind.cost)
+            matrix = [k for k, (kind, _, _) in enumerate(maps) if kind.cost]
+            keep = max(matrix, key=lambda k: maps[k][0].cost)
             for k in matrix:
                 if k != keep:
-                    done[k] = pool.submit(maps[k][0]._pencil, maps[k][1], forward)
-            iso, b = maps[keep]
+                    done[k] = pool.submit(maps[k][0].solve, *maps[k][1:])
+            kind, direction, b = maps[keep]
             kept = done[keep] = Future()
             try:
-                kept.set_result(iso._pencil(b, forward))
+                kept.set_result(kind.solve(direction, b))
             except Exception as exc:  # raised in the walk, after the test
                 kept.set_exception(exc)
         # a task that the pool has not started is taken back and run here; a failed
@@ -381,9 +384,9 @@ def _map_blocks(x: Element, maps: list, forward: bool, pooled: bool) -> list[np.
         if test is None or test.cancel() or not test.result():
             _check_effect(x)
         out = []
-        for k, (iso, b) in enumerate(maps):
+        for k, (kind, direction, b) in enumerate(maps):
             pencil = done.get(k)
-            out.append(iso._pencil(b, forward) if pencil is None or pencil.cancel() else pencil.result())
+            out.append(kind.solve(direction, b) if pencil is None or pencil.cancel() else pencil.result())
     except BaseException:
         if test is not None:  # so the pool is there, and wait imported
             futures = [test, *done.values()]
@@ -472,7 +475,7 @@ class PhiScalarIso:
     t: float
 
     def __post_init__(self) -> None:
-        check_mobius_param(self.t)
+        object.__setattr__(self, "t", check_mobius_param(self.t))
 
     def __call__(self, s: float) -> float:
         return mobius_scalar(self.t, s)
@@ -564,31 +567,27 @@ class CompositeOrderIso:
             if iso.jordan.algebra.factors != (self.target.factors[j],):
                 raise ValueError(f"factor isomorphism {i} -> {j} lives in the wrong factor")
         object.__setattr__(self, "_pooled", any(iso._large for iso in self.engaged_isos))
+        object.__setattr__(self, "_plans", {})  # by direction, each made on first use
 
-    @cached_property
-    def _plans(self) -> tuple:
-        """Both directions' :meth:`_plan`, (backward, forward), made on first use."""
-        slots = (_line_slots(self.source), _line_slots(self.target))
-        return self._plan(False, slots[::-1]), self._plan(True, slots)
-
-    def _plan(self, forward: bool, slots: tuple) -> tuple:
-        """One direction's routing by group: whether each source group is of rank
-        one, the slots in the source's and the target's vector of rank-one
-        coordinates (:func:`_line_slots`, given as slots) of each scalar map, the
-        source factor of each engaged map, as (group, member), and per target
-        group the engaged maps whose images it stacks, or None for rank one."""
+    def _plan(self, forward: bool) -> tuple:
+        """Everything one direction reads, made on first use and kept in ``_plans``: its
+        source and target, whether each source group is of rank one, and per target
+        group each member's route.  A rank-one member's is its scalar map, bound as f
+        or f.inverse, and the slot of its source in the vector of the source's rank-one
+        coordinates, read group by group, each group's in member order; an engaged
+        member's is its map's kind and direction and its source factor, as (group, member)."""
         src, dst = (self.source, self.target) if forward else (self.target, self.source)
-        scalars = [p if forward else p[::-1] for p in self.sigma]
-        engaged = [p if forward else p[::-1] for p in self.engaged_pairs]
-        a_slots, b_slots = slots
-        pos = {b: k for k, (_, b) in enumerate(engaged)}
-        return (
-            [f.rank == 1 for f, _ in src.groups],
-            [a_slots[a] for a, _ in scalars],
-            [b_slots[b] for _, b in scalars],
-            [src._where[a] for a, _ in engaged],
-            [None if f.rank == 1 else [pos[j] for j in ids] for f, ids in dst.groups],
-        )
+        slots = {i: k for k, i in enumerate(i for f, ids in src.groups if f.rank == 1 for i in ids)}
+        routes = {}
+        for (i, j), f in zip(self.sigma, self.scalar_isos):
+            a, b = (i, j) if forward else (j, i)
+            routes[b] = (f if forward else f.inverse, slots[a])
+        for (i, j), iso in zip(self.engaged_pairs, self.engaged_isos):
+            a, b = (i, j) if forward else (j, i)
+            routes[b] = (iso._kind, iso._directions[forward], src._where[a])
+        lines = [f.rank == 1 for f, _ in src.groups]
+        plan = self._plans[forward] = src, dst, lines, [[routes[j] for j in ids] for _, ids in dst.groups]
+        return plan
 
     def apply(self, x: Element) -> Element:
         return self._run(x, True)
@@ -597,33 +596,22 @@ class CompositeOrderIso:
         return self._run(y, False)
 
     def _run(self, x: Element, forward: bool) -> Element:
-        src = self.source if forward else self.target
-        dst = self.target if forward else self.source
+        src, dst, lines, routes = self._plans.get(forward) or self._plan(forward)
         if x.algebra is not src and x.algebra != src:
             raise ShapeMismatchError("element does not live in the expected algebra")
-        lines, take, put, reads, stacks = self._plans[forward]
-        maps = [(iso, x._groups[g][m]) for (g, m), iso in zip(reads, self.engaged_isos)]
-        outs = _map_blocks(x, maps, forward, self._pooled)
+        engaged = [group for (f, _), group in zip(dst.groups, routes) if f.rank > 1]
+        maps = [(kind, d, x._groups[g][m]) for group in engaged for kind, d, (g, m) in group]
+        outs = iter(_map_blocks(x, maps, self._pooled))
         # the real part of a herm(1,.) block is its top-left entry's, also over H
         coords = [s for line, g in zip(lines, x._groups) if line for s in g[..., 0, 0].real.ravel().tolist()]
-        images = [0.0] * len(take)
-        for k, f, a in zip(put, self.scalar_isos, take):
-            s = min(max(coords[a], 0.0), 1.0)
-            images[k] = f(s) if forward else f.inverse(s)
-        out, start = [], 0
-        for (f, ids), stack in zip(dst.groups, stacks):
-            if stack is None:
-                k, start = len(ids), start + len(ids)
-                out.append(f._kind.from_real(np.array(images[start - k : start]).reshape(k, 1, 1)))
+        out = []
+        for (f, _), group in zip(dst.groups, routes):
+            if f.rank == 1:
+                images = [fn(min(max(coords[a], 0.0), 1.0)) for fn, a in group]
+                out.append(f._kind.from_real(np.array(images).reshape(len(images), 1, 1)))
             else:
-                out.append(np.array([outs[k] for k in stack]))
+                out.append(np.array([next(outs) for _ in group]))
         return _element(dst, out)
-
-
-def _line_slots(alg: AlgebraDescriptor) -> dict[int, int]:
-    """Each rank-one factor's index in the vector of rank-one coordinates, which
-    are read group by group, each group's in member order."""
-    return {i: k for k, i in enumerate(i for f, ids in alg.groups if f.rank == 1 for i in ids)}
 
 
 def coordinate_squeeze_iso(n: int) -> tuple[CompositeOrderIso, Element]:

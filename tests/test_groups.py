@@ -56,6 +56,13 @@ ENGAGED_TWICE = algebra(
 )
 NON_ADJACENT = algebra(HermFactor(1), HermFactor(2, C), HermFactor(1))
 GROUPED = [SMALL_MIXED, ENGAGED_TWICE, NON_ADJACENT]
+# one sum in two orders, with repeated engaged factors: a map between them routes
+# each target group's members from other groups and positions of the source
+REORDERED = (
+    algebra(HermFactor(1), HermFactor(3, C), SpinFactor(3), HermFactor(3, C), HermFactor(1)),
+    algebra(SpinFactor(3), HermFactor(3, C), HermFactor(1), HermFactor(3, C), HermFactor(1)),
+)
+ROUTED = [(alg, alg) for alg in GROUPED] + [REORDERED]
 
 
 def parts(x):
@@ -340,11 +347,13 @@ class TestKernels:
 
 
 class TestCompositeMaps:
-    @pytest.mark.parametrize("alg", GROUPED, ids=str)
-    def test_lines_and_engaged_groups_map_as_their_factors(self, alg, rng):
-        iso = random_composite_iso(alg, alg, rng)
-        x = sample_element(alg, rng, "effect")
+    @pytest.mark.parametrize(
+        "source, target", ROUTED, ids=[str(s) if s is t else f"{s} to {t}" for s, t in ROUTED]
+    )
+    def test_lines_and_engaged_groups_map_as_their_factors(self, source, target, rng):
+        iso = random_composite_iso(source, target, rng)
         for forward, run in ((True, iso.apply), (False, iso.inverse_apply)):
+            x = sample_element(source if forward else target, rng, "effect")
             y = run(x)
             for (i, j), scalar in zip(iso.sigma, iso.scalar_isos):
                 a, b = (i, j) if forward else (j, i)

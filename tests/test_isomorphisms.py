@@ -119,6 +119,34 @@ class TestMobiusFamily:
         with pytest.raises(DomainError):
             mobius_apply(0.5, 2.0 * unit(MIXED))
 
+    @pytest.mark.parametrize("t", ["0.5", b"0.5", 0.5 + 0j, np.complex64(0.5), np.complex128(0.5)], ids=repr)
+    def test_a_string_or_complex_parameter_is_refused(self, t):
+        for make in (PhiScalarIso, lambda t: mobius_apply(t, unit(MIXED)), mobius_invert_param):
+            with pytest.raises(DomainError, match="must be a real number"):
+                make(t)
+
+    def test_the_refusal_names_the_bound_it_enforces(self):
+        # 1 - 1e-13 is below 1, but above MOBIUS_PARAM_MAX = 1 - 1e-12
+        with pytest.raises(DomainError) as info:
+            PhiScalarIso(1.0 - 1e-13)
+        assert f"t < MOBIUS_PARAM_MAX = {isomorphisms.MOBIUS_PARAM_MAX}" in str(info.value)
+
+    def test_a_numpy_parameter_is_stored_and_used_as_a_float(self, rng):
+        t32 = np.float32(0.5)
+        iso = PhiScalarIso(t32)
+        assert type(iso.t) is float and iso == PhiScalarIso(float(t32))
+        assert type(iso(0.3)) is float and abs(iso.inverse(iso(0.3)) - 0.3) <= 1e-15
+        assert type(mobius_compose(t32, t32)) is float and type(mobius_invert_param(t32)) is float
+        x = sample_element(MIXED, rng, "effect")
+        got, want = mobius_apply(t32, x), mobius_apply(float(t32), x)
+        assert all(np.array_equal(a, b) for a, b in zip(got._groups, want._groups))
+
+    def test_a_float32_line_map_round_trips(self, rng):
+        iso = CompositeOrderIso(H1, H1, ((0, 0),), (PhiScalarIso(np.float32(-1.7)),), (), ())
+        for s in np.linspace(0.0, 1.0, 11):
+            x = s * unit(H1)
+            assert sup_norm(iso.inverse_apply(iso.apply(x)) - x) <= 1e-12
+
 
 class TestIntervalTopMap:
     def test_diagonal_forward(self):
@@ -246,6 +274,16 @@ class TestFactorOrderIso:
         iso = FactorOrderIso(0.0, unit(H1), identity_jordan(f))
         out = iso.apply(0.5 * unit(H1))
         assert abs(out.block(0)[0, 0] - 2.0 / 3.0) <= 1e-14
+
+    @pytest.mark.parametrize("factor", ENGAGED_KINDS, ids=str)
+    def test_a_float32_parameter_survives_its_document(self, factor, rng):
+        ref = random_factor_iso(factor, rng)
+        iso = FactorOrderIso(np.float32(0.3), ref.z, ref.jordan)
+        assert type(iso.t) is float
+        comp = CompositeOrderIso(iso.algebra, iso.algebra, (), (), ((0, 0),), (iso,))
+        back = load_document(dump_document(comp))
+        x = sample_element(iso.algebra, rng, "effect")
+        assert np.array_equal(back.apply(x)._block(0), comp.apply(x)._block(0))
 
     def test_endpoints_fixed_for_any_parameters(self, rng):
         for factor in FACTOR_KINDS:
@@ -1094,10 +1132,10 @@ def singular_outside(n):
     times e, and the input's first eigenvalue m solves a + m b = 0 in floats."""
     f = HermFactor(n)
     iso = FactorOrderIso(0.5, element_in_factor(f, 0.8 * np.eye(n)), identity_jordan(f))
-    a, b = iso._forward[0][0, 0], iso._forward[1][0, 0]
+    (A, B, C), _, _ = iso._directions[True]
+    a, b = A[0, 0], B[0, 0]
     m = next(v for v in (-a / b, np.nextafter(-a / b, 0.0), np.nextafter(-a / b, -1.0)) if a + v * b == 0.0)
     x = element_in_factor(f, np.diag([m] + [0.5] * (n - 1)))
-    A, B, C = iso._forward
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(A + x._block(0) @ B, x._block(0) @ C)
     return iso, x
@@ -1169,10 +1207,11 @@ class TestPooledBlocks:
         iso = random_composite_iso(alg, alg, rng)
         submitted = []
         submit = pool.submit
-        monkeypatch.setattr(pool, "submit", lambda fn, *a: submitted.append(fn) or submit(fn, *a))
+        monkeypatch.setattr(pool, "submit", lambda fn, *a: submitted.append((fn, a)) or submit(fn, *a))
         iso.apply(sample_element(alg, rng, "effect"))
-        pencils = [fn.__self__.jordan.factor for fn in submitted if fn.__name__ == "_pencil"]
-        assert pencils == [HermFactor(64)]
+        # a kind's solve takes (direction, stored block)
+        solves = [(type(fn.__self__), a[1].shape) for fn, a in submitted if fn.__name__ == "solve"]
+        assert solves == [(_Real, (64, 64))]
 
     def test_small_blocks_make_no_pool(self, rng, monkeypatch):
         # each matrix block just below the pencil cost of a large block

@@ -178,7 +178,7 @@ class TestSingularPencil:
 
     def test_on_a_pool_worker(self, pool):
         iso, image = singular_map(96)
-        future = pool.submit(iso._pencil, image._block(0), False)
+        future = pool.submit(iso._kind.solve, iso._directions[False], image._block(0))
         assert isinstance(future.exception(), DomainError)
         assert str(future.exception()) == _SINGULAR_PENCIL
 

@@ -1,5 +1,6 @@
 """Structure guards: what a factor kind is lives in its kind class alone, every
-LAPACK call in ``_lapack``, and every spectral membership test in ``spectral``."""
+LAPACK call in ``_lapack``, every spectral membership test in ``spectral``, and
+a map's direction in the record a kind's ``solve`` runs, not in a flag."""
 
 import importlib
 import inspect
@@ -70,3 +71,14 @@ def test_only_spectral_calls_a_kinds_within():
 def test_no_line_passes_each():
     lines = src_lines(EACH_ARGUMENT)
     assert not lines, "lines that pass each=:\n" + "\n".join(lines)
+
+
+def test_no_kind_method_takes_a_forward_flag():
+    # a kind's pencils returns both directions as records, and its solve runs either one
+    methods = [
+        f"{cls.__name__}.{name}"
+        for cls in kind_classes()
+        for name, fn in inspect.getmembers(cls, inspect.isfunction)
+        if "forward" in inspect.signature(fn).parameters
+    ]
+    assert not methods, "kind methods with a forward parameter:\n" + "\n".join(sorted(methods))
