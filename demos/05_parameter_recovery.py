@@ -28,13 +28,15 @@ print("reproduction error on 50 fresh inputs:", worst)
 
 # note: the recovered t need not equal the secret t; the parameterization
 # is unique only up to the choice of lambda, and both triples induce the
-# same map.  Composition also lands back in the family:
+# same map.  Composition also lands back in the family, and its canonical
+# parameters are built in closed form from the two cone maps, with no probe:
 other = eo.random_factor_iso(factor, rng)
-fwd, _ = eo.compose_factor_isos(secret, other)
-canonical = eo.recover_factor_iso(fwd, alg, alg, seed=1)
+canonical = secret.compose(other)
 x = eo.sample_element(alg, rng, "invertible_effect")
 print("canonical form of a composition, residual:",
-      eo.sup_norm(canonical.apply(x) - fwd(x)))
+      eo.sup_norm(canonical.apply(x) - secret.apply(other.apply(x))))
+print("its inverse, residual:",
+      eo.sup_norm(canonical.inverted().apply(canonical.apply(x)) - x))
 
 # a map that is NOT of the closed form is rejected: here its cone map fails
 # the probe that tells linear from conjugate-linear J; a map that passes the

@@ -397,7 +397,7 @@ class _Real:
     # -- isometries and the closed-form map --
 
     def act(self, u: np.ndarray, b: np.ndarray, conjugate: bool) -> np.ndarray:
-        """x -> u x~ u* on a stored block, x~ = conj(x) when ``conjugate``."""
+        """x -> u x~ u* on a stored block, or each of a stack, x~ = conj(x) when ``conjugate``."""
         return self.hermitize(u @ (b.conj() if conjugate else b) @ _adjoint(u))
 
     def random_isometry(self, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
@@ -712,8 +712,8 @@ class _Spin:
     def floor(self, b):
         return self.eigenvalues(b)[..., 0]
 
-    def act(self, u, b, conjugate):
-        return np.concatenate(([b[0]], u @ b[1:]))
+    def act(self, u, b, conjugate):  # on one block or a (k, d + 1) stack
+        return np.concatenate((b[..., :1], (u @ b[..., 1:, None])[..., 0]), axis=-1)
 
     def pencils(self, u, conjugate, basis, vals):
         """The diagonal pencil on the copy of herm(2,R) spanned by e, zhat and J x, in which

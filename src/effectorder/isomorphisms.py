@@ -28,6 +28,11 @@ J x span a copy of herm(2,R) in which z, A, B and C are diagonal; there a
 direction is (pencil, zhat, u applied first, u^T applied last), its pencil
 that of u = e, and the 2x2 solve is done in floats.
 
+Through x -> x^(-1) - e the map is the cone map fhat = U_y J, so a composition
+and an inverse are closed-form maps too, (g o f)^ = U_{y_g} U_{J_g y_f} J_g J_f and
+(f^(-1))^ = J^(-1) U_{y^(-1)}: :func:`_from_cone` reads (t, z, J) off a cone map's
+images, for ``compose``, ``inverted`` and recovery alike.
+
 For a direct sum, an order isomorphism routes the rank-one (disengaged)
 coordinates through a bijection with arbitrary scalar order isomorphisms
 of [0, 1] and applies one closed-form factor map per engaged factor;
@@ -109,12 +114,20 @@ RECOVERY_TOL = 1e-6  # recovery's residual checks, relative to the images' scale
 _AGREEMENT_PROBES = 3  # Gaussian points of recovery's one check of the black box
 
 
+def _real(value, what: str) -> float:
+    """value as a Python float, once it is a real number; else DomainError naming ``what``."""
+    if not isinstance(value, (str, bytes, complex, np.complexfloating)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise DomainError(f"{what} must be a real number, got {value!r}")
+
+
 def check_mobius_param(t: float) -> float:
     """t as a Python float, once it is a finite real number below MOBIUS_PARAM_MAX."""
     if type(t) is not float:
-        if isinstance(t, (str, bytes, complex, np.complexfloating)):
-            raise DomainError(f"Mobius parameter must be a real number, got {t!r}")
-        t = float(t)
+        t = _real(t, "Mobius parameter")
     if not (math.isfinite(t) and t < MOBIUS_PARAM_MAX):
         bound = f"t < MOBIUS_PARAM_MAX = {MOBIUS_PARAM_MAX}"
         raise DomainError(f"Mobius parameter must be finite with {bound}, got {t}")
@@ -128,14 +141,15 @@ def mobius_scalar(t: float, s: float) -> float:
 
 
 def mobius_compose(t: float, s: float) -> float:
-    """Parameter of the composition: mobius_t after mobius_s."""
+    """Parameter of the composition: mobius_t after mobius_s, once it is in the family."""
     t, s = check_mobius_param(t), check_mobius_param(s)
-    return t + s - t * s
+    return check_mobius_param(t + s - t * s)
 
 
 def mobius_invert_param(t: float) -> float:
+    """Parameter of the inverse map, in the family only for t > -M / (1 - M), M = MOBIUS_PARAM_MAX."""
     t = check_mobius_param(t)
-    return t / (t - 1.0)
+    return check_mobius_param(t / (t - 1.0))
 
 
 def mobius_apply(t: float, x: Element) -> Element:
@@ -287,11 +301,15 @@ class FactorOrderIso:
         # A and C from y and y^(-1) on the spectrum of z; then B = C - A,
         # since y^(-1) - y d = y (y^2 d = e - y^2).  That keeps C* - F B*
         # equal to A* at F = e, where for small z it cancels two large terms
-        c = 1.0 - self.t
-        s = np.array(dec.eigenvalues)[dec.clusters[0][0]]
+        c, s = 1.0 - self.t, np.array(dec.eigenvalues)
         y = np.sqrt(c) * (s / np.hypot(1.0, s))  # sqrt(c / (1 + s^2)) s, with no s^2
-        kind, jord = self.jordan.factor._kind, self.jordan
-        directions = kind.pencils(jord._u, jord.conjugate, dec.bases[0][0], (y, 1.0 / y))
+        with np.errstate(over="ignore", divide="ignore"):  # an infinite y^(-1) fails the check
+            ys = (y, 1.0 / y)
+        if not ys[1].max() < math.inf:
+            raise DomainError(f"z is too close to 0 for t = {self.t}: y^(-1) overflows at {s[0]}")
+        kind, jord, idx = self.jordan.factor._kind, self.jordan, dec.clusters[0][0]
+        directions = kind.pencils(jord._u, jord.conjugate, dec.bases[0][0], (y[idx], ys[1][idx]))
+        object.__setattr__(self, "_ys", ys)  # y and y^(-1) on the spectrum of z, for the cone map
         object.__setattr__(self, "_directions", directions)
         object.__setattr__(self, "_kind", kind)
         object.__setattr__(self, "_large", kind.cost >= _POOL_MIN_COST)
@@ -314,6 +332,28 @@ class FactorOrderIso:
             raise ShapeMismatchError("element does not live in this factor")
         out = _map_blocks(x, [(self._kind, self._directions[forward], x._block(0))], self._large)
         return _element(self.algebra, _grouped(self.algebra, out))
+
+    def _cone(self, xs: np.ndarray) -> np.ndarray:
+        """The cone map fhat = U_y J on a stack of stored blocks."""
+        kind, jord = self._kind, self.jordan
+        y = spectral_decompose(self.z).combine(self._ys[0])._groups[0]
+        return kind.quad(np.broadcast_to(y, xs.shape), kind.act(jord._u, xs, jord.conjugate))
+
+    def compose(self, inner: FactorOrderIso) -> FactorOrderIso:
+        """The map self after inner in closed form, read off its cone map by :func:`_from_cone`."""
+        if inner.algebra != self.algebra:
+            raise ShapeMismatchError("factor mismatch in composition")
+        factor = self.jordan.factor
+        out = self._cone(inner._cone(np.concatenate(([self._kind.identity()], _probe_plan(factor)[0]))))
+        return _from_cone(factor, out[0], out[1:])[0]
+
+    def inverted(self) -> FactorOrderIso:
+        """The inverse map in closed form, read off its cone map by :func:`_from_cone`."""
+        kind, factor, inv = self._kind, self.jordan.factor, self.jordan.inverted()
+        xs = np.concatenate(([kind.identity()], _probe_plan(factor)[0]))
+        y_inv = spectral_decompose(self.z).combine(self._ys[1])._groups[0]
+        out = kind.act(inv._u, kind.quad(np.broadcast_to(y_inv, xs.shape), xs), inv.conjugate)
+        return _from_cone(factor, out[0], out[1:])[0]
 
 
 # A block whose pencil costs at least this (its kind's ``cost``) is large, and a map with
@@ -397,20 +437,6 @@ def _map_blocks(x: Element, maps: list, pooled: bool) -> list[np.ndarray]:
     return out
 
 
-def compose_factor_isos(
-    outer: FactorOrderIso, inner: FactorOrderIso
-) -> tuple[Callable[[Element], Element], Callable[[Element], Element]]:
-    """Function composition (outer o inner, its inverse).  Canonical
-    (t, z, J) parameters of the composite can be recovered by probing
-    with :func:`recover_factor_iso`."""
-    if inner.algebra != outer.algebra:
-        raise ShapeMismatchError("factor mismatch in composition")
-    return (
-        lambda x: outer.apply(inner.apply(x)),
-        lambda y: inner.inverse_apply(outer.inverse_apply(y)),
-    )
-
-
 def interior_iso_apply(
     y: Element, x: Element, jordan: FactorJordanIso | None = None
 ) -> Element:
@@ -448,11 +474,9 @@ def params_from_cone_map(
     if not lo > 0.0:
         raise DomainError("y must be interior-positive")
     top = hi * hi
-    if lam is None:
-        lam = 1.0 + top
-    lam = float(lam)
-    if lam <= top + 1e-12 * (1.0 + top):
-        raise DomainError(f"lam = {lam} is not above the spectrum of y^2 (top {top})")
+    lam = 1.0 + top if lam is None else _real(lam, "lam")
+    if not (math.isfinite(lam) and lam > top + 1e-12 * (1.0 + top)):
+        raise DomainError(f"lam = {lam} is not finite and above the spectrum of y^2 (top {top})")
     z = dec.apply(lambda s: s / math.sqrt(lam - s * s))
     return FactorOrderIso(1.0 - lam, z, jordan)
 
@@ -651,6 +675,30 @@ def _probe_plan(factor: Factor) -> tuple[np.ndarray, tuple[str, ...]]:
     return plan, tuple(names)
 
 
+def _from_cone(factor: Factor, y2: np.ndarray, images: np.ndarray) -> tuple[FactorOrderIso, np.ndarray]:
+    """The canonical map of the cone map fhat = U_y J, and J's images of the further points,
+    from y2 = fhat(e) and fhat of the probe basis (:func:`_probe_plan`), then of those points.
+    The kind reads J (``extract_jordan``), u becomes its polar factor, and lam = 1 + max eig(y^2)
+    gives z = (s / (lam - s))^(1/2) on the spectrum s of y^2 (:func:`params_from_cone_map`).
+    RecoveryError when y2 is not interior or J cannot be read as an isometry."""
+    kind, basis = factor._kind, _probe_plan(factor)[0]
+    dec = spectral_decompose(_element(single_factor(factor), [y2[None]]))
+    if not dec.eigenvalues[0] > 0.0:  # negated so that NaN fails
+        raise RecoveryError("image of the unit is not interior")
+    y_inv = dec.apply(lambda s: 1.0 / math.sqrt(s))._block(0)
+    Js = kind.quad(np.broadcast_to(y_inv, images.shape), images)
+    try:
+        u, conjugate = kind.extract_jordan(basis, Js[: len(basis)], RECOVERY_TOL)
+    except ValueError as exc:
+        raise RecoveryError(str(exc)) from exc
+    try:  # a failed SVD (LinAlgError) is a ValueError too
+        jord = FactorJordanIso(factor, kind.isometry.polar(u), conjugate)
+    except ValueError as exc:
+        raise RecoveryError(f"recovered Jordan isomorphism: {exc}") from exc
+    lam = 1.0 + dec.eigenvalues[-1]
+    return FactorOrderIso(1.0 - lam, dec.apply(lambda s: math.sqrt(s / (lam - s))), jord), Js[len(basis) :]
+
+
 def _probe(name: str, fn: Callable[..., Element], *args) -> Element:
     try:
         return fn(*args)
@@ -669,24 +717,20 @@ def recover_factor_iso(
 
     Carried through the anti-isomorphism of :func:`cone_interval_map`, g
     becomes the cone map fhat(x) = g((x + e)^(-1))^(-1) - e, which must be
-    the linear map U_y J.  The probe plan is fixed before the first probe:
-    the unit, the extractors' basis blocks (:func:`_probe_plan`) and 3
-    Gaussian agreement points drawn from seed.  fhat(e) = y^2 gives y^(-1)
-    and, at the end, z from one decomposition; every other point x goes through
+    U_y J.  The probe plan, fixed before the first probe, is the unit, the
+    extractors' basis blocks (:func:`_probe_plan`) and 3 Gaussian agreement
+    points drawn from seed.  Every point x but the unit goes through
     L(x) = fhat(x + c e) - c fhat(e), so that an affine offset in fhat fails
     the agreement check, with c = 1 + max(0, -Gershgorin floor of x): then
-    x + c e >= e, so its input (x + c e + e)^(-1) lies in (0, e/2] and needs
-    no membership test.  g is called once per probe, in plan order, and each
-    step around it runs once on the stack of all probes.  The factor's kind
-    reads J = U_{y^(-1)} L off the probes (``extract_jordan``), and its u is
-    replaced by the polar factor, the nearest isometry, so that probe noise
-    within RECOVERY_TOL is left to the agreement check, the one check of g:
-    every order isomorphism has this form, so J = U_{y^(-1)} L must agree
-    with the recovered J at the 3 agreement points.  Raises RecoveryError
-    when an image leaves the invertible part (naming the first such probe:
-    the unit probe, extraction probe j or agreement probe j, from 1), when
-    that check fails (to RECOVERY_TOL), or when :class:`FactorJordanIso`
-    refuses the projected u.
+    its input (x + c e + e)^(-1) lies in (0, e/2] and needs no membership
+    test.  g is called once per probe, in plan order, and each step around
+    it runs once on the stack of all probes.  :func:`_from_cone` reads
+    (t, z, J) off fhat(e) = y^2 and the L images; the one check of g is that
+    J = U_{y^(-1)} L agrees with the recovered J, to RECOVERY_TOL, at the
+    agreement points.  RecoveryError when an image leaves the invertible part
+    (naming the first such probe: the unit probe, extraction probe j or
+    agreement probe j, from 1), when that check fails, or when the reader
+    refuses the images.
     """
     if len(source.factors) != 1 or len(target.factors) != 1:
         raise DomainError("recovery operates on single factors")
@@ -718,28 +762,9 @@ def recover_factor_iso(
     else:
         outs = [_probe(n, cone_interval_map, F, "interval_to_cone") for n, F in zip(names, imgs)]
         fhat = np.stack([out._block(0) for out in outs])
-    dec = spectral_decompose(_element(source, [fhat[:1]]))
-    if not dec.eigenvalues[0] > 0.0:  # negated so that NaN fails
-        raise RecoveryError("probed image of the unit is not interior")
-    y_inv = dec.apply(lambda s: 1.0 / math.sqrt(s))._block(0)
-    Ls = fhat[1:] - cs[1:] * fhat[0]
-    Js = kind.quad(np.broadcast_to(y_inv, Ls.shape), Ls)
-
-    try:
-        u, conjugate = kind.extract_jordan(basis, Js[: len(basis)], RECOVERY_TOL)
-    except ValueError as exc:
-        raise RecoveryError(str(exc)) from exc
-    try:  # a failed SVD (LinAlgError) is a ValueError too
-        jord = FactorJordanIso(factor, kind.isometry.polar(u), conjugate)
-    except ValueError as exc:
-        raise RecoveryError(f"recovered Jordan isomorphism: {exc}") from exc
-
-    for a, ja in zip(agree, Js[len(basis) :]):
-        err = kind.sup(ja - jord.apply(a)._block(0))
+    iso, Js = _from_cone(factor, fhat[0], fhat[1:] - cs[1:] * fhat[0])
+    for a, ja in zip(agree, Js):
+        err = kind.sup(ja - iso.jordan.apply(a)._block(0))
         if err > RECOVERY_TOL * (1.0 + kind.sup(ja)):
             raise RecoveryError("recovered Jordan isomorphism disagrees with the probes")
-
-    # params_from_cone_map(y, J, lam) on the spectrum s of y^2 = fhat(e), with no
-    # decomposition of y: z = y (lam e - y^2)^(-1/2) = (s / (lam - s))^(1/2)
-    lam = 1.0 + dec.eigenvalues[-1]
-    return FactorOrderIso(1.0 - lam, dec.apply(lambda s: math.sqrt(s / (lam - s))), jord)
+    return iso

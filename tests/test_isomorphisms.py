@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from effectorder import (
+    SchemaError,
     CompositeOrderIso,
     DomainError,
     Element,
@@ -26,7 +27,6 @@ from effectorder import (
     SpinFactor,
     algebra,
     apply_function,
-    compose_factor_isos,
     cone_interval_map,
     coordinate_squeeze_iso,
     dump_document,
@@ -49,6 +49,7 @@ from effectorder import (
     random_factor_iso,
     random_jordan_iso,
     range_projection,
+    recover_factor_iso,
     sample_atom,
     sample_element,
     sample_ordered_pair,
@@ -140,6 +141,18 @@ class TestMobiusFamily:
         x = sample_element(MIXED, rng, "effect")
         got, want = mobius_apply(t32, x), mobius_apply(float(t32), x)
         assert all(np.array_equal(a, b) for a, b in zip(got._groups, want._groups))
+
+    @pytest.mark.parametrize("t", [-1e300, -1e13, -1e12])
+    def test_an_inverse_parameter_outside_the_family_is_refused(self, t):
+        # t / (t - 1) rounds to MOBIUS_PARAM_MAX or above for t <= -1e12, to 1.0 at -1e300
+        with pytest.raises(DomainError, match="MOBIUS_PARAM_MAX"):
+            mobius_invert_param(t)
+
+    @pytest.mark.parametrize("t, s", [(-1e300, -1e300), (0.99999999, 0.99999999)])
+    def test_a_composed_parameter_outside_the_family_is_refused(self, t, s):
+        # -inf, and 0.9999999999999999 above MOBIUS_PARAM_MAX
+        with pytest.raises(DomainError, match="MOBIUS_PARAM_MAX"):
+            mobius_compose(t, s)
 
     def test_a_float32_line_map_round_trips(self, rng):
         iso = CompositeOrderIso(H1, H1, ((0, 0),), (PhiScalarIso(np.float32(-1.7)),), (), ())
@@ -285,6 +298,33 @@ class TestFactorOrderIso:
         x = sample_element(iso.algebra, rng, "effect")
         assert np.array_equal(back.apply(x)._block(0), comp.apply(x)._block(0))
 
+    @pytest.mark.parametrize("factor, z", [
+        (HermFactor(2), np.diag([1e-309, 1.0])),
+        (HermFactor(4, Ring.COMPLEX), np.diag([1e-309, 1.0, 1.0, 1.0]).astype(complex)),
+        (HermFactor(2, Ring.QUATERNION), np.diag([1e-309, 1.0])[..., None] * np.eye(4)[0]),
+        (SpinFactor(3), np.array([1e-310, 0.0, 0.0, 0.0])),
+    ], ids=str)
+    def test_a_z_whose_y_inverse_overflows_is_refused(self, factor, z):
+        # y = ((1 - t) / (1 + z^2))^(1/2) z; at the parent 1/y overflowed with a
+        # RuntimeWarning and every image was NaN
+        with pytest.raises(DomainError, match="too close to 0"):
+            FactorOrderIso(0.5, element_in_factor(factor, z), identity_jordan(factor))
+
+    def test_the_overflow_bound_moves_with_t(self):
+        # the rule is a finite y^(-1), not a bound on z: at t = -1e6, 1e-309 is accepted
+        f = HermFactor(2)
+        iso = FactorOrderIso(-1e6, herm(np.diag([1e-309, 1.0])), identity_jordan(f))
+        assert sup_norm(iso.apply(unit(H2)) - unit(H2)) <= 1e-8
+        with pytest.raises(DomainError, match="too close to 0"):
+            FactorOrderIso(-1e6, herm(np.diag([1e-315, 1.0])), identity_jordan(f))
+
+    def test_a_document_with_such_a_z_is_not_interior(self, rng):
+        obj = json.loads(dump_document(random_composite_iso(H2, H2, rng)))
+        obj["engaged"][0].update(t=0.5, z=[[1e-309, 0.0], [0.0, 1.0]])
+        with pytest.raises(SchemaError) as info:
+            load_document(json.dumps(obj))
+        assert info.value.code == "NOT_INTERIOR" and info.value.path == "iso.engaged[0].z"
+
     def test_endpoints_fixed_for_any_parameters(self, rng):
         for factor in FACTOR_KINDS:
             alg = single_factor(factor)
@@ -364,10 +404,68 @@ class TestFactorOrderIso:
         alg = single_factor(factor)
         f = random_factor_iso(factor, rng)
         g = random_factor_iso(factor, rng)
-        fwd, inv = compose_factor_isos(f, g)
+        fg = f.compose(g)
         x = sample_element(alg, rng, "effect")
-        assert sup_norm(fwd(x) - f.apply(g.apply(x))) == 0.0
-        assert sup_norm(inv(fwd(x)) - x) <= 1e-8
+        assert sup_norm(fg.apply(x) - f.apply(g.apply(x))) <= 1e-10
+        assert sup_norm(fg.inverse_apply(fg.apply(x)) - x) <= 1e-8
+
+
+# every factor kind, herm(3,C) (whose maps may be conjugate-linear), herm(3,H) and spin(6)
+CLOSED_FORM_KINDS = FACTOR_KINDS + [HermFactor(3, Ring.COMPLEX), HermFactor(3, Ring.QUATERNION), SpinFactor(6)]
+
+
+def seeded_pairs(factor, count=5):
+    """count seeded pairs of maps; over C each of the four conjugate flag pairs in turn."""
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        f, g = random_factor_iso(factor, rng), random_factor_iso(factor, rng)
+        if getattr(factor, "ring", None) is Ring.COMPLEX:
+            f, g = (FactorOrderIso(h.t, h.z, FactorJordanIso(factor, h.jordan.u, bool(seed >> k & 1)))
+                    for k, h in enumerate((f, g)))
+        yield f, g, [sample_element(f.algebra, rng, "effect") for _ in range(3)]
+
+
+class TestClosedFormComposition:
+    """compose and inverted read their closed form off the exact cone map."""
+
+    @pytest.mark.parametrize("factor", CLOSED_FORM_KINDS, ids=str)
+    def test_compose_is_function_composition(self, factor):
+        for f, g, xs in seeded_pairs(factor):
+            gf = g.compose(f)
+            for x in xs:
+                assert sup_norm(gf.apply(x) - g.apply(f.apply(x))) <= 1e-10
+
+    @pytest.mark.parametrize("factor", CLOSED_FORM_KINDS, ids=str)
+    def test_inverted_is_the_inverse_map(self, factor):
+        for f, _, xs in seeded_pairs(factor):
+            inv = f.inverted()
+            for x in xs:
+                assert sup_norm(inv.apply(x) - f.inverse_apply(x)) <= 1e-10
+
+    @pytest.mark.parametrize("factor", CLOSED_FORM_KINDS, ids=str)
+    def test_a_map_after_its_inverse_fixes_effects(self, factor):
+        for f, _, xs in seeded_pairs(factor):
+            ident = f.compose(f.inverted())
+            for x in xs:
+                assert sup_norm(ident.apply(x) - x) <= 1e-12
+
+    @pytest.mark.parametrize("factor", CLOSED_FORM_KINDS, ids=str)
+    def test_recovery_of_the_composition_gives_the_same_parameters(self, factor):
+        alg = single_factor(factor)
+        for f, g, _ in seeded_pairs(factor):
+            gf = g.compose(f)
+            rec = recover_factor_iso(lambda x: g.apply(f.apply(x)), alg, alg)
+            assert abs(rec.t - gf.t) <= 1e-8 and sup_norm(rec.z - gf.z) <= 1e-8
+            assert rec.jordan.conjugate == gf.jordan.conjugate
+            assert np.abs(rec.jordan.u - gf.jordan.u).max() <= 1e-8
+
+    def test_maps_of_different_factors_do_not_compose(self, rng):
+        f = random_factor_iso(HermFactor(2), rng)
+        for g in (random_factor_iso(HermFactor(3), rng), random_factor_iso(HermFactor(2, Ring.COMPLEX), rng)):
+            with pytest.raises(ShapeMismatchError):
+                f.compose(g)
+            with pytest.raises(ShapeMismatchError):
+                g.compose(f)
 
 
 class TestInteriorIso:
@@ -416,6 +514,13 @@ class TestParamsFromConeMap:
             for lam in (lam0, lam0 + 2.0):
                 got = params_from_cone_map(y, jord, lam).apply(x)
                 assert sup_norm(got - ref) <= 1e-8 * (1 + sup_norm(ref))
+
+    @pytest.mark.parametrize("lam", ["3", b"3", 3 + 0j, np.complex128(3), [3.0], float("nan"), float("inf")], ids=repr)
+    def test_lam_must_be_a_finite_real_number(self, lam):
+        # at the parent "3" gave t = -2, a complex lam raised TypeError, and nan and inf
+        # were refused with messages about the function or the Mobius parameter
+        with pytest.raises(DomainError, match="^lam"):
+            params_from_cone_map(unit(H1), identity_jordan(HermFactor(1)), lam)
 
     def test_rejects_small_lambda(self):
         f = HermFactor(1)
