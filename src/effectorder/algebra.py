@@ -389,11 +389,6 @@ class _Real:
         d = sum(d) if isinstance(d, list) else d
         return d == d
 
-    def floor(self, b: np.ndarray):
-        """The left end of the Gershgorin discs (of the embedding over H)."""
-        diag = b.diagonal(0, -2, -1).real
-        return (diag - (np.abs(b).sum(axis=-1) - np.abs(diag))).min(axis=-1)
-
     # -- isometries and the closed-form map --
 
     def act(self, u: np.ndarray, b: np.ndarray, conjugate: bool) -> np.ndarray:
@@ -432,32 +427,36 @@ class _Real:
 
     # -- recovery --
 
-    def probe_blocks(self) -> np.ndarray:
-        """The stored blocks whose images J is read from: E_00 and E_0j + E_j0 for
-        n > 1, then i (E_01 - E_10) over C, or it and j (E_01 - E_10) over H."""
+    @cached_property
+    def probes(self) -> np.ndarray:
+        """e, then the cone elements whose images J is read from, as one read-only stack:
+        for n > 1 the rank-one v v* for v = e_0 and v = e_0 + e_j, then v = e_0 + a e_1
+        for each imaginary unit a in ``twists``, whose (0, 1) entry is conj(a) = -a."""
         n = self.n
-        real = np.zeros((n if n > 1 else 0, n, n))
-        for j in range(len(real)):
-            real[j, 0, j] = real[j, j, 0] = 1.0
-        plan = self.from_real(real)
+        vs = np.eye(n)[: n if n > 1 else 0]
+        vs[:, 0] = 1.0
+        stack = [self.identity()[None], self.from_real(vs[:, :, None] * vs[:, None, :])]
         if n > 1 and self.twists is not None:
             im = self.twists
-            twists = np.zeros((len(im), n, n) + im.shape[1:], dtype=im.dtype)  # ring arrays
-            twists[:, 0, 1], twists[:, 1, 0] = im, -im
-            plan = np.concatenate((plan, self.stored(twists)))
-        return plan
+            off = np.zeros((len(im), n, n) + im.shape[1:], dtype=im.dtype)  # ring arrays
+            off[:, 0, 1], off[:, 1, 0] = -im, im
+            stack.append(self.from_real(np.diag(vs[1])) + self.stored(off))  # E_00 + E_11 - a E_01 + a E_10
+        stack = np.concatenate(stack)
+        stack.setflags(write=False)
+        return stack
 
-    def extract_jordan(self, basis: np.ndarray, imgs: np.ndarray, tol: float) -> tuple:
-        """(u, conjugate) of J read off imgs, J's images of ``basis``, or ValueError."""
+    def extract_jordan(self, imgs: np.ndarray, tol: float) -> tuple:
+        """(u, conjugate) of J read off imgs, J's images of :attr:`probes`, or ValueError."""
         n = self.n
         if n == 1:
             return self.ring_array(self.identity()), False
-        # J(E_00) = c_0 c_0*, and J(E_0j + E_j0) c_0 = c_j since c_0* c_0 = 1, c_j* c_0 = 0;
-        # over H, column h of c_j's 2n x 2 embedding is column j + h n of U's
-        c0 = self._unit_from_rank_one(imgs[0])
-        cs = np.stack([c0] + [img @ c0 for img in imgs[1:n]])
+        # J(v v*) = (U v)(U v)*, so J(E_00) = c_0 c_0*, and J(v v*) c_0 = c_0 + c_j for
+        # v = e_0 + e_j since c_0* c_0 = 1, c_j* c_0 = 0; over H, column h of c_j's
+        # 2n x 2 embedding is column j + h n of U's
+        c0 = self._unit_from_rank_one(imgs[1])
+        cs = np.concatenate(([c0], imgs[2 : n + 1] @ c0 - c0))
         U = cs.transpose(1, 2, 0).reshape(len(c0), -1)
-        return self._twist(U, basis[n:], imgs[n:], tol)
+        return self._twist(U, imgs[n + 1 :], tol)
 
     def _unit_from_rank_one(self, b: np.ndarray) -> np.ndarray:
         """The n x 1 column u with b = u u* from a rank-one projection block, stored
@@ -468,7 +467,7 @@ class _Real:
             raise ValueError("probe image is not a rank-one projection")
         return b[:, m :: self.n] * (1.0 / np.sqrt(diag[m]))
 
-    def _twist(self, U: np.ndarray, probes: np.ndarray, imgs: np.ndarray, tol: float) -> tuple:
+    def _twist(self, U: np.ndarray, imgs: np.ndarray, tol: float) -> tuple:
         return U, False
 
     # -- documents --
@@ -519,9 +518,9 @@ class _Complex(_Real):
     def gaussian(self, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(self.shape) + 1j * rng.standard_normal(self.shape)
 
-    def _twist(self, U, probes, imgs, tol):
-        # one more probe tells linear from conjugate-linear
-        probe_im, img = probes[0], imgs[0]
+    def _twist(self, U, imgs, tol):
+        # one more probe, the last, tells linear from conjugate-linear
+        probe_im, img = self.probes[-1], imgs[0]
         lin = U @ probe_im @ U.conj().T
         conj = U @ probe_im.conj() @ U.conj().T
         if np.abs(img - lin).max() <= tol * self.n:
@@ -589,11 +588,12 @@ class _Quaternion(_Complex):
     def random_isometry(self, rng):
         return quat.qgram_schmidt(rng.standard_normal(self.shape)), False
 
-    def _twist(self, U, probes, imgs, tol):
+    def _twist(self, U, imgs, tol):
         # U* Jm(x) U = conj(w) x w entrywise for the unit w of c_0's phase; the twist
-        # unit p = conj(w) solves r_a p = p a, r_a = conj(w) a w, for a = i, j
+        # unit p = conj(w) solves r_a p = p a, r_a = conj(w) a w, for a = i, j, read
+        # off the (0, 1) entries, since each twist probe's is -a
         qbasis = np.eye(4)
-        r = quat.from_complex(_adjoint(U) @ imgs @ U)[:, 0, 1]
+        r = -quat.from_complex(_adjoint(U) @ imgs @ U)[:, 0, 1]
         rows = [(quat.qmul(r_a, qbasis) - quat.qmul(qbasis, qbasis[a])).T for a, r_a in zip((1, 2), r)]
         _, sing, vt = _lapack.svd(np.concatenate(rows))
         if sing[-1] > 1e-6:
@@ -709,9 +709,6 @@ class _Spin:
                 return False
         return True
 
-    def floor(self, b):
-        return self.eigenvalues(b)[..., 0]
-
     def act(self, u, b, conjugate):  # on one block or a (k, d + 1) stack
         return np.concatenate((b[..., :1], (u @ b[..., 1:, None])[..., 0]), axis=-1)
 
@@ -755,13 +752,17 @@ class _Spin:
         x10, x11 = (h0 - ell * g0) / s, (h1 - ell * g1) / s
         return (g0 - q * x10) / p, (g1 - q * x11) / p, x10, x11
 
-    def probe_blocks(self):  # the basis vectors (0, e_i)
-        return np.eye(self.d + 1)[1:]
+    @cached_property
+    def probes(self):  # e, then (1, e_i), read-only
+        stack = np.eye(self.d + 1)
+        stack[:, 0] = 1.0
+        stack.setflags(write=False)
+        return stack
 
-    def extract_jordan(self, basis, imgs, tol):  # u's columns are their images
-        if np.abs(imgs[:, 0]).max() > tol * 10:
-            raise ValueError("spin probe image has a scalar part")
-        return imgs[:, 1:].T, False
+    def extract_jordan(self, imgs, tol):  # J(1, e_i) = (1, u e_i): u's columns are the vector parts
+        if np.abs(imgs[:, 0] - 1.0).max() > tol * 10:
+            raise ValueError("spin probe image has a scalar part other than 1")
+        return imgs[1:, 1:].T, False
 
     def factor_obj(self):
         return {"kind": "spin", "d": self.d}

@@ -31,7 +31,11 @@ that of u = e, and the 2x2 solve is done in floats.
 Through x -> x^(-1) - e the map is the cone map fhat = U_y J, so a composition
 and an inverse are closed-form maps too, (g o f)^ = U_{y_g} U_{J_g y_f} J_g J_f and
 (f^(-1))^ = J^(-1) U_{y^(-1)}: :func:`_from_cone` reads (t, z, J) off a cone map's
-images, for ``compose``, ``inverted`` and recovery alike.
+images of its kind's ``probes``, cone elements with e first, for ``compose``,
+``inverted`` and recovery alike.  Recovery reads fhat(x + e) - fhat(e) at every
+probe x but e, so an affine fhat = U_y J + b fails: b cancels there but stays
+in fhat(e) = y^2 + b, and U_{y'^(-1)} of those differences is no Jordan
+automorphism.
 
 For a direct sum, an order isomorphism routes the rank-one (disengaged)
 coordinates through a bijection with arbitrary scalar order isomorphisms
@@ -60,7 +64,6 @@ import os
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Union
 
 import numpy as np
@@ -343,17 +346,14 @@ class FactorOrderIso:
         """The map self after inner in closed form, read off its cone map by :func:`_from_cone`."""
         if inner.algebra != self.algebra:
             raise ShapeMismatchError("factor mismatch in composition")
-        factor = self.jordan.factor
-        out = self._cone(inner._cone(np.concatenate(([self._kind.identity()], _probe_plan(factor)[0]))))
-        return _from_cone(factor, out[0], out[1:])[0]
+        return _from_cone(self.jordan.factor, self._cone(inner._cone(self._kind.probes)))[0]
 
     def inverted(self) -> FactorOrderIso:
         """The inverse map in closed form, read off its cone map by :func:`_from_cone`."""
-        kind, factor, inv = self._kind, self.jordan.factor, self.jordan.inverted()
-        xs = np.concatenate(([kind.identity()], _probe_plan(factor)[0]))
+        kind, inv, xs = self._kind, self.jordan.inverted(), self._kind.probes
         y_inv = spectral_decompose(self.z).combine(self._ys[1])._groups[0]
         out = kind.act(inv._u, kind.quad(np.broadcast_to(y_inv, xs.shape), xs), inv.conjugate)
-        return _from_cone(factor, out[0], out[1:])[0]
+        return _from_cone(self.jordan.factor, out)[0]
 
 
 # A block whose pencil costs at least this (its kind's ``cost``) is large, and a map with
@@ -664,31 +664,23 @@ def coordinate_squeeze_iso(n: int) -> tuple[CompositeOrderIso, Element]:
 
 # --- parameter recovery from a black-box map ---------------------------------
 
-@lru_cache(maxsize=64)
-def _probe_plan(factor: Factor) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The extractors' basis blocks (the kind's ``probe_blocks``) as one read-only
-    stack, in probing order, and the names of all probes.  One per factor."""
-    plan = factor._kind.probe_blocks()
-    plan.setflags(write=False)
-    names = ["unit probe"] + [f"extraction probe {j + 1}" for j in range(len(plan))]
-    names += [f"agreement probe {j + 1}" for j in range(_AGREEMENT_PROBES)]
-    return plan, tuple(names)
-
-
-def _from_cone(factor: Factor, y2: np.ndarray, images: np.ndarray) -> tuple[FactorOrderIso, np.ndarray]:
-    """The canonical map of the cone map fhat = U_y J, and J's images of the further points,
-    from y2 = fhat(e) and fhat of the probe basis (:func:`_probe_plan`), then of those points.
-    The kind reads J (``extract_jordan``), u becomes its polar factor, and lam = 1 + max eig(y^2)
-    gives z = (s / (lam - s))^(1/2) on the spectrum s of y^2 (:func:`params_from_cone_map`).
-    RecoveryError when y2 is not interior or J cannot be read as an isometry."""
-    kind, basis = factor._kind, _probe_plan(factor)[0]
-    dec = spectral_decompose(_element(single_factor(factor), [y2[None]]))
+def _from_cone(factor: Factor, images: np.ndarray) -> tuple[FactorOrderIso, np.ndarray]:
+    """The canonical map of the cone map fhat = U_y J, and J's images of any further points,
+    from fhat of the kind's ``probes``, whose first is e (images[0] = fhat(e) = y^2), then of
+    those points.  y^2 is clustered relative to its own scale, so a small y^2 keeps its
+    distinct eigenvalues.  The kind reads J (``extract_jordan``), u becomes its polar factor,
+    and lam = 1 + max eig(y^2) gives z = (s / (lam - s))^(1/2) on the spectrum s of y^2
+    (:func:`params_from_cone_map`).  RecoveryError when y^2 is not interior or J cannot be
+    read as an isometry."""
+    kind, y2 = factor._kind, images[0]
+    m = len(kind.probes)
+    dec = spectral_decompose(_element(single_factor(factor), [y2[None]]), 1e-8 * kind.sup(y2))
     if not dec.eigenvalues[0] > 0.0:  # negated so that NaN fails
         raise RecoveryError("image of the unit is not interior")
     y_inv = dec.apply(lambda s: 1.0 / math.sqrt(s))._block(0)
     Js = kind.quad(np.broadcast_to(y_inv, images.shape), images)
     try:
-        u, conjugate = kind.extract_jordan(basis, Js[: len(basis)], RECOVERY_TOL)
+        u, conjugate = kind.extract_jordan(Js[:m], RECOVERY_TOL)
     except ValueError as exc:
         raise RecoveryError(str(exc)) from exc
     try:  # a failed SVD (LinAlgError) is a ValueError too
@@ -696,7 +688,7 @@ def _from_cone(factor: Factor, y2: np.ndarray, images: np.ndarray) -> tuple[Fact
     except ValueError as exc:
         raise RecoveryError(f"recovered Jordan isomorphism: {exc}") from exc
     lam = 1.0 + dec.eigenvalues[-1]
-    return FactorOrderIso(1.0 - lam, dec.apply(lambda s: math.sqrt(s / (lam - s))), jord), Js[len(basis) :]
+    return FactorOrderIso(1.0 - lam, dec.apply(lambda s: math.sqrt(s / (lam - s))), jord), Js[m:]
 
 
 def _probe(name: str, fn: Callable[..., Element], *args) -> Element:
@@ -717,36 +709,36 @@ def recover_factor_iso(
 
     Carried through the anti-isomorphism of :func:`cone_interval_map`, g
     becomes the cone map fhat(x) = g((x + e)^(-1))^(-1) - e, which must be
-    U_y J.  The probe plan, fixed before the first probe, is the unit, the
-    extractors' basis blocks (:func:`_probe_plan`) and 3 Gaussian agreement
-    points drawn from seed.  Every point x but the unit goes through
-    L(x) = fhat(x + c e) - c fhat(e), so that an affine offset in fhat fails
-    the agreement check, with c = 1 + max(0, -Gershgorin floor of x): then
-    its input (x + c e + e)^(-1) lies in (0, e/2] and needs no membership
-    test.  g is called once per probe, in plan order, and each step around
-    it runs once on the stack of all probes.  :func:`_from_cone` reads
-    (t, z, J) off fhat(e) = y^2 and the L images; the one check of g is that
-    J = U_{y^(-1)} L agrees with the recovered J, to RECOVERY_TOL, at the
-    agreement points.  RecoveryError when an image leaves the invertible part
-    (naming the first such probe: the unit probe, extraction probe j or
-    agreement probe j, from 1), when that check fails, or when the reader
-    refuses the images.
+    U_y J.  The probe plan, fixed before the first probe, is the kind's cone
+    ``probes``, e first, and 3 agreement points a o a for Gaussian a drawn from
+    seed.  e goes in as itself, the unit probe; every other point x goes in as
+    x + e, and L(x) = fhat(x + e) - fhat(e), one constant shift: so every input
+    (x + 2e)^(-1) lies in (0, e/2] and needs no membership test.  g is called
+    once per probe, in plan order, and each step around it runs once on the
+    stack of all probes.  :func:`_from_cone` reads (t, z, J) off fhat(e) = y^2
+    and the L images; the one check of g is that J = U_{y^(-1)} L agrees with
+    the recovered J, to RECOVERY_TOL, at the agreement points.  An affine cone
+    map fhat = U_y J + b fails: b cancels in L but stays in fhat(e) = y^2 + b,
+    so U_{y'^(-1)} L is no Jordan automorphism, and the extractor or the
+    agreement check refuses it.  RecoveryError when an image leaves the
+    invertible part (naming the first such probe: the unit probe, extraction
+    probe j or agreement probe j, from 1), when that check fails, or when the
+    reader refuses the images.
     """
     if len(source.factors) != 1 or len(target.factors) != 1:
         raise DomainError("recovery operates on single factors")
     if source.factors[0] != target.factors[0]:
         raise DomainError("source and target factors must be of the same kind")
     factor, e_s = source.factors[0], unit(source)
-    kind = factor._kind
-    (basis, names), rng = _probe_plan(factor), np.random.default_rng(seed)
-    e = e_s._block(0)
-    agree = [random_gaussian(source, rng) for _ in range(_AGREEMENT_PROBES)]
+    kind, e, rng = factor._kind, e_s._block(0), np.random.default_rng(seed)
+    gs = np.stack([random_gaussian(source, rng)._block(0) for _ in range(_AGREEMENT_PROBES)])
+    agree = kind.jordan(gs, gs)
+    names = ["unit probe"] + [f"extraction probe {j}" for j in range(1, len(kind.probes))]
+    names += [f"agreement probe {j + 1}" for j in range(_AGREEMENT_PROBES)]
 
-    # the unit probe is x = e with c = 0; cs and the bounds below hold one scalar per block
-    xs = np.concatenate(([e], basis, [a._block(0) for a in agree]))
-    floors = kind.floor(xs[1:])
-    cs = np.concatenate(([0.0], np.maximum(0.0, -floors) + 1.0)).reshape((-1,) + (1,) * e.ndim)
-    inputs = kind.inverse(xs + cs * e + e)
+    xs = np.concatenate((kind.probes, agree))
+    xs[1:] += e  # the points whose fhat is read: e, then x + e
+    inputs = kind.inverse(xs + e)
     # each input block as the (1, ...) group of its element
     imgs = [_probe(name, g, _element(source, [b])) for name, b in zip(names, inputs[:, None])]
     for img in imgs:
@@ -762,9 +754,10 @@ def recover_factor_iso(
     else:
         outs = [_probe(n, cone_interval_map, F, "interval_to_cone") for n, F in zip(names, imgs)]
         fhat = np.stack([out._block(0) for out in outs])
-    iso, Js = _from_cone(factor, fhat[0], fhat[1:] - cs[1:] * fhat[0])
-    for a, ja in zip(agree, Js):
-        err = kind.sup(ja - iso.jordan.apply(a)._block(0))
-        if err > RECOVERY_TOL * (1.0 + kind.sup(ja)):
+    fhat[1:] -= fhat[0]  # L
+    iso, Js = _from_cone(factor, fhat)
+    jord = iso.jordan
+    for ja, want in zip(Js, kind.act(jord._u, agree, jord.conjugate)):
+        if kind.sup(ja - want) > RECOVERY_TOL * (1.0 + kind.sup(ja)):
             raise RecoveryError("recovered Jordan isomorphism disagrees with the probes")
     return iso

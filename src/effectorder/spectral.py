@@ -107,8 +107,9 @@ class SpectralDecomposition:
 
 def spectral_decompose(x: Element, cluster_tol: float | None = None) -> SpectralDecomposition:
     """Cluster the per-block eigenpairs into a global decomposition of x;
-    the default ``cluster_tol`` is 1e-8 (1 + |x|).  Raises DomainError on a
-    non-finite entry, where LAPACK's answers are arbitrary.
+    the default ``cluster_tol`` is 1e-8 (1 + |x|), and +inf gives one cluster.
+    Raises DomainError on a non-finite entry, where LAPACK's answers are
+    arbitrary, and ValueError on a NaN or negative ``cluster_tol``.
 
     With the default ``cluster_tol`` the result is stored on x, for x's
     lifetime, and returned by every later default call; being
@@ -137,6 +138,8 @@ def _decompose(x: Element, cluster_tol: float | None) -> SpectralDecomposition:
     if not math.isfinite(scale):
         raise DomainError(f"element has a non-finite entry (sup norm {scale})")
     tol = 1e-8 * (1.0 + scale) if cluster_tol is None else cluster_tol
+    if not tol >= 0.0:  # negated so that NaN fails
+        raise ValueError(f"cluster_tol must be a number >= 0, got {cluster_tol}")
     bases, clusters = [], []
     # (eigenvalue, factor, index, the member's cluster row, the eigenpair's rank), sorted by
     # the first three, which are unique; an eigenpair weighs its factor's rank over its block's
@@ -223,15 +226,6 @@ def _within(x: Element, sups: Sequence[float], lo: float, hi: float) -> bool:
     bound = max(abs(lo), abs(hi))
     groups = zip(x.algebra.groups, x._groups)
     return all(s < bound for s in sups) and all(f._kind.within(g, lo, hi) for (f, _), g in groups)
-
-
-def eigenvalue_floor(x: Element) -> float:
-    """A lower bound on the least eigenvalue from the entries alone, with no
-    eigensolve: the left end of the Gershgorin discs of each matrix block
-    (of its complex embedding over H), a - |v| on spin blocks.  NaN when
-    some entry is NaN."""
-    floors = [np.asarray(f._kind.floor(g)) for (f, _), g in zip(x.algebra.groups, x._groups)]
-    return float(np.min([floors[g][m] for g, m in x.algebra._where]))
 
 
 def min_eigenvalue(x: Element) -> float:

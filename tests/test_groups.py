@@ -290,7 +290,6 @@ class TestKernels:
                 a, b = spectral.extreme_eigenvalues(p)
                 lo, hi = min(lo, a), max(hi, b)
             assert spectral.extreme_eigenvalues(x) == (lo, hi)
-            assert spectral.eigenvalue_floor(x) == min(spectral.eigenvalue_floor(p) for p in xs)
             tol = 1e-8 * (1.0 + sup_norm(x))
             assert in_cone(x) == all(spectral.spectrum_within(p, -tol) for p in xs)
             inside = [spectral.spectrum_within(p, -tol, 1.0 + tol) for p in xs]

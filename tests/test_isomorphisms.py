@@ -449,6 +449,34 @@ class TestClosedFormComposition:
             for x in xs:
                 assert sup_norm(ident.apply(x) - x) <= 1e-12
 
+    def test_inverted_reads_a_small_unit_image_at_its_own_scale(self):
+        # at t = -1e9 the inverse's y^2 = J^(-1)(y^(-2)) is about 1e-9: clustered at an
+        # absolute 1e-8, its distinct eigenvalues merged, and inverted() was off by 0.2
+        rng = np.random.default_rng(0)
+        b = random_factor_iso(HermFactor(3), rng)
+        f = FactorOrderIso(-1e9, b.z, b.jordan)
+        inv = f.inverted()
+        for _ in range(10):
+            x = sample_element(f.algebra, rng, "effect")
+            assert sup_norm(inv.apply(x) - f.inverse_apply(x)) <= 1e-7
+
+    @pytest.mark.parametrize(
+        "factor", [HermFactor(2, Ring.COMPLEX), HermFactor(2, Ring.QUATERNION), SpinFactor(4)], ids=str
+    )
+    def test_inverted_at_the_end_of_the_family(self, factor):
+        # at t = -1e12 the inverse's y^2 is about 1e-12, and its merged eigenvalues made
+        # the extractor refuse the cone map; the inverse is steep at 0 there (it sends an
+        # eigenvalue of 1e-17 to about 1e-5), so on effects clipped at 0 the two
+        # evaluations agree to about 1e-5
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            b = random_factor_iso(factor, rng)
+            f = FactorOrderIso(-1e12, b.z, b.jordan)
+            inv = f.inverted()
+            for _ in range(5):
+                x = sample_element(f.algebra, rng, "effect")
+                assert sup_norm(inv.apply(x) - f.inverse_apply(x)) <= 1e-4
+
     @pytest.mark.parametrize("factor", CLOSED_FORM_KINDS, ids=str)
     def test_recovery_of_the_composition_gives_the_same_parameters(self, factor):
         alg = single_factor(factor)

@@ -30,7 +30,7 @@ from effectorder import (
 )
 from effectorder import isomorphisms
 from effectorder.algebra import _identity
-from effectorder.isomorphisms import RECOVERY_TOL, _probe_plan
+from effectorder.isomorphisms import RECOVERY_TOL
 from effectorder.order import ORDER_TOL, _order_tol
 from effectorder.spectral import _singular_tol, extreme_eigenvalues
 
@@ -150,6 +150,18 @@ class TestRecoverFactorIso:
         with pytest.raises(RecoveryError):
             recover_factor_iso(floor, alg, alg)
 
+    @pytest.mark.parametrize(
+        "factor", [HermFactor(3), HermFactor(2, Ring.QUATERNION), SpinFactor(3)], ids=str
+    )
+    def test_a_map_near_the_top_of_the_family_is_recovered(self, factor):
+        # at t = 1 - 1e-8, y^2 = (1 - t) z^2 (e + z^2)^(-1) is about 1e-8: clustered at an
+        # absolute 1e-8, its distinct eigenvalues merged, and the reader refused the images
+        alg = single_factor(factor)
+        b = random_factor_iso(factor, np.random.default_rng(0))
+        iso = FactorOrderIso(1.0 - 1e-8, b.z, b.jordan)
+        rec = recover_factor_iso(iso.apply, alg, alg)
+        assert reproduction_error(rec.apply, iso.apply, alg, np.random.default_rng(3)) <= 1e-10
+
     def test_rejects_multi_factor_algebra(self):
         from effectorder import algebra
 
@@ -250,9 +262,10 @@ class TestStackedImageTest:
 
     def test_an_image_inside_its_own_bound_is_recovered_image_by_image(self, monkeypatch):
         # spin(3), t = 0, z = 0.8 e and J = e, so y^2 = q e with q = 0.64 / 1.64.  Extraction
-        # probe 1, x = (0, e_1) with c = 2, is answered as if J scaled u's first column by
-        # 1 + d, which the polar factor undoes: fhat = q (2, (1 + d) e_1), whose least
-        # eigenvalue is -eps, so the image's greatest is 1 / (1 - eps), above 1 + ORDER_TOL
+        # probe 1, x = (1, e_1), goes in as x + e = (2, e_1) and is answered as if J scaled
+        # u's first column by 1 + d, which the polar factor undoes: fhat(x + e) =
+        # q (2, (1 + d) e_1), whose least eigenvalue is q (1 - d) = -eps, so the image's
+        # greatest is 1 / (1 - eps), above 1 + ORDER_TOL but within the image's own bound
         factor, (t, s, eps) = SpinFactor(3), (0.0, 0.8, 1.3e-8)
         alg = single_factor(factor)
         iso = FactorOrderIso(t, s * unit(alg), identity_jordan(factor))
@@ -261,17 +274,19 @@ class TestStackedImageTest:
         image = invert_element(element_in_factor(factor, np.array([1.0 + 2.0 * q, q * (1.0 + d), 0.0, 0.0])))
         top, own = max_eigenvalue(image), _order_tol(sup_norm(image))
         assert 1.0 + ORDER_TOL < top < 1.0 + own
-        clean, probes, passes = recover_factor_iso(iso.apply, alg, alg), [], []
+        clean, probes, passes, tests = recover_factor_iso(iso.apply, alg, alg), [], [], []
 
         def g(x):
             probes.append(x)
             return image if len(probes) == 2 else iso.apply(x)
 
-        per_image = isomorphisms.cone_interval_map
+        per_image, within = isomorphisms.cone_interval_map, isomorphisms.spectrum_within
         monkeypatch.setattr(
             isomorphisms, "cone_interval_map", lambda *args: passes.append(args) or per_image(*args)
         )
+        monkeypatch.setattr(isomorphisms, "spectrum_within", lambda *args: tests.append(within(*args)) or tests[-1])
         rec = recover_factor_iso(g, alg, alg)
+        assert tests[0] is False  # the stacked test refused, so the per-image pass decided
         assert len(passes) == len(probes) == expected_probes(factor)
         # the canonical (t, z, J) of the clean probes
         assert abs(rec.t - clean.t) <= 1e-8 and sup_norm(rec.z - clean.z) <= 1e-8
@@ -293,7 +308,7 @@ def expected_probes(factor):
 # LAPACK eigensolves per recovery of a random_factor_iso's apply, on every
 # Hermitian kind: one decomposition of fhat(e) = y^2, which gives y^(-1) and z,
 # and one of z at FactorOrderIso's construction; the probes decide membership
-# by Cholesky and invert by LU, and L picks its shift c from an entry bound
+# by Cholesky and invert by LU, and L shifts every point by e alike
 EIGENSOLVES = 2
 
 
@@ -313,8 +328,9 @@ class TestProbingBudget:
 
     @pytest.mark.parametrize("factor", BUDGET_KINDS, ids=str)
     def test_every_probe_lies_in_half_the_interval(self, factor, rng):
-        # why the probe inputs need no membership test: each is (x + c e + e)^(-1)
-        # with x + c e >= e, so it lies in (0, e/2]; the Gaussian agreement points too
+        # why the probe inputs need no membership test: the unit probe is e/2, and every
+        # other is (x + 2e)^(-1) for a cone element x, so it lies in (0, e/2]; the
+        # agreement points a o a too
         alg = single_factor(factor)
         iso = random_factor_iso(factor, rng)
         probes = []
@@ -365,14 +381,20 @@ class TestProbingBudget:
 class TestConstants:
     """What recovery reads of the factor alone is built once and read-only."""
 
-    @pytest.mark.parametrize("factor", BUDGET_KINDS, ids=str)
-    def test_probe_plan_is_kept_per_factor(self, factor):
-        plan, names = _probe_plan(factor)
-        again = _probe_plan(dataclasses.replace(factor))  # an equal factor
-        assert again[0] is plan and again[1] is names
-        assert not plan.flags.writeable
-        assert len(names) == expected_probes(factor) == 1 + len(plan) + 3
-        assert names[0] == "unit probe" and names[-1] == "agreement probe 3"
+    @pytest.mark.parametrize(
+        "factor",
+        BUDGET_KINDS + [HermFactor(3, Ring.COMPLEX), HermFactor(3, Ring.QUATERNION), SpinFactor(6)],
+        ids=str,
+    )
+    def test_one_probe_stack_per_kind(self, factor):
+        # what recovery, compose and inverted read J from: e, then cone elements
+        probes = factor._kind.probes
+        assert not probes.flags.writeable
+        assert dataclasses.replace(factor)._kind.probes is probes  # an equal factor's
+        assert np.array_equal(probes[0], factor._kind.identity())
+        assert len(probes) == expected_probes(factor) - 3
+        for b in probes:  # in the cone
+            assert extreme_eigenvalues(element_in_factor(factor, factor._kind.ring_array(b)))[0] >= -1e-15
 
     def test_identity_is_kept_per_order(self):
         eye = _identity(3)

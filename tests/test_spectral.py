@@ -42,7 +42,6 @@ from effectorder import quaternion as quat
 from effectorder.algebra import _adjoint
 from effectorder.spectral import (
     block_eigenvalues,
-    eigenvalue_floor,
     extreme_eigenvalues,
     spectrum_within,
 )
@@ -81,7 +80,6 @@ class TestDecomposition:
             warnings.simplefilter("error")
             assert block_eigenvalues(SpinFactor(2), x.block(0)).tolist() == [-1e200, 1e200]
             assert spectral_decompose(x).eigenvalues == (-1e200, 1e200)
-            assert eigenvalue_floor(x) == -1e200
             assert spectrum_within(x, -2e200, 2e200) and not spectrum_within(x, -1e200, 2e200)
 
     def test_scalar_multiple_of_unit(self):
@@ -89,6 +87,19 @@ class TestDecomposition:
         dec = spectral_decompose(x)
         assert dec.eigenvalues == (3.0,)
         assert sup_norm(dec.projections[0] - unit(MIXED)) <= 1e-12
+
+    @pytest.mark.parametrize("x", [herm(np.diag([0.0, 0.5, 1.0])), herm(np.eye(3))], ids=["diag", "unit"])
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300])
+    def test_a_nan_or_negative_cluster_tol_is_refused(self, x, tol):
+        # NaN merged diag(0, 0.5, 1) into one cluster of rank 3, and -1 split e into
+        # the eigenvalues (1, 1, 1), which are not strictly increasing
+        with pytest.raises(ValueError, match="cluster_tol"):
+            spectral_decompose(x, tol)
+
+    def test_an_infinite_cluster_tol_gives_one_cluster(self):
+        dec = spectral_decompose(herm(np.diag([0.0, 0.5, 1.0])), math.inf)
+        assert dec.eigenvalues == (0.5,) and dec._ranks == (3,)
+        assert spectral_decompose(herm(np.diag([0.0, 0.5, 1.0])), 0.0).eigenvalues == (0.0, 0.5, 1.0)
 
     @pytest.mark.parametrize("factor", FACTOR_KINDS, ids=str)
     def test_invariants_on_random_input(self, factor, rng):
@@ -273,21 +284,6 @@ class TestEigenvalueQueries:
 
     def test_unit(self):
         assert min_eigenvalue(unit(MIXED)) == 1.0
-
-    @pytest.mark.parametrize("factor", FACTOR_KINDS, ids=str)
-    def test_floor_bounds_the_least_eigenvalue(self, factor, rng):
-        alg = single_factor(factor)
-        for _ in range(20):
-            x = sample_element(alg, rng, "general")
-            floor = eigenvalue_floor(x)
-            assert floor <= min_eigenvalue(x) + 1e-12 * (1.0 + sup_norm(x))
-            if isinstance(factor, SpinFactor) or factor.n == 1:
-                assert abs(floor - min_eigenvalue(x)) <= 1e-12 * (1.0 + sup_norm(x))
-
-    def test_floor_of_a_diagonal_block_and_nan(self):
-        assert eigenvalue_floor(herm(np.diag([2.0, -0.5, 3.0]))) == -0.5
-        x = Element(MIXED, tuple(np.full_like(b, np.nan) for b in unit(MIXED).blocks))
-        assert math.isnan(eigenvalue_floor(x))
 
 
 def scalar_truncated_family(t, n):
@@ -502,7 +498,7 @@ class TestStackedKernels:
         xs = [sample_element(alg, rng, "invertible_effect")._block(0) for _ in range(3)]
         kernels = [
             lambda f, b: f._kind.inverse(b), lambda f, b: f._kind.hermitize(b), lambda f, b: _adjoint(b),
-            lambda f, b: f._kind.ring_array(b), lambda f, b: f._kind.floor(b),
+            lambda f, b: f._kind.ring_array(b),
             lambda f, b: f._kind.stored(f._kind.ring_array(b)),
             lambda f, b: f._kind.quad(xs[0], b),
         ]
