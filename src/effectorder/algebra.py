@@ -291,11 +291,11 @@ class _Real:
     tail: tuple[int, ...] = ()  # of the ring array's shape, after (n, n)
     twists = None  # the imaginary units recovery probes, as ring scalars
     conjugable = False  # can a Jordan isomorphism be conjugate-linear?
-    copies, flops = 1, 1  # stored rows per ring row; real flops per stored multiply-add
 
     def __init__(self, n: int):
         self.n, self.shape, self.isometry = n, (n, n) + self.tail, self
-        self.cost = (self.copies * n) ** 3 * self.flops  # the pencil's: stored order cubed
+        eye = self.identity()  # the pencil's cost: its stored order cubed, 4x when complex
+        self.cost = len(eye) ** 3 * (4 if np.iscomplexobj(eye) else 1)
 
     @property
     def dim(self) -> int:  # n real diagonal entries and n(n - 1)/2 ring scalars above them
@@ -317,9 +317,7 @@ class _Real:
         return self.from_real(_identity(self.n))
 
     def zero(self) -> np.ndarray:
-        return self.from_real(np.zeros((self.n, self.n)))
-
-    adjoint = staticmethod(_adjoint)
+        return np.zeros_like(self.identity())
 
     def hermitize(self, b: np.ndarray) -> np.ndarray:
         """Average a stored matrix, or each in a stack, with its adjoint."""
@@ -513,7 +511,6 @@ class _Complex(_Real):
     scalar = (2,)
     twists = np.array([1j])
     conjugable = True
-    flops = 4
 
     def gaussian(self, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(self.shape) + 1j * rng.standard_normal(self.shape)
@@ -539,7 +536,6 @@ class _Quaternion(_Complex):
     scalar = tail = (4,)
     twists = np.eye(4)[1:3]  # i and j
     conjugable = False
-    copies = 2
 
     def stored(self, a):
         return quat.to_complex(a)
@@ -640,25 +636,14 @@ class _Spin:
         """|v| of the spin block (a, v) by hypot, so that no square overflows."""
         return math.hypot(*b[1:].tolist())
 
-    def stored(self, b):
-        return b
-
-    ring_array = adjoint = hermitize = stored
+    stored = ring_array = hermitize = _Real.stored  # the identity: a spin block is its own ring array
+    zero, sup, gaussian = _Real.zero, _Real.sup, _Real.gaussian
 
     def identity(self):
         return np.eye(1, self.d + 1)[0]
 
-    def zero(self):
-        return np.zeros(self.d + 1)
-
-    def sup(self, b):
-        return float(np.maximum.reduce(np.abs(b), axis=None))
-
     def trace(self, b):
         return 2.0 * b[..., 0]
-
-    def gaussian(self, rng):
-        return rng.standard_normal(self.d + 1)
 
     @_each_member(np.array, blocks=2)
     def jordan(self, a, b):
@@ -893,10 +878,11 @@ def _checked_block(factor: Factor, value, what: str) -> np.ndarray:
     if not np.all(np.isfinite(b)):
         raise NonFiniteBlockError(f"{what} has non-finite entries")
     b = kind.stored(b)
-    asym = kind.sup(b - kind.adjoint(b))  # 0 on spin blocks
+    h = kind.hermitize(b)
+    asym = 2.0 * kind.sup(b - h)  # |b - b*|, as b - h = (b - b*) / 2; 0 on spin blocks
     if asym > 1e-6 * (1.0 + kind.sup(b)):
         raise NonHermitianBlockError(f"{what}: asymmetry {asym:g} exceeds tolerance")
-    return kind.hermitize(b)
+    return h
 
 
 def element_from_blocks(alg: AlgebraDescriptor, blocks: Sequence[np.ndarray]) -> Element:

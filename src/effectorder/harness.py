@@ -26,6 +26,7 @@ from .algebra import (
     Element,
     HermFactor,
     Ring,
+    _size,
     element_in_factor,
     jordan_product,
     quad_rep,
@@ -166,7 +167,11 @@ def _report(suite, descriptor, seed, trials, tol, checks, records, data=None) ->
     tol)`` pair gives a check its own tolerance), recorded from
     ``records``, an iterable of ``{check name: residual}`` drawn inside
     the timer, so that a check is recorded at most once per record.
-    ``data`` may be filled while the records are drawn."""
+    ``data`` may be filled while the records are drawn.  First ``seed`` and ``trials``
+    are read as ints (``_size``), ``tol`` as a float, and negative ``trials`` refused."""
+    seed, trials, tol = _size(seed, "seed"), _size(trials, "trials"), float(tol)
+    if trials < 0:
+        raise ValueError(f"trials must be a count (>= 0), got {trials}")
     t0 = time.perf_counter()
     results = {}
     for check in checks:
@@ -182,14 +187,15 @@ def _report(suite, descriptor, seed, trials, tol, checks, records, data=None) ->
 
 
 def _run_trials(suite, descriptor, seed, trials, tol, checks, trial) -> SuiteReport:
-    """The loop every seeded suite runs on: one generator seeded with
-    ``seed`` and ``trials`` calls of ``trial(rng)``, each one record.  A negative
-    ``trials`` is a ValueError, as a report's loader refuses it."""
-    if trials < 0:
-        raise ValueError(f"trials must be a count (>= 0), got {trials}")
-    rng = np.random.default_rng(seed)
-    records = (trial(rng) for _ in range(trials))
-    return _report(suite, descriptor, seed, trials, tol, checks, records)
+    """The loop of every seeded suite: ``trials`` calls of ``trial(rng)``, one record each, for
+    one generator seeded with ``seed``, drawn once :func:`_report` has read both."""
+
+    def records():
+        rng = np.random.default_rng(seed)
+        for _ in range(trials):
+            yield trial(rng)
+
+    return _report(suite, descriptor, seed, trials, tol, checks, records())
 
 
 def _horner(cf: list[float], v: float) -> float:

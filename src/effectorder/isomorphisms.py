@@ -81,9 +81,9 @@ from .algebra import (
     _cast_array,
     _check_same_algebra,
     _element,
-    _grouped,
     _invert,
     _interned,
+    _size,
     jordan_product,
     quad_rep,
     random_gaussian,
@@ -259,8 +259,7 @@ class FactorJordanIso:
     def apply(self, x: Element) -> Element:
         if x.algebra != self.algebra:
             raise ShapeMismatchError("element does not live in this factor")
-        out = self.factor._kind.act(self._u, x._block(0), self.conjugate)
-        return _element(self.algebra, _grouped(self.algebra, [out]))
+        return _element(self.algebra, [self.factor._kind.act(self._u, x._groups[0], self.conjugate)])
 
     def inverted(self) -> "FactorJordanIso":
         # the inverse of x -> u conj(x) u* is y -> u^T conj(y) conj(u)
@@ -333,8 +332,8 @@ class FactorOrderIso:
     def _run(self, x: Element, forward: bool) -> Element:
         if x.algebra is not self.algebra and x.algebra != self.algebra:
             raise ShapeMismatchError("element does not live in this factor")
-        out = _map_blocks(x, [(self._kind, self._directions[forward], x._block(0))], self._large)
-        return _element(self.algebra, _grouped(self.algebra, out))
+        (out,) = _map_blocks(x, [(self._kind, self._directions[forward], x._block(0))], self._large)
+        return _element(self.algebra, [out[None]])  # the one block as its group's (1, ...) view
 
     def _cone(self, xs: np.ndarray) -> np.ndarray:
         """The cone map fhat = U_y J on a stack of stored blocks."""
@@ -571,6 +570,9 @@ class CompositeOrderIso:
     engaged_isos: tuple[FactorOrderIso, ...]
 
     def __post_init__(self) -> None:
+        for name in ("sigma", "engaged_pairs"):  # each routing as pairs of plain ints
+            pairs = tuple(tuple(_size(k, f"an index of {name}") for k in p) for p in getattr(self, name))
+            object.__setattr__(self, name, pairs)
         if len(self.sigma) != len(self.scalar_isos):
             raise ValueError("one scalar isomorphism per disengaged coordinate")
         if len(self.engaged_pairs) != len(self.engaged_isos):
@@ -647,6 +649,7 @@ def coordinate_squeeze_iso(n: int) -> tuple[CompositeOrderIso, Element]:
     2^(-n), so no spectral floor survives as n grows even though every
     finite stage stays inside (0, e].
     """
+    n = _size(n, "n")
     if not 1 <= n <= 1023:  # t_n needs 2^n as a finite float
         raise ValueError("n must be in [1, 1023]")
     alg = _interned((HermFactor(1, Ring.REAL),) * n)

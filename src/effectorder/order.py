@@ -22,6 +22,7 @@ from .algebra import (
     AlgebraDescriptor,
     DomainError,
     Element,
+    ShapeMismatchError,
     _check_same_algebra,
     _element,
     _grouped,
@@ -182,6 +183,13 @@ def central_mask(z: Element) -> tuple[bool, ...]:
     return tuple(mask)
 
 
+def _sides(z: Element) -> list[tuple[list[int], AlgebraDescriptor | None]]:
+    """(factor indices, their interned sub-algebra or None) inside, then outside, central z."""
+    mask, factors = central_mask(z), z.algebra.factors
+    sides = [[i for i, m in enumerate(mask) if m is side] for side in (True, False)]
+    return [(ids, _interned(tuple(factors[i] for i in ids)) if ids else None) for ids in sides]
+
+
 def split_by_central(x: Element, z: Element) -> tuple[Element | None, Element | None]:
     """Split x into its parts inside and outside the central projection z.
 
@@ -189,25 +197,20 @@ def split_by_central(x: Element, z: Element) -> tuple[Element | None, Element | 
     no factors is returned as None.  ``unsplit_by_central`` recombines.
     """
     _check_same_algebra(x, z)
-    mask = central_mask(z)
-    parts = []
-    for side in (True, False):
-        ids = [i for i, m in enumerate(mask) if m is side]
-        sub = _interned(tuple(x.algebra.factors[i] for i in ids)) if ids else None
-        parts.append(_element(sub, _grouped(sub, [x._block(i) for i in ids])) if ids else None)
-    return parts[0], parts[1]
+    parts = (_element(s, _grouped(s, [x._block(i) for i in ids])) if ids else None for ids, s in _sides(z))
+    return tuple(parts)
 
 
 def unsplit_by_central(
     alg: AlgebraDescriptor, z: Element, inside: Element | None, outside: Element | None
 ) -> Element:
-    """Inverse of :func:`split_by_central`; exact block reassembly."""
-    mask = central_mask(z)
-    it_in, it_out = (
-        iter([p._block(i) for i in range(len(p.algebra.factors))] if p is not None else [])
-        for p in (inside, outside)
-    )
-    return _element(alg, _grouped(alg, [next(it_in) if m else next(it_out) for m in mask]))
+    """Inverse of :func:`split_by_central`; exact block reassembly.  z must live in alg, and each
+    part where split_by_central puts it, None for a side with no factors; else ShapeMismatchError."""
+    sides, got = _sides(z), [getattr(p, "algebra", None) for p in (inside, outside)]
+    if z.algebra != alg or got != [sub for _, sub in sides]:
+        raise ShapeMismatchError(f"parts in {got[0]} and {got[1]} and z in {z.algebra} do not make up {alg}")
+    blocks = {i: p._block(k) for (ids, _), p in zip(sides, (inside, outside)) for k, i in enumerate(ids)}
+    return _element(alg, _grouped(alg, [blocks[i] for i in range(len(alg.factors))]))
 
 
 def has_totally_ordered_interval(x: Element) -> bool:

@@ -256,6 +256,22 @@ class TestElementValidation:
         assert err.value.code == NON_HERMITIAN
         assert_exactly_hermitian(element_from_blocks(alg, [base + 1e-9 * bump]))
 
+    # herm(1,R) has no entry off the diagonal, so no asymmetry
+    @pytest.mark.parametrize("factor", [f for f in FACTOR_KINDS if isinstance(f, HermFactor) and f.n > 1], ids=str)
+    @pytest.mark.parametrize("share, accepted", [(0.9, True), (1.1, False)])
+    def test_asymmetry_bound_is_1e6_of_one_plus_the_block(self, factor, share, accepted, rng):
+        """An asymmetry |b - b*| of 0.9x the bound 1e-6 (1 + |b|) passes, 1.1x fails."""
+        alg = single_factor(factor)
+        x = sample_element(alg, rng, "general")
+        base = x.block(0)
+        bump = np.zeros(base.shape)  # a real (0, 1) entry: |b - b*| is the entry's modulus
+        bump[(0, 1) + (0,) * (base.ndim - 2)] = share * 1e-6 * (1.0 + sup_norm(x))
+        if accepted:
+            assert_exactly_hermitian(element_from_blocks(alg, [base + bump]))
+        else:
+            with pytest.raises(NonHermitianBlockError):
+                element_from_blocks(alg, [base + bump])
+
     def test_rejects_wrong_block_count(self):
         with pytest.raises(ShapeMismatchError):
             element_from_blocks(MIXED, [np.eye(1)])

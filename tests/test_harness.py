@@ -16,6 +16,7 @@ from effectorder import (
     dump_document,
     element_in_factor,
     identity_jordan,
+    load_document,
     render_report,
     run_identity_suite,
     run_interval_suite,
@@ -292,6 +293,51 @@ class TestCounterexampleReport:
     def test_spectral_floor_note_present(self):
         report = counterexample_report(3)
         assert "no uniform spectral floor" in report.data["note"]
+
+
+class TestReportFields:
+    """A report keeps seed and trials as plain ints and tol as a float, so its
+    document writes and loads back; a bool or a non-integer count is refused."""
+
+    PLAIN = {"seed": 3, "trials": 2, "tol": float(np.float32(1e-8))}
+
+    @pytest.mark.parametrize(
+        "field, value", [("trials", np.int64(2)), ("seed", np.int64(3)), ("tol", np.float32(1e-8))]
+    )
+    def test_numpy_arguments_give_the_plain_report(self, field, value):
+        report = run_identity_suite(SMALL, **{**self.PLAIN, field: value})
+        assert [type(getattr(report, k)) for k in self.PLAIN] == [int, int, float]
+        assert [type(c.tol) for c in report.checks] == [float] * len(report.checks)
+        plain = run_identity_suite(SMALL, **self.PLAIN)
+        assert render_report(report, include_elapsed=False) == render_report(plain, include_elapsed=False)
+        text = dump_document(report)
+        assert dump_document(load_document(text)) == text
+
+    def test_numpy_counterexample_size(self):
+        report = counterexample_report(np.int64(3))
+        assert type(report.trials) is int and report.descriptor == "3-fold sum of lines"
+        text = dump_document(report)
+        assert dump_document(load_document(text)) == text
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: run_identity_suite(SMALL, trials=True),
+            lambda: run_identity_suite(SMALL, seed=True, trials=1),
+            lambda: run_identity_suite(SMALL, trials=2.5),
+            lambda: counterexample_report(True),
+            lambda: counterexample_report(2.0),
+        ],
+        ids=["trials-bool", "seed-bool", "trials-float", "counterexample-bool", "counterexample-float"],
+    )
+    def test_bool_and_float_counts_are_refused(self, run):
+        with pytest.raises(ValueError, match="must be an integer"):
+            run()
+
+    @pytest.mark.parametrize("n", [True, 2.0], ids=["bool", "float"])
+    def test_squeeze_map_size_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="must be an integer"):
+            coordinate_squeeze_iso(n)
 
 
 class TestRendering:

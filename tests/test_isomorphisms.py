@@ -1314,13 +1314,16 @@ class TestPooledBlocks:
             (HermFactor(56, Ring.COMPLEX), True),
             (HermFactor(64, Ring.COMPLEX), True),
             (HermFactor(27, Ring.QUATERNION), False),
+            (HermFactor(28, Ring.QUATERNION), True),
             (HermFactor(32, Ring.QUATERNION), True),
+            (SpinFactor(200), False),
         ],
         ids=str,
     )
     def test_large_is_decided_by_the_pencil_cost(self, factor, large):
         # the cost is the stored order cubed, 4x over C and H: herm(n,R) is large
-        # from n = 89, herm(n,C) from 56 and herm(n,H), stored as 2n, from 28
+        # from n = 89, herm(n,C) from 56 and herm(n,H), stored as 2n, from 28;
+        # a spin pencil, 2x2 in floats, never is
         iso = FactorOrderIso(0.5, 0.8 * unit(single_factor(factor)), identity_jordan(factor))
         assert iso._large is large
 

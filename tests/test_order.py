@@ -6,6 +6,8 @@ from effectorder import (
     DomainError,
     HermFactor,
     Ring,
+    ShapeMismatchError,
+    SpinFactor,
     algebra,
     canonical_trace,
     central_structure,
@@ -306,6 +308,34 @@ class TestSplitByCentral:
         x = sample_element(MIXED, np.random.default_rng(0), "general")
         with pytest.raises(DomainError):
             split_by_central(x, 0.5 * unit(MIXED))
+
+    # herm(2,R) inside the first central generator, spin(3) outside it
+    SPLIT = algebra(HermFactor(2), SpinFactor(3))
+
+    def split(self, rng):
+        z = central_structure(self.SPLIT)[0][0]
+        return (z, *split_by_central(sample_element(self.SPLIT, rng, "effect"), z))
+
+    def test_unsplit_rejects_swapped_parts(self, rng):
+        z, inside, outside = self.split(rng)
+        with pytest.raises(ShapeMismatchError):
+            unsplit_by_central(self.SPLIT, z, outside, inside)
+
+    def test_unsplit_rejects_a_part_of_another_ring(self, rng):
+        z, _, outside = self.split(rng)
+        other = sample_element(single_factor(HermFactor(2, Ring.COMPLEX)), rng, "effect")
+        with pytest.raises(ShapeMismatchError):
+            unsplit_by_central(self.SPLIT, z, other, outside)
+
+    def test_unsplit_rejects_none_for_a_side_with_factors(self, rng):
+        z, inside, _ = self.split(rng)
+        with pytest.raises(ShapeMismatchError):
+            unsplit_by_central(self.SPLIT, z, inside, None)
+
+    def test_unsplit_rejects_an_algebra_other_than_that_of_z(self, rng):
+        z, inside, outside = self.split(rng)
+        with pytest.raises(ShapeMismatchError):
+            unsplit_by_central(algebra(HermFactor(2), SpinFactor(3), HermFactor(1)), z, inside, outside)
 
 
 class TestTotallyOrderedIntervalTop:

@@ -19,6 +19,7 @@ from effectorder import (
     algebra,
     dump_document,
     element_in_factor,
+    identity_jordan,
     load_document,
     quad_rep,
     random_composite_iso,
@@ -679,6 +680,35 @@ PLAIN = {
     # keys that are not strings: json converts them
     "keys": {"x": {1: "a", 2.5: "b", True: "c", None: "d"}, "in_array": [[1.0], {1.5: 2.0}]},
 }
+
+
+class TestRoutingIndices:
+    """A CompositeOrderIso keeps both routings as pairs of plain ints, so that its
+    document writes, and loads back to the same text."""
+
+    ALG = algebra(HermFactor(1), HermFactor(2))
+
+    def build(self, sigma=((0, 0),), engaged_pairs=((1, 1),)):
+        engaged = FactorOrderIso(0.3, unit(single_factor(HermFactor(2))), identity_jordan(HermFactor(2)))
+        return CompositeOrderIso(self.ALG, self.ALG, sigma, (PhiScalarIso(0.3),), engaged_pairs, (engaged,))
+
+    @pytest.mark.parametrize("field", ["sigma", "engaged_pairs"])
+    @pytest.mark.parametrize("array", [False, True], ids=["scalars", "array"])
+    def test_numpy_indices_are_stored_as_ints(self, field, array):
+        i = {"sigma": 0, "engaged_pairs": 1}[field]
+        iso = self.build(**{field: np.array([[i, i]]) if array else ((np.int64(i), np.intp(i)),)})
+        assert [type(k) for k in getattr(iso, field)[0]] == [int, int]
+        text = dump_document(iso)
+        assert text == dump_document(self.build())
+        assert dump_document(load_document(text)) == text
+
+    # each equal to the index it stands for, so a routing of them is a bijection
+    @pytest.mark.parametrize(
+        "field, index", [("sigma", False), ("sigma", 0.0), ("engaged_pairs", True), ("engaged_pairs", 1.0)]
+    )
+    def test_bool_and_float_indices_are_refused(self, field, index):
+        with pytest.raises(ValueError, match=f"^an index of {field} must be an integer"):
+            self.build(**{field: ((index, index),)})
 
 
 class TestWriter:

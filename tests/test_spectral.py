@@ -28,6 +28,7 @@ from effectorder import (
     pseudo_inv_sqrt,
     quad_rep,
     random_composite_iso,
+    random_jordan_iso,
     range_approximants,
     range_projection,
     sample_element,
@@ -488,23 +489,48 @@ class TestSpectrumWithin:
 
 
 class TestStackedKernels:
-    # recovery runs the matrix kernels once on a (k, ...) stack of blocks:
-    # each block of the result is the kernel's result on that block, bit for bit
+    # recovery runs the matrix kernels once on a (k, ...) stack of blocks, and every
+    # kernel runs once per group: each block of the result is the kernel's result on
+    # that block, bit for bit
     MATRIX_KINDS = [f for f in FACTOR_KINDS if isinstance(f, HermFactor)]
 
-    @pytest.mark.parametrize("factor", MATRIX_KINDS, ids=str)
+    @pytest.mark.parametrize("factor", MATRIX_KINDS + [SpinFactor(3), SpinFactor(6)], ids=str)
     def test_stack_agrees_with_each_block(self, factor, rng):
-        alg = single_factor(factor)
+        alg, kind = single_factor(factor), factor._kind
         xs = [sample_element(alg, rng, "invertible_effect")._block(0) for _ in range(3)]
+        wide = []  # members for the kernels that take |v| by hypot
+        if isinstance(factor, SpinFactor):
+            xs.append(0.5 * kind.identity())  # v = 0
+            wide.append(np.r_[1.0, 1e200, np.zeros(factor.d - 1)])  # |v|^2 overflows
+        jord = random_jordan_iso(factor, rng)
         kernels = [
-            lambda f, b: f._kind.inverse(b), lambda f, b: f._kind.hermitize(b), lambda f, b: _adjoint(b),
-            lambda f, b: f._kind.ring_array(b),
-            lambda f, b: f._kind.stored(f._kind.ring_array(b)),
-            lambda f, b: f._kind.quad(xs[0], b),
+            kind.inverse, kind.hermitize, kind.ring_array, lambda b: kind.stored(kind.ring_array(b)),
+            lambda b: kind.quad(np.broadcast_to(xs[0], b.shape), b),
+            lambda b: kind.jordan(np.broadcast_to(xs[0], b.shape), b),
+            lambda b: kind.act(jord._u, b, jord.conjugate),
         ]
-        for kernel in kernels:
-            for x, got in zip(xs, kernel(factor, np.stack(xs))):
-                assert np.array_equal(got, kernel(factor, x))
+        if isinstance(factor, HermFactor):
+            kernels.append(_adjoint)
+        wide_kernels = [kind.eigenvalues, lambda b: kind.eigh(b)[0], lambda b: kind.eigh(b)[1]]
+        for kernel, members in [(k, xs) for k in kernels] + [(k, xs + wide) for k in wide_kernels]:
+            got = kernel(np.stack(members))
+            assert len(got) == len(members)
+            for x, g in zip(members, got):
+                assert np.array_equal(g, kernel(x))
+        # combine runs on a group's eigenbases alone: the stack's against 1-stacks
+        vals, basis = kind.eigh(np.stack(xs))
+        idx = np.broadcast_to(np.arange(vals.shape[-1]), vals.shape)  # one cluster per eigenpair
+        values = np.linspace(-1.0, 2.0, vals.shape[-1])
+        got = kind.combine(basis, idx, values)
+        for k, g in enumerate(got):
+            assert np.array_equal(g, kind.combine(basis[k : k + 1], idx[k : k + 1], values)[0])
+        # sup and within reduce over the stack
+        assert kind.sup(np.stack(xs)) == max(kind.sup(x) for x in xs)
+        if isinstance(factor, SpinFactor):  # the matrix kinds' within: test_one_factorization_decides_every_block
+            for members in (xs, xs + wide):
+                for lo, hi in ((0.0, 1.0), (0.4, 0.6), (-1.0, math.inf)):
+                    want = all(kind.within(x, lo, hi) for x in members)
+                    assert kind.within(np.stack(members), lo, hi) is want
 
     @pytest.mark.parametrize("factor", [f for f in MATRIX_KINDS if f.ring is Ring.QUATERNION], ids=str)
     def test_quaternion_stacks_keep_the_embedding_form(self, factor, rng):

@@ -17,7 +17,7 @@ SRC = Path(algebra_module.__file__).resolve().parent
 KIND_BRANCH = re.compile(
     r"isinstance\([a-z_.]+, (SpinFactor|HermFactor)\)|\.ring (is|is not|==) Ring\.|ring (is|is not) Ring\."
 )
-MAX_KIND_BRANCHES = 5
+MAX_KIND_BRANCHES = 0
 
 # a line that names numpy.linalg, which only ``_lapack`` may
 NUMPY_LINALG = re.compile(r"\b(np|numpy)\.linalg\b|from numpy import .*\blinalg\b")
