@@ -119,6 +119,15 @@ def _size(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _seed(value) -> int:
+    """A generator seed as a plain int: :func:`_size`, and a negative seed is a ValueError
+    too, which numpy's own refusal would not name."""
+    seed = _size(value, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class HermFactor:
     """Hermitian n x n matrices over ``ring``; rank n, atoms of rank one."""
@@ -605,19 +614,22 @@ class _Quaternion(_Complex):
 _RING_KINDS = {kind.ring: kind for kind in (_Real, _Complex, _Quaternion)}
 
 
-def _each_member(collect, blocks: int = 1):
-    """A spin method of one block run member by member on a group's (k, d + 1) stacks, its
-    first ``blocks`` arguments, into ``collect``: the one place spin maps over a stack."""
+def _each_member(collect):
+    """A spin method of one block run member by member on a group's (k, d + 1) stack, its
+    first argument, into ``collect``: the one place spin maps over a stack."""
 
     def wrap(one):
         @functools.wraps(one)
-        def method(self, *args):
-            if args[0].ndim == 1:
-                return one(self, *args)
-            rest = args[blocks:]
-            return collect([one(self, *member, *rest) for member in zip(*args[:blocks])])
+        def method(self, b, *rest):
+            return one(self, b, *rest) if b.ndim == 1 else collect([one(self, m, *rest) for m in b])
         return method
     return wrap
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<v, w> of the vector parts of spin blocks a and b, or of stacks that broadcast, as
+    (..., 1); a stacked matmul, which gives the 1-D ``v @ w`` bit for bit (einsum and sum do not)."""
+    return (a[..., None, 1:] @ b[..., 1:, None])[..., 0]
 
 
 class _Spin:
@@ -645,20 +657,18 @@ class _Spin:
     def trace(self, b):
         return 2.0 * b[..., 0]
 
-    @_each_member(np.array, blocks=2)
+    # jordan and quad take blocks or stacks (..., d + 1) that broadcast against each other
     def jordan(self, a, b):
-        alpha = a[0] * b[0] + a[1:] @ b[1:]
-        v = a[0] * b[1:] + b[0] * a[1:]
-        return np.concatenate(([alpha], v))
+        alpha, v, beta, w = a[..., :1], a[..., 1:], b[..., :1], b[..., 1:]
+        return np.concatenate((alpha * beta + _inner(a, b), alpha * w + beta * v), axis=-1)
 
-    @_each_member(np.array, blocks=2)
     def quad(self, a, b):
         # U_a b = 2 a o (a o b) - a^2 o b, expanded for a = (alpha, v), b = (beta, w)
-        alpha, v, beta, w = a[0], a[1:], b[0], b[1:]
-        aa, vv, vw = alpha * alpha, v @ v, v @ w
-        return np.concatenate((
-            [(aa + vv) * beta + 2.0 * alpha * vw], (aa - vv) * w + 2.0 * (alpha * beta + vw) * v
-        ))
+        alpha, v, beta, w = a[..., :1], a[..., 1:], b[..., :1], b[..., 1:]
+        aa, vv, vw = alpha * alpha, _inner(a, a), _inner(a, b)
+        return np.concatenate(
+            ((aa + vv) * beta + 2.0 * alpha * vw, (aa - vv) * w + 2.0 * (alpha * beta + vw) * v), axis=-1
+        )
 
     @_each_member(np.array)
     def inverse(self, b):

@@ -26,6 +26,7 @@ from .algebra import (
     Element,
     HermFactor,
     Ring,
+    _seed,
     _size,
     element_in_factor,
     jordan_product,
@@ -168,8 +169,8 @@ def _report(suite, descriptor, seed, trials, tol, checks, records, data=None) ->
     ``records``, an iterable of ``{check name: residual}`` drawn inside
     the timer, so that a check is recorded at most once per record.
     ``data`` may be filled while the records are drawn.  First ``seed`` and ``trials``
-    are read as ints (``_size``), ``tol`` as a float, and negative ``trials`` refused."""
-    seed, trials, tol = _size(seed, "seed"), _size(trials, "trials"), float(tol)
+    are read as ints (``_seed``, ``_size``), ``tol`` as a float, and negative ``trials`` refused."""
+    seed, trials, tol = _seed(seed), _size(trials, "trials"), float(tol)
     if trials < 0:
         raise ValueError(f"trials must be a count (>= 0), got {trials}")
     t0 = time.perf_counter()

@@ -83,6 +83,7 @@ from .algebra import (
     _element,
     _invert,
     _interned,
+    _seed,
     _size,
     jordan_product,
     quad_rep,
@@ -229,8 +230,9 @@ class FactorJordanIso:
 
     Hermitian factors: x -> u tau(x) u* for an isometry u over the ring,
     with tau either the identity or (complex factors only) entrywise
-    conjugation.  Spin(d) factors: (a, v) -> (a, u v) for a real
-    orthogonal d x d matrix u, a ring array of herm(d,R).  ``algebra``, the
+    conjugation, when ``conjugate``, a bool (numpy's too).  Spin(d) factors:
+    (a, v) -> (a, u v) for a real orthogonal d x d matrix u, a ring array of
+    herm(d,R).  ``algebra``, the
     one-factor algebra, and ``_u``, u as the library stores a block (the
     complex embedding over H), are kept at construction.
     """
@@ -241,6 +243,8 @@ class FactorJordanIso:
 
     def __post_init__(self) -> None:
         k = self.factor._kind.isometry
+        if not isinstance(self.conjugate, (bool, np.bool_)):
+            raise ValueError(f"conjugate must be a bool, got {self.conjugate!r}")
         if self.conjugate and not k.conjugable:
             raise ValueError("conjugation flag only applies to complex factors")
         u = _cast_array(self.u, k.dtype, k.shape, "u")
@@ -254,6 +258,7 @@ class FactorJordanIso:
         m.setflags(write=False)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "_u", m)
+        object.__setattr__(self, "conjugate", bool(self.conjugate))
         object.__setattr__(self, "algebra", single_factor(self.factor))
 
     def apply(self, x: Element) -> Element:
@@ -339,7 +344,7 @@ class FactorOrderIso:
         """The cone map fhat = U_y J on a stack of stored blocks."""
         kind, jord = self._kind, self.jordan
         y = spectral_decompose(self.z).combine(self._ys[0])._groups[0]
-        return kind.quad(np.broadcast_to(y, xs.shape), kind.act(jord._u, xs, jord.conjugate))
+        return kind.quad(y, kind.act(jord._u, xs, jord.conjugate))
 
     def compose(self, inner: FactorOrderIso) -> FactorOrderIso:
         """The map self after inner in closed form, read off its cone map by :func:`_from_cone`."""
@@ -351,7 +356,7 @@ class FactorOrderIso:
         """The inverse map in closed form, read off its cone map by :func:`_from_cone`."""
         kind, inv, xs = self._kind, self.jordan.inverted(), self._kind.probes
         y_inv = spectral_decompose(self.z).combine(self._ys[1])._groups[0]
-        out = kind.act(inv._u, kind.quad(np.broadcast_to(y_inv, xs.shape), xs), inv.conjugate)
+        out = kind.act(inv._u, kind.quad(y_inv, xs), inv.conjugate)
         return _from_cone(self.jordan.factor, out)[0]
 
 
@@ -681,7 +686,7 @@ def _from_cone(factor: Factor, images: np.ndarray) -> tuple[FactorOrderIso, np.n
     if not dec.eigenvalues[0] > 0.0:  # negated so that NaN fails
         raise RecoveryError("image of the unit is not interior")
     y_inv = dec.apply(lambda s: 1.0 / math.sqrt(s))._block(0)
-    Js = kind.quad(np.broadcast_to(y_inv, images.shape), images)
+    Js = kind.quad(y_inv, images)
     try:
         u, conjugate = kind.extract_jordan(Js[:m], RECOVERY_TOL)
     except ValueError as exc:
@@ -714,9 +719,10 @@ def recover_factor_iso(
     becomes the cone map fhat(x) = g((x + e)^(-1))^(-1) - e, which must be
     U_y J.  The probe plan, fixed before the first probe, is the kind's cone
     ``probes``, e first, and 3 agreement points a o a for Gaussian a drawn from
-    seed.  e goes in as itself, the unit probe; every other point x goes in as
-    x + e, and L(x) = fhat(x + e) - fhat(e), one constant shift: so every input
-    (x + 2e)^(-1) lies in (0, e/2] and needs no membership test.  g is called
+    seed, a non-negative integer.  e goes in as itself, the unit probe; every
+    other point x goes in as x + e, and L(x) = fhat(x + e) - fhat(e), one
+    constant shift: so every input (x + 2e)^(-1) lies in (0, e/2] and needs no
+    membership test.  g is called
     once per probe, in plan order, and each step around it runs once on the
     stack of all probes.  :func:`_from_cone` reads (t, z, J) off fhat(e) = y^2
     and the L images; the one check of g is that J = U_{y^(-1)} L agrees with
@@ -733,7 +739,7 @@ def recover_factor_iso(
     if source.factors[0] != target.factors[0]:
         raise DomainError("source and target factors must be of the same kind")
     factor, e_s = source.factors[0], unit(source)
-    kind, e, rng = factor._kind, e_s._block(0), np.random.default_rng(seed)
+    kind, e, rng = factor._kind, e_s._block(0), np.random.default_rng(_seed(seed))
     gs = np.stack([random_gaussian(source, rng)._block(0) for _ in range(_AGREEMENT_PROBES)])
     agree = kind.jordan(gs, gs)
     names = ["unit probe"] + [f"extraction probe {j}" for j in range(1, len(kind.probes))]

@@ -16,6 +16,7 @@ from .algebra import (
     Factor,
     _element,
     _grouped,
+    _seed,
     jordan_product,
     random_gaussian,
     single_factor,
@@ -82,8 +83,8 @@ def sample_atom(factor: Factor, rng: np.random.Generator) -> Element:
 
 
 def random_element(alg: AlgebraDescriptor, seed: int, cls: str = "general") -> Element:
-    """Deterministic-in-seed random element of the given class."""
-    return sample_element(alg, np.random.default_rng(seed), cls)
+    """Deterministic-in-seed random element of the given class; ``seed`` is read by ``_seed``."""
+    return sample_element(alg, np.random.default_rng(_seed(seed)), cls)
 
 
 def random_jordan_iso(factor: Factor, rng: np.random.Generator) -> FactorJordanIso:

@@ -231,6 +231,12 @@ class TestRandomElements:
         with pytest.raises(ValueError):
             random_element(MIXED, 0, "bogus")
 
+    @pytest.mark.parametrize("seed", [1.5, True, -1], ids=repr)
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # numpy took True as 1 and refused 1.5 and -1 without naming seed
+        with pytest.raises(ValueError, match="^seed must be (an|a non-negative) integer"):
+            random_element(MIXED, seed, "effect")
+
 
 class TestElementValidation:
     def test_symmetrizes_noisy_input(self):

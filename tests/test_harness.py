@@ -334,6 +334,14 @@ class TestReportFields:
         with pytest.raises(ValueError, match="must be an integer"):
             run()
 
+    @pytest.mark.parametrize(
+        "suite", [run_identity_suite, run_interval_suite, run_order_iso_suite], ids=lambda s: s.__name__
+    )
+    def test_a_negative_seed_is_refused_by_name(self, suite):
+        # numpy's own refusal, "expected non-negative integer", did not name seed
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1"):
+            suite(SMALL, seed=-1, trials=1)
+
     @pytest.mark.parametrize("n", [True, 2.0], ids=["bool", "float"])
     def test_squeeze_map_size_must_be_an_integer(self, n):
         with pytest.raises(ValueError, match="must be an integer"):

@@ -647,6 +647,21 @@ class TestJordanIso:
         with pytest.raises(ValueError, match="conjugation"):
             FactorJordanIso(SpinFactor(3), np.eye(3), conjugate=True)
 
+    @pytest.mark.parametrize("flag", ["no", 0.5, 2, 1, None, np.array(True)], ids=repr)
+    @pytest.mark.parametrize("factor", [HermFactor(2), HermFactor(2, Ring.COMPLEX)], ids=str)
+    def test_conjugate_flag_must_be_a_bool(self, factor, flag):
+        # a truthy non-bool used to build a conjugate-linear map over C
+        with pytest.raises(ValueError, match="^conjugate must be a bool"):
+            FactorJordanIso(factor, np.eye(2), conjugate=flag)
+
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_], ids=repr)
+    def test_conjugate_flag_is_stored_as_a_plain_bool(self, flag):
+        J = FactorJordanIso(HermFactor(2, Ring.COMPLEX), np.eye(2), conjugate=flag)
+        assert type(J.conjugate) is bool and J.conjugate == bool(flag)
+        assert type(J.inverted().conjugate) is bool
+        doc = HermFactor(2, Ring.COMPLEX)._kind.jordan_to_obj(J._u, J.conjugate)
+        assert doc["tau"] == ("conj" if flag else "id")
+
     @pytest.mark.parametrize("factor", [HermFactor(2), SpinFactor(2)], ids=str)
     def test_real_ring_u_refuses_imaginary_part(self, factor):
         with pytest.raises(ShapeMismatchError, match="imaginary"):

@@ -151,16 +151,58 @@ class TestRecoverFactorIso:
             recover_factor_iso(floor, alg, alg)
 
     @pytest.mark.parametrize(
-        "factor", [HermFactor(3), HermFactor(2, Ring.QUATERNION), SpinFactor(3)], ids=str
+        "factor, seed",
+        [(HermFactor(3), 0), (HermFactor(2, Ring.QUATERNION), 0), (SpinFactor(3), 0),
+         (HermFactor(12, Ring.COMPLEX), 2), (HermFactor(24), 3), (HermFactor(24, Ring.COMPLEX), 1),
+         (HermFactor(24, Ring.COMPLEX), 2), (HermFactor(28, Ring.QUATERNION), 0)],
+        ids=str,
     )
-    def test_a_map_near_the_top_of_the_family_is_recovered(self, factor):
+    def test_a_map_near_the_top_of_the_family_is_recovered(self, factor, seed):
         # at t = 1 - 1e-8, y^2 = (1 - t) z^2 (e + z^2)^(-1) is about 1e-8: clustered at an
-        # absolute 1e-8, its distinct eigenvalues merged, and the reader refused the images
+        # absolute 1e-8, its distinct eigenvalues merged, and the reader refused the images.
+        # J's images there carry an error of a few 1e-7 per entry, so a reading of u whose
+        # error grows with n (the eigenvectors of J(diag(1, ..., n)), say) refuses the large
+        # maps, which the rank-one probes read to within the agreement check
         alg = single_factor(factor)
-        b = random_factor_iso(factor, np.random.default_rng(0))
+        b = random_factor_iso(factor, np.random.default_rng(seed))
         iso = FactorOrderIso(1.0 - 1e-8, b.z, b.jordan)
-        rec = recover_factor_iso(iso.apply, alg, alg)
+        rec = recover_factor_iso(iso.apply, alg, alg, seed=seed)
         assert reproduction_error(rec.apply, iso.apply, alg, np.random.default_rng(3)) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "factor, conjugate",
+        [(HermFactor(48, Ring.COMPLEX), False), (HermFactor(48, Ring.COMPLEX), True),
+         (HermFactor(96), False)],
+        ids=str,
+    )
+    def test_a_large_factor_is_recovered(self, factor, conjugate):
+        # the recovered map agrees with its source on held-out effects, and its canonical
+        # (t, z, u, flag) with the source's inverse, inverted: both read by _from_cone
+        alg = single_factor(factor)
+        b = random_factor_iso(factor, np.random.default_rng(5))
+        iso = FactorOrderIso(b.t, b.z, FactorJordanIso(factor, b.jordan.u, conjugate))
+        rec = recover_factor_iso(iso.apply, alg, alg, seed=5)
+        assert reproduction_error(rec.apply, iso.apply, alg, np.random.default_rng(3), samples=3) <= 1e-10
+        ref = iso.inverted().inverted()
+        assert abs(rec.t - ref.t) <= 1e-8 and sup_norm(rec.z - ref.z) <= 1e-8
+        assert np.abs(rec.jordan.u - ref.jordan.u).max() <= 1e-8
+        assert rec.jordan.conjugate is ref.jordan.conjugate is conjugate
+
+    @pytest.mark.parametrize("seed", [1.5, "3", True, None, -1], ids=repr)
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # numpy's own refusals (TypeError, or a ValueError for -1) did not name seed
+        alg = single_factor(HermFactor(2))
+        with pytest.raises(ValueError, match="^seed must be (an|a non-negative) integer"):
+            recover_factor_iso(lambda x: x, alg, alg, seed=seed)
+
+    def test_a_numpy_seed_draws_what_its_int_draws(self):
+        factor = HermFactor(2, Ring.COMPLEX)
+        alg, iso = single_factor(factor), random_factor_iso(factor, np.random.default_rng(2))
+        probes = []
+        for seed in (3, np.int64(3)):
+            probes.append([])
+            recover_factor_iso(lambda x: probes[-1].append(x) or iso.apply(x), alg, alg, seed=seed)
+        assert all(sup_norm(a - b) == 0.0 for a, b in zip(*probes))
 
     def test_rejects_multi_factor_algebra(self):
         from effectorder import algebra

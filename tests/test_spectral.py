@@ -532,6 +532,20 @@ class TestStackedKernels:
                     want = all(kind.within(x, lo, hi) for x in members)
                     assert kind.within(np.stack(members), lo, hi) is want
 
+    @pytest.mark.parametrize("factor", MATRIX_KINDS + [SpinFactor(3), SpinFactor(6)], ids=str)
+    def test_one_block_broadcasts_over_a_stack(self, factor, rng):
+        # quad and jordan of one block against a stack, either way round, equal the
+        # member-by-member result bit for bit, as the matrix kinds' products broadcast
+        alg, kind = single_factor(factor), factor._kind
+        a, *xs = [sample_element(alg, rng, "invertible_effect")._block(0) for _ in range(4)]
+        if isinstance(factor, SpinFactor):
+            xs.append(0.5 * kind.identity())  # v = 0
+        for op in (kind.quad, kind.jordan):
+            for got, want in [(op(a, np.stack(xs)), [op(a, x) for x in xs]),
+                              (op(np.stack(xs), a), [op(x, a) for x in xs])]:
+                assert got.shape == (len(xs),) + a.shape
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
     @pytest.mark.parametrize("factor", [f for f in MATRIX_KINDS if f.ring is Ring.QUATERNION], ids=str)
     def test_quaternion_stacks_keep_the_embedding_form(self, factor, rng):
         alg = single_factor(factor)
