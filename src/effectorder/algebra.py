@@ -596,12 +596,14 @@ class _Quaternion(_Complex):
     def _twist(self, U, imgs, tol):
         # U* Jm(x) U = conj(w) x w entrywise for the unit w of c_0's phase; the twist
         # unit p = conj(w) solves r_a p = p a, r_a = conj(w) a w, for a = i, j, read
-        # off the (0, 1) entries, since each twist probe's is -a
+        # off the (0, 1) entries, since each twist probe's is -a; the null vector's
+        # singular value, noise that reaches 1e-6 near the top of the family, is
+        # read to tol relative to n, as the complex kind reads its flag
         qbasis = np.eye(4)
         r = -quat.from_complex(_adjoint(U) @ imgs @ U)[:, 0, 1]
         rows = [(quat.qmul(r_a, qbasis) - quat.qmul(qbasis, qbasis[a])).T for a, r_a in zip((1, 2), r)]
         _, sing, vt = _lapack.svd(np.concatenate(rows))
-        if sing[-1] > 1e-6:
+        if sing[-1] > tol * self.n:
             raise ValueError("inner twist is not a rotation")
         u = quat.qmul(quat.from_complex(U), vt[-1])
         # the null vector's sign is arbitrary; in normal form the real component

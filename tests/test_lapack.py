@@ -66,6 +66,26 @@ class TestGufuncs:
         _lapack.cholesky(np.eye(2, dtype=dtype))
         assert seen == [signature]
 
+    def test_error_state_names(self):
+        # np.errstate sets and resets this context variable to a state that this
+        # function builds; the module sets it to states built the same way
+        from numpy._core import _ufunc_config, umath
+
+        assert _lapack._extobj_contextvar is umath._extobj_contextvar is _ufunc_config._extobj_contextvar
+        assert _lapack._make_extobj is umath._make_extobj is _ufunc_config._make_extobj
+
+    @pytest.mark.parametrize(
+        "state, invalid, call",
+        [("_SOLVE_STATE", "call", _lapack._raise_singular), ("_CHOLESKY_STATE", "ignore", None)],
+    )
+    def test_error_states(self, state, invalid, call):
+        token = _lapack._extobj_contextvar.set(getattr(_lapack, state))
+        try:
+            got = np.geterr(), np.geterrcall()
+        finally:
+            _lapack._extobj_contextvar.reset(token)
+        assert got == ({"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": invalid}, call)
+
     def test_float64_and_complex128_out(self):
         for dtype in (float, complex):
             a = np.eye(3, dtype=dtype)
@@ -117,6 +137,48 @@ class TestAgainstNumpyLinalg:
         assert len(calls) == 1
         for g, w in zip(got if isinstance(got, tuple) else (got,), want if isinstance(want, tuple) else (want,)):
             assert np.array_equal(g, w)
+
+
+def caller_handler(err, flag):
+    raise AssertionError("the caller's error handler was called")
+
+
+SINGULAR = np.array([[1.0, 2.0], [2.0, 4.0]])
+INDEFINITE = np.array([[1.0, 2.0], [2.0, 1.0]])
+
+
+class TestCallersErrorState:
+    """Each call runs under its own error state, and leaves the caller's as it was."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: _lapack.solve(np.eye(2) + 1.0, np.eye(2)),
+            lambda: _lapack.solve(SINGULAR, np.eye(2)),
+            lambda: _lapack.cholesky(np.eye(2) + 1.0),
+            lambda: _lapack.cholesky(np.stack([np.eye(2), INDEFINITE])),
+        ],
+        ids=["solve", "singular solve", "cholesky", "indefinite cholesky"],
+    )
+    def test_left_unchanged(self, call):
+        with np.errstate(divide="raise", over="warn", under="call", invalid="ignore", call=caller_handler):
+            before = np.geterr(), np.geterrcall()
+            try:
+                call()
+            except _lapack.LinAlgError:
+                pass
+            assert (np.geterr(), np.geterrcall()) == before
+        assert before[1] is caller_handler
+
+    def test_indefinite_cholesky_is_nan_when_the_caller_raises(self):
+        with np.errstate(all="raise"):
+            r = _lapack.cholesky(np.stack([np.eye(2), INDEFINITE]))
+        assert np.array_equal(r[0], np.eye(2)) and np.isnan(r[1]).all()
+
+    def test_singular_solve_raises_when_the_caller_ignores(self):
+        with np.errstate(all="ignore"), pytest.raises(_lapack.LinAlgError) as info:
+            _lapack.solve(SINGULAR, np.eye(2))
+        assert str(info.value) == "Singular matrix"
 
 
 class TestEffectTest:
@@ -214,7 +276,7 @@ class TestSingularPencil:
 
 
 def test_threads_interleave_solves_and_effect_tests(rng):
-    # every call enters an errstate of its own: numpy 2 refuses to enter one twice;
+    # every call sets numpy's per-thread error state to its own and resets it after;
     # more threads than CPUs, switching often, so that the calls interleave
     kind = HermFactor(4)._kind
     regular = random_blocks(rng, (4, 4), False)
@@ -242,7 +304,7 @@ def test_threads_interleave_solves_and_effect_tests(rng):
                     ok = kind.within(inside, -1e-8, 1.0 + 1e-8) is True
                 else:
                     ok = kind.within(outside, -1e-8, 1.0 + 1e-8) is False
-            except Exception as exc:  # a TypeError from a shared errstate, say
+            except Exception as exc:  # a state reset on the wrong thread, say
                 failures.append(repr(exc))
                 continue
             if not ok:

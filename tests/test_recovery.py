@@ -29,7 +29,7 @@ from effectorder import (
     unit,
 )
 from effectorder import isomorphisms
-from effectorder.algebra import _identity
+from effectorder.algebra import Element, _identity
 from effectorder.isomorphisms import RECOVERY_TOL
 from effectorder.order import ORDER_TOL, _order_tol
 from effectorder.spectral import _singular_tol, extreme_eigenvalues
@@ -168,6 +168,39 @@ class TestRecoverFactorIso:
         iso = FactorOrderIso(1.0 - 1e-8, b.z, b.jordan)
         rec = recover_factor_iso(iso.apply, alg, alg, seed=seed)
         assert reproduction_error(rec.apply, iso.apply, alg, np.random.default_rng(3)) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "factor, seed",
+        [(HermFactor(n, Ring.QUATERNION), seed) for n, seeds in ((3, (1, 5, 8)), (12, (1, 3, 5))) for seed in seeds],
+        ids=str,
+    )
+    def test_a_quaternion_map_near_the_top_of_the_family_is_recovered(self, factor, seed):
+        # the twist's null vector was gated at an absolute 1e-6, the noise level of J's
+        # images at t = 1 - 1e-8, and these maps' smallest singular values are 1.0e-6 to
+        # 1.2e-6: they were refused as "inner twist is not a rotation"
+        alg = single_factor(factor)
+        b = random_factor_iso(factor, np.random.default_rng(seed))
+        iso = FactorOrderIso(1.0 - 1e-8, b.z, b.jordan)
+        rec = recover_factor_iso(iso.apply, alg, alg)
+        assert reproduction_error(rec.apply, iso.apply, alg, np.random.default_rng(3), samples=3) <= 1e-6
+
+    @pytest.mark.parametrize("n", [2, 3, 12])
+    @pytest.mark.parametrize("t", [0.3, 1.0 - 1e-8])
+    def test_a_quaternion_map_after_the_entrywise_conjugate_is_refused(self, n, t):
+        # x -> conj(x) entrywise is no inner Jordan automorphism of herm(n,H), so the
+        # twist gate, read relative to n, still refuses a map composed with it
+        factor = HermFactor(n, Ring.QUATERNION)
+        alg, kind = single_factor(factor), factor._kind
+
+        def conjugated(x):
+            a = kind.ring_array(x._block(0)) * np.array([1.0, -1.0, -1.0, -1.0])
+            return Element(alg, [a])
+
+        for seed in range(3):
+            b = random_factor_iso(factor, np.random.default_rng(seed))
+            iso = FactorOrderIso(t, b.z, b.jordan)
+            with pytest.raises(RecoveryError):
+                recover_factor_iso(lambda x: iso.apply(conjugated(x)), alg, alg)
 
     @pytest.mark.parametrize(
         "factor, conjugate",

@@ -22,6 +22,10 @@ MAX_KIND_BRANCHES = 0
 # a line that names numpy.linalg, which only ``_lapack`` may
 NUMPY_LINALG = re.compile(r"\b(np|numpy)\.linalg\b|from numpy import .*\blinalg\b")
 
+# a line that names numpy's private modules or error-state internals, which only
+# ``_lapack`` may
+NUMPY_PRIVATE = re.compile(r"\b(np|numpy)\._core\b|\b(_umath_linalg|_extobj_contextvar|_make_extobj)\b")
+
 # a call of a kind's ``within``, which only the group loop of ``spectral`` makes,
 # and a per-block mode that the kinds no longer have
 KIND_WITHIN = re.compile(r"\.within\(")
@@ -61,6 +65,11 @@ def test_factor_kinds_reach_every_kind_class():
 def test_only_lapack_names_numpy_linalg():
     lines = src_lines(NUMPY_LINALG, skip=("_lapack.py",))
     assert not lines, "lines that name numpy.linalg outside _lapack.py:\n" + "\n".join(lines)
+
+
+def test_only_lapack_names_numpys_private_names():
+    lines = src_lines(NUMPY_PRIVATE, skip=("_lapack.py",))
+    assert not lines, "lines that name numpy's private names outside _lapack.py:\n" + "\n".join(lines)
 
 
 def test_only_spectral_calls_a_kinds_within():
