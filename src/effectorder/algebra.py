@@ -597,8 +597,10 @@ class _Quaternion(_Complex):
         # U* Jm(x) U = conj(w) x w entrywise for the unit w of c_0's phase; the twist
         # unit p = conj(w) solves r_a p = p a, r_a = conj(w) a w, for a = i, j, read
         # off the (0, 1) entries, since each twist probe's is -a; the null vector's
-        # singular value, noise that reaches 1e-6 near the top of the family, is
-        # read to tol relative to n, as the complex kind reads its flag
+        # singular value is noise that grows with n near the top of the family
+        # (seeded maps at t = 1 - 1e-8: up to 0.62 n tol at n = 2, 0.16 n tol from
+        # n = 6 to 80), so it is read to tol relative to n, as the complex kind
+        # reads its flag
         qbasis = np.eye(4)
         r = -quat.from_complex(_adjoint(U) @ imgs @ U)[:, 0, 1]
         rows = [(quat.qmul(r_a, qbasis) - quat.qmul(qbasis, qbasis[a])).T for a, r_a in zip((1, 2), r)]

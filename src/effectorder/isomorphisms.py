@@ -45,11 +45,9 @@ of [0, 1] and applies one closed-form factor map per engaged factor;
 A direction's one effect test, of its whole argument, and the pencil solve
 of each matrix block read only the input, and numpy releases the GIL inside
 LAPACK and matmul, so a map with a large matrix block runs them on a thread
-pool (:func:`_map_blocks`), but only when BLAS runs one thread, or its threads
-and the pool's oversubscribe the CPUs.  The library cannot ask BLAS, so it
-reads a proxy once, at the first pool use: the pool runs when one of
-OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is 1, and every
-block runs inline otherwise.
+pool (:func:`_map_blocks`).  Pin a multi-threaded BLAS to one thread
+(OPENBLAS_NUM_THREADS=1, say), or its threads and the pool's oversubscribe
+the CPUs.
 
 The one-parameter Mobius family
 
@@ -368,28 +366,22 @@ class FactorOrderIso:
 # herm(n,R) blocks are large from n = 89 (the measured crossover table is in CHANGES.md).
 _POOL_MIN_COST = 4 * 56**3
 
-# a BLAS that one of these says runs one thread leaves the other CPUs to the pool
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-_pool: ThreadPoolExecutor | None | bool = None  # False once first use has made none
+_pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 
 
 def _thread_pool() -> ThreadPoolExecutor | None:
-    """The pool of the effect tests and matrix pencils, decided on first use: one
-    worker per CPU this process may run on but the calling thread's, when one of
-    ``_BLAS_THREAD_VARS`` is 1; None on one CPU or when none is, since BLAS's own
-    threads and the pool's would then oversubscribe the CPUs."""
+    """The pool of the effect tests and matrix pencils, made on first use, with one
+    worker per CPU this process may run on but the calling thread's; None on one CPU."""
     global _pool
     with _pool_lock:
         if _pool is None:
             cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-            _pool = False
-            if (cpus or 1) > 1 and any(os.environ.get(v, "").strip() == "1" for v in _BLAS_THREAD_VARS):
+            if (cpus or 1) > 1:
                 from concurrent.futures import ThreadPoolExecutor
 
                 _pool = ThreadPoolExecutor(cpus - 1, thread_name_prefix="effectorder")
-        return _pool or None
+        return _pool
 
 
 def _forget_pool() -> None:

@@ -65,9 +65,8 @@ def eigensolve_counter(monkeypatch):
 
 @pytest.fixture
 def pool(monkeypatch):
-    """The module's pool; where it has none (one CPU, or no BLAS thread variable
-    that says 1), a one-worker pool of the test's own, so that the pooled path runs
-    on any machine."""
+    """The module's pool; on one CPU, where it has none, a one-worker pool of the
+    test's own, so that the pooled path runs on any machine."""
     real = isomorphisms._thread_pool()
     if real is not None:
         yield real

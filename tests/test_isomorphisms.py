@@ -1254,22 +1254,6 @@ def no_pool(monkeypatch):
     monkeypatch.setattr(isomorphisms, "_thread_pool", lambda: None)
 
 
-# the variables whose value 1 says that BLAS runs one thread
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def undecided_pool(monkeypatch, cpus=None, **env):
-    """The module's pool undecided, to be decided at the next use with the BLAS thread
-    variables env and no others set, on cpus CPUs (the machine's when None)."""
-    for var in BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
-    monkeypatch.setattr(isomorphisms, "_pool", None)
-    if cpus is not None:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-
 def refusal(run, x) -> str:
     with pytest.raises(DomainError) as info:
         run(x)
@@ -1474,36 +1458,13 @@ class TestPooledBlocks:
         assert public == {main}
 
     def test_pool_size(self, monkeypatch):
-        undecided_pool(monkeypatch, 3, OPENBLAS_NUM_THREADS="1")
+        monkeypatch.setattr(isomorphisms, "_pool", None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         assert isomorphisms._thread_pool()._max_workers == 2
         isomorphisms._pool.shutdown()
-        undecided_pool(monkeypatch, 1, OPENBLAS_NUM_THREADS="1")
+        monkeypatch.setattr(isomorphisms, "_pool", None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert isomorphisms._thread_pool() is None
-
-    @pytest.mark.parametrize(
-        "env",
-        [{}, {"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "4", "MKL_NUM_THREADS": ""}, {"MKL_NUM_THREADS": "10"}],
-        ids=["unset", "two", "four-and-empty", "ten"],
-    )
-    def test_no_pool_unless_a_variable_pins_blas_to_one_thread(self, monkeypatch, env):
-        # a multi-threaded BLAS and the pool oversubscribe the CPUs, so a plain install
-        # runs every block inline; the variables are read once, at the first use
-        undecided_pool(monkeypatch, 3, **env)
-        assert isomorphisms._thread_pool() is None
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert isomorphisms._thread_pool() is None
-
-    @pytest.mark.parametrize("var", BLAS_THREAD_VARS)
-    def test_a_pool_when_one_variable_pins_blas(self, monkeypatch, var):
-        others = {v: "2" for v in BLAS_THREAD_VARS if v != var}
-        undecided_pool(monkeypatch, 3, **{var: " 1 "}, **others)
-        pool = isomorphisms._thread_pool()
-        try:
-            assert pool is not None and pool._max_workers == 2
-            monkeypatch.delenv(var)
-            assert isomorphisms._thread_pool() is pool
-        finally:
-            pool.shutdown()
 
     def test_concurrent_callers_share_one_pool(self, rng, monkeypatch):
         alg = POOLED_ALGEBRAS[1]
@@ -1520,7 +1481,8 @@ class TestPooledBlocks:
                 made.append(self)
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
-        undecided_pool(monkeypatch, 2, OPENBLAS_NUM_THREADS="1")
+        monkeypatch.setattr(isomorphisms, "_pool", None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         got, barrier = {}, threading.Barrier(len(xs), timeout=60.0)
 
         def caller(i):
@@ -1547,11 +1509,9 @@ class TestPooledBlocks:
             assert all(np.array_equal(a, b) for a, b in zip(got[i]._groups, x._groups))
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_runs_a_pooled_round_trip(self, rng, monkeypatch, request):
-        undecided_pool(monkeypatch, OPENBLAS_NUM_THREADS="1")
+    def test_forked_child_runs_a_pooled_round_trip(self, rng):
         if isomorphisms._thread_pool() is None:
             pytest.skip("one CPU: there is no pool to fork")
-        request.addfinalizer(isomorphisms._pool.shutdown)
         alg = POOLED_ALGEBRAS[0]
         iso = random_composite_iso(alg, alg, rng)
         x = sample_element(alg, rng, "effect")

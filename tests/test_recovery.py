@@ -154,7 +154,9 @@ class TestRecoverFactorIso:
         "factor, seed",
         [(HermFactor(3), 0), (HermFactor(2, Ring.QUATERNION), 0), (SpinFactor(3), 0),
          (HermFactor(12, Ring.COMPLEX), 2), (HermFactor(24), 3), (HermFactor(24, Ring.COMPLEX), 1),
-         (HermFactor(24, Ring.COMPLEX), 2), (HermFactor(28, Ring.QUATERNION), 0)],
+         (HermFactor(24, Ring.COMPLEX), 2), (HermFactor(28, Ring.QUATERNION), 0)]
+        + [(HermFactor(n, Ring.QUATERNION), seed) for n, seeds in ((3, (1, 5, 8)), (12, (1, 3, 5)), (28, (2,)))
+           for seed in seeds],
         ids=str,
     )
     def test_a_map_near_the_top_of_the_family_is_recovered(self, factor, seed):
@@ -162,33 +164,23 @@ class TestRecoverFactorIso:
         # absolute 1e-8, its distinct eigenvalues merged, and the reader refused the images.
         # J's images there carry an error of a few 1e-7 per entry, so a reading of u whose
         # error grows with n (the eigenvectors of J(diag(1, ..., n)), say) refuses the large
-        # maps, which the rank-one probes read to within the agreement check
+        # maps, which the rank-one probes read to within the agreement check. The herm(n,H)
+        # maps after the first were refused as "inner twist is not a rotation" while the
+        # twist's null vector was gated at an absolute 1e-6: its singular value is noise
+        # of 1.0e-6 to 1.2e-6 on them at n = 3 and 12, 4.5e-6 at n = 28
         alg = single_factor(factor)
         b = random_factor_iso(factor, np.random.default_rng(seed))
         iso = FactorOrderIso(1.0 - 1e-8, b.z, b.jordan)
         rec = recover_factor_iso(iso.apply, alg, alg, seed=seed)
         assert reproduction_error(rec.apply, iso.apply, alg, np.random.default_rng(3)) <= 1e-10
 
-    @pytest.mark.parametrize(
-        "factor, seed",
-        [(HermFactor(n, Ring.QUATERNION), seed) for n, seeds in ((3, (1, 5, 8)), (12, (1, 3, 5))) for seed in seeds],
-        ids=str,
-    )
-    def test_a_quaternion_map_near_the_top_of_the_family_is_recovered(self, factor, seed):
-        # the twist's null vector was gated at an absolute 1e-6, the noise level of J's
-        # images at t = 1 - 1e-8, and these maps' smallest singular values are 1.0e-6 to
-        # 1.2e-6: they were refused as "inner twist is not a rotation"
-        alg = single_factor(factor)
-        b = random_factor_iso(factor, np.random.default_rng(seed))
-        iso = FactorOrderIso(1.0 - 1e-8, b.z, b.jordan)
-        rec = recover_factor_iso(iso.apply, alg, alg)
-        assert reproduction_error(rec.apply, iso.apply, alg, np.random.default_rng(3), samples=3) <= 1e-6
-
-    @pytest.mark.parametrize("n", [2, 3, 12])
+    @pytest.mark.parametrize("n", [2, 3, 12, 28])
     @pytest.mark.parametrize("t", [0.3, 1.0 - 1e-8])
     def test_a_quaternion_map_after_the_entrywise_conjugate_is_refused(self, n, t):
-        # x -> conj(x) entrywise is no inner Jordan automorphism of herm(n,H), so the
-        # twist gate, read relative to n, still refuses a map composed with it
+        # x -> conj(x) entrywise is no inner Jordan automorphism of herm(n,H), so a map
+        # composed with it is refused however loose the twist gate: it passes that gate
+        # at n = 2 and 3 and the agreement check refuses it, and from n = 6 an
+        # agreement probe's image leaves the invertible part before the twist is read
         factor = HermFactor(n, Ring.QUATERNION)
         alg, kind = single_factor(factor), factor._kind
 
